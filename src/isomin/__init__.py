@@ -10,7 +10,7 @@ line, so that every asserted property is checked numerically.
 from .errors import (AmbiguousKernel, DegeneratePoint, DegenerateValue,
                      DimensionMismatch, FlagCollapse, InvalidData,
                      IsominError, NotElliptic, NullityJump, OrderExceeded,
-                     OrderOutOfRange, OrientationFailure, ShapeMismatch)
+                     OrderOutOfRange, ShapeMismatch)
 from .cpoly import (ComplexPoly, bilinear_dot, poly, poly_diff, poly_eval,
                     poly_from_json, poly_int, poly_mul, poly_to_json,
                     vec_diff, vec_eval, vec_from_json, vec_int, vec_to_json)
@@ -42,7 +42,7 @@ __all__ = [
     "EllipticityReport", "FlagCollapse", "FundamentalForms", "ImmersionChart",
     "InvalidData", "IsominError", "Jet", "JetSpace", "MinimalSurfaceRep",
     "NotElliptic", "NullityJump", "NullityReport", "OrderExceeded",
-    "OrderOutOfRange", "OrientationFailure", "OsculatingFlag",
+    "OrderOutOfRange", "OsculatingFlag",
     "ShapeMismatch", "SplittingReport", "WeierstrassData", "bilinear_dot",
     "bundle_point_report", "christoffels", "curvature_ellipse",
     "demo_weierstrass_data", "ellipticity", "first_fundamental_form",

@@ -19,18 +19,16 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import jet as J
 from .errors import (DegeneratePoint, DegenerateValue, FlagCollapse,
-                     InvalidData, NullityJump, OrientationFailure,
-                     ShapeMismatch)
+                     InvalidData, NullityJump, ShapeMismatch)
 from . import geometry as geo
 from .geometry import ImmersionChart
 
-SPLIT_STEP = 1e-3
 SPAN_TOL = 1e-6
 ODE_TOL = 1e-5
 
@@ -273,117 +271,148 @@ class SplittingReport:
     fiber_alignment: float
 
 
-_FD_OFFSETS = (-2.0, -1.0, 1.0, 2.0)
-_FD_WEIGHTS = (1.0, -8.0, 8.0, -1.0)
+def _cross(a: Sequence[J.Jet], b: Sequence[J.Jet]) -> list[J.Jet]:
+    return [J.jet_mul(a[1], b[2]) - J.jet_mul(a[2], b[1]),
+            J.jet_mul(a[2], b[0]) - J.jet_mul(a[0], b[2]),
+            J.jet_mul(a[0], b[1]) - J.jet_mul(a[1], b[0])]
 
 
-def _fd_grad(fn: Callable[[np.ndarray], np.ndarray], p: np.ndarray,
-             h: float) -> np.ndarray:
-    """4th-order 5-point gradient of a vector function, shape (3,) + out."""
-    rows = []
-    for k in range(3):
-        acc = None
-        for off, wgt in zip(_FD_OFFSETS, _FD_WEIGHTS):
-            q = p.copy()
-            q[k] += off * h
-            val = wgt * np.asarray(fn(q))
-            acc = val if acc is None else acc + val
-        rows.append(acc / (12.0 * h))
-    return np.stack(rows, axis=0)
+def _nullity_field(c: ImmersionChart, jets: list[J.Jet], eps_rank: float
+                   ) -> tuple[list[J.Jet], list[list[J.Jet]], J.Jet]:
+    """Unit nullity field T, metric G and det G, as order-2 jets, from an
+    order-4 jet of a 3-chart f.
+
+    The normal parts of the second partials, scaled by det G to stay
+    polynomial, are n_ij = det G (H_ij - <H_ij, f> f) - sum F_m adj(G)_mn
+    <F_n, H_ij> (no f term in Euclidean space). The nullity line is the
+    kernel of S_ik = sum_j <n_ij, n_kj>, which has rank 2 where the nullity
+    is 1, so every adjugate column of S spans it; T normalizes the one whose
+    value is longest."""
+    d1 = [[x.derivative(i) for x in jets] for i in range(3)]
+    F = [[J.jet_truncate(x, 2) for x in row] for row in d1]
+    G = [[_jet_dot(F[i], F[j]) for j in range(3)] for i in range(3)]
+    adj = [_cross(G[1], G[2]), _cross(G[2], G[0]), _cross(G[0], G[1])]
+    det = _jet_dot(G[0], adj[0])
+    f = [J.jet_truncate(x, 2) for x in jets]
+    normal = {}
+    for i in range(3):
+        for j in range(i, 3):
+            H = [x.derivative(j) for x in d1[i]]
+            tangent = [_jet_dot(F[k], H) for k in range(3)]
+            n = [J.jet_mul(det, x) for x in H]
+            if c.ambient == "sphere":
+                radial = J.jet_mul(det, _jet_dot(f, H))
+                n = [x - J.jet_mul(radial, y) for x, y in zip(n, f)]
+            for m in range(3):
+                coef = _jet_dot(adj[m], tangent)
+                n = [x - J.jet_mul(coef, y) for x, y in zip(n, F[m])]
+            normal[i, j] = normal[j, i] = n
+    K = [[x for j in range(3) for x in normal[i, j]] for i in range(3)]
+    S = [[_jet_dot(K[i], K[k]) for k in range(3)] for i in range(3)]
+    S0 = np.array([[x.value for x in row] for row in S])
+    norms = [float(np.linalg.norm(np.cross(S0[(k + 1) % 3], S0[(k + 2) % 3])))
+             for k in range(3)]
+    k = int(np.argmax(norms))
+    # |adj S| ~ s1 s2 against |S|^2 ~ s1^2: the second singular value of
+    # X -> alpha(X, .) relative to the first is below eps_rank
+    if not norms[k] > eps_rank ** 2 * float(np.sum(S0 * S0)):
+        raise NullityJump("nullity line undetermined: the adjugate of "
+                          "alpha alpha^T vanishes")
+    t = [x * (1.0 / norms[k]) for x in _cross(S[(k + 1) % 3], S[(k + 2) % 3])]
+    norm2 = _jet_dot(t, [_jet_dot(row, t) for row in G])
+    inv = J.jet_recip(J.jet_sqrt(norm2))
+    return [J.jet_mul(x, inv) for x in t], G, det
+
+
+def _horizontal_frame(G: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Rows X1, X2: metric-orthonormal, orthogonal to T, by Gram-Schmidt on
+    the two coordinate axes least aligned with T."""
+    scores = [abs(float(G[k] @ T)) / math.sqrt(float(G[k, k]))
+              for k in range(3)]
+    frame = []
+    for k in np.argsort(scores)[:2]:
+        x = np.zeros(3)
+        x[k] = 1.0
+        x = x - float(x @ G @ T) * T
+        for w in frame:
+            x = x - float(x @ G @ w) * w
+        n2 = float(x @ G @ x)
+        if n2 <= 0:
+            raise DegeneratePoint("horizontal frame degenerates")
+        frame.append(x / math.sqrt(n2))
+    return np.stack(frame)
 
 
 def splitting_tensor(chart, point: Sequence[float],
-                     step: float = SPLIT_STEP,
                      eps_rank: float = geo.EPS_RANK) -> SplittingReport:
     """Measure the splitting tensor of the nullity distribution at a point
-    where the relative nullity is 1, by finite differences of the oriented
-    unit kernel field (5-point stencils of width `step`)."""
+    where the relative nullity is 1, exactly, from one order-4 jet of the
+    chart.
+
+    With T the unit nullity field as an order-2 jet, the covariant
+    derivative (nabla_k T)_m = g_ml d_k T^l + Gamma_(m,kl) T^l, the scalars
+    v = -div(T) / 2 and u = |eps^(kmi) T_i (nabla_k T)_m| / 2 are order-1
+    jets, so their derivatives along the frame are exact. The sign of u is
+    fixed at the point; T's orientation is arbitrary, which flips v."""
     c = as_chart(chart)
     if c.domain_dim != 3:
         raise ShapeMismatch("splitting tensor applies to 3-charts")
-    p0 = np.array([float(x) for x in point])
+    rep = relative_nullity(c, point, eps_rank=eps_rank)
+    if rep.nu != 1:
+        raise NullityJump(f"nullity {rep.nu} != 1 at {tuple(point)}")
+    jets = c.eval_jets(point, 4)
+    try:
+        T, G, det = _nullity_field(c, jets, eps_rank)
+        # the metric is vetted by relative_nullity, so det G > 0
+        det1 = J.jet_truncate(det, 1)
+        inv_det = J.jet_recip(det1, eps=0.0)
+        inv_vol = J.jet_recip(J.jet_sqrt(det1, eps=0.0), eps=0.0)
+    except DegenerateValue as exc:
+        raise DegeneratePoint(f"nullity field degenerates at "
+                              f"{tuple(point)}: {exc}")
+    T1 = [J.jet_truncate(x, 1) for x in T]
+    g = [[J.jet_truncate(x, 1) for x in row] for row in G]
+    dG = [[[x.derivative(k) for x in row] for row in G] for k in range(3)]
+    dT = [[x.derivative(k) for x in T] for k in range(3)]
+    cov = [[_jet_dot(g[m], dT[k])
+            + 0.5 * _jet_dot([dG[k][l][m] + dG[l][k][m] - dG[m][k][l]
+                              for l in range(3)], T1)
+            for m in range(3)] for k in range(3)]
+    div = (dT[0][0] + dT[1][1] + dT[2][2]
+           + 0.5 * J.jet_mul(_jet_dot(T1, [det.derivative(k)
+                                           for k in range(3)]), inv_det))
+    v = -0.5 * div
+    lowered = [_jet_dot(row, T1) for row in g]
+    curl = [cov[1][2] - cov[2][1], cov[2][0] - cov[0][2],
+            cov[0][1] - cov[1][0]]
+    u = 0.5 * J.jet_mul(_jet_dot(lowered, curl), inv_vol)
+    if u.value < 0:
+        u = -u
 
-    def unit_kernel(q, ref=None):
-        rep = relative_nullity(c, q, eps_rank=eps_rank)
-        if rep.nu != 1:
-            raise NullityJump(f"nullity {rep.nu} != 1 at {tuple(q)}")
-        G = geo.first_fundamental_form(c, q)
-        T = rep.kernel[:, 0]
-        T = T / math.sqrt(float(T @ G @ T))
-        if ref is not None:
-            d = float(T @ ref)
-            if abs(d) < 0.2:
-                raise OrientationFailure(
-                    f"kernel field direction ambiguous at {tuple(q)}")
-            if d < 0:
-                T = -T
-        return T
-
-    T0 = unit_kernel(p0)
-
-    def horizontal_frame(G, T, hand):
-        # two metric-orthonormal vectors spanning the complement of T, with
-        # fixed coordinate handedness times `hand`
-        scores = [abs(float(G[k] @ T)) / math.sqrt(float(G[k, k]))
-                  for k in range(3)]
-        order = np.argsort(scores)
-        frame = []
-        for k in order[:2]:
-            v = np.zeros(3)
-            v[k] = 1.0
-            v = v - float(v @ G @ T) * T
-            for w in frame:
-                v = v - float(v @ G @ w) * w
-            n2 = float(v @ G @ v)
-            if n2 <= 0:
-                raise DegeneratePoint("horizontal frame degenerates")
-            frame.append(v / math.sqrt(n2))
-        X1, X2 = frame
-        if float(np.linalg.det(np.stack([X1, X2, T], axis=1))) * hand < 0:
-            X2 = -X2
-        return X1, X2
-
-    def uv_at(q, ref, hand):
-        T = unit_kernel(q, ref)
-        G = geo.first_fundamental_form(c, q)
-        Gam = geo.christoffels(c, q)
-        dT = _fd_grad(lambda r: unit_kernel(r, T), q, step)  # dT[k, j]
-        covD = dT + np.einsum("jkl,l->kj", Gam, T)
-        X1, X2 = horizontal_frame(G, T, hand)
-        C = np.zeros((2, 2))
-        for a, Xa in enumerate((X1, X2)):
-            W = Xa @ covD                      # (nabla_Xa T)^j
-            W = W - float(W @ G @ T) * T       # horizontal part
-            for b, Xb in enumerate((X1, X2)):
-                C[b, a] = -float(Xb @ G @ W)
-        u = 0.5 * (C[0, 1] - C[1, 0])
-        v = 0.5 * (C[0, 0] + C[1, 1])
-        return u, v, C, X1, X2, T, G
-
-    u0, v0, C0, X1, X2, Tc, G0 = uv_at(p0, T0, +1.0)
-    hand = +1.0
-    if u0 < 0:
-        hand = -1.0
-        u0, v0, C0, X1, X2, Tc, G0 = uv_at(p0, T0, hand)
-
+    G0 = np.array([[x.value for x in row] for row in G])
+    T0 = np.array([x.value for x in T])
+    A = np.array([[x.value for x in row] for row in cov])
+    X = _horizontal_frame(G0, T0)
+    C = -X @ A.T @ X.T  # C[b, a] = -<X_b, nabla_(X_a) T>
+    if C[0, 1] < C[1, 0]:  # orient the frame so that u >= 0
+        X[1] = -X[1]
+        C = -X @ A.T @ X.T
+    u0, v0 = u.value, v.value
     Jq = np.array([[0.0, -1.0], [1.0, 0.0]])
-    span_residual = float(np.linalg.norm(
-        C0 - (v0 * np.eye(2) - u0 * Jq)))
-
-    grad_uv = _fd_grad(lambda r: np.array(uv_at(r, T0, hand)[:2]), p0, step)
-    frame_vecs = (X1, X2, Tc)
-    d_u = [float(X @ grad_uv[:, 0]) for X in frame_vecs]
-    d_v = [float(X @ grad_uv[:, 1]) for X in frame_vecs]
+    span_residual = float(np.linalg.norm(C - (v0 * np.eye(2) - u0 * Jq)))
+    grad_u, grad_v = (np.array([w.derivative(k).value for k in range(3)])
+                      for w in (u, v))
+    frame = (X[0], X[1], T0)
+    d_u = [float(e @ grad_u) for e in frame]
+    d_v = [float(e @ grad_v) for e in frame]
     ode_residuals = {
         "e3_v": abs(d_v[2] - (v0 * v0 - u0 * u0 + 1.0)),
         "e3_u": abs(d_u[2] - 2.0 * u0 * v0),
         "e1_u_minus_e2_v": abs(d_u[0] - d_v[1]),
         "e2_u_plus_e1_v": abs(d_u[1] + d_v[0]),
     }
-    e_th = np.zeros(3)
-    e_th[2] = 1.0
-    fiber_alignment = abs(float(Tc @ G0 @ e_th)) / math.sqrt(float(G0[2, 2]))
-    return SplittingReport(point=tuple(float(x) for x in point), C=C0,
+    fiber_alignment = abs(float(T0 @ G0[:, 2])) / math.sqrt(float(G0[2, 2]))
+    return SplittingReport(point=tuple(float(x) for x in point), C=C,
                            u=float(u0), v=float(v0),
                            span_residual=span_residual,
                            ode_residuals=ode_residuals,

@@ -10,7 +10,8 @@ splitting tensor equations, `export` writes an OBJ mesh.
 Configuration is a single JSON document; command line flags override its
 fields. Runs are deterministic: the same config produces byte-identical
 reports and meshes. Exit codes: 0 all checks pass, 1 bad input, 2 a
-verification failed, 3 structural degeneracy (flag collapse).
+verification failed or the numerics broke down, 3 structural degeneracy
+(flag collapse).
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from . import catalog
 from . import geometry as geo
 from . import weierstrass as W
 from .errors import FlagCollapse, InvalidData, IsominError, NotElliptic, \
-    DegeneratePoint, NullityJump, OrderOutOfRange, OrientationFailure
+    DegeneratePoint, NullityJump, OrderOutOfRange
 
 DEFAULT_TOLS = {
     "eps_deg": geo.EPS_DEG,        # metric admissibility floor
@@ -56,8 +57,8 @@ def _pyify(x):
         return [_pyify(v) for v in x]
     if isinstance(x, np.ndarray):
         return _pyify(x.tolist())
-    if isinstance(x, np.floating):
-        return float(x)
+    if isinstance(x, (float, np.floating)):
+        return float(x) if math.isfinite(x) else None
     if isinstance(x, np.integer):
         return int(x)
     if isinstance(x, np.bool_):
@@ -66,7 +67,9 @@ def _pyify(x):
 
 
 def report_text(doc: dict) -> str:
-    return json.dumps(_pyify(doc), sort_keys=True, indent=2) + "\n"
+    """Strict JSON: non-finite numbers are written as null."""
+    return json.dumps(_pyify(doc), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def _emit(doc: dict, out: str | None):
@@ -172,6 +175,8 @@ def load_config(args) -> dict:
         cfg["grid"] = parse_grid(cfg["grid"])
     if not isinstance(cfg["splitting_points"], int) or cfg["splitting_points"] < 0:
         raise InvalidData("splitting_points must be a nonnegative integer")
+    if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool):
+        raise InvalidData(f"seed must be an integer, got {cfg['seed']!r}")
     return cfg
 
 
@@ -236,6 +241,16 @@ def _axes_for(chart, cfg, default3=(5, 5, 8), default2=(9, 9)):
     return geo.grid_axes(chart, counts, ranges), [list(g) for g in grid]
 
 
+def _worst(values) -> float:
+    """Largest value (0 for none), or NaN if any value is not finite, so
+    that a bound check on it fails; max() keeps a NaN only when it comes
+    first."""
+    vals = list(values)
+    if not all(math.isfinite(v) for v in vals):
+        return math.nan
+    return max(vals, default=0.0)
+
+
 def _verdict_line(name: str, ok: bool, detail: str) -> str:
     return f"{name}: {'PASS' if ok else 'FAIL'} ({detail})"
 
@@ -244,7 +259,7 @@ def cmd_generate(cfg) -> int:
     tols = cfg["tolerances"]
     data = resolve_surface_data(cfg)
     rep = W.generate_surface(data)
-    ident_max = max(rep.residuals.values())
+    ident_max = _worst(rep.residuals.values())
     ident_ok = ident_max <= tols["null"]
 
     spots = []
@@ -373,9 +388,9 @@ def cmd_bundle(cfg) -> int:
     live = [r for r in rows if not r["singular"]]
     singular = len(rows) - len(live)
 
-    h_max = max((r["H"] for r in live), default=0.0)
+    h_max = _worst(r["H"] for r in live)
     h_ok = h_max <= tols["mean_curvature"]
-    sv_max = max((r["sv"][-1] for r in live), default=0.0)
+    sv_max = _worst(r["sv"][-1] for r in live)
     nu_ok = sv_max <= tols["nullity"]
     nus = sorted({r["nu"] for r in live})
 
@@ -394,14 +409,14 @@ def cmd_bundle(cfg) -> int:
                             "fiber_alignment": sp.fiber_alignment})
         except DegeneratePoint:
             row["skipped"] = "singular"
-        except (NullityJump, OrientationFailure) as exc:
+        except NullityJump as exc:
             row["error"] = str(exc)
         split_rows.append(row)
     attempted = [r for r in split_rows if r["skipped"] is None]
     span_ok = all(r["error"] is None and r["span_residual"] <= tols["span"]
                   for r in attempted)
     ode_ok = all(r["error"] is None
-                 and max(r["ode_residuals"].values()) <= tols["ode"]
+                 and _worst(r["ode_residuals"].values()) <= tols["ode"]
                  for r in attempted)
 
     passed = h_ok and nu_ok and span_ok and ode_ok
@@ -573,6 +588,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except IsominError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except np.linalg.LinAlgError as exc:  # a ValueError, but not bad input
+        print(f"numerical breakdown: {exc}", file=sys.stderr)
+        return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -53,7 +53,3 @@ class FlagCollapse(IsominError):
 class NullityJump(IsominError):
     """The relative nullity is not constant (or not 1) where the splitting
     tensor needs it."""
-
-
-class OrientationFailure(IsominError):
-    """A frame or kernel field could not be consistently oriented."""

@@ -3,9 +3,17 @@
 Everything here works on plain chart evaluations with central finite
 differences (5-point, 4th order), deliberately bypassing the jet machinery
 so that jet-derived quantities can be checked against something that shares
-no code with them.
+no code with them. The splitting tensor oracle differentiates the unit
+kernel field of `relative_nullity` by nested stencils; it shares only that
+function and the chart with the jet-based `splitting_tensor`.
 """
+import math
+
 import numpy as np
+
+import isomin.geometry as geo
+from isomin.bundles import SplittingReport, as_chart, relative_nullity
+from isomin.errors import DegeneratePoint, NullityJump
 
 STEP = 1e-4
 
@@ -66,3 +74,97 @@ def second_form_fd(chart, point, h=STEP):
     flat = P2.reshape(-1, N)
     flat = flat - (flat @ Q) @ Q.T
     return flat.reshape(m, m, N)
+
+
+def _horizontal_frame(G, T, hand):
+    """Two metric-orthonormal vectors spanning the complement of T, with
+    fixed coordinate handedness times `hand`."""
+    scores = [abs(float(G[k] @ T)) / math.sqrt(float(G[k, k]))
+              for k in range(3)]
+    frame = []
+    for k in np.argsort(scores)[:2]:
+        v = np.zeros(3)
+        v[k] = 1.0
+        v = v - float(v @ G @ T) * T
+        for w in frame:
+            v = v - float(v @ G @ w) * w
+        n2 = float(v @ G @ v)
+        if n2 <= 0:
+            raise DegeneratePoint("horizontal frame degenerates")
+        frame.append(v / math.sqrt(n2))
+    X1, X2 = frame
+    if float(np.linalg.det(np.stack([X1, X2, T], axis=1))) * hand < 0:
+        X2 = -X2
+    return X1, X2
+
+
+def splitting_fd(chart, point, step=1e-3):
+    """Splitting tensor of the nullity line at a point where the relative
+    nullity is 1, by finite differences: the unit kernel field is
+    differentiated by 5-point stencils of width `step`, and (u, v) again by
+    stencils over that. About 370 chart evaluations per point."""
+    c = as_chart(chart)
+    p0 = np.array([float(x) for x in point])
+
+    def unit_kernel(q, ref=None):
+        rep = relative_nullity(c, q)
+        if rep.nu != 1:
+            raise NullityJump(f"nullity {rep.nu} != 1 at {tuple(q)}")
+        G = geo.first_fundamental_form(c, q)
+        T = rep.kernel[:, 0]
+        T = T / math.sqrt(float(T @ G @ T))
+        if ref is not None:
+            d = float(T @ ref)
+            if abs(d) < 0.2:
+                raise ValueError(
+                    f"kernel field direction ambiguous at {tuple(q)}")
+            if d < 0:
+                T = -T
+        return T
+
+    def grad(fn, q):
+        return np.stack([fd1(fn, q, k, step) for k in range(3)])
+
+    T0 = unit_kernel(p0)
+
+    def uv_at(q, hand):
+        T = unit_kernel(q, T0)
+        G = geo.first_fundamental_form(c, q)
+        Gam = geo.christoffels(c, q)
+        dT = grad(lambda r: unit_kernel(r, T), q)  # dT[k, j]
+        covD = dT + np.einsum("jkl,l->kj", Gam, T)
+        X1, X2 = _horizontal_frame(G, T, hand)
+        C = np.zeros((2, 2))
+        for a, Xa in enumerate((X1, X2)):
+            W = Xa @ covD                      # (nabla_Xa T)^j
+            W = W - float(W @ G @ T) * T       # horizontal part
+            for b, Xb in enumerate((X1, X2)):
+                C[b, a] = -float(Xb @ G @ W)
+        u = 0.5 * (C[0, 1] - C[1, 0])
+        v = 0.5 * (C[0, 0] + C[1, 1])
+        return u, v, C, X1, X2, T, G
+
+    hand = +1.0
+    u0, v0, C0, X1, X2, Tc, G0 = uv_at(p0, hand)
+    if u0 < 0:
+        hand = -1.0
+        u0, v0, C0, X1, X2, Tc, G0 = uv_at(p0, hand)
+
+    Jq = np.array([[0.0, -1.0], [1.0, 0.0]])
+    span_residual = float(np.linalg.norm(C0 - (v0 * np.eye(2) - u0 * Jq)))
+    grad_uv = grad(lambda r: np.array(uv_at(r, hand)[:2]), p0)
+    frame_vecs = (X1, X2, Tc)
+    d_u = [float(X @ grad_uv[:, 0]) for X in frame_vecs]
+    d_v = [float(X @ grad_uv[:, 1]) for X in frame_vecs]
+    ode_residuals = {
+        "e3_v": abs(d_v[2] - (v0 * v0 - u0 * u0 + 1.0)),
+        "e3_u": abs(d_u[2] - 2.0 * u0 * v0),
+        "e1_u_minus_e2_v": abs(d_u[0] - d_v[1]),
+        "e2_u_plus_e1_v": abs(d_u[1] + d_v[0]),
+    }
+    fiber_alignment = abs(float(Tc @ G0[:, 2])) / math.sqrt(float(G0[2, 2]))
+    return SplittingReport(point=tuple(float(x) for x in point), C=C0,
+                           u=float(u0), v=float(v0),
+                           span_residual=span_residual,
+                           ode_residuals=ode_residuals,
+                           fiber_alignment=fiber_alignment)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import isomin.geometry as geo
 import isomin.jet as J
@@ -12,11 +13,14 @@ from isomin.bundles import (bundle_point_report, mean_curvature,
                             unit_tangent_chart)
 from isomin.catalog import (demo_weierstrass_data, make_fixture,
                             make_geodesic_sphere, make_great_sphere,
-                            make_plane, make_veronese)
+                            make_plane, make_veronese,
+                            random_weierstrass_data)
 from isomin.errors import (DegeneratePoint, FlagCollapse, InvalidData,
                            NullityJump, ShapeMismatch)
 from isomin.geometry import ImmersionChart
 from isomin.weierstrass import generate_surface
+
+from oracles import splitting_fd
 
 
 @pytest.fixture(scope="module")
@@ -242,3 +246,98 @@ def test_bundle_point_report_rows(bipolar_n5):
     assert row["residuals"]["span"] < 1e-6
     plain = bundle_point_report(bipolar_n5, (0.1, 0.2, 0.7))
     assert plain["C"] is None and plain["uv"] is None
+
+
+@pytest.mark.parametrize("which, point", [
+    ("bipolar", (0.1, 0.2, 0.7)),
+    ("bipolar", (-0.3, 0.15, 3.9)),
+    ("polar", (0.15, -0.1, 0.9)),
+])
+def test_splitting_tensor_matches_fd_oracle(bipolar_n5, polar_ver, which,
+                                            point):
+    """The jet-based splitting tensor agrees with nested finite differences
+    of the unit kernel field. T's orientation is arbitrary: flipping it
+    flips v and the diagonal of C."""
+    bc = bipolar_n5 if which == "bipolar" else polar_ver
+    sp = splitting_tensor(bc, point)
+    ref = splitting_fd(bc, point)
+    sign = 1.0 if sp.v * ref.v >= 0 else -1.0
+    C_ref = ref.C * np.array([[sign, 1.0], [1.0, sign]])
+    assert sp.u == pytest.approx(ref.u, abs=1e-6)
+    assert sp.v == pytest.approx(sign * ref.v, abs=1e-6)
+    assert np.allclose(sp.C, C_ref, atol=1e-6)
+    assert sp.fiber_alignment == pytest.approx(ref.fiber_alignment, abs=1e-6)
+
+
+def _reparametrized(chart: ImmersionChart, phi) -> ImmersionChart:
+    """The 3-chart x -> chart(phi(x)), with phi a map of jets. Taylor
+    composition: chart(phi(x)) = sum_beta c_beta (phi(x) - phi(x0))^beta."""
+
+    def jet_fn(point, space):
+        ys = phi([J.jet_variable(space, i, x) for i, x in enumerate(point)])
+        delta = [y - y.value for y in ys]
+        monomials = []
+        for beta in space.indices:
+            term = J.jet_constant(space, 1.0)
+            for d, k in zip(delta, beta):
+                for _ in range(k):
+                    term = J.jet_mul(term, d)
+            monomials.append(term)
+        out = []
+        for comp in chart.jet_fn(tuple(y.value for y in ys), space):
+            acc = J.jet_constant(space, 0.0)
+            for c, term in zip(comp.coeffs, monomials):
+                acc = acc + float(c) * term
+            out.append(acc)
+        return out
+
+    return ImmersionChart(domain_dim=3, ambient_dim=chart.ambient_dim,
+                          ambient=chart.ambient, jet_fn=jet_fn,
+                          domain=chart.domain, name=f"reparam({chart.name})")
+
+
+def test_splitting_scalars_are_invariant_under_reparametrization(bipolar_n5):
+    """(u, |v|) and the residuals do not depend on the coordinates. In the
+    bundle coordinates T is the fiber direction and det G is constant along
+    it; after a nonlinear change of coordinates neither holds, so every
+    Christoffel term of nabla T and of div T counts."""
+
+    def phi(x):
+        u, v, t = x
+        return [u + 0.3 * t + 0.2 * J.jet_mul(v, t),
+                v + 0.1 * J.jet_mul(u, u),
+                t + 0.3 * J.jet_mul(t, t) + 0.2 * J.jet_mul(u, v)]
+
+    chart = _reparametrized(bipolar_n5.chart, phi)
+    x0 = (0.1, 0.2, 0.7)
+    y0 = tuple(y.value for y in phi([J.jet_constant(J.get_space(3, 0), c)
+                                     for c in x0]))
+    sp = splitting_tensor(chart, x0)
+    ref = splitting_tensor(bipolar_n5, y0)
+    assert sp.fiber_alignment < 0.99
+    assert sp.u == pytest.approx(ref.u, abs=1e-9)
+    assert abs(sp.v) == pytest.approx(abs(ref.v), abs=1e-9)
+    assert sp.span_residual < 1e-9
+    assert max(sp.ode_residuals.values()) < 1e-9
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([5, 6]),
+       frac=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+       theta=st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+def test_splitting_tensor_bounds_on_random_bipolar_charts(seed, n, frac,
+                                                          theta):
+    base = generate_surface(
+        random_weierstrass_data(np.random.default_rng(seed), n)).chart
+    bc = unit_tangent_chart(base)
+    point = tuple(lo + (hi - lo) * f
+                  for (lo, hi), f in zip(base.domain, frac)) + (theta,)
+    try:
+        rep = relative_nullity(bc, point)
+    except DegeneratePoint:
+        assume(False)
+    assume(rep.nu == 1)
+    sp = splitting_tensor(bc, point)
+    assert sp.span_residual < 1e-6
+    assert max(sp.ode_residuals.values()) < 1e-5
+    assert sp.u >= 0.0

@@ -1,10 +1,12 @@
 """Command line driver: exit codes, report documents, OBJ output."""
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
-from isomin import cli
+from isomin import bundles, cli
 
 
 def run(argv):
@@ -185,6 +187,63 @@ def test_config_validation(tmp_path):
     bad.write_text("not json")
     assert run(["analyze", "--config", str(bad)]) == 1
     assert run(["analyze", "--config", str(tmp_path / "missing.json")]) == 1
+
+
+@pytest.mark.parametrize("seed", ["abc", True, None, 1.5])
+def test_config_seed_must_be_an_integer(tmp_path, capsys, seed):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"fixture": "random-n5", "seed": seed}))
+    assert run(["generate", "--config", str(cfgp)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be an integer")
+    assert err.count("\n") == 1
+
+
+def _bundle_args(tmp_path):
+    return ["bundle", "--kind", "bipolar", "--fixture", "n5",
+            "--grid", f"0:0.2:2,0:0.2:2,0:{TWO_PI}:2",
+            "--out", str(tmp_path / "r.json")]
+
+
+def test_nan_mean_curvature_fails_and_report_is_strict_json(tmp_path,
+                                                           monkeypatch):
+    real = bundles.relative_nullity
+    calls = []
+
+    def nan_at_first_point(chart, point, **kw):
+        rep = real(chart, point, **kw)
+        calls.append(point)
+        if len(calls) == 1:
+            rep = dataclasses.replace(rep, mean_curvature_norm=math.nan)
+        return rep
+
+    monkeypatch.setattr(bundles, "relative_nullity", nan_at_first_point)
+    args = _bundle_args(tmp_path)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"splitting_points": 0}))
+    assert run(args + ["--config", str(cfgp)]) == 2
+    text = (tmp_path / "r.json").read_text()
+
+    def reject(const):
+        raise ValueError(f"non-finite number {const} in the report")
+
+    doc = json.loads(text, parse_constant=reject)
+    assert doc["rows"][0]["H"] is None
+    assert doc["summary"]["H_max"] is None
+    assert doc["verdicts"]["mean_curvature"] is False
+    assert doc["verdicts"]["nullity"] is True
+    assert doc["pass"] is False
+
+
+def test_linalg_error_is_a_numerical_breakdown(tmp_path, capsys,
+                                               monkeypatch):
+    def breakdown(chart, point, **kw):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(bundles, "relative_nullity", breakdown)
+    assert run(_bundle_args(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err == "numerical breakdown: SVD did not converge\n"
 
 
 def test_flags_override_config(tmp_path):
