@@ -15,8 +15,8 @@ from .cpoly import (ComplexPoly, bilinear_dot, poly, poly_diff, poly_eval,
                     poly_from_json, poly_int, poly_mul, poly_to_json,
                     vec_diff, vec_eval, vec_from_json, vec_int, vec_to_json)
 from .jet import (Jet, JetSpace, get_space, jet_constant, jet_cos,
-                   jet_extract, jet_mul, jet_recip, jet_sin, jet_sqrt,
-                   jet_truncate, jet_variable)
+                   jet_extract, jet_holomorphic_re, jet_mul, jet_recip,
+                   jet_sin, jet_sqrt, jet_truncate, jet_variable)
 from .geometry import (EllipseReport, EllipticityReport, FundamentalForms,
                        ImmersionChart, OsculatingFlag, christoffels,
                        curvature_ellipse, ellipticity, first_fundamental_form,
@@ -30,7 +30,7 @@ from .catalog import (demo_weierstrass_data, make_fixture, make_geodesic_sphere,
                       make_graph, make_great_sphere, make_holomorphic_curve,
                       make_plane, make_veronese, random_weierstrass_data)
 from .bundles import (BundleChart, NullityReport, SplittingReport,
-                      bundle_point_report, mean_curvature, relative_nullity,
+                      bundle_point_report, relative_nullity,
                       splitting_tensor, totally_geodesic_classify,
                       unit_normal_chart, unit_tangent_chart)
 
@@ -48,11 +48,12 @@ __all__ = [
     "demo_weierstrass_data", "ellipticity", "first_fundamental_form",
     "fundamental_forms", "generate_surface", "get_space", "grid_axes",
     "grid_points", "higher_fundamental_form", "isotropic_step",
-    "isotropy_order", "jet_constant", "jet_cos", "jet_extract", "jet_mul",
+    "isotropy_order", "jet_constant", "jet_cos", "jet_extract",
+    "jet_holomorphic_re", "jet_mul",
     "jet_recip", "jet_sin", "jet_sqrt", "jet_truncate", "jet_variable",
     "make_fixture", "make_geodesic_sphere", "make_graph", "make_great_sphere",
     "make_holomorphic_curve", "make_plane", "make_veronese",
-    "mean_curvature", "mean_curvature_vector", "nicely_curved_certificate",
+    "mean_curvature_vector", "nicely_curved_certificate",
     "null_residual", "osculating_flag", "point_report", "poly", "poly_diff",
     "poly_eval", "poly_from_json", "poly_int", "poly_mul", "poly_to_json",
     "random_weierstrass_data", "relative_nullity",

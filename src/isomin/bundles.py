@@ -29,9 +29,6 @@ from .errors import (DegeneratePoint, DegenerateValue, FlagCollapse,
 from . import geometry as geo
 from .geometry import ImmersionChart
 
-SPAN_TOL = 1e-6
-ODE_TOL = 1e-5
-
 
 def _jet_dot(a: Sequence[J.Jet], b: Sequence[J.Jet]) -> J.Jet:
     acc = None
@@ -80,10 +77,6 @@ class BundleChart:
     base: ImmersionChart
     chart: ImmersionChart
     tau: int | None = None
-
-
-def as_chart(obj) -> ImmersionChart:
-    return obj.chart if isinstance(obj, BundleChart) else obj
 
 
 def unit_tangent_chart(base: ImmersionChart,
@@ -216,17 +209,10 @@ class NullityReport:
     totally_geodesic: bool
 
 
-def mean_curvature(chart, point: Sequence[float]) -> float:
-    """Norm of the metric trace of the second fundamental form."""
-    c = as_chart(chart)
-    return float(np.linalg.norm(geo.mean_curvature_vector(c, point)))
-
-
-def relative_nullity(chart, point: Sequence[float],
+def relative_nullity(chart: ImmersionChart, point: Sequence[float],
                      eps_rank: float = geo.EPS_RANK) -> NullityReport:
-    c = as_chart(chart)
-    forms = geo.fundamental_forms(c, point, max_s=2, eps_rank=eps_rank)
-    m = c.domain_dim
+    forms = geo.fundamental_forms(chart, point, max_s=2, eps_rank=eps_rank)
+    m = chart.domain_dim
     lam, V = np.linalg.eigh(forms.metric)
     W = V @ np.diag(1.0 / np.sqrt(lam)) @ V.T  # columns of W = orthonormal frame
     aorth = np.einsum("ki,lj,kla->ija", W, W, forms.tables[2])
@@ -343,7 +329,7 @@ def _horizontal_frame(G: np.ndarray, T: np.ndarray) -> np.ndarray:
     return np.stack(frame)
 
 
-def splitting_tensor(chart, point: Sequence[float],
+def splitting_tensor(chart: ImmersionChart, point: Sequence[float],
                      eps_rank: float = geo.EPS_RANK) -> SplittingReport:
     """Measure the splitting tensor of the nullity distribution at a point
     where the relative nullity is 1, exactly, from one order-4 jet of the
@@ -354,15 +340,14 @@ def splitting_tensor(chart, point: Sequence[float],
     v = -div(T) / 2 and u = |eps^(kmi) T_i (nabla_k T)_m| / 2 are order-1
     jets, so their derivatives along the frame are exact. The sign of u is
     fixed at the point; T's orientation is arbitrary, which flips v."""
-    c = as_chart(chart)
-    if c.domain_dim != 3:
+    if chart.domain_dim != 3:
         raise ShapeMismatch("splitting tensor applies to 3-charts")
-    rep = relative_nullity(c, point, eps_rank=eps_rank)
+    rep = relative_nullity(chart, point, eps_rank=eps_rank)
     if rep.nu != 1:
         raise NullityJump(f"nullity {rep.nu} != 1 at {tuple(point)}")
-    jets = c.eval_jets(point, 4)
+    jets = chart.eval_jets(point, 4)
     try:
-        T, G, det = _nullity_field(c, jets, eps_rank)
+        T, G, det = _nullity_field(chart, jets, eps_rank)
         # the metric is vetted by relative_nullity, so det G > 0
         det1 = J.jet_truncate(det, 1)
         inv_det = J.jet_recip(det1, eps=0.0)
@@ -419,14 +404,13 @@ def splitting_tensor(chart, point: Sequence[float],
                            fiber_alignment=fiber_alignment)
 
 
-def bundle_point_report(chart, point: Sequence[float],
+def bundle_point_report(chart: ImmersionChart, point: Sequence[float],
                         eps_rank: float = geo.EPS_RANK,
                         splitting: bool = False) -> dict:
     """Per-point JSON row for bundle sweeps."""
-    c = as_chart(chart)
     pt = [float(x) for x in point]
     try:
-        rep = relative_nullity(c, point, eps_rank=eps_rank)
+        rep = relative_nullity(chart, point, eps_rank=eps_rank)
     except DegeneratePoint:
         return {"point": pt, "singular": True, "H": None, "nu": None,
                 "sv": None, "tg": None, "C": None, "uv": None,

@@ -14,7 +14,7 @@ from . import cpoly as cp
 from . import jet as J
 from .errors import InvalidData
 from .geometry import ImmersionChart
-from .weierstrass import WeierstrassData, isotropic_step
+from .weierstrass import WeierstrassData, isotropic_step, surface_chart
 
 
 def make_holomorphic_curve(powers: tuple[int, ...], pad: int = 0,
@@ -28,44 +28,26 @@ def make_holomorphic_curve(powers: tuple[int, ...], pad: int = 0,
     if pad < 0:
         raise InvalidData("pad must be nonnegative")
 
-    def jet_fn(point, space):
-        z = J.CJet(J.jet_variable(space, 0, point[0]),
-                   J.jet_variable(space, 1, point[1]))
-        out = []
-        for p in powers:
-            w = J.CJet(J.jet_constant(space, 1.0), J.jet_constant(space, 0.0))
-            for _ in range(p):
-                w = w * z
-            out.extend([w.re, w.im])
-        zero = J.jet_constant(space, 0.0)
-        out.extend([zero] * pad)
-        return out
-
+    components = []
+    for p in powers:
+        components += [cp.poly(*(0,) * p, 1), cp.poly(*(0,) * p, -1j)]
     name = "curve-" + "-".join(str(p) for p in powers)
     if pad:
         name += f"-pad{pad}"
-    return ImmersionChart(domain_dim=2, ambient_dim=2 * len(powers) + pad,
-                          ambient="euclidean", jet_fn=jet_fn,
-                          domain=tuple(domain), name=name)
+    return surface_chart(tuple(components) + (cp.ZERO,) * pad, name=name,
+                         domain=domain)
 
 
 def make_plane(pad: int = 3) -> ImmersionChart:
-    """Affine plane (u, v, 0, ...) in R^(2 + pad): totally geodesic, N_1 = 0.
+    """Affine plane (u, v, 0, ...) = Re (z, -iz, 0, ...) in R^(2 + pad):
+    totally geodesic, N_1 = 0.
 
     The default pad keeps the ambient dimension at 5 so the plane remains a
     legal (if everywhere degenerate) unit tangent bundle base."""
     if pad < 1:
         raise InvalidData("pad must be at least 1")
-
-    def jet_fn(point, space):
-        zero = J.jet_constant(space, 0.0)
-        return [J.jet_variable(space, 0, point[0]),
-                J.jet_variable(space, 1, point[1])] + [zero] * pad
-
-    return ImmersionChart(domain_dim=2, ambient_dim=2 + pad,
-                          ambient="euclidean", jet_fn=jet_fn,
-                          domain=((-1.0, 1.0), (-1.0, 1.0)),
-                          name=f"plane-pad{pad}")
+    return surface_chart((cp.poly(0, 1), cp.poly(0, -1j)) + (cp.ZERO,) * pad,
+                         name=f"plane-pad{pad}")
 
 
 def make_veronese(domain=((-0.85, 0.85), (-0.85, 0.85))) -> ImmersionChart:

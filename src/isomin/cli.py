@@ -164,17 +164,21 @@ def load_config(args) -> dict:
         cfg["kind"] = args.kind
     if getattr(args, "projection", None) is not None:
         cfg["projection"] = args.projection
-    cfg["tolerances"] = parse_tols(args.tol,
-                                   parse_tols([cfg["tolerances"]], DEFAULT_TOLS)
-                                   if cfg["tolerances"] else DEFAULT_TOLS)
+    for key in ("params", "tolerances"):
+        if not isinstance(cfg[key], dict):
+            raise InvalidData(f"{key} must be a JSON object, got {cfg[key]!r}")
+    cfg["tolerances"] = parse_tols(
+        args.tol, parse_tols([cfg["tolerances"]], DEFAULT_TOLS))
     if cfg["jet_order"] is not None:
         k = cfg["jet_order"]
         if not (isinstance(k, int) and 2 <= k <= 6):
             raise InvalidData(f"jet order must be an integer in 2..6, got {k}")
     if cfg["grid"] is not None:
         cfg["grid"] = parse_grid(cfg["grid"])
-    if not isinstance(cfg["splitting_points"], int) or cfg["splitting_points"] < 0:
-        raise InvalidData("splitting_points must be a nonnegative integer")
+    k = cfg["splitting_points"]
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        raise InvalidData(
+            f"splitting_points must be a nonnegative integer, got {k!r}")
     if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool):
         raise InvalidData(f"seed must be an integer, got {cfg['seed']!r}")
     return cfg
@@ -383,7 +387,7 @@ def cmd_bundle(cfg) -> int:
         print(f"warning: {note}")
 
     axes, grid_doc = _axes_for(bc.chart, cfg)
-    rows = [B.bundle_point_report(bc, p, eps_rank=tols["eps_rank"])
+    rows = [B.bundle_point_report(bc.chart, p, eps_rank=tols["eps_rank"])
             for p in geo.grid_points(axes)]
     live = [r for r in rows if not r["singular"]]
     singular = len(rows) - len(live)
@@ -398,11 +402,11 @@ def cmd_bundle(cfg) -> int:
     for p in _splitting_points(bc.chart, axes, cfg["splitting_points"]):
         row = {"point": list(p), "skipped": None, "error": None}
         try:
-            nrep = B.relative_nullity(bc, p, eps_rank=tols["eps_rank"])
+            nrep = B.relative_nullity(bc.chart, p, eps_rank=tols["eps_rank"])
             if nrep.nu != 1:
                 row["skipped"] = f"nullity {nrep.nu} != 1"
             else:
-                sp = B.splitting_tensor(bc, p, eps_rank=tols["eps_rank"])
+                sp = B.splitting_tensor(bc.chart, p, eps_rank=tols["eps_rank"])
                 row.update({"C": sp.C, "u": sp.u, "v": sp.v,
                             "span_residual": sp.span_residual,
                             "ode_residuals": sp.ode_residuals,

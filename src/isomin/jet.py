@@ -8,7 +8,8 @@ composition (sqrt, recip, sin, cos) is a Horner evaluation of the outer
 Taylor series in jet arithmetic, and differentiation shifts coefficients
 down one order. sqrt and recip demand a constant term bounded away from
 zero (eps = 1e-10 by default); violating that raises DegenerateValue, which
-chart-level code surfaces as a degenerate point.
+chart-level code surfaces as a degenerate point. The jet of Re Phi(x0 + i x1)
+for a holomorphic Phi is read off Phi's derivatives in closed form.
 """
 from __future__ import annotations
 
@@ -59,6 +60,7 @@ class JetSpace:
         # derivative maps: for each variable, source positions and factors
         # aligned with the index list of the (order - 1) space
         self._deriv: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self._holo: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def _deriv_maps(self):
         if self._deriv is None:
@@ -75,6 +77,26 @@ class JetSpace:
                              np.array(fac, dtype=float)))
             self._deriv = maps
         return self._deriv
+
+    def _holomorphic_map(self):
+        # positions of the indices (a, b, 0...), with a + b and i^b / (a! b!)
+        if self._holo is None:
+            if self.nvars < 2:
+                raise DimensionMismatch(
+                    "holomorphic jets need 2 or 3 variables, got 1")
+            pos, k, w = [], [], []
+            for p, m in enumerate(self.indices):
+                if any(m[2:]):
+                    continue
+                a, b = m[:2]
+                pos.append(p)
+                k.append(a + b)
+                w.append((1, 1j, -1, -1j)[b % 4]
+                         / (math.factorial(a) * math.factorial(b)))
+            self._holo = (np.array(pos, dtype=np.intp),
+                          np.array(k, dtype=np.intp),
+                          np.array(w, dtype=complex))
+        return self._holo
 
 
 @lru_cache(maxsize=None)
@@ -153,6 +175,24 @@ def jet_variable(space: JetSpace, var: int, value: float) -> Jet:
     if space.order >= 1:
         unit = tuple(1 if i == var else 0 for i in range(space.nvars))
         c[space.pos[unit]] = 1.0
+    return Jet(space, c)
+
+
+def jet_holomorphic_re(space: JetSpace, derivs: Sequence[complex]) -> Jet:
+    """Jet of Re Phi(x0 + i x1) for Phi holomorphic, from the values
+    derivs[k] = Phi^(k)(z), k = 0..order, at the expansion point z.
+
+    By Cauchy-Riemann, d_0^a d_1^b Re Phi = Re(i^b Phi^(a+b)), so the
+    coefficient at (a, b) is Re(i^b derivs[a + b]) / (a! b!). In a
+    3-variable space Re Phi does not depend on x2, and every coefficient
+    with a power of x2 is 0."""
+    d = np.asarray(derivs, dtype=complex)
+    if d.shape != (space.order + 1,):
+        raise ShapeMismatch(f"need {space.order + 1} derivatives for an "
+                            f"order-{space.order} jet, got {d.shape}")
+    pos, k, w = space._holomorphic_map()
+    c = np.zeros(space.size)
+    c[pos] = (w * d[k]).real
     return Jet(space, c)
 
 
@@ -241,33 +281,3 @@ def jet_extract(a: Jet, idx: Sequence[int]) -> float:
             f"derivative {m} exceeds jet order {a.space.order}")
     p = a.space.pos[m]
     return float(a.coeffs[p] * a.space.factorial[p])
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class CJet:
-    """Complex-valued jet as a (re, im) pair of real jets."""
-
-    re: Jet
-    im: Jet
-
-    def __add__(self, other: "CJet") -> "CJet":
-        return CJet(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "CJet") -> "CJet":
-        return CJet(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "CJet") -> "CJet":
-        return CJet(jet_mul(self.re, other.re) - jet_mul(self.im, other.im),
-                    jet_mul(self.re, other.im) + jet_mul(self.im, other.re))
-
-    def add_const(self, c: complex) -> "CJet":
-        return CJet(self.re + c.real, self.im + c.imag)
-
-
-def cjet_polyval(coeffs: Sequence[complex], z: CJet) -> CJet:
-    """Horner evaluation of a complex-coefficient polynomial on a jet."""
-    space = z.re.space
-    acc = CJet(jet_constant(space, 0.0), jet_constant(space, 0.0))
-    for c in reversed(list(coeffs)):
-        acc = (acc * z).add_const(complex(c))
-    return acc

@@ -145,15 +145,29 @@ class MinimalSurfaceRep:
 
 def surface_chart(components: cp.PolyVec, name: str = "",
                   domain: tuple = ((-1.0, 1.0), (-1.0, 1.0))) -> ImmersionChart:
-    """Chart (u, v) -> Re Phi(u + iv) for a complex polynomial curve Phi."""
-    comps = tuple(components)
+    """Chart (u, v) -> Re Phi(u + iv) for a complex polynomial curve Phi.
+
+    The derivatives of each component are computed once, here; evaluation
+    reads the jet off their values at z = u + iv (`jet.jet_holomorphic_re`)."""
+    chains = []
+    for p in components:
+        chain = []
+        while not p.is_zero():
+            chain.append(p)
+            p = cp.poly_diff(p)
+        chains.append(chain)
 
     def jet_fn(point, space):
-        z = J.CJet(J.jet_variable(space, 0, point[0]),
-                   J.jet_variable(space, 1, point[1]))
-        return [J.cjet_polyval(p.coeffs, z).re for p in comps]
+        z = complex(point[0], point[1])
+        n = space.order + 1
+        out = []
+        for chain in chains:
+            derivs = [cp.poly_eval(p, z) for p in chain[:n]]
+            derivs += [0j] * (n - len(derivs))
+            out.append(J.jet_holomorphic_re(space, derivs))
+        return out
 
-    return ImmersionChart(domain_dim=2, ambient_dim=len(comps),
+    return ImmersionChart(domain_dim=2, ambient_dim=len(chains),
                           ambient="euclidean", jet_fn=jet_fn,
                           domain=tuple(domain), name=name)
 

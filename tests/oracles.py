@@ -5,14 +5,18 @@ differences (5-point, 4th order), deliberately bypassing the jet machinery
 so that jet-derived quantities can be checked against something that shares
 no code with them. The splitting tensor oracle differentiates the unit
 kernel field of `relative_nullity` by nested stencils; it shares only that
-function and the chart with the jet-based `splitting_tensor`.
+function and the chart with the jet-based `splitting_tensor`. The
+holomorphic chart oracle evaluates polynomials by Horner's rule in complex
+jet arithmetic, where `surface_chart` reads the jet off complex derivatives
+in closed form.
 """
 import math
 
 import numpy as np
 
 import isomin.geometry as geo
-from isomin.bundles import SplittingReport, as_chart, relative_nullity
+import isomin.jet as J
+from isomin.bundles import SplittingReport, relative_nullity
 from isomin.errors import DegeneratePoint, NullityJump
 
 STEP = 1e-4
@@ -99,18 +103,17 @@ def _horizontal_frame(G, T, hand):
 
 
 def splitting_fd(chart, point, step=1e-3):
-    """Splitting tensor of the nullity line at a point where the relative
-    nullity is 1, by finite differences: the unit kernel field is
+    """Splitting tensor of the nullity line of a 3-chart at a point where
+    the relative nullity is 1, by finite differences: the unit kernel field is
     differentiated by 5-point stencils of width `step`, and (u, v) again by
     stencils over that. About 370 chart evaluations per point."""
-    c = as_chart(chart)
     p0 = np.array([float(x) for x in point])
 
     def unit_kernel(q, ref=None):
-        rep = relative_nullity(c, q)
+        rep = relative_nullity(chart, q)
         if rep.nu != 1:
             raise NullityJump(f"nullity {rep.nu} != 1 at {tuple(q)}")
-        G = geo.first_fundamental_form(c, q)
+        G = geo.first_fundamental_form(chart, q)
         T = rep.kernel[:, 0]
         T = T / math.sqrt(float(T @ G @ T))
         if ref is not None:
@@ -129,8 +132,8 @@ def splitting_fd(chart, point, step=1e-3):
 
     def uv_at(q, hand):
         T = unit_kernel(q, T0)
-        G = geo.first_fundamental_form(c, q)
-        Gam = geo.christoffels(c, q)
+        G = geo.first_fundamental_form(chart, q)
+        Gam = geo.christoffels(chart, q)
         dT = grad(lambda r: unit_kernel(r, T), q)  # dT[k, j]
         covD = dT + np.einsum("jkl,l->kj", Gam, T)
         X1, X2 = _horizontal_frame(G, T, hand)
@@ -168,3 +171,19 @@ def splitting_fd(chart, point, step=1e-3):
                            span_residual=span_residual,
                            ode_residuals=ode_residuals,
                            fiber_alignment=fiber_alignment)
+
+
+def holomorphic_jets_horner(components, point, space):
+    """Jets of Re Phi for each polynomial component of Phi at z = x0 + i x1,
+    by Horner's rule on z as a (re, im) pair of real jets."""
+    zr = J.jet_variable(space, 0, float(point[0]))
+    zi = J.jet_variable(space, 1, float(point[1]))
+    out = []
+    for p in components:
+        re = J.jet_constant(space, 0.0)
+        im = J.jet_constant(space, 0.0)
+        for c in reversed(p.coeffs):
+            re, im = (J.jet_mul(re, zr) - J.jet_mul(im, zi) + c.real,
+                      J.jet_mul(re, zi) + J.jet_mul(im, zr) + c.imag)
+        out.append(re)
+    return out

@@ -102,7 +102,7 @@ def test_unit_tangent_charts_are_minimal_with_nullity():
         bc = B.unit_tangent_chart(base)
         live = h_max = sv_max = 0
         for p in _bundle_grid(bc.chart):
-            row = B.bundle_point_report(bc, p)
+            row = B.bundle_point_report(bc.chart, p)
             if row["singular"]:
                 continue
             live += 1
@@ -126,10 +126,10 @@ def test_totally_geodesic_detection_agrees_with_flag_test():
     n5_bc = B.unit_tangent_chart(
         generate_surface(demo_weierstrass_data(5)).chart)
     for p in _bundle_grid(tg_bc.chart, (3, 3, 5)):
-        rep = B.relative_nullity(tg_bc, p)
+        rep = B.relative_nullity(tg_bc.chart, p)
         assert rep.nu == 3 and rep.totally_geodesic, f"at {tuple(p)}"
     for p in _bundle_grid(n5_bc.chart, (3, 3, 5)):
-        rep = B.relative_nullity(n5_bc, p)
+        rep = B.relative_nullity(n5_bc.chart, p)
         assert rep.nu == 1 and not rep.totally_geodesic, f"at {tuple(p)}"
     rng = np.random.default_rng(2)
     agree = 0
@@ -138,7 +138,8 @@ def test_totally_geodesic_detection_agrees_with_flag_test():
             u, v = rng.uniform(-0.7, 0.7, size=2)
             th = rng.uniform(0.0, TWO_PI)
             flag_says = B.totally_geodesic_classify(bc.base, (u, v))
-            nullity_says = B.relative_nullity(bc, (u, v, th)).totally_geodesic
+            nullity_says = B.relative_nullity(
+                bc.chart, (u, v, th)).totally_geodesic
             assert flag_says == nullity_says, (bc.chart.name, u, v, th)
             agree += 1
     print(f"nullity 3 on the padded curve, 1 on the demo; "
@@ -153,7 +154,7 @@ def test_unit_normal_chart_of_veronese_is_minimal_with_nullity():
     h_max = sv_max = 0.0
     pts = _bundle_grid(bc.chart)
     for p in pts:
-        rep = B.relative_nullity(bc, p)
+        rep = B.relative_nullity(bc.chart, p)
         h_max = max(h_max, rep.mean_curvature_norm)
         sv_max = max(sv_max, rep.singular_values[-1])
         assert rep.mean_curvature_norm < 1e-8, f"at {tuple(p)}"
@@ -176,7 +177,7 @@ def test_splitting_tensor_satisfies_span_and_ode_bounds():
     for i in range(10):
         u, v = rng.uniform(-0.7, 0.7, size=2)
         th = rng.uniform(0.3, TWO_PI - 0.3)
-        sp = B.splitting_tensor(bc, (u, v, th))
+        sp = B.splitting_tensor(bc.chart, (u, v, th))
         span_max = max(span_max, sp.span_residual)
         ode_max = max(ode_max, max(sp.ode_residuals.values()))
         minus_j = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -200,7 +201,7 @@ def test_higher_isotropy_curve_and_its_unit_tangent_chart():
     bc = B.unit_tangent_chart(base)
     live = 0
     for p in _bundle_grid(bc.chart):
-        row = B.bundle_point_report(bc, p)
+        row = B.bundle_point_report(bc.chart, p)
         if row["singular"]:
             continue
         live += 1

@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import isomin.geometry as geo
 import isomin.jet as J
-from isomin.bundles import (bundle_point_report, mean_curvature,
-                            relative_nullity, splitting_tensor,
+from isomin.bundles import (bundle_point_report, relative_nullity,
+                            splitting_tensor,
                             totally_geodesic_classify, unit_normal_chart,
                             unit_tangent_chart)
 from isomin.catalog import (demo_weierstrass_data, make_fixture,
@@ -81,8 +81,8 @@ def test_unit_tangent_base_validation(n5base):
 
 def test_bipolar_minimal_with_nullity_one(bipolar_n5):
     for p in ((0.1, 0.2, 0.7), (-0.3, 0.15, 3.9)):
-        assert mean_curvature(bipolar_n5, p) < 1e-8
-        rep = relative_nullity(bipolar_n5, p)
+        rep = relative_nullity(bipolar_n5.chart, p)
+        assert rep.mean_curvature_norm < 1e-8
         assert rep.nu == 1 and not rep.totally_geodesic
         assert rep.singular_values[-1] < 1e-8
         assert rep.singular_values[1] > 1e-3
@@ -93,7 +93,7 @@ def test_nullity_direction_not_the_fiber(bipolar_n5):
     """The nullity line of the bipolar chart is horizontal-ish but never
     checked to be the fiber; what is frozen is its metric alignment."""
     p = (0.1, 0.2, 0.7)
-    rep = relative_nullity(bipolar_n5, p)
+    rep = relative_nullity(bipolar_n5.chart, p)
     G = geo.first_fundamental_form(bipolar_n5.chart, p)
     T = rep.kernel[:, 0]
     T = T / math.sqrt(float(T @ G @ T))
@@ -110,18 +110,19 @@ def test_totally_geodesic_bundle_agreement():
         u, v = rng.uniform(0.1, 0.8, size=2)
         th = rng.uniform(0.0, 2.0 * math.pi)
         flag_says = totally_geodesic_classify(tg_base, (u, v))
-        rep = relative_nullity(unit_tangent_chart(tg_base), (u, v, th))
+        rep = relative_nullity(unit_tangent_chart(tg_base).chart, (u, v, th))
         assert flag_says and rep.totally_geodesic and rep.nu == 3
         flag_says = totally_geodesic_classify(curved_base, (u, v))
-        rep = relative_nullity(unit_tangent_chart(curved_base), (u, v, th))
+        rep = relative_nullity(unit_tangent_chart(curved_base).chart,
+                               (u, v, th))
         assert not flag_says and not rep.totally_geodesic and rep.nu == 1
 
 
 def test_plane_bundle_everywhere_singular():
     bc = unit_tangent_chart(make_plane())
     with pytest.raises(DegeneratePoint):
-        relative_nullity(bc, (0.1, 0.2, 0.5))
-    row = bundle_point_report(bc, (0.1, 0.2, 0.5))
+        relative_nullity(bc.chart, (0.1, 0.2, 0.5))
+    row = bundle_point_report(bc.chart, (0.1, 0.2, 0.5))
     assert row["singular"] and row["H"] is None
 
 
@@ -146,8 +147,8 @@ def test_unit_normal_chart_veronese(polar_ver):
 
 def test_polar_veronese_minimal_nullity_one(polar_ver):
     for p in ((0.2, 0.1, 0.4), (-0.3, 0.25, 2.2)):
-        assert mean_curvature(polar_ver, p) < 1e-8
-        rep = relative_nullity(polar_ver, p)
+        rep = relative_nullity(polar_ver.chart, p)
+        assert rep.mean_curvature_norm < 1e-8
         assert rep.nu == 1
         assert rep.singular_values[-1] < 1e-8
 
@@ -216,7 +217,7 @@ def test_unit_normal_noncircular_warns():
 
 
 def test_splitting_tensor_frozen(bipolar_n5):
-    sp = splitting_tensor(bipolar_n5, (0.1, 0.2, 0.7))
+    sp = splitting_tensor(bipolar_n5.chart, (0.1, 0.2, 0.7))
     assert sp.u == pytest.approx(1.0, abs=1e-6)
     assert sp.v == pytest.approx(0.0, abs=1e-6)
     # C = -J in the oriented horizontal frame
@@ -227,7 +228,7 @@ def test_splitting_tensor_frozen(bipolar_n5):
 
 
 def test_splitting_tensor_polar(polar_ver):
-    sp = splitting_tensor(polar_ver, (0.15, -0.1, 0.9))
+    sp = splitting_tensor(polar_ver.chart, (0.15, -0.1, 0.9))
     assert sp.span_residual < 1e-6
     assert max(sp.ode_residuals.values()) < 1e-5
 
@@ -235,16 +236,17 @@ def test_splitting_tensor_polar(polar_ver):
 def test_splitting_rejects_wrong_nullity():
     bc = unit_tangent_chart(make_fixture("curve-1-2-pad1"))
     with pytest.raises(NullityJump):
-        splitting_tensor(bc, (0.3, 0.2, 1.0))
+        splitting_tensor(bc.chart, (0.3, 0.2, 1.0))
 
 
 def test_bundle_point_report_rows(bipolar_n5):
-    row = bundle_point_report(bipolar_n5, (0.1, 0.2, 0.7), splitting=True)
+    row = bundle_point_report(bipolar_n5.chart, (0.1, 0.2, 0.7),
+                              splitting=True)
     assert not row["singular"]
     assert row["H"] < 1e-8 and row["nu"] == 1 and not row["tg"]
     assert row["uv"][0] == pytest.approx(1.0, abs=1e-6)
     assert row["residuals"]["span"] < 1e-6
-    plain = bundle_point_report(bipolar_n5, (0.1, 0.2, 0.7))
+    plain = bundle_point_report(bipolar_n5.chart, (0.1, 0.2, 0.7))
     assert plain["C"] is None and plain["uv"] is None
 
 
@@ -259,8 +261,8 @@ def test_splitting_tensor_matches_fd_oracle(bipolar_n5, polar_ver, which,
     of the unit kernel field. T's orientation is arbitrary: flipping it
     flips v and the diagonal of C."""
     bc = bipolar_n5 if which == "bipolar" else polar_ver
-    sp = splitting_tensor(bc, point)
-    ref = splitting_fd(bc, point)
+    sp = splitting_tensor(bc.chart, point)
+    ref = splitting_fd(bc.chart, point)
     sign = 1.0 if sp.v * ref.v >= 0 else -1.0
     C_ref = ref.C * np.array([[sign, 1.0], [1.0, sign]])
     assert sp.u == pytest.approx(ref.u, abs=1e-6)
@@ -313,7 +315,7 @@ def test_splitting_scalars_are_invariant_under_reparametrization(bipolar_n5):
     y0 = tuple(y.value for y in phi([J.jet_constant(J.get_space(3, 0), c)
                                      for c in x0]))
     sp = splitting_tensor(chart, x0)
-    ref = splitting_tensor(bipolar_n5, y0)
+    ref = splitting_tensor(bipolar_n5.chart, y0)
     assert sp.fiber_alignment < 0.99
     assert sp.u == pytest.approx(ref.u, abs=1e-9)
     assert abs(sp.v) == pytest.approx(abs(ref.v), abs=1e-9)
@@ -333,11 +335,11 @@ def test_splitting_tensor_bounds_on_random_bipolar_charts(seed, n, frac,
     point = tuple(lo + (hi - lo) * f
                   for (lo, hi), f in zip(base.domain, frac)) + (theta,)
     try:
-        rep = relative_nullity(bc, point)
+        rep = relative_nullity(bc.chart, point)
     except DegeneratePoint:
         assume(False)
     assume(rep.nu == 1)
-    sp = splitting_tensor(bc, point)
+    sp = splitting_tensor(bc.chart, point)
     assert sp.span_residual < 1e-6
     assert max(sp.ode_residuals.values()) < 1e-5
     assert sp.u >= 0.0

@@ -199,6 +199,20 @@ def test_config_seed_must_be_an_integer(tmp_path, capsys, seed):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("params", [1]), ("params", None), ("tolerances", [1]),
+    ("tolerances", "ode=1"), ("splitting_points", True),
+    ("splitting_points", -1),
+])
+def test_config_fields_are_type_checked(tmp_path, capsys, field, value):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({field: value}))
+    assert run(_bundle_args(tmp_path) + ["--config", str(cfgp)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be a")
+    assert err.count("\n") == 1
+
+
 def _bundle_args(tmp_path):
     return ["bundle", "--kind", "bipolar", "--fixture", "n5",
             "--grid", f"0:0.2:2,0:0.2:2,0:{TWO_PI}:2",

@@ -1,12 +1,20 @@
-"""Truncated Taylor jets: frozen values, composition, derivative extraction."""
+"""Truncated Taylor jets: frozen values, composition, derivative extraction,
+and the closed-form jets of holomorphic charts."""
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import isomin.cpoly as cp
 import isomin.jet as J
+from isomin.catalog import (demo_weierstrass_data, make_fixture,
+                            random_weierstrass_data)
 from isomin.errors import (DegenerateValue, DimensionMismatch, InvalidData,
                            OrderExceeded, ShapeMismatch)
+from isomin.weierstrass import generate_surface, surface_chart
+
+from oracles import holomorphic_jets_horner
 
 
 def test_space_index_order():
@@ -154,22 +162,76 @@ def test_extract_errors():
         J.jet_extract(f, (-1, 0))
 
 
-def test_cjet_matches_complex_arithmetic():
-    sp = J.get_space(2, 3)
-    z = J.CJet(J.jet_variable(sp, 0, 0.3), J.jet_variable(sp, 1, -0.2))
-    w = (z * z).add_const(1.0 + 2.0j)
-    zc = complex(0.3, -0.2)
-    ref = zc * zc + (1.0 + 2.0j)
-    assert w.re.value == pytest.approx(ref.real)
-    assert w.im.value == pytest.approx(ref.imag)
-    # polynomial evaluation through Horner
+def test_holomorphic_jets_match_complex_arithmetic():
     coeffs = (1.0, -2.0j, 0.5 + 0.5j)
-    h = J.cjet_polyval(coeffs, z)
+    p = cp.poly(*coeffs)
+    re, im = surface_chart((p, p * -1j)).eval_jets((0.3, -0.2), 3)
+    zc = complex(0.3, -0.2)
     ref = coeffs[0] + coeffs[1] * zc + coeffs[2] * zc * zc
-    assert h.re.value == pytest.approx(ref.real)
-    assert h.im.value == pytest.approx(ref.imag)
+    dref = coeffs[1] + 2.0 * coeffs[2] * zc
+    assert re.value == pytest.approx(ref.real)
+    assert im.value == pytest.approx(ref.imag)
+    assert J.jet_extract(re, (1, 0)) == pytest.approx(dref.real)
+    assert J.jet_extract(re, (0, 1)) == pytest.approx(-dref.imag)
     # Cauchy-Riemann: d(re)/du = d(im)/dv for a holomorphic jet
-    assert J.jet_extract(h.re, (1, 0)) == pytest.approx(
-        J.jet_extract(h.im, (0, 1)))
-    assert J.jet_extract(h.re, (0, 1)) == pytest.approx(
-        -J.jet_extract(h.im, (1, 0)))
+    assert J.jet_extract(re, (1, 0)) == pytest.approx(
+        J.jet_extract(im, (0, 1)))
+    assert J.jet_extract(re, (0, 1)) == pytest.approx(
+        -J.jet_extract(im, (1, 0)))
+
+
+def test_holomorphic_jet_guards():
+    with pytest.raises(ShapeMismatch):
+        J.jet_holomorphic_re(J.get_space(2, 3), [1.0, 2.0, 3.0])
+    with pytest.raises(DimensionMismatch):
+        J.jet_holomorphic_re(J.get_space(1, 1), [1.0, 2.0])
+
+
+def _assert_matches_horner(components, chart, point):
+    """surface_chart jets against Horner's rule in complex jet arithmetic,
+    in 2- and 3-variable spaces at orders 0 to 6: coefficients agree within
+    1e-12 of the jet's largest coefficient, and every coefficient with a
+    power of the third variable is exactly 0."""
+    for nvars in (2, 3):
+        for order in range(7):
+            sp = J.get_space(nvars, order)
+            third = [p for p, m in enumerate(sp.indices) if any(m[2:])]
+            got = chart.jet_fn(point, sp)
+            ref = holomorphic_jets_horner(components, point, sp)
+            assert len(got) == len(ref)
+            for g, r in zip(got, ref):
+                assert g.space is sp
+                np.testing.assert_allclose(
+                    g.coeffs, r.coeffs, rtol=1e-12,
+                    atol=1e-12 * np.abs(r.coeffs).max())
+                assert np.all(g.coeffs[third] == 0.0)
+
+
+CURVE_1_2_PAD1 = (cp.poly(0, 1), cp.poly(0, -1j), cp.poly(0, 0, 1),
+                  cp.poly(0, 0, -1j), cp.ZERO)
+
+
+@pytest.mark.parametrize("name", ["n4", "n5", "n6", "n7", "n8",
+                                  "curve-1-2-pad1"])
+def test_holomorphic_jets_match_horner_reference(name):
+    if name.startswith("n"):
+        rep = generate_surface(demo_weierstrass_data(int(name[1:])))
+        components, chart = rep.phi2, rep.chart
+    else:
+        components, chart = CURVE_1_2_PAD1, make_fixture(name)
+    for point in ((0.17, 0.11), (-0.23, 0.31), (0.6, -0.55)):
+        _assert_matches_horner(components, chart, point)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 8),
+       final_integration=st.booleans(),
+       point=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_holomorphic_jets_match_horner_on_random_data(seed, n,
+                                                      final_integration,
+                                                      point):
+    data = random_weierstrass_data(np.random.default_rng(seed), n)
+    data.final_integration = final_integration
+    rep = generate_surface(data)
+    components = rep.phi2 if final_integration else rep.alpha2
+    _assert_matches_horner(components, rep.chart, point)
