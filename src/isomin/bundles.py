@@ -212,7 +212,11 @@ class NullityReport:
 def relative_nullity(chart: ImmersionChart, point: Sequence[float],
                      eps_rank: float = geo.EPS_RANK) -> NullityReport:
     forms = geo.fundamental_forms(chart, point, max_s=2, eps_rank=eps_rank)
-    m = chart.domain_dim
+    return _nullity(forms, eps_rank)
+
+
+def _nullity(forms: geo.FundamentalForms, eps_rank: float) -> NullityReport:
+    m = forms.metric.shape[0]
     lam, V = np.linalg.eigh(forms.metric)
     W = V @ np.diag(1.0 / np.sqrt(lam)) @ V.T  # columns of W = orthonormal frame
     aorth = np.einsum("ki,lj,kla->ija", W, W, forms.tables[2])
@@ -223,7 +227,7 @@ def relative_nullity(chart: ImmersionChart, point: Sequence[float],
     kernel_orth = U[:, m - nu:] if nu else np.zeros((m, 0))
     kernel = W @ kernel_orth
     H = aorth.trace(axis1=0, axis2=1)
-    return NullityReport(point=tuple(float(x) for x in point), nu=nu,
+    return NullityReport(point=forms.point, nu=nu,
                          singular_values=tuple(float(s) for s in sv),
                          kernel=kernel,
                          mean_curvature_norm=float(np.linalg.norm(H)),
@@ -339,16 +343,20 @@ def splitting_tensor(chart: ImmersionChart, point: Sequence[float],
     derivative (nabla_k T)_m = g_ml d_k T^l + Gamma_(m,kl) T^l, the scalars
     v = -div(T) / 2 and u = |eps^(kmi) T_i (nabla_k T)_m| / 2 are order-1
     jets, so their derivatives along the frame are exact. The sign of u is
-    fixed at the point; T's orientation is arbitrary, which flips v."""
+    fixed at the point; T's orientation is arbitrary, which flips v. The
+    nu = 1 check reads the second fundamental form off the same jet, so
+    the point costs one chart evaluation."""
     if chart.domain_dim != 3:
         raise ShapeMismatch("splitting tensor applies to 3-charts")
-    rep = relative_nullity(chart, point, eps_rank=eps_rank)
-    if rep.nu != 1:
-        raise NullityJump(f"nullity {rep.nu} != 1 at {tuple(point)}")
     jets = chart.eval_jets(point, 4)
+    flag = geo._flag_from_jets(chart, point, jets, 1, eps_rank, geo.EPS_DEG)
+    rep = _nullity(geo._forms_from_jets(chart, point, jets, flag, 2), eps_rank)
+    if rep.nu != 1:
+        raise NullityJump(f"nullity {rep.nu} != 1 at {tuple(point)}",
+                          nu=rep.nu)
     try:
         T, G, det = _nullity_field(chart, jets, eps_rank)
-        # the metric is vetted by relative_nullity, so det G > 0
+        # the metric is vetted by the flag, so det G > 0
         det1 = J.jet_truncate(det, 1)
         inv_det = J.jet_recip(det1, eps=0.0)
         inv_vol = J.jet_recip(J.jet_sqrt(det1, eps=0.0), eps=0.0)

@@ -30,7 +30,7 @@ from . import catalog
 from . import geometry as geo
 from . import weierstrass as W
 from .errors import FlagCollapse, InvalidData, IsominError, NotElliptic, \
-    DegeneratePoint, NullityJump, OrderOutOfRange
+    DegeneratePoint, NullityJump
 
 DEFAULT_TOLS = {
     "eps_deg": geo.EPS_DEG,        # metric admissibility floor
@@ -43,9 +43,15 @@ DEFAULT_TOLS = {
     "ode": 1e-5,                   # splitting scalar ODE residual bound
 }
 
-CONFIG_KEYS = {"fixture", "params", "surface", "grid", "jet_order",
-               "tolerances", "out", "seed", "final_integration", "kind",
-               "projection", "splitting_points"}
+# The JSON types each config field accepts; "integer" excludes booleans.
+CONFIG_TYPES = {
+    "fixture": ("string", "null"), "kind": ("string", "null"),
+    "projection": ("string", "null"), "out": ("string", "null"),
+    "grid": ("string", "array", "null"), "surface": ("object", "null"),
+    "params": ("object",), "tolerances": ("object",),
+    "seed": ("integer",), "splitting_points": ("integer",),
+    "jet_order": ("integer", "null"), "final_integration": ("boolean",),
+}
 
 SPOT_POINTS = ((0.17, 0.11), (-0.23, 0.31), (0.05, -0.37))
 
@@ -89,7 +95,7 @@ def parse_grid(raw) -> list[tuple[float, float, int]]:
         groups = list(raw)
     axes = []
     for g in groups:
-        if len(g) != 3:
+        if not isinstance(g, (list, tuple)) or len(g) != 3:
             raise InvalidData(f"grid axis needs lo:hi:count, got {g!r}")
         try:
             lo, hi, n = float(g[0]), float(g[1]), int(g[2])
@@ -143,7 +149,7 @@ def load_config(args) -> dict:
                 raise InvalidData(f"config is not valid JSON: {exc}")
         if not isinstance(doc, dict):
             raise InvalidData("config must be a JSON object")
-        unknown = set(doc) - CONFIG_KEYS
+        unknown = set(doc) - set(CONFIG_TYPES)
         if unknown:
             raise InvalidData(f"unknown config keys: {sorted(unknown)}")
         cfg.update(doc)
@@ -164,24 +170,34 @@ def load_config(args) -> dict:
         cfg["kind"] = args.kind
     if getattr(args, "projection", None) is not None:
         cfg["projection"] = args.projection
-    for key in ("params", "tolerances"):
-        if not isinstance(cfg[key], dict):
-            raise InvalidData(f"{key} must be a JSON object, got {cfg[key]!r}")
+    for key, accepted in CONFIG_TYPES.items():
+        if _json_type(cfg[key]) not in accepted:
+            kinds = " or ".join(_JSON_ARTICLES[t] + t for t in accepted)
+            raise InvalidData(f"{key} must be {kinds}, got {cfg[key]!r}")
     cfg["tolerances"] = parse_tols(
         args.tol, parse_tols([cfg["tolerances"]], DEFAULT_TOLS))
-    if cfg["jet_order"] is not None:
-        k = cfg["jet_order"]
-        if not (isinstance(k, int) and 2 <= k <= 6):
-            raise InvalidData(f"jet order must be an integer in 2..6, got {k}")
+    k = cfg["jet_order"]
+    if k is not None and not 2 <= k <= 6:
+        raise InvalidData(f"jet order must be an integer in 2..6, got {k}")
     if cfg["grid"] is not None:
         cfg["grid"] = parse_grid(cfg["grid"])
-    k = cfg["splitting_points"]
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise InvalidData(
-            f"splitting_points must be a nonnegative integer, got {k!r}")
-    if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool):
-        raise InvalidData(f"seed must be an integer, got {cfg['seed']!r}")
+    if cfg["splitting_points"] < 0:
+        raise InvalidData("splitting_points must be a nonnegative integer, "
+                          f"got {cfg['splitting_points']!r}")
     return cfg
+
+
+_JSON_ARTICLES = {"null": "", "boolean": "a ", "integer": "an ",
+                  "string": "a ", "array": "an ", "object": "an "}
+
+
+def _json_type(value) -> str:
+    for name, types in (("null", type(None)), ("boolean", bool),
+                        ("integer", int), ("number", float), ("string", str),
+                        ("array", list), ("object", dict)):
+        if isinstance(value, types):
+            return name
+    return type(value).__name__
 
 
 def _data_fixture(name: str | None) -> tuple[str, int] | None:
@@ -268,25 +284,14 @@ def cmd_generate(cfg) -> int:
 
     spots = []
     for p in SPOT_POINTS:
-        row = {"point": list(p), "e0_residual": None, "e1_residual": None,
-               "singular": False}
-        try:
-            forms = geo.fundamental_forms(
-                rep.chart, p, max_s=2, eps_rank=tols["eps_rank"])
-            e0 = geo.curvature_ellipse(rep.chart, p, 0,
-                                       eps_rank=tols["eps_rank"], forms=forms)
-            row["e0_residual"] = e0.residual
-            try:
-                e1 = geo.curvature_ellipse(rep.chart, p, 1,
-                                           eps_rank=tols["eps_rank"])
-                row["e1_residual"] = e1.residual
-            except OrderOutOfRange:
-                pass  # no first normal space; nothing to check
-        except DegeneratePoint:
-            row["singular"] = True
-        except NotElliptic:
-            row["e0_residual"] = 1.0
-        spots.append(row)
+        row = geo.point_report(rep.chart, p, tol=tols["circle"],
+                               eps_rank=tols["eps_rank"])
+        # no first normal space leaves e1 unchecked; a point that is not
+        # elliptic cannot be minimal
+        res = [e["residual"] for e in row["ellipses"]] or [1.0]
+        spots.append({"point": list(p), "singular": row["singular"],
+                      "e0_residual": None if row["singular"] else res[0],
+                      "e1_residual": res[1] if len(res) > 1 else None})
 
     checked = [r for r in spots if not r["singular"]]
     e0_ok = all(r["e0_residual"] <= tols["circle"] for r in checked)
@@ -326,10 +331,7 @@ def cmd_analyze(cfg) -> int:
     rows = [geo.point_report(chart, p, tol=tols["circle"],
                              eps_rank=tols["eps_rank"], max_order=max_order)
             for p in geo.grid_points(axes)]
-    counts = tuple(len(a) for a in axes)
-    cert = geo.nicely_curved_certificate(chart, counts=counts,
-                                         max_order=max_order,
-                                         eps_rank=tols["eps_rank"])
+    cert = geo.flag_certificate([r["dims"] for r in rows])
     singular = sum(1 for r in rows if r["singular"])
     orders = [r["order"] for r in rows if r["order"] is not None]
     doc = {"command": "analyze", "chart": chart.name, "grid": grid_doc,
@@ -402,19 +404,18 @@ def cmd_bundle(cfg) -> int:
     for p in _splitting_points(bc.chart, axes, cfg["splitting_points"]):
         row = {"point": list(p), "skipped": None, "error": None}
         try:
-            nrep = B.relative_nullity(bc.chart, p, eps_rank=tols["eps_rank"])
-            if nrep.nu != 1:
-                row["skipped"] = f"nullity {nrep.nu} != 1"
-            else:
-                sp = B.splitting_tensor(bc.chart, p, eps_rank=tols["eps_rank"])
-                row.update({"C": sp.C, "u": sp.u, "v": sp.v,
-                            "span_residual": sp.span_residual,
-                            "ode_residuals": sp.ode_residuals,
-                            "fiber_alignment": sp.fiber_alignment})
+            sp = B.splitting_tensor(bc.chart, p, eps_rank=tols["eps_rank"])
+            row.update({"C": sp.C, "u": sp.u, "v": sp.v,
+                        "span_residual": sp.span_residual,
+                        "ode_residuals": sp.ode_residuals,
+                        "fiber_alignment": sp.fiber_alignment})
         except DegeneratePoint:
             row["skipped"] = "singular"
         except NullityJump as exc:
-            row["error"] = str(exc)
+            if exc.nu is None:
+                row["error"] = str(exc)
+            else:
+                row["skipped"] = f"nullity {exc.nu} != 1"
         split_rows.append(row)
     attempted = [r for r in split_rows if r["skipped"] is None]
     span_ok = all(r["error"] is None and r["span_residual"] <= tols["span"]
@@ -480,7 +481,7 @@ def cmd_export(cfg) -> int:
     proj = cfg["projection"]
     if proj is None:
         proj = "principal" if chart.ambient_dim > 3 else [1, 2, 3]
-    if isinstance(proj, str) and proj != "principal":
+    elif proj != "principal":
         try:
             proj = [int(x) for x in proj.split(",")]
         except ValueError:
@@ -490,9 +491,8 @@ def cmd_export(cfg) -> int:
         xyz = _principal_projection(verts)
         proj_doc = "principal"
     else:
-        if (len(proj) != 3
-                or any(not isinstance(i, int) or not 1 <= i <= chart.ambient_dim
-                       for i in proj)):
+        if len(proj) != 3 or any(not 1 <= i <= chart.ambient_dim
+                                 for i in proj):
             raise InvalidData(f"projection indices must be three coordinates "
                               f"in 1..{chart.ambient_dim}, got {proj}")
         xyz = verts[:, [i - 1 for i in proj]]

@@ -52,4 +52,9 @@ class FlagCollapse(IsominError):
 
 class NullityJump(IsominError):
     """The relative nullity is not constant (or not 1) where the splitting
-    tensor needs it."""
+    tensor needs it. `nu` is the measured nullity when it is not 1, and None
+    when the nullity is 1 but its line is undetermined."""
+
+    def __init__(self, message: str, nu: int | None = None):
+        super().__init__(message)
+        self.nu = nu

@@ -24,6 +24,7 @@ order. Conventions that the rest of the package relies on:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from typing import Callable, Sequence
@@ -118,24 +119,29 @@ def _multi_index(combo: Sequence[int], m: int) -> tuple[int, ...]:
     return tuple(sum(1 for c in combo if c == i) for i in range(m))
 
 
-def _partial_vectors(jets: list[J.Jet], s: int) -> dict[tuple[int, ...], np.ndarray]:
-    """Vectors of s-th partial derivatives keyed by multi-index."""
+def _partials(jets: list[J.Jet], s: int) -> np.ndarray:
+    """s-th partial derivatives of every component, shape (N, k): one column
+    per multi-index of degree s, in the space's index order. That order is
+    by degree first, so the columns are one slice of the coefficients."""
     space = jets[0].space
-    out = {}
-    for beta in space.indices:
-        if sum(beta) == s:
-            out[beta] = np.array([J.jet_extract(j, beta) for j in jets])
-    return out
+    m = space.nvars
+    lo, hi = math.comb(s - 1 + m, m), math.comb(s + m, m)
+    return np.stack([j.coeffs[lo:hi] for j in jets]) * space.factorial[lo:hi]
 
 
-def _partial_table(jets: list[J.Jet], s: int, m: int) -> np.ndarray:
-    """Symmetric table of s-th partials, shape (m,)*s + (N,)."""
-    vecs = _partial_vectors(jets, s)
-    N = len(jets)
-    table = np.zeros((m,) * s + (N,))
+@functools.lru_cache(maxsize=None)
+def _table_columns(m: int, s: int) -> np.ndarray:
+    """Column of _partials(jets, s) for each coordinate s-tuple, shape (m,)*s."""
+    pos, lo = J.get_space(m, s).pos, math.comb(s - 1 + m, m)
+    cols = np.empty((m,) * s, dtype=np.intp)
     for combo in itertools.product(range(m), repeat=s):
-        table[combo] = vecs[_multi_index(combo, m)]
-    return table
+        cols[combo] = pos[_multi_index(combo, m)] - lo
+    return cols
+
+
+def _partial_table(jets: list[J.Jet], s: int) -> np.ndarray:
+    """Symmetric table of s-th partials, shape (m,)*s + (N,)."""
+    return _partials(jets, s).T[_table_columns(jets[0].space.nvars, s)]
 
 
 def _project_out(Q: np.ndarray | None, V: np.ndarray) -> np.ndarray:
@@ -160,9 +166,7 @@ def _position_unit(jets: list[J.Jet]) -> np.ndarray:
 def first_fundamental_form(chart: ImmersionChart, point: Sequence[float],
                            eps_deg: float = EPS_DEG) -> np.ndarray:
     """Induced metric (Gram matrix of the coordinate tangent vectors)."""
-    jets = chart.eval_jets(point, 1)
-    P1 = np.array([[J.jet_extract(j, tuple(int(i == k) for k in range(chart.domain_dim)))
-                    for j in jets] for i in range(chart.domain_dim)])
+    P1 = _partial_table(chart.eval_jets(point, 1), 1)
     G = P1 @ P1.T
     if float(np.linalg.eigvalsh(G)[0]) < eps_deg:
         raise DegeneratePoint(f"metric degenerate at {tuple(point)}")
@@ -202,7 +206,7 @@ def _flag_from_jets(chart: ImmersionChart, point, jets: list[J.Jet],
     position = _position_unit(jets) if chart.ambient == "sphere" else None
     Q = None if position is None else position[:, None]
 
-    P1 = np.stack([v for _, v in sorted(_partial_vectors(jets, 1).items())], axis=1)
+    P1 = _partials(jets, 1)
     G = P1.T @ P1
     if float(np.linalg.eigvalsh(G)[0]) < eps_deg:
         raise DegeneratePoint(f"metric degenerate at {tuple(point)}")
@@ -214,8 +218,7 @@ def _flag_from_jets(chart: ImmersionChart, point, jets: list[J.Jet],
     Q = tangent if Q is None else np.concatenate([Q, tangent], axis=1)
 
     for s in range(2, max_order + 2):
-        C = np.stack([v for _, v in sorted(_partial_vectors(jets, s).items())],
-                     axis=1)
+        C = _partials(jets, s)
         scale = float(np.linalg.norm(C, axis=0).max()) if C.size else 0.0
         Rk = _project_out(Q, C)
         U, sv, _ = np.linalg.svd(Rk, full_matrices=False)
@@ -254,9 +257,11 @@ def osculating_flag(chart: ImmersionChart, point: Sequence[float],
 class FundamentalForms:
     """Metric plus the fundamental forms of orders 2..max_s at one point.
 
-    tables[s] has shape (m,)*s + (N,): the value of the s-th fundamental
-    form on coordinate directions, i.e. the s-th partial projected
-    orthogonally to the flag through the (s-2)-th normal space.
+    tables[1] has shape (m, N): the raw first partials, so that metric =
+    tables[1] @ tables[1].T. For s >= 2, tables[s] has shape (m,)*s + (N,):
+    the value of the s-th fundamental form on coordinate directions, i.e.
+    the s-th partial projected orthogonally to the flag through the
+    (s-2)-th normal space.
     """
 
     point: tuple[float, ...]
@@ -265,27 +270,31 @@ class FundamentalForms:
     flag: OsculatingFlag
 
 
+def _forms_from_jets(chart: ImmersionChart, point, jets: list[J.Jet],
+                     flag: OsculatingFlag, max_s: int) -> FundamentalForms:
+    N = chart.ambient_dim
+    tables = {s: _partial_table(jets, s) for s in range(1, max_s + 1)}
+    for s in range(2, max_s + 1):
+        T = tables[s]
+        Q = flag.stack(through=min(s - 2, flag.tau))
+        tables[s] = _project_out(Q, T.reshape(-1, N).T).T.reshape(T.shape)
+    return FundamentalForms(point=tuple(float(x) for x in point),
+                            metric=tables[1] @ tables[1].T, tables=tables,
+                            flag=flag)
+
+
 def fundamental_forms(chart: ImmersionChart, point: Sequence[float],
                       max_s: int = 2,
                       eps_rank: float = EPS_RANK,
                       eps_deg: float = EPS_DEG) -> FundamentalForms:
+    """Forms of orders 2..max_s from one chart evaluation at order max_s:
+    the flag through the (max_s - 1)-th normal space and the forms are
+    read off the same jets."""
     if max_s < 2:
         raise OrderOutOfRange("fundamental forms start at order 2")
-    m = chart.domain_dim
     jets = chart.eval_jets(point, max_s)
     flag = _flag_from_jets(chart, point, jets, max_s - 1, eps_rank, eps_deg)
-    P1 = np.array([[J.jet_extract(j, tuple(int(i == k) for k in range(m)))
-                    for j in jets] for i in range(m)])
-    metric = P1 @ P1.T
-    tables = {}
-    for s in range(2, max_s + 1):
-        T = _partial_table(jets, s, m)
-        flat = T.reshape(-1, chart.ambient_dim)
-        Q = flag.stack(through=min(s - 2, flag.tau))
-        flat = _project_out(Q, flat.T).T
-        tables[s] = flat.reshape(T.shape)
-    return FundamentalForms(point=tuple(float(x) for x in point),
-                            metric=metric, tables=tables, flag=flag)
+    return _forms_from_jets(chart, point, jets, flag, max_s)
 
 
 def higher_fundamental_form(chart: ImmersionChart, point: Sequence[float],
@@ -442,10 +451,7 @@ def curvature_ellipse(chart: ImmersionChart, point: Sequence[float], ell: int,
 
     Z, JZ = _ellipse_directions(ellip)
     if ell == 0:
-        jets = chart.eval_jets(point, 1)
-        m = chart.domain_dim
-        P1 = np.array([[J.jet_extract(j, tuple(int(i == k) for k in range(m)))
-                        for j in jets] for i in range(m)])
+        P1 = forms.tables[1]
         basis = [P1.T @ Z, P1.T @ JZ]
     else:
         basis = []
@@ -479,36 +485,24 @@ def isotropy_order(chart: ImmersionChart, point: Sequence[float],
     """Largest ell <= tau_o with circular ellipses at every order 0..ell.
 
     Order 0 passing means the chart is minimal at the point. Returns -1 when
-    even the order-0 ellipse fails (elliptic but not minimal)."""
-    if max_order is None:
-        max_order = DEFAULT_JET_ORDER - 1
-    flag = osculating_flag(chart, point, max_order=max_order, eps_rank=eps_rank)
-    forms = fundamental_forms(chart, point, max_s=max(flag.tau + 1, 2),
-                              eps_rank=eps_rank)
-    ellip = ellipticity(chart, point, eps_rank=eps_rank, forms=forms)
-    if not ellip.exists:
+    even the order-0 ellipse fails (elliptic but not minimal). This is the
+    `order` of the point's `point_report` row, from the same single chart
+    evaluation; raises DegeneratePoint at a singular point and NotElliptic
+    where the second form has no elliptic direction."""
+    row = _point_row(chart, point, tol, eps_rank, max_order)
+    if not row["elliptic"]:
         raise NotElliptic(f"no elliptic direction at {tuple(point)}")
-    cap = min(max(0, flag.tau_o), flag.tau)
-    order = -1
-    for ell in range(cap + 1):
-        rep = curvature_ellipse(chart, point, ell, eps_rank=eps_rank,
-                                forms=forms, ellip=ellip)
-        if rep.residual < tol:
-            order = ell
-        else:
-            break
-    return order
+    return row["order"]
 
 
 def christoffels(chart: ImmersionChart, point: Sequence[float],
                  jets: list[J.Jet] | None = None) -> np.ndarray:
     """Christoffel symbols Gamma[k, i, j] of the induced metric, from the
     exact metric derivatives carried by order-2 jets."""
-    m = chart.domain_dim
     if jets is None:
         jets = chart.eval_jets(point, 2)
-    P1 = _partial_table(jets, 1, m)            # (m, N)
-    P2 = _partial_table(jets, 2, m)            # (m, m, N)
+    P1 = _partial_table(jets, 1)               # (m, N)
+    P2 = _partial_table(jets, 2)               # (m, m, N)
     G = P1 @ P1.T
     # dG[k, i, j] = d_k g_ij, exact from the second-order jet coefficients
     dG = np.einsum("kia,ja->kij", P2, P1) + np.einsum("ia,kja->kij", P1, P2)
@@ -518,23 +512,18 @@ def christoffels(chart: ImmersionChart, point: Sequence[float],
     return 0.5 * np.einsum("kl,ijl->kij", ginv, T)
 
 
-def point_report(chart: ImmersionChart, point: Sequence[float],
-                 tol: float = CIRCLE_TOL,
-                 eps_rank: float = EPS_RANK,
-                 max_order: int | None = None) -> dict:
-    """Per-point JSON row: flag dims, sampled ellipses, ellipticity, order."""
-    pt = [float(x) for x in point]
-    try:
-        flag = osculating_flag(chart, point, max_order=max_order,
-                               eps_rank=eps_rank)
-    except DegeneratePoint:
-        return {"point": pt, "singular": True, "dims": None, "tau": None,
-                "ellipses": [], "elliptic": None, "coeffs": None,
-                "order": None}
-    forms = fundamental_forms(chart, point, max_s=max(flag.tau + 1, 2),
-                              eps_rank=eps_rank)
+def _point_row(chart: ImmersionChart, point: Sequence[float], tol: float,
+               eps_rank: float, max_order: int | None) -> dict:
+    """point_report's row at a regular point; raises DegeneratePoint."""
+    if max_order is None:
+        max_order = DEFAULT_JET_ORDER - 1
+    if max_order < 1:
+        raise OrderOutOfRange("flag depth must be at least 1")
+    jets = chart.eval_jets(point, max_order + 1)
+    flag = _flag_from_jets(chart, point, jets, max_order, eps_rank, EPS_DEG)
+    forms = _forms_from_jets(chart, point, jets, flag, max(flag.tau + 1, 2))
     ellip = ellipticity(chart, point, eps_rank=eps_rank, forms=forms)
-    row = {"point": pt, "singular": False,
+    row = {"point": [float(x) for x in point], "singular": False,
            "dims": [int(d) for d in flag.dims], "tau": int(flag.tau),
            "elliptic": bool(ellip.exists),
            "coeffs": None if ellip.coeffs is None
@@ -557,6 +546,36 @@ def point_report(chart: ImmersionChart, point: Sequence[float],
     return row
 
 
+def point_report(chart: ImmersionChart, point: Sequence[float],
+                 tol: float = CIRCLE_TOL,
+                 eps_rank: float = EPS_RANK,
+                 max_order: int | None = None) -> dict:
+    """Per-point JSON row: flag dims, sampled ellipses, ellipticity, order.
+
+    The chart is evaluated once, at order max_order + 1; the flag, the
+    forms through order tau + 1, the ellipticity and every ellipse are read
+    off those jets. A singular point gives a row with "singular": true."""
+    try:
+        return _point_row(chart, point, tol, eps_rank, max_order)
+    except DegeneratePoint:
+        return {"point": [float(x) for x in point], "singular": True,
+                "dims": None, "tau": None, "ellipses": [], "elliptic": None,
+                "coeffs": None, "order": None}
+
+
+def flag_certificate(dims: Sequence[Sequence[int] | None]) -> dict:
+    """Constancy certificate of the flag dimensions measured at a set of
+    points; None marks a singular point."""
+    seen = {tuple(int(x) for x in d) for d in dims if d is not None}
+    singular = sum(1 for d in dims if d is None)
+    only = next(iter(seen)) if len(seen) == 1 else None
+    return {"nicely_curved": only is not None and singular == 0,
+            "dims": None if only is None else list(only),
+            "variants": sorted(list(d) for d in seen),
+            "singular_points": singular,
+            "points_checked": len(dims)}
+
+
 def nicely_curved_certificate(chart: ImmersionChart,
                               counts: Sequence[int] | None = None,
                               max_order: int | None = None,
@@ -564,20 +583,11 @@ def nicely_curved_certificate(chart: ImmersionChart,
     """Check that flag dimensions are constant across a sample grid."""
     if counts is None:
         counts = (9,) * chart.domain_dim
-    pts = grid_points(grid_axes(chart, counts))
-    dims_seen: dict[tuple[int, ...], int] = {}
-    singular = 0
-    for p in pts:
+    dims = []
+    for p in grid_points(grid_axes(chart, counts)):
         try:
-            flag = osculating_flag(chart, p, max_order=max_order,
-                                   eps_rank=eps_rank)
-            dims_seen[flag.dims] = dims_seen.get(flag.dims, 0) + 1
+            dims.append(osculating_flag(chart, p, max_order=max_order,
+                                        eps_rank=eps_rank).dims)
         except DegeneratePoint:
-            singular += 1
-    ok = len(dims_seen) == 1 and singular == 0
-    dims = next(iter(dims_seen)) if len(dims_seen) == 1 else None
-    return {"nicely_curved": ok,
-            "dims": None if dims is None else [int(d) for d in dims],
-            "variants": sorted([list(map(int, k)) for k in dims_seen]),
-            "singular_points": singular,
-            "points_checked": int(len(pts))}
+            dims.append(None)
+    return flag_certificate(dims)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from isomin import bundles, cli
+from isomin import bundles, cli, geometry as geo
 
 
 def run(argv):
@@ -202,12 +202,14 @@ def test_config_seed_must_be_an_integer(tmp_path, capsys, seed):
 @pytest.mark.parametrize("field, value", [
     ("params", [1]), ("params", None), ("tolerances", [1]),
     ("tolerances", "ode=1"), ("splitting_points", True),
-    ("splitting_points", -1),
+    ("splitting_points", -1), ("fixture", 5), ("grid", 5),
+    ("projection", 5), ("out", 5), ("final_integration", "no"),
 ])
 def test_config_fields_are_type_checked(tmp_path, capsys, field, value):
+    # no flags: a flag would override the field under test
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({field: value}))
-    assert run(_bundle_args(tmp_path) + ["--config", str(cfgp)]) == 1
+    assert run(["bundle", "--config", str(cfgp)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field} must be a")
     assert err.count("\n") == 1
@@ -270,3 +272,58 @@ def test_flags_override_config(tmp_path):
     doc = load(out)
     assert doc["grid"] == [[0.0, 1.0, 2], [0.0, 1.0, 2]]
     assert doc["summary"]["points"] == 4
+
+
+def _count_evals(monkeypatch) -> list[int]:
+    """Domain dimension of the chart at every chart evaluation."""
+    calls = []
+    real = geo.ImmersionChart.eval_jets
+
+    def counted(chart, point, order):
+        calls.append(chart.domain_dim)
+        return real(chart, point, order)
+
+    monkeypatch.setattr(geo.ImmersionChart, "eval_jets", counted)
+    return calls
+
+
+def test_bundle_evaluates_each_splitting_point_once(tmp_path, monkeypatch):
+    calls = _count_evals(monkeypatch)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"splitting_points": 2}))
+    assert run(_bundle_args(tmp_path) + ["--config", str(cfgp)]) == 0
+    doc = load(tmp_path / "r.json")
+    assert all(r["skipped"] is None and r["error"] is None
+               for r in doc["splitting"])
+    assert calls.count(3) == doc["summary"]["points"] + 2 == 10
+
+
+def test_generate_evaluates_each_spot_point_once(tmp_path, monkeypatch):
+    calls = _count_evals(monkeypatch)
+    assert run(["generate", "--fixture", "n6",
+                "--out", str(tmp_path / "r.json")]) == 0
+    assert calls == [2] * len(cli.SPOT_POINTS)
+
+
+def test_bundle_splitting_skips_report_nullity(tmp_path):
+    out = tmp_path / "r.json"
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"splitting_points": 2}))
+    assert run(["bundle", "--kind", "bipolar", "--fixture", "curve-1-2-pad1",
+                "--grid", f"0.1:0.5:2,0.1:0.5:2,0:{TWO_PI}:2",
+                "--config", str(cfgp), "--out", str(out)]) == 0
+    doc = load(out)
+    assert doc["summary"]["nullity_values"] == [3]
+    assert [(r["skipped"], r["error"]) for r in doc["splitting"]] == [
+        ("nullity 3 != 1", None)] * 2
+
+
+@pytest.mark.parametrize("fixture", ["n5", "n6", "curve-1-3-pad1"])
+def test_analyze_certificate_matches_nicely_curved_certificate(tmp_path,
+                                                               fixture):
+    out = tmp_path / "r.json"
+    assert run(["analyze", "--fixture", fixture, "--out", str(out)]) == 0
+    chart = cli.resolve_chart(cli.load_config(cli.build_parser().parse_args(
+        ["analyze", "--fixture", fixture])))
+    want = geo.nicely_curved_certificate(chart, counts=(9, 9))
+    assert load(out)["certificate"] == want

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import isomin.geometry as geo
-from isomin.catalog import (demo_weierstrass_data, make_geodesic_sphere,
-                            make_graph, make_great_sphere,
-                            make_holomorphic_curve, make_plane, make_veronese)
+from isomin.catalog import (demo_weierstrass_data, make_fixture,
+                            make_geodesic_sphere, make_graph,
+                            make_great_sphere, make_holomorphic_curve,
+                            make_plane, make_veronese,
+                            random_weierstrass_data)
 from isomin.errors import (AmbiguousKernel, DegeneratePoint, NotElliptic,
                            OrderOutOfRange)
 from isomin.weierstrass import generate_surface
@@ -256,3 +259,71 @@ def test_sphere_chart_validation():
     flag = geo.osculating_flag(ver, (0.1, 0.2))
     assert flag.dims == (2, 2)
     assert flag.tau_o == flag.tau == 1  # codimension in the sphere is 2
+
+
+def _assert_row_matches_public_functions(chart, point):
+    """A point_report row against the public functions called one by one,
+    each evaluating the chart on its own."""
+    row = geo.point_report(chart, point)
+    flag = geo.osculating_flag(chart, point)
+    forms = geo.fundamental_forms(chart, point, max_s=max(flag.tau + 1, 2))
+    ellip = geo.ellipticity(chart, point, forms=forms)
+    assert row["dims"] == list(flag.dims) and row["tau"] == flag.tau
+    assert row["elliptic"] == ellip.exists
+    if not ellip.exists:
+        with pytest.raises(NotElliptic):
+            geo.isotropy_order(chart, point)
+        return
+    assert np.allclose(row["coeffs"], ellip.coeffs, rtol=1e-12, atol=1e-12)
+    assert [e["order"] for e in row["ellipses"]] == list(range(flag.tau + 1))
+    for got in row["ellipses"]:
+        ref = geo.curvature_ellipse(chart, point, got["order"])
+        scale = max(ref.semiaxes[0], 1.0)
+        assert np.allclose(got["semiaxes"], ref.semiaxes, rtol=1e-12,
+                           atol=1e-12 * scale)
+        assert got["residual"] == pytest.approx(ref.residual, rel=1e-12,
+                                                abs=1e-12)
+    assert geo.isotropy_order(chart, point) == row["order"]
+
+
+@pytest.mark.parametrize("name", ["n4", "n5", "n6", "n7", "n8",
+                                  "curve-1-2-3", "plane", "flat-graph"])
+def test_point_report_matches_public_functions(name):
+    if name == "flat-graph":
+        chart = make_graph(1.0, 0.0, 0.0)  # not elliptic
+    elif name.startswith("n"):
+        chart = generate_surface(demo_weierstrass_data(int(name[1:]))).chart
+    else:
+        chart = make_fixture(name)
+    for point in ((0.0, 0.0), (0.17, -0.23), (0.31, 0.12)):
+        _assert_row_matches_public_functions(chart, point)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 8),
+       frac=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)))
+def test_point_report_matches_public_functions_on_random_data(seed, n, frac):
+    chart = generate_surface(
+        random_weierstrass_data(np.random.default_rng(seed), n)).chart
+    point = tuple(lo + (hi - lo) * f for (lo, hi), f in zip(chart.domain, frac))
+    assume(not geo.point_report(chart, point)["singular"])
+    _assert_row_matches_public_functions(chart, point)
+
+
+def test_point_report_evaluates_the_chart_once(n5, monkeypatch):
+    calls = []
+    real = geo.ImmersionChart.eval_jets
+
+    def counted(chart, point, order):
+        calls.append(order)
+        return real(chart, point, order)
+
+    monkeypatch.setattr(geo.ImmersionChart, "eval_jets", counted)
+    for chart in (n5, make_holomorphic_curve((1, 2, 3)), make_veronese()):
+        for point in ((0.1, 0.2), (-0.2, 0.05)):
+            calls.clear()
+            geo.point_report(chart, point)
+            assert calls == [geo.DEFAULT_JET_ORDER]
+            calls.clear()
+            geo.isotropy_order(chart, point)
+            assert calls == [geo.DEFAULT_JET_ORDER]
