@@ -25,31 +25,21 @@ import numpy as np
 
 from . import jet as J
 from .errors import (DegeneratePoint, DegenerateValue, FlagCollapse,
-                     InvalidData, NullityJump, ShapeMismatch)
+                     InvalidData, NotElliptic, NullityJump, ShapeMismatch)
 from . import geometry as geo
 from .geometry import ImmersionChart
 
 
-def _jet_dot(a: Sequence[J.Jet], b: Sequence[J.Jet]) -> J.Jet:
-    acc = None
-    for x, y in zip(a, b):
-        t = J.jet_mul(x, y)
-        acc = t if acc is None else acc + t
-    return acc
-
-
-def _jet_orthonormalize(cand: Sequence[J.Jet],
-                        basis: list[list[J.Jet]],
-                        eps_rank: float) -> list[J.Jet] | None:
-    """Orthogonalize a jet vector against accepted unit jet vectors; return
+def _jet_orthonormalize(cand: J.Jet, basis: list[J.Jet],
+                        eps_rank: float) -> J.Jet | None:
+    """Orthogonalize a vector jet against accepted unit vector jets; return
     the normalized residual, or None when the residual is below the rank
     threshold (relative to the candidate's own value scale)."""
-    scale2 = _jet_dot(cand, cand).value
-    v = list(cand)
+    scale2 = J.jet_dot(cand, cand).value
+    v = cand
     for b in basis:
-        coef = _jet_dot(v, b)
-        v = [x - J.jet_mul(coef, y) for x, y in zip(v, b)]
-    n2 = _jet_dot(v, v)
+        v = v - J.jet_dot(v, b) * b
+    n2 = J.jet_dot(v, v)
     if eps_rank > 0.0:
         thr = eps_rank * max(1.0, math.sqrt(max(scale2, 0.0)))
         if n2.value <= thr * thr:
@@ -58,14 +48,12 @@ def _jet_orthonormalize(cand: Sequence[J.Jet],
         inv = J.jet_recip(J.jet_sqrt(n2, eps=0.0), eps=0.0)
     else:
         inv = J.jet_recip(J.jet_sqrt(n2))
-    return [J.jet_mul(x, inv) for x in v]
+    return v * inv
 
 
 def _derive(jet: J.Jet, du: int, dv: int) -> J.Jet:
-    for _ in range(du):
-        jet = jet.derivative(0)
-    for _ in range(dv):
-        jet = jet.derivative(1)
+    for var in (0,) * du + (1,) * dv:
+        jet = jet.derivative(var)
     return jet
 
 
@@ -77,6 +65,24 @@ class BundleChart:
     base: ImmersionChart
     chart: ImmersionChart
     tau: int | None = None
+
+
+def _circle_chart(base: ImmersionChart, frame, name: str) -> ImmersionChart:
+    """The 3-chart (u, v, theta) -> cos(theta) E1 + sin(theta) E2 into the
+    unit sphere, where frame((u, v), space) gives the orthonormal pair of
+    vector jets (E1, E2) in the 3-variable space."""
+
+    def jet_fn(point, space):
+        if space.nvars != 3:
+            raise ShapeMismatch("bundle charts evaluate in 3-variable spaces")
+        e1, e2 = frame(point[:2], space)
+        th = J.jet_variable(space, 2, point[2])
+        return J.jet_cos(th) * e1 + J.jet_sin(th) * e2
+
+    return ImmersionChart(domain_dim=3, ambient_dim=base.ambient_dim,
+                          ambient="sphere", jet_fn=jet_fn,
+                          domain=base.domain + ((0.0, 2.0 * math.pi),),
+                          periodic=(False, False, True), name=name)
 
 
 def unit_tangent_chart(base: ImmersionChart,
@@ -97,28 +103,19 @@ def unit_tangent_chart(base: ImmersionChart,
     if sorted(pivot_order) != [0, 1]:
         raise InvalidData("pivot_order must be a permutation of (0, 1)")
 
-    def jet_fn(point, space):
-        if space.nvars != 3:
-            raise ShapeMismatch("bundle charts evaluate in 3-variable spaces")
-        hi = J.get_space(3, space.order + 1)
-        bjets = base.jet_fn(point[:2], hi)
-        first = [b.derivative(pivot_order[0]) for b in bjets]
-        second = [b.derivative(pivot_order[1]) for b in bjets]
+    def frame(point, space):
+        bjets = base.jet_fn(point, J.get_space(3, space.order + 1))
         try:
-            e1 = _jet_orthonormalize(first, [], eps_rank=0.0)
-            e2 = _jet_orthonormalize(second, [e1], eps_rank=0.0)
+            e1 = _jet_orthonormalize(bjets.derivative(pivot_order[0]), [],
+                                     eps_rank=0.0)
+            e2 = _jet_orthonormalize(bjets.derivative(pivot_order[1]), [e1],
+                                     eps_rank=0.0)
         except DegenerateValue:
             raise DegeneratePoint(
-                f"base not immersed under the frame at {tuple(point[:2])}")
-        th = J.jet_variable(space, 2, point[2])
-        c, s = J.jet_cos(th), J.jet_sin(th)
-        return [J.jet_mul(c, a) + J.jet_mul(s, b) for a, b in zip(e1, e2)]
+                f"base not immersed under the frame at {tuple(point)}")
+        return e1, e2
 
-    chart = ImmersionChart(domain_dim=3, ambient_dim=base.ambient_dim,
-                           ambient="sphere", jet_fn=jet_fn,
-                           domain=base.domain + ((0.0, 2.0 * math.pi),),
-                           periodic=(False, False, True),
-                           name=f"unit-tangent({base.name})")
+    chart = _circle_chart(base, frame, f"unit-tangent({base.name})")
     return BundleChart(kind="unit_tangent", base=base, chart=chart)
 
 
@@ -135,63 +132,49 @@ def unit_normal_chart(base: ImmersionChart,
     if base.ambient != "sphere":
         raise InvalidData("unit normal charts take a spherical base")
     center = tuple((lo + hi) / 2.0 for lo, hi in base.domain)
-    probe = geo.osculating_flag(base, center, eps_rank=eps_rank)
-    tau = probe.tau
+    probe = geo._point_row(base, center, circle_tol, eps_rank, None)
+    tau = probe["tau"]
     if tau < 1:
         raise FlagCollapse("base has no first normal space (totally geodesic)")
-    if probe.dims[-1] != 2:
+    if probe["dims"][-1] != 2:
         raise FlagCollapse(
-            f"last normal space has rank {probe.dims[-1]}, need a plane")
+            f"last normal space has rank {probe['dims'][-1]}, need a plane")
     cert = geo.nicely_curved_certificate(base, counts=counts, max_order=tau,
                                          eps_rank=eps_rank)
     if not cert["nicely_curved"]:
         raise FlagCollapse(f"flag dimensions vary over the domain: {cert}")
-    top = geo.curvature_ellipse(base, center, tau - 1, eps_rank=eps_rank)
-    if top.residual > circle_tol:
+    if not probe["elliptic"]:
+        raise NotElliptic(f"no elliptic direction at {center}")
+    top = probe["ellipses"][tau - 1]["residual"]
+    if top > circle_tol:
         warnings.warn(
             f"curvature ellipse of order {tau - 1} is not a circle "
-            f"(residual {top.residual:.3g}); the normal bundle chart need "
+            f"(residual {top:.3g}); the normal bundle chart need "
             "not be minimal", stacklevel=2)
 
-    def jet_fn(point, space):
-        if space.nvars != 3:
-            raise ShapeMismatch("bundle charts evaluate in 3-variable spaces")
-        hi = J.get_space(3, space.order + tau + 1)
-        bjets = base.jet_fn(point[:2], hi)
+    def frame(point, space):
+        bjets = base.jet_fn(point, J.get_space(3, space.order + tau + 1))
         tgt = space.order
-
-        def trunc(vec):
-            return [J.jet_truncate(x, tgt) for x in vec]
-
         try:
-            basis = [_jet_orthonormalize(trunc(bjets), [], eps_rank=0.0)]
-            groups: list[list[list[J.Jet]]] = []
+            basis = [_jet_orthonormalize(J.jet_truncate(bjets, tgt), [],
+                                         eps_rank=0.0)]
             for s in range(1, tau + 2):
-                accepted = []
+                last = []  # the accepted directions of order s
                 for k in range(s + 1):
-                    cand = trunc([_derive(b, s - k, k) for b in bjets])
+                    cand = J.jet_truncate(_derive(bjets, s - k, k), tgt)
                     got = _jet_orthonormalize(cand, basis, eps_rank=eps_rank)
                     if got is not None:
                         basis.append(got)
-                        accepted.append(got)
-                groups.append(accepted)
+                        last.append(got)
         except DegenerateValue:
             raise DegeneratePoint(
-                f"normal frame degenerates at {tuple(point[:2])}")
-        frame = groups[-1]
-        if len(frame) != 2:
+                f"normal frame degenerates at {tuple(point)}")
+        if len(last) != 2:
             raise DegeneratePoint(
-                f"last normal space has rank {len(frame)} at {tuple(point[:2])}")
-        th = J.jet_variable(space, 2, point[2])
-        c, s = J.jet_cos(th), J.jet_sin(th)
-        return [J.jet_mul(c, a) + J.jet_mul(s, b)
-                for a, b in zip(frame[0], frame[1])]
+                f"last normal space has rank {len(last)} at {tuple(point)}")
+        return last
 
-    chart = ImmersionChart(domain_dim=3, ambient_dim=base.ambient_dim,
-                           ambient="sphere", jet_fn=jet_fn,
-                           domain=base.domain + ((0.0, 2.0 * math.pi),),
-                           periodic=(False, False, True),
-                           name=f"unit-normal({base.name})")
+    chart = _circle_chart(base, frame, f"unit-normal({base.name})")
     return BundleChart(kind="unit_normal", base=base, chart=chart, tau=tau)
 
 
@@ -261,16 +244,16 @@ class SplittingReport:
     fiber_alignment: float
 
 
-def _cross(a: Sequence[J.Jet], b: Sequence[J.Jet]) -> list[J.Jet]:
-    return [J.jet_mul(a[1], b[2]) - J.jet_mul(a[2], b[1]),
-            J.jet_mul(a[2], b[0]) - J.jet_mul(a[0], b[2]),
-            J.jet_mul(a[0], b[1]) - J.jet_mul(a[1], b[0])]
+def _cross(a: J.Jet, b: J.Jet) -> J.Jet:
+    """Cross product of 3-vector jets along their last leading axis."""
+    i, j = [1, 2, 0], [2, 0, 1]
+    return a[..., i] * b[..., j] - a[..., j] * b[..., i]
 
 
-def _nullity_field(c: ImmersionChart, jets: list[J.Jet], eps_rank: float
-                   ) -> tuple[list[J.Jet], list[list[J.Jet]], J.Jet]:
-    """Unit nullity field T, metric G and det G, as order-2 jets, from an
-    order-4 jet of a 3-chart f.
+def _nullity_field(c: ImmersionChart, jets: J.Jet, eps_rank: float
+                   ) -> tuple[J.Jet, J.Jet, J.Jet]:
+    """Unit nullity field T (shape (3,)), metric G (shape (3, 3)) and det G,
+    as order-2 jets, from an order-4 jet of a 3-chart f.
 
     The normal parts of the second partials, scaled by det G to stay
     polynomial, are n_ij = det G (H_ij - <H_ij, f> f) - sum F_m adj(G)_mn
@@ -278,28 +261,23 @@ def _nullity_field(c: ImmersionChart, jets: list[J.Jet], eps_rank: float
     kernel of S_ik = sum_j <n_ij, n_kj>, which has rank 2 where the nullity
     is 1, so every adjugate column of S spans it; T normalizes the one whose
     value is longest."""
-    d1 = [[x.derivative(i) for x in jets] for i in range(3)]
-    F = [[J.jet_truncate(x, 2) for x in row] for row in d1]
-    G = [[_jet_dot(F[i], F[j]) for j in range(3)] for i in range(3)]
-    adj = [_cross(G[1], G[2]), _cross(G[2], G[0]), _cross(G[0], G[1])]
-    det = _jet_dot(G[0], adj[0])
-    f = [J.jet_truncate(x, 2) for x in jets]
-    normal = {}
-    for i in range(3):
-        for j in range(i, 3):
-            H = [x.derivative(j) for x in d1[i]]
-            tangent = [_jet_dot(F[k], H) for k in range(3)]
-            n = [J.jet_mul(det, x) for x in H]
-            if c.ambient == "sphere":
-                radial = J.jet_mul(det, _jet_dot(f, H))
-                n = [x - J.jet_mul(radial, y) for x, y in zip(n, f)]
-            for m in range(3):
-                coef = _jet_dot(adj[m], tangent)
-                n = [x - J.jet_mul(coef, y) for x, y in zip(n, F[m])]
-            normal[i, j] = normal[j, i] = n
-    K = [[x for j in range(3) for x in normal[i, j]] for i in range(3)]
-    S = [[_jet_dot(K[i], K[k]) for k in range(3)] for i in range(3)]
-    S0 = np.array([[x.value for x in row] for row in S])
+    d1 = J.jet_stack([jets.derivative(i) for i in range(3)])     # (3, N)
+    H = J.jet_stack([d1.derivative(j) for j in range(3)])        # (3, 3, N)
+    F = J.jet_truncate(d1, 2)
+    G = J.jet_dot(F[:, None], F)
+    adj = _cross(G[[1, 2, 0]], G[[2, 0, 1]])
+    det = J.jet_dot(G[0], adj[0])
+    n = det * H
+    if c.ambient == "sphere":
+        f = J.jet_truncate(jets, 2)
+        n = n - (det * J.jet_dot(f, H))[..., None] * f
+    # coef[i, j, m] = sum_n adj(G)_mn <F_n, H_ij>
+    coef = J.jet_dot(adj, J.jet_dot(H[:, :, None], F)[:, :, None])
+    for m in range(3):
+        n = n - coef[..., m, None] * F[m]
+    K = n.reshape(3, -1)
+    S = J.jet_dot(K[:, None], K)
+    S0 = S.value
     norms = [float(np.linalg.norm(np.cross(S0[(k + 1) % 3], S0[(k + 2) % 3])))
              for k in range(3)]
     k = int(np.argmax(norms))
@@ -308,10 +286,9 @@ def _nullity_field(c: ImmersionChart, jets: list[J.Jet], eps_rank: float
     if not norms[k] > eps_rank ** 2 * float(np.sum(S0 * S0)):
         raise NullityJump("nullity line undetermined: the adjugate of "
                           "alpha alpha^T vanishes")
-    t = [x * (1.0 / norms[k]) for x in _cross(S[(k + 1) % 3], S[(k + 2) % 3])]
-    norm2 = _jet_dot(t, [_jet_dot(row, t) for row in G])
-    inv = J.jet_recip(J.jet_sqrt(norm2))
-    return [J.jet_mul(x, inv) for x in t], G, det
+    t = _cross(S[(k + 1) % 3], S[(k + 2) % 3]) * (1.0 / norms[k])
+    inv = J.jet_recip(J.jet_sqrt(J.jet_dot(t, J.jet_dot(G, t))))
+    return t * inv, G, det
 
 
 def _horizontal_frame(G: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -363,28 +340,23 @@ def splitting_tensor(chart: ImmersionChart, point: Sequence[float],
     except DegenerateValue as exc:
         raise DegeneratePoint(f"nullity field degenerates at "
                               f"{tuple(point)}: {exc}")
-    T1 = [J.jet_truncate(x, 1) for x in T]
-    g = [[J.jet_truncate(x, 1) for x in row] for row in G]
-    dG = [[[x.derivative(k) for x in row] for row in G] for k in range(3)]
-    dT = [[x.derivative(k) for x in T] for k in range(3)]
-    cov = [[_jet_dot(g[m], dT[k])
-            + 0.5 * _jet_dot([dG[k][l][m] + dG[l][k][m] - dG[m][k][l]
-                              for l in range(3)], T1)
-            for m in range(3)] for k in range(3)]
-    div = (dT[0][0] + dT[1][1] + dT[2][2]
-           + 0.5 * J.jet_mul(_jet_dot(T1, [det.derivative(k)
-                                           for k in range(3)]), inv_det))
+    T1, g = J.jet_truncate(T, 1), J.jet_truncate(G, 1)
+    dG = J.jet_stack([G.derivative(k) for k in range(3)])   # [k, l, m]
+    dT = J.jet_stack([T.derivative(k) for k in range(3)])   # [k, l]
+    # Gamma_(m,kl) T^l = (dg_T[k, m] + T_dg[k, m] - dg_T[m, k]) / 2, with
+    # dg_T[k, m] = d_k g_ml T^l and T_dg[k, m] = T^l d_l g_km (symmetric)
+    dg_T, T_dg = J.jet_dot(dG, T1), J.jet_dot(dG.T, T1)
+    cov = J.jet_dot(g, dT[:, None]) + 0.5 * (dg_T + T_dg - dg_T.T)
+    ddet = J.jet_stack([det.derivative(k) for k in range(3)])
+    div = (dT[0, 0] + dT[1, 1] + dT[2, 2]
+           + 0.5 * J.jet_mul(J.jet_dot(T1, ddet), inv_det))
     v = -0.5 * div
-    lowered = [_jet_dot(row, T1) for row in g]
-    curl = [cov[1][2] - cov[2][1], cov[2][0] - cov[0][2],
-            cov[0][1] - cov[1][0]]
-    u = 0.5 * J.jet_mul(_jet_dot(lowered, curl), inv_vol)
+    curl = cov[[1, 2, 0], [2, 0, 1]] - cov[[2, 0, 1], [1, 2, 0]]
+    u = 0.5 * J.jet_mul(J.jet_dot(J.jet_dot(g, T1), curl), inv_vol)
     if u.value < 0:
         u = -u
 
-    G0 = np.array([[x.value for x in row] for row in G])
-    T0 = np.array([x.value for x in T])
-    A = np.array([[x.value for x in row] for row in cov])
+    G0, T0, A = G.value, T.value, cov.value
     X = _horizontal_frame(G0, T0)
     C = -X @ A.T @ X.T  # C[b, a] = -<X_b, nabla_(X_a) T>
     if C[0, 1] < C[1, 0]:  # orient the frame so that u >= 0
@@ -393,11 +365,10 @@ def splitting_tensor(chart: ImmersionChart, point: Sequence[float],
     u0, v0 = u.value, v.value
     Jq = np.array([[0.0, -1.0], [1.0, 0.0]])
     span_residual = float(np.linalg.norm(C - (v0 * np.eye(2) - u0 * Jq)))
-    grad_u, grad_v = (np.array([w.derivative(k).value for k in range(3)])
-                      for w in (u, v))
-    frame = (X[0], X[1], T0)
-    d_u = [float(e @ grad_u) for e in frame]
-    d_v = [float(e @ grad_v) for e in frame]
+    # derivatives of u and v along the frame (X1, X2, T)
+    uv = J.jet_stack([u, v])
+    grad = J.jet_stack([uv.derivative(k) for k in range(3)]).value
+    d_u, d_v = (np.stack([X[0], X[1], T0]) @ grad).T
     ode_residuals = {
         "e3_v": abs(d_v[2] - (v0 * v0 - u0 * u0 + 1.0)),
         "e3_u": abs(d_u[2] - 2.0 * u0 * v0),
@@ -413,27 +384,15 @@ def splitting_tensor(chart: ImmersionChart, point: Sequence[float],
 
 
 def bundle_point_report(chart: ImmersionChart, point: Sequence[float],
-                        eps_rank: float = geo.EPS_RANK,
-                        splitting: bool = False) -> dict:
+                        eps_rank: float = geo.EPS_RANK) -> dict:
     """Per-point JSON row for bundle sweeps."""
     pt = [float(x) for x in point]
     try:
         rep = relative_nullity(chart, point, eps_rank=eps_rank)
     except DegeneratePoint:
         return {"point": pt, "singular": True, "H": None, "nu": None,
-                "sv": None, "tg": None, "C": None, "uv": None,
-                "residuals": None}
-    row = {"point": pt, "singular": False,
-           "H": rep.mean_curvature_norm, "nu": int(rep.nu),
-           "sv": [float(s) for s in rep.singular_values],
-           "tg": bool(rep.totally_geodesic),
-           "C": None, "uv": None, "residuals": None}
-    if splitting and rep.nu == 1:
-        sp = splitting_tensor(chart, point, eps_rank=eps_rank)
-        row["C"] = [[float(x) for x in r] for r in sp.C]
-        row["uv"] = [sp.u, sp.v]
-        row["residuals"] = {k: float(val)
-                            for k, val in sp.ode_residuals.items()}
-        row["residuals"]["span"] = sp.span_residual
-        row["residuals"]["fiber_alignment"] = sp.fiber_alignment
-    return row
+                "sv": None, "tg": None}
+    return {"point": pt, "singular": False,
+            "H": rep.mean_curvature_norm, "nu": int(rep.nu),
+            "sv": [float(s) for s in rep.singular_values],
+            "tg": bool(rep.totally_geodesic)}

@@ -7,6 +7,7 @@ isotropy orders, mean curvature values).
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -17,6 +18,13 @@ from .geometry import ImmersionChart
 from .weierstrass import WeierstrassData, isotropic_step, surface_chart
 
 
+def _require_integer(name: str, value, low: int):
+    """InvalidData unless value is an integer >= low; booleans are not."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < low):
+        raise InvalidData(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def make_holomorphic_curve(powers: tuple[int, ...], pad: int = 0,
                            domain=((-1.0, 1.0), (-1.0, 1.0))) -> ImmersionChart:
     """Real chart of z -> (z^p1, ..., z^pk), C^k = R^(2k), zero-padded to
@@ -25,8 +33,7 @@ def make_holomorphic_curve(powers: tuple[int, ...], pad: int = 0,
     powers = tuple(int(p) for p in powers)
     if not powers or any(p < 1 for p in powers):
         raise InvalidData(f"powers must be positive integers, got {powers}")
-    if pad < 0:
-        raise InvalidData("pad must be nonnegative")
+    _require_integer("pad", pad, 0)
 
     components = []
     for p in powers:
@@ -44,10 +51,20 @@ def make_plane(pad: int = 3) -> ImmersionChart:
 
     The default pad keeps the ambient dimension at 5 so the plane remains a
     legal (if everywhere degenerate) unit tangent bundle base."""
-    if pad < 1:
-        raise InvalidData("pad must be at least 1")
+    _require_integer("pad", pad, 1)
     return surface_chart((cp.poly(0, 1), cp.poly(0, -1j)) + (cp.ZERO,) * pad,
                          name=f"plane-pad{pad}")
+
+
+def _stereographic(point, space) -> J.Jet:
+    """Inverse stereographic projection (u, v) -> S^2, a jet of shape (3,)."""
+    u = J.jet_variable(space, 0, point[0])
+    v = J.jet_variable(space, 1, point[1])
+    u2 = J.jet_mul(u, u)
+    v2 = J.jet_mul(v, v)
+    inv = J.jet_recip(u2 + v2 + 1.0)
+    return J.jet_stack([2.0 * J.jet_mul(u, inv), 2.0 * J.jet_mul(v, inv),
+                        J.jet_mul(1.0 - u2 - v2, inv)])
 
 
 def make_veronese(domain=((-0.85, 0.85), (-0.85, 0.85))) -> ImmersionChart:
@@ -56,21 +73,14 @@ def make_veronese(domain=((-0.85, 0.85), (-0.85, 0.85))) -> ImmersionChart:
     tau = 1, minimal (isotropy order 1)."""
 
     def jet_fn(point, space):
-        u = J.jet_variable(space, 0, point[0])
-        v = J.jet_variable(space, 1, point[1])
-        u2 = J.jet_mul(u, u)
-        v2 = J.jet_mul(v, v)
-        inv = J.jet_recip(u2 + v2 + 1.0)
-        x = 2.0 * J.jet_mul(u, inv)
-        y = 2.0 * J.jet_mul(v, inv)
-        zc = J.jet_mul(1.0 - u2 - v2, inv)
+        x, y, zc = _stereographic(point, space)
         r3 = math.sqrt(3.0)
-        return [r3 * J.jet_mul(x, y),
-                r3 * J.jet_mul(x, zc),
-                r3 * J.jet_mul(y, zc),
-                (r3 / 2.0) * (J.jet_mul(x, x) - J.jet_mul(y, y)),
-                0.5 * (J.jet_mul(x, x) + J.jet_mul(y, y)
-                       - 2.0 * J.jet_mul(zc, zc))]
+        return J.jet_stack([r3 * J.jet_mul(x, y),
+                            r3 * J.jet_mul(x, zc),
+                            r3 * J.jet_mul(y, zc),
+                            (r3 / 2.0) * (J.jet_mul(x, x) - J.jet_mul(y, y)),
+                            0.5 * (J.jet_mul(x, x) + J.jet_mul(y, y)
+                                   - 2.0 * J.jet_mul(zc, zc))])
 
     return ImmersionChart(domain_dim=2, ambient_dim=5, ambient="sphere",
                           jet_fn=jet_fn, domain=tuple(domain),
@@ -81,16 +91,8 @@ def make_great_sphere() -> ImmersionChart:
     """Totally geodesic S^2 inside S^4 (stereographic chart): tau = 0."""
 
     def jet_fn(point, space):
-        u = J.jet_variable(space, 0, point[0])
-        v = J.jet_variable(space, 1, point[1])
-        u2 = J.jet_mul(u, u)
-        v2 = J.jet_mul(v, v)
-        inv = J.jet_recip(u2 + v2 + 1.0)
         zero = J.jet_constant(space, 0.0)
-        return [2.0 * J.jet_mul(u, inv),
-                2.0 * J.jet_mul(v, inv),
-                J.jet_mul(1.0 - u2 - v2, inv),
-                zero, zero]
+        return J.jet_stack([*_stereographic(point, space), zero, zero])
 
     return ImmersionChart(domain_dim=2, ambient_dim=5, ambient="sphere",
                           jet_fn=jet_fn, domain=((-0.85, 0.85), (-0.85, 0.85)),
@@ -103,8 +105,9 @@ def make_geodesic_sphere(radius: float = math.pi / 4) -> ImmersionChart:
     Nowhere minimal: the mean curvature norm is 3 cot(radius) and the
     relative nullity is 0. The chart stays away from the coordinate poles
     of the S^3 fiber parametrization."""
-    if not 0.0 < radius < math.pi:
-        raise InvalidData("radius must lie in (0, pi)")
+    if (isinstance(radius, bool) or not isinstance(radius, numbers.Real)
+            or not 0.0 < radius < math.pi):
+        raise InvalidData(f"radius must be a number in (0, pi), got {radius!r}")
     cr, sr = math.cos(radius), math.sin(radius)
 
     def jet_fn(point, space):
@@ -114,11 +117,11 @@ def make_geodesic_sphere(radius: float = math.pi / 4) -> ImmersionChart:
         c1, s1 = J.jet_cos(t1), J.jet_sin(t1)
         c2, s2 = J.jet_cos(t2), J.jet_sin(t2)
         c3, s3 = J.jet_cos(t3), J.jet_sin(t3)
-        return [J.jet_constant(space, cr),
-                sr * c1,
-                sr * J.jet_mul(s1, c2),
-                sr * J.jet_mul(s1, J.jet_mul(s2, c3)),
-                sr * J.jet_mul(s1, J.jet_mul(s2, s3))]
+        return J.jet_stack([J.jet_constant(space, cr),
+                            sr * c1,
+                            sr * J.jet_mul(s1, c2),
+                            sr * J.jet_mul(s1, J.jet_mul(s2, c3)),
+                            sr * J.jet_mul(s1, J.jet_mul(s2, s3))])
 
     return ImmersionChart(domain_dim=3, ambient_dim=5, ambient="sphere",
                           jet_fn=jet_fn,
@@ -144,7 +147,7 @@ def make_graph(coeff_uu: float, coeff_uv: float, coeff_vv: float,
             a, b, c = extra
             out.append(a * J.jet_mul(u, u) + b * J.jet_mul(u, v)
                        + c * J.jet_mul(v, v))
-        return out
+        return J.jet_stack(out)
 
     return ImmersionChart(domain_dim=2, ambient_dim=3 + (extra is not None),
                           ambient="euclidean", jet_fn=jet_fn,
@@ -201,28 +204,35 @@ def random_weierstrass_data(rng: np.random.Generator, n: int,
 
 
 def make_fixture(name: str, **params) -> ImmersionChart:
-    """Registry addressed by the CLI: 'veronese', 'plane', 'great-sphere',
-    'geodesic-sphere', or 'curve-<p1>-<p2>-...' (pad via params)."""
-    if name == "veronese":
-        return make_veronese()
-    if name == "plane":
-        return make_plane(int(params["pad"])) if "pad" in params else make_plane()
-    if name == "great-sphere":
-        return make_great_sphere()
-    if name == "geodesic-sphere":
-        return make_geodesic_sphere(float(params.get("radius", math.pi / 4)))
-    if name.startswith("curve-"):
-        tokens = name.split("-")[1:]
-        pad = int(params.get("pad", 0))
-        if tokens and tokens[-1].startswith("pad"):
-            tail, tokens = tokens[-1], tokens[:-1]
-            try:
-                pad = int(tail[3:])
-            except ValueError:
-                raise InvalidData(f"bad curve fixture name {name!r}")
+    """Registry addressed by the CLI: 'veronese', 'plane' (param pad),
+    'great-sphere', 'geodesic-sphere' (param radius) or
+    'curve-<p1>-<p2>-...[-pad<k>]' (param pad; the name's pad wins). Any
+    other param raises InvalidData, as does a bad value."""
+    makers = {"veronese": make_veronese, "plane": make_plane,
+              "great-sphere": make_great_sphere,
+              "geodesic-sphere": make_geodesic_sphere}
+    kind = "curve" if name.startswith("curve-") else name
+    if kind != "curve" and kind not in makers:
+        raise InvalidData(f"unknown fixture {name!r}")
+    accepted = {"plane": "pad", "curve": "pad",
+                "geodesic-sphere": "radius"}.get(kind)
+    for key in params:
+        if key != accepted:
+            raise InvalidData(f"fixture {name} has no param {key!r} "
+                              f"(params: {accepted or 'none'})")
+    if kind != "curve":
+        return makers[name](**params)
+    tokens = name.split("-")[1:]
+    pad = params.get("pad", 0)
+    _require_integer("pad", pad, 0)
+    if tokens and tokens[-1].startswith("pad"):
+        tail, tokens = tokens[-1], tokens[:-1]
         try:
-            powers = tuple(int(p) for p in tokens)
+            pad = int(tail[3:])
         except ValueError:
             raise InvalidData(f"bad curve fixture name {name!r}")
-        return make_holomorphic_curve(powers, pad=pad)
-    raise InvalidData(f"unknown fixture {name!r}")
+    try:
+        powers = tuple(int(p) for p in tokens)
+    except ValueError:
+        raise InvalidData(f"bad curve fixture name {name!r}")
+    return make_holomorphic_curve(powers, pad=pad)

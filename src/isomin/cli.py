@@ -10,12 +10,13 @@ splitting tensor equations, `export` writes an OBJ mesh.
 Configuration is a single JSON document; command line flags override its
 fields. Runs are deterministic: the same config produces byte-identical
 reports and meshes. Exit codes: 0 all checks pass, 1 bad input, 2 a
-verification failed or the numerics broke down, 3 structural degeneracy
-(flag collapse).
+verification failed (also when no point it needs is regular) or the
+numerics broke down, 3 structural degeneracy (flag collapse).
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -154,22 +155,12 @@ def load_config(args) -> dict:
             raise InvalidData(f"unknown config keys: {sorted(unknown)}")
         cfg.update(doc)
     # flags override config fields
-    if args.fixture is not None:
-        cfg["fixture"] = args.fixture
-    if args.grid is not None:
-        cfg["grid"] = args.grid
-    if args.jet_order is not None:
-        cfg["jet_order"] = args.jet_order
-    if args.out is not None:
-        cfg["out"] = args.out
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    for key in ("fixture", "grid", "jet_order", "out", "seed", "kind",
+                "projection"):
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
     if args.no_final_integration:
         cfg["final_integration"] = False
-    if getattr(args, "kind", None) is not None:
-        cfg["kind"] = args.kind
-    if getattr(args, "projection", None) is not None:
-        cfg["projection"] = args.projection
     for key, accepted in CONFIG_TYPES.items():
         if _json_type(cfg[key]) not in accepted:
             kinds = " or ".join(_JSON_ARTICLES[t] + t for t in accepted)
@@ -213,30 +204,20 @@ def _data_fixture(name: str | None) -> tuple[str, int] | None:
     return None
 
 
-def _with_integration(data: W.WeierstrassData, flag: bool) -> W.WeierstrassData:
-    if data.final_integration == flag:
-        return data
-    return W.WeierstrassData(n=data.n, alpha0=data.alpha0, beta1=data.beta1,
-                             beta2=data.beta2,
-                             int_constants=data.int_constants,
-                             final_integration=flag)
-
-
 def resolve_surface_data(cfg) -> W.WeierstrassData:
+    kindn = _data_fixture(cfg["fixture"])
     if cfg["surface"] is not None:
         data = W.WeierstrassData.from_json(cfg["surface"])
-        return _with_integration(data, cfg["final_integration"])
-    kindn = _data_fixture(cfg["fixture"])
-    if kindn is not None:
-        which, n = kindn
-        if which == "demo":
-            data = catalog.demo_weierstrass_data(n)
-        else:
-            rng = np.random.default_rng(cfg["seed"])
-            data = catalog.random_weierstrass_data(rng, n)
-        return _with_integration(data, cfg["final_integration"])
-    raise InvalidData("need a surface in the config or a data fixture "
-                      "(n4..n8, random-nN)")
+    elif kindn is None:
+        raise InvalidData("need a surface in the config or a data fixture "
+                          "(n4..n8, random-nN)")
+    elif kindn[0] == "demo":
+        data = catalog.demo_weierstrass_data(kindn[1])
+    else:
+        data = catalog.random_weierstrass_data(
+            np.random.default_rng(cfg["seed"]), kindn[1])
+    return dataclasses.replace(data,
+                               final_integration=cfg["final_integration"])
 
 
 def resolve_chart(cfg) -> geo.ImmersionChart:
@@ -262,13 +243,13 @@ def _axes_for(chart, cfg, default3=(5, 5, 8), default2=(9, 9)):
 
 
 def _worst(values) -> float:
-    """Largest value (0 for none), or NaN if any value is not finite, so
-    that a bound check on it fails; max() keeps a NaN only when it comes
-    first."""
+    """Largest value, or NaN if there is none or any value is not finite,
+    so that a bound check on it fails: no verdict passes over zero numbers.
+    max() keeps a NaN only when it comes first."""
     vals = list(values)
-    if not all(math.isfinite(v) for v in vals):
+    if not vals or not all(math.isfinite(v) for v in vals):
         return math.nan
-    return max(vals, default=0.0)
+    return max(vals)
 
 
 def _verdict_line(name: str, ok: bool, detail: str) -> str:
@@ -294,7 +275,8 @@ def cmd_generate(cfg) -> int:
                       "e1_residual": res[1] if len(res) > 1 else None})
 
     checked = [r for r in spots if not r["singular"]]
-    e0_ok = all(r["e0_residual"] <= tols["circle"] for r in checked)
+    e0_ok = bool(checked) and all(r["e0_residual"] <= tols["circle"]
+                                  for r in checked)
     e1_vals = [r["e1_residual"] for r in checked if r["e1_residual"] is not None]
     e1_ok = all(v <= tols["circle"] for v in e1_vals)
     passed = ident_ok and e0_ok and e1_ok
@@ -348,7 +330,7 @@ def cmd_analyze(cfg) -> int:
     return 0
 
 
-def _splitting_points(chart, axes, count: int):
+def _splitting_points(axes, count: int):
     """Deterministic interior sample: walk the grid box diagonally."""
     lo = [float(a[0]) for a in axes]
     hi = [float(a[-1]) for a in axes]
@@ -401,7 +383,7 @@ def cmd_bundle(cfg) -> int:
     nus = sorted({r["nu"] for r in live})
 
     split_rows = []
-    for p in _splitting_points(bc.chart, axes, cfg["splitting_points"]):
+    for p in _splitting_points(axes, cfg["splitting_points"]):
         row = {"point": list(p), "skipped": None, "error": None}
         try:
             sp = B.splitting_tensor(bc.chart, p, eps_rank=tols["eps_rank"])

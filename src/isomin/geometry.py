@@ -47,17 +47,17 @@ ELLIPSE_SAMPLES = 64
 class ImmersionChart:
     """A parametrized piece of submanifold, evaluated through jets.
 
-    jet_fn(point, space) returns one jet per ambient component, expanded at
-    the point, in the given jet space. The first domain_dim variables of the
-    space are the chart coordinates; charts may be evaluated inside larger
-    spaces (the bundle constructions do this) as long as the extra variables
-    are left untouched.
+    jet_fn(point, space) returns one jet of shape (ambient_dim,), the chart
+    map expanded at the point, in the given jet space. The first domain_dim
+    variables of the space are the chart coordinates; charts may be
+    evaluated inside larger spaces (the bundle constructions do this) as
+    long as the extra variables are left untouched.
     """
 
     domain_dim: int
     ambient_dim: int
     ambient: str  # "euclidean" or "sphere"
-    jet_fn: Callable[[Sequence[float], J.JetSpace], list[J.Jet]]
+    jet_fn: Callable[[Sequence[float], J.JetSpace], J.Jet]
     domain: tuple[tuple[float, float], ...]
     periodic: tuple[bool, ...] = ()
     name: str = ""
@@ -73,18 +73,19 @@ class ImmersionChart:
         if not self.periodic:
             self.periodic = (False,) * self.domain_dim
 
-    def eval_jets(self, point: Sequence[float], order: int) -> list[J.Jet]:
+    def eval_jets(self, point: Sequence[float], order: int) -> J.Jet:
         if len(point) != self.domain_dim:
             raise ShapeMismatch(
                 f"point has {len(point)} coordinates, chart needs {self.domain_dim}")
         space = J.get_space(self.domain_dim, order)
         out = self.jet_fn(tuple(float(x) for x in point), space)
-        if len(out) != self.ambient_dim:
-            raise ShapeMismatch("chart evaluator returned wrong component count")
+        if not isinstance(out, J.Jet) or out.shape != (self.ambient_dim,):
+            raise ShapeMismatch("chart evaluator must return one jet of "
+                                f"shape ({self.ambient_dim},)")
         return out
 
     def value(self, point: Sequence[float]) -> np.ndarray:
-        return np.array([j.value for j in self.eval_jets(point, 0)])
+        return self.eval_jets(point, 0).value
 
 
 def grid_axes(chart: ImmersionChart,
@@ -115,18 +116,14 @@ def grid_points(axes: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack([g.reshape(-1) for g in mesh], axis=1)
 
 
-def _multi_index(combo: Sequence[int], m: int) -> tuple[int, ...]:
-    return tuple(sum(1 for c in combo if c == i) for i in range(m))
-
-
-def _partials(jets: list[J.Jet], s: int) -> np.ndarray:
+def _partials(jets: J.Jet, s: int) -> np.ndarray:
     """s-th partial derivatives of every component, shape (N, k): one column
     per multi-index of degree s, in the space's index order. That order is
     by degree first, so the columns are one slice of the coefficients."""
-    space = jets[0].space
+    space = jets.space
     m = space.nvars
     lo, hi = math.comb(s - 1 + m, m), math.comb(s + m, m)
-    return np.stack([j.coeffs[lo:hi] for j in jets]) * space.factorial[lo:hi]
+    return jets.coeffs[:, lo:hi] * space.factorial[lo:hi]
 
 
 @functools.lru_cache(maxsize=None)
@@ -135,13 +132,13 @@ def _table_columns(m: int, s: int) -> np.ndarray:
     pos, lo = J.get_space(m, s).pos, math.comb(s - 1 + m, m)
     cols = np.empty((m,) * s, dtype=np.intp)
     for combo in itertools.product(range(m), repeat=s):
-        cols[combo] = pos[_multi_index(combo, m)] - lo
+        cols[combo] = pos[tuple(combo.count(i) for i in range(m))] - lo
     return cols
 
 
-def _partial_table(jets: list[J.Jet], s: int) -> np.ndarray:
+def _partial_table(jets: J.Jet, s: int) -> np.ndarray:
     """Symmetric table of s-th partials, shape (m,)*s + (N,)."""
-    return _partials(jets, s).T[_table_columns(jets[0].space.nvars, s)]
+    return _partials(jets, s).T[_table_columns(jets.space.nvars, s)]
 
 
 def _project_out(Q: np.ndarray | None, V: np.ndarray) -> np.ndarray:
@@ -154,8 +151,8 @@ def _project_out(Q: np.ndarray | None, V: np.ndarray) -> np.ndarray:
     return V
 
 
-def _position_unit(jets: list[J.Jet]) -> np.ndarray:
-    f = np.array([j.value for j in jets])
+def _position_unit(jets: J.Jet) -> np.ndarray:
+    f = jets.value
     norm = float(np.linalg.norm(f))
     if abs(norm - 1.0) > SPHERE_NORM_TOL:
         raise InvalidData(
@@ -200,7 +197,7 @@ class OsculatingFlag:
         return np.concatenate(cols, axis=1)
 
 
-def _flag_from_jets(chart: ImmersionChart, point, jets: list[J.Jet],
+def _flag_from_jets(chart: ImmersionChart, point, jets: J.Jet,
                     max_order: int, eps_rank: float, eps_deg: float) -> OsculatingFlag:
     m, N = chart.domain_dim, chart.ambient_dim
     position = _position_unit(jets) if chart.ambient == "sphere" else None
@@ -270,7 +267,7 @@ class FundamentalForms:
     flag: OsculatingFlag
 
 
-def _forms_from_jets(chart: ImmersionChart, point, jets: list[J.Jet],
+def _forms_from_jets(chart: ImmersionChart, point, jets: J.Jet,
                      flag: OsculatingFlag, max_s: int) -> FundamentalForms:
     N = chart.ambient_dim
     tables = {s: _partial_table(jets, s) for s in range(1, max_s + 1)}
@@ -495,12 +492,10 @@ def isotropy_order(chart: ImmersionChart, point: Sequence[float],
     return row["order"]
 
 
-def christoffels(chart: ImmersionChart, point: Sequence[float],
-                 jets: list[J.Jet] | None = None) -> np.ndarray:
+def christoffels(chart: ImmersionChart, point: Sequence[float]) -> np.ndarray:
     """Christoffel symbols Gamma[k, i, j] of the induced metric, from the
     exact metric derivatives carried by order-2 jets."""
-    if jets is None:
-        jets = chart.eval_jets(point, 2)
+    jets = chart.eval_jets(point, 2)
     P1 = _partial_table(jets, 1)               # (m, N)
     P2 = _partial_table(jets, 2)               # (m, m, N)
     G = P1 @ P1.T

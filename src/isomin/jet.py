@@ -1,10 +1,13 @@
 """Dense truncated multivariate Taylor arithmetic (jets).
 
-A Jet holds the Taylor coefficients of a smooth real-valued function at a
-point, on every multi-index of total degree <= order, for 1 to 3 variables.
-The expansion point itself is not stored; coefficients are relative offsets.
-Multiplication is truncated convolution driven by a precomputed index table,
-composition (sqrt, recip, sin, cos) is a Horner evaluation of the outer
+A Jet holds the Taylor coefficients of a smooth function at a point, on
+every multi-index of total degree <= order, for 1 to 3 variables. The
+function may be array-valued: the coefficients carry a leading shape (a
+chart evaluates to one jet of shape (ambient_dim,)), and arithmetic,
+differentiation and truncation broadcast over it. The expansion point
+itself is not stored; coefficients are relative offsets. Multiplication is
+truncated convolution driven by a precomputed index table, composition
+(sqrt, recip, sin, cos) of a scalar jet is a Horner evaluation of the outer
 Taylor series in jet arithmetic, and differentiation shifts coefficients
 down one order. sqrt and recip demand a constant term bounded away from
 zero (eps = 1e-10 by default); violating that raises DegenerateValue, which
@@ -47,16 +50,14 @@ class JetSpace:
         self.pos = {m: i for i, m in enumerate(idx)}
         self.factorial = np.array(
             [math.prod(math.factorial(k) for k in m) for m in idx], dtype=float)
-        ia, ib, io = [], [], []
-        for i, ma in enumerate(idx):
-            for j, mb in enumerate(idx):
-                if sum(ma) + sum(mb) <= order:
-                    ia.append(i)
-                    ib.append(j)
-                    io.append(self.pos[tuple(a + b for a, b in zip(ma, mb))])
-        self._mul_a = np.array(ia, dtype=np.intp)
-        self._mul_b = np.array(ib, dtype=np.intp)
-        self._mul_o = np.array(io, dtype=np.intp)
+        # product pairs (ia, ib) -> io sorted by output; every output has the
+        # pair (0, io), so `_mul_starts` opens one nonempty run per output
+        pairs = sorted((self.pos[tuple(a + b for a, b in zip(ma, mb))], i, j)
+                       for i, ma in enumerate(idx) for j, mb in enumerate(idx)
+                       if sum(ma) + sum(mb) <= order)
+        io, ia, ib = (np.array(col, dtype=np.intp) for col in zip(*pairs))
+        self._mul_a, self._mul_b, self._mul_o = ia, ib, io
+        self._mul_starts = np.searchsorted(io, np.arange(self.size))
         # derivative maps: for each variable, source positions and factors
         # aligned with the index list of the (order - 1) space
         self._deriv: list[tuple[np.ndarray, np.ndarray]] | None = None
@@ -84,18 +85,11 @@ class JetSpace:
             if self.nvars < 2:
                 raise DimensionMismatch(
                     "holomorphic jets need 2 or 3 variables, got 1")
-            pos, k, w = [], [], []
-            for p, m in enumerate(self.indices):
-                if any(m[2:]):
-                    continue
-                a, b = m[:2]
-                pos.append(p)
-                k.append(a + b)
-                w.append((1, 1j, -1, -1j)[b % 4]
-                         / (math.factorial(a) * math.factorial(b)))
-            self._holo = (np.array(pos, dtype=np.intp),
-                          np.array(k, dtype=np.intp),
-                          np.array(w, dtype=complex))
+            pos = np.array([p for p, m in enumerate(self.indices)
+                            if not any(m[2:])], dtype=np.intp)
+            a, b = np.array([self.indices[p][:2] for p in pos]).T
+            self._holo = (pos, a + b, np.array([1, 1j, -1, -1j])[b % 4]
+                          / self.factorial[pos])
         return self._holo
 
 
@@ -111,32 +105,62 @@ def get_space(nvars: int, order: int) -> JetSpace:
 @dataclasses.dataclass(frozen=True, eq=False)
 class Jet:
     space: JetSpace
-    coeffs: np.ndarray  # shape (space.size,), Taylor coefficients
+    coeffs: np.ndarray  # shape self.shape + (space.size,), Taylor coefficients
+
+    # numpy operands defer to the Jet operators instead of iterating the jet
+    __array_ufunc__ = None
 
     @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
+    def shape(self) -> tuple[int, ...]:
+        return self.coeffs.shape[:-1]
+
+    @property
+    def value(self):
+        """Values at the expansion point: a float for a scalar jet, else an
+        array of the leading shape."""
+        return self.coeffs[..., 0][()]  # [()] turns a 0-d array into a float
+
+    def __getitem__(self, idx) -> "Jet":
+        """Index the leading shape (numpy rules); the coefficients ride along."""
+        if not self.shape:
+            raise ShapeMismatch("a scalar jet cannot be indexed")
+        idx = idx if isinstance(idx, tuple) else (idx,)
+        return Jet(self.space, self.coeffs[idx + (slice(None),)])
+
+    def __len__(self) -> int:
+        if not self.shape:
+            raise TypeError("len() of a scalar jet")
+        return self.shape[0]
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @property
+    def T(self) -> "Jet":
+        """The jet with its leading axes reversed."""
+        n = len(self.shape)
+        return Jet(self.space, self.coeffs.transpose(*range(n - 1, -1, -1), n))
+
+    def reshape(self, *shape: int) -> "Jet":
+        return Jet(self.space, self.coeffs.reshape(*shape, self.space.size))
 
     def _coerce(self, other) -> "Jet":
         if isinstance(other, Jet):
             if other.space is not self.space:
                 raise ShapeMismatch("jets from different spaces")
             return other
-        return jet_constant(self.space, float(other))
+        return jet_constant(self.space, other)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return Jet(self.space, self.coeffs + o.coeffs)
+        return Jet(self.space, self.coeffs + self._coerce(other).coeffs)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return Jet(self.space, self.coeffs - o.coeffs)
+        return Jet(self.space, self.coeffs - self._coerce(other).coeffs)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        return Jet(self.space, o.coeffs - self.coeffs)
+        return Jet(self.space, self._coerce(other).coeffs - self.coeffs)
 
     def __neg__(self):
         return Jet(self.space, -self.coeffs)
@@ -144,7 +168,8 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             return jet_mul(self, other)
-        return Jet(self.space, self.coeffs * float(other))
+        return Jet(self.space,
+                   self.coeffs * np.asarray(other, dtype=float)[..., None])
 
     __rmul__ = __mul__
 
@@ -157,51 +182,73 @@ class Jet:
             raise DimensionMismatch(f"no variable {var} in a {sp.nvars}-jet")
         src, fac = sp._deriv_maps()[var]
         low = get_space(sp.nvars, sp.order - 1)
-        return Jet(low, self.coeffs[src] * fac)
+        return Jet(low, self.coeffs[..., src] * fac)
 
 
-def jet_constant(space: JetSpace, value: float) -> Jet:
-    c = np.zeros(space.size)
-    c[0] = value
+def jet_constant(space: JetSpace, value) -> Jet:
+    """Constant jet; an array value gives a jet of its shape."""
+    value = np.asarray(value, dtype=float)
+    c = np.zeros(value.shape + (space.size,))
+    c[..., 0] = value
     return Jet(space, c)
+
+
+def jet_stack(jets: Sequence[Jet]) -> Jet:
+    """Stack jets of one space and one shape along a new first axis."""
+    jets = list(jets)
+    if not jets or any(j.space is not jets[0].space or j.shape != jets[0].shape
+                       for j in jets):
+        raise ShapeMismatch("stacking needs jets of one space and one shape")
+    return Jet(jets[0].space, np.stack([j.coeffs for j in jets]))
 
 
 def jet_variable(space: JetSpace, var: int, value: float) -> Jet:
     """Jet of the coordinate function x_var at a point where it equals value."""
     if not 0 <= var < space.nvars:
         raise DimensionMismatch(f"no variable {var} in a {space.nvars}-jet")
-    c = np.zeros(space.size)
-    c[0] = value
+    x = jet_constant(space, value)
     if space.order >= 1:
         unit = tuple(1 if i == var else 0 for i in range(space.nvars))
-        c[space.pos[unit]] = 1.0
-    return Jet(space, c)
+        x.coeffs[space.pos[unit]] = 1.0
+    return x
 
 
-def jet_holomorphic_re(space: JetSpace, derivs: Sequence[complex]) -> Jet:
+def jet_holomorphic_re(space: JetSpace, derivs) -> Jet:
     """Jet of Re Phi(x0 + i x1) for Phi holomorphic, from the values
-    derivs[k] = Phi^(k)(z), k = 0..order, at the expansion point z.
+    derivs[..., k] = Phi^(k)(z), k = 0..order, at the expansion point z;
+    the leading shape of derivs is the jet's shape.
 
     By Cauchy-Riemann, d_0^a d_1^b Re Phi = Re(i^b Phi^(a+b)), so the
     coefficient at (a, b) is Re(i^b derivs[a + b]) / (a! b!). In a
     3-variable space Re Phi does not depend on x2, and every coefficient
     with a power of x2 is 0."""
     d = np.asarray(derivs, dtype=complex)
-    if d.shape != (space.order + 1,):
+    if d.shape[-1:] != (space.order + 1,):
         raise ShapeMismatch(f"need {space.order + 1} derivatives for an "
                             f"order-{space.order} jet, got {d.shape}")
     pos, k, w = space._holomorphic_map()
-    c = np.zeros(space.size)
-    c[pos] = (w * d[k]).real
+    c = np.zeros(d.shape[:-1] + (space.size,))
+    c[..., pos] = (w * d[..., k]).real
     return Jet(space, c)
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
+    """Truncated product, broadcast over the leading shapes."""
     sp = a.space
     if b.space is not sp:
         raise ShapeMismatch("jets from different spaces")
-    prod = a.coeffs[sp._mul_a] * b.coeffs[sp._mul_b]
-    return Jet(sp, np.bincount(sp._mul_o, weights=prod, minlength=sp.size))
+    prod = a.coeffs[..., sp._mul_a] * b.coeffs[..., sp._mul_b]
+    if prod.ndim == 1:
+        return Jet(sp, np.bincount(sp._mul_o, weights=prod, minlength=sp.size))
+    return Jet(sp, np.add.reduceat(prod, sp._mul_starts, axis=-1))
+
+
+def jet_dot(a: Jet, b: Jet) -> Jet:
+    """Sum of a * b over the last leading axis."""
+    p = jet_mul(a, b)
+    if not p.shape:
+        raise ShapeMismatch("jet_dot needs vector jets")
+    return Jet(p.space, p.coeffs.sum(axis=-2))
 
 
 def jet_truncate(a: Jet, order: int) -> Jet:
@@ -213,7 +260,7 @@ def jet_truncate(a: Jet, order: int) -> Jet:
     if order == a.space.order:
         return a
     low = get_space(a.space.nvars, order)
-    return Jet(low, a.coeffs[:low.size].copy())
+    return Jet(low, a.coeffs[..., :low.size].copy())
 
 
 def _outer_series(kind: str, a0: float, order: int, eps: float) -> list[float]:
@@ -242,10 +289,11 @@ def _outer_series(kind: str, a0: float, order: int, eps: float) -> list[float]:
 
 
 def jet_compose(kind: str, a: Jet, eps: float = EPS_DEG) -> Jet:
-    """Compose an outer function (sqrt, recip, sin, cos) with a jet."""
-    series = _outer_series(kind, a.value, a.space.order, eps)
-    offset = Jet(a.space, a.coeffs.copy())
-    offset.coeffs[0] = 0.0
+    """Compose an outer function (sqrt, recip, sin, cos) with a scalar jet."""
+    if a.shape:
+        raise ShapeMismatch(f"{kind} composes scalar jets, got shape {a.shape}")
+    series = _outer_series(kind, float(a.value), a.space.order, eps)
+    offset = a - a.value
     acc = jet_constant(a.space, series[-1])
     for c in reversed(series[:-1]):
         acc = jet_mul(acc, offset) + c
@@ -268,8 +316,9 @@ def jet_cos(a: Jet) -> Jet:
     return jet_compose("cos", a)
 
 
-def jet_extract(a: Jet, idx: Sequence[int]) -> float:
-    """Partial derivative for a multi-index: Taylor coefficient times idx!."""
+def jet_extract(a: Jet, idx: Sequence[int]):
+    """Partial derivative for a multi-index: Taylor coefficient times idx!,
+    of the leading shape (a float for a scalar jet)."""
     m = tuple(int(k) for k in idx)
     if len(m) != a.space.nvars:
         raise DimensionMismatch(
@@ -280,4 +329,4 @@ def jet_extract(a: Jet, idx: Sequence[int]) -> float:
         raise OrderExceeded(
             f"derivative {m} exceeds jet order {a.space.order}")
     p = a.space.pos[m]
-    return float(a.coeffs[p] * a.space.factorial[p])
+    return a.coeffs[..., p] * a.space.factorial[p]

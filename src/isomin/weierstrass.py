@@ -20,6 +20,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
+import numpy as np
+
 from . import cpoly as cp
 from . import jet as J
 from .errors import DimensionMismatch, InvalidData
@@ -148,7 +150,8 @@ def surface_chart(components: cp.PolyVec, name: str = "",
     """Chart (u, v) -> Re Phi(u + iv) for a complex polynomial curve Phi.
 
     The derivatives of each component are computed once, here; evaluation
-    reads the jet off their values at z = u + iv (`jet.jet_holomorphic_re`)."""
+    reads the vector jet off their values at z = u + iv, one row per
+    component (`jet.jet_holomorphic_re`)."""
     chains = []
     for p in components:
         chain = []
@@ -159,13 +162,11 @@ def surface_chart(components: cp.PolyVec, name: str = "",
 
     def jet_fn(point, space):
         z = complex(point[0], point[1])
-        n = space.order + 1
-        out = []
-        for chain in chains:
-            derivs = [cp.poly_eval(p, z) for p in chain[:n]]
-            derivs += [0j] * (n - len(derivs))
-            out.append(J.jet_holomorphic_re(space, derivs))
-        return out
+        derivs = np.zeros((len(chains), space.order + 1), dtype=complex)
+        for i, chain in enumerate(chains):
+            for k, p in enumerate(chain[:space.order + 1]):
+                derivs[i, k] = cp.poly_eval(p, z)
+        return J.jet_holomorphic_re(space, derivs)
 
     return ImmersionChart(domain_dim=2, ambient_dim=len(chains),
                           ambient="euclidean", jet_fn=jet_fn,

@@ -153,6 +153,21 @@ def test_polar_veronese_minimal_nullity_one(polar_ver):
         assert rep.singular_values[-1] < 1e-8
 
 
+def test_unit_normal_chart_reads_the_centre_off_one_evaluation(monkeypatch):
+    """One evaluation at the domain centre gives the flag probe and the top
+    ellipse; the 9x9 certificate adds one evaluation per grid point."""
+    calls = []
+    real = geo.ImmersionChart.eval_jets
+
+    def counted(chart, point, order):
+        calls.append(chart.name)
+        return real(chart, point, order)
+
+    monkeypatch.setattr(geo.ImmersionChart, "eval_jets", counted)
+    unit_normal_chart(make_veronese())
+    assert calls == ["veronese"] * 82
+
+
 def test_unit_normal_rejections():
     with pytest.raises(FlagCollapse, match="no first normal space"):
         unit_normal_chart(make_great_sphere())
@@ -171,11 +186,11 @@ def _small_sphere_surface() -> ImmersionChart:
         v = J.jet_variable(space, 1, point[1])
         u2, v2 = J.jet_mul(u, u), J.jet_mul(v, v)
         inv = J.jet_recip(u2 + v2 + 1.0)
-        return [J.jet_constant(space, cr),
-                sr * 2.0 * J.jet_mul(u, inv),
-                sr * 2.0 * J.jet_mul(v, inv),
-                sr * J.jet_mul(1.0 - u2 - v2, inv),
-                J.jet_constant(space, 0.0)]
+        return J.jet_stack([J.jet_constant(space, cr),
+                            sr * 2.0 * J.jet_mul(u, inv),
+                            sr * 2.0 * J.jet_mul(v, inv),
+                            sr * J.jet_mul(1.0 - u2 - v2, inv),
+                            J.jet_constant(space, 0.0)])
 
     return ImmersionChart(domain_dim=2, ambient_dim=5, ambient="sphere",
                           jet_fn=jet_fn, domain=((-0.5, 0.5), (-0.5, 0.5)),
@@ -197,7 +212,7 @@ def _bent_sphere_surface() -> ImmersionChart:
         for c in comps[1:]:
             norm2 = norm2 + J.jet_mul(c, c)
         scale = J.jet_recip(J.jet_sqrt(norm2))
-        return [J.jet_mul(c, scale) for c in comps]
+        return J.jet_stack([J.jet_mul(c, scale) for c in comps])
 
     return ImmersionChart(domain_dim=2, ambient_dim=5, ambient="sphere",
                           jet_fn=jet_fn, domain=((-0.3, 0.3), (-0.3, 0.3)),
@@ -240,14 +255,10 @@ def test_splitting_rejects_wrong_nullity():
 
 
 def test_bundle_point_report_rows(bipolar_n5):
-    row = bundle_point_report(bipolar_n5.chart, (0.1, 0.2, 0.7),
-                              splitting=True)
+    row = bundle_point_report(bipolar_n5.chart, (0.1, 0.2, 0.7))
+    assert set(row) == {"point", "singular", "H", "nu", "sv", "tg"}
     assert not row["singular"]
     assert row["H"] < 1e-8 and row["nu"] == 1 and not row["tg"]
-    assert row["uv"][0] == pytest.approx(1.0, abs=1e-6)
-    assert row["residuals"]["span"] < 1e-6
-    plain = bundle_point_report(bipolar_n5.chart, (0.1, 0.2, 0.7))
-    assert plain["C"] is None and plain["uv"] is None
 
 
 @pytest.mark.parametrize("which, point", [
@@ -291,7 +302,7 @@ def _reparametrized(chart: ImmersionChart, phi) -> ImmersionChart:
             for c, term in zip(comp.coeffs, monomials):
                 acc = acc + float(c) * term
             out.append(acc)
-        return out
+        return J.jet_stack(out)
 
     return ImmersionChart(domain_dim=3, ambient_dim=chart.ambient_dim,
                           ambient=chart.ambient, jet_fn=jet_fn,
@@ -343,3 +354,53 @@ def test_splitting_tensor_bounds_on_random_bipolar_charts(seed, n, frac,
     assert sp.span_residual < 1e-6
     assert max(sp.ode_residuals.values()) < 1e-5
     assert sp.u >= 0.0
+
+
+def _moved(chart: ImmersionChart, Q: np.ndarray, c: np.ndarray
+           ) -> ImmersionChart:
+    """The chart x -> Q chart(x) + c."""
+    return ImmersionChart(
+        domain_dim=chart.domain_dim, ambient_dim=chart.ambient_dim,
+        ambient=chart.ambient,
+        jet_fn=lambda p, sp: J.Jet(sp, Q @ chart.jet_fn(p, sp).coeffs) + c,
+        domain=chart.domain, name=f"moved({chart.name})")
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([5, 6]),
+       frac=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+       theta=st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+def test_rigid_motions_keep_point_and_bundle_invariants(seed, n, frac, theta):
+    """A rotated and translated base has the same flag, isotropy order,
+    bipolar nullity, mean curvature, singular values and splitting scalars,
+    for either pivot order of the unit tangent frame."""
+    rng = np.random.default_rng(seed)
+    base = generate_surface(random_weierstrass_data(rng, n)).chart
+    N = base.ambient_dim
+    Q, _ = np.linalg.qr(rng.normal(size=(N, N)))
+    moved = _moved(base, Q, rng.uniform(-1.0, 1.0, size=N))
+    p = tuple(lo + (hi - lo) * f for (lo, hi), f in zip(base.domain, frac))
+    row = geo.point_report(base, p)
+    assume(not row["singular"])
+    got = geo.point_report(moved, p)
+    assert [got[k] for k in ("dims", "tau", "order")] == \
+        [row[k] for k in ("dims", "tau", "order")]
+    for pivot in ((0, 1), (1, 0)):
+        ref_chart = unit_tangent_chart(base, pivot_order=pivot).chart
+        moved_chart = unit_tangent_chart(moved, pivot_order=pivot).chart
+        x = p + (theta,)
+        try:
+            ref = relative_nullity(ref_chart, x)
+        except DegeneratePoint:
+            assume(False)
+        assume(ref.nu == 1)
+        rep = relative_nullity(moved_chart, x)
+        assert rep.nu == ref.nu
+        tol = 1e-9 * ref.singular_values[0]
+        assert abs(rep.mean_curvature_norm - ref.mean_curvature_norm) <= tol
+        np.testing.assert_allclose(rep.singular_values, ref.singular_values,
+                                   rtol=0, atol=tol)
+        sp = splitting_tensor(moved_chart, x)
+        sp_ref = splitting_tensor(ref_chart, x)
+        assert sp.u == pytest.approx(sp_ref.u, abs=1e-8)
+        assert abs(sp.v) == pytest.approx(abs(sp_ref.v), abs=1e-8)

@@ -123,10 +123,22 @@ def test_bundle_plane_every_point_singular(tmp_path):
     code = run(["bundle", "--kind", "bipolar", "--fixture", "plane",
                 "--grid", f"0:0.5:2,0:0.5:2,0:{TWO_PI}:3",
                 "--out", str(out)])
-    assert code == 0
+    assert code == 2
     doc = load(out)
     assert doc["summary"]["singular"] == doc["summary"]["points"] == 12
+    assert doc["pass"] is False and doc["summary"]["H_max"] is None
     assert any("isotropy" in n for n in doc["notes"])
+
+
+def test_generate_with_no_regular_spot_point_fails(tmp_path, monkeypatch):
+    def singular(chart, point, **kw):
+        return {"point": list(point), "singular": True, "ellipses": []}
+
+    monkeypatch.setattr(geo, "point_report", singular)
+    out = tmp_path / "r.json"
+    assert run(["generate", "--fixture", "n6", "--out", str(out)]) == 2
+    doc = load(out)
+    assert doc["verdicts"]["minimal"] is False and doc["pass"] is False
 
 
 def test_export_coordinate_projection(tmp_path):
@@ -212,6 +224,28 @@ def test_config_fields_are_type_checked(tmp_path, capsys, field, value):
     assert run(["bundle", "--config", str(cfgp)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field} must be a")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, fixture, params", [
+    ("analyze", "curve-1-2-3", {"pad": [1]}),
+    ("analyze", "curve-1-2-3", {"pad": 1.5}),
+    ("analyze", "veronese", {"zzz": 1}),
+    ("analyze", "plane", {"pad": True}),
+    ("analyze", "plane", {"pad": 2.0}),
+    ("analyze", "plane", {"radius": 1}),
+    ("export", "geodesic-sphere", {"radius": "0.5"}),
+])
+def test_fixture_params_are_checked(tmp_path, capsys, command, fixture,
+                                    params):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"fixture": fixture, "params": params}))
+    assert run([command, "--config", str(cfgp), "--grid",
+                "0.6:0.8:2,0.6:0.8:2" + (",0:1:2" if command == "export"
+                                         else ""),
+                "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and next(iter(params)) in err
     assert err.count("\n") == 1
 
 

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import isomin.geometry as geo
+import isomin.jet as J
 from isomin.catalog import (demo_weierstrass_data, make_fixture,
                             make_geodesic_sphere, make_graph,
                             make_great_sphere, make_holomorphic_curve,
                             make_plane, make_veronese,
                             random_weierstrass_data)
 from isomin.errors import (AmbiguousKernel, DegeneratePoint, NotElliptic,
-                           OrderOutOfRange)
+                           OrderOutOfRange, ShapeMismatch)
 from isomin.weierstrass import generate_surface
 
 import oracles
@@ -327,3 +328,23 @@ def test_point_report_evaluates_the_chart_once(n5, monkeypatch):
             calls.clear()
             geo.isotropy_order(chart, point)
             assert calls == [geo.DEFAULT_JET_ORDER]
+
+
+def test_eval_jets_needs_one_vector_jet():
+    """A chart evaluates to one jet of shape (ambient_dim,); a list of
+    component jets or a jet of another shape is rejected."""
+
+    def chart_of(jet_fn):
+        return geo.ImmersionChart(domain_dim=2, ambient_dim=3,
+                                  ambient="euclidean", jet_fn=jet_fn,
+                                  domain=((-1.0, 1.0), (-1.0, 1.0)))
+
+    good = chart_of(lambda p, sp: J.jet_constant(sp, np.arange(3.0)))
+    assert good.eval_jets((0.1, 0.2), 2).shape == (3,)
+    assert np.array_equal(good.value((0.1, 0.2)), [0.0, 1.0, 2.0])
+    for bad in (lambda sp: [J.jet_constant(sp, 0.0)] * 3,
+                lambda sp: J.jet_constant(sp, np.zeros(2)),
+                lambda sp: J.jet_constant(sp, 0.0),
+                lambda sp: J.jet_constant(sp, np.zeros((3, 1)))):
+        with pytest.raises(ShapeMismatch):
+            chart_of(lambda p, sp: bad(sp)).eval_jets((0.1, 0.2), 2)

@@ -235,3 +235,100 @@ def test_holomorphic_jets_match_horner_on_random_data(seed, n,
     rep = generate_surface(data)
     components = rep.phi2 if final_integration else rep.alpha2
     _assert_matches_horner(components, rep.chart, point)
+
+
+def _random_jet(rng, space, shape=()):
+    return J.Jet(space, rng.uniform(-1.0, 1.0, size=shape + (space.size,)))
+
+
+def test_broadcast_mul_matches_componentwise_products():
+    """A product of vector jets broadcasts like numpy over the leading
+    shapes and equals the scalar product of each pair of components."""
+    rng = np.random.default_rng(5)
+    for nvars, order in ((1, 3), (2, 4), (3, 2), (3, 5)):
+        sp = J.get_space(nvars, order)
+        a = _random_jet(rng, sp, (4, 3))
+        b = _random_jet(rng, sp, (3,))
+        c = _random_jet(rng, sp)
+        for x, y in ((a, b), (b, a), (b, c), (c, a), (a, a)):
+            got = J.jet_mul(x, y)
+            shape = np.broadcast_shapes(x.shape, y.shape)
+            assert got.shape == shape and got.space is sp
+            xb = np.broadcast_to(x.coeffs, shape + (sp.size,))
+            yb = np.broadcast_to(y.coeffs, shape + (sp.size,))
+            tol = 1e-14 * np.abs(got.coeffs).max()
+            for idx in np.ndindex(shape):
+                ref = J.jet_mul(J.Jet(sp, xb[idx]), J.Jet(sp, yb[idx]))
+                np.testing.assert_allclose(got.coeffs[idx], ref.coeffs,
+                                           rtol=0, atol=tol)
+        dot = J.jet_dot(a, b)
+        ref = J.jet_mul(a[:, 0], b[0]) + J.jet_mul(a[:, 1], b[1]) \
+            + J.jet_mul(a[:, 2], b[2])
+        assert dot.shape == (4,)
+        np.testing.assert_allclose(dot.coeffs, ref.coeffs, rtol=0,
+                                   atol=1e-14 * np.abs(ref.coeffs).max())
+
+
+def test_vector_jet_indexing_acts_on_the_leading_shape():
+    rng = np.random.default_rng(6)
+    sp = J.get_space(2, 3)
+    v = _random_jet(rng, sp, (3, 2))
+    assert v.shape == (3, 2) and len(v) == 3
+    assert np.array_equal(v.value, v.coeffs[..., 0])
+    assert [w.shape for w in v] == [(2,)] * 3
+    assert np.array_equal(v[1, 0].coeffs, v.coeffs[1, 0])
+    assert np.array_equal(v[..., 1].coeffs, v.coeffs[:, 1])
+    assert np.array_equal(v.T.coeffs, v.coeffs.transpose(1, 0, 2))
+    assert v.reshape(-1).shape == (6,)
+    d = v.derivative(0)
+    assert d.shape == (3, 2)
+    assert np.array_equal(d[2, 1].coeffs, v[2, 1].derivative(0).coeffs)
+    assert J.jet_truncate(v, 1).coeffs.shape == (3, 2, 3)
+    s = v[0, 0]
+    assert isinstance(s.value, float) and not s.shape
+    with pytest.raises(ShapeMismatch):
+        s[0]
+    with pytest.raises(TypeError):
+        len(s)
+    with pytest.raises(ShapeMismatch):
+        J.jet_dot(s, s)
+    # numbers and arrays act on values; numpy scalars defer to the jet
+    shifted = v + np.array([1.0, 2.0])
+    assert np.allclose(shifted.value - v.value, [1.0, 2.0])
+    assert np.array_equal((shifted - v).coeffs[..., 1:], 0.0 * v.coeffs[..., 1:])
+    assert isinstance(np.float64(2.0) * s, J.Jet)
+
+
+def test_jet_stack_rejects_mixed_spaces_and_shapes():
+    a = J.jet_constant(J.get_space(2, 2), 1.0)
+    b = J.jet_constant(J.get_space(2, 3), 1.0)
+    stacked = J.jet_stack([a, a, a])
+    assert stacked.shape == (3,) and stacked.space is a.space
+    with pytest.raises(ShapeMismatch):
+        J.jet_stack([a, b])
+    with pytest.raises(ShapeMismatch):
+        J.jet_stack([a, stacked])
+    with pytest.raises(ShapeMismatch):
+        J.jet_stack([])
+
+
+def test_compose_rejects_vector_jets():
+    sp = J.get_space(2, 2)
+    v = J.jet_constant(sp, np.array([1.0, 2.0]))
+    for fn in (J.jet_sqrt, J.jet_recip, J.jet_sin, J.jet_cos):
+        with pytest.raises(ShapeMismatch):
+            fn(v)
+
+
+def test_batched_holomorphic_jets_match_per_row_calls():
+    rng = np.random.default_rng(8)
+    for nvars in (2, 3):
+        sp = J.get_space(nvars, 4)
+        derivs = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
+        got = J.jet_holomorphic_re(sp, derivs)
+        assert got.shape == (6,)
+        for row, d in zip(got, derivs):
+            assert np.array_equal(row.coeffs,
+                                  J.jet_holomorphic_re(sp, d).coeffs)
+        with pytest.raises(ShapeMismatch):
+            J.jet_holomorphic_re(sp, derivs[:, :4])
