@@ -51,12 +51,6 @@ def _jet_orthonormalize(cand: J.Jet, basis: list[J.Jet],
     return v * inv
 
 
-def _derive(jet: J.Jet, du: int, dv: int) -> J.Jet:
-    for var in (0,) * du + (1,) * dv:
-        jet = jet.derivative(var)
-    return jet
-
-
 @dataclasses.dataclass
 class BundleChart:
     """A 3-chart (u, v, theta) into a sphere, remembering its base."""
@@ -122,7 +116,8 @@ def unit_tangent_chart(base: ImmersionChart,
 def unit_normal_chart(base: ImmersionChart,
                       counts: Sequence[int] = (9, 9),
                       circle_tol: float = geo.CIRCLE_TOL,
-                      eps_rank: float = geo.EPS_RANK) -> BundleChart:
+                      eps_rank: float = geo.EPS_RANK,
+                      eps_deg: float = geo.EPS_DEG) -> BundleChart:
     """Chart of the unit sphere bundle of the LAST normal space of a surface
     in a sphere. Requires the flag to be nicely curved over the domain with
     a rank-2 last normal space (FlagCollapse otherwise); the top curvature
@@ -132,7 +127,7 @@ def unit_normal_chart(base: ImmersionChart,
     if base.ambient != "sphere":
         raise InvalidData("unit normal charts take a spherical base")
     center = tuple((lo + hi) / 2.0 for lo, hi in base.domain)
-    probe = geo._point_row(base, center, circle_tol, eps_rank, None)
+    probe = geo._point_row(base, center, circle_tol, eps_rank, None, eps_deg)
     tau = probe["tau"]
     if tau < 1:
         raise FlagCollapse("base has no first normal space (totally geodesic)")
@@ -140,7 +135,7 @@ def unit_normal_chart(base: ImmersionChart,
         raise FlagCollapse(
             f"last normal space has rank {probe['dims'][-1]}, need a plane")
     cert = geo.nicely_curved_certificate(base, counts=counts, max_order=tau,
-                                         eps_rank=eps_rank)
+                                         eps_rank=eps_rank, eps_deg=eps_deg)
     if not cert["nicely_curved"]:
         raise FlagCollapse(f"flag dimensions vary over the domain: {cert}")
     if not probe["elliptic"]:
@@ -158,11 +153,14 @@ def unit_normal_chart(base: ImmersionChart,
         try:
             basis = [_jet_orthonormalize(J.jet_truncate(bjets, tgt), [],
                                          eps_rank=0.0)]
+            level = [bjets]  # level[k] = d_u^(s-k) d_v^k of the base
             for s in range(1, tau + 2):
+                level = ([level[0].derivative(0)]
+                         + [d.derivative(1) for d in level])
                 last = []  # the accepted directions of order s
-                for k in range(s + 1):
-                    cand = J.jet_truncate(_derive(bjets, s - k, k), tgt)
-                    got = _jet_orthonormalize(cand, basis, eps_rank=eps_rank)
+                for d in level:
+                    got = _jet_orthonormalize(J.jet_truncate(d, tgt), basis,
+                                              eps_rank=eps_rank)
                     if got is not None:
                         basis.append(got)
                         last.append(got)
@@ -193,8 +191,10 @@ class NullityReport:
 
 
 def relative_nullity(chart: ImmersionChart, point: Sequence[float],
-                     eps_rank: float = geo.EPS_RANK) -> NullityReport:
-    forms = geo.fundamental_forms(chart, point, max_s=2, eps_rank=eps_rank)
+                     eps_rank: float = geo.EPS_RANK,
+                     eps_deg: float = geo.EPS_DEG) -> NullityReport:
+    forms = geo.fundamental_forms(chart, point, max_s=2, eps_rank=eps_rank,
+                                  eps_deg=eps_deg)
     return _nullity(forms, eps_rank)
 
 
@@ -215,14 +215,6 @@ def _nullity(forms: geo.FundamentalForms, eps_rank: float) -> NullityReport:
                          kernel=kernel,
                          mean_curvature_norm=float(np.linalg.norm(H)),
                          totally_geodesic=bool(nu == m))
-
-
-def totally_geodesic_classify(base: ImmersionChart, point: Sequence[float],
-                              eps_rank: float = geo.EPS_RANK) -> bool:
-    """Flag-based test: the unit tangent chart over a neighborhood is
-    totally geodesic exactly when the base has no second normal space."""
-    flag = geo.osculating_flag(base, point, max_order=2, eps_rank=eps_rank)
-    return flag.tau < 2
 
 
 @dataclasses.dataclass
@@ -311,7 +303,8 @@ def _horizontal_frame(G: np.ndarray, T: np.ndarray) -> np.ndarray:
 
 
 def splitting_tensor(chart: ImmersionChart, point: Sequence[float],
-                     eps_rank: float = geo.EPS_RANK) -> SplittingReport:
+                     eps_rank: float = geo.EPS_RANK,
+                     eps_deg: float = geo.EPS_DEG) -> SplittingReport:
     """Measure the splitting tensor of the nullity distribution at a point
     where the relative nullity is 1, exactly, from one order-4 jet of the
     chart.
@@ -326,7 +319,7 @@ def splitting_tensor(chart: ImmersionChart, point: Sequence[float],
     if chart.domain_dim != 3:
         raise ShapeMismatch("splitting tensor applies to 3-charts")
     jets = chart.eval_jets(point, 4)
-    flag = geo._flag_from_jets(chart, point, jets, 1, eps_rank, geo.EPS_DEG)
+    flag = geo._flag_from_jets(chart, point, jets, 1, eps_rank, eps_deg)
     rep = _nullity(geo._forms_from_jets(chart, point, jets, flag, 2), eps_rank)
     if rep.nu != 1:
         raise NullityJump(f"nullity {rep.nu} != 1 at {tuple(point)}",
@@ -384,11 +377,13 @@ def splitting_tensor(chart: ImmersionChart, point: Sequence[float],
 
 
 def bundle_point_report(chart: ImmersionChart, point: Sequence[float],
-                        eps_rank: float = geo.EPS_RANK) -> dict:
+                        eps_rank: float = geo.EPS_RANK,
+                        eps_deg: float = geo.EPS_DEG) -> dict:
     """Per-point JSON row for bundle sweeps."""
     pt = [float(x) for x in point]
     try:
-        rep = relative_nullity(chart, point, eps_rank=eps_rank)
+        rep = relative_nullity(chart, point, eps_rank=eps_rank,
+                               eps_deg=eps_deg)
     except DegeneratePoint:
         return {"point": pt, "singular": True, "H": None, "nu": None,
                 "sv": None, "tg": None}

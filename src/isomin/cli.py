@@ -104,8 +104,9 @@ def parse_grid(raw) -> list[tuple[float, float, int]]:
             raise InvalidData(f"malformed grid axis {g!r}")
         if n < 1:
             raise InvalidData(f"grid count must be positive, got {n}")
-        if not hi > lo:
-            raise InvalidData(f"grid range must be increasing, got {g!r}")
+        if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+            raise InvalidData(
+                f"grid range must be finite and increasing, got {g!r}")
         axes.append((lo, hi, n))
     if not 2 <= len(axes) <= 3:
         raise InvalidData(f"grids have 2 or 3 axes, got {len(axes)}")
@@ -131,8 +132,8 @@ def parse_tols(entries, base: dict) -> dict:
                 fval = float(val)
             except (TypeError, ValueError):
                 raise InvalidData(f"tolerance {name} needs a number, got {val!r}")
-            if not fval > 0:
-                raise InvalidData(f"tolerance {name} must be positive")
+            if not 0 < fval < math.inf:
+                raise InvalidData(f"tolerance {name} must be finite and > 0")
             tols[name] = fval
     return tols
 
@@ -252,6 +253,11 @@ def _worst(values) -> float:
     return max(vals)
 
 
+def _eps(tols: dict) -> dict:
+    """The rank and metric floors, as keyword arguments of the geometry."""
+    return {"eps_rank": tols["eps_rank"], "eps_deg": tols["eps_deg"]}
+
+
 def _verdict_line(name: str, ok: bool, detail: str) -> str:
     return f"{name}: {'PASS' if ok else 'FAIL'} ({detail})"
 
@@ -265,8 +271,7 @@ def cmd_generate(cfg) -> int:
 
     spots = []
     for p in SPOT_POINTS:
-        row = geo.point_report(rep.chart, p, tol=tols["circle"],
-                               eps_rank=tols["eps_rank"])
+        row = geo.point_report(rep.chart, p, tol=tols["circle"], **_eps(tols))
         # no first normal space leaves e1 unchecked; a point that is not
         # elliptic cannot be minimal
         res = [e["residual"] for e in row["ellipses"]] or [1.0]
@@ -311,7 +316,7 @@ def cmd_analyze(cfg) -> int:
     axes, grid_doc = _axes_for(chart, cfg)
     max_order = None if cfg["jet_order"] is None else cfg["jet_order"] - 1
     rows = [geo.point_report(chart, p, tol=tols["circle"],
-                             eps_rank=tols["eps_rank"], max_order=max_order)
+                             max_order=max_order, **_eps(tols))
             for p in geo.grid_points(axes)]
     cert = geo.flag_certificate([r["dims"] for r in rows])
     singular = sum(1 for r in rows if r["singular"])
@@ -354,7 +359,7 @@ def cmd_bundle(cfg) -> int:
         center = tuple((l + h) / 2.0 for l, h in base.domain)
         try:
             iso = geo.isotropy_order(base, center, tol=tols["circle"],
-                                     eps_rank=tols["eps_rank"])
+                                     **_eps(tols))
             if iso < 1:
                 notes.append(f"base isotropy order {iso} < 1 at the domain "
                              "center; the unit tangent chart need not be "
@@ -364,14 +369,14 @@ def cmd_bundle(cfg) -> int:
     else:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            bc = B.unit_normal_chart(base, eps_rank=tols["eps_rank"],
-                                     circle_tol=tols["circle"])
+            bc = B.unit_normal_chart(base, circle_tol=tols["circle"],
+                                     **_eps(tols))
         notes.extend(str(w.message) for w in caught)
     for note in notes:
         print(f"warning: {note}")
 
     axes, grid_doc = _axes_for(bc.chart, cfg)
-    rows = [B.bundle_point_report(bc.chart, p, eps_rank=tols["eps_rank"])
+    rows = [B.bundle_point_report(bc.chart, p, **_eps(tols))
             for p in geo.grid_points(axes)]
     live = [r for r in rows if not r["singular"]]
     singular = len(rows) - len(live)
@@ -386,7 +391,7 @@ def cmd_bundle(cfg) -> int:
     for p in _splitting_points(axes, cfg["splitting_points"]):
         row = {"point": list(p), "skipped": None, "error": None}
         try:
-            sp = B.splitting_tensor(bc.chart, p, eps_rank=tols["eps_rank"])
+            sp = B.splitting_tensor(bc.chart, p, **_eps(tols))
             row.update({"C": sp.C, "u": sp.u, "v": sp.v,
                         "span_residual": sp.span_residual,
                         "ode_residuals": sp.ode_residuals,
@@ -473,9 +478,9 @@ def cmd_export(cfg) -> int:
         xyz = _principal_projection(verts)
         proj_doc = "principal"
     else:
-        if len(proj) != 3 or any(not 1 <= i <= chart.ambient_dim
-                                 for i in proj):
-            raise InvalidData(f"projection indices must be three coordinates "
+        if len(proj) != 3 or len(set(proj)) < 3 or any(
+                not 1 <= i <= chart.ambient_dim for i in proj):
+            raise InvalidData(f"projection needs three distinct coordinates "
                               f"in 1..{chart.ambient_dim}, got {proj}")
         xyz = verts[:, [i - 1 for i in proj]]
         proj_doc = "coords " + " ".join(str(i) for i in proj)

@@ -8,6 +8,7 @@ whose self-product vanishes under this pairing.
 """
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import itertools
 from typing import Iterable, Sequence
@@ -127,10 +128,6 @@ def vec_int(v: Sequence[ComplexPoly],
     return tuple(poly_int(p, c) for p, c in zip(v, constants))
 
 
-def vec_eval(v: Sequence[ComplexPoly], z: complex) -> tuple[complex, ...]:
-    return tuple(poly_eval(p, z) for p in v)
-
-
 def vec_max_abs_coeff(v: Sequence[ComplexPoly]) -> float:
     return max((p.max_abs_coeff() for p in v), default=0.0)
 
@@ -140,12 +137,19 @@ def poly_to_json(a: ComplexPoly) -> list[list[float]]:
     return [[c.real, c.imag] for c in a.coeffs]
 
 
-def poly_from_json(data) -> ComplexPoly:
+def complex_list_from_json(data) -> tuple[complex, ...]:
+    """A list of [re, im] pairs of finite numbers."""
     try:
-        coeffs = tuple(complex(float(re), float(im)) for re, im in data)
+        values = tuple(complex(float(re), float(im)) for re, im in data)
     except (TypeError, ValueError) as exc:
-        raise InvalidData(f"polynomial must be a list of [re, im] pairs: {exc}")
-    return ComplexPoly(coeffs)
+        raise InvalidData(f"need a list of [re, im] pairs: {exc}")
+    if not all(cmath.isfinite(c) for c in values):
+        raise InvalidData("complex numbers must be finite")
+    return values
+
+
+def poly_from_json(data) -> ComplexPoly:
+    return ComplexPoly(complex_list_from_json(data))
 
 
 def vec_to_json(v: Sequence[ComplexPoly]) -> list[list[list[float]]]:

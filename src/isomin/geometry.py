@@ -4,8 +4,8 @@ A chart is a smooth map from a box in R^m (m = 2 or 3) into R^N, optionally
 constrained to the unit sphere S^(N-1). Everything here is computed from
 jets at a single point: the first fundamental form, the osculating flag of
 higher normal spaces, higher fundamental forms (projected higher partials),
-ellipticity of the second form, sampled curvature ellipses, and the isotropy
-order. Conventions that the rest of the package relies on:
+ellipticity of the second form, curvature ellipses, and the isotropy order.
+Conventions that the rest of the package relies on:
 
 * The osculating flag at a point is built by successive orthogonal
   complements: the span of the s-th partial derivatives, projected
@@ -16,10 +16,14 @@ order. Conventions that the rest of the package relies on:
 * The s-th fundamental form on coordinate directions equals the s-th
   partial derivative projected orthogonally to the flag through order s-2;
   its values span the (s-1)-th normal space.
-* Curvature ellipses are sampled: Z_theta = cos(theta) Z + sin(theta) J Z
-  with Z unit and <Z, JZ> = 0, theta over a full period, and the semiaxes
-  come from the SVD of the centered sample matrix (normalized so that they
-  are actual lengths). Circularity residual = 1 - sigma_2 / sigma_1.
+* Curvature ellipses are read off Fourier coefficients: with Z unit,
+  <Z, JZ> = 0 and w = Z + i JZ, Z_theta = cos(theta) Z + sin(theta) JZ =
+  Re(exp(-i theta) w), so the s-th form on Z_theta is a trigonometric
+  polynomial in theta with coefficient c_j = 2^-s C(s, j) T(w^j, conj(w)^(s-j))
+  at frequency s - 2j. By Parseval the semiaxes (the top two singular values
+  of the curve of values about its mean) are those of the real matrix
+  2 [Re c_j; Im c_j] over 2j > s, and the centre is c_(s/2) (0 for odd s).
+  Circularity residual = 1 - sigma_2 / sigma_1.
 """
 from __future__ import annotations
 
@@ -40,7 +44,6 @@ EPS_RANK = 1e-8               # relative rank threshold for flag decisions
 CIRCLE_TOL = 1e-8             # default circularity residual tolerance
 SPHERE_NORM_TOL = 1e-10       # |f| - 1 bound for sphere charts
 DEFAULT_JET_ORDER = 4
-ELLIPSE_SAMPLES = 64
 
 
 @dataclasses.dataclass
@@ -136,11 +139,6 @@ def _table_columns(m: int, s: int) -> np.ndarray:
     return cols
 
 
-def _partial_table(jets: J.Jet, s: int) -> np.ndarray:
-    """Symmetric table of s-th partials, shape (m,)*s + (N,)."""
-    return _partials(jets, s).T[_table_columns(jets.space.nvars, s)]
-
-
 def _project_out(Q: np.ndarray | None, V: np.ndarray) -> np.ndarray:
     """Columns of V minus their components along the orthonormal columns of Q
     (applied twice for numerical orthogonality)."""
@@ -158,16 +156,6 @@ def _position_unit(jets: J.Jet) -> np.ndarray:
         raise InvalidData(
             f"sphere chart value has norm {norm!r}, not 1 within {SPHERE_NORM_TOL}")
     return f / norm
-
-
-def first_fundamental_form(chart: ImmersionChart, point: Sequence[float],
-                           eps_deg: float = EPS_DEG) -> np.ndarray:
-    """Induced metric (Gram matrix of the coordinate tangent vectors)."""
-    P1 = _partial_table(chart.eval_jets(point, 1), 1)
-    G = P1 @ P1.T
-    if float(np.linalg.eigvalsh(G)[0]) < eps_deg:
-        raise DegeneratePoint(f"metric degenerate at {tuple(point)}")
-    return G
 
 
 @dataclasses.dataclass
@@ -269,8 +257,10 @@ class FundamentalForms:
 
 def _forms_from_jets(chart: ImmersionChart, point, jets: J.Jet,
                      flag: OsculatingFlag, max_s: int) -> FundamentalForms:
-    N = chart.ambient_dim
-    tables = {s: _partial_table(jets, s) for s in range(1, max_s + 1)}
+    N, m = chart.ambient_dim, jets.space.nvars
+    # symmetric tables of s-th partials, shape (m,)*s + (N,)
+    tables = {s: _partials(jets, s).T[_table_columns(m, s)]
+              for s in range(1, max_s + 1)}
     for s in range(2, max_s + 1):
         T = tables[s]
         Q = flag.stack(through=min(s - 2, flag.tau))
@@ -294,21 +284,6 @@ def fundamental_forms(chart: ImmersionChart, point: Sequence[float],
     return _forms_from_jets(chart, point, jets, flag, max_s)
 
 
-def higher_fundamental_form(chart: ImmersionChart, point: Sequence[float],
-                            s: int, **kw) -> np.ndarray:
-    """Component table of the s-th fundamental form (s >= 2)."""
-    return fundamental_forms(chart, point, max_s=s, **kw).tables[s]
-
-
-def mean_curvature_vector(chart: ImmersionChart, point: Sequence[float],
-                          forms: FundamentalForms | None = None) -> np.ndarray:
-    """Metric trace of the second fundamental form (not divided by m)."""
-    if forms is None:
-        forms = fundamental_forms(chart, point, max_s=2)
-    ginv = np.linalg.inv(forms.metric)
-    return np.einsum("ij,ija->a", ginv, forms.tables[2])
-
-
 @dataclasses.dataclass
 class EllipticityReport:
     """Solution of a alpha(X,X) + 2b alpha(X,Y) + c alpha(Y,Y) = 0 with
@@ -322,7 +297,6 @@ class EllipticityReport:
     J_matrix: np.ndarray | None
     frame: np.ndarray
     totally_geodesic: bool
-    kernel_dim: int
 
 
 def _orthonormal_frame(metric: np.ndarray) -> np.ndarray:
@@ -372,7 +346,7 @@ def ellipticity(chart: ImmersionChart, point: Sequence[float],
         if not geodesic_convention:
             raise AmbiguousKernel("vanishing second fundamental form")
         Jm = np.array([[0.0, -1.0], [1.0, 0.0]])
-        return EllipticityReport(True, (1.0, 0.0, 1.0), Jm, E, True, 3)
+        return EllipticityReport(True, (1.0, 0.0, 1.0), Jm, E, True)
 
     thr = eps_rank * max(smax, 1.0)
     kernel = [Vt[i] for i in range(3) if (i >= sv.size or sv[i] < thr)]
@@ -392,7 +366,7 @@ def ellipticity(chart: ImmersionChart, point: Sequence[float],
             coeffs = x * k1 + y * k2
 
     if coeffs is None:
-        return EllipticityReport(False, None, None, E, False, kdim)
+        return EllipticityReport(False, None, None, E, False)
 
     coeffs = coeffs / np.abs(coeffs).max()
     if coeffs[0] < 0:
@@ -400,7 +374,7 @@ def ellipticity(chart: ImmersionChart, point: Sequence[float],
     disc = _disc_pair(coeffs, coeffs)
     a, b, c = (float(x) for x in coeffs)
     Jm = np.array([[b, -a], [c, -b]]) / math.sqrt(disc)
-    return EllipticityReport(True, (a, b, c), Jm, E, False, kdim)
+    return EllipticityReport(True, (a, b, c), Jm, E, False)
 
 
 @dataclasses.dataclass
@@ -423,22 +397,31 @@ def _ellipse_directions(rep: EllipticityReport) -> tuple[np.ndarray, np.ndarray]
     return rep.frame @ zf, rep.frame @ (Jm @ zf)
 
 
+@functools.lru_cache(maxsize=None)
+def _word_groups(s: int) -> np.ndarray:
+    """0/1 matrix (s + 1, 2^s): row j picks the words of length s over
+    (w, conj w) with j letters w, in the row order of the Kronecker power
+    of [w; conj w] (first factor most significant, bit 0 = w)."""
+    ones = np.array([bin(r).count("1") for r in range(2 ** s)])
+    return (s - ones == np.arange(s + 1)[:, None]).astype(float)
+
+
 def curvature_ellipse(chart: ImmersionChart, point: Sequence[float], ell: int,
-                      samples: int = ELLIPSE_SAMPLES,
                       eps_rank: float = EPS_RANK,
                       forms: FundamentalForms | None = None,
                       ellip: EllipticityReport | None = None) -> EllipseReport:
-    """Sampled curvature ellipse of order ell (0 = tangent circle of Z_theta,
-    ell >= 1 = values of the (ell+1)-th fundamental form on Z_theta). The
-    order must not exceed the flag's tau; the ellipse in a rank-1 last
-    normal space degenerates to a segment and reports residual near 1."""
+    """Curvature ellipse of order ell: the values of the s-th form, s =
+    ell + 1, on Z_theta (ell = 0 is the tangent circle, read off the first
+    partials). The order must not exceed the flag's tau; the ellipse in a
+    rank-1 last normal space degenerates to a segment and reports residual
+    near 1."""
     if ell < 0:
         raise OrderOutOfRange("ellipse order must be nonnegative")
     s = ell + 1
-    if forms is None or (ell >= 1 and s not in forms.tables):
+    if forms is None or s not in forms.tables:
         forms = fundamental_forms(chart, point, max_s=max(s, 2),
                                   eps_rank=eps_rank)
-    if ell >= 1 and forms.flag.tau < ell:
+    if forms.flag.tau < ell:
         raise OrderOutOfRange(
             f"ellipse order {ell} exceeds flag tau {forms.flag.tau}")
     if ellip is None:
@@ -447,29 +430,17 @@ def curvature_ellipse(chart: ImmersionChart, point: Sequence[float], ell: int,
         raise NotElliptic(f"no elliptic direction at {tuple(point)}")
 
     Z, JZ = _ellipse_directions(ellip)
-    if ell == 0:
-        P1 = forms.tables[1]
-        basis = [P1.T @ Z, P1.T @ JZ]
-    else:
-        basis = []
-        for k in range(s + 1):
-            T = forms.tables[s]
-            for _ in range(s - k):
-                T = np.tensordot(Z, T, axes=(0, 0))
-            for _ in range(k):
-                T = np.tensordot(JZ, T, axes=(0, 0))
-            basis.append(T)
-
-    theta = 2.0 * math.pi * np.arange(samples) / samples
-    W = np.stack([math.comb(s, k)
-                  * np.cos(theta) ** (s - k) * np.sin(theta) ** k
-                  for k in range(s + 1)], axis=1)
-    P = W @ np.stack(basis, axis=0)
-    center = P.mean(axis=0)
-    sv = np.linalg.svd(P - center, compute_uv=False)
-    scale = math.sqrt(samples / 2.0)
-    s1 = float(sv[0]) / scale
-    s2 = float(sv[1]) / scale if sv.size > 1 else 0.0
+    w = np.stack([Z + 1j * JZ, Z - 1j * JZ])
+    T = forms.tables[s]
+    kron = functools.reduce(np.kron, [w] * s)
+    # c[j] = 2^-s C(s, j) T(w^j, conj(w)^(s-j)), the coefficient of
+    # exp(i (s - 2j) theta) in T(Z_theta, ..., Z_theta)
+    c = (_word_groups(s) @ kron) @ T.reshape(-1, T.shape[-1]) / 2.0 ** s
+    top = c[s // 2 + 1:]
+    sv = np.linalg.svd(2.0 * np.concatenate([top.real, top.imag]),
+                       compute_uv=False)
+    s1, s2 = float(sv[0]), float(sv[1])
+    center = c[s // 2].real if s % 2 == 0 else np.zeros(T.shape[-1])
     residual = 1.0 if s1 == 0.0 else 1.0 - s2 / s1
     return EllipseReport(order=ell, center=center,
                          semiaxes=(s1, s2), residual=residual)
@@ -478,7 +449,8 @@ def curvature_ellipse(chart: ImmersionChart, point: Sequence[float], ell: int,
 def isotropy_order(chart: ImmersionChart, point: Sequence[float],
                    tol: float = CIRCLE_TOL,
                    eps_rank: float = EPS_RANK,
-                   max_order: int | None = None) -> int:
+                   max_order: int | None = None,
+                   eps_deg: float = EPS_DEG) -> int:
     """Largest ell <= tau_o with circular ellipses at every order 0..ell.
 
     Order 0 passing means the chart is minimal at the point. Returns -1 when
@@ -486,36 +458,21 @@ def isotropy_order(chart: ImmersionChart, point: Sequence[float],
     `order` of the point's `point_report` row, from the same single chart
     evaluation; raises DegeneratePoint at a singular point and NotElliptic
     where the second form has no elliptic direction."""
-    row = _point_row(chart, point, tol, eps_rank, max_order)
+    row = _point_row(chart, point, tol, eps_rank, max_order, eps_deg)
     if not row["elliptic"]:
         raise NotElliptic(f"no elliptic direction at {tuple(point)}")
     return row["order"]
 
 
-def christoffels(chart: ImmersionChart, point: Sequence[float]) -> np.ndarray:
-    """Christoffel symbols Gamma[k, i, j] of the induced metric, from the
-    exact metric derivatives carried by order-2 jets."""
-    jets = chart.eval_jets(point, 2)
-    P1 = _partial_table(jets, 1)               # (m, N)
-    P2 = _partial_table(jets, 2)               # (m, m, N)
-    G = P1 @ P1.T
-    # dG[k, i, j] = d_k g_ij, exact from the second-order jet coefficients
-    dG = np.einsum("kia,ja->kij", P2, P1) + np.einsum("ia,kja->kij", P1, P2)
-    ginv = np.linalg.inv(G)
-    # T[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    T = dG + dG.transpose(1, 0, 2) - dG.transpose(1, 2, 0)
-    return 0.5 * np.einsum("kl,ijl->kij", ginv, T)
-
-
 def _point_row(chart: ImmersionChart, point: Sequence[float], tol: float,
-               eps_rank: float, max_order: int | None) -> dict:
+               eps_rank: float, max_order: int | None, eps_deg: float) -> dict:
     """point_report's row at a regular point; raises DegeneratePoint."""
     if max_order is None:
         max_order = DEFAULT_JET_ORDER - 1
     if max_order < 1:
         raise OrderOutOfRange("flag depth must be at least 1")
     jets = chart.eval_jets(point, max_order + 1)
-    flag = _flag_from_jets(chart, point, jets, max_order, eps_rank, EPS_DEG)
+    flag = _flag_from_jets(chart, point, jets, max_order, eps_rank, eps_deg)
     forms = _forms_from_jets(chart, point, jets, flag, max(flag.tau + 1, 2))
     ellip = ellipticity(chart, point, eps_rank=eps_rank, forms=forms)
     row = {"point": [float(x) for x in point], "singular": False,
@@ -544,14 +501,15 @@ def _point_row(chart: ImmersionChart, point: Sequence[float], tol: float,
 def point_report(chart: ImmersionChart, point: Sequence[float],
                  tol: float = CIRCLE_TOL,
                  eps_rank: float = EPS_RANK,
-                 max_order: int | None = None) -> dict:
-    """Per-point JSON row: flag dims, sampled ellipses, ellipticity, order.
+                 max_order: int | None = None,
+                 eps_deg: float = EPS_DEG) -> dict:
+    """Per-point JSON row: flag dims, curvature ellipses, ellipticity, order.
 
     The chart is evaluated once, at order max_order + 1; the flag, the
     forms through order tau + 1, the ellipticity and every ellipse are read
     off those jets. A singular point gives a row with "singular": true."""
     try:
-        return _point_row(chart, point, tol, eps_rank, max_order)
+        return _point_row(chart, point, tol, eps_rank, max_order, eps_deg)
     except DegeneratePoint:
         return {"point": [float(x) for x in point], "singular": True,
                 "dims": None, "tau": None, "ellipses": [], "elliptic": None,
@@ -574,7 +532,8 @@ def flag_certificate(dims: Sequence[Sequence[int] | None]) -> dict:
 def nicely_curved_certificate(chart: ImmersionChart,
                               counts: Sequence[int] | None = None,
                               max_order: int | None = None,
-                              eps_rank: float = EPS_RANK) -> dict:
+                              eps_rank: float = EPS_RANK,
+                              eps_deg: float = EPS_DEG) -> dict:
     """Check that flag dimensions are constant across a sample grid."""
     if counts is None:
         counts = (9,) * chart.domain_dim
@@ -582,7 +541,8 @@ def nicely_curved_certificate(chart: ImmersionChart,
     for p in grid_points(grid_axes(chart, counts)):
         try:
             dims.append(osculating_flag(chart, p, max_order=max_order,
-                                        eps_rank=eps_rank).dims)
+                                        eps_rank=eps_rank,
+                                        eps_deg=eps_deg).dims)
         except DegeneratePoint:
             dims.append(None)
     return flag_certificate(dims)

@@ -315,18 +315,3 @@ def jet_sin(a: Jet) -> Jet:
 def jet_cos(a: Jet) -> Jet:
     return jet_compose("cos", a)
 
-
-def jet_extract(a: Jet, idx: Sequence[int]):
-    """Partial derivative for a multi-index: Taylor coefficient times idx!,
-    of the leading shape (a float for a scalar jet)."""
-    m = tuple(int(k) for k in idx)
-    if len(m) != a.space.nvars:
-        raise DimensionMismatch(
-            f"multi-index length {len(m)} for a {a.space.nvars}-variable jet")
-    if any(k < 0 for k in m):
-        raise InvalidData(f"negative multi-index {m}")
-    if sum(m) > a.space.order:
-        raise OrderExceeded(
-            f"derivative {m} exceeds jet order {a.space.order}")
-    p = a.space.pos[m]
-    return a.coeffs[..., p] * a.space.factorial[p]

@@ -109,12 +109,13 @@ class WeierstrassData:
             n = int(doc["n"])
         except (TypeError, ValueError):
             raise InvalidData(f"n must be an integer, got {doc.get('n')!r}")
-        consts = {}
-        for key, val in (doc.get("int_constants") or {}).items():
+        consts = doc.get("int_constants") or {}
+        if not isinstance(consts, dict):
+            raise InvalidData("int_constants must be an object")
+        for key in consts:
             if key not in ("phi0", "phi1", "phi2"):
                 raise InvalidData(f"unknown integration stage {key!r}")
-            consts[key] = tuple(complex(float(re), float(im))
-                                for re, im in val)
+        consts = {k: cp.complex_list_from_json(v) for k, v in consts.items()}
         return cls(n=n,
                    alpha0=cp.vec_from_json(doc.get("alpha0", [])),
                    beta1=cp.poly_from_json(doc.get("beta1", [[1.0, 0.0]])),

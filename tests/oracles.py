@@ -1,14 +1,18 @@
 """Independent numerical oracles for the test suite.
 
-Everything here works on plain chart evaluations with central finite
-differences (5-point, 4th order), deliberately bypassing the jet machinery
-so that jet-derived quantities can be checked against something that shares
-no code with them. The splitting tensor oracle differentiates the unit
-kernel field of `relative_nullity` by nested stencils; it shares only that
-function and the chart with the jet-based `splitting_tensor`. The
-holomorphic chart oracle evaluates polynomials by Horner's rule in complex
-jet arithmetic, where `surface_chart` reads the jet off complex derivatives
-in closed form.
+The metric and second form oracles work on chart values alone, with
+central finite differences (5-point, 4th order), so they share no
+derivative code with the jet-based forms. The splitting tensor oracle
+differentiates the unit kernel field of `relative_nullity` by nested
+stencils, and builds the Christoffel symbols by stencils over the metric;
+it shares with the jet-based `splitting_tensor` only `relative_nullity` and
+the chart's order-1 jets, which give the metric (the first partials). The
+sampled curvature ellipse takes the fundamental forms and the ellipse
+directions Z, JZ from the package (`fundamental_forms`, `ellipticity`) and
+replaces only the closed-form Fourier step: it samples the form on Z_theta
+and takes an SVD. The holomorphic chart oracle evaluates polynomials by
+Horner's rule in complex jet arithmetic, where `surface_chart` reads the
+jet off complex derivatives in closed form.
 """
 import math
 
@@ -17,7 +21,7 @@ import numpy as np
 import isomin.geometry as geo
 import isomin.jet as J
 from isomin.bundles import SplittingReport, relative_nullity
-from isomin.errors import DegeneratePoint, NullityJump
+from isomin.errors import DegeneratePoint, NullityJump, OrderOutOfRange
 
 STEP = 1e-4
 
@@ -80,6 +84,58 @@ def second_form_fd(chart, point, h=STEP):
     return flat.reshape(m, m, N)
 
 
+def curvature_ellipse_sampled(chart, point, ell, samples=64,
+                              eps_rank=geo.EPS_RANK):
+    """Curvature ellipse of order ell from `samples` values of the
+    (ell + 1)-th form (the first partials for ell = 0) on Z_theta: the
+    semiaxes are the top two singular values of the centred sample matrix,
+    scaled by sqrt(samples / 2) to lengths."""
+    s = ell + 1
+    forms = geo.fundamental_forms(chart, point, max_s=max(s, 2),
+                                  eps_rank=eps_rank)
+    if forms.flag.tau < ell:
+        raise OrderOutOfRange(
+            f"ellipse order {ell} exceeds flag tau {forms.flag.tau}")
+    ellip = geo.ellipticity(chart, point, eps_rank=eps_rank, forms=forms)
+    Z, JZ = geo._ellipse_directions(ellip)
+    basis = []
+    for k in range(s + 1):
+        T = forms.tables[s]
+        for _ in range(s - k):
+            T = np.tensordot(Z, T, axes=(0, 0))
+        for _ in range(k):
+            T = np.tensordot(JZ, T, axes=(0, 0))
+        basis.append(T)
+    theta = 2.0 * math.pi * np.arange(samples) / samples
+    W = np.stack([math.comb(s, k)
+                  * np.cos(theta) ** (s - k) * np.sin(theta) ** k
+                  for k in range(s + 1)], axis=1)
+    P = W @ np.stack(basis, axis=0)
+    center = P.mean(axis=0)
+    sv = np.linalg.svd(P - center, compute_uv=False) / math.sqrt(samples / 2.0)
+    s1, s2 = float(sv[0]), float(sv[1])
+    residual = 1.0 if s1 == 0.0 else 1.0 - s2 / s1
+    return geo.EllipseReport(order=ell, center=center, semiaxes=(s1, s2),
+                             residual=residual)
+
+
+def _metric(chart, point):
+    """Induced metric from the first partials of an order-1 chart jet."""
+    jets = chart.eval_jets(point, 1)
+    P1 = np.stack([jets.derivative(i).value for i in range(chart.domain_dim)])
+    return P1 @ P1.T
+
+
+def _christoffels(chart, point):
+    """Gamma[k, i, j] = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2, with the
+    metric derivatives by stencils."""
+    dG = np.stack([fd1(lambda q: _metric(chart, q), point, k)
+                   for k in range(chart.domain_dim)])   # dG[k, i, j]
+    T = dG + dG.transpose(1, 0, 2) - dG.transpose(1, 2, 0)
+    return 0.5 * np.einsum("kl,ijl->kij", np.linalg.inv(_metric(chart, point)),
+                           T)
+
+
 def _horizontal_frame(G, T, hand):
     """Two metric-orthonormal vectors spanning the complement of T, with
     fixed coordinate handedness times `hand`."""
@@ -113,7 +169,7 @@ def splitting_fd(chart, point, step=1e-3):
         rep = relative_nullity(chart, q)
         if rep.nu != 1:
             raise NullityJump(f"nullity {rep.nu} != 1 at {tuple(q)}")
-        G = geo.first_fundamental_form(chart, q)
+        G = _metric(chart, q)
         T = rep.kernel[:, 0]
         T = T / math.sqrt(float(T @ G @ T))
         if ref is not None:
@@ -132,8 +188,8 @@ def splitting_fd(chart, point, step=1e-3):
 
     def uv_at(q, hand):
         T = unit_kernel(q, T0)
-        G = geo.first_fundamental_form(chart, q)
-        Gam = geo.christoffels(chart, q)
+        G = _metric(chart, q)
+        Gam = _christoffels(chart, q)
         dT = grad(lambda r: unit_kernel(r, T), q)  # dT[k, j]
         covD = dT + np.einsum("jkl,l->kj", Gam, T)
         X1, X2 = _horizontal_frame(G, T, hand)

@@ -8,8 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 import isomin.geometry as geo
 import isomin.jet as J
 from isomin.bundles import (bundle_point_report, relative_nullity,
-                            splitting_tensor,
-                            totally_geodesic_classify, unit_normal_chart,
+                            splitting_tensor, unit_normal_chart,
                             unit_tangent_chart)
 from isomin.catalog import (demo_weierstrass_data, make_fixture,
                             make_geodesic_sphere, make_great_sphere,
@@ -94,7 +93,7 @@ def test_nullity_direction_not_the_fiber(bipolar_n5):
     checked to be the fiber; what is frozen is its metric alignment."""
     p = (0.1, 0.2, 0.7)
     rep = relative_nullity(bipolar_n5.chart, p)
-    G = geo.first_fundamental_form(bipolar_n5.chart, p)
+    G = geo.fundamental_forms(bipolar_n5.chart, p).metric
     T = rep.kernel[:, 0]
     T = T / math.sqrt(float(T @ G @ T))
     align = abs(float(T @ G @ np.array([0.0, 0.0, 1.0]))) / math.sqrt(G[2, 2])
@@ -109,10 +108,12 @@ def test_totally_geodesic_bundle_agreement():
     for _ in range(6):
         u, v = rng.uniform(0.1, 0.8, size=2)
         th = rng.uniform(0.0, 2.0 * math.pi)
-        flag_says = totally_geodesic_classify(tg_base, (u, v))
+        # no second normal space on the base
+        flag_says = geo.osculating_flag(tg_base, (u, v), max_order=2).tau < 2
         rep = relative_nullity(unit_tangent_chart(tg_base).chart, (u, v, th))
         assert flag_says and rep.totally_geodesic and rep.nu == 3
-        flag_says = totally_geodesic_classify(curved_base, (u, v))
+        flag_says = geo.osculating_flag(curved_base, (u, v),
+                                        max_order=2).tau < 2
         rep = relative_nullity(unit_tangent_chart(curved_base).chart,
                                (u, v, th))
         assert not flag_says and not rep.totally_geodesic and rep.nu == 1
@@ -137,8 +138,8 @@ def test_unit_normal_chart_veronese(polar_ver):
     p = (0.2, 0.1)
     jets = make_veronese().eval_jets(p, 1)
     pos = np.array([j.value for j in jets])
-    du = np.array([J.jet_extract(j, (1, 0)) for j in jets])
-    dv = np.array([J.jet_extract(j, (0, 1)) for j in jets])
+    du = jets.derivative(0).value
+    dv = jets.derivative(1).value
     for th in (0.0, 1.1, 4.4):
         w = c.value((*p, th))
         for other in (pos, du, dv):
@@ -404,3 +405,30 @@ def test_rigid_motions_keep_point_and_bundle_invariants(seed, n, frac, theta):
         sp_ref = splitting_tensor(ref_chart, x)
         assert sp.u == pytest.approx(sp_ref.u, abs=1e-8)
         assert abs(sp.v) == pytest.approx(abs(sp_ref.v), abs=1e-8)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(
+           ["bipolar-5", "bipolar-6", "bipolar-8", "polar-veronese"]),
+       frac=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+       theta=st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+def test_nullity_leaves_are_the_fiber_circles(seed, kind, frac, theta,
+                                              polar_ver):
+    """The splitting scalars sit at the fixed point w = v + iu = i of the
+    leaf equation w' = w^2 + 1: u = 1 and v = 0, and the nullity line is
+    the fiber direction, on random bipolar charts and the polar veronese
+    chart."""
+    if kind == "polar-veronese":
+        bc = polar_ver
+    else:
+        bc = unit_tangent_chart(generate_surface(random_weierstrass_data(
+            np.random.default_rng(seed), int(kind[-1]))).chart)
+    point = tuple(lo + (hi - lo) * f
+                  for (lo, hi), f in zip(bc.base.domain, frac)) + (theta,)
+    try:
+        sp = splitting_tensor(bc.chart, point)
+    except (DegeneratePoint, NullityJump):
+        assume(False)
+    assert abs(sp.u - 1.0) < 1e-9
+    assert abs(sp.v) < 1e-9
+    assert abs(sp.fiber_alignment - 1.0) < 1e-9

@@ -1,10 +1,15 @@
 """Command line driver: exit codes, report documents, OBJ output."""
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isomin import bundles, cli, geometry as geo
 
@@ -177,6 +182,9 @@ def test_export_projection_validation(tmp_path):
                 "--projection", "1,2,9", "--out", str(out)]) == 1
     assert run(["export", "--fixture", "veronese", "--grid", "0:0.5:3,0:0.5:3",
                 "--projection", "one,two,three", "--out", str(out)]) == 1
+    assert run(["export", "--fixture", "veronese", "--grid", "0:0.5:3,0:0.5:3",
+                "--projection", "1,1,2", "--out", str(out)]) == 1
+    assert not out.exists()
     assert run(["export", "--fixture", "veronese"]) == 1  # no --out
 
 
@@ -186,10 +194,49 @@ def test_parser_edges():
     assert run(["frobnicate"]) == 1
     assert run(["analyze", "--fixture", "plane", "--tol", "nope=1"]) == 1
     assert run(["analyze", "--fixture", "plane", "--tol", "circle=-2"]) == 1
+    assert run(["generate", "--fixture", "n5", "--tol", "circle=inf"]) == 1
+    assert run(["analyze", "--fixture", "plane", "--grid",
+                "0:inf:3,0:1:3"]) == 1
     assert run(["analyze", "--fixture", "plane", "--grid", "0:1:2"]) == 1
     assert run(["analyze", "--fixture", "plane", "--grid", "1:0:2,0:1:2"]) == 1
     assert run(["analyze", "--fixture", "plane", "--jet-order", "9"]) == 1
     assert run(["analyze", "--fixture", "torus"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--fixture", "n5", "--tol", "circle=inf"],
+    ["analyze", "--fixture", "plane", "--tol", "eps_deg=nan"],
+    ["analyze", "--fixture", "plane", "--grid", "0:inf:3,0:1:3"],
+    ["analyze", "--fixture", "plane", "--grid", "0:1:3,nan:1:3"],
+    ["export", "--fixture", "veronese", "--grid", "0:0.5:3,0:0.5:3",
+     "--projection", "3,1,3"],
+])
+def test_non_finite_and_repeated_inputs_are_bad_input(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_eps_deg_tolerance_takes_effect(tmp_path):
+    """A metric floor above every metric eigenvalue makes every point
+    singular: each analyze row, and each bundle row, so bundle fails."""
+    out = tmp_path / "r.json"
+    assert run(["analyze", "--fixture", "n5", "--grid", "0:0.3:3,0:0.3:3",
+                "--tol", "eps_deg=100", "--out", str(out)]) == 0
+    doc = load(out)
+    assert doc["tolerances"]["eps_deg"] == 100.0
+    assert all(r["singular"] for r in doc["rows"]) and len(doc["rows"]) == 9
+    assert doc["summary"]["singular"] == 9
+    assert run(["bundle", "--kind", "bipolar", "--fixture", "n5",
+                "--grid", f"0:0.2:2,0:0.2:2,0:{TWO_PI}:2",
+                "--tol", "eps_deg=100", "--out", str(out)]) == 2
+    doc = load(out)
+    assert doc["summary"]["singular"] == doc["summary"]["points"] == 8
+    assert all(r["skipped"] == "singular" for r in doc["splitting"])
+    assert run(["generate", "--fixture", "n5", "--tol", "eps_deg=100",
+                "--out", str(out)]) == 2
+    assert all(r["singular"] for r in load(out)["spot_checks"])
 
 
 def test_config_validation(tmp_path):
@@ -361,3 +408,115 @@ def test_analyze_certificate_matches_nicely_curved_certificate(tmp_path,
         ["analyze", "--fixture", fixture])))
     want = geo.nicely_curved_certificate(chart, counts=(9, 9))
     assert load(out)["certificate"] == want
+
+
+# Random config documents. The fixture, kind, grid and out are always set,
+# any other field one time in three. A set field holds a value of a type that
+# CONFIG_TYPES accepts: one that should run (seven times in eight) or one
+# that its own checks should reject. One time in four, one field then holds
+# a value of any JSON type instead. Grids never exceed 3 points per axis and
+# are never null (that means the default grid, up to 200 points).
+_FINITE = st.floats(-1.0, 1.0)
+_NUMBER = _FINITE | st.sampled_from([math.inf, -math.inf, math.nan])
+_NOT_NULL = st.one_of(
+    st.booleans(), st.integers(-3, 3), st.floats(-2.0, 2.0),
+    st.text(max_size=4), st.lists(st.integers(0, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2))
+
+
+def _grids(axes):
+    return axes | axes.map(
+        lambda a: ",".join(":".join(str(x) for x in axis) for axis in a))
+
+
+def _surfaces(number):
+    poly = st.lists(st.tuples(number, number).map(list), min_size=1,
+                    max_size=3)
+    return st.integers(4, 6).flatmap(lambda n: st.fixed_dictionaries({
+        "n": st.just(n), "beta1": poly, "beta2": poly,
+        "alpha0": st.lists(poly, min_size=n - 4, max_size=n - 4)}))
+
+
+_GOOD_AXIS = st.tuples(st.floats(-1.0, 0.0), st.floats(0.1, 1.0),
+                       st.integers(1, 3)).map(lambda a: [a[0], a[0] + a[1],
+                                                         a[2]])
+_GOOD = {
+    "fixture": st.sampled_from(["n5", "n6", "n8", "random-n5", "plane",
+                                "veronese", "great-sphere", "geodesic-sphere",
+                                "curve-1-2-3", "curve-1-2-pad1",
+                                "curve-1-3-pad1"]),
+    "kind": st.sampled_from(["bipolar", "polar"]),
+    "projection": st.sampled_from(["principal", "1,2,3", "3,1,2"]) | st.none(),
+    "out": st.sampled_from(["report"]) | st.none(),
+    "grid": _grids(st.lists(_GOOD_AXIS, min_size=2, max_size=2)
+                   | st.lists(_GOOD_AXIS, min_size=3, max_size=3)),
+    "surface": _surfaces(_FINITE) | st.none(),
+    "params": st.just({}),
+    "tolerances": st.dictionaries(st.sampled_from(sorted(cli.DEFAULT_TOLS)),
+                                  st.floats(1e-12, 1e3), max_size=3),
+    "seed": st.integers(0, 2**40),
+    "splitting_points": st.integers(0, 2),
+    "jet_order": st.integers(2, 6) | st.none(),
+    "final_integration": st.booleans(),
+}
+_BAD = {
+    "fixture": st.sampled_from(["n3", "n4", "random-n3", "torus"]) | st.none(),
+    "kind": st.sampled_from(["tangent", ""]) | st.none(),
+    "projection": st.sampled_from(["1,1,2", "0,1,2", "1,2", "x"]),
+    "out": st.just("directory"),
+    "grid": _grids(st.lists(st.tuples(_NUMBER, _NUMBER,
+                                      st.integers(-1, 3)).map(list),
+                            min_size=1, max_size=4)),
+    "surface": _surfaces(_NUMBER) | st.dictionaries(
+        st.sampled_from(["n", "alpha0", "beta1", "int_constants", "zzz"]),
+        _NOT_NULL,
+        max_size=3),
+    "params": st.sampled_from([{"pad": 0}, {"pad": 2}, {"radius": 0.5},
+                               {"radius": -1.0}, {"zzz": 1}]),
+    "tolerances": st.dictionaries(
+        st.sampled_from(sorted(cli.DEFAULT_TOLS) + ["zzz"]),
+        _NUMBER | st.text(max_size=3), min_size=1, max_size=3),
+    "seed": st.integers(-5, -1),
+    "splitting_points": st.just(-1),
+    "jet_order": st.sampled_from([0, 1, 7]),
+    "final_integration": st.booleans(),
+}
+
+
+@st.composite
+def _configs(draw):
+    config = {}
+    for field in cli.CONFIG_TYPES:
+        # hypothesis favours the ends of a range, so the rare cases are
+        # inner values
+        if field in ("fixture", "kind", "grid", "out") or draw(
+                st.integers(0, 2)) == 1:
+            bad = draw(st.integers(0, 7)) == 3
+            config[field] = draw((_BAD if bad else _GOOD)[field])
+    if draw(st.integers(0, 3)) == 2:
+        config[draw(st.sampled_from(sorted(cli.CONFIG_TYPES)))] = draw(
+            _NOT_NULL)
+    return config
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(command=st.sampled_from(sorted(cli.COMMANDS)), config=_configs())
+def test_random_configs_exit_cleanly(command, config):
+    """Any config document gives exit 0-3 without raising, and bad input
+    (exit 1) gives exactly one `error:` line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if config.get("out") == "report":
+            config["out"] = os.path.join(tmp, "report")
+        elif config.get("out") == "directory":
+            config["out"] = tmp
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", path])
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -1,4 +1,6 @@
 """Complex polynomial arithmetic against numpy.polynomial oracles."""
+import math
+
 import numpy as np
 import pytest
 
@@ -67,7 +69,7 @@ def test_vec_helpers():
     assert dv[1].is_zero()
     iv = cpoly.vec_int(v, constants=(1.0, 2.0))
     assert iv[0](0) == 1.0 and iv[1](0) == 2.0
-    vals = cpoly.vec_eval(v, 0.5)
+    vals = [p(0.5) for p in v]
     assert np.allclose(vals, [1.0, 1.0])
     assert cpoly.vec_max_abs_coeff(v) == 2.0
 
@@ -94,6 +96,8 @@ def test_json_roundtrip():
     [["a", 0.0]],       # not a number
     "nope",
     [[1.0, 0.0, 0.0]],
+    [[1.0, 0.0], [math.nan, 0.0]],   # not finite
+    [[0.0, math.inf]],
 ])
 def test_json_malformed(doc):
     with pytest.raises(InvalidData):

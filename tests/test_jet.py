@@ -17,6 +17,14 @@ from isomin.weierstrass import generate_surface, surface_chart
 from oracles import holomorphic_jets_horner
 
 
+def _partial(f, idx):
+    """Partial derivative for a multi-index, by repeated differentiation."""
+    for var, k in enumerate(idx):
+        for _ in range(k):
+            f = f.derivative(var)
+    return f.value
+
+
 def test_space_index_order():
     sp = J.get_space(2, 2)
     assert sp.indices == ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
@@ -34,11 +42,11 @@ def test_monomial_derivatives():
     v = J.jet_variable(sp, 1, 2.0)
     f = u * u * v
     assert f.value == pytest.approx(2.0)
-    assert J.jet_extract(f, (1, 0)) == pytest.approx(4.0)
-    assert J.jet_extract(f, (0, 1)) == pytest.approx(1.0)
-    assert J.jet_extract(f, (2, 0)) == pytest.approx(4.0)
-    assert J.jet_extract(f, (1, 1)) == pytest.approx(2.0)
-    assert J.jet_extract(f, (0, 2)) == pytest.approx(0.0)
+    assert _partial(f, (1, 0)) == pytest.approx(4.0)
+    assert _partial(f, (0, 1)) == pytest.approx(1.0)
+    assert _partial(f, (2, 0)) == pytest.approx(4.0)
+    assert _partial(f, (1, 1)) == pytest.approx(2.0)
+    assert _partial(f, (0, 2)) == pytest.approx(0.0)
 
 
 def test_random_polynomial_partials():
@@ -71,7 +79,7 @@ def test_random_polynomial_partials():
             return tot
 
         for a, b in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 2)):
-            assert J.jet_extract(f, (a, b)) == pytest.approx(partial(a, b),
+            assert _partial(f, (a, b)) == pytest.approx(partial(a, b),
                                                              abs=1e-10)
 
 
@@ -86,8 +94,8 @@ def test_cos_and_shifted_argument():
     x = J.jet_variable(sp, 0, 0.7)
     c = J.jet_cos(x)
     assert c.value == pytest.approx(math.cos(0.7))
-    assert J.jet_extract(c, (1,)) == pytest.approx(-math.sin(0.7))
-    assert J.jet_extract(c, (2,)) == pytest.approx(-math.cos(0.7))
+    assert _partial(c, (1,)) == pytest.approx(-math.sin(0.7))
+    assert _partial(c, (2,)) == pytest.approx(-math.cos(0.7))
 
 
 def test_recip_coefficients():
@@ -120,7 +128,7 @@ def test_derivative_shifts():
     fu = f.derivative(0)
     assert fu.space.order == 2
     assert fu.value == pytest.approx(2 * 0.5 * -0.25)
-    assert J.jet_extract(fu, (1, 0)) == pytest.approx(2 * -0.25)
+    assert _partial(fu, (1, 0)) == pytest.approx(2 * -0.25)
     fv = f.derivative(1)
     assert fv.value == pytest.approx(0.5 ** 2 + 2 * -0.25)
     with pytest.raises(OrderExceeded):
@@ -151,17 +159,6 @@ def test_space_mismatch():
         J.jet_mul(a, b)
 
 
-def test_extract_errors():
-    sp = J.get_space(2, 2)
-    f = J.jet_constant(sp, 1.0)
-    with pytest.raises(DimensionMismatch):
-        J.jet_extract(f, (1,))
-    with pytest.raises(OrderExceeded):
-        J.jet_extract(f, (3, 0))
-    with pytest.raises(InvalidData):
-        J.jet_extract(f, (-1, 0))
-
-
 def test_holomorphic_jets_match_complex_arithmetic():
     coeffs = (1.0, -2.0j, 0.5 + 0.5j)
     p = cp.poly(*coeffs)
@@ -171,13 +168,13 @@ def test_holomorphic_jets_match_complex_arithmetic():
     dref = coeffs[1] + 2.0 * coeffs[2] * zc
     assert re.value == pytest.approx(ref.real)
     assert im.value == pytest.approx(ref.imag)
-    assert J.jet_extract(re, (1, 0)) == pytest.approx(dref.real)
-    assert J.jet_extract(re, (0, 1)) == pytest.approx(-dref.imag)
+    assert _partial(re, (1, 0)) == pytest.approx(dref.real)
+    assert _partial(re, (0, 1)) == pytest.approx(-dref.imag)
     # Cauchy-Riemann: d(re)/du = d(im)/dv for a holomorphic jet
-    assert J.jet_extract(re, (1, 0)) == pytest.approx(
-        J.jet_extract(im, (0, 1)))
-    assert J.jet_extract(re, (0, 1)) == pytest.approx(
-        -J.jet_extract(im, (1, 0)))
+    assert _partial(re, (1, 0)) == pytest.approx(
+        _partial(im, (0, 1)))
+    assert _partial(re, (0, 1)) == pytest.approx(
+        -_partial(im, (1, 0)))
 
 
 def test_holomorphic_jet_guards():

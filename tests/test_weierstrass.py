@@ -1,4 +1,6 @@
 """Null recursion on polynomial data and the generated surface charts."""
+import math
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,15 @@ def test_json_roundtrip():
         W.WeierstrassData.from_json({"n": 5})
     with pytest.raises(InvalidData):
         W.WeierstrassData.from_json([1, 2])
+
+
+@pytest.mark.parametrize("consts", [
+    [1], {"phi2": 5}, {"phi2": [[1.0, 0.0]] * 3 + [[math.nan, 0.0]]},
+    {"phi3": []},
+])
+def test_integration_constants_from_json_are_checked(consts):
+    with pytest.raises(InvalidData):
+        W.WeierstrassData.from_json({"n": 4, "int_constants": consts})
 
 
 def test_surface_report_json():
