@@ -9,10 +9,15 @@ jets, so every per-point quantity (mean curvature, relative nullity,
 splitting tensor of the nullity distribution) comes from the same geometry
 code path as any other chart.
 
-Frame fields are built by pivoted orthogonalization in a fixed candidate
-order, which keeps the frame deterministic and continuous on chart domains
-whose flag has constant dimensions; points where a pivot degenerates
-surface as DegeneratePoint.
+A bundle chart evaluates a batch of points at once. The frame does not
+depend on theta, so it is built once per distinct base point (u, v) and
+broadcast over the fiber angles. Frame fields are built by pivoted
+orthogonalization in a fixed candidate order, which keeps the frame
+deterministic and continuous on chart domains whose flag has constant
+dimensions. Points where a pivot degenerates are masked per point, never
+composed with sqrt or recip, and come out of the chart as NaN rows, which
+the geometry files as singular. Relative nullity is batched the same way:
+one evaluation and one stacked pass give every row of a sweep.
 """
 from __future__ import annotations
 
@@ -30,25 +35,29 @@ from . import geometry as geo
 from .geometry import ImmersionChart
 
 
-def _jet_orthonormalize(cand: J.Jet, basis: list[J.Jet],
-                        eps_rank: float) -> J.Jet | None:
-    """Orthogonalize a vector jet against accepted unit vector jets; return
-    the normalized residual, or None when the residual is below the rank
-    threshold (relative to the candidate's own value scale)."""
+def _jet_orthonormalize(cand: J.Jet, basis: list[J.Jet], eps_rank: float
+                        ) -> tuple[J.Jet, np.ndarray]:
+    """Orthogonalize stacked vector jets (shape (Q, N)) against unit or zero
+    vector jets, row by row; return the normalized residual and the mask of
+    rows where it is accepted. A residual is rejected when it is below the
+    rank threshold (relative to the candidate's own value scale), or, with
+    eps_rank 0, when its squared norm is within the sqrt guard; rejected
+    rows come back as zero jets, so they drop out of later projections."""
     scale2 = J.jet_dot(cand, cand).value
     v = cand
     for b in basis:
-        v = v - J.jet_dot(v, b) * b
+        v = v - J.jet_dot(v, b)[..., None] * b
     n2 = J.jet_dot(v, v)
     if eps_rank > 0.0:
-        thr = eps_rank * max(1.0, math.sqrt(max(scale2, 0.0)))
-        if n2.value <= thr * thr:
-            return None
-        # already vetted against the rank threshold; bypass the sqrt guard
-        inv = J.jet_recip(J.jet_sqrt(n2, eps=0.0), eps=0.0)
+        thr = eps_rank * np.maximum(1.0, np.sqrt(np.maximum(scale2, 0.0)))
+        ok = n2.value > thr * thr
     else:
-        inv = J.jet_recip(J.jet_sqrt(n2))
-    return v * inv
+        ok = n2.value > J.EPS_DEG
+    # rejected rows never reach the composition; accepted ones are vetted
+    n2 = J.Jet(n2.space, np.where(ok[..., None], n2.coeffs,
+                                  J.jet_constant(n2.space, 1.0).coeffs))
+    inv = J.jet_recip(J.jet_sqrt(n2, eps=0.0), eps=0.0)
+    return v * (inv * ok)[..., None], ok
 
 
 @dataclasses.dataclass
@@ -63,15 +72,22 @@ class BundleChart:
 
 def _circle_chart(base: ImmersionChart, frame, name: str) -> ImmersionChart:
     """The 3-chart (u, v, theta) -> cos(theta) E1 + sin(theta) E2 into the
-    unit sphere, where frame((u, v), space) gives the orthonormal pair of
-    vector jets (E1, E2) in the 3-variable space."""
+    unit sphere, where frame(uv, space) gives, at base points uv of shape
+    (Q, 2), the orthonormal pair of vector jets (E1, E2) of shape (Q, N) in
+    the 3-variable space and the mask of points where the frame is defined.
+    The frame is built once per distinct (u, v); rows where it is not
+    defined are NaN."""
 
-    def jet_fn(point, space):
+    def jet_fn(points, space):
         if space.nvars != 3:
             raise ShapeMismatch("bundle charts evaluate in 3-variable spaces")
-        e1, e2 = frame(point[:2], space)
-        th = J.jet_variable(space, 2, point[2])
-        return J.jet_cos(th) * e1 + J.jet_sin(th) * e2
+        uv, at = np.unique(points[:, :2], axis=0, return_inverse=True)
+        at = at.reshape(-1)
+        e1, e2, ok = frame(uv, space)
+        th = J.jet_variable(space, 2, points[:, 2])
+        out = J.jet_cos(th)[:, None] * e1[at] + J.jet_sin(th)[:, None] * e2[at]
+        out.coeffs[~ok[at]] = np.nan
+        return out
 
     return ImmersionChart(domain_dim=3, ambient_dim=base.ambient_dim,
                           ambient="sphere", jet_fn=jet_fn,
@@ -97,17 +113,13 @@ def unit_tangent_chart(base: ImmersionChart,
     if sorted(pivot_order) != [0, 1]:
         raise InvalidData("pivot_order must be a permutation of (0, 1)")
 
-    def frame(point, space):
-        bjets = base.jet_fn(point, J.get_space(3, space.order + 1))
-        try:
-            e1 = _jet_orthonormalize(bjets.derivative(pivot_order[0]), [],
-                                     eps_rank=0.0)
-            e2 = _jet_orthonormalize(bjets.derivative(pivot_order[1]), [e1],
-                                     eps_rank=0.0)
-        except DegenerateValue:
-            raise DegeneratePoint(
-                f"base not immersed under the frame at {tuple(point)}")
-        return e1, e2
+    def frame(uv, space):
+        bjets = base.jet_fn(uv, J.get_space(3, space.order + 1))
+        e1, ok1 = _jet_orthonormalize(bjets.derivative(pivot_order[0]), [],
+                                      eps_rank=0.0)
+        e2, ok2 = _jet_orthonormalize(bjets.derivative(pivot_order[1]), [e1],
+                                      eps_rank=0.0)
+        return e1, e2, ok1 & ok2
 
     chart = _circle_chart(base, frame, f"unit-tangent({base.name})")
     return BundleChart(kind="unit_tangent", base=base, chart=chart)
@@ -147,30 +159,31 @@ def unit_normal_chart(base: ImmersionChart,
             f"(residual {top:.3g}); the normal bundle chart need "
             "not be minimal", stacklevel=2)
 
-    def frame(point, space):
-        bjets = base.jet_fn(point, J.get_space(3, space.order + tau + 1))
+    def frame(uv, space):
+        bjets = base.jet_fn(uv, J.get_space(3, space.order + tau + 1))
         tgt = space.order
-        try:
-            basis = [_jet_orthonormalize(J.jet_truncate(bjets, tgt), [],
-                                         eps_rank=0.0)]
-            level = [bjets]  # level[k] = d_u^(s-k) d_v^k of the base
-            for s in range(1, tau + 2):
-                level = ([level[0].derivative(0)]
-                         + [d.derivative(1) for d in level])
-                last = []  # the accepted directions of order s
-                for d in level:
-                    got = _jet_orthonormalize(J.jet_truncate(d, tgt), basis,
-                                              eps_rank=eps_rank)
-                    if got is not None:
-                        basis.append(got)
-                        last.append(got)
-        except DegenerateValue:
-            raise DegeneratePoint(
-                f"normal frame degenerates at {tuple(point)}")
-        if len(last) != 2:
-            raise DegeneratePoint(
-                f"last normal space has rank {len(last)} at {tuple(point)}")
-        return last
+        position, ok = _jet_orthonormalize(J.jet_truncate(bjets, tgt), [],
+                                           eps_rank=0.0)
+        basis = [position]
+        level = [bjets]  # level[k] = d_u^(s-k) d_v^k of the base
+        for s in range(1, tau + 2):
+            level = ([level[0].derivative(0)]
+                     + [d.derivative(1) for d in level])
+            last = []  # the directions of order s, zero where rejected
+            accepted = []
+            for d in level:
+                got, acc = _jet_orthonormalize(J.jet_truncate(d, tgt), basis,
+                                               eps_rank=eps_rank)
+                basis.append(got)
+                last.append(got)
+                accepted.append(acc)
+        # per point, the first two accepted directions of the last order;
+        # the last normal space must be a plane
+        accepted = np.stack(accepted)
+        first = np.argsort(~accepted, axis=0, kind="stable")
+        last, rows = J.jet_stack(last), np.arange(len(uv))
+        return (last[first[0], rows], last[first[1], rows],
+                ok & (accepted.sum(axis=0) == 2))
 
     chart = _circle_chart(base, frame, f"unit-normal({base.name})")
     return BundleChart(kind="unit_normal", base=base, chart=chart, tau=tau)
@@ -180,41 +193,75 @@ def unit_normal_chart(base: ImmersionChart,
 class NullityReport:
     """Relative nullity data of a 3-chart at a point: the singular values of
     X -> alpha(X, .) in a metric-orthonormal frame, the kernel (coordinate
-    components), and the mean curvature norm."""
+    components), and the mean curvature norm.
 
-    point: tuple[float, ...]
-    nu: int
-    singular_values: tuple[float, ...]
-    kernel: np.ndarray
-    mean_curvature_norm: float
-    totally_geodesic: bool
+    A report on P points carries a leading point axis on every field, with
+    one kernel array per point, and marks the singular points in
+    `singular`; there nu is 0, the numbers are NaN and the kernel empty."""
+
+    point: tuple[float, ...] | np.ndarray
+    nu: int | np.ndarray
+    singular_values: tuple[float, ...] | np.ndarray
+    kernel: np.ndarray | tuple[np.ndarray, ...]
+    mean_curvature_norm: float | np.ndarray
+    totally_geodesic: bool | np.ndarray
+    singular: bool | np.ndarray = False
 
 
-def relative_nullity(chart: ImmersionChart, point: Sequence[float],
+def relative_nullity(chart: ImmersionChart, points,
                      eps_rank: float = geo.EPS_RANK,
                      eps_deg: float = geo.EPS_DEG) -> NullityReport:
-    forms = geo.fundamental_forms(chart, point, max_s=2, eps_rank=eps_rank,
-                                  eps_deg=eps_deg)
-    return _nullity(forms, eps_rank)
+    """Relative nullity at points of shape (P, m), one report with a leading
+    point axis, from one chart evaluation. A single point of shape (m,) is
+    the P = 1 case and gives that point's report; it raises DegeneratePoint
+    where the point is singular."""
+    pts = np.asarray(points, dtype=float)
+    batch = pts.reshape(-1, chart.domain_dim)
+    rep = _nullity(chart, batch, chart.eval_jets(batch, 2), eps_rank, eps_deg)
+    return rep if pts.ndim == 2 else _single(rep)
 
 
-def _nullity(forms: geo.FundamentalForms, eps_rank: float) -> NullityReport:
-    m = forms.metric.shape[0]
-    lam, V = np.linalg.eigh(forms.metric)
-    W = V @ np.diag(1.0 / np.sqrt(lam)) @ V.T  # columns of W = orthonormal frame
-    aorth = np.einsum("ki,lj,kla->ija", W, W, forms.tables[2])
-    M = aorth.reshape(m, -1)
-    U, sv, _ = np.linalg.svd(M, full_matrices=True)
-    thr = eps_rank * max(1.0, float(sv[0]) if sv.size else 0.0)
-    nu = int(np.sum(sv < thr)) + (m - sv.size)
-    kernel_orth = U[:, m - nu:] if nu else np.zeros((m, 0))
-    kernel = W @ kernel_orth
-    H = aorth.trace(axis1=0, axis2=1)
-    return NullityReport(point=forms.point, nu=nu,
-                         singular_values=tuple(float(s) for s in sv),
-                         kernel=kernel,
-                         mean_curvature_norm=float(np.linalg.norm(H)),
-                         totally_geodesic=bool(nu == m))
+def _nullity(chart: ImmersionChart, points: np.ndarray, jets: J.Jet,
+             eps_rank: float, eps_deg: float) -> NullityReport:
+    """The report at every row of a chart jet of shape (P, N), order >= 2:
+    the metric check and the second form projected off position and
+    tangent space, then stacked eigh and SVD over the regular rows."""
+    P, m = points.shape
+    regular, G, Q = geo._tangent_stage(chart, jets, eps_deg)
+    A = geo._form_table(jets[regular], 2, Q)          # (R, m, m, N)
+    lam, V = np.linalg.eigh(G)
+    # columns of W = a metric-orthonormal frame, W = G^(-1/2)
+    W = (V * (1.0 / np.sqrt(lam))[:, None, :]) @ V.mT
+    aorth = np.einsum("rki,rlj,rkla->rija", W, W, A)
+    U, sv, _ = np.linalg.svd(aorth.reshape(len(G), m, m * chart.ambient_dim),
+                             full_matrices=False)
+    thr = eps_rank * np.maximum(1.0, sv[:, 0])
+    nu = np.zeros(P, dtype=int)
+    nu[regular] = np.sum(sv < thr[:, None], axis=1)
+    WU = np.zeros((P, m, m))
+    WU[regular] = W @ U
+    kernel = tuple(WU[i][:, m - nu[i]:] for i in range(P))
+    H = np.full(P, np.nan)
+    H[regular] = np.linalg.norm(np.trace(aorth, axis1=1, axis2=2), axis=-1)
+    svs = np.full((P, m), np.nan)
+    svs[regular] = sv
+    return NullityReport(point=points, nu=nu, singular_values=svs,
+                         kernel=kernel, mean_curvature_norm=H,
+                         totally_geodesic=regular & (nu == m),
+                         singular=~regular)
+
+
+def _single(rep: NullityReport) -> NullityReport:
+    """The only point of a one-point report; DegeneratePoint if singular."""
+    point = tuple(float(x) for x in rep.point[0])
+    if rep.singular[0]:
+        raise DegeneratePoint(f"singular point {point}")
+    return NullityReport(point=point, nu=int(rep.nu[0]),
+                         singular_values=tuple(float(x) for x in
+                                               rep.singular_values[0]),
+                         kernel=rep.kernel[0],
+                         mean_curvature_norm=float(rep.mean_curvature_norm[0]),
+                         totally_geodesic=bool(rep.totally_geodesic[0]))
 
 
 @dataclasses.dataclass
@@ -319,8 +366,8 @@ def splitting_tensor(chart: ImmersionChart, point: Sequence[float],
     if chart.domain_dim != 3:
         raise ShapeMismatch("splitting tensor applies to 3-charts")
     jets = chart.eval_jets(point, 4)
-    flag = geo._flag_from_jets(chart, point, jets, 1, eps_rank, eps_deg)
-    rep = _nullity(geo._forms_from_jets(chart, point, jets, flag, 2), eps_rank)
+    rep = _single(_nullity(chart, np.asarray(point, dtype=float)[None],
+                           jets[None], eps_rank, eps_deg))
     if rep.nu != 1:
         raise NullityJump(f"nullity {rep.nu} != 1 at {tuple(point)}",
                           nu=rep.nu)
@@ -376,18 +423,29 @@ def splitting_tensor(chart: ImmersionChart, point: Sequence[float],
                            fiber_alignment=fiber_alignment)
 
 
+def bundle_rows(chart: ImmersionChart, points,
+                eps_rank: float = geo.EPS_RANK,
+                eps_deg: float = geo.EPS_DEG) -> list[dict]:
+    """JSON rows of a bundle sweep at points of shape (P, 3), from one
+    batched relative nullity call."""
+    rep = relative_nullity(chart, np.reshape(points, (-1, chart.domain_dim)),
+                           eps_rank=eps_rank, eps_deg=eps_deg)
+    rows = []
+    for i, pt in enumerate(rep.point.tolist()):
+        if rep.singular[i]:
+            rows.append({"point": pt, "singular": True, "H": None,
+                         "nu": None, "sv": None, "tg": None})
+        else:
+            rows.append({"point": pt, "singular": False,
+                         "H": float(rep.mean_curvature_norm[i]),
+                         "nu": int(rep.nu[i]),
+                         "sv": rep.singular_values[i].tolist(),
+                         "tg": bool(rep.totally_geodesic[i])})
+    return rows
+
+
 def bundle_point_report(chart: ImmersionChart, point: Sequence[float],
                         eps_rank: float = geo.EPS_RANK,
                         eps_deg: float = geo.EPS_DEG) -> dict:
-    """Per-point JSON row for bundle sweeps."""
-    pt = [float(x) for x in point]
-    try:
-        rep = relative_nullity(chart, point, eps_rank=eps_rank,
-                               eps_deg=eps_deg)
-    except DegeneratePoint:
-        return {"point": pt, "singular": True, "H": None, "nu": None,
-                "sv": None, "tg": None}
-    return {"point": pt, "singular": False,
-            "H": rep.mean_curvature_norm, "nu": int(rep.nu),
-            "sv": [float(s) for s in rep.singular_values],
-            "tg": bool(rep.totally_geodesic)}
+    """Per-point JSON row for bundle sweeps: the one-point bundle_rows."""
+    return bundle_rows(chart, [point], eps_rank=eps_rank, eps_deg=eps_deg)[0]

@@ -2,7 +2,8 @@
 
 Fixtures double as test oracles: each constructor documents the frozen
 properties the rest of the package asserts against (flag dimensions,
-isotropy orders, mean curvature values).
+isotropy orders, mean curvature values). Every chart evaluates a batch of
+points at once: coordinate jets of shape (P,), stacked into (P, N).
 """
 from __future__ import annotations
 
@@ -56,10 +57,11 @@ def make_plane(pad: int = 3) -> ImmersionChart:
                          name=f"plane-pad{pad}")
 
 
-def _stereographic(point, space) -> J.Jet:
-    """Inverse stereographic projection (u, v) -> S^2, a jet of shape (3,)."""
-    u = J.jet_variable(space, 0, point[0])
-    v = J.jet_variable(space, 1, point[1])
+def _stereographic(points, space) -> J.Jet:
+    """Inverse stereographic projection (u, v) -> S^2 at points of shape
+    (P, 2), a jet of shape (3, P)."""
+    u = J.jet_variable(space, 0, points[:, 0])
+    v = J.jet_variable(space, 1, points[:, 1])
     u2 = J.jet_mul(u, u)
     v2 = J.jet_mul(v, v)
     inv = J.jet_recip(u2 + v2 + 1.0)
@@ -72,15 +74,15 @@ def make_veronese(domain=((-0.85, 0.85), (-0.85, 0.85))) -> ImmersionChart:
     that excludes a cap around the far pole. Substantial with flag (2, 2),
     tau = 1, minimal (isotropy order 1)."""
 
-    def jet_fn(point, space):
-        x, y, zc = _stereographic(point, space)
+    def jet_fn(points, space):
+        x, y, zc = _stereographic(points, space)
         r3 = math.sqrt(3.0)
         return J.jet_stack([r3 * J.jet_mul(x, y),
                             r3 * J.jet_mul(x, zc),
                             r3 * J.jet_mul(y, zc),
                             (r3 / 2.0) * (J.jet_mul(x, x) - J.jet_mul(y, y)),
                             0.5 * (J.jet_mul(x, x) + J.jet_mul(y, y)
-                                   - 2.0 * J.jet_mul(zc, zc))])
+                                   - 2.0 * J.jet_mul(zc, zc))]).T
 
     return ImmersionChart(domain_dim=2, ambient_dim=5, ambient="sphere",
                           jet_fn=jet_fn, domain=tuple(domain),
@@ -90,9 +92,9 @@ def make_veronese(domain=((-0.85, 0.85), (-0.85, 0.85))) -> ImmersionChart:
 def make_great_sphere() -> ImmersionChart:
     """Totally geodesic S^2 inside S^4 (stereographic chart): tau = 0."""
 
-    def jet_fn(point, space):
-        zero = J.jet_constant(space, 0.0)
-        return J.jet_stack([*_stereographic(point, space), zero, zero])
+    def jet_fn(points, space):
+        zero = J.jet_constant(space, np.zeros(len(points)))
+        return J.jet_stack([*_stereographic(points, space), zero, zero]).T
 
     return ImmersionChart(domain_dim=2, ambient_dim=5, ambient="sphere",
                           jet_fn=jet_fn, domain=((-0.85, 0.85), (-0.85, 0.85)),
@@ -110,18 +112,16 @@ def make_geodesic_sphere(radius: float = math.pi / 4) -> ImmersionChart:
         raise InvalidData(f"radius must be a number in (0, pi), got {radius!r}")
     cr, sr = math.cos(radius), math.sin(radius)
 
-    def jet_fn(point, space):
-        t1 = J.jet_variable(space, 0, point[0])
-        t2 = J.jet_variable(space, 1, point[1])
-        t3 = J.jet_variable(space, 2, point[2])
+    def jet_fn(points, space):
+        t1, t2, t3 = (J.jet_variable(space, i, points[:, i]) for i in range(3))
         c1, s1 = J.jet_cos(t1), J.jet_sin(t1)
         c2, s2 = J.jet_cos(t2), J.jet_sin(t2)
         c3, s3 = J.jet_cos(t3), J.jet_sin(t3)
-        return J.jet_stack([J.jet_constant(space, cr),
+        return J.jet_stack([J.jet_constant(space, np.full(len(points), cr)),
                             sr * c1,
                             sr * J.jet_mul(s1, c2),
                             sr * J.jet_mul(s1, J.jet_mul(s2, c3)),
-                            sr * J.jet_mul(s1, J.jet_mul(s2, s3))])
+                            sr * J.jet_mul(s1, J.jet_mul(s2, s3))]).T
 
     return ImmersionChart(domain_dim=3, ambient_dim=5, ambient="sphere",
                           jet_fn=jet_fn,
@@ -137,9 +137,9 @@ def make_graph(coeff_uu: float, coeff_uv: float, coeff_vv: float,
     """Graph chart (u, v, q1(u, v)[, q2(u, v)]) for quadratic heights;
     handy for frozen ellipticity cases."""
 
-    def jet_fn(point, space):
-        u = J.jet_variable(space, 0, point[0])
-        v = J.jet_variable(space, 1, point[1])
+    def jet_fn(points, space):
+        u = J.jet_variable(space, 0, points[:, 0])
+        v = J.jet_variable(space, 1, points[:, 1])
         out = [u, v,
                coeff_uu * J.jet_mul(u, u) + coeff_uv * J.jet_mul(u, v)
                + coeff_vv * J.jet_mul(v, v)]
@@ -147,7 +147,7 @@ def make_graph(coeff_uu: float, coeff_uv: float, coeff_vv: float,
             a, b, c = extra
             out.append(a * J.jet_mul(u, u) + b * J.jet_mul(u, v)
                        + c * J.jet_mul(v, v))
-        return J.jet_stack(out)
+        return J.jet_stack(out).T
 
     return ImmersionChart(domain_dim=2, ambient_dim=3 + (extra is not None),
                           ambient="euclidean", jet_fn=jet_fn,

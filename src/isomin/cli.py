@@ -98,6 +98,8 @@ def parse_grid(raw) -> list[tuple[float, float, int]]:
     for g in groups:
         if not isinstance(g, (list, tuple)) or len(g) != 3:
             raise InvalidData(f"grid axis needs lo:hi:count, got {g!r}")
+        if isinstance(g[2], (bool, float)):
+            raise InvalidData(f"grid count must be an integer, got {g[2]!r}")
         try:
             lo, hi, n = float(g[0]), float(g[1]), int(g[2])
         except (TypeError, ValueError):
@@ -217,8 +219,9 @@ def resolve_surface_data(cfg) -> W.WeierstrassData:
     else:
         data = catalog.random_weierstrass_data(
             np.random.default_rng(cfg["seed"]), kindn[1])
-    return dataclasses.replace(data,
-                               final_integration=cfg["final_integration"])
+    # the surface document, the config field and the flag can each skip it
+    return dataclasses.replace(data, final_integration=(
+        data.final_integration and cfg["final_integration"]))
 
 
 def resolve_chart(cfg) -> geo.ImmersionChart:
@@ -376,8 +379,7 @@ def cmd_bundle(cfg) -> int:
         print(f"warning: {note}")
 
     axes, grid_doc = _axes_for(bc.chart, cfg)
-    rows = [B.bundle_point_report(bc.chart, p, **_eps(tols))
-            for p in geo.grid_points(axes)]
+    rows = B.bundle_rows(bc.chart, geo.grid_points(axes), **_eps(tols))
     live = [r for r in rows if not r["singular"]]
     singular = len(rows) - len(live)
 
@@ -456,14 +458,20 @@ def cmd_export(cfg) -> int:
         if cfg["kind"] not in ("bipolar", "polar"):
             raise InvalidData("kind must be bipolar or polar")
         base = resolve_chart(cfg)
+        tols = cfg["tolerances"]
         bc = (B.unit_tangent_chart(base) if cfg["kind"] == "bipolar"
-              else B.unit_normal_chart(base))
+              else B.unit_normal_chart(base, circle_tol=tols["circle"],
+                                       **_eps(tols)))
         chart = bc.chart
     else:
         chart = resolve_chart(cfg)
     axes, grid_doc = _axes_for(chart, cfg)
     pts = geo.grid_points(axes)
-    verts = np.array([chart.value(p) for p in pts])
+    verts = chart.value(pts)
+    undefined = ~np.isfinite(verts).all(axis=1)
+    if undefined.any():
+        raise DegeneratePoint(f"{chart.name} is not defined at "
+                              f"{tuple(pts[undefined][0].tolist())}")
 
     proj = cfg["projection"]
     if proj is None:

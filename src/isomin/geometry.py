@@ -1,11 +1,17 @@
 """Per-point differential geometry of immersion charts.
 
 A chart is a smooth map from a box in R^m (m = 2 or 3) into R^N, optionally
-constrained to the unit sphere S^(N-1). Everything here is computed from
-jets at a single point: the first fundamental form, the osculating flag of
-higher normal spaces, higher fundamental forms (projected higher partials),
-ellipticity of the second form, curvature ellipses, and the isotropy order.
-Conventions that the rest of the package relies on:
+constrained to the unit sphere S^(N-1), evaluated through jets at a batch
+of points at once. The first stage of the flag (the metric check and the
+tangent space) and the projected second form work on every point of a
+batch; the rest is computed from the jets of one point: the osculating
+flag of higher normal spaces, higher fundamental forms (projected higher
+partials), ellipticity of the second form, curvature ellipses, and the
+isotropy order. Conventions that the rest of the package relies on:
+
+* A point is singular when its jets are not finite (a chart writes NaN
+  where it is not defined, such as a bundle frame that degenerates) or
+  the least metric eigenvalue is below eps_deg.
 
 * The osculating flag at a point is built by successive orthogonal
   complements: the span of the s-th partial derivatives, projected
@@ -50,11 +56,13 @@ DEFAULT_JET_ORDER = 4
 class ImmersionChart:
     """A parametrized piece of submanifold, evaluated through jets.
 
-    jet_fn(point, space) returns one jet of shape (ambient_dim,), the chart
-    map expanded at the point, in the given jet space. The first domain_dim
-    variables of the space are the chart coordinates; charts may be
-    evaluated inside larger spaces (the bundle constructions do this) as
-    long as the extra variables are left untouched.
+    jet_fn(points, space) takes points of shape (P, domain_dim) and returns
+    one jet of shape (P, ambient_dim): the chart map expanded at each point,
+    in the given jet space, with NaN coefficients in the rows of points
+    where the chart is not defined. The first domain_dim variables of the
+    space are the chart coordinates; charts may be evaluated inside larger
+    spaces (the bundle constructions do this) as long as the extra
+    variables are left untouched.
     """
 
     domain_dim: int
@@ -76,19 +84,24 @@ class ImmersionChart:
         if not self.periodic:
             self.periodic = (False,) * self.domain_dim
 
-    def eval_jets(self, point: Sequence[float], order: int) -> J.Jet:
-        if len(point) != self.domain_dim:
-            raise ShapeMismatch(
-                f"point has {len(point)} coordinates, chart needs {self.domain_dim}")
-        space = J.get_space(self.domain_dim, order)
-        out = self.jet_fn(tuple(float(x) for x in point), space)
-        if not isinstance(out, J.Jet) or out.shape != (self.ambient_dim,):
+    def eval_jets(self, points, order: int) -> J.Jet:
+        """Jets at points of shape (P, domain_dim), one jet of shape
+        (P, ambient_dim); a single point of shape (domain_dim,) is the P = 1
+        case and gives shape (ambient_dim,)."""
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim not in (1, 2) or pts.shape[-1] != self.domain_dim:
+            raise ShapeMismatch(f"points have shape {pts.shape}, chart needs "
+                                f"(P, {self.domain_dim}) or ({self.domain_dim},)")
+        batch = pts.reshape(-1, self.domain_dim)
+        out = self.jet_fn(batch, J.get_space(self.domain_dim, order))
+        if (not isinstance(out, J.Jet)
+                or out.shape != (len(batch), self.ambient_dim)):
             raise ShapeMismatch("chart evaluator must return one jet of "
-                                f"shape ({self.ambient_dim},)")
-        return out
+                                f"shape ({len(batch)}, {self.ambient_dim})")
+        return out if pts.ndim == 2 else out[0]
 
-    def value(self, point: Sequence[float]) -> np.ndarray:
-        return self.eval_jets(point, 0).value
+    def value(self, points) -> np.ndarray:
+        return self.eval_jets(points, 0).value
 
 
 def grid_axes(chart: ImmersionChart,
@@ -120,13 +133,14 @@ def grid_points(axes: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _partials(jets: J.Jet, s: int) -> np.ndarray:
-    """s-th partial derivatives of every component, shape (N, k): one column
-    per multi-index of degree s, in the space's index order. That order is
-    by degree first, so the columns are one slice of the coefficients."""
+    """s-th partial derivatives of every component, shape (..., N, k): one
+    column per multi-index of degree s, in the space's index order. That
+    order is by degree first, so the columns are one slice of the
+    coefficients."""
     space = jets.space
     m = space.nvars
     lo, hi = math.comb(s - 1 + m, m), math.comb(s + m, m)
-    return jets.coeffs[:, lo:hi] * space.factorial[lo:hi]
+    return jets.coeffs[..., lo:hi] * space.factorial[lo:hi]
 
 
 @functools.lru_cache(maxsize=None)
@@ -139,23 +153,61 @@ def _table_columns(m: int, s: int) -> np.ndarray:
     return cols
 
 
+def _form_table(jets: J.Jet, s: int, Q: np.ndarray | None) -> np.ndarray:
+    """s-th partials on coordinate s-tuples, projected orthogonally to the
+    orthonormal columns of Q: shape (..., m, ..., m, N) with s axes of m."""
+    C = _project_out(Q, _partials(jets, s))
+    return C.mT[..., _table_columns(jets.space.nvars, s), :]
+
+
 def _project_out(Q: np.ndarray | None, V: np.ndarray) -> np.ndarray:
     """Columns of V minus their components along the orthonormal columns of Q
-    (applied twice for numerical orthogonality)."""
-    if Q is None or Q.shape[1] == 0:
+    (applied twice for numerical orthogonality); stacked over leading axes."""
+    if Q is None or Q.shape[-1] == 0:
         return V
     for _ in range(2):
-        V = V - Q @ (Q.T @ V)
+        V = V - Q @ (Q.mT @ V)
     return V
 
 
-def _position_unit(jets: J.Jet) -> np.ndarray:
-    f = jets.value
-    norm = float(np.linalg.norm(f))
-    if abs(norm - 1.0) > SPHERE_NORM_TOL:
-        raise InvalidData(
-            f"sphere chart value has norm {norm!r}, not 1 within {SPHERE_NORM_TOL}")
-    return f / norm
+def _tangent_stage(chart: ImmersionChart, jets: J.Jet, eps_deg: float
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first stage of the flag at every row of a chart jet of shape
+    (P, N): the mask of regular rows (P,), and on the regular rows only the
+    metric (R, m, m) and the orthonormal columns of position (sphere charts)
+    plus tangent space (R, N, k). Raises InvalidData when a finite row of a
+    sphere chart is off the unit sphere."""
+    m = chart.domain_dim
+    finite = np.isfinite(jets.coeffs.reshape(len(jets), -1)).all(axis=1)
+    c = jets.coeffs[finite]
+    position = None
+    if chart.ambient == "sphere":
+        norm = np.linalg.norm(c[..., 0], axis=-1)
+        off = np.abs(norm - 1.0) > SPHERE_NORM_TOL
+        if off.any():
+            raise InvalidData(f"sphere chart value has norm {norm[off][0]!r}, "
+                              f"not 1 within {SPHERE_NORM_TOL}")
+        position = c[..., :1] / norm[:, None, None]
+    # first partials in coordinate order: degree-1 coefficients, factorial 1
+    P1 = c[..., 1 + _table_columns(m, 1)]
+    G = P1.mT @ P1
+    keep = ~(np.linalg.eigvalsh(G)[:, 0] < eps_deg)
+    regular = finite.copy()
+    regular[finite] = keep
+    if position is not None:
+        position = position[keep]
+    U = np.linalg.svd(_project_out(position, P1[keep]),
+                      full_matrices=False)[0][..., :m]
+    Q = U if position is None else np.concatenate([position, U], axis=-1)
+    return regular, G[keep], Q
+
+
+def _flag_depth(max_order: int | None) -> int:
+    if max_order is None:
+        return DEFAULT_JET_ORDER - 1
+    if max_order < 1:
+        raise OrderOutOfRange("flag depth must be at least 1")
+    return max_order
 
 
 @dataclasses.dataclass
@@ -188,19 +240,13 @@ class OsculatingFlag:
 def _flag_from_jets(chart: ImmersionChart, point, jets: J.Jet,
                     max_order: int, eps_rank: float, eps_deg: float) -> OsculatingFlag:
     m, N = chart.domain_dim, chart.ambient_dim
-    position = _position_unit(jets) if chart.ambient == "sphere" else None
-    Q = None if position is None else position[:, None]
-
-    P1 = _partials(jets, 1)
-    G = P1.T @ P1
-    if float(np.linalg.eigvalsh(G)[0]) < eps_deg:
+    regular, _, Q = _tangent_stage(chart, jets[None], eps_deg)
+    if not regular[0]:
         raise DegeneratePoint(f"metric degenerate at {tuple(point)}")
-    R = _project_out(Q, P1)
-    U, sv, _ = np.linalg.svd(R, full_matrices=False)
-    tangent = U[:, :m]
-    bases = [tangent]
+    Q = Q[0]
+    position = Q[:, 0] if chart.ambient == "sphere" else None
+    bases = [Q[:, -m:]]
     dims = [m]
-    Q = tangent if Q is None else np.concatenate([Q, tangent], axis=1)
 
     for s in range(2, max_order + 2):
         C = _partials(jets, s)
@@ -230,10 +276,7 @@ def osculating_flag(chart: ImmersionChart, point: Sequence[float],
                     eps_rank: float = EPS_RANK,
                     eps_deg: float = EPS_DEG) -> OsculatingFlag:
     """Flag of normal spaces at a point, from partials up to max_order + 1."""
-    if max_order is None:
-        max_order = DEFAULT_JET_ORDER - 1
-    if max_order < 1:
-        raise OrderOutOfRange("flag depth must be at least 1")
+    max_order = _flag_depth(max_order)
     jets = chart.eval_jets(point, max_order + 1)
     return _flag_from_jets(chart, point, jets, max_order, eps_rank, eps_deg)
 
@@ -257,14 +300,10 @@ class FundamentalForms:
 
 def _forms_from_jets(chart: ImmersionChart, point, jets: J.Jet,
                      flag: OsculatingFlag, max_s: int) -> FundamentalForms:
-    N, m = chart.ambient_dim, jets.space.nvars
     # symmetric tables of s-th partials, shape (m,)*s + (N,)
-    tables = {s: _partials(jets, s).T[_table_columns(m, s)]
+    tables = {s: _form_table(jets, s, None if s == 1 else
+                             flag.stack(through=min(s - 2, flag.tau)))
               for s in range(1, max_s + 1)}
-    for s in range(2, max_s + 1):
-        T = tables[s]
-        Q = flag.stack(through=min(s - 2, flag.tau))
-        tables[s] = _project_out(Q, T.reshape(-1, N).T).T.reshape(T.shape)
     return FundamentalForms(point=tuple(float(x) for x in point),
                             metric=tables[1] @ tables[1].T, tables=tables,
                             flag=flag)
@@ -467,10 +506,7 @@ def isotropy_order(chart: ImmersionChart, point: Sequence[float],
 def _point_row(chart: ImmersionChart, point: Sequence[float], tol: float,
                eps_rank: float, max_order: int | None, eps_deg: float) -> dict:
     """point_report's row at a regular point; raises DegeneratePoint."""
-    if max_order is None:
-        max_order = DEFAULT_JET_ORDER - 1
-    if max_order < 1:
-        raise OrderOutOfRange("flag depth must be at least 1")
+    max_order = _flag_depth(max_order)
     jets = chart.eval_jets(point, max_order + 1)
     flag = _flag_from_jets(chart, point, jets, max_order, eps_rank, eps_deg)
     forms = _forms_from_jets(chart, point, jets, flag, max(flag.tau + 1, 2))
@@ -534,15 +570,17 @@ def nicely_curved_certificate(chart: ImmersionChart,
                               max_order: int | None = None,
                               eps_rank: float = EPS_RANK,
                               eps_deg: float = EPS_DEG) -> dict:
-    """Check that flag dimensions are constant across a sample grid."""
+    """Check that flag dimensions are constant across a sample grid; the
+    grid is read off one batched chart evaluation."""
     if counts is None:
         counts = (9,) * chart.domain_dim
+    max_order = _flag_depth(max_order)
+    points = grid_points(grid_axes(chart, counts))
     dims = []
-    for p in grid_points(grid_axes(chart, counts)):
+    for p, jets in zip(points, chart.eval_jets(points, max_order + 1)):
         try:
-            dims.append(osculating_flag(chart, p, max_order=max_order,
-                                        eps_rank=eps_rank,
-                                        eps_deg=eps_deg).dims)
+            dims.append(_flag_from_jets(chart, p, jets, max_order, eps_rank,
+                                        eps_deg).dims)
         except DegeneratePoint:
             dims.append(None)
     return flag_certificate(dims)

@@ -3,16 +3,19 @@
 A Jet holds the Taylor coefficients of a smooth function at a point, on
 every multi-index of total degree <= order, for 1 to 3 variables. The
 function may be array-valued: the coefficients carry a leading shape (a
-chart evaluates to one jet of shape (ambient_dim,)), and arithmetic,
-differentiation and truncation broadcast over it. The expansion point
-itself is not stored; coefficients are relative offsets. Multiplication is
-truncated convolution driven by a precomputed index table, composition
-(sqrt, recip, sin, cos) of a scalar jet is a Horner evaluation of the outer
-Taylor series in jet arithmetic, and differentiation shifts coefficients
+chart evaluated at one point gives a jet of shape (ambient_dim,)), and
+arithmetic, differentiation and truncation broadcast over it. A batch of
+points is one more leading axis: a chart evaluated at P points gives one
+jet of shape (P, ambient_dim). The expansion point itself is not stored;
+coefficients are relative offsets. Multiplication is truncated convolution
+driven by a precomputed index table, composition (sqrt, recip, sin, cos)
+is a Horner evaluation of the outer Taylor series in jet arithmetic,
+elementwise over the leading shape, and differentiation shifts coefficients
 down one order. sqrt and recip demand a constant term bounded away from
-zero (eps = 1e-10 by default); violating that raises DegenerateValue, which
-chart-level code surfaces as a degenerate point. The jet of Re Phi(x0 + i x1)
-for a holomorphic Phi is read off Phi's derivatives in closed form.
+zero (eps = 1e-10 by default) at every element; violating that raises
+DegenerateValue, so batched callers mask such elements out before
+composing. The jet of Re Phi(x0 + i x1) for a holomorphic Phi is read off
+Phi's derivatives in closed form.
 """
 from __future__ import annotations
 
@@ -202,14 +205,15 @@ def jet_stack(jets: Sequence[Jet]) -> Jet:
     return Jet(jets[0].space, np.stack([j.coeffs for j in jets]))
 
 
-def jet_variable(space: JetSpace, var: int, value: float) -> Jet:
-    """Jet of the coordinate function x_var at a point where it equals value."""
+def jet_variable(space: JetSpace, var: int, value) -> Jet:
+    """Jet of the coordinate function x_var at a point where it equals value;
+    an array of values gives a jet of its shape, one point per element."""
     if not 0 <= var < space.nvars:
         raise DimensionMismatch(f"no variable {var} in a {space.nvars}-jet")
     x = jet_constant(space, value)
     if space.order >= 1:
         unit = tuple(1 if i == var else 0 for i in range(space.nvars))
-        x.coeffs[space.pos[unit]] = 1.0
+        x.coeffs[..., space.pos[unit]] = 1.0
     return x
 
 
@@ -263,25 +267,31 @@ def jet_truncate(a: Jet, order: int) -> Jet:
     return Jet(low, a.coeffs[..., :low.size].copy())
 
 
-def _outer_series(kind: str, a0: float, order: int, eps: float) -> list[float]:
-    # Taylor coefficients of the outer function at a0, up to the jet order.
+def _outer_series(kind: str, a0: np.ndarray, order: int,
+                  eps: float) -> list[np.ndarray]:
+    # Taylor coefficients of the outer function at every value in a0, up to
+    # the jet order: one array of a0's shape per power.
     if kind == "recip":
-        if abs(a0) <= eps:
-            raise DegenerateValue(f"recip at value {a0!r} within eps {eps!r}")
+        bad = np.abs(a0) <= eps
+        if bad.any():
+            raise DegenerateValue(
+                f"recip at value {a0[bad].flat[0]!r} within eps {eps!r}")
         c = [1.0 / a0]
         for _ in range(order):
             c.append(-c[-1] / a0)
         return c
     if kind == "sqrt":
-        if a0 <= eps:
-            raise DegenerateValue(f"sqrt at value {a0!r} within eps {eps!r}")
-        c = [math.sqrt(a0)]
+        bad = a0 <= eps
+        if bad.any():
+            raise DegenerateValue(
+                f"sqrt at value {a0[bad].flat[0]!r} within eps {eps!r}")
+        c = [np.sqrt(a0)]
         e = 0.5
         for j in range(1, order + 1):
             c.append(c[-1] * (e - j + 1) / (j * a0))
         return c
     if kind in ("sin", "cos"):
-        cycle = [math.sin(a0), math.cos(a0), -math.sin(a0), -math.cos(a0)]
+        cycle = [np.sin(a0), np.cos(a0), -np.sin(a0), -np.cos(a0)]
         shift = 0 if kind == "sin" else 1
         return [cycle[(j + shift) % 4] / math.factorial(j)
                 for j in range(order + 1)]
@@ -289,11 +299,11 @@ def _outer_series(kind: str, a0: float, order: int, eps: float) -> list[float]:
 
 
 def jet_compose(kind: str, a: Jet, eps: float = EPS_DEG) -> Jet:
-    """Compose an outer function (sqrt, recip, sin, cos) with a scalar jet."""
-    if a.shape:
-        raise ShapeMismatch(f"{kind} composes scalar jets, got shape {a.shape}")
-    series = _outer_series(kind, float(a.value), a.space.order, eps)
-    offset = a - a.value
+    """Compose an outer function (sqrt, recip, sin, cos) with a jet,
+    elementwise over its leading shape."""
+    a0 = a.coeffs[..., 0]
+    series = _outer_series(kind, a0, a.space.order, eps)
+    offset = a - a0
     acc = jet_constant(a.space, series[-1])
     for c in reversed(series[:-1]):
         acc = jet_mul(acc, offset) + c

@@ -105,10 +105,13 @@ class WeierstrassData:
     def from_json(cls, doc: dict) -> "WeierstrassData":
         if not isinstance(doc, dict) or "n" not in doc:
             raise InvalidData("Weierstrass data must be an object with 'n'")
-        try:
-            n = int(doc["n"])
-        except (TypeError, ValueError):
-            raise InvalidData(f"n must be an integer, got {doc.get('n')!r}")
+        n = doc["n"]
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise InvalidData(f"n must be an integer, got {n!r}")
+        final = doc.get("final_integration", True)
+        if not isinstance(final, bool):
+            raise InvalidData(
+                f"final_integration must be a boolean, got {final!r}")
         consts = doc.get("int_constants") or {}
         if not isinstance(consts, dict):
             raise InvalidData("int_constants must be an object")
@@ -121,7 +124,7 @@ class WeierstrassData:
                    beta1=cp.poly_from_json(doc.get("beta1", [[1.0, 0.0]])),
                    beta2=cp.poly_from_json(doc.get("beta2", [[1.0, 0.0]])),
                    int_constants=consts,
-                   final_integration=bool(doc.get("final_integration", True)))
+                   final_integration=final)
 
 
 @dataclasses.dataclass
@@ -150,9 +153,11 @@ def surface_chart(components: cp.PolyVec, name: str = "",
                   domain: tuple = ((-1.0, 1.0), (-1.0, 1.0))) -> ImmersionChart:
     """Chart (u, v) -> Re Phi(u + iv) for a complex polynomial curve Phi.
 
-    The derivatives of each component are computed once, here; evaluation
-    reads the vector jet off their values at z = u + iv, one row per
-    component (`jet.jet_holomorphic_re`)."""
+    The derivatives of each component are computed once, here, as one
+    coefficient table; evaluation multiplies the powers of z = u + iv at
+    every point of a batch by that table (one matrix product for all
+    components and derivatives) and reads the vector jets off the values
+    (`jet.jet_holomorphic_re`)."""
     chains = []
     for p in components:
         chain = []
@@ -160,14 +165,23 @@ def surface_chart(components: cp.PolyVec, name: str = "",
             chain.append(p)
             p = cp.poly_diff(p)
         chains.append(chain)
+    degree = max((len(c) - 1 for c in chains), default=0)
+    # table[e, i, k]: coefficient of z^e in the k-th derivative of component
+    # i (zero past the end of its chain)
+    table = np.zeros((degree + 1, len(chains), degree + 1), dtype=complex)
+    for i, chain in enumerate(chains):
+        for k, p in enumerate(chain):
+            table[:len(p.coeffs), i, k] = p.coeffs
+    table = table.reshape(degree + 1, -1)
 
-    def jet_fn(point, space):
-        z = complex(point[0], point[1])
-        derivs = np.zeros((len(chains), space.order + 1), dtype=complex)
-        for i, chain in enumerate(chains):
-            for k, p in enumerate(chain[:space.order + 1]):
-                derivs[i, k] = cp.poly_eval(p, z)
-        return J.jet_holomorphic_re(space, derivs)
+    def jet_fn(points, space):
+        z = points[:, 0] + 1j * points[:, 1]
+        derivs = (z[:, None] ** np.arange(degree + 1)) @ table
+        derivs = derivs.reshape(len(z), len(chains), degree + 1)
+        if space.order > degree:
+            derivs = np.pad(derivs, ((0, 0), (0, 0),
+                                     (0, space.order - degree)))
+        return J.jet_holomorphic_re(space, derivs[..., :space.order + 1])
 
     return ImmersionChart(domain_dim=2, ambient_dim=len(chains),
                           ambient="euclidean", jet_fn=jet_fn,

@@ -7,12 +7,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 import isomin.geometry as geo
 import isomin.jet as J
-from isomin.bundles import (bundle_point_report, relative_nullity,
-                            splitting_tensor, unit_normal_chart,
-                            unit_tangent_chart)
+from isomin.bundles import (bundle_point_report, bundle_rows,
+                            relative_nullity, splitting_tensor,
+                            unit_normal_chart, unit_tangent_chart)
 from isomin.catalog import (demo_weierstrass_data, make_fixture,
-                            make_geodesic_sphere, make_great_sphere,
-                            make_plane, make_veronese,
+                            make_geodesic_sphere, make_graph,
+                            make_great_sphere, make_plane, make_veronese,
                             random_weierstrass_data)
 from isomin.errors import (DegeneratePoint, FlagCollapse, InvalidData,
                            NullityJump, ShapeMismatch)
@@ -156,12 +156,13 @@ def test_polar_veronese_minimal_nullity_one(polar_ver):
 
 def test_unit_normal_chart_reads_the_centre_off_one_evaluation(monkeypatch):
     """One evaluation at the domain centre gives the flag probe and the top
-    ellipse; the 9x9 certificate adds one evaluation per grid point."""
+    ellipse; the 9x9 certificate adds one point per grid point. Counts are
+    in points: the certificate reads its grid off one batched call."""
     calls = []
     real = geo.ImmersionChart.eval_jets
 
     def counted(chart, point, order):
-        calls.append(chart.name)
+        calls.extend([chart.name] * len(np.reshape(point, (-1, 2))))
         return real(chart, point, order)
 
     monkeypatch.setattr(geo.ImmersionChart, "eval_jets", counted)
@@ -182,16 +183,16 @@ def _small_sphere_surface() -> ImmersionChart:
     """Umbilic 2-sphere of radius pi/4 in S^4: rank-1 first normal space."""
     cr = sr = math.sqrt(0.5)
 
-    def jet_fn(point, space):
-        u = J.jet_variable(space, 0, point[0])
-        v = J.jet_variable(space, 1, point[1])
+    def jet_fn(points, space):
+        u = J.jet_variable(space, 0, points[:, 0])
+        v = J.jet_variable(space, 1, points[:, 1])
         u2, v2 = J.jet_mul(u, u), J.jet_mul(v, v)
         inv = J.jet_recip(u2 + v2 + 1.0)
-        return J.jet_stack([J.jet_constant(space, cr),
+        return J.jet_stack([J.jet_constant(space, np.full(len(points), cr)),
                             sr * 2.0 * J.jet_mul(u, inv),
                             sr * 2.0 * J.jet_mul(v, inv),
                             sr * J.jet_mul(1.0 - u2 - v2, inv),
-                            J.jet_constant(space, 0.0)])
+                            J.jet_constant(space, np.zeros(len(points)))]).T
 
     return ImmersionChart(domain_dim=2, ambient_dim=5, ambient="sphere",
                           jet_fn=jet_fn, domain=((-0.5, 0.5), (-0.5, 0.5)),
@@ -202,18 +203,18 @@ def _bent_sphere_surface() -> ImmersionChart:
     """Normalized graph over a sphere chart: substantial first normal plane
     but a visibly non-circular first curvature ellipse."""
 
-    def jet_fn(point, space):
-        u = J.jet_variable(space, 0, point[0])
-        v = J.jet_variable(space, 1, point[1])
+    def jet_fn(points, space):
+        u = J.jet_variable(space, 0, points[:, 0])
+        v = J.jet_variable(space, 1, points[:, 1])
         comps = [u, v,
                  J.jet_mul(u, u) - 0.25 * J.jet_mul(v, v),
                  J.jet_mul(u, v),
-                 J.jet_constant(space, 1.0)]
+                 J.jet_constant(space, np.ones(len(points)))]
         norm2 = comps[0] * comps[0]
         for c in comps[1:]:
             norm2 = norm2 + J.jet_mul(c, c)
         scale = J.jet_recip(J.jet_sqrt(norm2))
-        return J.jet_stack([J.jet_mul(c, scale) for c in comps])
+        return J.jet_stack([J.jet_mul(c, scale) for c in comps]).T
 
     return ImmersionChart(domain_dim=2, ambient_dim=5, ambient="sphere",
                           jet_fn=jet_fn, domain=((-0.3, 0.3), (-0.3, 0.3)),
@@ -287,23 +288,21 @@ def _reparametrized(chart: ImmersionChart, phi) -> ImmersionChart:
     """The 3-chart x -> chart(phi(x)), with phi a map of jets. Taylor
     composition: chart(phi(x)) = sum_beta c_beta (phi(x) - phi(x0))^beta."""
 
-    def jet_fn(point, space):
-        ys = phi([J.jet_variable(space, i, x) for i, x in enumerate(point)])
+    def jet_fn(points, space):
+        ys = phi([J.jet_variable(space, i, x) for i, x in enumerate(points.T)])
         delta = [y - y.value for y in ys]
         monomials = []
         for beta in space.indices:
-            term = J.jet_constant(space, 1.0)
+            term = J.jet_constant(space, np.ones(len(points)))
             for d, k in zip(delta, beta):
                 for _ in range(k):
                     term = J.jet_mul(term, d)
             monomials.append(term)
-        out = []
-        for comp in chart.jet_fn(tuple(y.value for y in ys), space):
-            acc = J.jet_constant(space, 0.0)
-            for c, term in zip(comp.coeffs, monomials):
-                acc = acc + float(c) * term
-            out.append(acc)
-        return J.jet_stack(out)
+        inner = chart.jet_fn(np.stack([y.value for y in ys], axis=1), space)
+        acc = J.jet_constant(space, np.zeros(inner.shape))
+        for c, term in zip(np.moveaxis(inner.coeffs, -1, 0), monomials):
+            acc = acc + term[:, None] * c
+        return acc
 
     return ImmersionChart(domain_dim=3, ambient_dim=chart.ambient_dim,
                           ambient=chart.ambient, jet_fn=jet_fn,
@@ -432,3 +431,79 @@ def test_nullity_leaves_are_the_fiber_circles(seed, kind, frac, theta,
     assert abs(sp.u - 1.0) < 1e-9
     assert abs(sp.v) < 1e-9
     assert abs(sp.fiber_alignment - 1.0) < 1e-9
+
+
+def _assert_sweep_matches_single_points(chart, points) -> list[dict]:
+    """bundle_rows on a batch against bundle_point_report at each point:
+    identical singular flags, nu and point, H and sv within 1e-12."""
+    rows = bundle_rows(chart, points)
+    assert len(rows) == len(points)
+    for row, p in zip(rows, points):
+        ref = bundle_point_report(chart, p)
+        assert (row["point"], row["singular"], row["nu"], row["tg"]) == (
+            ref["point"], ref["singular"], ref["nu"], ref["tg"])
+        if ref["singular"]:
+            assert row == ref
+        else:
+            assert abs(row["H"] - ref["H"]) <= 1e-12
+            np.testing.assert_allclose(row["sv"], ref["sv"], rtol=0,
+                                       atol=1e-12)
+    return rows
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(["bipolar", "polar"]),
+       seed=st.integers(0, 2**32 - 1), n=st.sampled_from([5, 6]),
+       frac=st.tuples(st.floats(0.1, 0.9), st.floats(0.1, 0.9)),
+       half=st.floats(0.01, 0.3),
+       counts=st.tuples(st.integers(1, 3), st.integers(1, 3),
+                        st.integers(1, 4)))
+def test_batched_sweep_matches_single_points(polar_ver, kind, seed, n, frac,
+                                             half, counts):
+    if kind == "bipolar":
+        bc = unit_tangent_chart(generate_surface(
+            random_weierstrass_data(np.random.default_rng(seed), n)).chart)
+    else:
+        bc = polar_ver
+    centre = [lo + (hi - lo) * f for (lo, hi), f in zip(bc.base.domain, frac)]
+    ranges = [(c - half, c + half) for c in centre] + [(0.0, 2.0 * math.pi)]
+    points = geo.grid_points(geo.grid_axes(bc.chart, counts, ranges))
+    _assert_sweep_matches_single_points(bc.chart, points)
+
+
+def test_batched_sweep_with_singular_rows():
+    """A mixed batch (curve-2-3-pad1 at the default grid: the 8 rows over
+    z = 0 are singular) and an all-singular one (the plane)."""
+    bc = unit_tangent_chart(make_fixture("curve-2-3-pad1"))
+    points = geo.grid_points(geo.grid_axes(bc.chart, (5, 5, 8)))
+    rows = _assert_sweep_matches_single_points(bc.chart, points)
+    singular = [r["point"][:2] for r in rows if r["singular"]]
+    assert singular == [[0.0, 0.0]] * 8 and len(rows) == 200
+    plane = unit_tangent_chart(make_plane()).chart
+    points = geo.grid_points(geo.grid_axes(plane, (2, 3, 2)))
+    assert all(r["singular"]
+               for r in _assert_sweep_matches_single_points(plane, points))
+
+
+def test_batched_jets_match_single_points(bipolar_n5, polar_ver):
+    """The rows of one batched evaluation are the jets of each point within
+    1e-14; NaN rows (a degenerate frame) stay NaN."""
+    charts = [make_fixture(name) for name in (
+        "veronese", "plane", "great-sphere", "geodesic-sphere",
+        "curve-1-2-3", "curve-2-3-pad1")]
+    charts += [make_graph(0.5, -0.2, 0.3, extra=(0.1, 0.4, -0.3)),
+               generate_surface(demo_weierstrass_data(8)).chart,
+               bipolar_n5.chart, polar_ver.chart,
+               unit_tangent_chart(make_fixture("curve-2-3-pad1")).chart]
+    rng = np.random.default_rng(11)
+    for chart in charts:
+        lo, hi = np.array(chart.domain).T
+        points = lo + (hi - lo) * rng.uniform(0.1, 0.9, size=(5, len(lo)))
+        points[0, :2] = 0.5 * (lo[:2] + hi[:2])
+        for order in (0, 2, 4):
+            batch = chart.eval_jets(points, order)
+            assert batch.shape == (5, chart.ambient_dim)
+            for row, p in zip(batch, points):
+                np.testing.assert_allclose(
+                    row.coeffs, chart.eval_jets(p, order).coeffs,
+                    rtol=1e-14, atol=1e-14, equal_nan=True)

@@ -188,7 +188,7 @@ def test_export_projection_validation(tmp_path):
     assert run(["export", "--fixture", "veronese"]) == 1  # no --out
 
 
-def test_parser_edges():
+def test_parser_edges(tmp_path, capsys):
     assert run(["--help"]) == 0
     assert run([]) == 1
     assert run(["frobnicate"]) == 1
@@ -201,6 +201,16 @@ def test_parser_edges():
     assert run(["analyze", "--fixture", "plane", "--grid", "1:0:2,0:1:2"]) == 1
     assert run(["analyze", "--fixture", "plane", "--jet-order", "9"]) == 1
     assert run(["analyze", "--fixture", "torus"]) == 1
+    # a grid count is an integer, never truncated and never a boolean
+    cfgp = tmp_path / "cfg.json"
+    for count in (2.7, 2.0, True):
+        cfgp.write_text(json.dumps({"grid": [[0, 1, count], [0, 1, 2]]}))
+        capsys.readouterr()
+        assert run(["analyze", "--fixture", "plane", "--config", str(cfgp),
+                    "--out", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -307,11 +317,14 @@ def test_nan_mean_curvature_fails_and_report_is_strict_json(tmp_path,
     real = bundles.relative_nullity
     calls = []
 
-    def nan_at_first_point(chart, point, **kw):
-        rep = real(chart, point, **kw)
-        calls.append(point)
+    def nan_at_first_point(chart, points, **kw):
+        rep = real(chart, points, **kw)
+        calls.append(points)
         if len(calls) == 1:
-            rep = dataclasses.replace(rep, mean_curvature_norm=math.nan)
+            # the sweep is one batched call: NaN at its first point
+            H = rep.mean_curvature_norm.copy()
+            H[0] = math.nan
+            rep = dataclasses.replace(rep, mean_curvature_norm=H)
         return rep
 
     monkeypatch.setattr(bundles, "relative_nullity", nan_at_first_point)
@@ -356,12 +369,14 @@ def test_flags_override_config(tmp_path):
 
 
 def _count_evals(monkeypatch) -> list[int]:
-    """Domain dimension of the chart at every chart evaluation."""
+    """Domain dimension of the chart at every point of every chart
+    evaluation (a batched evaluation counts its points)."""
     calls = []
     real = geo.ImmersionChart.eval_jets
 
     def counted(chart, point, order):
-        calls.append(chart.domain_dim)
+        calls.extend([chart.domain_dim]
+                     * len(np.reshape(point, (-1, chart.domain_dim))))
         return real(chart, point, order)
 
     monkeypatch.setattr(geo.ImmersionChart, "eval_jets", counted)
@@ -520,3 +535,73 @@ def test_random_configs_exit_cleanly(command, config):
     if code == 1:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("command", ["bundle", "export"])
+def test_polar_export_and_bundle_apply_the_tolerances(tmp_path, capsys,
+                                                      command):
+    """export builds the polar chart with the run's tolerances, as bundle
+    does: a metric floor above every metric eigenvalue refuses the base."""
+    out = tmp_path / "out"
+    assert run([command, "--kind", "polar", "--fixture", "veronese",
+                "--tol", "eps_deg=100", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_surface_document_can_skip_the_final_integration(tmp_path):
+    """The final integration is skipped when the surface document, the
+    config field or the flag says so."""
+    surface = {"n": 5, "alpha0": [[[1, 0]]]}
+    cases = [({"surface": {**surface, "final_integration": False}}, [], False),
+             ({"surface": surface, "final_integration": False}, [], False),
+             ({"surface": surface}, ["--no-final-integration"], False),
+             ({"surface": {**surface, "final_integration": True}}, [], True)]
+    for config, flags, final in cases:
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(config))
+        out = tmp_path / "r.json"
+        code = run(["generate", "--config", str(cfgp), "--out", str(out)]
+                   + flags)
+        doc = load(out)
+        assert doc["final_integration"] is final
+        assert doc["data"]["final_integration"] is final
+        assert code == (0 if final else 2)
+
+
+def test_bundle_sweep_is_one_batched_evaluation(tmp_path, monkeypatch):
+    """A default bipolar n5 run evaluates the bundle chart once for the
+    200-point sweep, and the base once at the 25 distinct (u, v) of the
+    grid. The centre isotropy probe and the four splitting points come on
+    top, one point each. A per-point sweep loop fails this."""
+    base_calls, bundle_calls = [], []
+
+    def counting(fn, log):
+        def jet_fn(points, space):
+            log.append((space.nvars, np.array(points)))
+            return fn(points, space)
+        return jet_fn
+
+    real_resolve, real_tangent = cli.resolve_chart, bundles.unit_tangent_chart
+
+    def resolve(cfg):
+        base = real_resolve(cfg)
+        base.jet_fn = counting(base.jet_fn, base_calls)
+        return base
+
+    def tangent(base, *args, **kwargs):
+        bc = real_tangent(base, *args, **kwargs)
+        bc.chart.jet_fn = counting(bc.chart.jet_fn, bundle_calls)
+        return bc
+
+    monkeypatch.setattr(cli, "resolve_chart", resolve)
+    monkeypatch.setattr(bundles, "unit_tangent_chart", tangent)
+    assert run(["bundle", "--kind", "bipolar", "--fixture", "n5",
+                "--out", str(tmp_path / "r.json")]) == 0
+    assert [len(p) for _, p in bundle_calls] == [200, 1, 1, 1, 1]
+    (probe_vars, probe), (sweep_vars, sweep), *split = base_calls
+    assert (probe_vars, probe.shape) == (2, (1, 2))
+    assert (sweep_vars, sweep.shape) == (3, (25, 2))
+    assert len(np.unique(sweep, axis=0)) == 25
+    assert [(nv, p.shape) for nv, p in split] == [(3, (1, 2))] * 4

@@ -318,7 +318,8 @@ def test_eval_jets_needs_one_vector_jet():
                                   ambient="euclidean", jet_fn=jet_fn,
                                   domain=((-1.0, 1.0), (-1.0, 1.0)))
 
-    good = chart_of(lambda p, sp: J.jet_constant(sp, np.arange(3.0)))
+    good = chart_of(lambda p, sp: J.jet_constant(
+        sp, np.arange(3.0) + np.zeros((len(p), 1))))
     assert good.eval_jets((0.1, 0.2), 2).shape == (3,)
     assert np.array_equal(good.value((0.1, 0.2)), [0.0, 1.0, 2.0])
     for bad in (lambda sp: [J.jet_constant(sp, 0.0)] * 3,

@@ -193,7 +193,7 @@ def _assert_matches_horner(components, chart, point):
         for order in range(7):
             sp = J.get_space(nvars, order)
             third = [p for p, m in enumerate(sp.indices) if any(m[2:])]
-            got = chart.jet_fn(point, sp)
+            got = chart.jet_fn(np.array([point], dtype=float), sp)[0]
             ref = holomorphic_jets_horner(components, point, sp)
             assert len(got) == len(ref)
             for g, r in zip(got, ref):
@@ -309,12 +309,23 @@ def test_jet_stack_rejects_mixed_spaces_and_shapes():
         J.jet_stack([])
 
 
-def test_compose_rejects_vector_jets():
-    sp = J.get_space(2, 2)
-    v = J.jet_constant(sp, np.array([1.0, 2.0]))
+def test_compose_is_elementwise_on_vector_jets():
+    """Composition acts on each element of a jet's leading shape as on a
+    scalar jet; one degenerate element is still DegenerateValue."""
+    sp = J.get_space(2, 3)
+    rng = np.random.default_rng(9)
+    v = _random_jet(rng, sp, (4, 2))
+    v = v - v.value + rng.uniform(0.5, 2.0, size=(4, 2))
     for fn in (J.jet_sqrt, J.jet_recip, J.jet_sin, J.jet_cos):
-        with pytest.raises(ShapeMismatch):
-            fn(v)
+        got = fn(v)
+        assert got.shape == (4, 2)
+        for i in range(4):
+            for j in range(2):
+                np.testing.assert_allclose(got[i, j].coeffs,
+                                           fn(v[i, j]).coeffs,
+                                           rtol=1e-15, atol=1e-15)
+    with pytest.raises(DegenerateValue):
+        J.jet_sqrt(v - v.value)
 
 
 def test_batched_holomorphic_jets_match_per_row_calls():
@@ -329,3 +340,17 @@ def test_batched_holomorphic_jets_match_per_row_calls():
                                   J.jet_holomorphic_re(sp, d).coeffs)
         with pytest.raises(ShapeMismatch):
             J.jet_holomorphic_re(sp, derivs[:, :4])
+
+
+def test_variable_with_array_values_matches_scalar_calls():
+    """An array of values gives one coordinate jet per value: the same
+    coefficients as one scalar call each, in every space."""
+    values = np.array([0.1, 0.2, 0.3])
+    for nvars, order in ((1, 2), (2, 2), (3, 3), (2, 0)):
+        sp = J.get_space(nvars, order)
+        for var in range(nvars):
+            got = J.jet_variable(sp, var, values)
+            assert got.shape == (3,)
+            for row, x in zip(got, values):
+                assert np.array_equal(row.coeffs,
+                                      J.jet_variable(sp, var, x).coeffs)

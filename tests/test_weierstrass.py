@@ -159,3 +159,20 @@ def test_surface_report_json():
     assert set(doc["residuals"]) == {"alpha1_null", "alpha2_null",
                                      "alpha2_derivative_null"}
     assert len(doc["alpha2"]) == 4
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 4.9}, {"n": 5.0, "alpha0": [[[1, 0]]]}, {"n": "5"}, {"n": True},
+    {"n": 4, "final_integration": 0}, {"n": 4, "final_integration": "no"},
+    {"n": 4, "final_integration": None},
+])
+def test_from_json_rejects_non_integer_n_and_non_boolean_flag(doc):
+    with pytest.raises(InvalidData):
+        W.WeierstrassData.from_json(doc)
+
+
+def test_from_json_keeps_final_integration():
+    for final in (True, False):
+        data = demo_weierstrass_data(5, final_integration=final)
+        back = W.WeierstrassData.from_json(data.to_json())
+        assert back.final_integration is final
