@@ -18,6 +18,9 @@ dimensions. Points where a pivot degenerates are masked per point, never
 composed with sqrt or recip, and come out of the chart as NaN rows, which
 the geometry files as singular. Relative nullity is batched the same way:
 one evaluation and one stacked pass give every row of a sweep.
+Metric-orthonormal frames (the nullity pass, the horizontal plane of the
+splitting tensor) are Gram-Schmidt of given vectors in order, by one
+Cholesky factorization (`geometry._metric_frame`).
 """
 from __future__ import annotations
 
@@ -225,22 +228,21 @@ def _nullity(chart: ImmersionChart, points: np.ndarray, jets: J.Jet,
              eps_rank: float, eps_deg: float) -> NullityReport:
     """The report at every row of a chart jet of shape (P, N), order >= 2:
     the metric check and the second form projected off position and
-    tangent space, then stacked eigh and SVD over the regular rows."""
+    tangent space, then the stacked metric frame and SVD over the regular
+    rows."""
     P, m = points.shape
     regular, G, Q = geo._tangent_stage(chart, jets, eps_deg)
     A = geo._form_table(jets[regular], 2, Q)          # (R, m, m, N)
-    lam, V = np.linalg.eigh(G)
-    # columns of W = a metric-orthonormal frame, W = G^(-1/2)
-    W = (V * (1.0 / np.sqrt(lam))[:, None, :]) @ V.mT
-    aorth = np.einsum("rki,rlj,rkla->rija", W, W, A)
+    E = geo._metric_frame(G, np.eye(m))
+    aorth = np.einsum("rki,rlj,rkla->rija", E, E, A)
     U, sv, _ = np.linalg.svd(aorth.reshape(len(G), m, m * chart.ambient_dim),
                              full_matrices=False)
     thr = eps_rank * np.maximum(1.0, sv[:, 0])
     nu = np.zeros(P, dtype=int)
     nu[regular] = np.sum(sv < thr[:, None], axis=1)
-    WU = np.zeros((P, m, m))
-    WU[regular] = W @ U
-    kernel = tuple(WU[i][:, m - nu[i]:] for i in range(P))
+    EU = np.zeros((P, m, m))
+    EU[regular] = E @ U
+    kernel = tuple(EU[i][:, m - nu[i]:] for i in range(P))
     H = np.full(P, np.nan)
     H[regular] = np.linalg.norm(np.trace(aorth, axis1=1, axis2=2), axis=-1)
     svs = np.full((P, m), np.nan)
@@ -330,25 +332,6 @@ def _nullity_field(c: ImmersionChart, jets: J.Jet, eps_rank: float
     return t * inv, G, det
 
 
-def _horizontal_frame(G: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Rows X1, X2: metric-orthonormal, orthogonal to T, by Gram-Schmidt on
-    the two coordinate axes least aligned with T."""
-    scores = [abs(float(G[k] @ T)) / math.sqrt(float(G[k, k]))
-              for k in range(3)]
-    frame = []
-    for k in np.argsort(scores)[:2]:
-        x = np.zeros(3)
-        x[k] = 1.0
-        x = x - float(x @ G @ T) * T
-        for w in frame:
-            x = x - float(x @ G @ w) * w
-        n2 = float(x @ G @ x)
-        if n2 <= 0:
-            raise DegeneratePoint("horizontal frame degenerates")
-        frame.append(x / math.sqrt(n2))
-    return np.stack(frame)
-
-
 def splitting_tensor(chart: ImmersionChart, point: Sequence[float],
                      eps_rank: float = geo.EPS_RANK,
                      eps_deg: float = geo.EPS_DEG) -> SplittingReport:
@@ -397,7 +380,11 @@ def splitting_tensor(chart: ImmersionChart, point: Sequence[float],
         u = -u
 
     G0, T0, A = G.value, T.value, cov.value
-    X = _horizontal_frame(G0, T0)
+    # rows X1, X2: metric-orthonormal and orthogonal to T, by Gram-Schmidt
+    # on T and the two coordinate axes least aligned with it
+    scores = np.abs(G0 @ T0) / np.sqrt(np.diagonal(G0))
+    axes = np.eye(3)[:, np.argsort(scores)[:2]]
+    X = geo._metric_frame(G0, np.column_stack([T0, axes]))[:, 1:].T
     C = -X @ A.T @ X.T  # C[b, a] = -<X_b, nabla_(X_a) T>
     if C[0, 1] < C[1, 0]:  # orient the frame so that u >= 0
         X[1] = -X[1]

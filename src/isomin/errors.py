@@ -41,11 +41,6 @@ class OrderOutOfRange(IsominError):
     """A curvature ellipse order outside the available flag was requested."""
 
 
-class AmbiguousKernel(IsominError):
-    """The ellipticity kernel is all of R^3 (vanishing second form) and the
-    totally geodesic convention was disabled."""
-
-
 class FlagCollapse(IsominError):
     """The osculating flag degenerates or changes dimension across the domain."""
 

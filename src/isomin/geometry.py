@@ -13,6 +13,10 @@ isotropy order. Conventions that the rest of the package relies on:
   where it is not defined, such as a bundle frame that degenerates) or
   the least metric eigenvalue is below eps_deg.
 
+* Metric-orthonormal frames are Gram-Schmidt of given vectors, in order,
+  in the induced metric, computed by one Cholesky factorization
+  (`_metric_frame`); the tangent frame of `ellipticity` is that of the
+  coordinate axes.
 * The osculating flag at a point is built by successive orthogonal
   complements: the span of the s-th partial derivatives, projected
   orthogonally to the position vector (sphere charts), the tangent space,
@@ -42,8 +46,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import jet as J
-from .errors import (DegeneratePoint, AmbiguousKernel, InvalidData,
-                     NotElliptic, OrderOutOfRange, ShapeMismatch)
+from .errors import (DegeneratePoint, InvalidData, NotElliptic,
+                     OrderOutOfRange, ShapeMismatch)
 
 EPS_DEG = J.EPS_DEG           # admissibility floor for metric eigenvalues
 EPS_RANK = 1e-8               # relative rank threshold for flag decisions
@@ -168,6 +172,19 @@ def _project_out(Q: np.ndarray | None, V: np.ndarray) -> np.ndarray:
     for _ in range(2):
         V = V - Q @ (Q.mT @ V)
     return V
+
+
+def _metric_frame(G: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt of the columns of B in the metric G, in order, stacked
+    over leading axes: B L^-T with L = chol(B^T G B), since the Cholesky
+    factor is unique. Raises DegeneratePoint where B^T G B is not positive
+    definite."""
+    try:
+        L = np.linalg.cholesky(B.mT @ G @ B)
+    except np.linalg.LinAlgError:
+        raise DegeneratePoint("metric frame degenerates") from None
+    # not the view solve(L, B^T)^T: the nullity einsum is 3x slower on it
+    return B @ np.linalg.inv(L).mT
 
 
 def _tangent_stage(chart: ImmersionChart, jets: J.Jet, eps_deg: float
@@ -338,23 +355,6 @@ class EllipticityReport:
     totally_geodesic: bool
 
 
-def _orthonormal_frame(metric: np.ndarray) -> np.ndarray:
-    """Columns = coordinate components of a metric-orthonormal frame, built
-    by Gram-Schmidt from the coordinate basis."""
-    m = metric.shape[0]
-    cols = []
-    for i in range(m):
-        v = np.zeros(m)
-        v[i] = 1.0
-        for w in cols:
-            v = v - (w @ metric @ v) * w
-        n2 = float(v @ metric @ v)
-        if n2 <= 0:
-            raise DegeneratePoint("metric not positive definite")
-        cols.append(v / math.sqrt(n2))
-    return np.stack(cols, axis=1)
-
-
 def _disc_pair(p: np.ndarray, q: np.ndarray) -> float:
     # polarization of (a, b, c) -> ac - b^2
     return 0.5 * (p[0] * q[2] + q[0] * p[2]) - p[1] * q[1]
@@ -362,7 +362,6 @@ def _disc_pair(p: np.ndarray, q: np.ndarray) -> float:
 
 def ellipticity(chart: ImmersionChart, point: Sequence[float],
                 eps_rank: float = EPS_RANK,
-                geodesic_convention: bool = True,
                 forms: FundamentalForms | None = None) -> EllipticityReport:
     """Find the elliptic direction of the second fundamental form.
 
@@ -374,7 +373,7 @@ def ellipticity(chart: ImmersionChart, point: Sequence[float],
         raise ShapeMismatch("ellipticity is defined for surface charts")
     if forms is None:
         forms = fundamental_forms(chart, point, max_s=2)
-    E = _orthonormal_frame(forms.metric)
+    E = _metric_frame(forms.metric, np.eye(2))
     A = np.einsum("ia,jb,ijn->abn", E, E, forms.tables[2])
     M = np.stack([A[0, 0], 2.0 * A[0, 1], A[1, 1]], axis=1)  # (N, 3)
     U, sv, Vt = np.linalg.svd(M, full_matrices=True)
@@ -382,8 +381,6 @@ def ellipticity(chart: ImmersionChart, point: Sequence[float],
 
     if smax <= eps_rank:
         # alpha^2 = 0: every (a, b, c) annihilates it
-        if not geodesic_convention:
-            raise AmbiguousKernel("vanishing second fundamental form")
         Jm = np.array([[0.0, -1.0], [1.0, 0.0]])
         return EllipticityReport(True, (1.0, 0.0, 1.0), Jm, E, True)
 

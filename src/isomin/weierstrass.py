@@ -17,7 +17,9 @@ that reading is kept available for comparison.
 """
 from __future__ import annotations
 
+import cmath
 import dataclasses
+import math
 from typing import Sequence
 
 import numpy as np
@@ -44,10 +46,13 @@ def isotropic_step(alpha: Sequence[cp.ComplexPoly],
 
 def null_residual(v: Sequence[cp.ComplexPoly]) -> float:
     """Max |coefficient| of the bilinear self-product, relative to the
-    squared scale of the largest input coefficient."""
+    squared scale of the largest input coefficient; NaN when a coefficient
+    of v or of the product is not finite, so that no bound check passes."""
     dot = cp.bilinear_dot(v, v)
-    scale = max(1.0, cp.vec_max_abs_coeff(v)) ** 2
-    return dot.max_abs_coeff() / scale
+    if not all(cmath.isfinite(c) for p in (*v, dot) for c in p.coeffs):
+        return math.nan
+    scale = max(1.0, cp.vec_max_abs_coeff(v))
+    return dot.max_abs_coeff() / scale / scale
 
 
 @dataclasses.dataclass

@@ -2,7 +2,11 @@
 
 The metric and second form oracles work on chart values alone, with
 central finite differences (5-point, 4th order), so they share no
-derivative code with the jet-based forms. The splitting tensor oracle
+derivative code with the jet-based forms. The relative nullity oracle
+reads the singular values of X -> alpha(X, .) and |H| off those two, in
+the metric-orthonormal frame G^(-1/2) from an eigendecomposition, where
+`relative_nullity` uses a Cholesky (Gram-Schmidt) frame; the two frames
+differ by a rotation, which changes neither. The splitting tensor oracle
 differentiates the unit kernel field of `relative_nullity` by nested
 stencils, and builds the Christoffel symbols by stencils over the metric;
 it shares with the jet-based `splitting_tensor` only `relative_nullity` and
@@ -82,6 +86,18 @@ def second_form_fd(chart, point, h=STEP):
     flat = P2.reshape(-1, N)
     flat = flat - (flat @ Q) @ Q.T
     return flat.reshape(m, m, N)
+
+
+def nullity_fd(chart, point, h=STEP):
+    """(singular values of X -> alpha(X, .), |H|) at a point, from the
+    stencil metric and second form in the frame W = G^(-1/2)."""
+    G = metric_fd(chart, point, h)
+    A = second_form_fd(chart, point, h)
+    lam, V = np.linalg.eigh(G)
+    W = (V / np.sqrt(lam)) @ V.T
+    aorth = np.einsum("ki,lj,kla->ija", W, W, A)
+    sv = np.linalg.svd(aorth.reshape(len(G), -1), compute_uv=False)
+    return sv, float(np.linalg.norm(np.trace(aorth)))
 
 
 def curvature_ellipse_sampled(chart, point, ell, samples=64,

@@ -19,7 +19,7 @@ from isomin.errors import (DegeneratePoint, FlagCollapse, InvalidData,
 from isomin.geometry import ImmersionChart
 from isomin.weierstrass import generate_surface
 
-from oracles import splitting_fd
+from oracles import nullity_fd, splitting_fd
 
 
 @pytest.fixture(scope="module")
@@ -282,6 +282,36 @@ def test_splitting_tensor_matches_fd_oracle(bipolar_n5, polar_ver, which,
     assert sp.v == pytest.approx(sign * ref.v, abs=1e-6)
     assert np.allclose(sp.C, C_ref, atol=1e-6)
     assert sp.fiber_alignment == pytest.approx(ref.fiber_alignment, abs=1e-6)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(["bipolar", "polar", "geodesic-sphere"]),
+       frac=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95),
+                      st.floats(0.0, 1.0, exclude_max=True)))
+def test_relative_nullity_matches_fd_oracle(bipolar_n5, polar_ver, kind,
+                                            frac):
+    """The singular values and |H| of the nullity pass agree with the
+    stencil forms in an eigendecomposition frame within 1e-6 of the top
+    singular value; the geodesic sphere has nu = 0 and |H| = 3 cot r."""
+    chart = {"bipolar": bipolar_n5.chart, "polar": polar_ver.chart,
+             "geodesic-sphere": make_geodesic_sphere()}[kind]
+    point = tuple(lo + (hi - lo) * f for (lo, hi), f in zip(chart.domain,
+                                                            frac))
+    try:
+        rep = relative_nullity(chart, point)
+    except DegeneratePoint:
+        assume(False)
+    sv, H = nullity_fd(chart, point)
+    tol = 1e-6 * sv[0]
+    np.testing.assert_allclose(rep.singular_values, sv, rtol=0, atol=tol)
+    assert abs(rep.mean_curvature_norm - H) <= tol
+    if kind == "geodesic-sphere":
+        # radius pi/4: cot r = 1
+        assert rep.nu == 0 and sv[-1] > 0.5
+        assert rep.mean_curvature_norm == pytest.approx(3.0, abs=1e-10)
+        assert H == pytest.approx(3.0, abs=1e-6)
+    else:
+        assert rep.nu == 1
 
 
 def _reparametrized(chart: ImmersionChart, phi) -> ImmersionChart:

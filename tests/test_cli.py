@@ -343,6 +343,15 @@ def test_nan_mean_curvature_fails_and_report_is_strict_json(tmp_path,
     assert doc["verdicts"]["mean_curvature"] is False
     assert doc["verdicts"]["nullity"] is True
     assert doc["pass"] is False
+    # a non-finite null residual fails the identities the same way: input
+    # coefficients of 1e90 overflow the recursion
+    cfgp.write_text(json.dumps({"surface": {
+        "n": 5, "alpha0": [[[1e90, 0.0], [1e90, 1.0]]]}}))
+    out = tmp_path / "g.json"
+    assert run(["generate", "--config", str(cfgp), "--out", str(out)]) == 2
+    doc = json.loads(out.read_text(), parse_constant=reject)
+    assert doc["verdicts"]["identities"] is False
+    assert doc["residuals"]["alpha2_null"] is None
 
 
 def test_linalg_error_is_a_numerical_breakdown(tmp_path, capsys,

@@ -13,8 +13,8 @@ from isomin.catalog import (demo_weierstrass_data, make_fixture,
                             make_great_sphere, make_holomorphic_curve,
                             make_plane, make_veronese,
                             random_weierstrass_data)
-from isomin.errors import (AmbiguousKernel, DegeneratePoint, NotElliptic,
-                           OrderOutOfRange, ShapeMismatch)
+from isomin.errors import (DegeneratePoint, NotElliptic, OrderOutOfRange,
+                           ShapeMismatch)
 from isomin.weierstrass import generate_surface
 
 import oracles
@@ -141,13 +141,25 @@ def test_ellipticity_cases():
     assert np.allclose(rep.coeffs, (0.25, 0.0, 1.0), atol=1e-12)
 
 
+def test_ellipticity_frozen_off_the_identity_metric():
+    """Pins the frame convention where G != I: the tangent frame is
+    Gram-Schmidt of the coordinate axes in order, so it is upper
+    triangular with a positive diagonal."""
+    graph = make_graph(1.0, 0.3, -0.25, extra=(0.2, 0.5, 0.1))
+    rep = geo.ellipticity(graph, (0.3, -0.2))
+    np.testing.assert_allclose(
+        rep.coeffs, (0.3772077779841516, -0.2896059112174522, 1.0),
+        rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        rep.frame, [[0.8797691788472336, -0.07955086661053258],
+                    [0.0, 0.9807225158474052]], rtol=0, atol=1e-12)
+
+
 def test_ellipticity_totally_geodesic_convention():
     plane = make_plane()
     rep = geo.ellipticity(plane, (0.1, 0.1))
     assert rep.exists and rep.totally_geodesic
     assert np.allclose(rep.coeffs, (1.0, 0.0, 1.0))
-    with pytest.raises(AmbiguousKernel):
-        geo.ellipticity(plane, (0.1, 0.1), geodesic_convention=False)
 
 
 def test_ellipticity_J_squares_to_minus_one(n5):
