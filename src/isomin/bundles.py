@@ -142,7 +142,9 @@ def unit_normal_chart(base: ImmersionChart,
     if base.ambient != "sphere":
         raise InvalidData("unit normal charts take a spherical base")
     center = tuple((lo + hi) / 2.0 for lo, hi in base.domain)
-    probe = geo._point_row(base, center, circle_tol, eps_rank, None, eps_deg)
+    probe = geo.point_report(base, center, circle_tol, eps_rank, None, eps_deg)
+    if probe["singular"]:
+        raise DegeneratePoint(f"metric degenerate at {center}")
     tau = probe["tau"]
     if tau < 1:
         raise FlagCollapse("base has no first normal space (totally geodesic)")

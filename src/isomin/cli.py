@@ -273,8 +273,9 @@ def cmd_generate(cfg) -> int:
     ident_ok = ident_max <= tols["null"]
 
     spots = []
-    for p in SPOT_POINTS:
-        row = geo.point_report(rep.chart, p, tol=tols["circle"], **_eps(tols))
+    rows = geo.point_rows(rep.chart, SPOT_POINTS, tol=tols["circle"],
+                          **_eps(tols))
+    for p, row in zip(SPOT_POINTS, rows):
         # no first normal space leaves e1 unchecked; a point that is not
         # elliptic cannot be minimal
         res = [e["residual"] for e in row["ellipses"]] or [1.0]
@@ -318,9 +319,8 @@ def cmd_analyze(cfg) -> int:
                           "3-dimensional charts")
     axes, grid_doc = _axes_for(chart, cfg)
     max_order = None if cfg["jet_order"] is None else cfg["jet_order"] - 1
-    rows = [geo.point_report(chart, p, tol=tols["circle"],
-                             max_order=max_order, **_eps(tols))
-            for p in geo.grid_points(axes)]
+    rows = geo.point_rows(chart, geo.grid_points(axes), tol=tols["circle"],
+                          max_order=max_order, **_eps(tols))
     cert = geo.flag_certificate([r["dims"] for r in rows])
     singular = sum(1 for r in rows if r["singular"])
     orders = [r["order"] for r in rows if r["order"] is not None]
@@ -334,8 +334,11 @@ def cmd_analyze(cfg) -> int:
     print(f"nicely curved: {cert['nicely_curved']} (dims {cert['dims']})")
     if orders:
         print(f"isotropy order: min {min(orders)}, max {max(orders)}")
+    if singular == len(rows):
+        print(_verdict_line("regular points", False,
+                            "no swept point is regular"))
     _emit(doc, cfg["out"])
-    return 0
+    return 2 if singular == len(rows) else 0
 
 
 def _splitting_points(axes, count: int):
@@ -581,6 +584,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = load_config(args)
         return COMMANDS[args.command](cfg)
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     except FlagCollapse as exc:
         print(f"flag collapse: {exc}", file=sys.stderr)
         return 3

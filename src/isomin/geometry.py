@@ -2,12 +2,15 @@
 
 A chart is a smooth map from a box in R^m (m = 2 or 3) into R^N, optionally
 constrained to the unit sphere S^(N-1), evaluated through jets at a batch
-of points at once. The first stage of the flag (the metric check and the
-tangent space) and the projected second form work on every point of a
-batch; the rest is computed from the jets of one point: the osculating
-flag of higher normal spaces, higher fundamental forms (projected higher
-partials), ellipticity of the second form, curvature ellipses, and the
-isotropy order. Conventions that the rest of the package relies on:
+of points at once. Every quantity is computed by stacked passes over the
+regular rows of one batch: the osculating flag of higher normal spaces,
+higher fundamental forms (projected higher partials), ellipticity of the
+second form, curvature ellipses and the isotropy order (`point_rows`);
+the one-point functions are batches of one. Ranks differ between points,
+so the flag keeps a per-point rank mask: each order's directions sit in a
+fixed block of columns, zero where a point rejects them, and a point whose
+flag is complete takes rank 0 from then on. Conventions that the rest of
+the package relies on:
 
 * A point is singular when its jets are not finite (a chart writes NaN
   where it is not defined, such as a bundle frame that degenerates) or
@@ -227,6 +230,52 @@ def _flag_depth(max_order: int | None) -> int:
     return max_order
 
 
+def _flag_pass(chart: ImmersionChart, jets: J.Jet, max_order: int,
+               eps_rank: float, eps_deg: float):
+    """The osculating flag at every row of a chart jet of shape (P, N) and
+    order max_order + 1: the mask of regular rows (P,) and, on the regular
+    rows, the metric (R, m, m), the padded flag Q (R, N, W), the ends of
+    its column blocks and the dims (R, max_order + 1). Q is position
+    (sphere charts) and tangent space, then one block per order s =
+    2..max_order + 1 with zero columns where a row rejects a direction;
+    Q[..., :ends[s]] is the flag through order s. The rank threshold is
+    eps_rank max(scale, 1), scale the largest column norm of the s-th
+    partials of the row."""
+    N = chart.ambient_dim
+    regular, G, Q = _tangent_stage(chart, jets, eps_deg)
+    c = jets[regular]
+    dims = np.zeros((len(G), max_order + 1), dtype=int)
+    dims[:, 0] = chart.domain_dim
+    accepted = np.full(len(G), Q.shape[-1])
+    done = np.zeros(len(G), dtype=bool)
+    ends = [0, Q.shape[-1]]
+    for s in range(2, max_order + 2):
+        if done.all():
+            break
+        C = _partials(c, s)
+        scale = np.linalg.norm(C, axis=-2).max(axis=-1)
+        U, sv, _ = np.linalg.svd(_project_out(Q, C), full_matrices=False)
+        rank = np.sum(sv > eps_rank * np.maximum(scale, 1.0)[:, None], axis=-1)
+        rank[done] = 0
+        keep = np.arange(U.shape[-1]) < rank[:, None]
+        Q = np.concatenate([Q, U * keep[:, None, :]], axis=-1)
+        ends.append(Q.shape[-1])
+        dims[:, s - 1] = rank
+        accepted += rank
+        done |= (rank == 0) | (accepted >= N)
+    return regular, G, Q, ends, dims
+
+
+def _form_tables(jets: J.Jet, Q: np.ndarray, ends: list[int],
+                 max_s: int) -> dict[int, np.ndarray]:
+    """Fundamental form tables of orders 1..max_s on the regular rows of a
+    chart jet and their padded flag (`_flag_pass`): the raw first partials,
+    then the s-th partials projected off the flag through order s - 1."""
+    return {s: _form_table(jets, s, None if s == 1 else
+                           Q[..., :ends[min(s - 1, len(ends) - 1)]])
+            for s in range(1, max_s + 1)}
+
+
 @dataclasses.dataclass
 class OsculatingFlag:
     """Tangent space plus the chain of higher normal spaces at one point.
@@ -246,46 +295,34 @@ class OsculatingFlag:
     position: np.ndarray | None
     complete: bool  # flag spans the full ambient (no censoring at max_order)
 
-    def stack(self, through: int | None = None) -> np.ndarray:
-        """Orthonormal columns of position + tangent + N_1..N_through."""
-        upto = self.tau if through is None else through
-        cols = [] if self.position is None else [self.position[:, None]]
-        cols += [self.bases[i] for i in range(0, upto + 1)]
-        return np.concatenate(cols, axis=1)
+
+def _tau_o(chart: ImmersionChart, tau: int) -> int:
+    codim = (chart.ambient_dim - chart.domain_dim
+             - (1 if chart.ambient == "sphere" else 0))
+    return tau - (1 if codim % 2 else 0)
 
 
-def _flag_from_jets(chart: ImmersionChart, point, jets: J.Jet,
-                    max_order: int, eps_rank: float, eps_deg: float) -> OsculatingFlag:
-    m, N = chart.domain_dim, chart.ambient_dim
-    regular, _, Q = _tangent_stage(chart, jets[None], eps_deg)
+def _single_flag(chart: ImmersionChart, point, jets: J.Jet, max_order: int,
+                 eps_rank: float, eps_deg: float):
+    """`_flag_pass` on a batch of one row, as an OsculatingFlag, with the
+    metric, padded flag and block ends; DegeneratePoint if singular."""
+    regular, G, Q, ends, dims = _flag_pass(chart, jets, max_order, eps_rank,
+                                           eps_deg)
     if not regular[0]:
         raise DegeneratePoint(f"metric degenerate at {tuple(point)}")
-    Q = Q[0]
-    position = Q[:, 0] if chart.ambient == "sphere" else None
-    bases = [Q[:, -m:]]
-    dims = [m]
-
-    for s in range(2, max_order + 2):
-        C = _partials(jets, s)
-        scale = float(np.linalg.norm(C, axis=0).max()) if C.size else 0.0
-        Rk = _project_out(Q, C)
-        U, sv, _ = np.linalg.svd(Rk, full_matrices=False)
-        rank = int(np.sum(sv > eps_rank * max(scale, 1.0)))
-        if rank == 0:
-            break
-        bases.append(U[:, :rank])
-        dims.append(rank)
-        Q = np.concatenate([Q, U[:, :rank]], axis=1)
-        if Q.shape[1] >= N:
-            break
-
-    tau = len(dims) - 1
-    codim = N - m - (1 if chart.ambient == "sphere" else 0)
-    tau_o = tau - (1 if codim % 2 else 0)
-    complete = Q.shape[1] >= N or (tau < max_order)
-    return OsculatingFlag(point=tuple(float(x) for x in point),
-                          dims=tuple(dims), tau=tau, tau_o=tau_o,
-                          bases=bases, position=position, complete=complete)
+    m, Q0 = chart.domain_dim, Q[0]
+    d = tuple(int(x) for x in dims[0] if x)
+    tau = len(d) - 1
+    bases = [Q0[:, ends[1] - m:ends[1]]]
+    bases += [Q0[:, ends[ell]:ends[ell] + d[ell]] for ell in range(1, tau + 1)]
+    position = Q0[:, 0] if chart.ambient == "sphere" else None
+    width = sum(d) + (position is not None)
+    flag = OsculatingFlag(point=tuple(float(x) for x in point), dims=d,
+                          tau=tau, tau_o=_tau_o(chart, tau), bases=bases,
+                          position=position,
+                          complete=width >= chart.ambient_dim
+                          or tau < max_order)
+    return flag, G, Q, ends
 
 
 def osculating_flag(chart: ImmersionChart, point: Sequence[float],
@@ -294,8 +331,8 @@ def osculating_flag(chart: ImmersionChart, point: Sequence[float],
                     eps_deg: float = EPS_DEG) -> OsculatingFlag:
     """Flag of normal spaces at a point, from partials up to max_order + 1."""
     max_order = _flag_depth(max_order)
-    jets = chart.eval_jets(point, max_order + 1)
-    return _flag_from_jets(chart, point, jets, max_order, eps_rank, eps_deg)
+    jets = chart.eval_jets(np.reshape(point, (1, -1)), max_order + 1)
+    return _single_flag(chart, point, jets, max_order, eps_rank, eps_deg)[0]
 
 
 @dataclasses.dataclass
@@ -315,17 +352,6 @@ class FundamentalForms:
     flag: OsculatingFlag
 
 
-def _forms_from_jets(chart: ImmersionChart, point, jets: J.Jet,
-                     flag: OsculatingFlag, max_s: int) -> FundamentalForms:
-    # symmetric tables of s-th partials, shape (m,)*s + (N,)
-    tables = {s: _form_table(jets, s, None if s == 1 else
-                             flag.stack(through=min(s - 2, flag.tau)))
-              for s in range(1, max_s + 1)}
-    return FundamentalForms(point=tuple(float(x) for x in point),
-                            metric=tables[1] @ tables[1].T, tables=tables,
-                            flag=flag)
-
-
 def fundamental_forms(chart: ImmersionChart, point: Sequence[float],
                       max_s: int = 2,
                       eps_rank: float = EPS_RANK,
@@ -335,9 +361,11 @@ def fundamental_forms(chart: ImmersionChart, point: Sequence[float],
     read off the same jets."""
     if max_s < 2:
         raise OrderOutOfRange("fundamental forms start at order 2")
-    jets = chart.eval_jets(point, max_s)
-    flag = _flag_from_jets(chart, point, jets, max_s - 1, eps_rank, eps_deg)
-    return _forms_from_jets(chart, point, jets, flag, max_s)
+    jets = chart.eval_jets(np.reshape(point, (1, -1)), max_s)
+    flag, G, Q, ends = _single_flag(chart, point, jets, max_s - 1, eps_rank,
+                                    eps_deg)
+    tables = {s: t[0] for s, t in _form_tables(jets, Q, ends, max_s).items()}
+    return FundamentalForms(flag.point, G[0], tables, flag)
 
 
 @dataclasses.dataclass
@@ -355,9 +383,44 @@ class EllipticityReport:
     totally_geodesic: bool
 
 
-def _disc_pair(p: np.ndarray, q: np.ndarray) -> float:
-    # polarization of (a, b, c) -> ac - b^2
-    return 0.5 * (p[0] * q[2] + q[0] * p[2]) - p[1] * q[1]
+# the discriminant (a, b, c) -> ac - b^2 as a symmetric bilinear form
+_DISC = np.array([[0.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]])
+
+
+def _ellipticity_pass(G: np.ndarray, A2: np.ndarray, eps_rank: float):
+    """Ellipticity on stacked rows of metric G (R, 2, 2) and second-form
+    table A2 (R, 2, 2, N): the tangent frame E (R, 2, 2), the masks of
+    elliptic and of totally geodesic rows (R,), and the coefficients
+    (R, 3) and J (R, 2, 2), NaN where a row is not elliptic. The kernel of
+    (a, b, c) -> a alpha(X,X) + 2b alpha(X,Y) + c alpha(Y,Y) is read off
+    one stacked SVD; a kernel element with positive discriminant (the top
+    eigenvector of the discriminant on a 2-dimensional kernel) makes the
+    row elliptic."""
+    E = _metric_frame(G, np.eye(2))
+    A = np.einsum("ria,rjb,rijn->rabn", E, E, A2)
+    M = np.stack([A[:, 0, 0], 2.0 * A[:, 0, 1], A[:, 1, 1]], axis=-1)
+    _, sv, Vt = np.linalg.svd(M, full_matrices=True)
+    sv = np.concatenate([sv, np.zeros((len(sv), 3 - sv.shape[-1]))], axis=-1)
+    tg = sv[:, 0] <= eps_rank  # alpha^2 = 0: every (a, b, c) annihilates it
+    # sv is descending, so the kernel is the last kdim rows of Vt
+    kdim = np.sum(sv < eps_rank * np.maximum(sv[:, :1], 1.0), axis=-1)
+    K = Vt[:, 1:].mT  # columns k1, k2
+    S = K.mT @ _DISC @ K
+    w, vecs = np.linalg.eigh(S)
+    coeffs = np.where((kdim == 1)[:, None], K[..., 1],
+                      (K @ vecs[..., -1:])[..., 0])
+    ok = ~tg & np.where(kdim == 1, S[:, 1, 1] > eps_rank,
+                        (kdim == 2) & (w[:, -1] > eps_rank))
+    coeffs = coeffs / np.abs(coeffs).max(axis=-1, keepdims=True)
+    coeffs = np.where(coeffs[:, :1] < 0, -coeffs, coeffs)
+    disc = np.sum(coeffs @ _DISC * coeffs, axis=-1)
+    a, b, c = coeffs.T
+    Jm = (np.stack([b, -a, c, -b], axis=-1).reshape(-1, 2, 2)
+          / np.sqrt(np.where(ok, disc, 1.0))[:, None, None])
+    coeffs[tg], Jm[tg] = (1.0, 0.0, 1.0), [[0.0, -1.0], [1.0, 0.0]]
+    exists = tg | ok
+    coeffs[~exists], Jm[~exists] = np.nan, np.nan
+    return E, exists, tg, coeffs, Jm
 
 
 def ellipticity(chart: ImmersionChart, point: Sequence[float],
@@ -365,52 +428,18 @@ def ellipticity(chart: ImmersionChart, point: Sequence[float],
                 forms: FundamentalForms | None = None) -> EllipticityReport:
     """Find the elliptic direction of the second fundamental form.
 
-    The kernel of (a, b, c) -> a alpha(X,X) + 2b alpha(X,Y) + c alpha(Y,Y)
-    is computed by SVD; a kernel element with positive discriminant makes
-    the point elliptic. Coefficients are scaled so the largest entry is 1
-    with a >= 0 (minimal points then report exactly (1, 0, 1))."""
+    Coefficients are scaled so the largest entry is 1 with a >= 0 (minimal
+    points then report exactly (1, 0, 1)); see `_ellipticity_pass`."""
     if chart.domain_dim != 2:
         raise ShapeMismatch("ellipticity is defined for surface charts")
     if forms is None:
         forms = fundamental_forms(chart, point, max_s=2)
-    E = _metric_frame(forms.metric, np.eye(2))
-    A = np.einsum("ia,jb,ijn->abn", E, E, forms.tables[2])
-    M = np.stack([A[0, 0], 2.0 * A[0, 1], A[1, 1]], axis=1)  # (N, 3)
-    U, sv, Vt = np.linalg.svd(M, full_matrices=True)
-    smax = float(sv[0]) if sv.size else 0.0
-
-    if smax <= eps_rank:
-        # alpha^2 = 0: every (a, b, c) annihilates it
-        Jm = np.array([[0.0, -1.0], [1.0, 0.0]])
-        return EllipticityReport(True, (1.0, 0.0, 1.0), Jm, E, True)
-
-    thr = eps_rank * max(smax, 1.0)
-    kernel = [Vt[i] for i in range(3) if (i >= sv.size or sv[i] < thr)]
-    kdim = len(kernel)
-    coeffs = None
-    if kdim == 1:
-        v = kernel[0]
-        if _disc_pair(v, v) > eps_rank:
-            coeffs = v
-    elif kdim == 2:
-        k1, k2 = kernel
-        S = np.array([[_disc_pair(k1, k1), _disc_pair(k1, k2)],
-                      [_disc_pair(k1, k2), _disc_pair(k2, k2)]])
-        w, vecs = np.linalg.eigh(S)
-        if w[-1] > eps_rank:
-            x, y = vecs[:, -1]
-            coeffs = x * k1 + y * k2
-
-    if coeffs is None:
-        return EllipticityReport(False, None, None, E, False)
-
-    coeffs = coeffs / np.abs(coeffs).max()
-    if coeffs[0] < 0:
-        coeffs = -coeffs
-    disc = _disc_pair(coeffs, coeffs)
-    a, b, c = (float(x) for x in coeffs)
-    Jm = np.array([[b, -a], [c, -b]]) / math.sqrt(disc)
-    return EllipticityReport(True, (a, b, c), Jm, E, False)
+    E, exists, tg, coeffs, Jm = _ellipticity_pass(
+        forms.metric[None], forms.tables[2][None], eps_rank)
+    if not exists[0]:
+        return EllipticityReport(False, None, None, E[0], False)
+    return EllipticityReport(True, tuple(coeffs[0].tolist()), Jm[0], E[0],
+                             bool(tg[0]))
 
 
 @dataclasses.dataclass
@@ -421,18 +450,6 @@ class EllipseReport:
     residual: float
 
 
-def _ellipse_directions(rep: EllipticityReport) -> tuple[np.ndarray, np.ndarray]:
-    """Unit Z with <Z, JZ> = 0, and JZ, in coordinate components."""
-    Jm = rep.J_matrix
-    Asym = float(Jm[0, 0])
-    Csym = float(Jm[1, 1])
-    B = float(Jm[0, 1] + Jm[1, 0])
-    phi = math.atan2(B / 2.0, (Asym - Csym) / 2.0)
-    t = (phi + math.pi / 2.0) / 2.0
-    zf = np.array([math.cos(t), math.sin(t)])
-    return rep.frame @ zf, rep.frame @ (Jm @ zf)
-
-
 @functools.lru_cache(maxsize=None)
 def _word_groups(s: int) -> np.ndarray:
     """0/1 matrix (s + 1, 2^s): row j picks the words of length s over
@@ -440,6 +457,48 @@ def _word_groups(s: int) -> np.ndarray:
     of [w; conj w] (first factor most significant, bit 0 = w)."""
     ones = np.array([bin(r).count("1") for r in range(2 ** s)])
     return (s - ones == np.arange(s + 1)[:, None]).astype(float)
+
+
+def _ellipse_directions(E: np.ndarray, Jm: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Unit Z with <Z, JZ> = 0, and JZ, in coordinate components (R, 2),
+    from stacked tangent frames E and J (R, 2, 2)."""
+    phi = np.arctan2((Jm[:, 0, 1] + Jm[:, 1, 0]) / 2.0,
+                     (Jm[:, 0, 0] - Jm[:, 1, 1]) / 2.0)
+    t = (phi + math.pi / 2.0) / 2.0
+    zf = np.stack([np.cos(t), np.sin(t)], axis=-1)[..., None]
+    return (E @ zf)[..., 0], (E @ (Jm @ zf))[..., 0]
+
+
+def _ellipse_pass(E: np.ndarray, Jm: np.ndarray,
+                  tables: dict[int, np.ndarray], top: int):
+    """Curvature ellipses of orders 0..top on stacked elliptic rows, from
+    the tangent frames E and J (R, 2, 2) and the form tables of orders
+    1..top + 1 (`_form_tables`). Returns the centres (R, top + 1, N),
+    semiaxes (R, top + 1, 2) and circularity residuals (R, top + 1)."""
+    Z, JZ = _ellipse_directions(E, Jm)
+    w = np.stack([Z + 1j * JZ, Z - 1j * JZ], axis=1)
+    R, N = len(w), tables[1].shape[-1]
+    kron = np.ones((R, 1, 1))  # the s-th Kronecker power of w, row by row
+    centers = np.zeros((R, top + 1, N))
+    semiaxes, residuals = np.empty((R, top + 1, 2)), np.empty((R, top + 1))
+    for s in range(1, top + 2):
+        kron = (kron[:, :, None, :, None] * w[:, None, :, None, :]).reshape(
+            R, 2 ** s, 2 ** s)
+        # c[j] = 2^-s C(s, j) T(w^j, conj(w)^(s-j)), the coefficient of
+        # exp(i (s - 2j) theta) in T(Z_theta, ..., Z_theta)
+        c = ((_word_groups(s) @ kron) @ tables[s].reshape(R, 2 ** s, N)
+             / 2.0 ** s)
+        hi = c[:, s // 2 + 1:]
+        sv = np.linalg.svd(2.0 * np.concatenate([hi.real, hi.imag], axis=1),
+                           compute_uv=False)
+        if s % 2 == 0:
+            centers[:, s - 1] = c[:, s // 2].real
+        semiaxes[:, s - 1] = sv[:, :2]
+        # sigma_1 = 0 forces sigma_2 = 0, and the residual 1
+        residuals[:, s - 1] = 1.0 - sv[:, 1] / np.where(sv[:, 0] == 0.0, 1.0,
+                                                         sv[:, 0])
+    return centers, semiaxes, residuals
 
 
 def curvature_ellipse(chart: ImmersionChart, point: Sequence[float], ell: int,
@@ -464,22 +523,12 @@ def curvature_ellipse(chart: ImmersionChart, point: Sequence[float], ell: int,
         ellip = ellipticity(chart, point, eps_rank=eps_rank, forms=forms)
     if not ellip.exists:
         raise NotElliptic(f"no elliptic direction at {tuple(point)}")
-
-    Z, JZ = _ellipse_directions(ellip)
-    w = np.stack([Z + 1j * JZ, Z - 1j * JZ])
-    T = forms.tables[s]
-    kron = functools.reduce(np.kron, [w] * s)
-    # c[j] = 2^-s C(s, j) T(w^j, conj(w)^(s-j)), the coefficient of
-    # exp(i (s - 2j) theta) in T(Z_theta, ..., Z_theta)
-    c = (_word_groups(s) @ kron) @ T.reshape(-1, T.shape[-1]) / 2.0 ** s
-    top = c[s // 2 + 1:]
-    sv = np.linalg.svd(2.0 * np.concatenate([top.real, top.imag]),
-                       compute_uv=False)
-    s1, s2 = float(sv[0]), float(sv[1])
-    center = c[s // 2].real if s % 2 == 0 else np.zeros(T.shape[-1])
-    residual = 1.0 if s1 == 0.0 else 1.0 - s2 / s1
-    return EllipseReport(order=ell, center=center,
-                         semiaxes=(s1, s2), residual=residual)
+    center, semiaxes, residual = _ellipse_pass(
+        ellip.frame[None], ellip.J_matrix[None],
+        {k: t[None] for k, t in forms.tables.items()}, ell)
+    return EllipseReport(order=ell, center=center[0, ell],
+                         semiaxes=tuple(semiaxes[0, ell].tolist()),
+                         residual=float(residual[0, ell]))
 
 
 def isotropy_order(chart: ImmersionChart, point: Sequence[float],
@@ -494,41 +543,66 @@ def isotropy_order(chart: ImmersionChart, point: Sequence[float],
     `order` of the point's `point_report` row, from the same single chart
     evaluation; raises DegeneratePoint at a singular point and NotElliptic
     where the second form has no elliptic direction."""
-    row = _point_row(chart, point, tol, eps_rank, max_order, eps_deg)
+    row = point_report(chart, point, tol, eps_rank, max_order, eps_deg)
+    if row["singular"]:
+        raise DegeneratePoint(f"metric degenerate at {tuple(point)}")
     if not row["elliptic"]:
         raise NotElliptic(f"no elliptic direction at {tuple(point)}")
     return row["order"]
 
 
-def _point_row(chart: ImmersionChart, point: Sequence[float], tol: float,
-               eps_rank: float, max_order: int | None, eps_deg: float) -> dict:
-    """point_report's row at a regular point; raises DegeneratePoint."""
+def point_rows(chart: ImmersionChart, points,
+               tol: float = CIRCLE_TOL,
+               eps_rank: float = EPS_RANK,
+               max_order: int | None = None,
+               eps_deg: float = EPS_DEG) -> list[dict]:
+    """JSON rows of a surface sweep at points of shape (P, 2): flag dims,
+    curvature ellipses, ellipticity and isotropy order of every point.
+
+    The chart is evaluated once, at order max_order + 1, at all points;
+    stacked passes over the regular rows give the flag, the forms through
+    order max(tau) + 1, the ellipticity and the ellipses of each order. A
+    singular point gives a row with "singular": true."""
+    if chart.domain_dim != 2:
+        raise ShapeMismatch("point reports are defined for surface charts")
     max_order = _flag_depth(max_order)
-    jets = chart.eval_jets(point, max_order + 1)
-    flag = _flag_from_jets(chart, point, jets, max_order, eps_rank, eps_deg)
-    forms = _forms_from_jets(chart, point, jets, flag, max(flag.tau + 1, 2))
-    ellip = ellipticity(chart, point, eps_rank=eps_rank, forms=forms)
-    row = {"point": [float(x) for x in point], "singular": False,
-           "dims": [int(d) for d in flag.dims], "tau": int(flag.tau),
-           "elliptic": bool(ellip.exists),
-           "coeffs": None if ellip.coeffs is None
-           else [float(c) for c in ellip.coeffs],
-           "ellipses": [], "order": None}
-    if ellip.exists:
-        for ell in range(flag.tau + 1):
-            rep = curvature_ellipse(chart, point, ell, eps_rank=eps_rank,
-                                    forms=forms, ellip=ellip)
-            row["ellipses"].append({"order": ell,
-                                    "semiaxes": [rep.semiaxes[0], rep.semiaxes[1]],
-                                    "residual": rep.residual})
-        order = -1
-        for ell in range(min(max(0, flag.tau_o), flag.tau) + 1):
-            if row["ellipses"][ell]["residual"] < tol:
-                order = ell
-            else:
-                break
-        row["order"] = order
-    return row
+    pts = np.reshape(np.asarray(points, dtype=float), (-1, 2))
+    jets = chart.eval_jets(pts, max_order + 1)
+    regular, G, Q, ends, dims = _flag_pass(chart, jets, max_order, eps_rank,
+                                           eps_deg)
+    tau = np.count_nonzero(dims[:, 1:], axis=1)
+    top = int(tau.max(initial=0))
+    tables = _form_tables(jets[regular], Q, ends, max(top + 1, 2))
+    E, exists, _, coeffs, Jm = _ellipticity_pass(G, tables[2], eps_rank)
+    # every order through the top tau on every elliptic row; a row reads
+    # the orders through its own tau
+    _, semiaxes, residuals = _ellipse_pass(
+        E[exists], Jm[exists], {s: t[exists] for s, t in tables.items()}, top)
+
+    rows = []
+    regular_rows = zip(tau.tolist(), dims.tolist(), exists.tolist(),
+                       coeffs.tolist())
+    elliptic_rows = zip(semiaxes.tolist(), residuals.tolist())
+    for p, ok in zip(pts.tolist(), regular.tolist()):
+        if not ok:
+            rows.append({"point": p, "singular": True, "dims": None,
+                         "tau": None, "ellipses": [], "elliptic": None,
+                         "coeffs": None, "order": None})
+            continue
+        t, d, elliptic, c = next(regular_rows)
+        row = {"point": p, "singular": False, "dims": d[:t + 1], "tau": t,
+               "elliptic": elliptic, "coeffs": c if elliptic else None,
+               "ellipses": [], "order": None}
+        if elliptic:
+            semi, res = next(elliptic_rows)
+            row["ellipses"] = [{"order": ell, "semiaxes": semi[ell],
+                                "residual": res[ell]} for ell in range(t + 1)]
+            order, last = -1, min(max(0, _tau_o(chart, t)), t)
+            while order < last and res[order + 1] < tol:
+                order += 1
+            row["order"] = order
+        rows.append(row)
+    return rows
 
 
 def point_report(chart: ImmersionChart, point: Sequence[float],
@@ -536,17 +610,9 @@ def point_report(chart: ImmersionChart, point: Sequence[float],
                  eps_rank: float = EPS_RANK,
                  max_order: int | None = None,
                  eps_deg: float = EPS_DEG) -> dict:
-    """Per-point JSON row: flag dims, curvature ellipses, ellipticity, order.
-
-    The chart is evaluated once, at order max_order + 1; the flag, the
-    forms through order tau + 1, the ellipticity and every ellipse are read
-    off those jets. A singular point gives a row with "singular": true."""
-    try:
-        return _point_row(chart, point, tol, eps_rank, max_order, eps_deg)
-    except DegeneratePoint:
-        return {"point": [float(x) for x in point], "singular": True,
-                "dims": None, "tau": None, "ellipses": [], "elliptic": None,
-                "coeffs": None, "order": None}
+    """Per-point JSON row: the one-point `point_rows`."""
+    return point_rows(chart, [point], tol=tol, eps_rank=eps_rank,
+                      max_order=max_order, eps_deg=eps_deg)[0]
 
 
 def flag_certificate(dims: Sequence[Sequence[int] | None]) -> dict:
@@ -573,11 +639,9 @@ def nicely_curved_certificate(chart: ImmersionChart,
         counts = (9,) * chart.domain_dim
     max_order = _flag_depth(max_order)
     points = grid_points(grid_axes(chart, counts))
-    dims = []
-    for p, jets in zip(points, chart.eval_jets(points, max_order + 1)):
-        try:
-            dims.append(_flag_from_jets(chart, p, jets, max_order, eps_rank,
-                                        eps_deg).dims)
-        except DegeneratePoint:
-            dims.append(None)
-    return flag_certificate(dims)
+    regular, _, _, _, dims = _flag_pass(
+        chart, chart.eval_jets(points, max_order + 1), max_order, eps_rank,
+        eps_deg)
+    found = iter(dims.tolist())
+    return flag_certificate([[x for x in next(found) if x] if ok else None
+                             for ok in regular])

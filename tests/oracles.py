@@ -14,9 +14,11 @@ the chart's order-1 jets, which give the metric (the first partials). The
 sampled curvature ellipse takes the fundamental forms and the ellipse
 directions Z, JZ from the package (`fundamental_forms`, `ellipticity`) and
 replaces only the closed-form Fourier step: it samples the form on Z_theta
-and takes an SVD. The holomorphic chart oracle evaluates polynomials by
-Horner's rule in complex jet arithmetic, where `surface_chart` reads the
-jet off complex derivatives in closed form.
+and takes an SVD. The per-point flag is the loop that the stacked flag
+pass replaced, one order at a time on one point's jet. The holomorphic
+chart oracle evaluates polynomials by Horner's rule in complex jet
+arithmetic, where `surface_chart` reads the jet off complex derivatives in
+closed form.
 """
 import math
 
@@ -113,7 +115,8 @@ def curvature_ellipse_sampled(chart, point, ell, samples=64,
         raise OrderOutOfRange(
             f"ellipse order {ell} exceeds flag tau {forms.flag.tau}")
     ellip = geo.ellipticity(chart, point, eps_rank=eps_rank, forms=forms)
-    Z, JZ = geo._ellipse_directions(ellip)
+    Z, JZ = (v[0] for v in geo._ellipse_directions(
+        ellip.frame[None], ellip.J_matrix[None]))
     basis = []
     for k in range(s + 1):
         T = forms.tables[s]
@@ -243,6 +246,33 @@ def splitting_fd(chart, point, step=1e-3):
                            span_residual=span_residual,
                            ode_residuals=ode_residuals,
                            fiber_alignment=fiber_alignment)
+
+
+def flag_per_point(chart, point, max_order=None, eps_rank=geo.EPS_RANK,
+                   eps_deg=geo.EPS_DEG):
+    """(dims, tau) of the osculating flag at one point, by the per-point
+    loop that the stacked flag pass replaced: accept the s-th partials'
+    directions off the flag so far, one order at a time, and stop at the
+    first order of rank 0 or once the flag spans the ambient space. Raises
+    DegeneratePoint at a singular point."""
+    max_order = geo.DEFAULT_JET_ORDER - 1 if max_order is None else max_order
+    jets = chart.eval_jets(np.asarray(point, dtype=float)[None], max_order + 1)
+    regular, _, Q = geo._tangent_stage(chart, jets, eps_deg)
+    if not regular[0]:
+        raise DegeneratePoint(f"metric degenerate at {tuple(point)}")
+    Q, dims = Q[0], [chart.domain_dim]
+    for s in range(2, max_order + 2):
+        C = geo._partials(jets[0], s)
+        scale = float(np.linalg.norm(C, axis=0).max())
+        U, sv, _ = np.linalg.svd(geo._project_out(Q, C), full_matrices=False)
+        rank = int(np.sum(sv > eps_rank * max(scale, 1.0)))
+        if rank == 0:
+            break
+        dims.append(rank)
+        Q = np.concatenate([Q, U[:, :rank]], axis=1)
+        if Q.shape[1] >= chart.ambient_dim:
+            break
+    return tuple(dims), len(dims) - 1
 
 
 def holomorphic_jets_horner(components, point, space):

@@ -135,11 +135,39 @@ def test_bundle_plane_every_point_singular(tmp_path):
     assert any("isotropy" in n for n in doc["notes"])
 
 
-def test_generate_with_no_regular_spot_point_fails(tmp_path, monkeypatch):
-    def singular(chart, point, **kw):
-        return {"point": list(point), "singular": True, "ellipses": []}
+def test_analyze_with_no_regular_point_fails(tmp_path, capsys):
+    """The one point of this grid is the branch point z = 0: the sweep
+    checks nothing, so it fails, and the report is still written."""
+    out = tmp_path / "r.json"
+    assert run(["analyze", "--fixture", "curve-2-3", "--grid", "0:1:1,0:1:1",
+                "--out", str(out)]) == 2
+    assert ("regular points: FAIL (no swept point is regular)"
+            in capsys.readouterr().out)
+    doc = load(out)
+    assert doc["summary"]["singular"] == doc["summary"]["points"] == 1
+    assert doc["rows"][0]["singular"] is True
 
-    monkeypatch.setattr(geo, "point_report", singular)
+
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    def no_memory(axes):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(geo, "grid_points", no_memory)
+    for argv in (["analyze", "--fixture", "n5"],
+                 ["bundle", "--kind", "bipolar", "--fixture", "n5"]):
+        assert run(argv + ["--out", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: out of memory: Unable to allocate 74.5 GiB "
+                       "for an array\n")
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_generate_with_no_regular_spot_point_fails(tmp_path, monkeypatch):
+    def singular(chart, points, **kw):
+        return [{"point": list(p), "singular": True, "ellipses": []}
+                for p in points]
+
+    monkeypatch.setattr(geo, "point_rows", singular)
     out = tmp_path / "r.json"
     assert run(["generate", "--fixture", "n6", "--out", str(out)]) == 2
     doc = load(out)
@@ -230,10 +258,10 @@ def test_non_finite_and_repeated_inputs_are_bad_input(tmp_path, capsys, argv):
 
 def test_eps_deg_tolerance_takes_effect(tmp_path):
     """A metric floor above every metric eigenvalue makes every point
-    singular: each analyze row, and each bundle row, so bundle fails."""
+    singular: each analyze row, and each bundle row, so both fail."""
     out = tmp_path / "r.json"
     assert run(["analyze", "--fixture", "n5", "--grid", "0:0.3:3,0:0.3:3",
-                "--tol", "eps_deg=100", "--out", str(out)]) == 0
+                "--tol", "eps_deg=100", "--out", str(out)]) == 2
     doc = load(out)
     assert doc["tolerances"]["eps_deg"] == 100.0
     assert all(r["singular"] for r in doc["rows"]) and len(doc["rows"]) == 9
@@ -579,33 +607,35 @@ def test_surface_document_can_skip_the_final_integration(tmp_path):
         assert code == (0 if final else 2)
 
 
+def _count_jet_fn_calls(monkeypatch, owner, name, attr=None):
+    """Wrap the jet_fn of the chart that owner.name returns (of its attr,
+    when given); returns the (space variables, points) of every call."""
+    calls = []
+    real = getattr(owner, name)
+
+    def wrapped(*args, **kwargs):
+        out = real(*args, **kwargs)
+        chart = out if attr is None else getattr(out, attr)
+        fn = chart.jet_fn
+
+        def jet_fn(points, space):
+            calls.append((space.nvars, np.array(points)))
+            return fn(points, space)
+        chart.jet_fn = jet_fn
+        return out
+
+    monkeypatch.setattr(owner, name, wrapped)
+    return calls
+
+
 def test_bundle_sweep_is_one_batched_evaluation(tmp_path, monkeypatch):
     """A default bipolar n5 run evaluates the bundle chart once for the
     200-point sweep, and the base once at the 25 distinct (u, v) of the
     grid. The centre isotropy probe and the four splitting points come on
     top, one point each. A per-point sweep loop fails this."""
-    base_calls, bundle_calls = [], []
-
-    def counting(fn, log):
-        def jet_fn(points, space):
-            log.append((space.nvars, np.array(points)))
-            return fn(points, space)
-        return jet_fn
-
-    real_resolve, real_tangent = cli.resolve_chart, bundles.unit_tangent_chart
-
-    def resolve(cfg):
-        base = real_resolve(cfg)
-        base.jet_fn = counting(base.jet_fn, base_calls)
-        return base
-
-    def tangent(base, *args, **kwargs):
-        bc = real_tangent(base, *args, **kwargs)
-        bc.chart.jet_fn = counting(bc.chart.jet_fn, bundle_calls)
-        return bc
-
-    monkeypatch.setattr(cli, "resolve_chart", resolve)
-    monkeypatch.setattr(bundles, "unit_tangent_chart", tangent)
+    base_calls = _count_jet_fn_calls(monkeypatch, cli, "resolve_chart")
+    bundle_calls = _count_jet_fn_calls(monkeypatch, bundles,
+                                       "unit_tangent_chart", "chart")
     assert run(["bundle", "--kind", "bipolar", "--fixture", "n5",
                 "--out", str(tmp_path / "r.json")]) == 0
     assert [len(p) for _, p in bundle_calls] == [200, 1, 1, 1, 1]
@@ -614,3 +644,32 @@ def test_bundle_sweep_is_one_batched_evaluation(tmp_path, monkeypatch):
     assert (sweep_vars, sweep.shape) == (3, (25, 2))
     assert len(np.unique(sweep, axis=0)) == 25
     assert [(nv, p.shape) for nv, p in split] == [(3, (1, 2))] * 4
+
+
+def test_analyze_is_one_batched_evaluation(tmp_path, monkeypatch):
+    calls = _count_jet_fn_calls(monkeypatch, cli, "resolve_chart")
+    assert run(["analyze", "--fixture", "n5",
+                "--out", str(tmp_path / "r.json")]) == 0
+    assert [(nv, p.shape) for nv, p in calls] == [(2, (81, 2))]
+
+
+def test_generate_spot_points_are_one_batched_evaluation(tmp_path,
+                                                        monkeypatch):
+    calls = _count_jet_fn_calls(monkeypatch, cli.W, "generate_surface", "chart")
+    assert run(["generate", "--fixture", "n6",
+                "--out", str(tmp_path / "r.json")]) == 0
+    assert [(nv, p.shape) for nv, p in calls] == [(2, (3, 2))]
+    assert np.array_equal(calls[0][1], cli.SPOT_POINTS)
+
+
+def test_polar_bundle_evaluates_the_base_twice_before_the_sweep(
+        tmp_path, monkeypatch):
+    """The centre probe (one point) and the 9x9 flag certificate (one
+    batched call) come before the sweep's frame evaluation at the 25
+    distinct (u, v) of the default grid."""
+    calls = _count_jet_fn_calls(monkeypatch, cli, "resolve_chart")
+    assert run(["bundle", "--kind", "polar", "--fixture", "veronese",
+                "--out", str(tmp_path / "r.json")]) == 0
+    (_, probe), (_, cert), (sweep_vars, sweep), *_ = calls
+    assert (probe.shape, cert.shape) == ((1, 2), (81, 2))
+    assert (sweep_vars, sweep.shape) == (3, (25, 2))

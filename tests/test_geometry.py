@@ -70,7 +70,7 @@ def test_flag_dims_n5(n5):
     assert flag.tau_o == 1  # codimension 3 is odd
     assert flag.complete
     # orthonormality of the stacked flag
-    Q = flag.stack()
+    Q = np.concatenate(flag.bases, axis=1)
     assert np.allclose(Q.T @ Q, np.eye(Q.shape[1]), atol=1e-12)
 
 
@@ -363,3 +363,88 @@ def test_closed_form_ellipses_match_sampled_oracle(seed, n, frac):
                            atol=1e-12 * scale)
         assert got.residual == pytest.approx(ref.residual, rel=1e-12,
                                              abs=1e-12)
+
+
+def _assert_same_row(got, want, where):
+    """Rows of point_rows and point_report: non-float fields equal, floats
+    within 1e-12 relative to max(|value|, 1). The floor is for roundoff:
+    the chart's matrix product rounds a point's jet differently in batches
+    of other sizes, so a coefficient that is 0 at one size can be 6.5e-17
+    at another; coefficients are scaled to a largest entry of 1, and
+    residuals lie in [0, 1]."""
+    if isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12), where
+    elif isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key in want:
+            _assert_same_row(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same_row(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+def _assert_rows_match_single_points(chart, points, max_order=None):
+    """point_rows over a batch against point_report at each point, and the
+    dims and tau of each row against the per-point flag oracle."""
+    rows = geo.point_rows(chart, points, max_order=max_order)
+    assert len(rows) == len(points)
+    for p, row in zip(points, rows):
+        _assert_same_row(row, geo.point_report(chart, p, max_order=max_order),
+                         f"{chart.name} at {tuple(p)}")
+        try:
+            dims, tau = oracles.flag_per_point(chart, p, max_order=max_order)
+        except DegeneratePoint:
+            assert row["singular"]
+        else:
+            assert (row["dims"], row["tau"]) == (list(dims), tau)
+    return rows
+
+
+def _grid(chart, counts=(9, 9), ranges=None):
+    return geo.grid_points(geo.grid_axes(chart, counts, ranges))
+
+
+@pytest.mark.parametrize("name, max_order", [
+    ("n4", None), ("n5", None), ("n6", None), ("n7", None), ("n8", None),
+    ("curve-1-2-3", None), ("curve-2-3", None), ("curve-1-3-pad1", None),
+    ("veronese", None),
+    ("great-sphere", None), ("plane", None), ("flat-graph", None),
+    ("n7", 1)])
+def test_point_rows_match_single_points(name, max_order):
+    """One batched sweep gives each point's point_report row; the per-point
+    rank mask gives the flag of the per-point loop, also where dims vary
+    over the grid (n6, n8), at a singular point (curve-2-3 at z = 0), where
+    the flag stops early at one point of the batch (curve-1-3-pad1 at z = 0:
+    rank 0 at order 2, rank 2 at order 3) and where the flag is censored (n7
+    at max_order 1)."""
+    ranges = None
+    if name == "flat-graph":
+        chart = make_graph(1.0, 0.0, 0.0)  # not elliptic
+    elif name.startswith("n"):
+        chart = generate_surface(demo_weierstrass_data(int(name[1:]))).chart
+    else:
+        chart = make_fixture(name)
+    if name.startswith("curve-") and name != "curve-1-2-3":
+        ranges = ((-0.5, 0.5), (-0.5, 0.5))  # through z = 0
+    rows = _assert_rows_match_single_points(
+        chart, _grid(chart, (9, 9), ranges), max_order)
+    kinds = {tuple(r["dims"]) for r in rows if not r["singular"]}
+    singular = sum(r["singular"] for r in rows)
+    assert (singular == 1) == (name == "curve-2-3")
+    assert (len(kinds) > 1) == (name in ("n6", "n8", "curve-1-3-pad1"))
+    if name == "flat-graph":
+        assert not any(r["elliptic"] for r in rows)
+    if max_order == 1:
+        assert kinds == {(2, 2)}
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 8),
+       counts=st.tuples(st.integers(1, 3), st.integers(1, 3)))
+def test_point_rows_match_single_points_on_random_data(seed, n, counts):
+    chart = generate_surface(
+        random_weierstrass_data(np.random.default_rng(seed), n)).chart
+    _assert_rows_match_single_points(chart, _grid(chart, counts))

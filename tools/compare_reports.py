@@ -1,0 +1,162 @@
+"""Compare the CLI reports of two checkouts of isomin.
+
+    python3 tools/compare_reports.py PARENT CHANGE
+
+Runs every command of COMMANDS twice in each checkout, as
+`python -m isomin.cli ... --out report.json` with PYTHONPATH=<checkout>/src,
+each run in a fresh temporary directory. It then checks:
+
+* every report is byte-identical across the two runs of one checkout;
+* exit codes and the PASS/FAIL/VACUOUS words on stdout are identical
+  between the checkouts;
+* the reports have the same structure and non-float fields, and their
+  floats agree: within REL_TOL relative where either value is above
+  FLOOR in magnitude, within ABS_TOL absolute at or below it.
+
+Prints one line per command and a summary with the largest float
+differences seen. Exit code 0 when everything matches, 1 on any mismatch,
+2 on bad arguments.
+"""
+from __future__ import annotations
+
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REL_TOL = 1e-10
+FLOOR = 1e-8
+ABS_TOL = 1e-11
+
+_WORDS = re.compile(r"\b(PASS|FAIL|VACUOUS)\b")
+
+COMMANDS = (
+    [["generate", "--fixture", f"n{n}"] for n in range(4, 9)]
+    + [["generate", "--fixture", "random-n6"],
+       ["generate", "--fixture", "n5", "--no-final-integration"]]
+    + [["analyze", "--fixture", f"n{n}"] for n in range(4, 9)]
+    + [["analyze", "--fixture", name] for name in (
+        "curve-1-2-3", "random-n6", "plane", "veronese", "curve-1-3-pad1")]
+    + [["analyze", "--fixture", "n5", "--jet-order", "2"],
+       ["analyze", "--fixture", "n5", "--jet-order", "6"]]
+    + [["bundle", "--kind", "bipolar", "--fixture", name] for name in (
+        "n5", "n8", "curve-1-2-pad1", "plane")]
+    + [["bundle", "--kind", "polar", "--fixture", "veronese"],
+       ["bundle", "--kind", "bipolar", "--fixture", "curve-2-3-pad1"],
+       ["analyze", "--fixture", "curve-2-3", "--grid=-0.5:0.5:3,-0.5:0.5:3"],
+       ["analyze", "--fixture", "n7", "--jet-order", "2"],
+       ["analyze", "--fixture", "great-sphere"]])
+
+
+def run(checkout: Path, argv: list[str]) -> tuple[int, list[str], bytes | None]:
+    """Exit code, verdict words and report bytes (None if no report) of one
+    command run in the checkout."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "isomin.cli", *argv, "--out", str(out)],
+            env=env, cwd=tmp, capture_output=True, text=True)
+        report = out.read_bytes() if out.exists() else None
+    return proc.returncode, _WORDS.findall(proc.stdout), report
+
+
+class Diff:
+    """Mismatches between two report trees, and the largest float gaps."""
+
+    def __init__(self):
+        self.problems: list[str] = []
+        self.max_rel = 0.0
+        self.max_abs = 0.0
+
+    def compare(self, a, b, path: str = "$"):
+        if isinstance(a, float) or isinstance(b, float):
+            if (isinstance(a, bool) or isinstance(b, bool)
+                    or not isinstance(a, (int, float))
+                    or not isinstance(b, (int, float))):
+                self.problems.append(f"{path}: {a!r} != {b!r}")
+                return
+            self.compare_floats(float(a), float(b), path)
+        elif isinstance(a, dict) and isinstance(b, dict):
+            if a.keys() != b.keys():
+                self.problems.append(
+                    f"{path}: keys differ: {sorted(a.keys() ^ b.keys())}")
+                return
+            for key in a:
+                self.compare(a[key], b[key], f"{path}.{key}")
+        elif isinstance(a, list) and isinstance(b, list):
+            if len(a) != len(b):
+                self.problems.append(
+                    f"{path}: lengths {len(a)} != {len(b)}")
+                return
+            for i, (x, y) in enumerate(zip(a, b)):
+                self.compare(x, y, f"{path}[{i}]")
+        elif type(a) is not type(b) or a != b:
+            self.problems.append(f"{path}: {a!r} != {b!r}")
+
+    def compare_floats(self, a: float, b: float, path: str):
+        scale = max(abs(a), abs(b))
+        gap = abs(a - b)
+        if not (math.isfinite(a) and math.isfinite(b)):
+            ok = a == b or (math.isnan(a) and math.isnan(b))
+        elif scale > FLOOR:
+            self.max_rel = max(self.max_rel, gap / scale)
+            ok = gap <= REL_TOL * scale
+        else:
+            self.max_abs = max(self.max_abs, gap)
+            ok = gap <= ABS_TOL
+        if not ok:
+            self.problems.append(f"{path}: {a!r} vs {b!r}")
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
+        return 2
+    parent, change = (Path(a).resolve() for a in args)
+    for checkout in (parent, change):
+        if not (checkout / "src" / "isomin" / "cli.py").is_file():
+            print(f"error: no isomin sources under {checkout}", file=sys.stderr)
+            return 2
+    diff = Diff()
+    failed = 0
+    for cmd in COMMANDS:
+        label = " ".join(cmd)
+        problems = []
+        results = {}
+        for side, checkout in (("parent", parent), ("change", change)):
+            first, second = run(checkout, cmd), run(checkout, cmd)
+            if first[2] != second[2]:
+                problems.append(f"{side} report differs between two runs")
+            results[side] = first
+        (rc_a, words_a, rep_a), (rc_b, words_b, rep_b) = (
+            results["parent"], results["change"])
+        if rc_a != rc_b:
+            problems.append(f"exit {rc_a} != {rc_b}")
+        if words_a != words_b:
+            problems.append(f"verdict words {words_a} != {words_b}")
+        if (rep_a is None) != (rep_b is None):
+            problems.append("only one checkout wrote a report")
+        elif rep_a is not None:
+            cmd_diff = Diff()
+            cmd_diff.compare(json.loads(rep_a), json.loads(rep_b))
+            problems += cmd_diff.problems[:5]
+            diff.max_rel = max(diff.max_rel, cmd_diff.max_rel)
+            diff.max_abs = max(diff.max_abs, cmd_diff.max_abs)
+        failed += bool(problems)
+        print(f"{'ok  ' if not problems else 'FAIL'} exit {rc_b} {label}")
+        for problem in problems:
+            print(f"     {problem}")
+    print(f"{len(COMMANDS) - failed} of {len(COMMANDS)} commands match; "
+          f"largest gaps: {diff.max_rel:.3g} relative above {FLOOR:g}, "
+          f"{diff.max_abs:.3g} absolute at or below it")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
