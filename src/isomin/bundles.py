@@ -158,7 +158,8 @@ def unit_normal_chart(base: ImmersionChart,
     if not probe["elliptic"]:
         raise NotElliptic(f"no elliptic direction at {center}")
     top = probe["ellipses"][tau - 1]["residual"]
-    if top > circle_tol:
+    top = math.nan if top is None else top  # a row writes NaN as None
+    if not top <= circle_tol:
         warnings.warn(
             f"curvature ellipse of order {tau - 1} is not a circle "
             f"(residual {top:.3g}); the normal bundle chart need "
@@ -233,9 +234,8 @@ def _nullity(chart: ImmersionChart, points: np.ndarray, jets: J.Jet,
     tangent space, then the stacked metric frame and SVD over the regular
     rows."""
     P, m = points.shape
-    regular, G, Q = geo._tangent_stage(chart, jets, eps_deg)
+    regular, G, E, Q = geo._tangent_stage(chart, jets, eps_deg)
     A = geo._form_table(jets[regular], 2, Q)          # (R, m, m, N)
-    E = geo._metric_frame(G, np.eye(m))
     aorth = np.einsum("rki,rlj,rkla->rija", E, E, A)
     U, sv, _ = np.linalg.svd(aorth.reshape(len(G), m, m * chart.ambient_dim),
                              full_matrices=False)
@@ -386,7 +386,10 @@ def splitting_tensor(chart: ImmersionChart, point: Sequence[float],
     # on T and the two coordinate axes least aligned with it
     scores = np.abs(G0 @ T0) / np.sqrt(np.diagonal(G0))
     axes = np.eye(3)[:, np.argsort(scores)[:2]]
-    X = geo._metric_frame(G0, np.column_stack([T0, axes]))[:, 1:].T
+    X, framed = geo._metric_frame(G0, np.column_stack([T0, axes]))
+    if not framed:
+        raise DegeneratePoint(f"metric frame degenerates at {tuple(point)}")
+    X = X[:, 1:].T
     C = -X @ A.T @ X.T  # C[b, a] = -<X_b, nabla_(X_a) T>
     if C[0, 1] < C[1, 0]:  # orient the frame so that u >= 0
         X[1] = -X[1]
@@ -399,10 +402,10 @@ def splitting_tensor(chart: ImmersionChart, point: Sequence[float],
     grad = J.jet_stack([uv.derivative(k) for k in range(3)]).value
     d_u, d_v = (np.stack([X[0], X[1], T0]) @ grad).T
     ode_residuals = {
-        "e3_v": abs(d_v[2] - (v0 * v0 - u0 * u0 + 1.0)),
-        "e3_u": abs(d_u[2] - 2.0 * u0 * v0),
-        "e1_u_minus_e2_v": abs(d_u[0] - d_v[1]),
-        "e2_u_plus_e1_v": abs(d_u[1] + d_v[0]),
+        "e3_v": float(abs(d_v[2] - (v0 * v0 - u0 * u0 + 1.0))),
+        "e3_u": float(abs(d_u[2] - 2.0 * u0 * v0)),
+        "e1_u_minus_e2_v": float(abs(d_u[0] - d_v[1])),
+        "e2_u_plus_e1_v": float(abs(d_u[1] + d_v[0])),
     }
     fiber_alignment = abs(float(T0 @ G0[:, 2])) / math.sqrt(float(G0[2, 2]))
     return SplittingReport(point=tuple(float(x) for x in point), C=C,
@@ -416,20 +419,21 @@ def bundle_rows(chart: ImmersionChart, points,
                 eps_rank: float = geo.EPS_RANK,
                 eps_deg: float = geo.EPS_DEG) -> list[dict]:
     """JSON rows of a bundle sweep at points of shape (P, 3), from one
-    batched relative nullity call."""
+    batched relative nullity call; a number that is not finite is None."""
     rep = relative_nullity(chart, np.reshape(points, (-1, chart.domain_dim)),
                            eps_rank=eps_rank, eps_deg=eps_deg)
     rows = []
-    for i, pt in enumerate(rep.point.tolist()):
-        if rep.singular[i]:
+    for pt, singular, H, nu, sv, tg in zip(
+            geo._json_ready(rep.point), rep.singular.tolist(),
+            geo._json_ready(rep.mean_curvature_norm), rep.nu.tolist(),
+            geo._json_ready(rep.singular_values),
+            rep.totally_geodesic.tolist()):
+        if singular:
             rows.append({"point": pt, "singular": True, "H": None,
                          "nu": None, "sv": None, "tg": None})
         else:
-            rows.append({"point": pt, "singular": False,
-                         "H": float(rep.mean_curvature_norm[i]),
-                         "nu": int(rep.nu[i]),
-                         "sv": rep.singular_values[i].tolist(),
-                         "tg": bool(rep.totally_geodesic[i])})
+            rows.append({"point": pt, "singular": False, "H": H, "nu": nu,
+                         "sv": sv, "tg": tg})
     return rows
 
 

@@ -9,14 +9,17 @@ splitting tensor equations, `export` writes an OBJ mesh.
 
 Configuration is a single JSON document; command line flags override its
 fields. Runs are deterministic: the same config produces byte-identical
-reports and meshes. Exit codes: 0 all checks pass, 1 bad input, 2 a
-verification failed (also when no point it needs is regular) or the
-numerics broke down, 3 structural degeneracy (flag collapse).
+reports and meshes. A report is strict JSON with sorted keys, an indented
+top level and one compact line per row, with null for non-finite numbers.
+Exit codes: 0 all checks pass, 1 bad input, 2 a verification failed (also
+when no point it needs is regular) or the numerics broke down, 3
+structural degeneracy (flag collapse).
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -57,26 +60,46 @@ CONFIG_TYPES = {
 SPOT_POINTS = ((0.17, 0.11), (-0.23, 0.31), (0.05, -0.37))
 
 
-def _pyify(x):
+# one compact line per row, written by the C encoder
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False,
+                                separators=(", ", ": "))
+
+
+def _nulls(x):
+    """Non-finite floats as None, in a small part of a report: the part
+    outside its rows (summary, tolerances, residuals), or one splitting
+    row as it is built."""
     if isinstance(x, dict):
-        return {str(k): _pyify(v) for k, v in x.items()}
+        return {k: _nulls(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
-        return [_pyify(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return _pyify(x.tolist())
-    if isinstance(x, (float, np.floating)):
-        return float(x) if math.isfinite(x) else None
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.bool_):
-        return bool(x)
+        return [_nulls(v) for v in x]
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
     return x
 
 
+def _is_rows(value) -> bool:
+    """A nonempty list of objects: the rows of a sweep, the splitting
+    points or the spot checks."""
+    return (isinstance(value, list) and bool(value)
+            and all(isinstance(r, dict) for r in value))
+
+
 def report_text(doc: dict) -> str:
-    """Strict JSON: non-finite numbers are written as null."""
-    return json.dumps(_pyify(doc), sort_keys=True, indent=2,
-                      allow_nan=False) + "\n"
+    """Strict JSON with sorted keys and an indented top level, where each
+    element of a top-level list of objects (the rows) is one compact line.
+    A non-finite number is written as null."""
+    items = []
+    for key in sorted(doc):
+        value = doc[key]
+        if _is_rows(value):
+            text = "[\n" + ",\n".join(
+                "    " + _ROW_ENCODER.encode(r) for r in value) + "\n  ]"
+        else:
+            text = json.dumps(_nulls(value), sort_keys=True, indent=2,
+                              allow_nan=False).replace("\n", "\n  ")
+        items.append(f"  {_ROW_ENCODER.encode(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}\n"
 
 
 def _emit(doc: dict, out: str | None):
@@ -247,11 +270,11 @@ def _axes_for(chart, cfg, default3=(5, 5, 8), default2=(9, 9)):
 
 
 def _worst(values) -> float:
-    """Largest value, or NaN if there is none or any value is not finite,
-    so that a bound check on it fails: no verdict passes over zero numbers.
-    max() keeps a NaN only when it comes first."""
+    """Largest value, or NaN if there is none or any value is not finite
+    (None, in a JSON row), so that a bound check on it fails: no verdict
+    passes over zero numbers. max() keeps a NaN only when it comes first."""
     vals = list(values)
-    if not vals or not all(math.isfinite(v) for v in vals):
+    if not vals or not all(v is not None and math.isfinite(v) for v in vals):
         return math.nan
     return max(vals)
 
@@ -272,7 +295,7 @@ def cmd_generate(cfg) -> int:
     ident_max = _worst(rep.residuals.values())
     ident_ok = ident_max <= tols["null"]
 
-    spots = []
+    spots, e0_vals, e1_vals = [], [], []
     rows = geo.point_rows(rep.chart, SPOT_POINTS, tol=tols["circle"],
                           **_eps(tols))
     for p, row in zip(SPOT_POINTS, rows):
@@ -282,12 +305,13 @@ def cmd_generate(cfg) -> int:
         spots.append({"point": list(p), "singular": row["singular"],
                       "e0_residual": None if row["singular"] else res[0],
                       "e1_residual": res[1] if len(res) > 1 else None})
+        if not row["singular"]:
+            e0_vals.append(res[0])
+            e1_vals.extend(res[1:2])
 
-    checked = [r for r in spots if not r["singular"]]
-    e0_ok = bool(checked) and all(r["e0_residual"] <= tols["circle"]
-                                  for r in checked)
-    e1_vals = [r["e1_residual"] for r in checked if r["e1_residual"] is not None]
-    e1_ok = all(v <= tols["circle"] for v in e1_vals)
+    # _worst is NaN over no values or a null (non-finite) residual
+    e0_ok = _worst(e0_vals) <= tols["circle"]
+    e1_ok = not e1_vals or _worst(e1_vals) <= tols["circle"]
     passed = ident_ok and e0_ok and e1_ok
 
     doc = rep.to_json()
@@ -300,10 +324,10 @@ def cmd_generate(cfg) -> int:
     print(_verdict_line("null identities", ident_ok,
                         f"max residual {ident_max:.3g} vs {tols['null']:g}"))
     print(_verdict_line("minimality (order-0 circles)", e0_ok,
-                        f"{len(checked)} spot points"))
+                        f"{len(e0_vals)} spot points"))
     if e1_vals:
         print(_verdict_line("first ellipse circular", e1_ok,
-                            f"max residual {max(e1_vals):.3g} vs "
+                            f"max residual {_worst(e1_vals):.3g} vs "
                             f"{tols['circle']:g}"))
     else:
         print("first ellipse circular: VACUOUS (no first normal space)")
@@ -392,29 +416,30 @@ def cmd_bundle(cfg) -> int:
     nu_ok = sv_max <= tols["nullity"]
     nus = sorted({r["nu"] for r in live})
 
-    split_rows = []
+    split_rows, attempted = [], 0
+    span_ok = ode_ok = True
     for p in _splitting_points(axes, cfg["splitting_points"]):
         row = {"point": list(p), "skipped": None, "error": None}
         try:
             sp = B.splitting_tensor(bc.chart, p, **_eps(tols))
-            row.update({"C": sp.C, "u": sp.u, "v": sp.v,
-                        "span_residual": sp.span_residual,
-                        "ode_residuals": sp.ode_residuals,
-                        "fiber_alignment": sp.fiber_alignment})
         except DegeneratePoint:
             row["skipped"] = "singular"
         except NullityJump as exc:
             if exc.nu is None:
                 row["error"] = str(exc)
+                attempted += 1
+                span_ok = ode_ok = False
             else:
                 row["skipped"] = f"nullity {exc.nu} != 1"
+        else:
+            attempted += 1
+            span_ok &= sp.span_residual <= tols["span"]
+            ode_ok &= _worst(sp.ode_residuals.values()) <= tols["ode"]
+            row.update(_nulls({"C": sp.C.tolist(), "u": sp.u, "v": sp.v,
+                               "span_residual": sp.span_residual,
+                               "ode_residuals": sp.ode_residuals,
+                               "fiber_alignment": sp.fiber_alignment}))
         split_rows.append(row)
-    attempted = [r for r in split_rows if r["skipped"] is None]
-    span_ok = all(r["error"] is None and r["span_residual"] <= tols["span"]
-                  for r in attempted)
-    ode_ok = all(r["error"] is None
-                 and _worst(r["ode_residuals"].values()) <= tols["ode"]
-                 for r in attempted)
 
     passed = h_ok and nu_ok and span_ok and ode_ok
     doc = {"command": "bundle", "kind": kind, "chart": bc.chart.name,
@@ -433,10 +458,8 @@ def cmd_bundle(cfg) -> int:
     print(_verdict_line("relative nullity >= 1", nu_ok,
                         f"max smallest singular value {sv_max:.3g} vs "
                         f"{tols['nullity']:g}; values {nus}"))
-    print(_verdict_line("splitting span", span_ok,
-                        f"{len(attempted)} points"))
-    print(_verdict_line("splitting equations", ode_ok,
-                        f"{len(attempted)} points"))
+    print(_verdict_line("splitting span", span_ok, f"{attempted} points"))
+    print(_verdict_line("splitting equations", ode_ok, f"{attempted} points"))
     _emit(doc, cfg["out"])
     return 0 if passed else 2
 
@@ -535,7 +558,9 @@ COMMANDS = {"generate": cmd_generate, "analyze": cmd_analyze,
             "bundle": cmd_bundle, "export": cmd_export}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="isomin",
         description="generate and verify isotropic minimal surfaces and "

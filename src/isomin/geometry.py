@@ -13,13 +13,16 @@ flag is complete takes rank 0 from then on. Conventions that the rest of
 the package relies on:
 
 * A point is singular when its jets are not finite (a chart writes NaN
-  where it is not defined, such as a bundle frame that degenerates) or
-  the least metric eigenvalue is below eps_deg.
+  where it is not defined, such as a bundle frame that degenerates), the
+  least metric eigenvalue is below eps_deg, or the metric has no Cholesky
+  factor; each point of a batch is judged on its own.
 
 * Metric-orthonormal frames are Gram-Schmidt of given vectors, in order,
   in the induced metric, computed by one Cholesky factorization
   (`_metric_frame`); the tangent frame of `ellipticity` is that of the
   coordinate axes.
+* Report rows hold only JSON values (`_json_ready`): Python numbers,
+  bools, None, lists and dicts, with None for a number that is not finite.
 * The osculating flag at a point is built by successive orthogonal
   complements: the span of the s-th partial derivatives, projected
   orthogonally to the position vector (sphere charts), the tangent space,
@@ -139,6 +142,19 @@ def grid_points(axes: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack([g.reshape(-1) for g in mesh], axis=1)
 
 
+def _json_ready(a) -> list | float | None:
+    """a.tolist() with None for every number that is not finite: a float
+    array as strict JSON values, so that a report row needs no further
+    walk before it is written."""
+    a = np.asarray(a, dtype=float)
+    finite = np.isfinite(a)
+    if finite.all():
+        return a.tolist()
+    out = a.astype(object)
+    out[~finite] = None
+    return out.tolist()
+
+
 def _partials(jets: J.Jet, s: int) -> np.ndarray:
     """s-th partial derivatives of every component, shape (..., N, k): one
     column per multi-index of degree s, in the space's index order. That
@@ -177,26 +193,41 @@ def _project_out(Q: np.ndarray | None, V: np.ndarray) -> np.ndarray:
     return V
 
 
-def _metric_frame(G: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _metric_frame(G: np.ndarray, B: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Gram-Schmidt of the columns of B in the metric G, in order, stacked
     over leading axes: B L^-T with L = chol(B^T G B), since the Cholesky
-    factor is unique. Raises DegeneratePoint where B^T G B is not positive
-    definite."""
+    factor is unique. Returns the frames and the mask of rows where
+    B^T G B is positive definite; the frame of any other row is NaN, and
+    no row depends on the others."""
+    M = B.mT @ G @ B
+    ok = np.ones(M.shape[:-2], dtype=bool)
     try:
-        L = np.linalg.cholesky(B.mT @ G @ B)
+        L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        raise DegeneratePoint("metric frame degenerates") from None
+        # rare: find the rows without a factor, one at a time
+        for i in np.ndindex(ok.shape):
+            try:
+                np.linalg.cholesky(M[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        L = np.linalg.cholesky(np.where(ok[..., None, None], M,
+                                        np.eye(M.shape[-1])))
     # not the view solve(L, B^T)^T: the nullity einsum is 3x slower on it
-    return B @ np.linalg.inv(L).mT
+    F = B @ np.linalg.inv(L).mT
+    F[~ok] = np.nan
+    return F, ok
 
 
 def _tangent_stage(chart: ImmersionChart, jets: J.Jet, eps_deg: float
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The first stage of the flag at every row of a chart jet of shape
     (P, N): the mask of regular rows (P,), and on the regular rows only the
-    metric (R, m, m) and the orthonormal columns of position (sphere charts)
-    plus tangent space (R, N, k). Raises InvalidData when a finite row of a
-    sphere chart is off the unit sphere."""
+    metric (R, m, m), the metric-orthonormal frame of the coordinate axes
+    (R, m, m) and the orthonormal columns of position (sphere charts) plus
+    tangent space (R, N, k). A row whose metric has no Cholesky factor is
+    not regular. Raises InvalidData when a finite row of a sphere chart is
+    off the unit sphere."""
     m = chart.domain_dim
     finite = np.isfinite(jets.coeffs.reshape(len(jets), -1)).all(axis=1)
     c = jets.coeffs[finite]
@@ -212,6 +243,8 @@ def _tangent_stage(chart: ImmersionChart, jets: J.Jet, eps_deg: float
     P1 = c[..., 1 + _table_columns(m, 1)]
     G = P1.mT @ P1
     keep = ~(np.linalg.eigvalsh(G)[:, 0] < eps_deg)
+    E, framed = _metric_frame(G[keep], np.eye(m))
+    keep[keep] = framed
     regular = finite.copy()
     regular[finite] = keep
     if position is not None:
@@ -219,7 +252,7 @@ def _tangent_stage(chart: ImmersionChart, jets: J.Jet, eps_deg: float
     U = np.linalg.svd(_project_out(position, P1[keep]),
                       full_matrices=False)[0][..., :m]
     Q = U if position is None else np.concatenate([position, U], axis=-1)
-    return regular, G[keep], Q
+    return regular, G[keep], E[framed], Q
 
 
 def _flag_depth(max_order: int | None) -> int:
@@ -234,15 +267,15 @@ def _flag_pass(chart: ImmersionChart, jets: J.Jet, max_order: int,
                eps_rank: float, eps_deg: float):
     """The osculating flag at every row of a chart jet of shape (P, N) and
     order max_order + 1: the mask of regular rows (P,) and, on the regular
-    rows, the metric (R, m, m), the padded flag Q (R, N, W), the ends of
-    its column blocks and the dims (R, max_order + 1). Q is position
-    (sphere charts) and tangent space, then one block per order s =
-    2..max_order + 1 with zero columns where a row rejects a direction;
-    Q[..., :ends[s]] is the flag through order s. The rank threshold is
-    eps_rank max(scale, 1), scale the largest column norm of the s-th
-    partials of the row."""
+    rows, the metric and its orthonormal frame (R, m, m) (`_tangent_stage`),
+    the padded flag Q (R, N, W), the ends of its column blocks and the dims
+    (R, max_order + 1). Q is position (sphere charts) and tangent space,
+    then one block per order s = 2..max_order + 1 with zero columns where
+    a row rejects a direction; Q[..., :ends[s]] is the flag through order
+    s. The rank threshold is eps_rank max(scale, 1), scale the largest
+    column norm of the s-th partials of the row."""
     N = chart.ambient_dim
-    regular, G, Q = _tangent_stage(chart, jets, eps_deg)
+    regular, G, E, Q = _tangent_stage(chart, jets, eps_deg)
     c = jets[regular]
     dims = np.zeros((len(G), max_order + 1), dtype=int)
     dims[:, 0] = chart.domain_dim
@@ -263,7 +296,7 @@ def _flag_pass(chart: ImmersionChart, jets: J.Jet, max_order: int,
         dims[:, s - 1] = rank
         accepted += rank
         done |= (rank == 0) | (accepted >= N)
-    return regular, G, Q, ends, dims
+    return regular, G, E, Q, ends, dims
 
 
 def _form_tables(jets: J.Jet, Q: np.ndarray, ends: list[int],
@@ -306,8 +339,8 @@ def _single_flag(chart: ImmersionChart, point, jets: J.Jet, max_order: int,
                  eps_rank: float, eps_deg: float):
     """`_flag_pass` on a batch of one row, as an OsculatingFlag, with the
     metric, padded flag and block ends; DegeneratePoint if singular."""
-    regular, G, Q, ends, dims = _flag_pass(chart, jets, max_order, eps_rank,
-                                           eps_deg)
+    regular, G, _, Q, ends, dims = _flag_pass(chart, jets, max_order,
+                                              eps_rank, eps_deg)
     if not regular[0]:
         raise DegeneratePoint(f"metric degenerate at {tuple(point)}")
     m, Q0 = chart.domain_dim, Q[0]
@@ -387,16 +420,15 @@ class EllipticityReport:
 _DISC = np.array([[0.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]])
 
 
-def _ellipticity_pass(G: np.ndarray, A2: np.ndarray, eps_rank: float):
-    """Ellipticity on stacked rows of metric G (R, 2, 2) and second-form
-    table A2 (R, 2, 2, N): the tangent frame E (R, 2, 2), the masks of
-    elliptic and of totally geodesic rows (R,), and the coefficients
-    (R, 3) and J (R, 2, 2), NaN where a row is not elliptic. The kernel of
+def _ellipticity_pass(E: np.ndarray, A2: np.ndarray, eps_rank: float):
+    """Ellipticity on stacked rows of metric-orthonormal tangent frame E
+    (R, 2, 2) and second-form table A2 (R, 2, 2, N): the masks of elliptic
+    and of totally geodesic rows (R,), and the coefficients (R, 3) and J
+    (R, 2, 2), NaN where a row is not elliptic. The kernel of
     (a, b, c) -> a alpha(X,X) + 2b alpha(X,Y) + c alpha(Y,Y) is read off
     one stacked SVD; a kernel element with positive discriminant (the top
     eigenvector of the discriminant on a 2-dimensional kernel) makes the
     row elliptic."""
-    E = _metric_frame(G, np.eye(2))
     A = np.einsum("ria,rjb,rijn->rabn", E, E, A2)
     M = np.stack([A[:, 0, 0], 2.0 * A[:, 0, 1], A[:, 1, 1]], axis=-1)
     _, sv, Vt = np.linalg.svd(M, full_matrices=True)
@@ -420,7 +452,7 @@ def _ellipticity_pass(G: np.ndarray, A2: np.ndarray, eps_rank: float):
     coeffs[tg], Jm[tg] = (1.0, 0.0, 1.0), [[0.0, -1.0], [1.0, 0.0]]
     exists = tg | ok
     coeffs[~exists], Jm[~exists] = np.nan, np.nan
-    return E, exists, tg, coeffs, Jm
+    return exists, tg, coeffs, Jm
 
 
 def ellipticity(chart: ImmersionChart, point: Sequence[float],
@@ -434,8 +466,10 @@ def ellipticity(chart: ImmersionChart, point: Sequence[float],
         raise ShapeMismatch("ellipticity is defined for surface charts")
     if forms is None:
         forms = fundamental_forms(chart, point, max_s=2)
-    E, exists, tg, coeffs, Jm = _ellipticity_pass(
-        forms.metric[None], forms.tables[2][None], eps_rank)
+    # forms come from a regular point, whose metric has a frame
+    E = _metric_frame(forms.metric[None], np.eye(2))[0]
+    exists, tg, coeffs, Jm = _ellipticity_pass(E, forms.tables[2][None],
+                                               eps_rank)
     if not exists[0]:
         return EllipticityReport(False, None, None, E[0], False)
     return EllipticityReport(True, tuple(coeffs[0].tolist()), Jm[0], E[0],
@@ -568,22 +602,29 @@ def point_rows(chart: ImmersionChart, points,
     max_order = _flag_depth(max_order)
     pts = np.reshape(np.asarray(points, dtype=float), (-1, 2))
     jets = chart.eval_jets(pts, max_order + 1)
-    regular, G, Q, ends, dims = _flag_pass(chart, jets, max_order, eps_rank,
-                                           eps_deg)
+    regular, _, E, Q, ends, dims = _flag_pass(chart, jets, max_order,
+                                              eps_rank, eps_deg)
     tau = np.count_nonzero(dims[:, 1:], axis=1)
     top = int(tau.max(initial=0))
     tables = _form_tables(jets[regular], Q, ends, max(top + 1, 2))
-    E, exists, _, coeffs, Jm = _ellipticity_pass(G, tables[2], eps_rank)
+    exists, _, coeffs, Jm = _ellipticity_pass(E, tables[2], eps_rank)
     # every order through the top tau on every elliptic row; a row reads
     # the orders through its own tau
     _, semiaxes, residuals = _ellipse_pass(
         E[exists], Jm[exists], {s: t[exists] for s, t in tables.items()}, top)
+    # the isotropy order: the circular orders 0, 1, ... in a row, through
+    # min(tau_o, tau); a residual that is not finite is not circular
+    t = tau[exists]
+    last = np.minimum(np.maximum(0, _tau_o(chart, t)), t)
+    circular = (residuals < tol) & (np.arange(top + 1) <= last[:, None])
+    order = np.cumprod(circular, axis=1).sum(axis=1) - 1
 
     rows = []
     regular_rows = zip(tau.tolist(), dims.tolist(), exists.tolist(),
-                       coeffs.tolist())
-    elliptic_rows = zip(semiaxes.tolist(), residuals.tolist())
-    for p, ok in zip(pts.tolist(), regular.tolist()):
+                       _json_ready(coeffs))
+    elliptic_rows = zip(_json_ready(semiaxes), _json_ready(residuals),
+                        order.tolist())
+    for p, ok in zip(_json_ready(pts), regular.tolist()):
         if not ok:
             rows.append({"point": p, "singular": True, "dims": None,
                          "tau": None, "ellipses": [], "elliptic": None,
@@ -594,13 +635,9 @@ def point_rows(chart: ImmersionChart, points,
                "elliptic": elliptic, "coeffs": c if elliptic else None,
                "ellipses": [], "order": None}
         if elliptic:
-            semi, res = next(elliptic_rows)
+            semi, res, row["order"] = next(elliptic_rows)
             row["ellipses"] = [{"order": ell, "semiaxes": semi[ell],
                                 "residual": res[ell]} for ell in range(t + 1)]
-            order, last = -1, min(max(0, _tau_o(chart, t)), t)
-            while order < last and res[order + 1] < tol:
-                order += 1
-            row["order"] = order
         rows.append(row)
     return rows
 
@@ -639,7 +676,7 @@ def nicely_curved_certificate(chart: ImmersionChart,
         counts = (9,) * chart.domain_dim
     max_order = _flag_depth(max_order)
     points = grid_points(grid_axes(chart, counts))
-    regular, _, _, _, dims = _flag_pass(
+    regular, _, _, _, _, dims = _flag_pass(
         chart, chart.eval_jets(points, max_order + 1), max_order, eps_rank,
         eps_deg)
     found = iter(dims.tolist())

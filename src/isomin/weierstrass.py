@@ -159,10 +159,13 @@ def surface_chart(components: cp.PolyVec, name: str = "",
     """Chart (u, v) -> Re Phi(u + iv) for a complex polynomial curve Phi.
 
     The derivatives of each component are computed once, here, as one
-    coefficient table; evaluation multiplies the powers of z = u + iv at
-    every point of a batch by that table (one matrix product for all
-    components and derivatives) and reads the vector jets off the values
-    (`jet.jet_holomorphic_re`)."""
+    coefficient table; evaluation runs Horner's rule in z = u + iv on that
+    table at every point of a batch, for all components and derivatives
+    at once, and reads the vector jets off the values
+    (`jet.jet_holomorphic_re`). Horner's rule is elementwise: unlike a
+    matrix product, whose rounding depends on the batch size, it gives a
+    point the same bits in any batch, and it needs no array larger than
+    its result."""
     chains = []
     for p in components:
         chain = []
@@ -180,8 +183,11 @@ def surface_chart(components: cp.PolyVec, name: str = "",
     table = table.reshape(degree + 1, -1)
 
     def jet_fn(points, space):
-        z = points[:, 0] + 1j * points[:, 1]
-        derivs = (z[:, None] ** np.arange(degree + 1)) @ table
+        z = (points[:, 0] + 1j * points[:, 1])[:, None]
+        derivs = np.repeat(table[-1:], len(z), axis=0)
+        for row in table[-2::-1]:
+            derivs *= z
+            derivs += row
         derivs = derivs.reshape(len(z), len(chains), degree + 1)
         if space.order > degree:
             derivs = np.pad(derivs, ((0, 0), (0, 0),

@@ -257,7 +257,7 @@ def flag_per_point(chart, point, max_order=None, eps_rank=geo.EPS_RANK,
     DegeneratePoint at a singular point."""
     max_order = geo.DEFAULT_JET_ORDER - 1 if max_order is None else max_order
     jets = chart.eval_jets(np.asarray(point, dtype=float)[None], max_order + 1)
-    regular, _, Q = geo._tangent_stage(chart, jets, eps_deg)
+    regular, _, _, Q = geo._tangent_stage(chart, jets, eps_deg)
     if not regular[0]:
         raise DegeneratePoint(f"metric degenerate at {tuple(point)}")
     Q, dims = Q[0], [chart.domain_dim]

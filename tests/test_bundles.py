@@ -537,3 +537,28 @@ def test_batched_jets_match_single_points(bipolar_n5, polar_ver):
                 np.testing.assert_allclose(
                     row.coeffs, chart.eval_jets(p, order).coeffs,
                     rtol=1e-14, atol=1e-14, equal_nan=True)
+
+
+def _flat_fold_chart() -> ImmersionChart:
+    """(u, v, t) -> (u, v, t^2, uv) in R^4: the metric is finite everywhere
+    and vanishes along t at t = 0."""
+    def jet_fn(points, space):
+        u, v, t = (J.jet_variable(space, k, points[:, k]) for k in range(3))
+        return J.jet_stack([u, v, t * t, u * v]).T
+
+    return ImmersionChart(domain_dim=3, ambient_dim=4, ambient="euclidean",
+                          jet_fn=jet_fn, domain=((-1.0, 1.0),) * 3,
+                          name="flat-fold")
+
+
+def test_nullity_pass_files_a_row_without_metric_frame_as_singular():
+    """With the eigenvalue floor off (eps_deg < 0), the degenerate metric at
+    t = 0 reaches the Cholesky factorization and fails it: only that row
+    reads singular, as under the floor, and the other rows are unchanged."""
+    chart = _flat_fold_chart()
+    pts = [(0.1, 0.2, 0.3), (0.1, 0.2, 0.0), (0.3, -0.1, 0.5)]
+    rep = relative_nullity(chart, pts, eps_deg=-1.0)
+    assert rep.singular.tolist() == [False, True, False]
+    rows = bundle_rows(chart, pts, eps_deg=-1.0)
+    assert rows == bundle_rows(chart, pts)
+    assert [r["singular"] for r in rows] == [False, True, False]

@@ -382,6 +382,120 @@ def test_nan_mean_curvature_fails_and_report_is_strict_json(tmp_path,
     assert doc["residuals"]["alpha2_null"] is None
 
 
+def _reject(const):
+    raise ValueError(f"non-finite number {const} in the report")
+
+
+def _strict(path):
+    """The report at path; ValueError unless it is strict JSON."""
+    return json.loads(path.read_text(), parse_constant=_reject)
+
+
+def test_analyze_rows_write_non_finite_numbers_as_null(tmp_path,
+                                                       monkeypatch):
+    """A non-finite ellipse residual, semiaxis and ellipticity coefficient
+    from the stacked passes come out of an analyze row as null; a point
+    whose order-0 residual is not finite has no circular order."""
+    ellipse_pass, ellipticity_pass = geo._ellipse_pass, geo._ellipticity_pass
+
+    def nan_ellipse(*args):
+        centers, semiaxes, residuals = ellipse_pass(*args)
+        semiaxes[0, 0, 0] = math.inf
+        residuals[0, 0] = math.nan
+        return centers, semiaxes, residuals
+
+    def nan_coeff(*args):
+        exists, tg, coeffs, Jm = ellipticity_pass(*args)
+        coeffs[0, 1] = math.nan
+        return exists, tg, coeffs, Jm
+
+    monkeypatch.setattr(geo, "_ellipse_pass", nan_ellipse)
+    monkeypatch.setattr(geo, "_ellipticity_pass", nan_coeff)
+    out = tmp_path / "r.json"
+    assert run(["analyze", "--fixture", "n5", "--out", str(out)]) == 0
+    first, second = _strict(out)["rows"][:2]
+    assert first["ellipses"][0]["residual"] is None
+    assert first["ellipses"][0]["semiaxes"][0] is None
+    assert first["coeffs"][1] is None
+    assert first["order"] == -1
+    assert second["ellipses"][0]["residual"] is not None
+    assert second["order"] >= 0
+
+
+def test_bundle_rows_write_non_finite_singular_values_as_null(tmp_path,
+                                                              monkeypatch):
+    real = bundles.relative_nullity
+
+    def nan_sv(chart, points, **kw):
+        rep = real(chart, points, **kw)
+        sv = rep.singular_values.copy()
+        sv[0, 0] = math.nan   # not read by a verdict
+        sv[1, -1] = math.inf  # the smallest, read by the nullity verdict
+        return dataclasses.replace(rep, singular_values=sv)
+
+    monkeypatch.setattr(bundles, "relative_nullity", nan_sv)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"splitting_points": 0}))
+    assert run(_bundle_args(tmp_path) + ["--config", str(cfgp)]) == 2
+    doc = _strict(tmp_path / "r.json")
+    assert doc["rows"][0]["sv"][0] is None
+    assert doc["rows"][1]["sv"][-1] is None
+    assert doc["rows"][0]["H"] is not None
+    assert doc["summary"]["sv_min_max"] is None
+    assert doc["verdicts"] == {"mean_curvature": True, "nullity": False,
+                               "splitting_span": True, "splitting_ode": True}
+
+
+def test_splitting_rows_write_non_finite_residuals_as_null(tmp_path,
+                                                           monkeypatch):
+    real = bundles.splitting_tensor
+
+    def nan_span(*args, **kw):
+        return dataclasses.replace(real(*args, **kw), span_residual=math.nan)
+
+    monkeypatch.setattr(bundles, "splitting_tensor", nan_span)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"splitting_points": 1}))
+    out = tmp_path / "r.json"
+    assert run(["bundle", "--kind", "bipolar", "--fixture", "n5",
+                "--config", str(cfgp), "--out", str(out)]) == 2
+    doc = _strict(out)
+    (row,) = doc["splitting"]
+    assert row["skipped"] is None and row["error"] is None
+    assert row["span_residual"] is None
+    assert all(isinstance(v, float) for v in row["ode_residuals"].values())
+    assert doc["verdicts"]["splitting_span"] is False
+    assert doc["verdicts"]["splitting_ode"] is True
+
+
+def test_report_layout_is_one_compact_line_per_row(tmp_path, monkeypatch):
+    """Sorted keys and an indented top level, one line per row that is the
+    row's own compact JSON, and the same value as the stdlib's indented
+    text of the document as built; the document needs no conversion."""
+    built = []
+    real = cli.report_text
+    monkeypatch.setattr(cli, "report_text",
+                        lambda doc: built.append(doc) or real(doc))
+    out = tmp_path / "r.json"
+    assert run(["analyze", "--fixture", "n5", "--out", str(out)]) == 0
+    text = out.read_text()
+    doc = json.loads(text)
+    assert doc == json.loads(json.dumps(built[0], indent=2, sort_keys=True,
+                                        allow_nan=False))
+    lines = text.splitlines()
+    assert lines[0] == "{" and lines[-1] == "}"
+    keys = [line.split('"')[1] for line in lines if line.startswith('  "')]
+    assert keys == sorted(doc)
+    start = lines.index('  "rows": [')
+    rows = doc["rows"]
+    assert len(rows) == 81
+    body = lines[start + 1:start + 1 + len(rows)]
+    assert body == ["    " + json.dumps(row, sort_keys=True) + ","
+                    for row in rows[:-1]] + [
+        "    " + json.dumps(rows[-1], sort_keys=True)]
+    assert lines[start + 1 + len(rows)] in ("  ],", "  ]")
+
+
 def test_linalg_error_is_a_numerical_breakdown(tmp_path, capsys,
                                                monkeypatch):
     def breakdown(chart, point, **kw):

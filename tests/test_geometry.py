@@ -1,4 +1,5 @@
 """Flags, fundamental forms, ellipticity, curvature ellipses, isotropy."""
+import json
 import math
 
 import numpy as np
@@ -365,35 +366,17 @@ def test_closed_form_ellipses_match_sampled_oracle(seed, n, frac):
                                              abs=1e-12)
 
 
-def _assert_same_row(got, want, where):
-    """Rows of point_rows and point_report: non-float fields equal, floats
-    within 1e-12 relative to max(|value|, 1). The floor is for roundoff:
-    the chart's matrix product rounds a point's jet differently in batches
-    of other sizes, so a coefficient that is 0 at one size can be 6.5e-17
-    at another; coefficients are scaled to a largest entry of 1, and
-    residuals lie in [0, 1]."""
-    if isinstance(want, float):
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-12), where
-    elif isinstance(want, dict):
-        assert got.keys() == want.keys(), where
-        for key in want:
-            _assert_same_row(got[key], want[key], f"{where}.{key}")
-    elif isinstance(want, list):
-        assert len(got) == len(want), where
-        for i, (g, w) in enumerate(zip(got, want)):
-            _assert_same_row(g, w, f"{where}[{i}]")
-    else:
-        assert type(got) is type(want) and got == want, where
-
-
 def _assert_rows_match_single_points(chart, points, max_order=None):
-    """point_rows over a batch against point_report at each point, and the
-    dims and tau of each row against the per-point flag oracle."""
+    """point_rows over a batch against point_report at each point, exactly,
+    as JSON text: a row does not depend on its batch. Also the dims and tau
+    of each row against the per-point flag oracle."""
     rows = geo.point_rows(chart, points, max_order=max_order)
     assert len(rows) == len(points)
     for p, row in zip(points, rows):
-        _assert_same_row(row, geo.point_report(chart, p, max_order=max_order),
-                         f"{chart.name} at {tuple(p)}")
+        single = geo.point_report(chart, p, max_order=max_order)
+        assert (json.dumps(row, sort_keys=True, allow_nan=False)
+                == json.dumps(single, sort_keys=True, allow_nan=False)), \
+            f"{chart.name} at {tuple(p)}"
         try:
             dims, tau = oracles.flag_per_point(chart, p, max_order=max_order)
         except DegeneratePoint:
@@ -448,3 +431,34 @@ def test_point_rows_match_single_points_on_random_data(seed, n, counts):
     chart = generate_surface(
         random_weierstrass_data(np.random.default_rng(seed), n)).chart
     _assert_rows_match_single_points(chart, _grid(chart, counts))
+
+
+def test_metric_frame_masks_a_row_without_cholesky_factor():
+    """One indefinite metric in a stack gives a NaN frame and a false mask
+    in its own row only; every other row equals its frame computed alone."""
+    A = np.random.default_rng(3).standard_normal((5, 3, 3))
+    G = A @ A.mT + 0.1 * np.eye(3)
+    G[2] = np.diag([1.0, -1.0, 2.0])
+    B = np.eye(3)[:, [2, 0, 1]]
+    F, ok = geo._metric_frame(G, B)
+    assert ok.tolist() == [True, True, False, True, True]
+    assert np.isnan(F[2]).all()
+    for i in (0, 1, 3, 4):
+        alone, alone_ok = geo._metric_frame(G[i], B)
+        assert alone_ok and np.array_equal(F[i], alone)
+        assert np.allclose(F[i].T @ G[i] @ F[i], np.eye(3))
+    alone, alone_ok = geo._metric_frame(G[2], B)
+    assert not alone_ok and np.isnan(alone).all()
+
+
+def test_point_without_metric_frame_is_singular_in_its_batch():
+    """With the eigenvalue floor off (eps_deg < 0), the vanishing metric of
+    curve-2-3 at z = 0 reaches the Cholesky factorization and fails it:
+    that row reads singular, as under the floor, and the batch around it
+    is unchanged."""
+    chart = make_fixture("curve-2-3")
+    pts = _grid(chart, (9, 9), ((-0.5, 0.5), (-0.5, 0.5)))
+    rows = geo.point_rows(chart, pts, eps_deg=-1.0)
+    assert [r["singular"] for r in rows].count(True) == 1
+    assert rows[40]["singular"] and rows[40]["point"] == [0.0, 0.0]
+    assert rows == geo.point_rows(chart, pts)

@@ -6,6 +6,7 @@ Runs every command of COMMANDS twice in each checkout, as
 `python -m isomin.cli ... --out report.json` with PYTHONPATH=<checkout>/src,
 each run in a fresh temporary directory. It then checks:
 
+* every report is strict JSON: a NaN or Infinity in it is a mismatch;
 * every report is byte-identical across the two runs of one checkout;
 * exit codes and the PASS/FAIL/VACUOUS words on stdout are identical
   between the checkouts;
@@ -13,7 +14,8 @@ each run in a fresh temporary directory. It then checks:
   floats agree: within REL_TOL relative where either value is above
   FLOOR in magnitude, within ABS_TOL absolute at or below it.
 
-Prints one line per command and a summary with the largest float
+Prints one line per command, with its report's size in bytes in each
+checkout, and a summary with the total sizes and the largest float
 differences seen. Exit code 0 when everything matches, 1 on any mismatch,
 2 on bad arguments.
 """
@@ -50,6 +52,15 @@ COMMANDS = (
        ["analyze", "--fixture", "curve-2-3", "--grid=-0.5:0.5:3,-0.5:0.5:3"],
        ["analyze", "--fixture", "n7", "--jet-order", "2"],
        ["analyze", "--fixture", "great-sphere"]])
+
+
+def _reject(const: str):
+    raise ValueError(f"non-finite number {const} in the report")
+
+
+def parse(report: bytes):
+    """The report's value; ValueError unless it is strict JSON."""
+    return json.loads(report, parse_constant=_reject)
 
 
 def run(checkout: Path, argv: list[str]) -> tuple[int, list[str], bytes | None]:
@@ -125,9 +136,11 @@ def main(argv=None) -> int:
             return 2
     diff = Diff()
     failed = 0
+    sizes = [0, 0]  # report bytes in the parent and in the change
     for cmd in COMMANDS:
         label = " ".join(cmd)
         problems = []
+        size = ""
         results = {}
         for side, checkout in (("parent", parent), ("change", change)):
             first, second = run(checkout, cmd), run(checkout, cmd)
@@ -143,18 +156,29 @@ def main(argv=None) -> int:
         if (rep_a is None) != (rep_b is None):
             problems.append("only one checkout wrote a report")
         elif rep_a is not None:
-            cmd_diff = Diff()
-            cmd_diff.compare(json.loads(rep_a), json.loads(rep_b))
-            problems += cmd_diff.problems[:5]
-            diff.max_rel = max(diff.max_rel, cmd_diff.max_rel)
-            diff.max_abs = max(diff.max_abs, cmd_diff.max_abs)
+            sizes[0] += len(rep_a)
+            sizes[1] += len(rep_b)
+            size = f" ({len(rep_a)} -> {len(rep_b)} B)"
+            docs = []
+            for side, rep in (("parent", rep_a), ("change", rep_b)):
+                try:
+                    docs.append(parse(rep))
+                except ValueError as exc:
+                    problems.append(f"{side} report is not strict JSON: {exc}")
+            if len(docs) == 2:
+                cmd_diff = Diff()
+                cmd_diff.compare(*docs)
+                problems += cmd_diff.problems[:5]
+                diff.max_rel = max(diff.max_rel, cmd_diff.max_rel)
+                diff.max_abs = max(diff.max_abs, cmd_diff.max_abs)
         failed += bool(problems)
-        print(f"{'ok  ' if not problems else 'FAIL'} exit {rc_b} {label}")
+        print(f"{'ok  ' if not problems else 'FAIL'} exit {rc_b} {label}{size}")
         for problem in problems:
             print(f"     {problem}")
     print(f"{len(COMMANDS) - failed} of {len(COMMANDS)} commands match; "
           f"largest gaps: {diff.max_rel:.3g} relative above {FLOOR:g}, "
-          f"{diff.max_abs:.3g} absolute at or below it")
+          f"{diff.max_abs:.3g} absolute at or below it; report bytes "
+          f"{sizes[0]} -> {sizes[1]}")
     return 1 if failed else 0
 
 
