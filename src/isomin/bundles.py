@@ -10,21 +10,26 @@ splitting tensor of the nullity distribution) comes from the same geometry
 code path as any other chart.
 
 A bundle chart evaluates a batch of points at once. The frame does not
-depend on theta, so it is built once per distinct base point (u, v) and
-broadcast over the fiber angles. Frame fields are built by pivoted
-orthogonalization in a fixed candidate order, which keeps the frame
-deterministic and continuous on chart domains whose flag has constant
-dimensions. Points where a pivot degenerates are masked per point, never
-composed with sqrt or recip, and come out of the chart as NaN rows, which
+depend on theta, so it is built once per distinct base point (u, v), as
+jets in the base's own two variables, and the fiber is closed-form: the
+coefficient of u^a v^b theta^j is E1[a, b] c_j + E2[a, b] s_j, with c_j
+and s_j the exact Taylor coefficients of cos and sin at theta. Frame
+fields are built by pivoted orthogonalization in a fixed candidate order,
+which keeps the frame deterministic and continuous on chart domains whose
+flag has constant dimensions; each normalization is one composition with
+x^(-1/2) (`jet.jet_rsqrt`). Points where a pivot degenerates are masked
+per point, never composed, and come out of the chart as NaN rows, which
 the geometry files as singular. Relative nullity is batched the same way:
-one evaluation and one stacked pass give every row of a sweep.
-Metric-orthonormal frames (the nullity pass, the horizontal plane of the
-splitting tensor) are Gram-Schmidt of given vectors in order, by one
-Cholesky factorization (`geometry._metric_frame`).
+one evaluation and one stacked pass give every row of a sweep, and a row
+does not depend on its batch. Metric-orthonormal frames (the nullity
+pass, the horizontal plane of the splitting tensor) are Gram-Schmidt of
+given vectors in order, by one Cholesky factorization
+(`geometry._metric_frame`).
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import warnings
 from typing import Sequence
@@ -59,7 +64,7 @@ def _jet_orthonormalize(cand: J.Jet, basis: list[J.Jet], eps_rank: float
     # rejected rows never reach the composition; accepted ones are vetted
     n2 = J.Jet(n2.space, np.where(ok[..., None], n2.coeffs,
                                   J.jet_constant(n2.space, 1.0).coeffs))
-    inv = J.jet_recip(J.jet_sqrt(n2, eps=0.0), eps=0.0)
+    inv = J.jet_rsqrt(n2, eps=0.0)
     return v * (inv * ok)[..., None], ok
 
 
@@ -73,24 +78,45 @@ class BundleChart:
     tau: int | None = None
 
 
+@functools.lru_cache(maxsize=None)
+def _fiber_map(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each multi-index (a, b, j) of the 3-variable space of the order,
+    the position of (a, b) in the 2-variable space and the power j."""
+    low = J.get_space(2, order).pos
+    src, power = np.array([(low[m[:2]], m[2])
+                           for m in J.get_space(3, order).indices]).T
+    return src, power
+
+
 def _circle_chart(base: ImmersionChart, frame, name: str) -> ImmersionChart:
     """The 3-chart (u, v, theta) -> cos(theta) E1 + sin(theta) E2 into the
-    unit sphere, where frame(uv, space) gives, at base points uv of shape
+    unit sphere, where frame(uv, order) gives, at base points uv of shape
     (Q, 2), the orthonormal pair of vector jets (E1, E2) of shape (Q, N) in
-    the 3-variable space and the mask of points where the frame is defined.
-    The frame is built once per distinct (u, v); rows where it is not
-    defined are NaN."""
+    the 2-variable space of the order and the mask of points where the
+    frame is defined. The frame is built once per distinct (u, v); rows
+    where it is not defined are NaN.
+
+    The frame does not depend on theta and cos, sin do not depend on
+    (u, v), so each coefficient of the product is one product: at (a, b, j)
+    it is E1[a, b] c_j + E2[a, b] s_j, with c_j, s_j the exact Taylor
+    coefficients cos^(j)(theta) / j!, sin^(j)(theta) / j!."""
 
     def jet_fn(points, space):
         if space.nvars != 3:
             raise ShapeMismatch("bundle charts evaluate in 3-variable spaces")
         uv, at = np.unique(points[:, :2], axis=0, return_inverse=True)
         at = at.reshape(-1)
-        e1, e2, ok = frame(uv, space)
-        th = J.jet_variable(space, 2, points[:, 2])
-        out = J.jet_cos(th)[:, None] * e1[at] + J.jet_sin(th)[:, None] * e2[at]
-        out.coeffs[~ok[at]] = np.nan
-        return out
+        e1, e2, ok = frame(uv, space.order)
+        sin, cos = np.sin(points[:, 2]), np.cos(points[:, 2])
+        cycle = np.stack([sin, cos, -sin, -cos])  # sin^(j) = cycle[j % 4]
+        j = np.arange(space.order + 1)
+        fact = np.array([math.factorial(k) for k in j], dtype=float)
+        src, power = _fiber_map(space.order)
+        c = (cycle[(j + 1) % 4] / fact[:, None]).T[:, None, power]
+        s = (cycle[j % 4] / fact[:, None]).T[:, None, power]
+        out = e1.coeffs[..., src][at] * c + e2.coeffs[..., src][at] * s
+        out[~ok[at]] = np.nan
+        return J.Jet(space, out)
 
     return ImmersionChart(domain_dim=3, ambient_dim=base.ambient_dim,
                           ambient="sphere", jet_fn=jet_fn,
@@ -116,8 +142,8 @@ def unit_tangent_chart(base: ImmersionChart,
     if sorted(pivot_order) != [0, 1]:
         raise InvalidData("pivot_order must be a permutation of (0, 1)")
 
-    def frame(uv, space):
-        bjets = base.jet_fn(uv, J.get_space(3, space.order + 1))
+    def frame(uv, order):
+        bjets = base.jet_fn(uv, J.get_space(2, order + 1))
         e1, ok1 = _jet_orthonormalize(bjets.derivative(pivot_order[0]), [],
                                       eps_rank=0.0)
         e2, ok2 = _jet_orthonormalize(bjets.derivative(pivot_order[1]), [e1],
@@ -165,10 +191,9 @@ def unit_normal_chart(base: ImmersionChart,
             f"(residual {top:.3g}); the normal bundle chart need "
             "not be minimal", stacklevel=2)
 
-    def frame(uv, space):
-        bjets = base.jet_fn(uv, J.get_space(3, space.order + tau + 1))
-        tgt = space.order
-        position, ok = _jet_orthonormalize(J.jet_truncate(bjets, tgt), [],
+    def frame(uv, order):
+        bjets = base.jet_fn(uv, J.get_space(2, order + tau + 1))
+        position, ok = _jet_orthonormalize(J.jet_truncate(bjets, order), [],
                                            eps_rank=0.0)
         basis = [position]
         level = [bjets]  # level[k] = d_u^(s-k) d_v^k of the base
@@ -178,7 +203,7 @@ def unit_normal_chart(base: ImmersionChart,
             last = []  # the directions of order s, zero where rejected
             accepted = []
             for d in level:
-                got, acc = _jet_orthonormalize(J.jet_truncate(d, tgt), basis,
+                got, acc = _jet_orthonormalize(J.jet_truncate(d, order), basis,
                                                eps_rank=eps_rank)
                 basis.append(got)
                 last.append(got)
@@ -231,20 +256,31 @@ def _nullity(chart: ImmersionChart, points: np.ndarray, jets: J.Jet,
              eps_rank: float, eps_deg: float) -> NullityReport:
     """The report at every row of a chart jet of shape (P, N), order >= 2:
     the metric check and the second form projected off position and
-    tangent space, then the stacked metric frame and SVD over the regular
-    rows."""
+    tangent space, then the form in the stacked metric frame and its
+    singular values over the regular rows.
+
+    The frame change aorth_ij = sum_kl E_ki E_lj A_kl is two stacked
+    matrix products, each contracting one slot of the symmetric form, so
+    aorth comes out with (i, j) swapped, which is the same form. Its
+    singular values and left vectors, as an m x mN matrix, are those of
+    the m x m factor R of the QR of its transpose (T. F. Chan, ACM TOMS 8,
+    1982): aorth = R^T Q^T, so with R = U S V^T the left vectors are V."""
     P, m = points.shape
+    N = chart.ambient_dim
     regular, G, E, Q = geo._tangent_stage(chart, jets, eps_deg)
+    R = len(G)
     A = geo._form_table(jets[regular], 2, Q)          # (R, m, m, N)
-    aorth = np.einsum("rki,rlj,rkla->rija", E, E, A)
-    U, sv, _ = np.linalg.svd(aorth.reshape(len(G), m, m * chart.ambient_dim),
-                             full_matrices=False)
+    half = (E.mT @ A.reshape(R, m, m * N)).reshape(R, m, m, N)
+    aorth = (E.mT @ half.swapaxes(1, 2).reshape(R, m, m * N)
+             ).reshape(R, m, m, N)
+    _, sv, Vt = np.linalg.svd(np.linalg.qr(aorth.reshape(R, m, m * N).mT,
+                                           mode="r"))
     thr = eps_rank * np.maximum(1.0, sv[:, 0])
     nu = np.zeros(P, dtype=int)
     nu[regular] = np.sum(sv < thr[:, None], axis=1)
     EU = np.zeros((P, m, m))
-    EU[regular] = E @ U
-    kernel = tuple(EU[i][:, m - nu[i]:] for i in range(P))
+    EU[regular] = E @ Vt.mT
+    kernel = tuple(k[:, m - n:] for k, n in zip(EU, nu.tolist()))
     H = np.full(P, np.nan)
     H[regular] = np.linalg.norm(np.trace(aorth, axis1=1, axis2=2), axis=-1)
     svs = np.full((P, m), np.nan)
@@ -330,7 +366,7 @@ def _nullity_field(c: ImmersionChart, jets: J.Jet, eps_rank: float
         raise NullityJump("nullity line undetermined: the adjugate of "
                           "alpha alpha^T vanishes")
     t = _cross(S[(k + 1) % 3], S[(k + 2) % 3]) * (1.0 / norms[k])
-    inv = J.jet_recip(J.jet_sqrt(J.jet_dot(t, J.jet_dot(G, t))))
+    inv = J.jet_rsqrt(J.jet_dot(t, J.jet_dot(G, t)))
     return t * inv, G, det
 
 
@@ -361,7 +397,7 @@ def splitting_tensor(chart: ImmersionChart, point: Sequence[float],
         # the metric is vetted by the flag, so det G > 0
         det1 = J.jet_truncate(det, 1)
         inv_det = J.jet_recip(det1, eps=0.0)
-        inv_vol = J.jet_recip(J.jet_sqrt(det1, eps=0.0), eps=0.0)
+        inv_vol = J.jet_rsqrt(det1, eps=0.0)
     except DegenerateValue as exc:
         raise DegeneratePoint(f"nullity field degenerates at "
                               f"{tuple(point)}: {exc}")

@@ -9,8 +9,8 @@ splitting tensor equations, `export` writes an OBJ mesh.
 
 Configuration is a single JSON document; command line flags override its
 fields. Runs are deterministic: the same config produces byte-identical
-reports and meshes. A report is strict JSON with sorted keys, an indented
-top level and one compact line per row, with null for non-finite numbers.
+reports and meshes. A report is strict JSON with sorted keys, one compact
+line per top-level key or row, with null for non-finite numbers.
 Exit codes: 0 all checks pass, 1 bad input, 2 a verification failed (also
 when no point it needs is regular) or the numerics broke down, 3
 structural degeneracy (flag collapse).
@@ -66,9 +66,8 @@ _ROW_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False,
 
 
 def _nulls(x):
-    """Non-finite floats as None, in a small part of a report: the part
-    outside its rows (summary, tolerances, residuals), or one splitting
-    row as it is built."""
+    """Non-finite floats as None, in a report value that the encoder
+    rejected."""
     if isinstance(x, dict):
         return {k: _nulls(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -78,26 +77,37 @@ def _nulls(x):
     return x
 
 
+def _encode(value) -> str:
+    """Compact JSON of a report value; the encoder rejects a non-finite
+    number, and only then is the value walked to write it as null."""
+    try:
+        return _ROW_ENCODER.encode(value)
+    except ValueError:
+        return _ROW_ENCODER.encode(_nulls(value))
+
+
 def _is_rows(value) -> bool:
-    """A nonempty list of objects: the rows of a sweep, the splitting
-    points or the spot checks."""
+    """A nonempty list of objects (the rows of a sweep, the splitting
+    points or the spot checks) or of lists (the coefficient lists of the
+    curves, the grid axes)."""
     return (isinstance(value, list) and bool(value)
-            and all(isinstance(r, dict) for r in value))
+            and (all(isinstance(r, dict) for r in value)
+                 or all(isinstance(r, list) for r in value)))
 
 
 def report_text(doc: dict) -> str:
-    """Strict JSON with sorted keys and an indented top level, where each
-    element of a top-level list of objects (the rows) is one compact line.
-    A non-finite number is written as null."""
+    """Strict JSON with sorted keys, one line per top-level key, where each
+    element of a top-level list of objects or lists (the rows) is one more
+    line. Every line is compact JSON from the C encoder. A non-finite
+    number is written as null."""
     items = []
     for key in sorted(doc):
         value = doc[key]
         if _is_rows(value):
             text = "[\n" + ",\n".join(
-                "    " + _ROW_ENCODER.encode(r) for r in value) + "\n  ]"
+                "    " + _encode(r) for r in value) + "\n  ]"
         else:
-            text = json.dumps(_nulls(value), sort_keys=True, indent=2,
-                              allow_nan=False).replace("\n", "\n  ")
+            text = _encode(value)
         items.append(f"  {_ROW_ENCODER.encode(key)}: {text}")
     return "{\n" + ",\n".join(items) + "\n}\n"
 
@@ -252,7 +262,7 @@ def resolve_chart(cfg) -> geo.ImmersionChart:
     name = cfg["fixture"]
     if name is not None and _data_fixture(name) is None:
         return catalog.make_fixture(name, **(cfg["params"] or {}))
-    return W.generate_surface(resolve_surface_data(cfg)).chart
+    return W.weierstrass_chart(resolve_surface_data(cfg))
 
 
 def _axes_for(chart, cfg, default3=(5, 5, 8), default2=(9, 9)):
@@ -435,10 +445,10 @@ def cmd_bundle(cfg) -> int:
             attempted += 1
             span_ok &= sp.span_residual <= tols["span"]
             ode_ok &= _worst(sp.ode_residuals.values()) <= tols["ode"]
-            row.update(_nulls({"C": sp.C.tolist(), "u": sp.u, "v": sp.v,
-                               "span_residual": sp.span_residual,
-                               "ode_residuals": sp.ode_residuals,
-                               "fiber_alignment": sp.fiber_alignment}))
+            row.update({"C": sp.C.tolist(), "u": sp.u, "v": sp.v,
+                        "span_residual": sp.span_residual,
+                        "ode_residuals": sp.ode_residuals,
+                        "fiber_alignment": sp.fiber_alignment})
         split_rows.append(row)
 
     passed = h_ok and nu_ok and span_ok and ode_ok

@@ -71,8 +71,8 @@ class ImmersionChart:
     in the given jet space, with NaN coefficients in the rows of points
     where the chart is not defined. The first domain_dim variables of the
     space are the chart coordinates; charts may be evaluated inside larger
-    spaces (the bundle constructions do this) as long as the extra
-    variables are left untouched.
+    spaces as long as the extra variables are left untouched (the bundle
+    charts evaluate their base in its own two variables).
     """
 
     domain_dim: int
@@ -225,9 +225,13 @@ def _tangent_stage(chart: ImmersionChart, jets: J.Jet, eps_deg: float
     (P, N): the mask of regular rows (P,), and on the regular rows only the
     metric (R, m, m), the metric-orthonormal frame of the coordinate axes
     (R, m, m) and the orthonormal columns of position (sphere charts) plus
-    tangent space (R, N, k). A row whose metric has no Cholesky factor is
-    not regular. Raises InvalidData when a finite row of a sphere chart is
-    off the unit sphere."""
+    tangent space (R, N, k). The tangent columns are the Q factor of one
+    stacked Householder QR of the first partials projected off position:
+    only their span matters, and QR keeps them orthonormal to rounding
+    however ill-conditioned the metric is, where the frame P1 E would lose
+    orthogonality with the condition number of G. A row whose metric has
+    no Cholesky factor is not regular. Raises InvalidData when a finite row
+    of a sphere chart is off the unit sphere."""
     m = chart.domain_dim
     finite = np.isfinite(jets.coeffs.reshape(len(jets), -1)).all(axis=1)
     c = jets.coeffs[finite]
@@ -249,8 +253,7 @@ def _tangent_stage(chart: ImmersionChart, jets: J.Jet, eps_deg: float
     regular[finite] = keep
     if position is not None:
         position = position[keep]
-    U = np.linalg.svd(_project_out(position, P1[keep]),
-                      full_matrices=False)[0][..., :m]
+    U = np.linalg.qr(_project_out(position, P1[keep]))[0]
     Q = U if position is None else np.concatenate([position, U], axis=-1)
     return regular, G[keep], E[framed], Q
 

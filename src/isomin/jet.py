@@ -8,11 +8,11 @@ arithmetic, differentiation and truncation broadcast over it. A batch of
 points is one more leading axis: a chart evaluated at P points gives one
 jet of shape (P, ambient_dim). The expansion point itself is not stored;
 coefficients are relative offsets. Multiplication is truncated convolution
-driven by a precomputed index table, composition (sqrt, recip, sin, cos)
-is a Horner evaluation of the outer Taylor series in jet arithmetic,
-elementwise over the leading shape, and differentiation shifts coefficients
-down one order. sqrt and recip demand a constant term bounded away from
-zero (eps = 1e-10 by default) at every element; violating that raises
+driven by a precomputed index table, composition (sqrt, recip, rsqrt =
+x^(-1/2), sin, cos) is a Horner evaluation of the outer Taylor series in
+jet arithmetic, elementwise over the leading shape, and differentiation
+shifts coefficients down one order. sqrt, recip and rsqrt demand a constant term bounded away
+from zero (eps = 1e-10 by default) at every element; violating that raises
 DegenerateValue, so batched callers mask such elements out before
 composing. The jet of Re Phi(x0 + i x1) for a holomorphic Phi is read off
 Phi's derivatives in closed form.
@@ -280,13 +280,20 @@ def _outer_series(kind: str, a0: np.ndarray, order: int,
         for _ in range(order):
             c.append(-c[-1] / a0)
         return c
-    if kind == "sqrt":
+    if kind in ("sqrt", "rsqrt"):
         bad = a0 <= eps
         if bad.any():
             raise DegenerateValue(
-                f"sqrt at value {a0[bad].flat[0]!r} within eps {eps!r}")
+                f"{kind} at value {a0[bad].flat[0]!r} within eps {eps!r}")
         c = [np.sqrt(a0)]
         e = 0.5
+        if kind == "rsqrt":
+            # the guards of recip(sqrt(a)): sqrt(a0) is also bounded by eps
+            bad = c[0] <= eps
+            if bad.any():
+                raise DegenerateValue(
+                    f"rsqrt at value {a0[bad].flat[0]!r} within eps {eps!r}")
+            c, e = [1.0 / c[0]], -0.5
         for j in range(1, order + 1):
             c.append(c[-1] * (e - j + 1) / (j * a0))
         return c
@@ -299,7 +306,7 @@ def _outer_series(kind: str, a0: np.ndarray, order: int,
 
 
 def jet_compose(kind: str, a: Jet, eps: float = EPS_DEG) -> Jet:
-    """Compose an outer function (sqrt, recip, sin, cos) with a jet,
+    """Compose an outer function (sqrt, recip, rsqrt, sin, cos) with a jet,
     elementwise over its leading shape."""
     a0 = a.coeffs[..., 0]
     series = _outer_series(kind, a0, a.space.order, eps)
@@ -316,6 +323,12 @@ def jet_sqrt(a: Jet, eps: float = EPS_DEG) -> Jet:
 
 def jet_recip(a: Jet, eps: float = EPS_DEG) -> Jet:
     return jet_compose("recip", a, eps)
+
+
+def jet_rsqrt(a: Jet, eps: float = EPS_DEG) -> Jet:
+    """a^(-1/2) in one composition, with the eps guards of
+    jet_recip(jet_sqrt(a, eps), eps)."""
+    return jet_compose("rsqrt", a, eps)
 
 
 def jet_sin(a: Jet) -> Jet:

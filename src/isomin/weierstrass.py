@@ -199,20 +199,40 @@ def surface_chart(components: cp.PolyVec, name: str = "",
                           domain=tuple(domain), name=name)
 
 
-def generate_surface(data: WeierstrassData) -> MinimalSurfaceRep:
-    """Run the two-step recursion and build the real surface chart."""
+def null_curves(data: WeierstrassData
+                ) -> tuple[cp.PolyVec, cp.PolyVec, cp.PolyVec]:
+    """The two recursion steps and the final integral: alpha1, alpha2 and
+    phi2 = integral of alpha2."""
     alpha1 = isotropic_step(data.alpha0, data.beta1,
                             data.constants("phi0", data.n - 4))
     alpha2 = isotropic_step(alpha1, data.beta2,
                             data.constants("phi1", data.n - 2))
-    phi2 = cp.vec_int(alpha2, data.constants("phi2", data.n))
+    return alpha1, alpha2, cp.vec_int(alpha2, data.constants("phi2", data.n))
+
+
+def _real_chart(data: WeierstrassData, alpha2: cp.PolyVec,
+                phi2: cp.PolyVec) -> ImmersionChart:
+    curve = phi2 if data.final_integration else alpha2
+    tag = "int" if data.final_integration else "noint"
+    return surface_chart(curve, name=f"weierstrass-n{data.n}-{tag}")
+
+
+def weierstrass_chart(data: WeierstrassData) -> ImmersionChart:
+    """The real surface chart of the data alone, as generate_surface builds
+    it, without the null-identity residuals."""
+    _, alpha2, phi2 = null_curves(data)
+    return _real_chart(data, alpha2, phi2)
+
+
+def generate_surface(data: WeierstrassData) -> MinimalSurfaceRep:
+    """Run the two-step recursion, check the null identities and build the
+    real surface chart."""
+    alpha1, alpha2, phi2 = null_curves(data)
     residuals = {
         "alpha1_null": null_residual(alpha1),
         "alpha2_null": null_residual(alpha2),
         "alpha2_derivative_null": null_residual(cp.vec_diff(alpha2)),
     }
-    curve = phi2 if data.final_integration else alpha2
-    tag = "int" if data.final_integration else "noint"
-    chart = surface_chart(curve, name=f"weierstrass-n{data.n}-{tag}")
     return MinimalSurfaceRep(data=data, alpha1=alpha1, alpha2=alpha2,
-                             phi2=phi2, chart=chart, residuals=residuals)
+                             phi2=phi2, chart=_real_chart(data, alpha2, phi2),
+                             residuals=residuals)

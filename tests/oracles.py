@@ -18,7 +18,11 @@ and takes an SVD. The per-point flag is the loop that the stacked flag
 pass replaced, one order at a time on one point's jet. The holomorphic
 chart oracle evaluates polynomials by Horner's rule in complex jet
 arithmetic, where `surface_chart` reads the jet off complex derivatives in
-closed form.
+closed form. The three-variable bundle chart is the construction that
+the closed-form fiber replaced: the frame orthonormalized in the
+3-variable space, times cos theta and sin theta composed by Horner's
+rule. The nested x^(-1/2) is jet_recip of jet_sqrt, the two compositions
+that jet_rsqrt replaced.
 """
 import math
 
@@ -26,7 +30,8 @@ import numpy as np
 
 import isomin.geometry as geo
 import isomin.jet as J
-from isomin.bundles import SplittingReport, relative_nullity
+from isomin.bundles import (SplittingReport, _jet_orthonormalize,
+                            relative_nullity)
 from isomin.errors import DegeneratePoint, NullityJump, OrderOutOfRange
 
 STEP = 1e-4
@@ -289,3 +294,47 @@ def holomorphic_jets_horner(components, point, space):
                       J.jet_mul(re, zi) + J.jet_mul(im, zr) + c.imag)
         out.append(re)
     return out
+
+
+def bundle_jets_three_variable(bc, points, order):
+    """Jets of a bundle chart (default pivot order and rank threshold) at
+    points of shape (P, 3): the frame of every point built in the
+    3-variable space, where it does not depend on theta, then cos(theta)
+    E1 + sin(theta) E2 by jet products; NaN where the frame is undefined."""
+    points = np.asarray(points, dtype=float)
+    space, uv = J.get_space(3, order), points[:, :2]
+    if bc.kind == "unit_tangent":
+        bjets = bc.base.jet_fn(uv, J.get_space(3, order + 1))
+        e1, ok1 = _jet_orthonormalize(bjets.derivative(0), [], eps_rank=0.0)
+        e2, ok2 = _jet_orthonormalize(bjets.derivative(1), [e1],
+                                      eps_rank=0.0)
+        ok = ok1 & ok2
+    else:
+        bjets = bc.base.jet_fn(uv, J.get_space(3, order + bc.tau + 1))
+        position, ok = _jet_orthonormalize(J.jet_truncate(bjets, order), [],
+                                           eps_rank=0.0)
+        basis, level = [position], [bjets]
+        for _ in range(bc.tau + 1):
+            level = [level[0].derivative(0)] + [d.derivative(1)
+                                                for d in level]
+            last, accepted = [], []
+            for d in level:
+                got, acc = _jet_orthonormalize(J.jet_truncate(d, order),
+                                               basis, eps_rank=geo.EPS_RANK)
+                basis.append(got)
+                last.append(got)
+                accepted.append(acc)
+        accepted = np.stack(accepted)
+        first = np.argsort(~accepted, axis=0, kind="stable")
+        last, rows = J.jet_stack(last), np.arange(len(uv))
+        e1, e2 = last[first[0], rows], last[first[1], rows]
+        ok = ok & (accepted.sum(axis=0) == 2)
+    th = J.jet_variable(space, 2, points[:, 2])
+    out = J.jet_cos(th)[:, None] * e1 + J.jet_sin(th)[:, None] * e2
+    out.coeffs[~ok] = np.nan
+    return out
+
+
+def rsqrt_nested(a, eps=J.EPS_DEG):
+    """a^(-1/2) as the reciprocal of the square root, two compositions."""
+    return J.jet_recip(J.jet_sqrt(a, eps), eps)

@@ -1,4 +1,5 @@
 """Bipolar and polar charts, nullity, splitting tensor."""
+import json
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from isomin.errors import (DegeneratePoint, FlagCollapse, InvalidData,
 from isomin.geometry import ImmersionChart
 from isomin.weierstrass import generate_surface
 
-from oracles import nullity_fd, splitting_fd
+from oracles import bundle_jets_three_variable, nullity_fd, splitting_fd
 
 
 @pytest.fixture(scope="module")
@@ -537,6 +538,62 @@ def test_batched_jets_match_single_points(bipolar_n5, polar_ver):
                 np.testing.assert_allclose(
                     row.coeffs, chart.eval_jets(p, order).coeffs,
                     rtol=1e-14, atol=1e-14, equal_nan=True)
+
+
+def test_bundle_jets_match_the_three_variable_construction(bipolar_n5,
+                                                          polar_ver):
+    """Frames built in the base's two variables with the closed-form fiber
+    give the jets of the frames built in three variables times the
+    composed cos and sin, within 1e-13, with NaN rows in the same places
+    (curve-2-3-pad1 over z = 0)."""
+    rng = np.random.default_rng(12)
+    charts = [bipolar_n5, polar_ver,
+              unit_tangent_chart(make_fixture("curve-2-3-pad1"))]
+    for bc in charts:
+        lo, hi = np.array(bc.chart.domain).T
+        points = lo + (hi - lo) * rng.uniform(0.0, 1.0, size=(6, 3))
+        points[1, :2] = points[0, :2]  # one base point, two fiber angles
+        points[2, :2] = 0.5 * (lo[:2] + hi[:2])
+        for order in (0, 2, 4):
+            np.testing.assert_allclose(
+                bc.chart.eval_jets(points, order).coeffs,
+                bundle_jets_three_variable(bc, points, order).coeffs,
+                rtol=0, atol=1e-13, equal_nan=True)
+
+
+def _row_texts(chart, points) -> list[str]:
+    return [json.dumps(r, sort_keys=True) for r in bundle_rows(chart, points)]
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(["bipolar", "polar"]),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(5, 8),
+       frac=st.tuples(st.floats(0.1, 0.9), st.floats(0.1, 0.9)),
+       half=st.floats(0.01, 0.3),
+       counts=st.tuples(st.integers(1, 3), st.integers(1, 3),
+                        st.integers(1, 4)),
+       data=st.data())
+def test_bundle_rows_do_not_depend_on_their_batch(polar_ver, kind, seed, n,
+                                                  frac, half, counts, data):
+    """The JSON text of every row of a sweep equals its one-point row, and
+    the rows of any split of the points into sub-batches, and of any
+    permutation of them, are the same text."""
+    if kind == "bipolar":
+        bc = unit_tangent_chart(generate_surface(
+            random_weierstrass_data(np.random.default_rng(seed), n)).chart)
+    else:
+        bc = polar_ver
+    centre = [lo + (hi - lo) * f for (lo, hi), f in zip(bc.base.domain, frac)]
+    ranges = [(c - half, c + half) for c in centre] + [(0.0, 2.0 * math.pi)]
+    points = geo.grid_points(geo.grid_axes(bc.chart, counts, ranges))
+    rows = _row_texts(bc.chart, points)
+    assert rows == [_row_texts(bc.chart, p[None])[0] for p in points]
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(points) - 1),
+                                    max_size=3))) if len(points) > 1 else []
+    parts = np.split(points, cuts)
+    assert rows == [t for part in parts for t in _row_texts(bc.chart, part)]
+    order = data.draw(st.permutations(range(len(points))))
+    assert [rows[i] for i in order] == _row_texts(bc.chart, points[order])
 
 
 def _flat_fold_chart() -> ImmersionChart:

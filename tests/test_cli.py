@@ -468,32 +468,61 @@ def test_splitting_rows_write_non_finite_residuals_as_null(tmp_path,
     assert doc["verdicts"]["splitting_ode"] is True
 
 
+def _assert_layout(text: str) -> dict:
+    """One line per top-level key, sorted, holding the value's compact
+    JSON; a nonempty list of objects or of lists opens a block instead,
+    with one compact line per element. Returns the document."""
+    doc = json.loads(text)
+    lines = text.splitlines()
+    assert lines[0] == "{" and lines[-1] == "}"
+    keys = [line.split('"')[1] for line in lines if line.startswith('  "')]
+    assert keys == sorted(doc)
+    want = []
+    for key in keys:
+        value, sep = doc[key], "," if key != keys[-1] else ""
+        if (isinstance(value, list) and value
+                and (all(isinstance(r, dict) for r in value)
+                     or all(isinstance(r, list) for r in value))):
+            want.append(f'  "{key}": [')
+            want += ["    " + json.dumps(r, sort_keys=True) + ","
+                     for r in value[:-1]]
+            want += ["    " + json.dumps(value[-1], sort_keys=True),
+                     "  ]" + sep]
+        else:
+            want.append(f'  "{key}": {json.dumps(value, sort_keys=True)}'
+                        + sep)
+    assert lines[1:-1] == want
+    return doc
+
+
 def test_report_layout_is_one_compact_line_per_row(tmp_path, monkeypatch):
-    """Sorted keys and an indented top level, one line per row that is the
-    row's own compact JSON, and the same value as the stdlib's indented
-    text of the document as built; the document needs no conversion."""
+    """Sorted keys, one line per top-level key, one line per row that is
+    the row's own compact JSON (the rows of an analyze sweep, and the
+    coefficient lists of a generate report), and the same value as the
+    stdlib's indented text of the document as built; the document needs no
+    conversion."""
     built = []
     real = cli.report_text
     monkeypatch.setattr(cli, "report_text",
                         lambda doc: built.append(doc) or real(doc))
     out = tmp_path / "r.json"
-    assert run(["analyze", "--fixture", "n5", "--out", str(out)]) == 0
-    text = out.read_text()
-    doc = json.loads(text)
-    assert doc == json.loads(json.dumps(built[0], indent=2, sort_keys=True,
-                                        allow_nan=False))
-    lines = text.splitlines()
-    assert lines[0] == "{" and lines[-1] == "}"
-    keys = [line.split('"')[1] for line in lines if line.startswith('  "')]
-    assert keys == sorted(doc)
-    start = lines.index('  "rows": [')
-    rows = doc["rows"]
-    assert len(rows) == 81
-    body = lines[start + 1:start + 1 + len(rows)]
-    assert body == ["    " + json.dumps(row, sort_keys=True) + ","
-                    for row in rows[:-1]] + [
-        "    " + json.dumps(rows[-1], sort_keys=True)]
-    assert lines[start + 1 + len(rows)] in ("  ],", "  ]")
+    for argv in (["analyze", "--fixture", "n5"],
+                 ["generate", "--fixture", "n8"]):
+        assert run(argv + ["--out", str(out)]) == 0
+        text = out.read_text()
+        doc = _assert_layout(text)
+        assert doc == json.loads(json.dumps(built[-1], indent=2,
+                                            sort_keys=True, allow_nan=False))
+        lines = text.splitlines()
+        if argv[0] == "analyze":
+            assert len(doc["rows"]) == 81
+            assert lines.count('  "rows": [') == 1
+        else:
+            assert len(doc["phi2"]) == 8
+            for key in ("alpha1", "alpha2", "phi2"):
+                start = lines.index(f'  "{key}": [')
+                assert lines[start + 1] == (
+                    "    " + json.dumps(doc[key][0]) + ",")
 
 
 def test_linalg_error_is_a_numerical_breakdown(tmp_path, capsys,
@@ -755,9 +784,9 @@ def test_bundle_sweep_is_one_batched_evaluation(tmp_path, monkeypatch):
     assert [len(p) for _, p in bundle_calls] == [200, 1, 1, 1, 1]
     (probe_vars, probe), (sweep_vars, sweep), *split = base_calls
     assert (probe_vars, probe.shape) == (2, (1, 2))
-    assert (sweep_vars, sweep.shape) == (3, (25, 2))
+    assert (sweep_vars, sweep.shape) == (2, (25, 2))
     assert len(np.unique(sweep, axis=0)) == 25
-    assert [(nv, p.shape) for nv, p in split] == [(3, (1, 2))] * 4
+    assert [(nv, p.shape) for nv, p in split] == [(2, (1, 2))] * 4
 
 
 def test_analyze_is_one_batched_evaluation(tmp_path, monkeypatch):
@@ -786,4 +815,4 @@ def test_polar_bundle_evaluates_the_base_twice_before_the_sweep(
                 "--out", str(tmp_path / "r.json")]) == 0
     (_, probe), (_, cert), (sweep_vars, sweep), *_ = calls
     assert (probe.shape, cert.shape) == ((1, 2), (81, 2))
-    assert (sweep_vars, sweep.shape) == (3, (25, 2))
+    assert (sweep_vars, sweep.shape) == (2, (25, 2))

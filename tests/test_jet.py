@@ -14,7 +14,7 @@ from isomin.errors import (DegenerateValue, DimensionMismatch, InvalidData,
                            OrderExceeded, ShapeMismatch)
 from isomin.weierstrass import generate_surface, surface_chart
 
-from oracles import holomorphic_jets_horner
+from oracles import holomorphic_jets_horner, rsqrt_nested
 
 
 def _partial(f, idx):
@@ -316,7 +316,7 @@ def test_compose_is_elementwise_on_vector_jets():
     rng = np.random.default_rng(9)
     v = _random_jet(rng, sp, (4, 2))
     v = v - v.value + rng.uniform(0.5, 2.0, size=(4, 2))
-    for fn in (J.jet_sqrt, J.jet_recip, J.jet_sin, J.jet_cos):
+    for fn in (J.jet_sqrt, J.jet_recip, J.jet_rsqrt, J.jet_sin, J.jet_cos):
         got = fn(v)
         assert got.shape == (4, 2)
         for i in range(4):
@@ -354,3 +354,31 @@ def test_variable_with_array_values_matches_scalar_calls():
             for row, x in zip(got, values):
                 assert np.array_equal(row.coeffs,
                                       J.jet_variable(sp, var, x).coeffs)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), nvars=st.integers(1, 3),
+       order=st.integers(0, 5),
+       a0=st.one_of(st.floats(1e-3, 1e3),
+                    st.sampled_from([-1.0, -0.0, 0.0, 1e-20, 1e-10,
+                                     1.0000000000000002e-10, 0.25, 4.0,
+                                     16.0, 16.000000000000004])),
+       eps=st.sampled_from([0.0, J.EPS_DEG, 0.5, 4.0]))
+def test_rsqrt_is_the_reciprocal_square_root(seed, nvars, order, a0, eps):
+    """One composition gives jet_recip(jet_sqrt(a)) within 1e-14 of its
+    largest coefficient, and raises DegenerateValue exactly where the two
+    nested compositions do: at a0 <= eps or sqrt(a0) <= eps."""
+    sp = J.get_space(nvars, order)
+    a = _random_jet(np.random.default_rng(seed), sp, (3,))
+    a = a - a.value + np.array([a0, 1.0, 2.5])
+    outcomes = []
+    for fn in (J.jet_rsqrt, rsqrt_nested):
+        try:
+            outcomes.append(fn(a, eps).coeffs)
+        except DegenerateValue:
+            outcomes.append(None)
+    got, want = outcomes
+    assert (got is None) == (want is None)
+    if want is not None:
+        scale = max(1.0, float(np.abs(want).max()))
+        assert np.abs(got - want).max() <= 1e-14 * scale

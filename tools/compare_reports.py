@@ -3,16 +3,21 @@
     python3 tools/compare_reports.py PARENT CHANGE
 
 Runs every command of COMMANDS twice in each checkout, as
-`python -m isomin.cli ... --out report.json` with PYTHONPATH=<checkout>/src,
-each run in a fresh temporary directory. It then checks:
+`python -m isomin.cli ... --out report.json` (`--out mesh.obj` for an
+`export`) with PYTHONPATH=<checkout>/src, each run in a fresh temporary
+directory. It then checks:
 
 * every report is strict JSON: a NaN or Infinity in it is a mismatch;
-* every report is byte-identical across the two runs of one checkout;
+* every mesh has only comment, vertex and face lines, and finite vertices;
+* every report or mesh is byte-identical across the two runs of one
+  checkout;
 * exit codes and the PASS/FAIL/VACUOUS words on stdout are identical
   between the checkouts;
-* the reports have the same structure and non-float fields, and their
-  floats agree: within REL_TOL relative where either value is above
-  FLOOR in magnitude, within ABS_TOL absolute at or below it.
+* the reports have the same structure and non-float fields, and the
+  meshes the same comment and face lines, and their floats (the vertex
+  coordinates of a mesh) agree: within REL_TOL relative where either
+  value is above FLOOR in magnitude, within ABS_TOL absolute at or below
+  it.
 
 Prints one line per command, with its report's size in bytes in each
 checkout, and a summary with the total sizes and the largest float
@@ -51,7 +56,9 @@ COMMANDS = (
        ["bundle", "--kind", "bipolar", "--fixture", "curve-2-3-pad1"],
        ["analyze", "--fixture", "curve-2-3", "--grid=-0.5:0.5:3,-0.5:0.5:3"],
        ["analyze", "--fixture", "n7", "--jet-order", "2"],
-       ["analyze", "--fixture", "great-sphere"]])
+       ["analyze", "--fixture", "great-sphere"]]
+    + [["export", "--kind", "bipolar", "--fixture", "n5"],
+       ["export", "--kind", "polar", "--fixture", "veronese"]])
 
 
 def _reject(const: str):
@@ -63,12 +70,32 @@ def parse(report: bytes):
     return json.loads(report, parse_constant=_reject)
 
 
+def parse_mesh(mesh: bytes) -> dict:
+    """The OBJ mesh as a tree: its comment and face lines as strings, its
+    vertices as lists of floats; ValueError on any other line or on a
+    vertex coordinate that is not finite."""
+    tree = {"#": [], "v": [], "f": []}
+    for line in mesh.decode().splitlines():
+        tag, _, rest = line.partition(" ")
+        if tag not in tree:
+            raise ValueError(f"unexpected line {line!r} in the mesh")
+        if tag == "v":
+            xyz = [float(x) for x in rest.split()]
+            if not all(math.isfinite(x) for x in xyz):
+                raise ValueError(f"non-finite vertex {line!r} in the mesh")
+            tree["v"].append(xyz)
+        else:
+            tree[tag].append(line)
+    return tree
+
+
 def run(checkout: Path, argv: list[str]) -> tuple[int, list[str], bytes | None]:
     """Exit code, verdict words and report bytes (None if no report) of one
     command run in the checkout."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "report.json"
+        out = Path(tmp) / ("mesh.obj" if argv[0] == "export"
+                           else "report.json")
         proc = subprocess.run(
             [sys.executable, "-m", "isomin.cli", *argv, "--out", str(out)],
             env=env, cwd=tmp, capture_output=True, text=True)
@@ -160,11 +187,12 @@ def main(argv=None) -> int:
             sizes[1] += len(rep_b)
             size = f" ({len(rep_a)} -> {len(rep_b)} B)"
             docs = []
+            read = parse_mesh if cmd[0] == "export" else parse
             for side, rep in (("parent", rep_a), ("change", rep_b)):
                 try:
-                    docs.append(parse(rep))
+                    docs.append(read(rep))
                 except ValueError as exc:
-                    problems.append(f"{side} report is not strict JSON: {exc}")
+                    problems.append(f"{side} report is not valid: {exc}")
             if len(docs) == 2:
                 cmd_diff = Diff()
                 cmd_diff.compare(*docs)
