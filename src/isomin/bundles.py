@@ -19,12 +19,22 @@ which keeps the frame deterministic and continuous on chart domains whose
 flag has constant dimensions; each normalization is one composition with
 x^(-1/2) (`jet.jet_rsqrt`). Points where a pivot degenerates are masked
 per point, never composed, and come out of the chart as NaN rows, which
-the geometry files as singular. Relative nullity is batched the same way:
-one evaluation and one stacked pass give every row of a sweep, and a row
-does not depend on its batch. Metric-orthonormal frames (the nullity
+the geometry files as singular. Metric-orthonormal frames (the nullity
 pass, the horizontal plane of the splitting tensor) are Gram-Schmidt of
 given vectors in order, by one Cholesky factorization
 (`geometry._metric_frame`).
+
+A `bundle` command is one frame evaluation, one nullity pass and one
+splitting pass (`sweep_and_split`). The frames are built once at the
+distinct (u, v) of the sweep grid and of the splitting points, at order 4
+when there are splitting points, and each row is assembled at its own
+order from them: 2 for a sweep row, 4 for a splitting point. Order-4
+frames cut to order 2 are the order-2 frames bit for bit. One nullity
+pass covers the sweep rows and the splitting rows cut to order 2, and one
+stacked pass gives the splitting tensor of every splitting point where
+the nullity is 1; a point without one gets the error that the one-point
+`splitting_tensor` raises, and its report row the reason. A row does not
+depend on its batch.
 """
 from __future__ import annotations
 
@@ -32,49 +42,73 @@ import dataclasses
 import functools
 import math
 import warnings
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import jet as J
-from .errors import (DegeneratePoint, DegenerateValue, FlagCollapse,
-                     InvalidData, NotElliptic, NullityJump, ShapeMismatch)
+from .errors import (DegeneratePoint, FlagCollapse, InvalidData,
+                     IsominError, NotElliptic, NullityJump, ShapeMismatch)
 from . import geometry as geo
 from .geometry import ImmersionChart
 
 
-def _jet_orthonormalize(cand: J.Jet, basis: list[J.Jet], eps_rank: float
-                        ) -> tuple[J.Jet, np.ndarray]:
-    """Orthogonalize stacked vector jets (shape (Q, N)) against unit or zero
-    vector jets, row by row; return the normalized residual and the mask of
-    rows where it is accepted. A residual is rejected when it is below the
-    rank threshold (relative to the candidate's own value scale), or, with
-    eps_rank 0, when its squared norm is within the sqrt guard; rejected
-    rows come back as zero jets, so they drop out of later projections."""
-    scale2 = J.jet_dot(cand, cand).value
-    v = cand
+def _vetted(a: J.Jet, ok: np.ndarray) -> J.Jet:
+    """The jet with every element outside the mask replaced by the constant
+    1, so that a composition guarded per element never sees it."""
+    return J.Jet(a.space, np.where(ok[..., None], a.coeffs,
+                                   J.jet_constant(a.space, 1.0).coeffs))
+
+
+def _project(v: J.Jet, basis: list[J.Jet]) -> J.Jet:
+    """Vector jets minus their components along unit or zero vector jets,
+    one basis jet after the other (modified Gram-Schmidt); a leading axis
+    of v that the basis jets lack stacks candidates."""
     for b in basis:
         v = v - J.jet_dot(v, b)[..., None] * b
+    return v
+
+
+def _normalize(v: J.Jet, scale2: np.ndarray, eps_rank: float
+               ) -> tuple[J.Jet, np.ndarray]:
+    """The normalized residual v and the mask of rows where it is accepted:
+    above the rank threshold relative to the candidate's squared value
+    scale2, or, with eps_rank 0, with its squared norm beyond the sqrt
+    guard. Rejected rows come back as zero jets, so they drop out of later
+    projections."""
     n2 = J.jet_dot(v, v)
     if eps_rank > 0.0:
         thr = eps_rank * np.maximum(1.0, np.sqrt(np.maximum(scale2, 0.0)))
         ok = n2.value > thr * thr
     else:
         ok = n2.value > J.EPS_DEG
-    # rejected rows never reach the composition; accepted ones are vetted
-    n2 = J.Jet(n2.space, np.where(ok[..., None], n2.coeffs,
-                                  J.jet_constant(n2.space, 1.0).coeffs))
-    inv = J.jet_rsqrt(n2, eps=0.0)
+    inv = J.jet_rsqrt(_vetted(n2, ok), eps=0.0)
     return v * (inv * ok)[..., None], ok
+
+
+def _jet_orthonormalize(cand: J.Jet, basis: list[J.Jet], eps_rank: float
+                        ) -> tuple[J.Jet, np.ndarray]:
+    """Orthogonalize stacked vector jets (shape (Q, N)) against unit or zero
+    vector jets, row by row; return the normalized residual and the mask of
+    rows where it is accepted (`_normalize`, with the candidate's own value
+    scale)."""
+    return _normalize(_project(cand, basis), J.jet_dot(cand, cand).value,
+                      eps_rank)
 
 
 @dataclasses.dataclass
 class BundleChart:
-    """A 3-chart (u, v, theta) into a sphere, remembering its base."""
+    """A 3-chart (u, v, theta) into a sphere, remembering its base.
+
+    eval_batches takes a list of (points (P, 3), order) and gives the jets
+    of the chart at each batch, at its own order, from one frame evaluation
+    at the distinct (u, v) of all batches (`chart.eval_jets` is the call
+    with one batch)."""
 
     kind: str  # "unit_tangent" or "unit_normal"
     base: ImmersionChart
     chart: ImmersionChart
+    eval_batches: Callable[[Sequence[tuple[np.ndarray, int]]], list[J.Jet]]
     tau: int | None = None
 
 
@@ -88,40 +122,59 @@ def _fiber_map(order: int) -> tuple[np.ndarray, np.ndarray]:
     return src, power
 
 
-def _circle_chart(base: ImmersionChart, frame, name: str) -> ImmersionChart:
+def _circle_chart(base: ImmersionChart, frame, name: str
+                  ) -> tuple[ImmersionChart, Callable]:
     """The 3-chart (u, v, theta) -> cos(theta) E1 + sin(theta) E2 into the
-    unit sphere, where frame(uv, order) gives, at base points uv of shape
-    (Q, 2), the orthonormal pair of vector jets (E1, E2) of shape (Q, N) in
-    the 2-variable space of the order and the mask of points where the
-    frame is defined. The frame is built once per distinct (u, v); rows
-    where it is not defined are NaN.
+    unit sphere and its batch evaluator (`BundleChart.eval_batches`), where
+    frame(uv, order) gives, at base points uv of shape (Q, 2), the
+    orthonormal pair of vector jets (E1, E2) of shape (Q, N) in the
+    2-variable space of the order and the mask of points where the frame
+    is defined. The frame is built once per distinct (u, v) of all batches,
+    at their highest order; rows where it is not defined are NaN.
 
     The frame does not depend on theta and cos, sin do not depend on
     (u, v), so each coefficient of the product is one product: at (a, b, j)
     it is E1[a, b] c_j + E2[a, b] s_j, with c_j, s_j the exact Taylor
-    coefficients cos^(j)(theta) / j!, sin^(j)(theta) / j!."""
+    coefficients cos^(j)(theta) / j!, sin^(j)(theta) / j!. The positions of
+    a lower order are a prefix of those of a higher one, so a batch of
+    lower order reads its frame coefficients off the same arrays."""
 
-    def jet_fn(points, space):
-        if space.nvars != 3:
-            raise ShapeMismatch("bundle charts evaluate in 3-variable spaces")
-        uv, at = np.unique(points[:, :2], axis=0, return_inverse=True)
-        at = at.reshape(-1)
-        e1, e2, ok = frame(uv, space.order)
-        sin, cos = np.sin(points[:, 2]), np.cos(points[:, 2])
+    def fiber(e1, e2, ok, at, theta, order):
+        sin, cos = np.sin(theta), np.cos(theta)
         cycle = np.stack([sin, cos, -sin, -cos])  # sin^(j) = cycle[j % 4]
-        j = np.arange(space.order + 1)
+        j = np.arange(order + 1)
         fact = np.array([math.factorial(k) for k in j], dtype=float)
-        src, power = _fiber_map(space.order)
+        src, power = _fiber_map(order)
         c = (cycle[(j + 1) % 4] / fact[:, None]).T[:, None, power]
         s = (cycle[j % 4] / fact[:, None]).T[:, None, power]
         out = e1.coeffs[..., src][at] * c + e2.coeffs[..., src][at] * s
         out[~ok[at]] = np.nan
-        return J.Jet(space, out)
+        return J.Jet(J.get_space(3, order), out)
 
-    return ImmersionChart(domain_dim=3, ambient_dim=base.ambient_dim,
-                          ambient="sphere", jet_fn=jet_fn,
-                          domain=base.domain + ((0.0, 2.0 * math.pi),),
-                          periodic=(False, False, True), name=name)
+    def eval_batches(batches):
+        points = [np.reshape(np.asarray(p, dtype=float), (-1, 3))
+                  for p, _ in batches]
+        uv, at = np.unique(np.concatenate(points)[:, :2], axis=0,
+                           return_inverse=True)
+        at = at.reshape(-1)
+        e1, e2, ok = frame(uv, max(order for _, order in batches))
+        out, start = [], 0
+        for pts, (_, order) in zip(points, batches):
+            out.append(fiber(e1, e2, ok, at[start:start + len(pts)],
+                             pts[:, 2], order))
+            start += len(pts)
+        return out
+
+    def jet_fn(points, space):
+        if space.nvars != 3:
+            raise ShapeMismatch("bundle charts evaluate in 3-variable spaces")
+        return eval_batches([(points, space.order)])[0]
+
+    chart = ImmersionChart(domain_dim=3, ambient_dim=base.ambient_dim,
+                           ambient="sphere", jet_fn=jet_fn,
+                           domain=base.domain + ((0.0, 2.0 * math.pi),),
+                           periodic=(False, False, True), name=name)
+    return chart, eval_batches
 
 
 def unit_tangent_chart(base: ImmersionChart,
@@ -150,8 +203,10 @@ def unit_tangent_chart(base: ImmersionChart,
                                       eps_rank=0.0)
         return e1, e2, ok1 & ok2
 
-    chart = _circle_chart(base, frame, f"unit-tangent({base.name})")
-    return BundleChart(kind="unit_tangent", base=base, chart=chart)
+    chart, eval_batches = _circle_chart(base, frame,
+                                        f"unit-tangent({base.name})")
+    return BundleChart(kind="unit_tangent", base=base, chart=chart,
+                       eval_batches=eval_batches)
 
 
 def unit_normal_chart(base: ImmersionChart,
@@ -200,14 +255,19 @@ def unit_normal_chart(base: ImmersionChart,
         for s in range(1, tau + 2):
             level = ([level[0].derivative(0)]
                      + [d.derivative(1) for d in level])
+            # the candidates of order s against the lower orders in one
+            # stacked step, then against each other in turn: each goes
+            # through the projections of the one-at-a-time loop, in order
+            cands = J.jet_truncate(J.jet_stack(level), order)
+            scale2 = J.jet_dot(cands, cands).value
+            cands = _project(cands, basis)
             last = []  # the directions of order s, zero where rejected
             accepted = []
-            for d in level:
-                got, acc = _jet_orthonormalize(J.jet_truncate(d, order), basis,
-                                               eps_rank=eps_rank)
-                basis.append(got)
+            for cand, sc in zip(cands, scale2):
+                got, acc = _normalize(_project(cand, last), sc, eps_rank)
                 last.append(got)
                 accepted.append(acc)
+            basis += last
         # per point, the first two accepted directions of the last order;
         # the last normal space must be a plane
         accepted = np.stack(accepted)
@@ -216,40 +276,38 @@ def unit_normal_chart(base: ImmersionChart,
         return (last[first[0], rows], last[first[1], rows],
                 ok & (accepted.sum(axis=0) == 2))
 
-    chart = _circle_chart(base, frame, f"unit-normal({base.name})")
-    return BundleChart(kind="unit_normal", base=base, chart=chart, tau=tau)
+    chart, eval_batches = _circle_chart(base, frame,
+                                        f"unit-normal({base.name})")
+    return BundleChart(kind="unit_normal", base=base, chart=chart,
+                       eval_batches=eval_batches, tau=tau)
 
 
 @dataclasses.dataclass
 class NullityReport:
-    """Relative nullity data of a 3-chart at a point: the singular values of
-    X -> alpha(X, .) in a metric-orthonormal frame, the kernel (coordinate
-    components), and the mean curvature norm.
+    """Relative nullity data of a chart at P points, each field with a
+    leading point axis: the singular values of X -> alpha(X, .) in a
+    metric-orthonormal frame, the kernel (coordinate components, one array
+    per point), and the mean curvature norm. `singular` marks the singular
+    points; there nu is 0, the numbers are NaN and the kernel empty."""
 
-    A report on P points carries a leading point axis on every field, with
-    one kernel array per point, and marks the singular points in
-    `singular`; there nu is 0, the numbers are NaN and the kernel empty."""
-
-    point: tuple[float, ...] | np.ndarray
-    nu: int | np.ndarray
-    singular_values: tuple[float, ...] | np.ndarray
-    kernel: np.ndarray | tuple[np.ndarray, ...]
-    mean_curvature_norm: float | np.ndarray
-    totally_geodesic: bool | np.ndarray
-    singular: bool | np.ndarray = False
+    point: np.ndarray
+    nu: np.ndarray
+    singular_values: np.ndarray
+    kernel: tuple[np.ndarray, ...]
+    mean_curvature_norm: np.ndarray
+    totally_geodesic: np.ndarray
+    singular: np.ndarray
 
 
 def relative_nullity(chart: ImmersionChart, points,
                      eps_rank: float = geo.EPS_RANK,
                      eps_deg: float = geo.EPS_DEG) -> NullityReport:
     """Relative nullity at points of shape (P, m), one report with a leading
-    point axis, from one chart evaluation. A single point of shape (m,) is
-    the P = 1 case and gives that point's report; it raises DegeneratePoint
-    where the point is singular."""
-    pts = np.asarray(points, dtype=float)
-    batch = pts.reshape(-1, chart.domain_dim)
-    rep = _nullity(chart, batch, chart.eval_jets(batch, 2), eps_rank, eps_deg)
-    return rep if pts.ndim == 2 else _single(rep)
+    point axis, from one chart evaluation."""
+    batch = np.reshape(np.asarray(points, dtype=float),
+                       (-1, chart.domain_dim))
+    return _nullity(chart, batch, chart.eval_jets(batch, 2), eps_rank,
+                    eps_deg)
 
 
 def _nullity(chart: ImmersionChart, points: np.ndarray, jets: J.Jet,
@@ -291,17 +349,22 @@ def _nullity(chart: ImmersionChart, points: np.ndarray, jets: J.Jet,
                          singular=~regular)
 
 
-def _single(rep: NullityReport) -> NullityReport:
-    """The only point of a one-point report; DegeneratePoint if singular."""
-    point = tuple(float(x) for x in rep.point[0])
-    if rep.singular[0]:
-        raise DegeneratePoint(f"singular point {point}")
-    return NullityReport(point=point, nu=int(rep.nu[0]),
-                         singular_values=tuple(float(x) for x in
-                                               rep.singular_values[0]),
-                         kernel=rep.kernel[0],
-                         mean_curvature_norm=float(rep.mean_curvature_norm[0]),
-                         totally_geodesic=bool(rep.totally_geodesic[0]))
+def _nullity_rows(rep: NullityReport, stop: int) -> list[dict]:
+    """JSON rows of the first stop points of a nullity report; a number
+    that is not finite is None."""
+    rows = []
+    for pt, singular, H, nu, sv, tg in zip(
+            geo._json_ready(rep.point[:stop]), rep.singular[:stop].tolist(),
+            geo._json_ready(rep.mean_curvature_norm[:stop]),
+            rep.nu[:stop].tolist(), geo._json_ready(rep.singular_values[:stop]),
+            rep.totally_geodesic[:stop].tolist()):
+        if singular:
+            rows.append({"point": pt, "singular": True, "H": None,
+                         "nu": None, "sv": None, "tg": None})
+        else:
+            rows.append({"point": pt, "singular": False, "H": H, "nu": nu,
+                         "sv": sv, "tg": tg})
+    return rows
 
 
 @dataclasses.dataclass
@@ -323,51 +386,162 @@ class SplittingReport:
     fiber_alignment: float
 
 
-def _cross(a: J.Jet, b: J.Jet) -> J.Jet:
-    """Cross product of 3-vector jets along their last leading axis."""
+def _cross(a, b):
+    """Cross product of 3-vectors along their last axis: of arrays, or of
+    jets along their last leading axis."""
     i, j = [1, 2, 0], [2, 0, 1]
     return a[..., i] * b[..., j] - a[..., j] * b[..., i]
 
 
-def _nullity_field(c: ImmersionChart, jets: J.Jet, eps_rank: float
-                   ) -> tuple[J.Jet, J.Jet, J.Jet]:
-    """Unit nullity field T (shape (3,)), metric G (shape (3, 3)) and det G,
-    as order-2 jets, from an order-4 jet of a 3-chart f.
+def _nullity_field(c: ImmersionChart, jets: J.Jet, eps_rank: float):
+    """Unit nullity field T (shape (P, 3)), metric G (P, 3, 3) and det G
+    (P,), as order-2 jets, from an order-4 jet of a 3-chart f of shape
+    (P, N), with the masks of the rows where the nullity line is
+    determined and where T has a unit length; T is garbage elsewhere.
 
     The normal parts of the second partials, scaled by det G to stay
     polynomial, are n_ij = det G (H_ij - <H_ij, f> f) - sum F_m adj(G)_mn
     <F_n, H_ij> (no f term in Euclidean space). The nullity line is the
     kernel of S_ik = sum_j <n_ij, n_kj>, which has rank 2 where the nullity
-    is 1, so every adjugate column of S spans it; T normalizes the one whose
-    value is longest."""
-    d1 = J.jet_stack([jets.derivative(i) for i in range(3)])     # (3, N)
-    H = J.jet_stack([d1.derivative(j) for j in range(3)])        # (3, 3, N)
+    is 1, so every adjugate column of S spans it; T normalizes, per row,
+    the one whose value is longest."""
+    P = len(jets)
+    d1 = J.jet_gradient(jets, axis=1)     # (P, 3, N)
+    H = J.jet_gradient(d1, axis=1)        # (P, 3, 3, N)
     F = J.jet_truncate(d1, 2)
-    G = J.jet_dot(F[:, None], F)
-    adj = _cross(G[[1, 2, 0]], G[[2, 0, 1]])
-    det = J.jet_dot(G[0], adj[0])
-    n = det * H
+    G = J.jet_dot(F[:, :, None], F[:, None])
+    adj = _cross(G[:, [1, 2, 0]], G[:, [2, 0, 1]])
+    det = J.jet_dot(G[:, 0], adj[:, 0])
+    n = det[:, None, None, None] * H
     if c.ambient == "sphere":
         f = J.jet_truncate(jets, 2)
-        n = n - (det * J.jet_dot(f, H))[..., None] * f
-    # coef[i, j, m] = sum_n adj(G)_mn <F_n, H_ij>
-    coef = J.jet_dot(adj, J.jet_dot(H[:, :, None], F)[:, :, None])
+        n = n - ((det[:, None, None] * J.jet_dot(f[:, None, None], H))
+                 [..., None] * f[:, None, None])
+    # coef[p, i, j, m] = sum_n adj(G)_mn <F_n, H_ij>
+    coef = J.jet_dot(adj[:, None, None],
+                     J.jet_dot(H[:, :, :, None],
+                               F[:, None, None])[:, :, :, None])
     for m in range(3):
-        n = n - coef[..., m, None] * F[m]
-    K = n.reshape(3, -1)
-    S = J.jet_dot(K[:, None], K)
+        n = n - coef[..., m, None] * F[:, m, None, None]
+    K = n.reshape(P, 3, -1)
+    S = J.jet_dot(K[:, :, None], K[:, None])
     S0 = S.value
-    norms = [float(np.linalg.norm(np.cross(S0[(k + 1) % 3], S0[(k + 2) % 3])))
-             for k in range(3)]
-    k = int(np.argmax(norms))
+    norms = np.linalg.norm(_cross(S0[:, [1, 2, 0]], S0[:, [2, 0, 1]]),
+                           axis=-1)
+    k = np.argmax(norms, axis=-1)
+    rows = np.arange(P)
+    top = norms[rows, k]
     # |adj S| ~ s1 s2 against |S|^2 ~ s1^2: the second singular value of
     # X -> alpha(X, .) relative to the first is below eps_rank
-    if not norms[k] > eps_rank ** 2 * float(np.sum(S0 * S0)):
-        raise NullityJump("nullity line undetermined: the adjugate of "
-                          "alpha alpha^T vanishes")
-    t = _cross(S[(k + 1) % 3], S[(k + 2) % 3]) * (1.0 / norms[k])
-    inv = J.jet_rsqrt(J.jet_dot(t, J.jet_dot(G, t)))
-    return t * inv, G, det
+    determined = top > eps_rank ** 2 * np.sum(S0 * S0, axis=(1, 2))
+    t = (_cross(S[rows, (k + 1) % 3], S[rows, (k + 2) % 3])
+         * (1.0 / np.where(determined, top, 1.0))[:, None])
+    t2 = J.jet_dot(t, J.jet_dot(G, t[:, None]))
+    unit = determined & ~(t2.value <= J.EPS_DEG)
+    T = t * J.jet_rsqrt(_vetted(t2, unit))[:, None]
+    return T, G, det, determined, unit
+
+
+def _splitting_pass(chart: ImmersionChart, points: np.ndarray, jets: J.Jet,
+                    nu: np.ndarray, singular: np.ndarray, eps_rank: float
+                    ) -> list[SplittingReport | IsominError]:
+    """Splitting tensors at points of shape (P, 3) of a 3-chart, from its
+    order-4 jet there (shape (P, N)) and the relative nullity of each point
+    (`_nullity`, which reads only the order-2 part): one stacked pass over
+    the points where the nullity is 1. Gives, per point, its report or the
+    error that `splitting_tensor` raises there: DegeneratePoint where the
+    point is singular or the nullity field or horizontal frame degenerates,
+    NullityJump where the nullity is not 1 (with nu) or its line is
+    undetermined (without).
+
+    With T the unit nullity field as an order-2 jet, the covariant
+    derivative (nabla_k T)_m = g_ml d_k T^l + Gamma_(m,kl) T^l, the scalars
+    v = -div(T) / 2 and u = |eps^(kmi) T_i (nabla_k T)_m| / 2 are order-1
+    jets, so their derivatives along the frame are exact. The sign of u is
+    fixed at the point; T's orientation is arbitrary, which flips v."""
+    where = [tuple(p) for p in points.tolist()]
+    finite = np.isfinite(jets.coeffs.reshape(len(jets), -1)).all(axis=1)
+    singular = singular | ~finite
+    out: list = [None] * len(points)
+    for i in np.flatnonzero(singular | (nu != 1)).tolist():
+        out[i] = (DegeneratePoint(f"singular point {where[i]}")
+                  if singular[i] else
+                  NullityJump(f"nullity {nu[i]} != 1 at {where[i]}",
+                              nu=int(nu[i])))
+    live = np.flatnonzero(~singular & (nu == 1))
+    if not len(live):
+        return out
+    T, G, det, determined, unit = _nullity_field(chart, jets[live], eps_rank)
+    # the nullity pass vets the metric, so det G > 0 but for rounding, which
+    # the compositions below guard
+    det1 = J.jet_truncate(det, 1)
+    ok = determined & unit & ~(det1.value <= 0.0)
+    for i, determined_i, ok_i in zip(live.tolist(), determined.tolist(),
+                                     ok.tolist()):
+        if not determined_i:
+            out[i] = NullityJump("nullity line undetermined: the adjugate "
+                                 "of alpha alpha^T vanishes")
+        elif not ok_i:
+            out[i] = DegeneratePoint(
+                f"nullity field degenerates at {where[i]}")
+    live, T, G, det, det1 = live[ok], T[ok], G[ok], det[ok], det1[ok]
+    if not len(live):
+        return out
+    inv_det, inv_vol = J.jet_recip(det1, eps=0.0), J.jet_rsqrt(det1, eps=0.0)
+    T1, g = J.jet_truncate(T, 1), J.jet_truncate(G, 1)
+    dG = J.jet_gradient(G, axis=1)   # [p, k, l, m]
+    dT = J.jet_gradient(T, axis=1)   # [p, k, l]
+    # Gamma_(m,kl) T^l = (dg_T[k, m] + T_dg[k, m] - dg_T[m, k]) / 2, with
+    # dg_T[k, m] = d_k g_ml T^l and T_dg[k, m] = T^l d_l g_km (symmetric)
+    dg_T = J.jet_dot(dG, T1[:, None, None])
+    T_dg = J.jet_dot(J.Jet(dG.space, dG.coeffs.transpose(0, 3, 2, 1, 4)),
+                     T1[:, None, None])
+    cov = (J.jet_dot(g[:, None], dT[:, :, None])
+           + 0.5 * (dg_T + T_dg - J.Jet(dg_T.space,
+                                        dg_T.coeffs.swapaxes(1, 2))))
+    ddet = J.jet_gradient(det, axis=1)
+    div = (dT[:, 0, 0] + dT[:, 1, 1] + dT[:, 2, 2]
+           + 0.5 * J.jet_mul(J.jet_dot(T1, ddet), inv_det))
+    v = -0.5 * div
+    curl = (cov[:, [1, 2, 0], [2, 0, 1]] - cov[:, [2, 0, 1], [1, 2, 0]])
+    u = 0.5 * J.jet_mul(J.jet_dot(J.jet_dot(g, T1[:, None]), curl), inv_vol)
+    u = J.Jet(u.space, np.where(u.value[:, None] < 0, -u.coeffs, u.coeffs))
+
+    # rows X1, X2: metric-orthonormal and orthogonal to T, by Gram-Schmidt
+    # on T and the two coordinate axes least aligned with it
+    G0, T0, A = G.value, T.value, cov.value
+    scores = (np.abs((G0 @ T0[..., None])[..., 0])
+              / np.sqrt(np.diagonal(G0, axis1=1, axis2=2)))
+    axes = np.eye(3)[np.argsort(scores, axis=-1)[:, :2]].mT
+    X, framed = geo._metric_frame(G0, np.concatenate([T0[..., None], axes],
+                                                     axis=-1))
+    X = X[..., 1:].mT
+    C = -X @ A.mT @ X.mT  # C[b, a] = -<X_b, nabla_(X_a) T>
+    flip = C[:, 0, 1] < C[:, 1, 0]  # orient the frame so that u >= 0
+    X[flip, 1] = -X[flip, 1]
+    C = -X @ A.mT @ X.mT
+    u0, v0 = u.value, v.value
+    Jq = np.array([[0.0, -1.0], [1.0, 0.0]])
+    span = np.linalg.norm(C - (v0[:, None, None] * np.eye(2)
+                               - u0[:, None, None] * Jq), axis=(1, 2))
+    # derivatives of u and v along the frame (X1, X2, T)
+    grad = np.stack([J.jet_gradient(u, axis=1).value,
+                     J.jet_gradient(v, axis=1).value], axis=-1)  # [p, k, .]
+    d = np.concatenate([X, T0[:, None]], axis=1) @ grad
+    d_u, d_v = d[..., 0], d[..., 1]
+    ode = {"e3_v": np.abs(d_v[:, 2] - (v0 * v0 - u0 * u0 + 1.0)),
+           "e3_u": np.abs(d_u[:, 2] - 2.0 * u0 * v0),
+           "e1_u_minus_e2_v": np.abs(d_u[:, 0] - d_v[:, 1]),
+           "e2_u_plus_e1_v": np.abs(d_u[:, 1] + d_v[:, 0])}
+    align = np.abs(np.sum(T0 * G0[..., 2], axis=-1)) / np.sqrt(G0[:, 2, 2])
+    for r, i in enumerate(live.tolist()):
+        out[i] = (SplittingReport(
+            point=where[i], C=C[r], u=float(u0[r]), v=float(v0[r]),
+            span_residual=float(span[r]),
+            ode_residuals={k: float(x[r]) for k, x in ode.items()},
+            fiber_alignment=float(align[r])) if framed[r] else
+            DegeneratePoint(f"metric frame degenerates at {where[i]}"))
+    return out
 
 
 def splitting_tensor(chart: ImmersionChart, point: Sequence[float],
@@ -375,80 +549,40 @@ def splitting_tensor(chart: ImmersionChart, point: Sequence[float],
                      eps_deg: float = geo.EPS_DEG) -> SplittingReport:
     """Measure the splitting tensor of the nullity distribution at a point
     where the relative nullity is 1, exactly, from one order-4 jet of the
-    chart.
-
-    With T the unit nullity field as an order-2 jet, the covariant
-    derivative (nabla_k T)_m = g_ml d_k T^l + Gamma_(m,kl) T^l, the scalars
-    v = -div(T) / 2 and u = |eps^(kmi) T_i (nabla_k T)_m| / 2 are order-1
-    jets, so their derivatives along the frame are exact. The sign of u is
-    fixed at the point; T's orientation is arbitrary, which flips v. The
-    nu = 1 check reads the second fundamental form off the same jet, so
-    the point costs one chart evaluation."""
+    chart: the one-point call of `_splitting_pass`, which raises the error
+    it gives. The nu = 1 check reads the second fundamental form off the
+    same jet, so the point costs one chart evaluation."""
     if chart.domain_dim != 3:
         raise ShapeMismatch("splitting tensor applies to 3-charts")
-    jets = chart.eval_jets(point, 4)
-    rep = _single(_nullity(chart, np.asarray(point, dtype=float)[None],
-                           jets[None], eps_rank, eps_deg))
-    if rep.nu != 1:
-        raise NullityJump(f"nullity {rep.nu} != 1 at {tuple(point)}",
-                          nu=rep.nu)
-    try:
-        T, G, det = _nullity_field(chart, jets, eps_rank)
-        # the metric is vetted by the flag, so det G > 0
-        det1 = J.jet_truncate(det, 1)
-        inv_det = J.jet_recip(det1, eps=0.0)
-        inv_vol = J.jet_rsqrt(det1, eps=0.0)
-    except DegenerateValue as exc:
-        raise DegeneratePoint(f"nullity field degenerates at "
-                              f"{tuple(point)}: {exc}")
-    T1, g = J.jet_truncate(T, 1), J.jet_truncate(G, 1)
-    dG = J.jet_stack([G.derivative(k) for k in range(3)])   # [k, l, m]
-    dT = J.jet_stack([T.derivative(k) for k in range(3)])   # [k, l]
-    # Gamma_(m,kl) T^l = (dg_T[k, m] + T_dg[k, m] - dg_T[m, k]) / 2, with
-    # dg_T[k, m] = d_k g_ml T^l and T_dg[k, m] = T^l d_l g_km (symmetric)
-    dg_T, T_dg = J.jet_dot(dG, T1), J.jet_dot(dG.T, T1)
-    cov = J.jet_dot(g, dT[:, None]) + 0.5 * (dg_T + T_dg - dg_T.T)
-    ddet = J.jet_stack([det.derivative(k) for k in range(3)])
-    div = (dT[0, 0] + dT[1, 1] + dT[2, 2]
-           + 0.5 * J.jet_mul(J.jet_dot(T1, ddet), inv_det))
-    v = -0.5 * div
-    curl = cov[[1, 2, 0], [2, 0, 1]] - cov[[2, 0, 1], [1, 2, 0]]
-    u = 0.5 * J.jet_mul(J.jet_dot(J.jet_dot(g, T1), curl), inv_vol)
-    if u.value < 0:
-        u = -u
+    pts = np.reshape(np.asarray(point, dtype=float), (1, 3))
+    jets = chart.eval_jets(pts, 4)
+    rep = _nullity(chart, pts, J.jet_truncate(jets, 2), eps_rank, eps_deg)
+    (out,) = _splitting_pass(chart, pts, jets, rep.nu, rep.singular, eps_rank)
+    if isinstance(out, IsominError):
+        raise out
+    return out
 
-    G0, T0, A = G.value, T.value, cov.value
-    # rows X1, X2: metric-orthonormal and orthogonal to T, by Gram-Schmidt
-    # on T and the two coordinate axes least aligned with it
-    scores = np.abs(G0 @ T0) / np.sqrt(np.diagonal(G0))
-    axes = np.eye(3)[:, np.argsort(scores)[:2]]
-    X, framed = geo._metric_frame(G0, np.column_stack([T0, axes]))
-    if not framed:
-        raise DegeneratePoint(f"metric frame degenerates at {tuple(point)}")
-    X = X[:, 1:].T
-    C = -X @ A.T @ X.T  # C[b, a] = -<X_b, nabla_(X_a) T>
-    if C[0, 1] < C[1, 0]:  # orient the frame so that u >= 0
-        X[1] = -X[1]
-        C = -X @ A.T @ X.T
-    u0, v0 = u.value, v.value
-    Jq = np.array([[0.0, -1.0], [1.0, 0.0]])
-    span_residual = float(np.linalg.norm(C - (v0 * np.eye(2) - u0 * Jq)))
-    # derivatives of u and v along the frame (X1, X2, T)
-    uv = J.jet_stack([u, v])
-    grad = J.jet_stack([uv.derivative(k) for k in range(3)]).value
-    d_u, d_v = (np.stack([X[0], X[1], T0]) @ grad).T
-    ode_residuals = {
-        "e3_v": float(abs(d_v[2] - (v0 * v0 - u0 * u0 + 1.0))),
-        "e3_u": float(abs(d_u[2] - 2.0 * u0 * v0)),
-        "e1_u_minus_e2_v": float(abs(d_u[0] - d_v[1])),
-        "e2_u_plus_e1_v": float(abs(d_u[1] + d_v[0])),
-    }
-    fiber_alignment = abs(float(T0 @ G0[:, 2])) / math.sqrt(float(G0[2, 2]))
-    return SplittingReport(point=tuple(float(x) for x in point), C=C,
-                           u=float(u0), v=float(v0),
-                           span_residual=span_residual,
-                           ode_residuals=ode_residuals,
-                           fiber_alignment=fiber_alignment)
+
+def _splitting_row(point: list, out: SplittingReport | IsominError) -> dict:
+    """JSON row of a splitting point: the measured tensor, or the reason the
+    point is skipped ("singular", "nullity k != 1"), or the error where the
+    nullity line is undetermined."""
+    row = {"point": point, "skipped": None, "error": None}
+    if isinstance(out, NullityJump):
+        if out.nu is None:
+            row["error"] = str(out)
+        else:
+            row["skipped"] = f"nullity {out.nu} != 1"
+    elif isinstance(out, DegeneratePoint):
+        row["skipped"] = "singular"
+    else:
+        row.update({"C": geo._json_ready(out.C),
+                    "u": geo._json_ready(out.u), "v": geo._json_ready(out.v),
+                    "span_residual": geo._json_ready(out.span_residual),
+                    "ode_residuals": {k: geo._json_ready(r) for k, r in
+                                      out.ode_residuals.items()},
+                    "fiber_alignment": geo._json_ready(out.fiber_alignment)})
+    return row
 
 
 def bundle_rows(chart: ImmersionChart, points,
@@ -456,21 +590,34 @@ def bundle_rows(chart: ImmersionChart, points,
                 eps_deg: float = geo.EPS_DEG) -> list[dict]:
     """JSON rows of a bundle sweep at points of shape (P, 3), from one
     batched relative nullity call; a number that is not finite is None."""
-    rep = relative_nullity(chart, np.reshape(points, (-1, chart.domain_dim)),
-                           eps_rank=eps_rank, eps_deg=eps_deg)
-    rows = []
-    for pt, singular, H, nu, sv, tg in zip(
-            geo._json_ready(rep.point), rep.singular.tolist(),
-            geo._json_ready(rep.mean_curvature_norm), rep.nu.tolist(),
-            geo._json_ready(rep.singular_values),
-            rep.totally_geodesic.tolist()):
-        if singular:
-            rows.append({"point": pt, "singular": True, "H": None,
-                         "nu": None, "sv": None, "tg": None})
-        else:
-            rows.append({"point": pt, "singular": False, "H": H, "nu": nu,
-                         "sv": sv, "tg": tg})
-    return rows
+    rep = relative_nullity(chart, points, eps_rank=eps_rank, eps_deg=eps_deg)
+    return _nullity_rows(rep, len(rep.point))
+
+
+def sweep_and_split(bc: BundleChart, points, split_points,
+                    eps_rank: float = geo.EPS_RANK,
+                    eps_deg: float = geo.EPS_DEG
+                    ) -> tuple[list[dict], list[dict]]:
+    """The JSON rows of a `bundle` command: the sweep rows at points of
+    shape (P, 3) (`bundle_rows`) and the splitting rows at split_points of
+    shape (S, 3), from one frame evaluation (order-2 sweep rows, order-4
+    splitting rows), one nullity pass over both and one splitting pass."""
+    pts = np.reshape(np.asarray(points, dtype=float), (-1, 3))
+    split = np.reshape(np.asarray(split_points, dtype=float), (-1, 3))
+    if not len(split):
+        (jets,) = bc.eval_batches([(pts, 2)])
+        rep = _nullity(bc.chart, pts, jets, eps_rank, eps_deg)
+        return _nullity_rows(rep, len(pts)), []
+    sweep, jets = bc.eval_batches([(pts, 2), (split, 4)])
+    both = J.Jet(sweep.space, np.concatenate(
+        [sweep.coeffs, J.jet_truncate(jets, 2).coeffs]))
+    rep = _nullity(bc.chart, np.concatenate([pts, split]), both, eps_rank,
+                   eps_deg)
+    outs = _splitting_pass(bc.chart, split, jets, rep.nu[len(pts):],
+                           rep.singular[len(pts):], eps_rank)
+    return (_nullity_rows(rep, len(pts)),
+            [_splitting_row(p, out)
+             for p, out in zip(geo._json_ready(split), outs)])
 
 
 def bundle_point_report(chart: ImmersionChart, point: Sequence[float],

@@ -5,7 +5,11 @@ surface from polynomial data and checks its null identities and circle
 properties, `analyze` sweeps a surface chart and reports flags, ellipses
 and isotropy orders per grid point, `bundle` builds a unit tangent or unit
 normal chart and verifies mean curvature, relative nullity and the
-splitting tensor equations, `export` writes an OBJ mesh.
+splitting tensor equations, `export` writes an OBJ mesh. A `bundle` run
+is one frame evaluation, one nullity pass and one splitting pass
+(`bundles.sweep_and_split`): each sweep row is assembled at order 2 and
+each splitting point at order 4 from frames built once, and a splitting
+point without a tensor reports why in its row.
 
 Configuration is a single JSON document; command line flags override its
 fields. Runs are deterministic: the same config produces byte-identical
@@ -34,7 +38,7 @@ from . import catalog
 from . import geometry as geo
 from . import weierstrass as W
 from .errors import FlagCollapse, InvalidData, IsominError, NotElliptic, \
-    DegeneratePoint, NullityJump
+    DegeneratePoint
 
 DEFAULT_TOLS = {
     "eps_deg": geo.EPS_DEG,        # metric admissibility floor
@@ -398,8 +402,10 @@ def cmd_bundle(cfg) -> int:
         bc = B.unit_tangent_chart(base)
         center = tuple((l + h) / 2.0 for l, h in base.domain)
         try:
+            # the note reads only the ellipses of orders 0 and 1, which a
+            # flag of depth 2 decides
             iso = geo.isotropy_order(base, center, tol=tols["circle"],
-                                     **_eps(tols))
+                                     max_order=2, **_eps(tols))
             if iso < 1:
                 notes.append(f"base isotropy order {iso} < 1 at the domain "
                              "center; the unit tangent chart need not be "
@@ -416,7 +422,9 @@ def cmd_bundle(cfg) -> int:
         print(f"warning: {note}")
 
     axes, grid_doc = _axes_for(bc.chart, cfg)
-    rows = B.bundle_rows(bc.chart, geo.grid_points(axes), **_eps(tols))
+    rows, split_rows = B.sweep_and_split(
+        bc, geo.grid_points(axes),
+        _splitting_points(axes, cfg["splitting_points"]), **_eps(tols))
     live = [r for r in rows if not r["singular"]]
     singular = len(rows) - len(live)
 
@@ -426,30 +434,15 @@ def cmd_bundle(cfg) -> int:
     nu_ok = sv_max <= tols["nullity"]
     nus = sorted({r["nu"] for r in live})
 
-    split_rows, attempted = [], 0
-    span_ok = ode_ok = True
-    for p in _splitting_points(axes, cfg["splitting_points"]):
-        row = {"point": list(p), "skipped": None, "error": None}
-        try:
-            sp = B.splitting_tensor(bc.chart, p, **_eps(tols))
-        except DegeneratePoint:
-            row["skipped"] = "singular"
-        except NullityJump as exc:
-            if exc.nu is None:
-                row["error"] = str(exc)
-                attempted += 1
-                span_ok = ode_ok = False
-            else:
-                row["skipped"] = f"nullity {exc.nu} != 1"
-        else:
-            attempted += 1
-            span_ok &= sp.span_residual <= tols["span"]
-            ode_ok &= _worst(sp.ode_residuals.values()) <= tols["ode"]
-            row.update({"C": sp.C.tolist(), "u": sp.u, "v": sp.v,
-                        "span_residual": sp.span_residual,
-                        "ode_residuals": sp.ode_residuals,
-                        "fiber_alignment": sp.fiber_alignment})
-        split_rows.append(row)
+    # a point with an undetermined nullity line fails both verdicts
+    done = [r for r in split_rows if r["skipped"] is None]
+    attempted = len(done)
+    span_ok = all(r["error"] is None
+                  and _worst([r["span_residual"]]) <= tols["span"]
+                  for r in done)
+    ode_ok = all(r["error"] is None
+                 and _worst(r["ode_residuals"].values()) <= tols["ode"]
+                 for r in done)
 
     passed = h_ok and nu_ok and span_ok and ode_ok
     doc = {"command": "bundle", "kind": kind, "chart": bc.chart.name,

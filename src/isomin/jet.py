@@ -64,6 +64,7 @@ class JetSpace:
         # derivative maps: for each variable, source positions and factors
         # aligned with the index list of the (order - 1) space
         self._deriv: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self._grad: tuple[np.ndarray, np.ndarray] | None = None
         self._holo: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def _deriv_maps(self):
@@ -81,6 +82,14 @@ class JetSpace:
                              np.array(fac, dtype=float)))
             self._deriv = maps
         return self._deriv
+
+    def _gradient_map(self):
+        # the derivative maps of every variable, stacked: shape (nvars,
+        # size of the (order - 1) space)
+        if self._grad is None:
+            src, fac = zip(*self._deriv_maps())
+            self._grad = (np.stack(src), np.stack(fac))
+        return self._grad
 
     def _holomorphic_map(self):
         # positions of the indices (a, b, 0...), with a + b and i^b / (a! b!)
@@ -186,6 +195,18 @@ class Jet:
         src, fac = sp._deriv_maps()[var]
         low = get_space(sp.nvars, sp.order - 1)
         return Jet(low, self.coeffs[..., src] * fac)
+
+
+def jet_gradient(a: Jet, axis: int = 0) -> Jet:
+    """Every first partial of a, one order lower, stacked along the leading
+    axis `axis`: the jet_stack of a.derivative(k), k = 0..nvars - 1, when
+    axis is 0, read off the coefficients in one gather."""
+    sp = a.space
+    if sp.order == 0:
+        raise OrderExceeded("cannot differentiate an order-0 jet")
+    src, fac = sp._gradient_map()
+    return Jet(get_space(sp.nvars, sp.order - 1),
+               np.moveaxis(a.coeffs[..., src] * fac, -2, axis))
 
 
 def jet_constant(space: JetSpace, value) -> Jet:

@@ -22,9 +22,12 @@ closed form. The three-variable bundle chart is the construction that
 the closed-form fiber replaced: the frame orthonormalized in the
 3-variable space, times cos theta and sin theta composed by Horner's
 rule. The nested x^(-1/2) is jet_recip of jet_sqrt, the two compositions
-that jet_rsqrt replaced.
+that jet_rsqrt replaced. `nullity_at` is not an oracle: it reads the
+one-point `relative_nullity` report at its only point, the way the
+tests and the splitting oracle use it.
 """
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,6 +38,24 @@ from isomin.bundles import (SplittingReport, _jet_orthonormalize,
 from isomin.errors import DegeneratePoint, NullityJump, OrderOutOfRange
 
 STEP = 1e-4
+
+
+def nullity_at(chart, point, eps_rank=geo.EPS_RANK, eps_deg=geo.EPS_DEG):
+    """The relative nullity at one point of shape (m,): the fields of the
+    batch-of-one `relative_nullity` report at its point, as Python numbers
+    and tuples (the kernel an (m, nu) array); DegeneratePoint where the
+    point is singular."""
+    rep = relative_nullity(chart, np.asarray(point, dtype=float)[None],
+                           eps_rank=eps_rank, eps_deg=eps_deg)
+    where = tuple(float(x) for x in rep.point[0])
+    if rep.singular[0]:
+        raise DegeneratePoint(f"singular point {where}")
+    return SimpleNamespace(
+        point=where, nu=int(rep.nu[0]),
+        singular_values=tuple(float(x) for x in rep.singular_values[0]),
+        kernel=rep.kernel[0],
+        mean_curvature_norm=float(rep.mean_curvature_norm[0]),
+        totally_geodesic=bool(rep.totally_geodesic[0]))
 
 _OFF1 = (-2.0, -1.0, 1.0, 2.0)
 _W1 = (1.0, -8.0, 8.0, -1.0)
@@ -190,7 +211,7 @@ def splitting_fd(chart, point, step=1e-3):
     p0 = np.array([float(x) for x in point])
 
     def unit_kernel(q, ref=None):
-        rep = relative_nullity(chart, q)
+        rep = nullity_at(chart, q)
         if rep.nu != 1:
             raise NullityJump(f"nullity {rep.nu} != 1 at {tuple(q)}")
         G = _metric(chart, q)

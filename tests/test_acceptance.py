@@ -126,10 +126,10 @@ def test_totally_geodesic_detection_agrees_with_flag_test():
     n5_bc = B.unit_tangent_chart(
         generate_surface(demo_weierstrass_data(5)).chart)
     for p in _bundle_grid(tg_bc.chart, (3, 3, 5)):
-        rep = B.relative_nullity(tg_bc.chart, p)
+        rep = oracles.nullity_at(tg_bc.chart, p)
         assert rep.nu == 3 and rep.totally_geodesic, f"at {tuple(p)}"
     for p in _bundle_grid(n5_bc.chart, (3, 3, 5)):
-        rep = B.relative_nullity(n5_bc.chart, p)
+        rep = oracles.nullity_at(n5_bc.chart, p)
         assert rep.nu == 1 and not rep.totally_geodesic, f"at {tuple(p)}"
     rng = np.random.default_rng(2)
     agree = 0
@@ -140,7 +140,7 @@ def test_totally_geodesic_detection_agrees_with_flag_test():
             # the base has no second normal space
             flag_says = geo.osculating_flag(bc.base, (u, v),
                                             max_order=2).tau < 2
-            nullity_says = B.relative_nullity(
+            nullity_says = oracles.nullity_at(
                 bc.chart, (u, v, th)).totally_geodesic
             assert flag_says == nullity_says, (bc.chart.name, u, v, th)
             agree += 1
@@ -156,7 +156,7 @@ def test_unit_normal_chart_of_veronese_is_minimal_with_nullity():
     h_max = sv_max = 0.0
     pts = _bundle_grid(bc.chart)
     for p in pts:
-        rep = B.relative_nullity(bc.chart, p)
+        rep = oracles.nullity_at(bc.chart, p)
         h_max = max(h_max, rep.mean_curvature_norm)
         sv_max = max(sv_max, rep.singular_values[-1])
         assert rep.mean_curvature_norm < 1e-8, f"at {tuple(p)}"

@@ -10,7 +10,8 @@ import isomin.geometry as geo
 import isomin.jet as J
 from isomin.bundles import (bundle_point_report, bundle_rows,
                             relative_nullity, splitting_tensor,
-                            unit_normal_chart, unit_tangent_chart)
+                            sweep_and_split, unit_normal_chart,
+                            unit_tangent_chart)
 from isomin.catalog import (demo_weierstrass_data, make_fixture,
                             make_geodesic_sphere, make_graph,
                             make_great_sphere, make_plane, make_veronese,
@@ -20,7 +21,8 @@ from isomin.errors import (DegeneratePoint, FlagCollapse, InvalidData,
 from isomin.geometry import ImmersionChart
 from isomin.weierstrass import generate_surface
 
-from oracles import bundle_jets_three_variable, nullity_fd, splitting_fd
+from oracles import (bundle_jets_three_variable, nullity_at, nullity_fd,
+                     splitting_fd)
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +83,7 @@ def test_unit_tangent_base_validation(n5base):
 
 def test_bipolar_minimal_with_nullity_one(bipolar_n5):
     for p in ((0.1, 0.2, 0.7), (-0.3, 0.15, 3.9)):
-        rep = relative_nullity(bipolar_n5.chart, p)
+        rep = nullity_at(bipolar_n5.chart, p)
         assert rep.mean_curvature_norm < 1e-8
         assert rep.nu == 1 and not rep.totally_geodesic
         assert rep.singular_values[-1] < 1e-8
@@ -93,7 +95,7 @@ def test_nullity_direction_not_the_fiber(bipolar_n5):
     """The nullity line of the bipolar chart is horizontal-ish but never
     checked to be the fiber; what is frozen is its metric alignment."""
     p = (0.1, 0.2, 0.7)
-    rep = relative_nullity(bipolar_n5.chart, p)
+    rep = nullity_at(bipolar_n5.chart, p)
     G = geo.fundamental_forms(bipolar_n5.chart, p).metric
     T = rep.kernel[:, 0]
     T = T / math.sqrt(float(T @ G @ T))
@@ -111,19 +113,18 @@ def test_totally_geodesic_bundle_agreement():
         th = rng.uniform(0.0, 2.0 * math.pi)
         # no second normal space on the base
         flag_says = geo.osculating_flag(tg_base, (u, v), max_order=2).tau < 2
-        rep = relative_nullity(unit_tangent_chart(tg_base).chart, (u, v, th))
+        rep = nullity_at(unit_tangent_chart(tg_base).chart, (u, v, th))
         assert flag_says and rep.totally_geodesic and rep.nu == 3
         flag_says = geo.osculating_flag(curved_base, (u, v),
                                         max_order=2).tau < 2
-        rep = relative_nullity(unit_tangent_chart(curved_base).chart,
-                               (u, v, th))
+        rep = nullity_at(unit_tangent_chart(curved_base).chart, (u, v, th))
         assert not flag_says and not rep.totally_geodesic and rep.nu == 1
 
 
 def test_plane_bundle_everywhere_singular():
     bc = unit_tangent_chart(make_plane())
     with pytest.raises(DegeneratePoint):
-        relative_nullity(bc.chart, (0.1, 0.2, 0.5))
+        nullity_at(bc.chart, (0.1, 0.2, 0.5))
     row = bundle_point_report(bc.chart, (0.1, 0.2, 0.5))
     assert row["singular"] and row["H"] is None
 
@@ -149,7 +150,7 @@ def test_unit_normal_chart_veronese(polar_ver):
 
 def test_polar_veronese_minimal_nullity_one(polar_ver):
     for p in ((0.2, 0.1, 0.4), (-0.3, 0.25, 2.2)):
-        rep = relative_nullity(polar_ver.chart, p)
+        rep = nullity_at(polar_ver.chart, p)
         assert rep.mean_curvature_norm < 1e-8
         assert rep.nu == 1
         assert rep.singular_values[-1] < 1e-8
@@ -299,7 +300,7 @@ def test_relative_nullity_matches_fd_oracle(bipolar_n5, polar_ver, kind,
     point = tuple(lo + (hi - lo) * f for (lo, hi), f in zip(chart.domain,
                                                             frac))
     try:
-        rep = relative_nullity(chart, point)
+        rep = nullity_at(chart, point)
     except DegeneratePoint:
         assume(False)
     sv, H = nullity_fd(chart, point)
@@ -377,7 +378,7 @@ def test_splitting_tensor_bounds_on_random_bipolar_charts(seed, n, frac,
     point = tuple(lo + (hi - lo) * f
                   for (lo, hi), f in zip(base.domain, frac)) + (theta,)
     try:
-        rep = relative_nullity(bc.chart, point)
+        rep = nullity_at(bc.chart, point)
     except DegeneratePoint:
         assume(False)
     assume(rep.nu == 1)
@@ -421,11 +422,11 @@ def test_rigid_motions_keep_point_and_bundle_invariants(seed, n, frac, theta):
         moved_chart = unit_tangent_chart(moved, pivot_order=pivot).chart
         x = p + (theta,)
         try:
-            ref = relative_nullity(ref_chart, x)
+            ref = nullity_at(ref_chart, x)
         except DegeneratePoint:
             assume(False)
         assume(ref.nu == 1)
-        rep = relative_nullity(moved_chart, x)
+        rep = nullity_at(moved_chart, x)
         assert rep.nu == ref.nu
         tol = 1e-9 * ref.singular_values[0]
         assert abs(rep.mean_curvature_norm - ref.mean_curvature_norm) <= tol
@@ -619,3 +620,117 @@ def test_nullity_pass_files_a_row_without_metric_frame_as_singular():
     rows = bundle_rows(chart, pts, eps_deg=-1.0)
     assert rows == bundle_rows(chart, pts)
     assert [r["singular"] for r in rows] == [False, True, False]
+
+
+def test_order_4_bundle_jets_cut_to_order_2_are_the_order_2_jets(bipolar_n5,
+                                                                 polar_ver):
+    """Frames built at order 4 and cut to order 2 are the order-2 frames
+    bit for bit, so a sweep row assembled next to splitting points is the
+    row of a sweep without them: on the default 200-point grids of bipolar
+    n5, n8, curve-1-2-pad1 and curve-2-3-pad1 (NaN rows over z = 0) and
+    polar veronese, for the jets cut by jet_truncate and for batches of
+    orders 2 and 4 assembled from one frame evaluation."""
+    bcs = [bipolar_n5, polar_ver] + [unit_tangent_chart(c) for c in (
+        generate_surface(demo_weierstrass_data(8)).chart,
+        make_fixture("curve-1-2-pad1"), make_fixture("curve-2-3-pad1"))]
+    for bc in bcs:
+        points = geo.grid_points(geo.grid_axes(bc.chart, (5, 5, 8)))
+        low = bc.chart.eval_jets(points, 2)
+        high = bc.chart.eval_jets(points, 4)
+        np.testing.assert_array_equal(J.jet_truncate(high, 2).coeffs,
+                                      low.coeffs)
+        sweep, split = bc.eval_batches([(points, 2), (points[::7], 4)])
+        assert (sweep.space.order, split.space.order) == (2, 4)
+        np.testing.assert_array_equal(sweep.coeffs, low.coeffs)
+        np.testing.assert_array_equal(split.coeffs, high.coeffs[::7])
+    assert np.isnan(low.coeffs).any(axis=(1, 2)).sum() == 8
+
+
+def test_stacked_normal_frame_makes_fewer_jet_products(polar_ver,
+                                                       monkeypatch):
+    """The polar frame projects the candidates of each order on the lower
+    orders in one stacked step: one order-2 evaluation of polar veronese
+    makes 60 jet products, where the one-candidate-at-a-time loop made
+    77 (and 74 against 91 at order 4), at one point or at 200."""
+    calls = []
+    real = J.jet_mul
+    monkeypatch.setattr(J, "jet_mul", lambda a, b: calls.append(1)
+                        or real(a, b))
+    points = geo.grid_points(geo.grid_axes(polar_ver.chart, (5, 5, 8)))
+    for pts, order, count in ((points, 2, 60), (points[:1], 2, 60),
+                              (points, 4, 74)):
+        calls.clear()
+        polar_ver.chart.eval_jets(pts, order)
+        assert len(calls) == count
+
+
+def _split_texts(bc, points, sweep) -> list[str]:
+    rows = sweep_and_split(bc, sweep, points)[1]
+    return [json.dumps(r, sort_keys=True) for r in rows]
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(["bipolar", "polar", "plane", "curve-1-2-pad1"]),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(5, 8),
+       fracs=st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95),
+                                st.floats(0.0, 1.0, exclude_max=True)),
+                      min_size=1, max_size=4),
+       data=st.data())
+def test_splitting_rows_do_not_depend_on_their_batch(polar_ver, kind, seed,
+                                                     n, fracs, data):
+    """The JSON text of every splitting row of a bundle command equals its
+    one-point row, whatever the sweep next to it, and the rows of any split
+    of the points into sub-batches, and of any permutation of them, are
+    the same text; each row agrees with the one-point splitting_tensor,
+    including the "singular" skips of the plane and the "nullity 3 != 1"
+    skips of the padded (z, z^2)."""
+    if kind == "bipolar":
+        bc = unit_tangent_chart(generate_surface(
+            random_weierstrass_data(np.random.default_rng(seed), n)).chart)
+    elif kind == "polar":
+        bc = polar_ver
+    else:
+        bc = unit_tangent_chart(make_fixture(kind))
+    lo, hi = np.array(bc.chart.domain).T
+    points = lo + (hi - lo) * np.array(fracs)
+    # a second point over the first base point shares its frame
+    points = np.concatenate([points, points[:1] + [0.0, 0.0, 1.0]])
+    grid = geo.grid_points(geo.grid_axes(bc.chart, (2, 2, 2)))
+    rows = _split_texts(bc, points, grid)
+    assert rows == [_split_texts(bc, p[None], p[None])[0] for p in points]
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(points) - 1),
+                                    max_size=3)))
+    parts = np.split(points, cuts)
+    assert rows == [t for part in parts
+                    for t in _split_texts(bc, part, part)]
+    order = data.draw(st.permutations(range(len(points))))
+    assert [rows[i] for i in order] == _split_texts(bc, points[order], grid)
+    for p, row in zip(points, map(json.loads, rows)):
+        try:
+            sp = splitting_tensor(bc.chart, p)
+        except DegeneratePoint:
+            assert row["skipped"] == "singular"
+        except NullityJump as exc:
+            assert row["skipped"] == f"nullity {exc.nu} != 1"
+        else:
+            assert row["skipped"] is None and row["error"] is None
+            assert (row["u"], row["v"], row["C"], row["span_residual"]) == (
+                sp.u, sp.v, sp.C.tolist(), sp.span_residual)
+            assert row["ode_residuals"] == sp.ode_residuals
+    if kind == "plane":
+        assert {json.loads(r)["skipped"] for r in rows} == {"singular"}
+    if kind == "curve-1-2-pad1":
+        assert {json.loads(r)["skipped"] for r in rows} == {"nullity 3 != 1"}
+
+
+def test_bundle_command_rows_are_the_sweep_rows_and_splitting_tensors(
+        bipolar_n5):
+    """The sweep rows of one shared evaluation are the bundle_rows of the
+    sweep, exactly, with or without splitting points."""
+    grid = geo.grid_points(geo.grid_axes(bipolar_n5.chart, (3, 3, 4)))
+    texts = [json.dumps(r, sort_keys=True)
+             for r in bundle_rows(bipolar_n5.chart, grid)]
+    for split in (grid[:0], grid[[1, 5]], np.array([[0.1, 0.2, 0.7]])):
+        rows, split_rows = sweep_and_split(bipolar_n5, grid, split)
+        assert [json.dumps(r, sort_keys=True) for r in rows] == texts
+        assert len(split_rows) == len(split)

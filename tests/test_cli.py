@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isomin import bundles, cli, geometry as geo
+from isomin.errors import NullityJump
 
 
 def run(argv):
@@ -342,11 +343,11 @@ def _bundle_args(tmp_path):
 
 def test_nan_mean_curvature_fails_and_report_is_strict_json(tmp_path,
                                                            monkeypatch):
-    real = bundles.relative_nullity
+    real = bundles._nullity
     calls = []
 
-    def nan_at_first_point(chart, points, **kw):
-        rep = real(chart, points, **kw)
+    def nan_at_first_point(chart, points, *args):
+        rep = real(chart, points, *args)
         calls.append(points)
         if len(calls) == 1:
             # the sweep is one batched call: NaN at its first point
@@ -355,7 +356,7 @@ def test_nan_mean_curvature_fails_and_report_is_strict_json(tmp_path,
             rep = dataclasses.replace(rep, mean_curvature_norm=H)
         return rep
 
-    monkeypatch.setattr(bundles, "relative_nullity", nan_at_first_point)
+    monkeypatch.setattr(bundles, "_nullity", nan_at_first_point)
     args = _bundle_args(tmp_path)
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({"splitting_points": 0}))
@@ -424,16 +425,16 @@ def test_analyze_rows_write_non_finite_numbers_as_null(tmp_path,
 
 def test_bundle_rows_write_non_finite_singular_values_as_null(tmp_path,
                                                               monkeypatch):
-    real = bundles.relative_nullity
+    real = bundles._nullity
 
-    def nan_sv(chart, points, **kw):
-        rep = real(chart, points, **kw)
+    def nan_sv(*args):
+        rep = real(*args)
         sv = rep.singular_values.copy()
         sv[0, 0] = math.nan   # not read by a verdict
         sv[1, -1] = math.inf  # the smallest, read by the nullity verdict
         return dataclasses.replace(rep, singular_values=sv)
 
-    monkeypatch.setattr(bundles, "relative_nullity", nan_sv)
+    monkeypatch.setattr(bundles, "_nullity", nan_sv)
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({"splitting_points": 0}))
     assert run(_bundle_args(tmp_path) + ["--config", str(cfgp)]) == 2
@@ -448,12 +449,13 @@ def test_bundle_rows_write_non_finite_singular_values_as_null(tmp_path,
 
 def test_splitting_rows_write_non_finite_residuals_as_null(tmp_path,
                                                            monkeypatch):
-    real = bundles.splitting_tensor
+    real = bundles._splitting_pass
 
-    def nan_span(*args, **kw):
-        return dataclasses.replace(real(*args, **kw), span_residual=math.nan)
+    def nan_span(*args):
+        return [dataclasses.replace(out, span_residual=math.nan)
+                for out in real(*args)]
 
-    monkeypatch.setattr(bundles, "splitting_tensor", nan_span)
+    monkeypatch.setattr(bundles, "_splitting_pass", nan_span)
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({"splitting_points": 1}))
     out = tmp_path / "r.json"
@@ -527,10 +529,10 @@ def test_report_layout_is_one_compact_line_per_row(tmp_path, monkeypatch):
 
 def test_linalg_error_is_a_numerical_breakdown(tmp_path, capsys,
                                                monkeypatch):
-    def breakdown(chart, point, **kw):
+    def breakdown(*args):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(bundles, "relative_nullity", breakdown)
+    monkeypatch.setattr(bundles, "_nullity", breakdown)
     assert run(_bundle_args(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err == "numerical breakdown: SVD did not converge\n"
@@ -563,15 +565,54 @@ def _count_evals(monkeypatch) -> list[int]:
     return calls
 
 
+def _count_batches(monkeypatch, name):
+    """Wrap the eval_batches of the bundle chart that bundles.name returns;
+    returns the (points, order) of every batch it assembles."""
+    batches = []
+    real = getattr(bundles, name)
+
+    def wrapped(*args, **kwargs):
+        bc = real(*args, **kwargs)
+        fn = bc.eval_batches
+
+        def eval_batches(todo):
+            batches.extend((len(p), order) for p, order in todo)
+            return fn(todo)
+        bc.eval_batches = eval_batches
+        return bc
+
+    monkeypatch.setattr(bundles, name, wrapped)
+    return batches
+
+
+def _count_nullity(monkeypatch) -> list[int]:
+    """The number of points of every nullity pass."""
+    calls = []
+    real = bundles._nullity
+
+    def counted(chart, points, *args):
+        calls.append(len(points))
+        return real(chart, points, *args)
+
+    monkeypatch.setattr(bundles, "_nullity", counted)
+    return calls
+
+
 def test_bundle_evaluates_each_splitting_point_once(tmp_path, monkeypatch):
+    """Every sweep row is assembled once at order 2 and every splitting
+    point once at order 4, from the shared frames: the bundle chart is
+    never evaluated on its own."""
     calls = _count_evals(monkeypatch)
+    batches = _count_batches(monkeypatch, "unit_tangent_chart")
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({"splitting_points": 2}))
     assert run(_bundle_args(tmp_path) + ["--config", str(cfgp)]) == 0
     doc = load(tmp_path / "r.json")
     assert all(r["skipped"] is None and r["error"] is None
                for r in doc["splitting"])
-    assert calls.count(3) == doc["summary"]["points"] + 2 == 10
+    assert calls.count(3) == 0
+    assert batches == [(doc["summary"]["points"], 2), (2, 4)]
+    assert sum(n for n, _ in batches) == doc["summary"]["points"] + 2 == 10
 
 
 def test_generate_evaluates_each_spot_point_once(tmp_path, monkeypatch):
@@ -592,6 +633,40 @@ def test_bundle_splitting_skips_report_nullity(tmp_path):
     assert doc["summary"]["nullity_values"] == [3]
     assert [(r["skipped"], r["error"]) for r in doc["splitting"]] == [
         ("nullity 3 != 1", None)] * 2
+
+
+def test_undetermined_nullity_line_is_an_error_row(tmp_path, capsys,
+                                                   monkeypatch):
+    """A splitting point whose nullity line is undetermined is attempted
+    and reports the error in its row, and it fails both splitting
+    verdicts; the other point of the same pass is measured. The one-point
+    splitting_tensor raises NullityJump without nu there."""
+    real = bundles._nullity_field
+
+    def undetermined_first(*args):
+        T, G, det, determined, unit = real(*args)
+        determined = determined.copy()
+        determined[0] = False
+        return T, G, det, determined, unit & determined
+
+    monkeypatch.setattr(bundles, "_nullity_field", undetermined_first)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"splitting_points": 2}))
+    assert run(_bundle_args(tmp_path) + ["--config", str(cfgp)]) == 2
+    doc = _strict(tmp_path / "r.json")
+    first, second = doc["splitting"]
+    assert first == {"point": first["point"], "skipped": None,
+                     "error": "nullity line undetermined: the adjugate of "
+                              "alpha alpha^T vanishes"}
+    assert second["error"] is None and second["span_residual"] < 1e-6
+    assert doc["verdicts"]["splitting_span"] is False
+    assert doc["verdicts"]["splitting_ode"] is False
+    assert "splitting span: FAIL (2 points)" in capsys.readouterr().out
+    bc = bundles.unit_tangent_chart(cli.W.generate_surface(
+        cli.catalog.demo_weierstrass_data(5)).chart)
+    with pytest.raises(NullityJump) as exc:
+        bundles.splitting_tensor(bc.chart, first["point"])
+    assert exc.value.nu is None
 
 
 @pytest.mark.parametrize("fixture", ["n5", "n6", "curve-1-3-pad1"])
@@ -772,21 +847,25 @@ def _count_jet_fn_calls(monkeypatch, owner, name, attr=None):
 
 
 def test_bundle_sweep_is_one_batched_evaluation(tmp_path, monkeypatch):
-    """A default bipolar n5 run evaluates the bundle chart once for the
-    200-point sweep, and the base once at the 25 distinct (u, v) of the
-    grid. The centre isotropy probe and the four splitting points come on
-    top, one point each. A per-point sweep loop fails this."""
+    """A default bipolar n5 run evaluates the base once for the frames, at
+    the 25 distinct (u, v) of the grid and the 4 of the splitting points,
+    after the centre isotropy probe (one point). The 200 sweep rows and
+    the splitting points are assembled from those frames without a call
+    of the bundle chart's own evaluator, and one nullity pass covers all
+    204 points. A per-point sweep or splitting loop fails this."""
     base_calls = _count_jet_fn_calls(monkeypatch, cli, "resolve_chart")
     bundle_calls = _count_jet_fn_calls(monkeypatch, bundles,
                                        "unit_tangent_chart", "chart")
+    nullity = _count_nullity(monkeypatch)
     assert run(["bundle", "--kind", "bipolar", "--fixture", "n5",
                 "--out", str(tmp_path / "r.json")]) == 0
-    assert [len(p) for _, p in bundle_calls] == [200, 1, 1, 1, 1]
-    (probe_vars, probe), (sweep_vars, sweep), *split = base_calls
+    assert [len(p) for _, p in bundle_calls] == []
+    (probe_vars, probe), (frame_vars, frames), *split = base_calls
     assert (probe_vars, probe.shape) == (2, (1, 2))
-    assert (sweep_vars, sweep.shape) == (2, (25, 2))
-    assert len(np.unique(sweep, axis=0)) == 25
-    assert [(nv, p.shape) for nv, p in split] == [(2, (1, 2))] * 4
+    assert (frame_vars, frames.shape) == (2, (29, 2))
+    assert len(np.unique(frames, axis=0)) == 29
+    assert [(nv, p.shape) for nv, p in split] == []
+    assert nullity == [204]
 
 
 def test_analyze_is_one_batched_evaluation(tmp_path, monkeypatch):
@@ -808,11 +887,15 @@ def test_generate_spot_points_are_one_batched_evaluation(tmp_path,
 def test_polar_bundle_evaluates_the_base_twice_before_the_sweep(
         tmp_path, monkeypatch):
     """The centre probe (one point) and the 9x9 flag certificate (one
-    batched call) come before the sweep's frame evaluation at the 25
-    distinct (u, v) of the default grid."""
+    batched call) come before the one frame evaluation, at the 25 distinct
+    (u, v) of the default grid and the 4 of the splitting points; one
+    nullity pass covers the 200 sweep rows and the 4 splitting points."""
     calls = _count_jet_fn_calls(monkeypatch, cli, "resolve_chart")
+    nullity = _count_nullity(monkeypatch)
     assert run(["bundle", "--kind", "polar", "--fixture", "veronese",
                 "--out", str(tmp_path / "r.json")]) == 0
-    (_, probe), (_, cert), (sweep_vars, sweep), *_ = calls
+    (_, probe), (_, cert), (frame_vars, frames), *rest = calls
     assert (probe.shape, cert.shape) == ((1, 2), (81, 2))
-    assert (sweep_vars, sweep.shape) == (2, (25, 2))
+    assert (frame_vars, frames.shape) == (2, (29, 2))
+    assert rest == []
+    assert nullity == [204]

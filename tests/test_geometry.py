@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 import isomin.geometry as geo
 import isomin.jet as J
-from isomin.bundles import relative_nullity
 from isomin.catalog import (demo_weierstrass_data, make_fixture,
                             make_geodesic_sphere, make_graph,
                             make_great_sphere, make_holomorphic_curve,
@@ -120,10 +119,10 @@ def test_third_form_norm():
 
 
 def test_mean_curvature_vector(n5):
-    H = relative_nullity(n5, (0.2, -0.1)).mean_curvature_norm
+    H = oracles.nullity_at(n5, (0.2, -0.1)).mean_curvature_norm
     assert H < 1e-12
     graph = make_graph(1.0, 0.0, -0.25, extra=(0.0, 0.5, 0.0))
-    H = relative_nullity(graph, (0.0, 0.0)).mean_curvature_norm
+    H = oracles.nullity_at(graph, (0.0, 0.0)).mean_curvature_norm
     assert H == pytest.approx(1.5, abs=1e-12)
 
 
@@ -462,3 +461,82 @@ def test_point_without_metric_frame_is_singular_in_its_batch():
     assert [r["singular"] for r in rows].count(True) == 1
     assert rows[40]["singular"] and rows[40]["point"] == [0.0, 0.0]
     assert rows == geo.point_rows(chart, pts)
+
+
+def _point_row_texts(chart, points) -> list[str]:
+    return [json.dumps(r, sort_keys=True, allow_nan=False)
+            for r in geo.point_rows(chart, points)]
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 8),
+       frac=st.tuples(st.floats(0.1, 0.9), st.floats(0.1, 0.9)),
+       half=st.floats(0.01, 0.4),
+       counts=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       data=st.data())
+def test_point_rows_do_not_depend_on_their_batch(seed, n, frac, half, counts,
+                                                 data):
+    """The JSON text of every row of a surface sweep equals its one-point
+    row, and the rows of any split of the points into sub-batches, and of
+    any permutation of them, are the same text."""
+    chart = generate_surface(
+        random_weierstrass_data(np.random.default_rng(seed), n)).chart
+    centre = [lo + (hi - lo) * f for (lo, hi), f in zip(chart.domain, frac)]
+    points = _grid(chart, counts, [(c - half, c + half) for c in centre])
+    rows = _point_row_texts(chart, points)
+    assert rows == [_point_row_texts(chart, p[None])[0] for p in points]
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(points) - 1),
+                                    max_size=3))) if len(points) > 1 else []
+    parts = np.split(points, cuts)
+    assert rows == [t for part in parts for t in _point_row_texts(chart, part)]
+    order = data.draw(st.permutations(range(len(points))))
+    assert [rows[i] for i in order] == _point_row_texts(chart, points[order])
+
+
+def _isotropy_probe(chart, point, max_order=None):
+    """What the bipolar note of `bundle` reads off isotropy_order: the
+    order when it is below 1, True when it is not, or the error raised."""
+    try:
+        order = geo.isotropy_order(chart, point, max_order=max_order)
+    except (DegeneratePoint, NotElliptic) as exc:
+        return type(exc)
+    return order if order < 1 else True
+
+
+def _assert_depth_two_probe_agrees(chart):
+    centre = tuple((lo + hi) / 2.0 for lo, hi in chart.domain)
+    for p in [centre] + list(_grid(chart, (3, 3))):
+        assert (_isotropy_probe(chart, p, max_order=2)
+                == _isotropy_probe(chart, p)), f"{chart.name} at {tuple(p)}"
+
+
+@pytest.mark.parametrize("name", [
+    "n4", "n5", "n6", "n7", "n8", "veronese", "plane", "great-sphere",
+    "curve-1-2-3", "curve-2-3", "curve-1-3-pad1", "curve-1-2-pad1",
+    "curve-2-3-pad1", "bent-graph", "flat-graph"])
+def test_depth_two_isotropy_probe_agrees_with_the_default_depth(name):
+    """A flag of depth 2 decides the ellipses of orders 0 and 1, so the
+    probe that `bundle` runs at max_order 2 gives the same order < 1
+    verdict, the same order below 1 and the same DegeneratePoint or
+    NotElliptic as the default depth, at the domain centre and on a 3x3
+    grid of each fixture. The outcomes seen: order at least 1 (the
+    generated surfaces, veronese, curve-1-2-3), order 0 (plane,
+    great-sphere, the padded curves), DegeneratePoint (curve-2-3 and
+    curve-2-3-pad1 at z = 0), -1 (the bent graph, not minimal) and
+    NotElliptic (the flat graph)."""
+    if name == "bent-graph":
+        chart = make_graph(1.0, 0.0, -0.25, extra=(0.0, 0.5, 0.0))
+    elif name == "flat-graph":
+        chart = make_graph(1.0, 0.0, 0.0)
+    elif name.startswith("n"):
+        chart = generate_surface(demo_weierstrass_data(int(name[1:]))).chart
+    else:
+        chart = make_fixture(name)
+    _assert_depth_two_probe_agrees(chart)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 8))
+def test_depth_two_isotropy_probe_agrees_on_random_surfaces(seed, n):
+    _assert_depth_two_probe_agrees(generate_surface(
+        random_weierstrass_data(np.random.default_rng(seed), n)).chart)

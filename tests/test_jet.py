@@ -137,6 +137,23 @@ def test_derivative_shifts():
         f.derivative(2)
 
 
+@pytest.mark.parametrize("nvars, order", [(1, 1), (2, 3), (3, 1), (3, 4)])
+def test_gradient_is_the_stack_of_derivatives(nvars, order):
+    """jet_gradient gives the jet_stack of the derivatives in each
+    variable, bit for bit, on the leading axis it is asked for."""
+    sp = J.get_space(nvars, order)
+    rng = np.random.default_rng(nvars * 10 + order)
+    f = J.Jet(sp, rng.standard_normal((4, 2, sp.size)))
+    derivs = J.jet_stack([f.derivative(k) for k in range(nvars)])
+    for axis in (0, 1, 2):
+        got = J.jet_gradient(f, axis=axis)
+        assert got.space is derivs.space
+        assert np.array_equal(got.coeffs,
+                              np.moveaxis(derivs.coeffs, 0, axis))
+    with pytest.raises(OrderExceeded):
+        J.jet_gradient(J.jet_constant(J.get_space(nvars, 0), 1.0))
+
+
 def test_truncate_is_prefix():
     sp = J.get_space(3, 4)
     rng = np.random.default_rng(2)

@@ -57,6 +57,13 @@ COMMANDS = (
        ["analyze", "--fixture", "curve-2-3", "--grid=-0.5:0.5:3,-0.5:0.5:3"],
        ["analyze", "--fixture", "n7", "--jet-order", "2"],
        ["analyze", "--fixture", "great-sphere"]]
+    # the shape of the benchmark's splitting commands (a 2x2x2 box, here
+    # with the default 4 splitting points): frames shared by the sweep
+    # rows and the splitting points
+    + [["bundle", "--kind", "bipolar", "--fixture", "n5",
+        "--grid=0.1:0.5:2,-0.3:0.1:2,0.4:3.54:2"],
+       ["bundle", "--kind", "polar", "--fixture", "veronese",
+        "--grid=-0.35:0.05:2,0.1:0.5:2,1.2:4.34:2"]]
     + [["export", "--kind", "bipolar", "--fixture", "n5"],
        ["export", "--kind", "polar", "--fixture", "veronese"]])
 
