@@ -6,8 +6,8 @@ tangent vectors of a surface in R^(n+1); the image lies in S^n. The unit
 normal bundle chart does the same with a frame of the LAST normal space of
 a surface in a sphere. Both are honest immersion charts evaluated through
 jets, so every per-point quantity (mean curvature, relative nullity,
-splitting tensor of the nullity distribution) comes from the same geometry
-code path as any other chart.
+splitting tensor of the nullity distribution) comes from the stacked
+passes of `geometry`, the one geometry path of the package.
 
 A bundle chart evaluates a batch of points at once. The frame does not
 depend on theta, so it is built once per distinct base point (u, v), as
@@ -33,8 +33,10 @@ frames cut to order 2 are the order-2 frames bit for bit. One nullity
 pass covers the sweep rows and the splitting rows cut to order 2, and one
 stacked pass gives the splitting tensor of every splitting point where
 the nullity is 1; a point without one gets the error that the one-point
-`splitting_tensor` raises, and its report row the reason. A row does not
-depend on its batch.
+`splitting_tensor` raises, and its report row the reason. The nullity
+pass computes singular values only: a row reads nu, the singular values
+and |H|, never the kernel (the splitting pass finds the nullity line from
+its own jets). A row does not depend on its batch.
 """
 from __future__ import annotations
 
@@ -285,15 +287,15 @@ def unit_normal_chart(base: ImmersionChart,
 @dataclasses.dataclass
 class NullityReport:
     """Relative nullity data of a chart at P points, each field with a
-    leading point axis: the singular values of X -> alpha(X, .) in a
-    metric-orthonormal frame, the kernel (coordinate components, one array
-    per point), and the mean curvature norm. `singular` marks the singular
-    points; there nu is 0, the numbers are NaN and the kernel empty."""
+    leading point axis: nu, the singular values of X -> alpha(X, .) in a
+    metric-orthonormal frame, and the mean curvature norm. nu counts the
+    singular values below eps_rank relative to the largest; the kernel
+    itself is not computed, since no report reads it. `singular` marks the
+    singular points; there nu is 0 and the numbers are NaN."""
 
     point: np.ndarray
     nu: np.ndarray
     singular_values: np.ndarray
-    kernel: tuple[np.ndarray, ...]
     mean_curvature_norm: np.ndarray
     totally_geodesic: np.ndarray
     singular: np.ndarray
@@ -320,9 +322,8 @@ def _nullity(chart: ImmersionChart, points: np.ndarray, jets: J.Jet,
     The frame change aorth_ij = sum_kl E_ki E_lj A_kl is two stacked
     matrix products, each contracting one slot of the symmetric form, so
     aorth comes out with (i, j) swapped, which is the same form. Its
-    singular values and left vectors, as an m x mN matrix, are those of
-    the m x m factor R of the QR of its transpose (T. F. Chan, ACM TOMS 8,
-    1982): aorth = R^T Q^T, so with R = U S V^T the left vectors are V."""
+    singular values, as an m x mN matrix, are those of the m x m factor R
+    of the QR of its transpose (T. F. Chan, ACM TOMS 8, 1982)."""
     P, m = points.shape
     N = chart.ambient_dim
     regular, G, E, Q = geo._tangent_stage(chart, jets, eps_deg)
@@ -331,20 +332,17 @@ def _nullity(chart: ImmersionChart, points: np.ndarray, jets: J.Jet,
     half = (E.mT @ A.reshape(R, m, m * N)).reshape(R, m, m, N)
     aorth = (E.mT @ half.swapaxes(1, 2).reshape(R, m, m * N)
              ).reshape(R, m, m, N)
-    _, sv, Vt = np.linalg.svd(np.linalg.qr(aorth.reshape(R, m, m * N).mT,
-                                           mode="r"))
+    sv = np.linalg.svd(np.linalg.qr(aorth.reshape(R, m, m * N).mT,
+                                    mode="r"), compute_uv=False)
     thr = eps_rank * np.maximum(1.0, sv[:, 0])
     nu = np.zeros(P, dtype=int)
     nu[regular] = np.sum(sv < thr[:, None], axis=1)
-    EU = np.zeros((P, m, m))
-    EU[regular] = E @ Vt.mT
-    kernel = tuple(k[:, m - n:] for k, n in zip(EU, nu.tolist()))
     H = np.full(P, np.nan)
     H[regular] = np.linalg.norm(np.trace(aorth, axis1=1, axis2=2), axis=-1)
     svs = np.full((P, m), np.nan)
     svs[regular] = sv
     return NullityReport(point=points, nu=nu, singular_values=svs,
-                         kernel=kernel, mean_curvature_norm=H,
+                         mean_curvature_norm=H,
                          totally_geodesic=regular & (nu == m),
                          singular=~regular)
 
@@ -619,9 +617,3 @@ def sweep_and_split(bc: BundleChart, points, split_points,
             [_splitting_row(p, out)
              for p, out in zip(geo._json_ready(split), outs)])
 
-
-def bundle_point_report(chart: ImmersionChart, point: Sequence[float],
-                        eps_rank: float = geo.EPS_RANK,
-                        eps_deg: float = geo.EPS_DEG) -> dict:
-    """Per-point JSON row for bundle sweeps: the one-point bundle_rows."""
-    return bundle_rows(chart, [point], eps_rank=eps_rank, eps_deg=eps_deg)[0]

@@ -132,28 +132,6 @@ def make_geodesic_sphere(radius: float = math.pi / 4) -> ImmersionChart:
                           name=f"geodesic-sphere-r{radius:.4g}")
 
 
-def make_graph(coeff_uu: float, coeff_uv: float, coeff_vv: float,
-               extra: tuple[float, float, float] | None = None) -> ImmersionChart:
-    """Graph chart (u, v, q1(u, v)[, q2(u, v)]) for quadratic heights;
-    handy for frozen ellipticity cases."""
-
-    def jet_fn(points, space):
-        u = J.jet_variable(space, 0, points[:, 0])
-        v = J.jet_variable(space, 1, points[:, 1])
-        out = [u, v,
-               coeff_uu * J.jet_mul(u, u) + coeff_uv * J.jet_mul(u, v)
-               + coeff_vv * J.jet_mul(v, v)]
-        if extra is not None:
-            a, b, c = extra
-            out.append(a * J.jet_mul(u, u) + b * J.jet_mul(u, v)
-                       + c * J.jet_mul(v, v))
-        return J.jet_stack(out).T
-
-    return ImmersionChart(domain_dim=2, ambient_dim=3 + (extra is not None),
-                          ambient="euclidean", jet_fn=jet_fn,
-                          domain=((-1.0, 1.0), (-1.0, 1.0)), name="graph")
-
-
 def demo_weierstrass_data(n: int, final_integration: bool = True) -> WeierstrassData:
     """Frozen demo data sets for n in {4, 5, 6, 7, 8}.
 

@@ -37,8 +37,7 @@ from . import bundles as B
 from . import catalog
 from . import geometry as geo
 from . import weierstrass as W
-from .errors import FlagCollapse, InvalidData, IsominError, NotElliptic, \
-    DegeneratePoint
+from .errors import DegeneratePoint, FlagCollapse, InvalidData, IsominError
 
 DEFAULT_TOLS = {
     "eps_deg": geo.EPS_DEG,        # metric admissibility floor
@@ -310,8 +309,10 @@ def cmd_generate(cfg) -> int:
     ident_ok = ident_max <= tols["null"]
 
     spots, e0_vals, e1_vals = [], [], []
+    # the spot checks read only the ellipses of orders 0 and 1, which a
+    # flag of depth 1 decides
     rows = geo.point_rows(rep.chart, SPOT_POINTS, tol=tols["circle"],
-                          **_eps(tols))
+                          max_order=1, **_eps(tols))
     for p, row in zip(SPOT_POINTS, rows):
         # no first normal space leaves e1 unchecked; a point that is not
         # elliptic cannot be minimal
@@ -401,17 +402,20 @@ def cmd_bundle(cfg) -> int:
     if kind == "bipolar":
         bc = B.unit_tangent_chart(base)
         center = tuple((l + h) / 2.0 for l, h in base.domain)
-        try:
-            # the note reads only the ellipses of orders 0 and 1, which a
-            # flag of depth 2 decides
-            iso = geo.isotropy_order(base, center, tol=tols["circle"],
-                                     max_order=2, **_eps(tols))
-            if iso < 1:
-                notes.append(f"base isotropy order {iso} < 1 at the domain "
-                             "center; the unit tangent chart need not be "
-                             "minimal")
-        except (DegeneratePoint, NotElliptic) as exc:
-            notes.append(f"could not verify base isotropy: {exc}")
+        # the note reads only the ellipses of orders 0 and 1, which a flag
+        # of depth 2 decides
+        probe = geo.point_report(base, center, tols["circle"], max_order=2,
+                                 **_eps(tols))
+        if probe["singular"]:
+            notes.append("could not verify base isotropy: metric degenerate "
+                         f"at {center}")
+        elif not probe["elliptic"]:
+            notes.append("could not verify base isotropy: no elliptic "
+                         f"direction at {center}")
+        elif probe["order"] < 1:
+            notes.append(f"base isotropy order {probe['order']} < 1 at the "
+                         "domain center; the unit tangent chart need not be "
+                         "minimal")
     else:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

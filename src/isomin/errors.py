@@ -38,7 +38,7 @@ class NotElliptic(IsominError):
 
 
 class OrderOutOfRange(IsominError):
-    """A curvature ellipse order outside the available flag was requested."""
+    """A flag depth below 1 was requested."""
 
 
 class FlagCollapse(IsominError):

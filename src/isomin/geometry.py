@@ -3,24 +3,25 @@
 A chart is a smooth map from a box in R^m (m = 2 or 3) into R^N, optionally
 constrained to the unit sphere S^(N-1), evaluated through jets at a batch
 of points at once. Every quantity is computed by stacked passes over the
-regular rows of one batch: the osculating flag of higher normal spaces,
-higher fundamental forms (projected higher partials), ellipticity of the
-second form, curvature ellipses and the isotropy order (`point_rows`);
-the one-point functions are batches of one. Ranks differ between points,
-so the flag keeps a per-point rank mask: each order's directions sit in a
-fixed block of columns, zero where a point rejects them, and a point whose
-flag is complete takes rank 0 from then on. Conventions that the rest of
-the package relies on:
+regular rows of one batch, and this is the package's only geometry path:
+the osculating flag of higher normal spaces (`_flag_pass`), higher
+fundamental forms (projected higher partials, `_form_tables`), ellipticity
+of the second form (`_ellipticity_pass`), curvature ellipses
+(`_ellipse_pass`) and the isotropy order, assembled into report rows by
+`point_rows`; `point_report` is a batch of one. Ranks differ between
+points, so the flag keeps a per-point rank mask: each order's directions
+sit in a fixed block of columns, zero where a point rejects them, and a
+point whose flag is complete takes rank 0 from then on. Conventions that
+the rest of the package relies on:
 
 * A point is singular when its jets are not finite (a chart writes NaN
   where it is not defined, such as a bundle frame that degenerates), the
   least metric eigenvalue is below eps_deg, or the metric has no Cholesky
   factor; each point of a batch is judged on its own.
-
 * Metric-orthonormal frames are Gram-Schmidt of given vectors, in order,
   in the induced metric, computed by one Cholesky factorization
-  (`_metric_frame`); the tangent frame of `ellipticity` is that of the
-  coordinate axes.
+  (`_metric_frame`); the tangent frame of the ellipticity pass is that of
+  the coordinate axes.
 * Report rows hold only JSON values (`_json_ready`): Python numbers,
   bools, None, lists and dicts, with None for a number that is not finite.
 * The osculating flag at a point is built by successive orthogonal
@@ -52,8 +53,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import jet as J
-from .errors import (DegeneratePoint, InvalidData, NotElliptic,
-                     OrderOutOfRange, ShapeMismatch)
+from .errors import InvalidData, OrderOutOfRange, ShapeMismatch
 
 EPS_DEG = J.EPS_DEG           # admissibility floor for metric eigenvalues
 EPS_RANK = 1e-8               # relative rank threshold for flag decisions
@@ -312,111 +312,13 @@ def _form_tables(jets: J.Jet, Q: np.ndarray, ends: list[int],
             for s in range(1, max_s + 1)}
 
 
-@dataclasses.dataclass
-class OsculatingFlag:
-    """Tangent space plus the chain of higher normal spaces at one point.
-
-    bases[0] spans the tangent space, bases[ell] the (ell)-th normal space;
-    dims are their dimensions; tau is the number of nonvanishing normal
-    spaces. tau_o is the top order with a full curvature circle structure:
-    tau when the codimension (inside the sphere, for sphere charts) is even,
-    tau - 1 when odd. Position (for sphere charts) is kept separate.
-    """
-
-    point: tuple[float, ...]
-    dims: tuple[int, ...]
-    tau: int
-    tau_o: int
-    bases: list[np.ndarray]
-    position: np.ndarray | None
-    complete: bool  # flag spans the full ambient (no censoring at max_order)
-
-
 def _tau_o(chart: ImmersionChart, tau: int) -> int:
+    """The top order with a full curvature circle structure: tau when the
+    codimension (inside the sphere, for sphere charts) is even, tau - 1
+    when it is odd."""
     codim = (chart.ambient_dim - chart.domain_dim
              - (1 if chart.ambient == "sphere" else 0))
     return tau - (1 if codim % 2 else 0)
-
-
-def _single_flag(chart: ImmersionChart, point, jets: J.Jet, max_order: int,
-                 eps_rank: float, eps_deg: float):
-    """`_flag_pass` on a batch of one row, as an OsculatingFlag, with the
-    metric, padded flag and block ends; DegeneratePoint if singular."""
-    regular, G, _, Q, ends, dims = _flag_pass(chart, jets, max_order,
-                                              eps_rank, eps_deg)
-    if not regular[0]:
-        raise DegeneratePoint(f"metric degenerate at {tuple(point)}")
-    m, Q0 = chart.domain_dim, Q[0]
-    d = tuple(int(x) for x in dims[0] if x)
-    tau = len(d) - 1
-    bases = [Q0[:, ends[1] - m:ends[1]]]
-    bases += [Q0[:, ends[ell]:ends[ell] + d[ell]] for ell in range(1, tau + 1)]
-    position = Q0[:, 0] if chart.ambient == "sphere" else None
-    width = sum(d) + (position is not None)
-    flag = OsculatingFlag(point=tuple(float(x) for x in point), dims=d,
-                          tau=tau, tau_o=_tau_o(chart, tau), bases=bases,
-                          position=position,
-                          complete=width >= chart.ambient_dim
-                          or tau < max_order)
-    return flag, G, Q, ends
-
-
-def osculating_flag(chart: ImmersionChart, point: Sequence[float],
-                    max_order: int | None = None,
-                    eps_rank: float = EPS_RANK,
-                    eps_deg: float = EPS_DEG) -> OsculatingFlag:
-    """Flag of normal spaces at a point, from partials up to max_order + 1."""
-    max_order = _flag_depth(max_order)
-    jets = chart.eval_jets(np.reshape(point, (1, -1)), max_order + 1)
-    return _single_flag(chart, point, jets, max_order, eps_rank, eps_deg)[0]
-
-
-@dataclasses.dataclass
-class FundamentalForms:
-    """Metric plus the fundamental forms of orders 2..max_s at one point.
-
-    tables[1] has shape (m, N): the raw first partials, so that metric =
-    tables[1] @ tables[1].T. For s >= 2, tables[s] has shape (m,)*s + (N,):
-    the value of the s-th fundamental form on coordinate directions, i.e.
-    the s-th partial projected orthogonally to the flag through the
-    (s-2)-th normal space.
-    """
-
-    point: tuple[float, ...]
-    metric: np.ndarray
-    tables: dict[int, np.ndarray]
-    flag: OsculatingFlag
-
-
-def fundamental_forms(chart: ImmersionChart, point: Sequence[float],
-                      max_s: int = 2,
-                      eps_rank: float = EPS_RANK,
-                      eps_deg: float = EPS_DEG) -> FundamentalForms:
-    """Forms of orders 2..max_s from one chart evaluation at order max_s:
-    the flag through the (max_s - 1)-th normal space and the forms are
-    read off the same jets."""
-    if max_s < 2:
-        raise OrderOutOfRange("fundamental forms start at order 2")
-    jets = chart.eval_jets(np.reshape(point, (1, -1)), max_s)
-    flag, G, Q, ends = _single_flag(chart, point, jets, max_s - 1, eps_rank,
-                                    eps_deg)
-    tables = {s: t[0] for s, t in _form_tables(jets, Q, ends, max_s).items()}
-    return FundamentalForms(flag.point, G[0], tables, flag)
-
-
-@dataclasses.dataclass
-class EllipticityReport:
-    """Solution of a alpha(X,X) + 2b alpha(X,Y) + c alpha(Y,Y) = 0 with
-    ac - b^2 > 0, for the orthonormal tangent frame {X, Y} stored in
-    `frame` (columns = coordinate components). J is the induced complex
-    structure in that frame, normalized so J^2 = -I. Totally geodesic
-    points take the (1, 0, 1) convention with the quarter-turn J."""
-
-    exists: bool
-    coeffs: tuple[float, float, float] | None
-    J_matrix: np.ndarray | None
-    frame: np.ndarray
-    totally_geodesic: bool
 
 
 # the discriminant (a, b, c) -> ac - b^2 as a symmetric bilinear form
@@ -431,7 +333,10 @@ def _ellipticity_pass(E: np.ndarray, A2: np.ndarray, eps_rank: float):
     (a, b, c) -> a alpha(X,X) + 2b alpha(X,Y) + c alpha(Y,Y) is read off
     one stacked SVD; a kernel element with positive discriminant (the top
     eigenvector of the discriminant on a 2-dimensional kernel) makes the
-    row elliptic."""
+    row elliptic. The coefficients are scaled so the largest entry is 1
+    with a >= 0, so minimal points read exactly (1, 0, 1); J is the induced
+    complex structure in the frame {X, Y}, with J^2 = -I. Totally geodesic
+    rows take (1, 0, 1) and the quarter turn."""
     A = np.einsum("ria,rjb,rijn->rabn", E, E, A2)
     M = np.stack([A[:, 0, 0], 2.0 * A[:, 0, 1], A[:, 1, 1]], axis=-1)
     _, sv, Vt = np.linalg.svd(M, full_matrices=True)
@@ -456,35 +361,6 @@ def _ellipticity_pass(E: np.ndarray, A2: np.ndarray, eps_rank: float):
     exists = tg | ok
     coeffs[~exists], Jm[~exists] = np.nan, np.nan
     return exists, tg, coeffs, Jm
-
-
-def ellipticity(chart: ImmersionChart, point: Sequence[float],
-                eps_rank: float = EPS_RANK,
-                forms: FundamentalForms | None = None) -> EllipticityReport:
-    """Find the elliptic direction of the second fundamental form.
-
-    Coefficients are scaled so the largest entry is 1 with a >= 0 (minimal
-    points then report exactly (1, 0, 1)); see `_ellipticity_pass`."""
-    if chart.domain_dim != 2:
-        raise ShapeMismatch("ellipticity is defined for surface charts")
-    if forms is None:
-        forms = fundamental_forms(chart, point, max_s=2)
-    # forms come from a regular point, whose metric has a frame
-    E = _metric_frame(forms.metric[None], np.eye(2))[0]
-    exists, tg, coeffs, Jm = _ellipticity_pass(E, forms.tables[2][None],
-                                               eps_rank)
-    if not exists[0]:
-        return EllipticityReport(False, None, None, E[0], False)
-    return EllipticityReport(True, tuple(coeffs[0].tolist()), Jm[0], E[0],
-                             bool(tg[0]))
-
-
-@dataclasses.dataclass
-class EllipseReport:
-    order: int
-    center: np.ndarray
-    semiaxes: tuple[float, float]
-    residual: float
 
 
 @functools.lru_cache(maxsize=None)
@@ -512,7 +388,11 @@ def _ellipse_pass(E: np.ndarray, Jm: np.ndarray,
     """Curvature ellipses of orders 0..top on stacked elliptic rows, from
     the tangent frames E and J (R, 2, 2) and the form tables of orders
     1..top + 1 (`_form_tables`). Returns the centres (R, top + 1, N),
-    semiaxes (R, top + 1, 2) and circularity residuals (R, top + 1)."""
+    semiaxes (R, top + 1, 2) and circularity residuals (R, top + 1). The
+    ellipse of order ell holds the values of the (ell + 1)-th form on
+    Z_theta: ell = 0 is the tangent circle, read off the first partials,
+    and the ellipse in a rank-1 last normal space degenerates to a segment
+    with residual near 1."""
     Z, JZ = _ellipse_directions(E, Jm)
     w = np.stack([Z + 1j * JZ, Z - 1j * JZ], axis=1)
     R, N = len(w), tables[1].shape[-1]
@@ -538,56 +418,6 @@ def _ellipse_pass(E: np.ndarray, Jm: np.ndarray,
     return centers, semiaxes, residuals
 
 
-def curvature_ellipse(chart: ImmersionChart, point: Sequence[float], ell: int,
-                      eps_rank: float = EPS_RANK,
-                      forms: FundamentalForms | None = None,
-                      ellip: EllipticityReport | None = None) -> EllipseReport:
-    """Curvature ellipse of order ell: the values of the s-th form, s =
-    ell + 1, on Z_theta (ell = 0 is the tangent circle, read off the first
-    partials). The order must not exceed the flag's tau; the ellipse in a
-    rank-1 last normal space degenerates to a segment and reports residual
-    near 1."""
-    if ell < 0:
-        raise OrderOutOfRange("ellipse order must be nonnegative")
-    s = ell + 1
-    if forms is None or s not in forms.tables:
-        forms = fundamental_forms(chart, point, max_s=max(s, 2),
-                                  eps_rank=eps_rank)
-    if forms.flag.tau < ell:
-        raise OrderOutOfRange(
-            f"ellipse order {ell} exceeds flag tau {forms.flag.tau}")
-    if ellip is None:
-        ellip = ellipticity(chart, point, eps_rank=eps_rank, forms=forms)
-    if not ellip.exists:
-        raise NotElliptic(f"no elliptic direction at {tuple(point)}")
-    center, semiaxes, residual = _ellipse_pass(
-        ellip.frame[None], ellip.J_matrix[None],
-        {k: t[None] for k, t in forms.tables.items()}, ell)
-    return EllipseReport(order=ell, center=center[0, ell],
-                         semiaxes=tuple(semiaxes[0, ell].tolist()),
-                         residual=float(residual[0, ell]))
-
-
-def isotropy_order(chart: ImmersionChart, point: Sequence[float],
-                   tol: float = CIRCLE_TOL,
-                   eps_rank: float = EPS_RANK,
-                   max_order: int | None = None,
-                   eps_deg: float = EPS_DEG) -> int:
-    """Largest ell <= tau_o with circular ellipses at every order 0..ell.
-
-    Order 0 passing means the chart is minimal at the point. Returns -1 when
-    even the order-0 ellipse fails (elliptic but not minimal). This is the
-    `order` of the point's `point_report` row, from the same single chart
-    evaluation; raises DegeneratePoint at a singular point and NotElliptic
-    where the second form has no elliptic direction."""
-    row = point_report(chart, point, tol, eps_rank, max_order, eps_deg)
-    if row["singular"]:
-        raise DegeneratePoint(f"metric degenerate at {tuple(point)}")
-    if not row["elliptic"]:
-        raise NotElliptic(f"no elliptic direction at {tuple(point)}")
-    return row["order"]
-
-
 def point_rows(chart: ImmersionChart, points,
                tol: float = CIRCLE_TOL,
                eps_rank: float = EPS_RANK,
@@ -599,7 +429,11 @@ def point_rows(chart: ImmersionChart, points,
     The chart is evaluated once, at order max_order + 1, at all points;
     stacked passes over the regular rows give the flag, the forms through
     order max(tau) + 1, the ellipticity and the ellipses of each order. A
-    singular point gives a row with "singular": true."""
+    singular point gives a row with "singular": true, and a row that is
+    not elliptic has no ellipses and order None. The isotropy order is the
+    largest ell <= min(tau_o, tau) with circular ellipses at every order
+    0..ell: 0 means the chart is minimal at the point, -1 that even the
+    order-0 ellipse fails (elliptic but not minimal)."""
     if chart.domain_dim != 2:
         raise ShapeMismatch("point reports are defined for surface charts")
     max_order = _flag_depth(max_order)

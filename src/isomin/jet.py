@@ -59,7 +59,7 @@ class JetSpace:
                        for i, ma in enumerate(idx) for j, mb in enumerate(idx)
                        if sum(ma) + sum(mb) <= order)
         io, ia, ib = (np.array(col, dtype=np.intp) for col in zip(*pairs))
-        self._mul_a, self._mul_b, self._mul_o = ia, ib, io
+        self._mul_a, self._mul_b = ia, ib
         self._mul_starts = np.searchsorted(io, np.arange(self.size))
         # derivative maps: for each variable, source positions and factors
         # aligned with the index list of the (order - 1) space
@@ -258,13 +258,13 @@ def jet_holomorphic_re(space: JetSpace, derivs) -> Jet:
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
-    """Truncated product, broadcast over the leading shapes."""
+    """Truncated product, broadcast over the leading shapes. Every shape
+    sums the products of one output coefficient by the same reduction, so
+    a product does not depend on the batch it is part of."""
     sp = a.space
     if b.space is not sp:
         raise ShapeMismatch("jets from different spaces")
     prod = a.coeffs[..., sp._mul_a] * b.coeffs[..., sp._mul_b]
-    if prod.ndim == 1:
-        return Jet(sp, np.bincount(sp._mul_o, weights=prod, minlength=sp.size))
     return Jet(sp, np.add.reduceat(prod, sp._mul_starts, axis=-1))
 
 

@@ -1,20 +1,21 @@
-"""Independent numerical oracles for the test suite.
+"""Independent numerical oracles for the test suite, and the test-side
+readers of the package's stacked geometry passes.
 
 The metric and second form oracles work on chart values alone, with
 central finite differences (5-point, 4th order), so they share no
 derivative code with the jet-based forms. The relative nullity oracle
 reads the singular values of X -> alpha(X, .) and |H| off those two, in
 the metric-orthonormal frame G^(-1/2) from an eigendecomposition, where
-`relative_nullity` uses a Cholesky (Gram-Schmidt) frame; the two frames
+the nullity pass uses a Cholesky (Gram-Schmidt) frame; the two frames
 differ by a rotation, which changes neither. The splitting tensor oracle
-differentiates the unit kernel field of `relative_nullity` by nested
-stencils, and builds the Christoffel symbols by stencils over the metric;
-it shares with the jet-based `splitting_tensor` only `relative_nullity` and
-the chart's order-1 jets, which give the metric (the first partials). The
-sampled curvature ellipse takes the fundamental forms and the ellipse
-directions Z, JZ from the package (`fundamental_forms`, `ellipticity`) and
-replaces only the closed-form Fourier step: it samples the form on Z_theta
-and takes an SVD. The per-point flag is the loop that the stacked flag
+differentiates the unit kernel field of `nullity_at` by nested stencils,
+and builds the Christoffel symbols by stencils over the metric; it shares
+with the jet-based `splitting_tensor` only the nullity pass with the
+second form it reads, and the chart's order-1 jets, which give the metric
+(the first partials). The sampled curvature ellipse takes the fundamental
+forms and the ellipse directions Z, JZ from the stacked passes
+(`stacked_at`) and replaces only the closed-form Fourier step: it samples
+the form on Z_theta and takes an SVD. The per-point flag is the loop that the stacked flag
 pass replaced, one order at a time on one point's jet. The holomorphic
 chart oracle evaluates polynomials by Horner's rule in complex jet
 arithmetic, where `surface_chart` reads the jet off complex derivatives in
@@ -22,9 +23,14 @@ closed form. The three-variable bundle chart is the construction that
 the closed-form fiber replaced: the frame orthonormalized in the
 3-variable space, times cos theta and sin theta composed by Horner's
 rule. The nested x^(-1/2) is jet_recip of jet_sqrt, the two compositions
-that jet_rsqrt replaced. `nullity_at` is not an oracle: it reads the
-one-point `relative_nullity` report at its only point, the way the
-tests and the splitting oracle use it.
+that jet_rsqrt replaced.
+
+`stacked_at` and `nullity_at` are not oracles: they read the package's
+stacked passes at one point, the way the tests use them. The package's
+nullity pass computes singular values only, so `nullity_at` computes the
+kernel itself, by an SVD of the second form in the metric frame. The
+quadratic graph chart (`make_graph`) is a test fixture with closed-form
+ellipticity.
 """
 import math
 from types import SimpleNamespace
@@ -33,27 +39,87 @@ import numpy as np
 
 import isomin.geometry as geo
 import isomin.jet as J
-from isomin.bundles import (SplittingReport, _jet_orthonormalize,
-                            relative_nullity)
-from isomin.errors import DegeneratePoint, NullityJump, OrderOutOfRange
+from isomin.bundles import SplittingReport, _jet_orthonormalize, _nullity
+from isomin.errors import DegeneratePoint, NullityJump
 
 STEP = 1e-4
 
 
+def make_graph(coeff_uu, coeff_uv, coeff_vv, extra=None):
+    """Graph chart (u, v, q1(u, v)[, q2(u, v)]) of quadratic heights
+    q(u, v) = a u^2 + b uv + c v^2, with (a, b, c) the three coefficients
+    of q1 and `extra` those of q2."""
+
+    def jet_fn(points, space):
+        u = J.jet_variable(space, 0, points[:, 0])
+        v = J.jet_variable(space, 1, points[:, 1])
+        out = [u, v,
+               coeff_uu * J.jet_mul(u, u) + coeff_uv * J.jet_mul(u, v)
+               + coeff_vv * J.jet_mul(v, v)]
+        if extra is not None:
+            a, b, c = extra
+            out.append(a * J.jet_mul(u, u) + b * J.jet_mul(u, v)
+                       + c * J.jet_mul(v, v))
+        return J.jet_stack(out).T
+
+    return geo.ImmersionChart(
+        domain_dim=2, ambient_dim=3 + (extra is not None), ambient="euclidean",
+        jet_fn=jet_fn, domain=((-1.0, 1.0), (-1.0, 1.0)), name="graph")
+
+
+def stacked_at(chart, point, max_s=2, eps_rank=geo.EPS_RANK,
+               eps_deg=geo.EPS_DEG):
+    """The stacked passes of `point_rows` at one point, from one chart
+    evaluation at order max_s >= 2, as a dict of that point's arrays: the
+    metric "G", the metric-orthonormal frame "E" of the coordinate axes,
+    the padded flag "Q" (`_flag_pass` at depth max_s - 1, zero columns
+    where a direction is rejected) and the form tables "tables" of orders
+    1..max_s. On a surface chart also the ellipticity pass ("elliptic",
+    "tg", "coeffs", "J") and, where elliptic, the ellipses of orders
+    0..max_s - 1 ("centers", "semiaxes", "residuals"). DegeneratePoint
+    where the point is singular."""
+    jets = chart.eval_jets(np.asarray(point, dtype=float)[None], max_s)
+    regular, G, E, Q, ends, _ = geo._flag_pass(chart, jets, max_s - 1,
+                                               eps_rank, eps_deg)
+    if not regular[0]:
+        raise DegeneratePoint(f"metric degenerate at {tuple(point)}")
+    tables = geo._form_tables(jets, Q, ends, max_s)
+    at = {"G": G[0], "E": E[0], "Q": Q[0],
+          "tables": {s: t[0] for s, t in tables.items()}}
+    if chart.domain_dim == 2:
+        exists, tg, coeffs, Jm = geo._ellipticity_pass(E, tables[2], eps_rank)
+        at.update(elliptic=bool(exists[0]), tg=bool(tg[0]), coeffs=coeffs[0],
+                  J=Jm[0])
+        if exists[0]:
+            centers, semiaxes, residuals = geo._ellipse_pass(E, Jm, tables,
+                                                             max_s - 1)
+            at.update(centers=centers[0], semiaxes=semiaxes[0],
+                      residuals=residuals[0])
+    return at
+
+
 def nullity_at(chart, point, eps_rank=geo.EPS_RANK, eps_deg=geo.EPS_DEG):
     """The relative nullity at one point of shape (m,): the fields of the
-    batch-of-one `relative_nullity` report at its point, as Python numbers
-    and tuples (the kernel an (m, nu) array); DegeneratePoint where the
-    point is singular."""
-    rep = relative_nullity(chart, np.asarray(point, dtype=float)[None],
-                           eps_rank=eps_rank, eps_deg=eps_deg)
+    nullity pass at that point, as Python numbers and tuples, plus the
+    kernel, an (m, nu) array of coordinate components: the left singular
+    vectors of the second form in the metric frame E for its nu smallest
+    singular values, mapped back by E. DegeneratePoint where the point is
+    singular."""
+    pts = np.asarray(point, dtype=float)[None]
+    jets = chart.eval_jets(pts, 2)
+    rep = _nullity(chart, pts, jets, eps_rank, eps_deg)
     where = tuple(float(x) for x in rep.point[0])
     if rep.singular[0]:
         raise DegeneratePoint(f"singular point {where}")
+    m, nu = chart.domain_dim, int(rep.nu[0])
+    _, _, E, Q = geo._tangent_stage(chart, jets, eps_deg)
+    aorth = np.einsum("ki,lj,kln->ijn", E[0], E[0],
+                      geo._form_table(jets, 2, Q)[0])
+    U = np.linalg.svd(aorth.reshape(m, -1))[0]
     return SimpleNamespace(
-        point=where, nu=int(rep.nu[0]),
+        point=where, nu=nu,
         singular_values=tuple(float(x) for x in rep.singular_values[0]),
-        kernel=rep.kernel[0],
+        kernel=E[0] @ U[:, m - nu:],
         mean_curvature_norm=float(rep.mean_curvature_norm[0]),
         totally_geodesic=bool(rep.totally_geodesic[0]))
 
@@ -130,22 +196,17 @@ def nullity_fd(chart, point, h=STEP):
 
 def curvature_ellipse_sampled(chart, point, ell, samples=64,
                               eps_rank=geo.EPS_RANK):
-    """Curvature ellipse of order ell from `samples` values of the
-    (ell + 1)-th form (the first partials for ell = 0) on Z_theta: the
-    semiaxes are the top two singular values of the centred sample matrix,
-    scaled by sqrt(samples / 2) to lengths."""
+    """Curvature ellipse of order ell <= tau at an elliptic point, from
+    `samples` values of the (ell + 1)-th form (the first partials for
+    ell = 0) on Z_theta: the semiaxes are the top two singular values of
+    the centred sample matrix, scaled by sqrt(samples / 2) to lengths."""
     s = ell + 1
-    forms = geo.fundamental_forms(chart, point, max_s=max(s, 2),
-                                  eps_rank=eps_rank)
-    if forms.flag.tau < ell:
-        raise OrderOutOfRange(
-            f"ellipse order {ell} exceeds flag tau {forms.flag.tau}")
-    ellip = geo.ellipticity(chart, point, eps_rank=eps_rank, forms=forms)
-    Z, JZ = (v[0] for v in geo._ellipse_directions(
-        ellip.frame[None], ellip.J_matrix[None]))
+    at = stacked_at(chart, point, max_s=max(s, 2), eps_rank=eps_rank)
+    Z, JZ = (v[0] for v in geo._ellipse_directions(at["E"][None],
+                                                    at["J"][None]))
     basis = []
     for k in range(s + 1):
-        T = forms.tables[s]
+        T = at["tables"][s]
         for _ in range(s - k):
             T = np.tensordot(Z, T, axes=(0, 0))
         for _ in range(k):
@@ -160,8 +221,8 @@ def curvature_ellipse_sampled(chart, point, ell, samples=64,
     sv = np.linalg.svd(P - center, compute_uv=False) / math.sqrt(samples / 2.0)
     s1, s2 = float(sv[0]), float(sv[1])
     residual = 1.0 if s1 == 0.0 else 1.0 - s2 / s1
-    return geo.EllipseReport(order=ell, center=center, semiaxes=(s1, s2),
-                             residual=residual)
+    return SimpleNamespace(order=ell, center=center, semiaxes=(s1, s2),
+                           residual=residual)
 
 
 def _metric(chart, point):

@@ -9,15 +9,13 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 import isomin.bundles as B
 import isomin.geometry as geo
 from isomin import cli
-from isomin.catalog import (demo_weierstrass_data, make_fixture, make_graph,
+from isomin.catalog import (demo_weierstrass_data, make_fixture,
                             make_veronese, random_weierstrass_data)
 from isomin.cpoly import bilinear_dot
-from isomin.errors import OrderOutOfRange
 from isomin.weierstrass import generate_surface
 
 import oracles
@@ -67,24 +65,16 @@ def test_generated_surfaces_are_minimal_with_circular_first_ellipse():
     worst_e0 = worst_e1 = 0.0
     best_e2 = 0.0
     for rep in surfaces:
-        for p in _sample_points(rng, 20):
-            forms = geo.fundamental_forms(rep.chart, p, max_s=3)
-            ellip = geo.ellipticity(rep.chart, p, forms=forms)
-            e0 = geo.curvature_ellipse(rep.chart, p, 0, forms=forms,
-                                       ellip=ellip)
-            e1 = geo.curvature_ellipse(rep.chart, p, 1, forms=forms,
-                                       ellip=ellip)
-            worst_e0 = max(worst_e0, e0.residual)
-            worst_e1 = max(worst_e1, e1.residual)
-            assert e0.residual < 1e-8 and e1.residual < 1e-8, \
+        points = _sample_points(rng, 20)
+        for p, row in zip(points, geo.point_rows(rep.chart, points)):
+            assert row["elliptic"] and row["tau"] >= 1, \
                 f"{rep.chart.name} at {p}"
-            if rep is generic:
-                try:
-                    e2 = geo.curvature_ellipse(rep.chart, p, 2, forms=forms,
-                                               ellip=ellip)
-                    best_e2 = max(best_e2, e2.residual)
-                except OrderOutOfRange:
-                    pass
+            e0, e1 = (e["residual"] for e in row["ellipses"][:2])
+            worst_e0 = max(worst_e0, e0)
+            worst_e1 = max(worst_e1, e1)
+            assert e0 < 1e-8 and e1 < 1e-8, f"{rep.chart.name} at {p}"
+            if rep is generic and row["tau"] >= 2:
+                best_e2 = max(best_e2, row["ellipses"][2]["residual"])
     elapsed = time.monotonic() - t0
     print(f"worst order-0 residual {worst_e0:.3g}, order-1 {worst_e1:.3g}; "
           f"largest generic order-2 residual {best_e2:.3g}; {elapsed:.2f}s")
@@ -101,8 +91,8 @@ def test_unit_tangent_charts_are_minimal_with_nullity():
         base = generate_surface(demo_weierstrass_data(n)).chart
         bc = B.unit_tangent_chart(base)
         live = h_max = sv_max = 0
-        for p in _bundle_grid(bc.chart):
-            row = B.bundle_point_report(bc.chart, p)
+        points = _bundle_grid(bc.chart)
+        for p, row in zip(points, B.bundle_rows(bc.chart, points)):
             if row["singular"]:
                 continue
             live += 1
@@ -138,8 +128,8 @@ def test_totally_geodesic_detection_agrees_with_flag_test():
             u, v = rng.uniform(-0.7, 0.7, size=2)
             th = rng.uniform(0.0, TWO_PI)
             # the base has no second normal space
-            flag_says = geo.osculating_flag(bc.base, (u, v),
-                                            max_order=2).tau < 2
+            flag_says = geo.point_report(bc.base, (u, v),
+                                         max_order=2)["tau"] < 2
             nullity_says = oracles.nullity_at(
                 bc.chart, (u, v, th)).totally_geodesic
             assert flag_says == nullity_says, (bc.chart.name, u, v, th)
@@ -197,13 +187,13 @@ def test_higher_isotropy_curve_and_its_unit_tangent_chart():
     bipolar chart meets the same |H| and nullity thresholds as the
     generated surfaces."""
     base = make_fixture("curve-1-2-3")
-    for p in geo.grid_points(geo.grid_axes(base, (4, 4),
-                                           [(-0.75, 0.75)] * 2)):
-        assert geo.isotropy_order(base, p) == 2, f"at {tuple(p)}"
+    points = geo.grid_points(geo.grid_axes(base, (4, 4), [(-0.75, 0.75)] * 2))
+    for p, row in zip(points, geo.point_rows(base, points)):
+        assert row["order"] == 2, f"at {tuple(p)}"
     bc = B.unit_tangent_chart(base)
     live = 0
-    for p in _bundle_grid(bc.chart):
-        row = B.bundle_point_report(bc.chart, p)
+    points = _bundle_grid(bc.chart)
+    for p, row in zip(points, B.bundle_rows(bc.chart, points)):
         if row["singular"]:
             continue
         live += 1
@@ -222,7 +212,7 @@ def test_jet_derived_forms_match_finite_difference_oracles():
     charts += [make_fixture(nm) for nm in
                ("curve-1-2-3", "curve-1-2-pad1", "veronese", "plane",
                 "great-sphere", "geodesic-sphere")]
-    charts.append(make_graph(1.0, 0.0, -0.25, extra=(0.0, 0.5, 0.0)))
+    charts.append(oracles.make_graph(1.0, 0.0, -0.25, extra=(0.0, 0.5, 0.0)))
     charts.append(B.unit_tangent_chart(charts[1]).chart)
     charts.append(B.unit_normal_chart(make_veronese()).chart)
 
@@ -232,13 +222,13 @@ def test_jet_derived_forms_match_finite_difference_oracles():
         for _ in range(3):
             p = tuple(lo + (hi - lo) * rng.uniform(0.25, 0.75)
                       for lo, hi in chart.domain)
-            forms = geo.fundamental_forms(chart, p, max_s=2)
+            at = oracles.stacked_at(chart, p)
             g_ref = oracles.metric_fd(chart, p)
             a_ref = oracles.second_form_fd(chart, p)
             g_scale = max(1.0, float(np.abs(g_ref).max()))
             a_scale = max(1.0, float(np.abs(a_ref).max()))
-            g_err = float(np.abs(forms.metric - g_ref).max()) / g_scale
-            a_err = float(np.abs(forms.tables[2] - a_ref).max()) / a_scale
+            g_err = float(np.abs(at["G"] - g_ref).max()) / g_scale
+            a_err = float(np.abs(at["tables"][2] - a_ref).max()) / a_scale
             worst = max(worst, g_err, a_err)
             assert g_err < 1e-6, f"{chart.name} metric at {p}: {g_err:.3g}"
             assert a_err < 1e-6, f"{chart.name} form at {p}: {a_err:.3g}"

@@ -8,21 +8,20 @@ from hypothesis import assume, given, settings, strategies as st
 
 import isomin.geometry as geo
 import isomin.jet as J
-from isomin.bundles import (bundle_point_report, bundle_rows,
-                            relative_nullity, splitting_tensor,
+from isomin.bundles import (bundle_rows, relative_nullity, splitting_tensor,
                             sweep_and_split, unit_normal_chart,
                             unit_tangent_chart)
 from isomin.catalog import (demo_weierstrass_data, make_fixture,
-                            make_geodesic_sphere, make_graph,
-                            make_great_sphere, make_plane, make_veronese,
+                            make_geodesic_sphere, make_great_sphere,
+                            make_plane, make_veronese,
                             random_weierstrass_data)
 from isomin.errors import (DegeneratePoint, FlagCollapse, InvalidData,
                            NullityJump, ShapeMismatch)
 from isomin.geometry import ImmersionChart
 from isomin.weierstrass import generate_surface
 
-from oracles import (bundle_jets_three_variable, nullity_at, nullity_fd,
-                     splitting_fd)
+from oracles import (bundle_jets_three_variable, make_graph, nullity_at,
+                     nullity_fd, splitting_fd, stacked_at)
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +37,12 @@ def bipolar_n5(n5base):
 @pytest.fixture(scope="module")
 def polar_ver():
     return unit_normal_chart(make_veronese())
+
+
+def _random_bipolar(seed, n):
+    """The unit tangent chart of the surface of seeded random data."""
+    return unit_tangent_chart(generate_surface(
+        random_weierstrass_data(np.random.default_rng(seed), n)).chart)
 
 
 def test_unit_tangent_frozen_value(bipolar_n5):
@@ -96,7 +101,7 @@ def test_nullity_direction_not_the_fiber(bipolar_n5):
     checked to be the fiber; what is frozen is its metric alignment."""
     p = (0.1, 0.2, 0.7)
     rep = nullity_at(bipolar_n5.chart, p)
-    G = geo.fundamental_forms(bipolar_n5.chart, p).metric
+    G = stacked_at(bipolar_n5.chart, p)["G"]
     T = rep.kernel[:, 0]
     T = T / math.sqrt(float(T @ G @ T))
     align = abs(float(T @ G @ np.array([0.0, 0.0, 1.0]))) / math.sqrt(G[2, 2])
@@ -112,11 +117,11 @@ def test_totally_geodesic_bundle_agreement():
         u, v = rng.uniform(0.1, 0.8, size=2)
         th = rng.uniform(0.0, 2.0 * math.pi)
         # no second normal space on the base
-        flag_says = geo.osculating_flag(tg_base, (u, v), max_order=2).tau < 2
+        flag_says = geo.point_report(tg_base, (u, v), max_order=2)["tau"] < 2
         rep = nullity_at(unit_tangent_chart(tg_base).chart, (u, v, th))
         assert flag_says and rep.totally_geodesic and rep.nu == 3
-        flag_says = geo.osculating_flag(curved_base, (u, v),
-                                        max_order=2).tau < 2
+        flag_says = geo.point_report(curved_base, (u, v),
+                                     max_order=2)["tau"] < 2
         rep = nullity_at(unit_tangent_chart(curved_base).chart, (u, v, th))
         assert not flag_says and not rep.totally_geodesic and rep.nu == 1
 
@@ -125,7 +130,7 @@ def test_plane_bundle_everywhere_singular():
     bc = unit_tangent_chart(make_plane())
     with pytest.raises(DegeneratePoint):
         nullity_at(bc.chart, (0.1, 0.2, 0.5))
-    row = bundle_point_report(bc.chart, (0.1, 0.2, 0.5))
+    row = bundle_rows(bc.chart, [(0.1, 0.2, 0.5)])[0]
     assert row["singular"] and row["H"] is None
 
 
@@ -259,7 +264,8 @@ def test_splitting_rejects_wrong_nullity():
 
 
 def test_bundle_point_report_rows(bipolar_n5):
-    row = bundle_point_report(bipolar_n5.chart, (0.1, 0.2, 0.7))
+    """The row of one bundle point: bundle_rows at that point."""
+    row = bundle_rows(bipolar_n5.chart, [(0.1, 0.2, 0.7)])[0]
     assert set(row) == {"point", "singular", "H", "nu", "sv", "tg"}
     assert not row["singular"]
     assert row["H"] < 1e-8 and row["nu"] == 1 and not row["tg"]
@@ -372,11 +378,9 @@ def test_splitting_scalars_are_invariant_under_reparametrization(bipolar_n5):
        theta=st.floats(0.0, 2.0 * math.pi, exclude_max=True))
 def test_splitting_tensor_bounds_on_random_bipolar_charts(seed, n, frac,
                                                           theta):
-    base = generate_surface(
-        random_weierstrass_data(np.random.default_rng(seed), n)).chart
-    bc = unit_tangent_chart(base)
+    bc = _random_bipolar(seed, n)
     point = tuple(lo + (hi - lo) * f
-                  for (lo, hi), f in zip(base.domain, frac)) + (theta,)
+                  for (lo, hi), f in zip(bc.base.domain, frac)) + (theta,)
     try:
         rep = nullity_at(bc.chart, point)
     except DegeneratePoint:
@@ -449,11 +453,8 @@ def test_nullity_leaves_are_the_fiber_circles(seed, kind, frac, theta,
     leaf equation w' = w^2 + 1: u = 1 and v = 0, and the nullity line is
     the fiber direction, on random bipolar charts and the polar veronese
     chart."""
-    if kind == "polar-veronese":
-        bc = polar_ver
-    else:
-        bc = unit_tangent_chart(generate_surface(random_weierstrass_data(
-            np.random.default_rng(seed), int(kind[-1]))).chart)
+    bc = (polar_ver if kind == "polar-veronese"
+          else _random_bipolar(seed, int(kind[-1])))
     point = tuple(lo + (hi - lo) * f
                   for (lo, hi), f in zip(bc.base.domain, frac)) + (theta,)
     try:
@@ -466,20 +467,9 @@ def test_nullity_leaves_are_the_fiber_circles(seed, kind, frac, theta,
 
 
 def _assert_sweep_matches_single_points(chart, points) -> list[dict]:
-    """bundle_rows on a batch against bundle_point_report at each point:
-    identical singular flags, nu and point, H and sv within 1e-12."""
+    """bundle_rows on a batch equals bundle_rows at each point alone."""
     rows = bundle_rows(chart, points)
-    assert len(rows) == len(points)
-    for row, p in zip(rows, points):
-        ref = bundle_point_report(chart, p)
-        assert (row["point"], row["singular"], row["nu"], row["tg"]) == (
-            ref["point"], ref["singular"], ref["nu"], ref["tg"])
-        if ref["singular"]:
-            assert row == ref
-        else:
-            assert abs(row["H"] - ref["H"]) <= 1e-12
-            np.testing.assert_allclose(row["sv"], ref["sv"], rtol=0,
-                                       atol=1e-12)
+    assert rows == [bundle_rows(chart, [p])[0] for p in points]
     return rows
 
 
@@ -492,11 +482,7 @@ def _assert_sweep_matches_single_points(chart, points) -> list[dict]:
                         st.integers(1, 4)))
 def test_batched_sweep_matches_single_points(polar_ver, kind, seed, n, frac,
                                              half, counts):
-    if kind == "bipolar":
-        bc = unit_tangent_chart(generate_surface(
-            random_weierstrass_data(np.random.default_rng(seed), n)).chart)
-    else:
-        bc = polar_ver
+    bc = _random_bipolar(seed, n) if kind == "bipolar" else polar_ver
     centre = [lo + (hi - lo) * f for (lo, hi), f in zip(bc.base.domain, frac)]
     ranges = [(c - half, c + half) for c in centre] + [(0.0, 2.0 * math.pi)]
     points = geo.grid_points(geo.grid_axes(bc.chart, counts, ranges))

@@ -1,18 +1,16 @@
 """Fixture factories and the named registry."""
-import math
-
 import numpy as np
 import pytest
 
 import isomin.geometry as geo
 from isomin.catalog import (demo_weierstrass_data, make_fixture,
-                            make_geodesic_sphere, make_graph, make_great_sphere,
+                            make_geodesic_sphere, make_great_sphere,
                             make_holomorphic_curve, make_plane, make_veronese,
                             random_weierstrass_data)
 from isomin.errors import InvalidData
 from isomin.weierstrass import generate_surface
 
-from oracles import nullity_at
+from oracles import make_graph, nullity_at
 
 
 def _sphere_norms(chart, counts):
@@ -65,6 +63,8 @@ def test_curve_values_and_validation():
 
 
 def test_graph_ambient_dim():
+    """The test-side quadratic graph chart: R^3, or R^4 with a second
+    height."""
     assert make_graph(1.0, 0.0, 0.0).ambient_dim == 3
     assert make_graph(1.0, 0.0, 0.0, extra=(0, 1, 0)).ambient_dim == 4
 

@@ -114,6 +114,26 @@ def test_bundle_bipolar_demo(tmp_path, capsys):
     assert stdout.count("PASS") == 4 and "FAIL" not in stdout
 
 
+@pytest.mark.parametrize("argv, notes", [
+    (["--fixture", "n5", "--no-final-integration"],
+     ["base isotropy order 0 < 1 at the domain center; the unit tangent "
+      "chart need not be minimal"]),
+    (["--fixture", "curve-2-3-pad1"],
+     ["could not verify base isotropy: metric degenerate at (0.0, 0.0)"]),
+    (["--fixture", "n5"], [])])
+def test_bipolar_probe_notes(tmp_path, capsys, argv, notes):
+    """The base probe at the domain centre writes one note where the base
+    is not minimal there or is singular there, and none on a demo base:
+    in the report and as a warning line."""
+    out = tmp_path / "r.json"
+    run(["bundle", "--kind", "bipolar", *argv,
+         "--grid=0.1:0.5:2,-0.3:0.1:2,0.4:3.54:2", "--out", str(out)])
+    assert load(out)["notes"] == notes
+    assert [line.removeprefix("warning: ")
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("warning: ")] == notes
+
+
 def test_bundle_polar_collapse_exits_3(capsys):
     assert run(["bundle", "--kind", "polar",
                 "--fixture", "great-sphere"]) == 3

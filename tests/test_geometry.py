@@ -1,4 +1,6 @@
-"""Flags, fundamental forms, ellipticity, curvature ellipses, isotropy."""
+"""Flags, fundamental forms, ellipticity, curvature ellipses, isotropy:
+report rows of `point_rows` and `point_report`, and the stacked passes
+behind them read at one point (`oracles.stacked_at`)."""
 import json
 import math
 
@@ -9,15 +11,28 @@ from hypothesis import assume, given, settings, strategies as st
 import isomin.geometry as geo
 import isomin.jet as J
 from isomin.catalog import (demo_weierstrass_data, make_fixture,
-                            make_geodesic_sphere, make_graph,
-                            make_great_sphere, make_holomorphic_curve,
-                            make_plane, make_veronese,
-                            random_weierstrass_data)
-from isomin.errors import (DegeneratePoint, NotElliptic, OrderOutOfRange,
-                           ShapeMismatch)
+                            make_geodesic_sphere, make_great_sphere,
+                            make_holomorphic_curve, make_plane,
+                            make_veronese, random_weierstrass_data)
+from isomin.errors import DegeneratePoint, ShapeMismatch
 from isomin.weierstrass import generate_surface
 
 import oracles
+from oracles import make_graph, stacked_at
+
+
+def _chart(name):
+    """A demo surface (nN, or nN-noint without the final integration), the
+    flat graph (not elliptic), the bent graph (elliptic, not minimal) or a
+    catalog fixture."""
+    if name == "flat-graph":
+        return make_graph(1.0, 0.0, 0.0)
+    if name == "bent-graph":
+        return make_graph(1.0, 0.0, -0.25, extra=(0.0, 0.5, 0.0))
+    if name.startswith("n"):
+        return generate_surface(demo_weierstrass_data(
+            int(name[1]), final_integration=not name.endswith("-noint"))).chart
+    return make_fixture(name)
 
 
 @pytest.fixture(scope="module")
@@ -46,58 +61,65 @@ def test_grid_axes_semantics():
 
 
 def test_metric_identity_at_origin(n4):
-    G = geo.fundamental_forms(n4, (0.0, 0.0)).metric
+    G = stacked_at(n4, (0.0, 0.0))["G"]
     assert np.allclose(G, np.eye(2), atol=1e-14)
 
 
 def test_metric_matches_fd_oracle(n5):
     for p in ((0.21, -0.33), (0.4, 0.1)):
-        G = geo.fundamental_forms(n5, p).metric
+        G = stacked_at(n5, p)["G"]
         ref = oracles.metric_fd(n5, p)
         assert np.allclose(G, ref, rtol=1e-7, atol=1e-9)
 
 
 def test_degenerate_point():
     curve = make_holomorphic_curve((2, 3))
-    with pytest.raises(DegeneratePoint):
-        geo.fundamental_forms(curve, (0.0, 0.0))
+    row = geo.point_report(curve, (0.0, 0.0))
+    assert row["singular"] and row["ellipses"] == []
+    jets = curve.eval_jets(np.zeros((1, 2)), 2)
+    assert not geo._tangent_stage(curve, jets, geo.EPS_DEG)[0][0]
 
 
 def test_flag_dims_n5(n5):
-    flag = geo.osculating_flag(n5, (0.0, 0.0))
-    assert flag.dims == (2, 2, 1)
-    assert flag.tau == 2
-    assert flag.tau_o == 1  # codimension 3 is odd
-    assert flag.complete
-    # orthonormality of the stacked flag
-    Q = np.concatenate(flag.bases, axis=1)
+    row = geo.point_report(n5, (0.0, 0.0))
+    assert row["dims"] == [2, 2, 1]
+    assert row["tau"] == 2
+    assert geo._tau_o(n5, row["tau"]) == 1  # codimension 3 is odd
+    assert sum(row["dims"]) == n5.ambient_dim  # the flag is complete
+    # orthonormality of the accepted columns of the padded flag
+    Q = stacked_at(n5, (0.0, 0.0), max_s=4)["Q"]
+    Q = Q[:, np.linalg.norm(Q, axis=0) > 0]
+    assert Q.shape[1] == n5.ambient_dim
     assert np.allclose(Q.T @ Q, np.eye(Q.shape[1]), atol=1e-12)
 
 
 def test_flag_dims_curve():
     curve = make_holomorphic_curve((1, 2, 3))
     for p in ((1.0, 0.0), (0.3, -0.2)):
-        flag = geo.osculating_flag(curve, p)
-        assert flag.dims == (2, 2, 2)
-        assert flag.tau == 2
-        assert flag.tau_o == 2  # codimension 4 is even
+        row = geo.point_report(curve, p)
+        assert row["dims"] == [2, 2, 2]
+        assert row["tau"] == 2
+        assert geo._tau_o(curve, row["tau"]) == 2  # codimension 4 is even
 
 
 def test_flag_plane_and_sphere():
-    flag = geo.osculating_flag(make_plane(), (0.1, 0.2))
-    assert flag.dims == (2,)
-    assert flag.tau == 0
+    row = geo.point_report(make_plane(), (0.1, 0.2))
+    assert row["dims"] == [2]
+    assert row["tau"] == 0
     gs = make_great_sphere()
-    flag = geo.osculating_flag(gs, (0.3, 0.45))
-    assert flag.dims == (2,)
-    assert flag.position is not None
-    # position is projected out of the flag
-    assert np.max(np.abs(flag.bases[0].T @ flag.position)) < 1e-12
+    row = geo.point_report(gs, (0.3, 0.45))
+    assert row["dims"] == [2]
+    # the flag of a sphere chart opens with the position, and the tangent
+    # columns are projected off it
+    Q = stacked_at(gs, (0.3, 0.45), max_s=4)["Q"]
+    Q = Q[:, np.linalg.norm(Q, axis=0) > 0]
+    assert Q.shape[1] == 3
+    assert np.allclose(Q[:, 0], gs.value((0.3, 0.45)), atol=1e-15)
+    assert np.max(np.abs(Q[:, 1:].T @ Q[:, 0])) < 1e-12
 
 
 def test_second_form_n4(n4):
-    forms = geo.fundamental_forms(n4, (0.0, 0.0))
-    alpha = forms.tables[2]
+    alpha = stacked_at(n4, (0.0, 0.0))["tables"][2]
     assert np.allclose(alpha[0, 0], [0, 0, 2, 0], atol=1e-12)
     assert np.allclose(alpha[0, 1], [0, 0, 0, -2], atol=1e-12)
     assert np.allclose(alpha[1, 1], [0, 0, -2, 0], atol=1e-12)
@@ -105,40 +127,38 @@ def test_second_form_n4(n4):
 
 def test_second_form_matches_fd_oracle(n5):
     for p in ((0.21, -0.33), (-0.15, 0.4)):
-        forms = geo.fundamental_forms(n5, p)
+        alpha = stacked_at(n5, p)["tables"][2]
         ref = oracles.second_form_fd(n5, p)
-        assert np.allclose(forms.tables[2], ref, rtol=1e-6, atol=1e-6)
+        assert np.allclose(alpha, ref, rtol=1e-6, atol=1e-6)
 
 
 def test_third_form_norm():
     # (z, z^2, z^3) at the origin: alpha^3(du, du, du) = d^3/du^3 projected,
     # and the only surviving component is (0, ..., 6) from z^3
     curve = make_holomorphic_curve((1, 2, 3))
-    T = geo.fundamental_forms(curve, (0.0, 0.0), max_s=3).tables[3]
+    T = stacked_at(curve, (0.0, 0.0), max_s=3)["tables"][3]
     assert np.linalg.norm(T[0, 0, 0]) == pytest.approx(6.0, abs=1e-10)
 
 
 def test_mean_curvature_vector(n5):
     H = oracles.nullity_at(n5, (0.2, -0.1)).mean_curvature_norm
     assert H < 1e-12
-    graph = make_graph(1.0, 0.0, -0.25, extra=(0.0, 0.5, 0.0))
-    H = oracles.nullity_at(graph, (0.0, 0.0)).mean_curvature_norm
+    H = oracles.nullity_at(_chart("bent-graph"), (0, 0)).mean_curvature_norm
     assert H == pytest.approx(1.5, abs=1e-12)
 
 
 def test_ellipticity_cases():
     # parabolic graph: alpha(Y, Y) = 0, no elliptic combination
-    rep = geo.ellipticity(make_graph(1.0, 0.0, 0.0), (0.0, 0.0))
-    assert not rep.exists
+    at = stacked_at(_chart("flat-graph"), (0.0, 0.0))
+    assert not at["elliptic"] and np.isnan(at["coeffs"]).all()
     # minimal graph: (1, 0, 1) in the orthonormal frame
-    rep = geo.ellipticity(make_graph(1.0, 0.0, -1.0), (0.0, 0.0))
-    assert rep.exists and not rep.totally_geodesic
-    assert np.allclose(rep.coeffs, (1.0, 0.0, 1.0), atol=1e-12)
+    at = stacked_at(make_graph(1.0, 0.0, -1.0), (0.0, 0.0))
+    assert at["elliptic"] and not at["tg"]
+    assert np.allclose(at["coeffs"], (1.0, 0.0, 1.0), atol=1e-12)
     # a non-minimal surface can still be elliptic
-    rep = geo.ellipticity(make_graph(1.0, 0.0, -0.25, extra=(0.0, 0.5, 0.0)),
-                          (0.0, 0.0))
-    assert rep.exists
-    assert np.allclose(rep.coeffs, (0.25, 0.0, 1.0), atol=1e-12)
+    row = geo.point_report(_chart("bent-graph"), (0.0, 0.0))
+    assert row["elliptic"]
+    assert np.allclose(row["coeffs"], (0.25, 0.0, 1.0), atol=1e-12)
 
 
 def test_ellipticity_frozen_off_the_identity_metric():
@@ -146,71 +166,73 @@ def test_ellipticity_frozen_off_the_identity_metric():
     Gram-Schmidt of the coordinate axes in order, so it is upper
     triangular with a positive diagonal."""
     graph = make_graph(1.0, 0.3, -0.25, extra=(0.2, 0.5, 0.1))
-    rep = geo.ellipticity(graph, (0.3, -0.2))
+    at = stacked_at(graph, (0.3, -0.2))
     np.testing.assert_allclose(
-        rep.coeffs, (0.3772077779841516, -0.2896059112174522, 1.0),
+        at["coeffs"], (0.3772077779841516, -0.2896059112174522, 1.0),
         rtol=0, atol=1e-12)
     np.testing.assert_allclose(
-        rep.frame, [[0.8797691788472336, -0.07955086661053258],
+        at["E"], [[0.8797691788472336, -0.07955086661053258],
                     [0.0, 0.9807225158474052]], rtol=0, atol=1e-12)
 
 
 def test_ellipticity_totally_geodesic_convention():
     plane = make_plane()
-    rep = geo.ellipticity(plane, (0.1, 0.1))
-    assert rep.exists and rep.totally_geodesic
-    assert np.allclose(rep.coeffs, (1.0, 0.0, 1.0))
+    at = stacked_at(plane, (0.1, 0.1))
+    assert at["elliptic"] and at["tg"]
+    assert np.allclose(at["coeffs"], (1.0, 0.0, 1.0))
+    assert geo.point_report(plane, (0.1, 0.1))["coeffs"] == [1.0, 0.0, 1.0]
 
 
 def test_ellipticity_J_squares_to_minus_one(n5):
-    rep = geo.ellipticity(n5, (0.3, -0.2))
-    assert np.allclose(rep.J_matrix @ rep.J_matrix, -np.eye(2), atol=1e-10)
+    Jm = stacked_at(n5, (0.3, -0.2))["J"]
+    assert np.allclose(Jm @ Jm, -np.eye(2), atol=1e-10)
+
+
+def _ellipse(chart, point, ell):
+    """The ellipse of order ell in the point's report row."""
+    return geo.point_report(chart, point)["ellipses"][ell]
 
 
 def test_minimality_iff_order0_circle():
     """The order-0 ellipse is a circle exactly at minimal points."""
     # the saddle u^2 - v^2 is minimal at the origin only
     minimal = make_graph(1.0, 0.0, -1.0)
-    rep = geo.curvature_ellipse(minimal, (0.0, 0.0), 0)
-    assert rep.residual < 1e-10
-    bent = make_graph(1.0, 0.0, -0.25, extra=(0.0, 0.5, 0.0))
-    rep = geo.curvature_ellipse(bent, (0.0, 0.0), 0)
-    assert rep.residual > 1e-3
+    assert _ellipse(minimal, (0.0, 0.0), 0)["residual"] < 1e-10
+    assert _ellipse(_chart("bent-graph"), (0.0, 0.0), 0)["residual"] > 1e-3
 
 
 def test_first_ellipse_n4(n4):
-    rep = geo.curvature_ellipse(n4, (0.0, 0.0), 1)
-    assert rep.semiaxes[0] == pytest.approx(2.0, abs=1e-10)
-    assert rep.semiaxes[1] == pytest.approx(2.0, abs=1e-10)
-    assert rep.residual < 1e-12
+    e1 = _ellipse(n4, (0.0, 0.0), 1)
+    assert e1["semiaxes"][0] == pytest.approx(2.0, abs=1e-10)
+    assert e1["semiaxes"][1] == pytest.approx(2.0, abs=1e-10)
+    assert e1["residual"] < 1e-12
 
 
 def test_ellipse_ladder_n5(n5):
+    row = geo.point_report(n5, (0.0, 0.0))
     # first ellipse at the origin: circle of radius 2
-    rep = geo.curvature_ellipse(n5, (0.0, 0.0), 1)
-    assert rep.semiaxes[0] == pytest.approx(2.0, abs=1e-10)
-    assert rep.residual < 1e-12
+    e1 = row["ellipses"][1]
+    assert e1["semiaxes"][0] == pytest.approx(2.0, abs=1e-10)
+    assert e1["residual"] < 1e-12
     # the last normal space is a line, so the top ellipse degenerates
-    rep2 = geo.curvature_ellipse(n5, (0.0, 0.0), 2)
-    assert rep2.residual > 0.9
-    with pytest.raises(OrderOutOfRange):
-        geo.curvature_ellipse(n5, (0.0, 0.0), 3)
-    with pytest.raises(OrderOutOfRange):
-        geo.curvature_ellipse(n5, (0.0, 0.0), -1)
+    assert row["ellipses"][2]["residual"] > 0.9
+    # a row holds the orders 0..tau and no other
+    assert [e["order"] for e in row["ellipses"]] == [0, 1, 2] == list(
+        range(row["tau"] + 1))
 
 
 def test_ellipse_not_elliptic():
-    with pytest.raises(NotElliptic):
-        geo.curvature_ellipse(make_graph(1.0, 0.0, 0.0), (0.0, 0.0), 0)
+    row = geo.point_report(_chart("flat-graph"), (0.0, 0.0))
+    assert not row["singular"] and row["elliptic"] is False
+    assert row["ellipses"] == [] and row["order"] is None
 
 
 def test_isotropy_orders(n4, n5):
-    assert geo.isotropy_order(n4, (0.2, 0.3)) == 1
-    assert geo.isotropy_order(n5, (0.13, 0.21)) == 1
+    assert geo.point_report(n4, (0.2, 0.3))["order"] == 1
+    assert geo.point_report(n5, (0.13, 0.21))["order"] == 1
     curve = make_holomorphic_curve((1, 2, 3))
-    assert geo.isotropy_order(curve, (0.2, 0.1)) == 2
-    bent = make_graph(1.0, 0.0, -0.25, extra=(0.0, 0.5, 0.0))
-    assert geo.isotropy_order(bent, (0.0, 0.0)) == -1
+    assert geo.point_report(curve, (0.2, 0.1))["order"] == 2
+    assert geo.point_report(_chart("bent-graph"), (0.0, 0.0))["order"] == -1
 
 
 def test_isotropy_order_two_seed():
@@ -218,7 +240,7 @@ def test_isotropy_order_two_seed():
     buys one more circular ellipse."""
     data = demo_weierstrass_data(7)
     rep = generate_surface(data)
-    assert geo.isotropy_order(rep.chart, (0.19, 0.23)) == 2
+    assert geo.point_report(rep.chart, (0.19, 0.23))["order"] == 2
 
 
 def test_point_report_rows(n5):
@@ -248,47 +270,50 @@ def test_sphere_chart_validation():
     pts = geo.grid_points(geo.grid_axes(ver, (5, 5)))
     vals = np.array([ver.value(p) for p in pts])
     assert np.allclose(np.linalg.norm(vals, axis=1), 1.0, atol=1e-12)
-    flag = geo.osculating_flag(ver, (0.1, 0.2))
-    assert flag.dims == (2, 2)
-    assert flag.tau_o == flag.tau == 1  # codimension in the sphere is 2
+    row = geo.point_report(ver, (0.1, 0.2))
+    assert row["dims"] == [2, 2]
+    # codimension in the sphere is 2
+    assert geo._tau_o(ver, row["tau"]) == row["tau"] == 1
 
 
-def _assert_row_matches_public_functions(chart, point):
-    """A point_report row against the public functions called one by one,
-    each evaluating the chart on its own."""
+def _assert_row_matches_stacked_passes(chart, point):
+    """A point_report row against its parts computed on their own: the
+    dims and tau of the per-point flag loop, the stacked passes at the
+    point with a flag only as deep as its tau (`stacked_at`, one chart
+    evaluation of its own) and the isotropy order counted off those
+    ellipses."""
     row = geo.point_report(chart, point)
-    flag = geo.osculating_flag(chart, point)
-    forms = geo.fundamental_forms(chart, point, max_s=max(flag.tau + 1, 2))
-    ellip = geo.ellipticity(chart, point, forms=forms)
-    assert row["dims"] == list(flag.dims) and row["tau"] == flag.tau
-    assert row["elliptic"] == ellip.exists
-    if not ellip.exists:
-        with pytest.raises(NotElliptic):
-            geo.isotropy_order(chart, point)
+    dims, tau = oracles.flag_per_point(chart, point)
+    at = stacked_at(chart, point, max_s=max(tau + 1, 2))
+    assert row["dims"] == list(dims) and row["tau"] == tau
+    assert row["elliptic"] == at["elliptic"]
+    if not at["elliptic"]:
+        assert row["ellipses"] == [] and row["order"] is None
         return
-    assert np.allclose(row["coeffs"], ellip.coeffs, rtol=1e-12, atol=1e-12)
-    assert [e["order"] for e in row["ellipses"]] == list(range(flag.tau + 1))
-    for got in row["ellipses"]:
-        ref = geo.curvature_ellipse(chart, point, got["order"])
-        scale = max(ref.semiaxes[0], 1.0)
-        assert np.allclose(got["semiaxes"], ref.semiaxes, rtol=1e-12,
+    assert np.allclose(row["coeffs"], at["coeffs"], rtol=1e-12, atol=1e-12)
+    assert [e["order"] for e in row["ellipses"]] == list(range(tau + 1))
+    for ell, got in enumerate(row["ellipses"]):
+        semiaxes, residual = at["semiaxes"][ell], at["residuals"][ell]
+        scale = max(semiaxes[0], 1.0)
+        assert np.allclose(got["semiaxes"], semiaxes, rtol=1e-12,
                            atol=1e-12 * scale)
-        assert got["residual"] == pytest.approx(ref.residual, rel=1e-12,
+        assert got["residual"] == pytest.approx(residual, rel=1e-12,
                                                 abs=1e-12)
-    assert geo.isotropy_order(chart, point) == row["order"]
+    # the circular orders 0, 1, ... in a row, through min(tau_o, tau)
+    order = -1
+    for ell in range(min(max(0, geo._tau_o(chart, tau)), tau) + 1):
+        if not at["residuals"][ell] < geo.CIRCLE_TOL:
+            break
+        order = ell
+    assert row["order"] == order
 
 
 @pytest.mark.parametrize("name", ["n4", "n5", "n6", "n7", "n8",
                                   "curve-1-2-3", "plane", "flat-graph"])
 def test_point_report_matches_public_functions(name):
-    if name == "flat-graph":
-        chart = make_graph(1.0, 0.0, 0.0)  # not elliptic
-    elif name.startswith("n"):
-        chart = generate_surface(demo_weierstrass_data(int(name[1:]))).chart
-    else:
-        chart = make_fixture(name)
+    chart = _chart(name)
     for point in ((0.0, 0.0), (0.17, -0.23), (0.31, 0.12)):
-        _assert_row_matches_public_functions(chart, point)
+        _assert_row_matches_stacked_passes(chart, point)
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)
@@ -299,7 +324,7 @@ def test_point_report_matches_public_functions_on_random_data(seed, n, frac):
         random_weierstrass_data(np.random.default_rng(seed), n)).chart
     point = tuple(lo + (hi - lo) * f for (lo, hi), f in zip(chart.domain, frac))
     assume(not geo.point_report(chart, point)["singular"])
-    _assert_row_matches_public_functions(chart, point)
+    _assert_row_matches_stacked_passes(chart, point)
 
 
 def test_point_report_evaluates_the_chart_once(n5, monkeypatch):
@@ -315,9 +340,6 @@ def test_point_report_evaluates_the_chart_once(n5, monkeypatch):
         for point in ((0.1, 0.2), (-0.2, 0.05)):
             calls.clear()
             geo.point_report(chart, point)
-            assert calls == [geo.DEFAULT_JET_ORDER]
-            calls.clear()
-            geo.isotropy_order(chart, point)
             assert calls == [geo.DEFAULT_JET_ORDER]
 
 
@@ -346,23 +368,24 @@ def test_eval_jets_needs_one_vector_jet():
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 8),
        frac=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)))
 def test_closed_form_ellipses_match_sampled_oracle(seed, n, frac):
-    """Semiaxes, centre and residual of every ellipse at a point agree with
-    the 64-sample SVD within 1e-12 of the ellipse's scale."""
+    """Semiaxes, centre and residual of every ellipse at a point (the
+    report row, and the centres of the ellipse pass at the point) agree
+    with the 64-sample SVD within 1e-12 of the ellipse's scale."""
     chart = generate_surface(
         random_weierstrass_data(np.random.default_rng(seed), n)).chart
     point = tuple(lo + (hi - lo) * f for (lo, hi), f in zip(chart.domain, frac))
     row = geo.point_report(chart, point)
     assume(row["elliptic"])
-    for ell in range(row["tau"] + 1):
-        got = geo.curvature_ellipse(chart, point, ell)
+    centers = stacked_at(chart, point, max_s=max(row["tau"] + 1, 2))["centers"]
+    for ell, got in enumerate(row["ellipses"]):
         ref = oracles.curvature_ellipse_sampled(chart, point, ell)
         scale = max(ref.semiaxes[0], np.linalg.norm(ref.center), 1.0)
-        assert np.allclose(got.semiaxes, ref.semiaxes, rtol=1e-12,
+        assert np.allclose(got["semiaxes"], ref.semiaxes, rtol=1e-12,
                            atol=1e-12 * scale)
-        assert np.allclose(got.center, ref.center, rtol=1e-12,
+        assert np.allclose(centers[ell], ref.center, rtol=1e-12,
                            atol=1e-12 * scale)
-        assert got.residual == pytest.approx(ref.residual, rel=1e-12,
-                                             abs=1e-12)
+        assert got["residual"] == pytest.approx(ref.residual, rel=1e-12,
+                                                abs=1e-12)
 
 
 def _assert_rows_match_single_points(chart, points, max_order=None):
@@ -403,12 +426,7 @@ def test_point_rows_match_single_points(name, max_order):
     rank 0 at order 2, rank 2 at order 3) and where the flag is censored (n7
     at max_order 1)."""
     ranges = None
-    if name == "flat-graph":
-        chart = make_graph(1.0, 0.0, 0.0)  # not elliptic
-    elif name.startswith("n"):
-        chart = generate_surface(demo_weierstrass_data(int(name[1:]))).chart
-    else:
-        chart = make_fixture(name)
+    chart = _chart(name)
     if name.startswith("curve-") and name != "curve-1-2-3":
         ranges = ((-0.5, 0.5), (-0.5, 0.5))  # through z = 0
     rows = _assert_rows_match_single_points(
@@ -493,50 +511,58 @@ def test_point_rows_do_not_depend_on_their_batch(seed, n, frac, half, counts,
     assert [rows[i] for i in order] == _point_row_texts(chart, points[order])
 
 
-def _isotropy_probe(chart, point, max_order=None):
-    """What the bipolar note of `bundle` reads off isotropy_order: the
-    order when it is below 1, True when it is not, or the error raised."""
-    try:
-        order = geo.isotropy_order(chart, point, max_order=max_order)
-    except (DegeneratePoint, NotElliptic) as exc:
-        return type(exc)
-    return order if order < 1 else True
+def _isotropy_probe(row):
+    """What the bipolar note of `bundle` reads off a point_report row: the
+    order when it is below 1, True when it is not, or why there is none."""
+    if row["singular"]:
+        return "singular"
+    if not row["elliptic"]:
+        return "not elliptic"
+    return row["order"] if row["order"] < 1 else True
 
 
-def _assert_depth_two_probe_agrees(chart):
+def _spot_check(row):
+    """What a spot check of `generate` reads off a point_report row."""
+    return (row["singular"], row["elliptic"],
+            [e["residual"] for e in row["ellipses"][:2]])
+
+
+def _assert_shallow_flags_agree(chart):
     centre = tuple((lo + hi) / 2.0 for lo, hi in chart.domain)
-    for p in [centre] + list(_grid(chart, (3, 3))):
-        assert (_isotropy_probe(chart, p, max_order=2)
-                == _isotropy_probe(chart, p)), f"{chart.name} at {tuple(p)}"
+    points = np.array([centre] + list(_grid(chart, (3, 3))))
+    for p, row, two, one in zip(
+            points, geo.point_rows(chart, points),
+            geo.point_rows(chart, points, max_order=2),
+            geo.point_rows(chart, points, max_order=1)):
+        assert _isotropy_probe(two) == _isotropy_probe(row), \
+            f"{chart.name} at {tuple(p)}"
+        assert _spot_check(one) == _spot_check(row), \
+            f"{chart.name} at {tuple(p)}"
 
 
 @pytest.mark.parametrize("name", [
     "n4", "n5", "n6", "n7", "n8", "veronese", "plane", "great-sphere",
     "curve-1-2-3", "curve-2-3", "curve-1-3-pad1", "curve-1-2-pad1",
-    "curve-2-3-pad1", "bent-graph", "flat-graph"])
+    "curve-2-3-pad1", "bent-graph", "flat-graph", "n4-noint", "n5-noint",
+    "n6-noint", "n7-noint", "n8-noint"])
 def test_depth_two_isotropy_probe_agrees_with_the_default_depth(name):
     """A flag of depth 2 decides the ellipses of orders 0 and 1, so the
     probe that `bundle` runs at max_order 2 gives the same order < 1
-    verdict, the same order below 1 and the same DegeneratePoint or
-    NotElliptic as the default depth, at the domain centre and on a 3x3
-    grid of each fixture. The outcomes seen: order at least 1 (the
-    generated surfaces, veronese, curve-1-2-3), order 0 (plane,
-    great-sphere, the padded curves), DegeneratePoint (curve-2-3 and
-    curve-2-3-pad1 at z = 0), -1 (the bent graph, not minimal) and
-    NotElliptic (the flat graph)."""
-    if name == "bent-graph":
-        chart = make_graph(1.0, 0.0, -0.25, extra=(0.0, 0.5, 0.0))
-    elif name == "flat-graph":
-        chart = make_graph(1.0, 0.0, 0.0)
-    elif name.startswith("n"):
-        chart = generate_surface(demo_weierstrass_data(int(name[1:]))).chart
-    else:
-        chart = make_fixture(name)
-    _assert_depth_two_probe_agrees(chart)
+    verdict, the same order below 1 and the same singular or non-elliptic
+    row as the default depth, at the domain centre and on a 3x3 grid of
+    each fixture. The outcomes seen: order at least 1 (the generated
+    surfaces, veronese, curve-1-2-3), order 0 (plane, great-sphere, the
+    padded curves, the surfaces without the final integration), singular
+    (curve-2-3 and curve-2-3-pad1 at z = 0), -1 (the bent graph, not
+    minimal) and not elliptic (the flat graph). The residuals of those two
+    ellipses, which the spot checks of `generate` read at max_order 1, are
+    those of the default depth exactly: the order-1 ellipse is the second
+    form projected off position and tangent space."""
+    _assert_shallow_flags_agree(_chart(name))
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 8))
 def test_depth_two_isotropy_probe_agrees_on_random_surfaces(seed, n):
-    _assert_depth_two_probe_agrees(generate_surface(
+    _assert_shallow_flags_agree(generate_surface(
         random_weierstrass_data(np.random.default_rng(seed), n)).chart)

@@ -283,6 +283,23 @@ def test_broadcast_mul_matches_componentwise_products():
                                    atol=1e-14 * np.abs(ref.coeffs).max())
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), nvars=st.integers(1, 3),
+       order=st.integers(0, 6), rows=st.integers(1, 5),
+       pick=st.integers(0, 4))
+def test_scalar_mul_equals_the_same_product_in_a_batch(seed, nvars, order,
+                                                       rows, pick):
+    """A product of scalar jets equals, bit for bit, the same product as
+    one row of a batch: every shape sums a coefficient's products in the
+    same order."""
+    rng = np.random.default_rng(seed)
+    sp = J.get_space(nvars, order)
+    a, b = _random_jet(rng, sp, (rows,)), _random_jet(rng, sp, (rows,))
+    i = pick % rows
+    assert np.array_equal(J.jet_mul(a[i], b[i]).coeffs,
+                          J.jet_mul(a, b).coeffs[i])
+
+
 def test_vector_jet_indexing_acts_on_the_leading_shape():
     rng = np.random.default_rng(6)
     sp = J.get_space(2, 3)

@@ -20,8 +20,11 @@ directory. It then checks:
   it.
 
 Prints one line per command, with its report's size in bytes in each
-checkout, and a summary with the total sizes and the largest float
-differences seen. Exit code 0 when everything matches, 1 on any mismatch,
+checkout and whether the two checkouts wrote byte-identical reports or
+meshes or ones that match only within tolerance; for the latter it lists
+the first JSON paths (the vertex lines of a mesh, as $.v[i][k]) whose
+floats differ. A summary gives the counts of both kinds, the total sizes
+and the largest float differences seen. Exit code 0 when everything matches, 1 on any mismatch,
 2 on bad arguments.
 """
 from __future__ import annotations
@@ -65,7 +68,12 @@ COMMANDS = (
        ["bundle", "--kind", "polar", "--fixture", "veronese",
         "--grid=-0.35:0.05:2,0.1:0.5:2,1.2:4.34:2"]]
     + [["export", "--kind", "bipolar", "--fixture", "n5"],
-       ["export", "--kind", "polar", "--fixture", "veronese"]])
+       ["export", "--kind", "polar", "--fixture", "veronese"]]
+    # a base that is not minimal at the domain centre: the order < 1 note
+    + [["bundle", "--kind", "bipolar", "--fixture", "n5",
+        "--no-final-integration"]])
+
+SHOWN_PATHS = 3  # float paths listed per command that differs
 
 
 def _reject(const: str):
@@ -111,10 +119,12 @@ def run(checkout: Path, argv: list[str]) -> tuple[int, list[str], bytes | None]:
 
 
 class Diff:
-    """Mismatches between two report trees, and the largest float gaps."""
+    """Mismatches between two report trees, the paths of the floats that
+    differ at all, and the largest float gaps."""
 
     def __init__(self):
         self.problems: list[str] = []
+        self.moved: list[str] = []
         self.max_rel = 0.0
         self.max_abs = 0.0
 
@@ -146,6 +156,8 @@ class Diff:
     def compare_floats(self, a: float, b: float, path: str):
         scale = max(abs(a), abs(b))
         gap = abs(a - b)
+        if a != b:
+            self.moved.append(path)
         if not (math.isfinite(a) and math.isfinite(b)):
             ok = a == b or (math.isnan(a) and math.isnan(b))
         elif scale > FLOOR:
@@ -169,12 +181,13 @@ def main(argv=None) -> int:
             print(f"error: no isomin sources under {checkout}", file=sys.stderr)
             return 2
     diff = Diff()
-    failed = 0
+    failed = identical = within = 0
     sizes = [0, 0]  # report bytes in the parent and in the change
     for cmd in COMMANDS:
         label = " ".join(cmd)
         problems = []
-        size = ""
+        size = kind = ""
+        moved = []  # paths of the floats that differ between checkouts
         results = {}
         for side, checkout in (("parent", parent), ("change", change)):
             first, second = run(checkout, cmd), run(checkout, cmd)
@@ -204,13 +217,25 @@ def main(argv=None) -> int:
                 cmd_diff = Diff()
                 cmd_diff.compare(*docs)
                 problems += cmd_diff.problems[:5]
+                moved = cmd_diff.moved
                 diff.max_rel = max(diff.max_rel, cmd_diff.max_rel)
                 diff.max_abs = max(diff.max_abs, cmd_diff.max_abs)
         failed += bool(problems)
-        print(f"{'ok  ' if not problems else 'FAIL'} exit {rc_b} {label}{size}")
+        if not problems and rep_a is not None:
+            identical += rep_a == rep_b
+            within += rep_a != rep_b
+            if rep_a == rep_b:
+                kind = "; byte-identical"
+            else:
+                kind = (f"; within tolerance, {len(moved)} floats differ: "
+                        + ", ".join(moved[:SHOWN_PATHS])
+                        + (", ..." if len(moved) > SHOWN_PATHS else ""))
+        print(f"{'ok  ' if not problems else 'FAIL'} exit {rc_b} "
+              f"{label}{size}{kind}")
         for problem in problems:
             print(f"     {problem}")
-    print(f"{len(COMMANDS) - failed} of {len(COMMANDS)} commands match; "
+    print(f"{len(COMMANDS) - failed} of {len(COMMANDS)} commands match "
+          f"({identical} byte-identical, {within} within tolerance only); "
           f"largest gaps: {diff.max_rel:.3g} relative above {FLOOR:g}, "
           f"{diff.max_abs:.3g} absolute at or below it; report bytes "
           f"{sizes[0]} -> {sizes[1]}")
