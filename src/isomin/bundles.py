@@ -11,32 +11,30 @@ passes of `geometry`, the one geometry path of the package.
 
 A bundle chart evaluates a batch of points at once. The frame does not
 depend on theta, so it is built once per distinct base point (u, v), as
-jets in the base's own two variables, and the fiber is closed-form: the
-coefficient of u^a v^b theta^j is E1[a, b] c_j + E2[a, b] s_j, with c_j
-and s_j the exact Taylor coefficients of cos and sin at theta. Frame
-fields are built by pivoted orthogonalization in a fixed candidate order,
-which keeps the frame deterministic and continuous on chart domains whose
-flag has constant dimensions; each normalization is one composition with
-x^(-1/2) (`jet.jet_rsqrt`). Points where a pivot degenerates are masked
-per point, never composed, and come out of the chart as NaN rows, which
-the geometry files as singular. Metric-orthonormal frames (the nullity
-pass, the horizontal plane of the splitting tensor) are Gram-Schmidt of
-given vectors in order, by one Cholesky factorization
+jets in the base's own two variables at the order of the evaluation, and
+the fiber is closed-form: the coefficient of u^a v^b theta^j is E1[a, b]
+c_j + E2[a, b] s_j, with c_j and s_j the exact Taylor coefficients of cos
+and sin at theta. Frame fields are built by pivoted orthogonalization in a
+fixed candidate order, which keeps the frame deterministic and continuous
+on chart domains whose flag has constant dimensions; each normalization is
+one composition with x^(-1/2) (`jet.jet_rsqrt`). Points where a pivot
+degenerates are masked per point, never composed, and come out of the
+chart as NaN rows, which the geometry files as singular. Metric-orthonormal
+frames (the nullity pass, the horizontal plane of the splitting tensor)
+are Gram-Schmidt of given vectors in order, by one Cholesky factorization
 (`geometry._metric_frame`).
 
-A `bundle` command is one frame evaluation, one nullity pass and one
-splitting pass (`sweep_and_split`). The frames are built once at the
-distinct (u, v) of the sweep grid and of the splitting points, at order 4
-when there are splitting points, and each row is assembled at its own
-order from them: 2 for a sweep row, 4 for a splitting point. Order-4
-frames cut to order 2 are the order-2 frames bit for bit. One nullity
-pass covers the sweep rows and the splitting rows cut to order 2, and one
-stacked pass gives the splitting tensor of every splitting point where
-the nullity is 1; a point without one gets the error that the one-point
-`splitting_tensor` raises, and its report row the reason. The nullity
-pass computes singular values only: a row reads nu, the singular values
-and |H|, never the kernel (the splitting pass finds the nullity line from
-its own jets). A row does not depend on its batch.
+`sweep_and_split` is the one bundle entry point: a `bundle` command is one
+evaluation of the 3-chart at the sweep points and the splitting points
+together (order 4 when there are splitting points, else 2), one nullity
+pass on its order-2 cut, and one splitting pass over the splitting points
+where the nullity is 1. Order-4 jets cut to order 2 are the order-2 jets
+bit for bit, so a sweep row does not depend on the splitting points next
+to it. Both passes write JSON rows: a sweep row reads nu, the singular
+values and |H|, never the kernel (the splitting pass finds the nullity
+line from its own jets), and a splitting row reads the tensor, or the
+reason the point is skipped, or the error where the nullity line is
+undetermined. A row does not depend on its batch.
 """
 from __future__ import annotations
 
@@ -44,13 +42,13 @@ import dataclasses
 import functools
 import math
 import warnings
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import jet as J
 from .errors import (DegeneratePoint, FlagCollapse, InvalidData,
-                     IsominError, NotElliptic, NullityJump, ShapeMismatch)
+                     NotElliptic, ShapeMismatch)
 from . import geometry as geo
 from .geometry import ImmersionChart
 
@@ -100,17 +98,12 @@ def _jet_orthonormalize(cand: J.Jet, basis: list[J.Jet], eps_rank: float
 
 @dataclasses.dataclass
 class BundleChart:
-    """A 3-chart (u, v, theta) into a sphere, remembering its base.
-
-    eval_batches takes a list of (points (P, 3), order) and gives the jets
-    of the chart at each batch, at its own order, from one frame evaluation
-    at the distinct (u, v) of all batches (`chart.eval_jets` is the call
-    with one batch)."""
+    """A 3-chart (u, v, theta) into a sphere, remembering its base; the
+    rows of a `bundle` command come from `sweep_and_split(bc.chart, ...)`."""
 
     kind: str  # "unit_tangent" or "unit_normal"
     base: ImmersionChart
     chart: ImmersionChart
-    eval_batches: Callable[[Sequence[tuple[np.ndarray, int]]], list[J.Jet]]
     tau: int | None = None
 
 
@@ -124,24 +117,28 @@ def _fiber_map(order: int) -> tuple[np.ndarray, np.ndarray]:
     return src, power
 
 
-def _circle_chart(base: ImmersionChart, frame, name: str
-                  ) -> tuple[ImmersionChart, Callable]:
+def _circle_chart(base: ImmersionChart, frame, name: str) -> ImmersionChart:
     """The 3-chart (u, v, theta) -> cos(theta) E1 + sin(theta) E2 into the
-    unit sphere and its batch evaluator (`BundleChart.eval_batches`), where
-    frame(uv, order) gives, at base points uv of shape (Q, 2), the
-    orthonormal pair of vector jets (E1, E2) of shape (Q, N) in the
-    2-variable space of the order and the mask of points where the frame
-    is defined. The frame is built once per distinct (u, v) of all batches,
-    at their highest order; rows where it is not defined are NaN.
+    unit sphere, where frame(uv, order) gives, at base points uv of shape
+    (Q, 2), the orthonormal pair of vector jets (E1, E2) of shape (Q, N) in
+    the 2-variable space of the order and the mask of points where the
+    frame is defined. Its jet_fn builds the frame once per distinct (u, v)
+    of the points, at the space's order; rows where it is not defined are
+    NaN.
 
     The frame does not depend on theta and cos, sin do not depend on
     (u, v), so each coefficient of the product is one product: at (a, b, j)
     it is E1[a, b] c_j + E2[a, b] s_j, with c_j, s_j the exact Taylor
-    coefficients cos^(j)(theta) / j!, sin^(j)(theta) / j!. The positions of
-    a lower order are a prefix of those of a higher one, so a batch of
-    lower order reads its frame coefficients off the same arrays."""
+    coefficients cos^(j)(theta) / j!, sin^(j)(theta) / j!."""
 
-    def fiber(e1, e2, ok, at, theta, order):
+    def jet_fn(points, space):
+        if space.nvars != 3:
+            raise ShapeMismatch("bundle charts evaluate in 3-variable spaces")
+        order = space.order
+        uv, at = np.unique(points[:, :2], axis=0, return_inverse=True)
+        at = at.reshape(-1)
+        e1, e2, ok = frame(uv, order)
+        theta = points[:, 2]
         sin, cos = np.sin(theta), np.cos(theta)
         cycle = np.stack([sin, cos, -sin, -cos])  # sin^(j) = cycle[j % 4]
         j = np.arange(order + 1)
@@ -151,32 +148,12 @@ def _circle_chart(base: ImmersionChart, frame, name: str
         s = (cycle[j % 4] / fact[:, None]).T[:, None, power]
         out = e1.coeffs[..., src][at] * c + e2.coeffs[..., src][at] * s
         out[~ok[at]] = np.nan
-        return J.Jet(J.get_space(3, order), out)
+        return J.Jet(space, out)
 
-    def eval_batches(batches):
-        points = [np.reshape(np.asarray(p, dtype=float), (-1, 3))
-                  for p, _ in batches]
-        uv, at = np.unique(np.concatenate(points)[:, :2], axis=0,
-                           return_inverse=True)
-        at = at.reshape(-1)
-        e1, e2, ok = frame(uv, max(order for _, order in batches))
-        out, start = [], 0
-        for pts, (_, order) in zip(points, batches):
-            out.append(fiber(e1, e2, ok, at[start:start + len(pts)],
-                             pts[:, 2], order))
-            start += len(pts)
-        return out
-
-    def jet_fn(points, space):
-        if space.nvars != 3:
-            raise ShapeMismatch("bundle charts evaluate in 3-variable spaces")
-        return eval_batches([(points, space.order)])[0]
-
-    chart = ImmersionChart(domain_dim=3, ambient_dim=base.ambient_dim,
-                           ambient="sphere", jet_fn=jet_fn,
-                           domain=base.domain + ((0.0, 2.0 * math.pi),),
-                           periodic=(False, False, True), name=name)
-    return chart, eval_batches
+    return ImmersionChart(domain_dim=3, ambient_dim=base.ambient_dim,
+                          ambient="sphere", jet_fn=jet_fn,
+                          domain=base.domain + ((0.0, 2.0 * math.pi),),
+                          periodic=(False, False, True), name=name)
 
 
 def unit_tangent_chart(base: ImmersionChart,
@@ -205,10 +182,8 @@ def unit_tangent_chart(base: ImmersionChart,
                                       eps_rank=0.0)
         return e1, e2, ok1 & ok2
 
-    chart, eval_batches = _circle_chart(base, frame,
-                                        f"unit-tangent({base.name})")
-    return BundleChart(kind="unit_tangent", base=base, chart=chart,
-                       eval_batches=eval_batches)
+    chart = _circle_chart(base, frame, f"unit-tangent({base.name})")
+    return BundleChart(kind="unit_tangent", base=base, chart=chart)
 
 
 def unit_normal_chart(base: ImmersionChart,
@@ -278,54 +253,28 @@ def unit_normal_chart(base: ImmersionChart,
         return (last[first[0], rows], last[first[1], rows],
                 ok & (accepted.sum(axis=0) == 2))
 
-    chart, eval_batches = _circle_chart(base, frame,
-                                        f"unit-normal({base.name})")
-    return BundleChart(kind="unit_normal", base=base, chart=chart,
-                       eval_batches=eval_batches, tau=tau)
+    chart = _circle_chart(base, frame, f"unit-normal({base.name})")
+    return BundleChart(kind="unit_normal", base=base, chart=chart, tau=tau)
 
 
-@dataclasses.dataclass
-class NullityReport:
-    """Relative nullity data of a chart at P points, each field with a
-    leading point axis: nu, the singular values of X -> alpha(X, .) in a
-    metric-orthonormal frame, and the mean curvature norm. nu counts the
-    singular values below eps_rank relative to the largest; the kernel
-    itself is not computed, since no report reads it. `singular` marks the
-    singular points; there nu is 0 and the numbers are NaN."""
+def _nullity(chart: ImmersionChart, jets: J.Jet, eps_rank: float,
+             eps_deg: float) -> tuple[np.ndarray, ...]:
+    """Relative nullity at every row of a chart jet of shape (P, N), order
+    >= 2: nu (P,), the singular values (P, m) of X -> alpha(X, .) in a
+    metric-orthonormal frame, the mean curvature norm |H| (P,) and the mask
+    of regular rows. nu counts the singular values below eps_rank relative
+    to the largest; on a singular row it is 0 and the numbers are NaN. The
+    kernel is not computed, since no report reads it.
 
-    point: np.ndarray
-    nu: np.ndarray
-    singular_values: np.ndarray
-    mean_curvature_norm: np.ndarray
-    totally_geodesic: np.ndarray
-    singular: np.ndarray
-
-
-def relative_nullity(chart: ImmersionChart, points,
-                     eps_rank: float = geo.EPS_RANK,
-                     eps_deg: float = geo.EPS_DEG) -> NullityReport:
-    """Relative nullity at points of shape (P, m), one report with a leading
-    point axis, from one chart evaluation."""
-    batch = np.reshape(np.asarray(points, dtype=float),
-                       (-1, chart.domain_dim))
-    return _nullity(chart, batch, chart.eval_jets(batch, 2), eps_rank,
-                    eps_deg)
-
-
-def _nullity(chart: ImmersionChart, points: np.ndarray, jets: J.Jet,
-             eps_rank: float, eps_deg: float) -> NullityReport:
-    """The report at every row of a chart jet of shape (P, N), order >= 2:
-    the metric check and the second form projected off position and
-    tangent space, then the form in the stacked metric frame and its
-    singular values over the regular rows.
-
-    The frame change aorth_ij = sum_kl E_ki E_lj A_kl is two stacked
-    matrix products, each contracting one slot of the symmetric form, so
-    aorth comes out with (i, j) swapped, which is the same form. Its
-    singular values, as an m x mN matrix, are those of the m x m factor R
-    of the QR of its transpose (T. F. Chan, ACM TOMS 8, 1982)."""
-    P, m = points.shape
-    N = chart.ambient_dim
+    The metric check and the second form projected off position and tangent
+    space come from `geometry._tangent_stage`; the frame change aorth_ij =
+    sum_kl E_ki E_lj A_kl is two stacked matrix products, each contracting
+    one slot of the symmetric form, so aorth comes out with (i, j) swapped,
+    which is the same form. Its singular values, as an m x mN matrix, are
+    those of the m x m factor R of the QR of its transpose (T. F. Chan, ACM
+    TOMS 8, 1982)."""
+    P, N = jets.shape
+    m = chart.domain_dim
     regular, G, E, Q = geo._tangent_stage(chart, jets, eps_deg)
     R = len(G)
     A = geo._form_table(jets[regular], 2, Q)          # (R, m, m, N)
@@ -341,47 +290,7 @@ def _nullity(chart: ImmersionChart, points: np.ndarray, jets: J.Jet,
     H[regular] = np.linalg.norm(np.trace(aorth, axis1=1, axis2=2), axis=-1)
     svs = np.full((P, m), np.nan)
     svs[regular] = sv
-    return NullityReport(point=points, nu=nu, singular_values=svs,
-                         mean_curvature_norm=H,
-                         totally_geodesic=regular & (nu == m),
-                         singular=~regular)
-
-
-def _nullity_rows(rep: NullityReport, stop: int) -> list[dict]:
-    """JSON rows of the first stop points of a nullity report; a number
-    that is not finite is None."""
-    rows = []
-    for pt, singular, H, nu, sv, tg in zip(
-            geo._json_ready(rep.point[:stop]), rep.singular[:stop].tolist(),
-            geo._json_ready(rep.mean_curvature_norm[:stop]),
-            rep.nu[:stop].tolist(), geo._json_ready(rep.singular_values[:stop]),
-            rep.totally_geodesic[:stop].tolist()):
-        if singular:
-            rows.append({"point": pt, "singular": True, "H": None,
-                         "nu": None, "sv": None, "tg": None})
-        else:
-            rows.append({"point": pt, "singular": False, "H": H, "nu": nu,
-                         "sv": sv, "tg": tg})
-    return rows
-
-
-@dataclasses.dataclass
-class SplittingReport:
-    """Splitting tensor of the nullity line at a point of a 3-chart.
-
-    C is the matrix of X -> -(nabla_X T)^h on the horizontal plane in an
-    oriented orthonormal frame; the fitted scalars satisfy
-    C = v I - u J with J the quarter turn, and the residuals are
-    |e3(v) - (v^2 - u^2 + 1)|, |e3(u) - 2 u v|, |e1(u) - e2(v)|,
-    |e2(u) + e1(v)| for the frame (e1, e2, e3 = T)."""
-
-    point: tuple[float, ...]
-    C: np.ndarray
-    u: float
-    v: float
-    span_residual: float
-    ode_residuals: dict[str, float]
-    fiber_alignment: float
+    return nu, svs, H, regular
 
 
 def _cross(a, b):
@@ -440,51 +349,23 @@ def _nullity_field(c: ImmersionChart, jets: J.Jet, eps_rank: float):
     return T, G, det, determined, unit
 
 
-def _splitting_pass(chart: ImmersionChart, points: np.ndarray, jets: J.Jet,
-                    nu: np.ndarray, singular: np.ndarray, eps_rank: float
-                    ) -> list[SplittingReport | IsominError]:
-    """Splitting tensors at points of shape (P, 3) of a 3-chart, from its
-    order-4 jet there (shape (P, N)) and the relative nullity of each point
-    (`_nullity`, which reads only the order-2 part): one stacked pass over
-    the points where the nullity is 1. Gives, per point, its report or the
-    error that `splitting_tensor` raises there: DegeneratePoint where the
-    point is singular or the nullity field or horizontal frame degenerates,
-    NullityJump where the nullity is not 1 (with nu) or its line is
-    undetermined (without).
+def _splitting_scalars(T: J.Jet, G: J.Jet, det: J.Jet, det1: J.Jet
+                       ) -> tuple[dict, np.ndarray]:
+    """The splitting tensor of the nullity line at R points, from the unit
+    nullity field T (R, 3), the metric G (R, 3, 3) and det G (R,) as
+    order-2 jets (`_nullity_field`), det1 its order-1 part, positive: the
+    report fields as arrays with a leading point axis, and the mask of
+    points where the horizontal frame is defined.
 
-    With T the unit nullity field as an order-2 jet, the covariant
-    derivative (nabla_k T)_m = g_ml d_k T^l + Gamma_(m,kl) T^l, the scalars
-    v = -div(T) / 2 and u = |eps^(kmi) T_i (nabla_k T)_m| / 2 are order-1
-    jets, so their derivatives along the frame are exact. The sign of u is
-    fixed at the point; T's orientation is arbitrary, which flips v."""
-    where = [tuple(p) for p in points.tolist()]
-    finite = np.isfinite(jets.coeffs.reshape(len(jets), -1)).all(axis=1)
-    singular = singular | ~finite
-    out: list = [None] * len(points)
-    for i in np.flatnonzero(singular | (nu != 1)).tolist():
-        out[i] = (DegeneratePoint(f"singular point {where[i]}")
-                  if singular[i] else
-                  NullityJump(f"nullity {nu[i]} != 1 at {where[i]}",
-                              nu=int(nu[i])))
-    live = np.flatnonzero(~singular & (nu == 1))
-    if not len(live):
-        return out
-    T, G, det, determined, unit = _nullity_field(chart, jets[live], eps_rank)
-    # the nullity pass vets the metric, so det G > 0 but for rounding, which
-    # the compositions below guard
-    det1 = J.jet_truncate(det, 1)
-    ok = determined & unit & ~(det1.value <= 0.0)
-    for i, determined_i, ok_i in zip(live.tolist(), determined.tolist(),
-                                     ok.tolist()):
-        if not determined_i:
-            out[i] = NullityJump("nullity line undetermined: the adjugate "
-                                 "of alpha alpha^T vanishes")
-        elif not ok_i:
-            out[i] = DegeneratePoint(
-                f"nullity field degenerates at {where[i]}")
-    live, T, G, det, det1 = live[ok], T[ok], G[ok], det[ok], det1[ok]
-    if not len(live):
-        return out
+    C is the matrix of X -> -(nabla_X T)^h on the horizontal plane in an
+    oriented orthonormal frame; the fitted scalars satisfy C = v I - u J
+    with J the quarter turn, and the residuals are |e3(v) - (v^2 - u^2 +
+    1)|, |e3(u) - 2 u v|, |e1(u) - e2(v)|, |e2(u) + e1(v)| for the frame
+    (e1, e2, e3 = T). With the covariant derivative (nabla_k T)_m = g_ml
+    d_k T^l + Gamma_(m,kl) T^l, the scalars v = -div(T) / 2 and u =
+    |eps^(kmi) T_i (nabla_k T)_m| / 2 are order-1 jets, so their
+    derivatives along the frame are exact. The sign of u is fixed at the
+    point; T's orientation is arbitrary, which flips v."""
     inv_det, inv_vol = J.jet_recip(det1, eps=0.0), J.jet_rsqrt(det1, eps=0.0)
     T1, g = J.jet_truncate(T, 1), J.jet_truncate(G, 1)
     dG = J.jet_gradient(G, axis=1)   # [p, k, l, m]
@@ -532,88 +413,89 @@ def _splitting_pass(chart: ImmersionChart, points: np.ndarray, jets: J.Jet,
            "e1_u_minus_e2_v": np.abs(d_u[:, 0] - d_v[:, 1]),
            "e2_u_plus_e1_v": np.abs(d_u[:, 1] + d_v[:, 0])}
     align = np.abs(np.sum(T0 * G0[..., 2], axis=-1)) / np.sqrt(G0[:, 2, 2])
-    for r, i in enumerate(live.tolist()):
-        out[i] = (SplittingReport(
-            point=where[i], C=C[r], u=float(u0[r]), v=float(v0[r]),
-            span_residual=float(span[r]),
-            ode_residuals={k: float(x[r]) for k, x in ode.items()},
-            fiber_alignment=float(align[r])) if framed[r] else
-            DegeneratePoint(f"metric frame degenerates at {where[i]}"))
-    return out
+    return ({"C": C, "u": u0, "v": v0, "span_residual": span,
+             "ode_residuals": ode, "fiber_alignment": align}, framed)
 
 
-def splitting_tensor(chart: ImmersionChart, point: Sequence[float],
-                     eps_rank: float = geo.EPS_RANK,
-                     eps_deg: float = geo.EPS_DEG) -> SplittingReport:
-    """Measure the splitting tensor of the nullity distribution at a point
-    where the relative nullity is 1, exactly, from one order-4 jet of the
-    chart: the one-point call of `_splitting_pass`, which raises the error
-    it gives. The nu = 1 check reads the second fundamental form off the
-    same jet, so the point costs one chart evaluation."""
-    if chart.domain_dim != 3:
-        raise ShapeMismatch("splitting tensor applies to 3-charts")
-    pts = np.reshape(np.asarray(point, dtype=float), (1, 3))
-    jets = chart.eval_jets(pts, 4)
-    rep = _nullity(chart, pts, J.jet_truncate(jets, 2), eps_rank, eps_deg)
-    (out,) = _splitting_pass(chart, pts, jets, rep.nu, rep.singular, eps_rank)
-    if isinstance(out, IsominError):
-        raise out
-    return out
-
-
-def _splitting_row(point: list, out: SplittingReport | IsominError) -> dict:
-    """JSON row of a splitting point: the measured tensor, or the reason the
-    point is skipped ("singular", "nullity k != 1"), or the error where the
-    nullity line is undetermined."""
-    row = {"point": point, "skipped": None, "error": None}
-    if isinstance(out, NullityJump):
-        if out.nu is None:
-            row["error"] = str(out)
+def _splitting_pass(chart: ImmersionChart, points: np.ndarray, jets: J.Jet,
+                    nu: np.ndarray, regular: np.ndarray, eps_rank: float
+                    ) -> list[dict]:
+    """JSON rows of the splitting points of shape (S, 3), S >= 1, of a
+    3-chart, from its order-4 jet there (shape (S, N)) and the relative
+    nullity of each point (`_nullity`, which reads only the order-2 part):
+    one stacked pass over the points where the nullity is 1. A row holds
+    the measured tensor (`_splitting_scalars`, numbers that are not finite
+    written as None), or the reason the point is skipped ("singular" where
+    the point is singular or the nullity field or horizontal frame
+    degenerates, "nullity k != 1"), or the error where the nullity line is
+    undetermined."""
+    rows = [{"point": p, "skipped": None, "error": None}
+            for p in geo._json_ready(points)]
+    regular = regular & np.isfinite(jets.coeffs.reshape(len(jets), -1)
+                                    ).all(axis=1)
+    for row, ok, k in zip(rows, regular.tolist(), nu.tolist()):
+        if not ok or k != 1:
+            row["skipped"] = "singular" if not ok else f"nullity {k} != 1"
+    live = np.flatnonzero(regular & (nu == 1))
+    if not len(live):
+        return rows
+    T, G, det, determined, unit = _nullity_field(chart, jets[live], eps_rank)
+    # the nullity pass vets the metric, so det G > 0 but for rounding, which
+    # the compositions guard
+    det1 = J.jet_truncate(det, 1)
+    ok = determined & unit & ~(det1.value <= 0.0)
+    for i, determined_i, ok_i in zip(live.tolist(), determined.tolist(),
+                                     ok.tolist()):
+        if not determined_i:
+            rows[i]["error"] = ("nullity line undetermined: the adjugate of "
+                                "alpha alpha^T vanishes")
+        elif not ok_i:
+            rows[i]["skipped"] = "singular"
+    live = live[ok]
+    if not len(live):
+        return rows
+    fields, framed = _splitting_scalars(T[ok], G[ok], det[ok], det1[ok])
+    ode = {k: geo._json_ready(x)
+           for k, x in fields.pop("ode_residuals").items()}
+    fields = {k: geo._json_ready(x) for k, x in fields.items()}
+    for r, (i, framed_r) in enumerate(zip(live.tolist(), framed.tolist())):
+        if framed_r:
+            rows[i].update({k: x[r] for k, x in fields.items()},
+                           ode_residuals={k: x[r] for k, x in ode.items()})
         else:
-            row["skipped"] = f"nullity {out.nu} != 1"
-    elif isinstance(out, DegeneratePoint):
-        row["skipped"] = "singular"
-    else:
-        row.update({"C": geo._json_ready(out.C),
-                    "u": geo._json_ready(out.u), "v": geo._json_ready(out.v),
-                    "span_residual": geo._json_ready(out.span_residual),
-                    "ode_residuals": {k: geo._json_ready(r) for k, r in
-                                      out.ode_residuals.items()},
-                    "fiber_alignment": geo._json_ready(out.fiber_alignment)})
-    return row
+            rows[i]["skipped"] = "singular"
+    return rows
 
 
-def bundle_rows(chart: ImmersionChart, points,
-                eps_rank: float = geo.EPS_RANK,
-                eps_deg: float = geo.EPS_DEG) -> list[dict]:
-    """JSON rows of a bundle sweep at points of shape (P, 3), from one
-    batched relative nullity call; a number that is not finite is None."""
-    rep = relative_nullity(chart, points, eps_rank=eps_rank, eps_deg=eps_deg)
-    return _nullity_rows(rep, len(rep.point))
-
-
-def sweep_and_split(bc: BundleChart, points, split_points,
+def sweep_and_split(chart: ImmersionChart, points, split_points,
                     eps_rank: float = geo.EPS_RANK,
                     eps_deg: float = geo.EPS_DEG
                     ) -> tuple[list[dict], list[dict]]:
-    """The JSON rows of a `bundle` command: the sweep rows at points of
-    shape (P, 3) (`bundle_rows`) and the splitting rows at split_points of
-    shape (S, 3), from one frame evaluation (order-2 sweep rows, order-4
-    splitting rows), one nullity pass over both and one splitting pass."""
+    """The JSON rows of a `bundle` command on a 3-chart: the sweep rows at
+    points of shape (P, 3) and the splitting rows at split_points of shape
+    (S, 3), from one chart evaluation at both (order 4 when S > 0, else
+    2), one nullity pass over both, on the order-2 cut, and one splitting
+    pass (`_splitting_pass`) when S > 0. A sweep row holds nu, the singular
+    values, |H| and whether the point is totally geodesic; a singular
+    point's row holds None; a number that is not finite is None."""
+    if chart.domain_dim != 3:
+        raise ShapeMismatch("bundle rows are defined for 3-charts")
     pts = np.reshape(np.asarray(points, dtype=float), (-1, 3))
     split = np.reshape(np.asarray(split_points, dtype=float), (-1, 3))
+    P = len(pts)
+    jets = chart.eval_jets(np.concatenate([pts, split]),
+                           4 if len(split) else 2)
+    nu, sv, H, regular = _nullity(chart, J.jet_truncate(jets, 2), eps_rank,
+                                  eps_deg)
+    rows = []
+    for p, ok, h, k, s in zip(geo._json_ready(pts), regular[:P].tolist(),
+                              geo._json_ready(H[:P]), nu[:P].tolist(),
+                              geo._json_ready(sv[:P])):
+        rows.append({"point": p, "singular": False, "H": h, "nu": k,
+                     "sv": s, "tg": k == 3} if ok else
+                    {"point": p, "singular": True, "H": None, "nu": None,
+                     "sv": None, "tg": None})
     if not len(split):
-        (jets,) = bc.eval_batches([(pts, 2)])
-        rep = _nullity(bc.chart, pts, jets, eps_rank, eps_deg)
-        return _nullity_rows(rep, len(pts)), []
-    sweep, jets = bc.eval_batches([(pts, 2), (split, 4)])
-    both = J.Jet(sweep.space, np.concatenate(
-        [sweep.coeffs, J.jet_truncate(jets, 2).coeffs]))
-    rep = _nullity(bc.chart, np.concatenate([pts, split]), both, eps_rank,
-                   eps_deg)
-    outs = _splitting_pass(bc.chart, split, jets, rep.nu[len(pts):],
-                           rep.singular[len(pts):], eps_rank)
-    return (_nullity_rows(rep, len(pts)),
-            [_splitting_row(p, out)
-             for p, out in zip(geo._json_ready(split), outs)])
-
+        return rows, []
+    return rows, _splitting_pass(chart, split, jets[P:], nu[P:], regular[P:],
+                                 eps_rank)

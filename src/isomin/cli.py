@@ -6,10 +6,10 @@ properties, `analyze` sweeps a surface chart and reports flags, ellipses
 and isotropy orders per grid point, `bundle` builds a unit tangent or unit
 normal chart and verifies mean curvature, relative nullity and the
 splitting tensor equations, `export` writes an OBJ mesh. A `bundle` run
-is one frame evaluation, one nullity pass and one splitting pass
-(`bundles.sweep_and_split`): each sweep row is assembled at order 2 and
-each splitting point at order 4 from frames built once, and a splitting
-point without a tensor reports why in its row.
+is `bundles.sweep_and_split` on the bundle's 3-chart: one chart
+evaluation at the sweep and splitting points together (order 4 when there
+are splitting points, else 2), one nullity pass and one splitting pass,
+and a splitting point without a tensor reports why in its row.
 
 Configuration is a single JSON document; command line flags override its
 fields. Runs are deterministic: the same config produces byte-identical
@@ -167,6 +167,8 @@ def parse_tols(entries, base: dict) -> dict:
                     f"unknown tolerance {name!r}; known: "
                     f"{', '.join(sorted(DEFAULT_TOLS))}")
             try:
+                if isinstance(val, bool):  # float(True) would be 1.0
+                    raise TypeError(val)
                 fval = float(val)
             except (TypeError, ValueError):
                 raise InvalidData(f"tolerance {name} needs a number, got {val!r}")
@@ -255,6 +257,11 @@ def resolve_surface_data(cfg) -> W.WeierstrassData:
     else:
         data = catalog.random_weierstrass_data(
             np.random.default_rng(cfg["seed"]), kindn[1])
+    if cfg["params"]:
+        source = ("the config's surface" if cfg["surface"] is not None
+                  else f"fixture {cfg['fixture']}")
+        raise InvalidData(
+            f"{source} has no param {next(iter(cfg['params']))!r}")
     # the surface document, the config field and the flag can each skip it
     return dataclasses.replace(data, final_integration=(
         data.final_integration and cfg["final_integration"]))
@@ -427,7 +434,7 @@ def cmd_bundle(cfg) -> int:
 
     axes, grid_doc = _axes_for(bc.chart, cfg)
     rows, split_rows = B.sweep_and_split(
-        bc, geo.grid_points(axes),
+        bc.chart, geo.grid_points(axes),
         _splitting_points(axes, cfg["splitting_points"]), **_eps(tols))
     live = [r for r in rows if not r["singular"]]
     singular = len(rows) - len(live)

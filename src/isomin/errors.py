@@ -44,12 +44,3 @@ class OrderOutOfRange(IsominError):
 class FlagCollapse(IsominError):
     """The osculating flag degenerates or changes dimension across the domain."""
 
-
-class NullityJump(IsominError):
-    """The relative nullity is not constant (or not 1) where the splitting
-    tensor needs it. `nu` is the measured nullity when it is not 1, and None
-    when the nullity is 1 but its line is undetermined."""
-
-    def __init__(self, message: str, nu: int | None = None):
-        super().__init__(message)
-        self.nu = nu

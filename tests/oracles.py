@@ -10,20 +10,20 @@ the nullity pass uses a Cholesky (Gram-Schmidt) frame; the two frames
 differ by a rotation, which changes neither. The splitting tensor oracle
 differentiates the unit kernel field of `nullity_at` by nested stencils,
 and builds the Christoffel symbols by stencils over the metric; it shares
-with the jet-based `splitting_tensor` only the nullity pass with the
-second form it reads, and the chart's order-1 jets, which give the metric
-(the first partials). The sampled curvature ellipse takes the fundamental
-forms and the ellipse directions Z, JZ from the stacked passes
-(`stacked_at`) and replaces only the closed-form Fourier step: it samples
-the form on Z_theta and takes an SVD. The per-point flag is the loop that the stacked flag
-pass replaced, one order at a time on one point's jet. The holomorphic
-chart oracle evaluates polynomials by Horner's rule in complex jet
-arithmetic, where `surface_chart` reads the jet off complex derivatives in
-closed form. The three-variable bundle chart is the construction that
-the closed-form fiber replaced: the frame orthonormalized in the
-3-variable space, times cos theta and sin theta composed by Horner's
-rule. The nested x^(-1/2) is jet_recip of jet_sqrt, the two compositions
-that jet_rsqrt replaced.
+with the jet-based splitting pass of `sweep_and_split` only the nullity
+pass with the second form it reads, and the chart's order-1 jets, which
+give the metric (the first partials). The sampled curvature ellipse takes
+the fundamental forms and the ellipse directions Z, JZ from the stacked
+passes (`stacked_at`) and replaces only the closed-form Fourier step: it
+samples the form on Z_theta and takes an SVD. The per-point flag is the
+loop that the stacked flag pass replaced, one order at a time on one
+point's jet. The holomorphic chart oracle evaluates polynomials by
+Horner's rule in complex jet arithmetic, where `surface_chart` reads the
+jet off complex derivatives in closed form. The three-variable bundle
+chart is the construction that the closed-form fiber replaced: the frame
+orthonormalized in the 3-variable space, times cos theta and sin theta
+composed by Horner's rule. The nested x^(-1/2) is jet_recip of jet_sqrt,
+the two compositions that jet_rsqrt replaced.
 
 `stacked_at` and `nullity_at` are not oracles: they read the package's
 stacked passes at one point, the way the tests use them. The package's
@@ -39,8 +39,8 @@ import numpy as np
 
 import isomin.geometry as geo
 import isomin.jet as J
-from isomin.bundles import SplittingReport, _jet_orthonormalize, _nullity
-from isomin.errors import DegeneratePoint, NullityJump
+from isomin.bundles import _jet_orthonormalize, _nullity
+from isomin.errors import DegeneratePoint
 
 STEP = 1e-4
 
@@ -99,7 +99,7 @@ def stacked_at(chart, point, max_s=2, eps_rank=geo.EPS_RANK,
 
 
 def nullity_at(chart, point, eps_rank=geo.EPS_RANK, eps_deg=geo.EPS_DEG):
-    """The relative nullity at one point of shape (m,): the fields of the
+    """The relative nullity at one point of shape (m,): the arrays of the
     nullity pass at that point, as Python numbers and tuples, plus the
     kernel, an (m, nu) array of coordinate components: the left singular
     vectors of the second form in the metric frame E for its nu smallest
@@ -107,21 +107,21 @@ def nullity_at(chart, point, eps_rank=geo.EPS_RANK, eps_deg=geo.EPS_DEG):
     singular."""
     pts = np.asarray(point, dtype=float)[None]
     jets = chart.eval_jets(pts, 2)
-    rep = _nullity(chart, pts, jets, eps_rank, eps_deg)
-    where = tuple(float(x) for x in rep.point[0])
-    if rep.singular[0]:
+    nu, sv, H, regular = _nullity(chart, jets, eps_rank, eps_deg)
+    where = tuple(float(x) for x in pts[0])
+    if not regular[0]:
         raise DegeneratePoint(f"singular point {where}")
-    m, nu = chart.domain_dim, int(rep.nu[0])
+    m, nu = chart.domain_dim, int(nu[0])
     _, _, E, Q = geo._tangent_stage(chart, jets, eps_deg)
     aorth = np.einsum("ki,lj,kln->ijn", E[0], E[0],
                       geo._form_table(jets, 2, Q)[0])
     U = np.linalg.svd(aorth.reshape(m, -1))[0]
     return SimpleNamespace(
         point=where, nu=nu,
-        singular_values=tuple(float(x) for x in rep.singular_values[0]),
-        kernel=E[0] @ U[:, m - nu:],
-        mean_curvature_norm=float(rep.mean_curvature_norm[0]),
-        totally_geodesic=bool(rep.totally_geodesic[0]))
+        singular_values=tuple(float(x) for x in sv[0]),
+        kernel=E[0] @ U[:, m - nu:], mean_curvature_norm=float(H[0]),
+        totally_geodesic=nu == m)
+
 
 _OFF1 = (-2.0, -1.0, 1.0, 2.0)
 _W1 = (1.0, -8.0, 8.0, -1.0)
@@ -268,13 +268,15 @@ def splitting_fd(chart, point, step=1e-3):
     """Splitting tensor of the nullity line of a 3-chart at a point where
     the relative nullity is 1, by finite differences: the unit kernel field is
     differentiated by 5-point stencils of width `step`, and (u, v) again by
-    stencils over that. About 370 chart evaluations per point."""
+    stencils over that. About 370 chart evaluations per point. The fields
+    are those of a splitting row; ValueError where the nullity is not 1 or
+    the kernel direction is ambiguous."""
     p0 = np.array([float(x) for x in point])
 
     def unit_kernel(q, ref=None):
         rep = nullity_at(chart, q)
         if rep.nu != 1:
-            raise NullityJump(f"nullity {rep.nu} != 1 at {tuple(q)}")
+            raise ValueError(f"nullity {rep.nu} != 1 at {tuple(q)}")
         G = _metric(chart, q)
         T = rep.kernel[:, 0]
         T = T / math.sqrt(float(T @ G @ T))
@@ -328,7 +330,7 @@ def splitting_fd(chart, point, step=1e-3):
         "e2_u_plus_e1_v": abs(d_u[1] + d_v[0]),
     }
     fiber_alignment = abs(float(Tc @ G0[:, 2])) / math.sqrt(float(G0[2, 2]))
-    return SplittingReport(point=tuple(float(x) for x in point), C=C0,
+    return SimpleNamespace(point=tuple(float(x) for x in point), C=C0,
                            u=float(u0), v=float(v0),
                            span_residual=span_residual,
                            ode_residuals=ode_residuals,

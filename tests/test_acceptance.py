@@ -92,7 +92,7 @@ def test_unit_tangent_charts_are_minimal_with_nullity():
         bc = B.unit_tangent_chart(base)
         live = h_max = sv_max = 0
         points = _bundle_grid(bc.chart)
-        for p, row in zip(points, B.bundle_rows(bc.chart, points)):
+        for p, row in zip(points, B.sweep_and_split(bc.chart, points, [])[0]):
             if row["singular"]:
                 continue
             live += 1
@@ -165,20 +165,22 @@ def test_splitting_tensor_satisfies_span_and_ode_bounds():
     bc = B.unit_tangent_chart(
         generate_surface(demo_weierstrass_data(5)).chart)
     rng = np.random.default_rng(3)
-    span_max = ode_max = 0.0
-    for i in range(10):
+    points = []
+    for _ in range(10):
         u, v = rng.uniform(-0.7, 0.7, size=2)
-        th = rng.uniform(0.3, TWO_PI - 0.3)
-        sp = B.splitting_tensor(bc.chart, (u, v, th))
-        span_max = max(span_max, sp.span_residual)
-        ode_max = max(ode_max, max(sp.ode_residuals.values()))
-        minus_j = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        print(f"point {i}: (u, v) = ({sp.u:+.6f}, {sp.v:+.6f}), "
-              f"|C - (-J)| = {np.linalg.norm(sp.C - minus_j):.3g}, "
-              f"span {sp.span_residual:.3g}, "
-              f"ode {max(sp.ode_residuals.values()):.3g}")
-        assert sp.span_residual < 1e-6
-        assert max(sp.ode_residuals.values()) < 1e-5
+        points.append((u, v, rng.uniform(0.3, TWO_PI - 0.3)))
+    span_max = ode_max = 0.0
+    minus_j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    for i, row in enumerate(B.sweep_and_split(bc.chart, [], points)[1]):
+        assert row["skipped"] is None and row["error"] is None
+        ode = max(row["ode_residuals"].values())
+        span_max = max(span_max, row["span_residual"])
+        ode_max = max(ode_max, ode)
+        print(f"point {i}: (u, v) = ({row['u']:+.6f}, {row['v']:+.6f}), "
+              f"|C - (-J)| = {np.linalg.norm(row['C'] - minus_j):.3g}, "
+              f"span {row['span_residual']:.3g}, ode {ode:.3g}")
+        assert row["span_residual"] < 1e-6
+        assert ode < 1e-5
     print(f"max span residual {span_max:.3g}, max ode residual {ode_max:.3g}")
 
 
@@ -193,7 +195,7 @@ def test_higher_isotropy_curve_and_its_unit_tangent_chart():
     bc = B.unit_tangent_chart(base)
     live = 0
     points = _bundle_grid(bc.chart)
-    for p, row in zip(points, B.bundle_rows(bc.chart, points)):
+    for p, row in zip(points, B.sweep_and_split(bc.chart, points, [])[0]):
         if row["singular"]:
             continue
         live += 1

@@ -8,15 +8,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 import isomin.geometry as geo
 import isomin.jet as J
-from isomin.bundles import (bundle_rows, relative_nullity, splitting_tensor,
-                            sweep_and_split, unit_normal_chart,
+from isomin.bundles import (sweep_and_split, unit_normal_chart,
                             unit_tangent_chart)
 from isomin.catalog import (demo_weierstrass_data, make_fixture,
                             make_geodesic_sphere, make_great_sphere,
                             make_plane, make_veronese,
                             random_weierstrass_data)
 from isomin.errors import (DegeneratePoint, FlagCollapse, InvalidData,
-                           NullityJump, ShapeMismatch)
+                           ShapeMismatch)
 from isomin.geometry import ImmersionChart
 from isomin.weierstrass import generate_surface
 
@@ -43,6 +42,15 @@ def _random_bipolar(seed, n):
     """The unit tangent chart of the surface of seeded random data."""
     return unit_tangent_chart(generate_surface(
         random_weierstrass_data(np.random.default_rng(seed), n)).chart)
+
+
+def _sweep_rows(chart, points, **eps) -> list[dict]:
+    return sweep_and_split(chart, points, [], **eps)[0]
+
+
+def _split_row(chart, point) -> dict:
+    """The splitting row of one point, with no sweep next to it."""
+    return sweep_and_split(chart, [], [point])[1][0]
 
 
 def test_unit_tangent_frozen_value(bipolar_n5):
@@ -130,7 +138,7 @@ def test_plane_bundle_everywhere_singular():
     bc = unit_tangent_chart(make_plane())
     with pytest.raises(DegeneratePoint):
         nullity_at(bc.chart, (0.1, 0.2, 0.5))
-    row = bundle_rows(bc.chart, [(0.1, 0.2, 0.5)])[0]
+    row = _sweep_rows(bc.chart, [(0.1, 0.2, 0.5)])[0]
     assert row["singular"] and row["H"] is None
 
 
@@ -241,31 +249,33 @@ def test_unit_normal_noncircular_warns():
 
 
 def test_splitting_tensor_frozen(bipolar_n5):
-    sp = splitting_tensor(bipolar_n5.chart, (0.1, 0.2, 0.7))
-    assert sp.u == pytest.approx(1.0, abs=1e-6)
-    assert sp.v == pytest.approx(0.0, abs=1e-6)
+    row = _split_row(bipolar_n5.chart, (0.1, 0.2, 0.7))
+    assert row["u"] == pytest.approx(1.0, abs=1e-6)
+    assert row["v"] == pytest.approx(0.0, abs=1e-6)
     # C = -J in the oriented horizontal frame
-    assert np.allclose(sp.C, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-6)
-    assert sp.span_residual < 1e-6
-    assert max(sp.ode_residuals.values()) < 1e-5
-    assert sp.fiber_alignment == pytest.approx(1.0, abs=1e-8)
+    assert np.allclose(np.asarray(row["C"]), [[0.0, 1.0], [-1.0, 0.0]],
+                       atol=1e-6)
+    assert row["span_residual"] < 1e-6
+    assert max(row["ode_residuals"].values()) < 1e-5
+    assert row["fiber_alignment"] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_splitting_tensor_polar(polar_ver):
-    sp = splitting_tensor(polar_ver.chart, (0.15, -0.1, 0.9))
-    assert sp.span_residual < 1e-6
-    assert max(sp.ode_residuals.values()) < 1e-5
+    row = _split_row(polar_ver.chart, (0.15, -0.1, 0.9))
+    assert row["span_residual"] < 1e-6
+    assert max(row["ode_residuals"].values()) < 1e-5
 
 
 def test_splitting_rejects_wrong_nullity():
     bc = unit_tangent_chart(make_fixture("curve-1-2-pad1"))
-    with pytest.raises(NullityJump):
-        splitting_tensor(bc.chart, (0.3, 0.2, 1.0))
+    row = _split_row(bc.chart, (0.3, 0.2, 1.0))
+    assert row == {"point": [0.3, 0.2, 1.0], "skipped": "nullity 3 != 1",
+                   "error": None}
 
 
 def test_bundle_point_report_rows(bipolar_n5):
-    """The row of one bundle point: bundle_rows at that point."""
-    row = bundle_rows(bipolar_n5.chart, [(0.1, 0.2, 0.7)])[0]
+    """The sweep row of one bundle point."""
+    row = _sweep_rows(bipolar_n5.chart, [(0.1, 0.2, 0.7)])[0]
     assert set(row) == {"point", "singular", "H", "nu", "sv", "tg"}
     assert not row["singular"]
     assert row["H"] < 1e-8 and row["nu"] == 1 and not row["tg"]
@@ -282,14 +292,15 @@ def test_splitting_tensor_matches_fd_oracle(bipolar_n5, polar_ver, which,
     of the unit kernel field. T's orientation is arbitrary: flipping it
     flips v and the diagonal of C."""
     bc = bipolar_n5 if which == "bipolar" else polar_ver
-    sp = splitting_tensor(bc.chart, point)
+    row = _split_row(bc.chart, point)
     ref = splitting_fd(bc.chart, point)
-    sign = 1.0 if sp.v * ref.v >= 0 else -1.0
+    sign = 1.0 if row["v"] * ref.v >= 0 else -1.0
     C_ref = ref.C * np.array([[sign, 1.0], [1.0, sign]])
-    assert sp.u == pytest.approx(ref.u, abs=1e-6)
-    assert sp.v == pytest.approx(sign * ref.v, abs=1e-6)
-    assert np.allclose(sp.C, C_ref, atol=1e-6)
-    assert sp.fiber_alignment == pytest.approx(ref.fiber_alignment, abs=1e-6)
+    assert row["u"] == pytest.approx(ref.u, abs=1e-6)
+    assert row["v"] == pytest.approx(sign * ref.v, abs=1e-6)
+    assert np.allclose(np.asarray(row["C"]), C_ref, atol=1e-6)
+    assert row["fiber_alignment"] == pytest.approx(ref.fiber_alignment,
+                                                   abs=1e-6)
 
 
 @settings(max_examples=12, derandomize=True, deadline=None)
@@ -363,13 +374,13 @@ def test_splitting_scalars_are_invariant_under_reparametrization(bipolar_n5):
     x0 = (0.1, 0.2, 0.7)
     y0 = tuple(y.value for y in phi([J.jet_constant(J.get_space(3, 0), c)
                                      for c in x0]))
-    sp = splitting_tensor(chart, x0)
-    ref = splitting_tensor(bipolar_n5.chart, y0)
-    assert sp.fiber_alignment < 0.99
-    assert sp.u == pytest.approx(ref.u, abs=1e-9)
-    assert abs(sp.v) == pytest.approx(abs(ref.v), abs=1e-9)
-    assert sp.span_residual < 1e-9
-    assert max(sp.ode_residuals.values()) < 1e-9
+    row = _split_row(chart, x0)
+    ref = _split_row(bipolar_n5.chart, y0)
+    assert row["fiber_alignment"] < 0.99
+    assert row["u"] == pytest.approx(ref["u"], abs=1e-9)
+    assert abs(row["v"]) == pytest.approx(abs(ref["v"]), abs=1e-9)
+    assert row["span_residual"] < 1e-9
+    assert max(row["ode_residuals"].values()) < 1e-9
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)
@@ -386,10 +397,10 @@ def test_splitting_tensor_bounds_on_random_bipolar_charts(seed, n, frac,
     except DegeneratePoint:
         assume(False)
     assume(rep.nu == 1)
-    sp = splitting_tensor(bc.chart, point)
-    assert sp.span_residual < 1e-6
-    assert max(sp.ode_residuals.values()) < 1e-5
-    assert sp.u >= 0.0
+    row = _split_row(bc.chart, point)
+    assert row["span_residual"] < 1e-6
+    assert max(row["ode_residuals"].values()) < 1e-5
+    assert row["u"] >= 0.0
 
 
 def _moved(chart: ImmersionChart, Q: np.ndarray, c: np.ndarray
@@ -436,10 +447,10 @@ def test_rigid_motions_keep_point_and_bundle_invariants(seed, n, frac, theta):
         assert abs(rep.mean_curvature_norm - ref.mean_curvature_norm) <= tol
         np.testing.assert_allclose(rep.singular_values, ref.singular_values,
                                    rtol=0, atol=tol)
-        sp = splitting_tensor(moved_chart, x)
-        sp_ref = splitting_tensor(ref_chart, x)
-        assert sp.u == pytest.approx(sp_ref.u, abs=1e-8)
-        assert abs(sp.v) == pytest.approx(abs(sp_ref.v), abs=1e-8)
+        row = _split_row(moved_chart, x)
+        ref_row = _split_row(ref_chart, x)
+        assert row["u"] == pytest.approx(ref_row["u"], abs=1e-8)
+        assert abs(row["v"]) == pytest.approx(abs(ref_row["v"]), abs=1e-8)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -457,19 +468,17 @@ def test_nullity_leaves_are_the_fiber_circles(seed, kind, frac, theta,
           else _random_bipolar(seed, int(kind[-1])))
     point = tuple(lo + (hi - lo) * f
                   for (lo, hi), f in zip(bc.base.domain, frac)) + (theta,)
-    try:
-        sp = splitting_tensor(bc.chart, point)
-    except (DegeneratePoint, NullityJump):
-        assume(False)
-    assert abs(sp.u - 1.0) < 1e-9
-    assert abs(sp.v) < 1e-9
-    assert abs(sp.fiber_alignment - 1.0) < 1e-9
+    row = _split_row(bc.chart, point)
+    assume(row["skipped"] is None and row["error"] is None)
+    assert abs(row["u"] - 1.0) < 1e-9
+    assert abs(row["v"]) < 1e-9
+    assert abs(row["fiber_alignment"] - 1.0) < 1e-9
 
 
 def _assert_sweep_matches_single_points(chart, points) -> list[dict]:
-    """bundle_rows on a batch equals bundle_rows at each point alone."""
-    rows = bundle_rows(chart, points)
-    assert rows == [bundle_rows(chart, [p])[0] for p in points]
+    """The sweep rows of a batch equal the sweep row of each point alone."""
+    rows = _sweep_rows(chart, points)
+    assert rows == [_sweep_rows(chart, [p])[0] for p in points]
     return rows
 
 
@@ -549,7 +558,7 @@ def test_bundle_jets_match_the_three_variable_construction(bipolar_n5,
 
 
 def _row_texts(chart, points) -> list[str]:
-    return [json.dumps(r, sort_keys=True) for r in bundle_rows(chart, points)]
+    return [json.dumps(r, sort_keys=True) for r in _sweep_rows(chart, points)]
 
 
 @settings(max_examples=12, derandomize=True, deadline=None)
@@ -601,10 +610,8 @@ def test_nullity_pass_files_a_row_without_metric_frame_as_singular():
     reads singular, as under the floor, and the other rows are unchanged."""
     chart = _flat_fold_chart()
     pts = [(0.1, 0.2, 0.3), (0.1, 0.2, 0.0), (0.3, -0.1, 0.5)]
-    rep = relative_nullity(chart, pts, eps_deg=-1.0)
-    assert rep.singular.tolist() == [False, True, False]
-    rows = bundle_rows(chart, pts, eps_deg=-1.0)
-    assert rows == bundle_rows(chart, pts)
+    rows = _sweep_rows(chart, pts, eps_deg=-1.0)
+    assert rows == _sweep_rows(chart, pts)
     assert [r["singular"] for r in rows] == [False, True, False]
 
 
@@ -615,7 +622,7 @@ def test_order_4_bundle_jets_cut_to_order_2_are_the_order_2_jets(bipolar_n5,
     row of a sweep without them: on the default 200-point grids of bipolar
     n5, n8, curve-1-2-pad1 and curve-2-3-pad1 (NaN rows over z = 0) and
     polar veronese, for the jets cut by jet_truncate and for batches of
-    orders 2 and 4 assembled from one frame evaluation."""
+    orders 2 and 4."""
     bcs = [bipolar_n5, polar_ver] + [unit_tangent_chart(c) for c in (
         generate_surface(demo_weierstrass_data(8)).chart,
         make_fixture("curve-1-2-pad1"), make_fixture("curve-2-3-pad1"))]
@@ -625,10 +632,6 @@ def test_order_4_bundle_jets_cut_to_order_2_are_the_order_2_jets(bipolar_n5,
         high = bc.chart.eval_jets(points, 4)
         np.testing.assert_array_equal(J.jet_truncate(high, 2).coeffs,
                                       low.coeffs)
-        sweep, split = bc.eval_batches([(points, 2), (points[::7], 4)])
-        assert (sweep.space.order, split.space.order) == (2, 4)
-        np.testing.assert_array_equal(sweep.coeffs, low.coeffs)
-        np.testing.assert_array_equal(split.coeffs, high.coeffs[::7])
     assert np.isnan(low.coeffs).any(axis=(1, 2)).sum() == 8
 
 
@@ -651,7 +654,7 @@ def test_stacked_normal_frame_makes_fewer_jet_products(polar_ver,
 
 
 def _split_texts(bc, points, sweep) -> list[str]:
-    rows = sweep_and_split(bc, sweep, points)[1]
+    rows = sweep_and_split(bc.chart, sweep, points)[1]
     return [json.dumps(r, sort_keys=True) for r in rows]
 
 
@@ -667,7 +670,7 @@ def test_splitting_rows_do_not_depend_on_their_batch(polar_ver, kind, seed,
     """The JSON text of every splitting row of a bundle command equals its
     one-point row, whatever the sweep next to it, and the rows of any split
     of the points into sub-batches, and of any permutation of them, are
-    the same text; each row agrees with the one-point splitting_tensor,
+    the same text; each row equals the row of the point with no sweep,
     including the "singular" skips of the plane and the "nullity 3 != 1"
     skips of the padded (z, z^2)."""
     if kind == "bipolar":
@@ -692,17 +695,7 @@ def test_splitting_rows_do_not_depend_on_their_batch(polar_ver, kind, seed,
     order = data.draw(st.permutations(range(len(points))))
     assert [rows[i] for i in order] == _split_texts(bc, points[order], grid)
     for p, row in zip(points, map(json.loads, rows)):
-        try:
-            sp = splitting_tensor(bc.chart, p)
-        except DegeneratePoint:
-            assert row["skipped"] == "singular"
-        except NullityJump as exc:
-            assert row["skipped"] == f"nullity {exc.nu} != 1"
-        else:
-            assert row["skipped"] is None and row["error"] is None
-            assert (row["u"], row["v"], row["C"], row["span_residual"]) == (
-                sp.u, sp.v, sp.C.tolist(), sp.span_residual)
-            assert row["ode_residuals"] == sp.ode_residuals
+        assert row == _split_row(bc.chart, p)
     if kind == "plane":
         assert {json.loads(r)["skipped"] for r in rows} == {"singular"}
     if kind == "curve-1-2-pad1":
@@ -711,12 +704,12 @@ def test_splitting_rows_do_not_depend_on_their_batch(polar_ver, kind, seed,
 
 def test_bundle_command_rows_are_the_sweep_rows_and_splitting_tensors(
         bipolar_n5):
-    """The sweep rows of one shared evaluation are the bundle_rows of the
-    sweep, exactly, with or without splitting points."""
+    """The sweep rows of one shared evaluation are the rows of the sweep
+    alone, exactly, with or without splitting points."""
     grid = geo.grid_points(geo.grid_axes(bipolar_n5.chart, (3, 3, 4)))
     texts = [json.dumps(r, sort_keys=True)
-             for r in bundle_rows(bipolar_n5.chart, grid)]
+             for r in _sweep_rows(bipolar_n5.chart, grid)]
     for split in (grid[:0], grid[[1, 5]], np.array([[0.1, 0.2, 0.7]])):
-        rows, split_rows = sweep_and_split(bipolar_n5, grid, split)
+        rows, split_rows = sweep_and_split(bipolar_n5.chart, grid, split)
         assert [json.dumps(r, sort_keys=True) for r in rows] == texts
         assert len(split_rows) == len(split)

@@ -1,6 +1,5 @@
 """Command line driver: exit codes, report documents, OBJ output."""
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -12,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isomin import bundles, cli, geometry as geo
-from isomin.errors import NullityJump
 
 
 def run(argv):
@@ -260,6 +258,13 @@ def test_parser_edges(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
+    # nor is a tolerance a boolean: float(True) would read 1.0
+    cfgp.write_text(json.dumps({"tolerances": {"eps_rank": True}}))
+    assert run(["analyze", "--fixture", "n5", "--config", str(cfgp),
+                "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: tolerance eps_rank needs a number, got True\n"
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -341,6 +346,8 @@ def test_config_fields_are_type_checked(tmp_path, capsys, field, value):
     ("analyze", "plane", {"pad": 2.0}),
     ("analyze", "plane", {"radius": 1}),
     ("export", "geodesic-sphere", {"radius": "0.5"}),
+    ("analyze", "n5", {"pad": 2}),
+    ("generate", "random-n5", {"pad": 2}),
 ])
 def test_fixture_params_are_checked(tmp_path, capsys, command, fixture,
                                     params):
@@ -366,15 +373,14 @@ def test_nan_mean_curvature_fails_and_report_is_strict_json(tmp_path,
     real = bundles._nullity
     calls = []
 
-    def nan_at_first_point(chart, points, *args):
-        rep = real(chart, points, *args)
-        calls.append(points)
+    def nan_at_first_point(*args):
+        nu, sv, H, regular = real(*args)
+        calls.append(len(H))
         if len(calls) == 1:
             # the sweep is one batched call: NaN at its first point
-            H = rep.mean_curvature_norm.copy()
+            H = H.copy()
             H[0] = math.nan
-            rep = dataclasses.replace(rep, mean_curvature_norm=H)
-        return rep
+        return nu, sv, H, regular
 
     monkeypatch.setattr(bundles, "_nullity", nan_at_first_point)
     args = _bundle_args(tmp_path)
@@ -448,11 +454,11 @@ def test_bundle_rows_write_non_finite_singular_values_as_null(tmp_path,
     real = bundles._nullity
 
     def nan_sv(*args):
-        rep = real(*args)
-        sv = rep.singular_values.copy()
+        nu, sv, H, regular = real(*args)
+        sv = sv.copy()
         sv[0, 0] = math.nan   # not read by a verdict
         sv[1, -1] = math.inf  # the smallest, read by the nullity verdict
-        return dataclasses.replace(rep, singular_values=sv)
+        return nu, sv, H, regular
 
     monkeypatch.setattr(bundles, "_nullity", nan_sv)
     cfgp = tmp_path / "cfg.json"
@@ -469,13 +475,15 @@ def test_bundle_rows_write_non_finite_singular_values_as_null(tmp_path,
 
 def test_splitting_rows_write_non_finite_residuals_as_null(tmp_path,
                                                            monkeypatch):
-    real = bundles._splitting_pass
+    real = bundles._splitting_scalars
 
     def nan_span(*args):
-        return [dataclasses.replace(out, span_residual=math.nan)
-                for out in real(*args)]
+        fields, framed = real(*args)
+        fields["span_residual"] = np.full_like(fields["span_residual"],
+                                               math.nan)
+        return fields, framed
 
-    monkeypatch.setattr(bundles, "_splitting_pass", nan_span)
+    monkeypatch.setattr(bundles, "_splitting_scalars", nan_span)
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({"splitting_points": 1}))
     out = tmp_path / "r.json"
@@ -585,54 +593,47 @@ def _count_evals(monkeypatch) -> list[int]:
     return calls
 
 
-def _count_batches(monkeypatch, name):
-    """Wrap the eval_batches of the bundle chart that bundles.name returns;
-    returns the (points, order) of every batch it assembles."""
-    batches = []
-    real = getattr(bundles, name)
-
-    def wrapped(*args, **kwargs):
-        bc = real(*args, **kwargs)
-        fn = bc.eval_batches
-
-        def eval_batches(todo):
-            batches.extend((len(p), order) for p, order in todo)
-            return fn(todo)
-        bc.eval_batches = eval_batches
-        return bc
-
-    monkeypatch.setattr(bundles, name, wrapped)
-    return batches
-
-
 def _count_nullity(monkeypatch) -> list[int]:
     """The number of points of every nullity pass."""
     calls = []
     real = bundles._nullity
 
-    def counted(chart, points, *args):
-        calls.append(len(points))
-        return real(chart, points, *args)
+    def counted(chart, jets, *args):
+        calls.append(len(jets))
+        return real(chart, jets, *args)
 
     monkeypatch.setattr(bundles, "_nullity", counted)
     return calls
 
 
 def test_bundle_evaluates_each_splitting_point_once(tmp_path, monkeypatch):
-    """Every sweep row is assembled once at order 2 and every splitting
-    point once at order 4, from the shared frames: the bundle chart is
-    never evaluated on its own."""
-    calls = _count_evals(monkeypatch)
-    batches = _count_batches(monkeypatch, "unit_tangent_chart")
+    """One evaluation of the bundle chart, at order 4, covers the sweep
+    rows and the splitting points together, and the base is evaluated
+    once for the frames, at the distinct (u, v) of both, after the centre
+    isotropy probe."""
+    evals = []
+    real = geo.ImmersionChart.eval_jets
+
+    def counted(chart, point, order):
+        evals.append((chart.domain_dim, len(np.reshape(
+            point, (-1, chart.domain_dim))), order))
+        return real(chart, point, order)
+
+    monkeypatch.setattr(geo.ImmersionChart, "eval_jets", counted)
+    base_calls = _count_jet_fn_calls(monkeypatch, cli, "resolve_chart")
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({"splitting_points": 2}))
     assert run(_bundle_args(tmp_path) + ["--config", str(cfgp)]) == 0
     doc = load(tmp_path / "r.json")
     assert all(r["skipped"] is None and r["error"] is None
                for r in doc["splitting"])
-    assert calls.count(3) == 0
-    assert batches == [(doc["summary"]["points"], 2), (2, 4)]
-    assert sum(n for n, _ in batches) == doc["summary"]["points"] + 2 == 10
+    assert doc["summary"]["points"] == 8
+    assert [e for e in evals if e[0] == 3] == [(3, 10, 4)]
+    (_, probe), (frame_vars, frames) = base_calls
+    assert probe.shape == (1, 2)
+    # the 2x2 base grid and the 2 splitting points off it
+    assert (frame_vars, frames.shape) == (2, (6, 2))
+    assert len(np.unique(frames, axis=0)) == 6
 
 
 def test_generate_evaluates_each_spot_point_once(tmp_path, monkeypatch):
@@ -659,8 +660,8 @@ def test_undetermined_nullity_line_is_an_error_row(tmp_path, capsys,
                                                    monkeypatch):
     """A splitting point whose nullity line is undetermined is attempted
     and reports the error in its row, and it fails both splitting
-    verdicts; the other point of the same pass is measured. The one-point
-    splitting_tensor raises NullityJump without nu there."""
+    verdicts; the other point of the same pass is measured. The point on
+    its own gives the same row."""
     real = bundles._nullity_field
 
     def undetermined_first(*args):
@@ -684,9 +685,8 @@ def test_undetermined_nullity_line_is_an_error_row(tmp_path, capsys,
     assert "splitting span: FAIL (2 points)" in capsys.readouterr().out
     bc = bundles.unit_tangent_chart(cli.W.generate_surface(
         cli.catalog.demo_weierstrass_data(5)).chart)
-    with pytest.raises(NullityJump) as exc:
-        bundles.splitting_tensor(bc.chart, first["point"])
-    assert exc.value.nu is None
+    alone = bundles.sweep_and_split(bc.chart, [], [first["point"]])[1]
+    assert alone == [first]
 
 
 @pytest.mark.parametrize("fixture", ["n5", "n6", "curve-1-3-pad1"])
@@ -869,17 +869,17 @@ def _count_jet_fn_calls(monkeypatch, owner, name, attr=None):
 def test_bundle_sweep_is_one_batched_evaluation(tmp_path, monkeypatch):
     """A default bipolar n5 run evaluates the base once for the frames, at
     the 25 distinct (u, v) of the grid and the 4 of the splitting points,
-    after the centre isotropy probe (one point). The 200 sweep rows and
-    the splitting points are assembled from those frames without a call
-    of the bundle chart's own evaluator, and one nullity pass covers all
-    204 points. A per-point sweep or splitting loop fails this."""
+    after the centre isotropy probe (one point). One call of the bundle
+    chart's evaluator assembles the 200 sweep rows and the splitting
+    points from those frames, and one nullity pass covers all 204 points.
+    A per-point sweep or splitting loop fails this."""
     base_calls = _count_jet_fn_calls(monkeypatch, cli, "resolve_chart")
     bundle_calls = _count_jet_fn_calls(monkeypatch, bundles,
                                        "unit_tangent_chart", "chart")
     nullity = _count_nullity(monkeypatch)
     assert run(["bundle", "--kind", "bipolar", "--fixture", "n5",
                 "--out", str(tmp_path / "r.json")]) == 0
-    assert [len(p) for _, p in bundle_calls] == []
+    assert [(nv, p.shape) for nv, p in bundle_calls] == [(3, (204, 3))]
     (probe_vars, probe), (frame_vars, frames), *split = base_calls
     assert (probe_vars, probe.shape) == (2, (1, 2))
     assert (frame_vars, frames.shape) == (2, (29, 2))

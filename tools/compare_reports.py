@@ -5,7 +5,8 @@
 Runs every command of COMMANDS twice in each checkout, as
 `python -m isomin.cli ... --out report.json` (`--out mesh.obj` for an
 `export`) with PYTHONPATH=<checkout>/src, each run in a fresh temporary
-directory. It then checks:
+directory. A dict in a command is a config document: it is written into
+that directory and passed as `--config`. It then checks:
 
 * every report is strict JSON: a NaN or Infinity in it is a mismatch;
 * every mesh has only comment, vertex and face lines, and finite vertices;
@@ -60,13 +61,19 @@ COMMANDS = (
        ["analyze", "--fixture", "curve-2-3", "--grid=-0.5:0.5:3,-0.5:0.5:3"],
        ["analyze", "--fixture", "n7", "--jet-order", "2"],
        ["analyze", "--fixture", "great-sphere"]]
-    # the shape of the benchmark's splitting commands (a 2x2x2 box, here
-    # with the default 4 splitting points): frames shared by the sweep
-    # rows and the splitting points
+    # a 2x2x2 box with the default 4 splitting points, and with 1 (the
+    # shape of the benchmark's splitting commands): one chart evaluation
+    # shared by the sweep rows and the splitting points
     + [["bundle", "--kind", "bipolar", "--fixture", "n5",
-        "--grid=0.1:0.5:2,-0.3:0.1:2,0.4:3.54:2"],
-       ["bundle", "--kind", "polar", "--fixture", "veronese",
-        "--grid=-0.35:0.05:2,0.1:0.5:2,1.2:4.34:2"]]
+        "--grid=0.1:0.5:2,-0.3:0.1:2,0.4:3.54:2", *split]
+       for split in ([], [{"splitting_points": 1}])]
+    + [["bundle", "--kind", "polar", "--fixture", "veronese",
+        "--grid=-0.35:0.05:2,0.1:0.5:2,1.2:4.34:2", *split]
+       for split in ([], [{"splitting_points": 1}])]
+    # the shape of the benchmark's bundle-sweep commands: the default grid
+    # without splitting points
+    + [["bundle", "--kind", kind, "--fixture", name, {"splitting_points": 0}]
+       for kind, name in (("bipolar", "n5"), ("polar", "veronese"))]
     + [["export", "--kind", "bipolar", "--fixture", "n5"],
        ["export", "--kind", "polar", "--fixture", "veronese"]]
     # a base that is not minimal at the domain centre: the order < 1 note
@@ -104,11 +111,23 @@ def parse_mesh(mesh: bytes) -> dict:
     return tree
 
 
-def run(checkout: Path, argv: list[str]) -> tuple[int, list[str], bytes | None]:
+def label(cmd: list) -> str:
+    return " ".join(arg if isinstance(arg, str)
+                    else f"--config '{json.dumps(arg)}'" for arg in cmd)
+
+
+def run(checkout: Path, cmd: list) -> tuple[int, list[str], bytes | None]:
     """Exit code, verdict words and report bytes (None if no report) of one
     command run in the checkout."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     with tempfile.TemporaryDirectory() as tmp:
+        argv = []
+        for arg in cmd:
+            if isinstance(arg, dict):
+                config = Path(tmp) / "config.json"
+                config.write_text(json.dumps(arg))
+                arg = f"--config={config}"
+            argv.append(arg)
         out = Path(tmp) / ("mesh.obj" if argv[0] == "export"
                            else "report.json")
         proc = subprocess.run(
@@ -184,7 +203,6 @@ def main(argv=None) -> int:
     failed = identical = within = 0
     sizes = [0, 0]  # report bytes in the parent and in the change
     for cmd in COMMANDS:
-        label = " ".join(cmd)
         problems = []
         size = kind = ""
         moved = []  # paths of the floats that differ between checkouts
@@ -231,7 +249,7 @@ def main(argv=None) -> int:
                         + ", ".join(moved[:SHOWN_PATHS])
                         + (", ..." if len(moved) > SHOWN_PATHS else ""))
         print(f"{'ok  ' if not problems else 'FAIL'} exit {rc_b} "
-              f"{label}{size}{kind}")
+              f"{label(cmd)}{size}{kind}")
         for problem in problems:
             print(f"     {problem}")
     print(f"{len(COMMANDS) - failed} of {len(COMMANDS)} commands match "
