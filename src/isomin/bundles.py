@@ -9,6 +9,13 @@ jets, so every per-point quantity (mean curvature, relative nullity,
 splitting tensor of the nullity distribution) comes from the stacked
 passes of `geometry`, the one geometry path of the package.
 
+Each constructor checks its base through one `geometry.point_rows` call:
+the unit tangent chart reads the isotropy order at the domain centre, the
+unit normal chart the flag over a 9 x 9 grid of the domain (and its
+centre row). A base on which the chart does not exist raises; a condition
+of the paper that fails or cannot be decided, where the chart still
+exists, is a note in `BundleChart.notes`.
+
 A bundle chart evaluates a batch of points at once. The frame does not
 depend on theta, so it is built once per distinct base point (u, v), as
 jets in the base's own two variables at the order of the evaluation, and
@@ -41,8 +48,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import warnings
-from typing import Sequence
 
 import numpy as np
 
@@ -98,13 +103,17 @@ def _jet_orthonormalize(cand: J.Jet, basis: list[J.Jet], eps_rank: float
 
 @dataclasses.dataclass
 class BundleChart:
-    """A 3-chart (u, v, theta) into a sphere, remembering its base; the
-    rows of a `bundle` command come from `sweep_and_split(bc.chart, ...)`."""
+    """A 3-chart (u, v, theta) into a sphere, remembering its base and the
+    notes of its base check: conditions of the paper that the base does
+    not meet, or that could not be verified, where the chart still
+    exists. The rows of a `bundle` command come from
+    `sweep_and_split(bc.chart, ...)`."""
 
     kind: str  # "unit_tangent" or "unit_normal"
     base: ImmersionChart
     chart: ImmersionChart
     tau: int | None = None
+    notes: list[str] = dataclasses.field(default_factory=list)
 
 
 @functools.lru_cache(maxsize=None)
@@ -157,12 +166,18 @@ def _circle_chart(base: ImmersionChart, frame, name: str) -> ImmersionChart:
 
 
 def unit_tangent_chart(base: ImmersionChart,
-                       pivot_order: tuple[int, int] = (0, 1)) -> BundleChart:
+                       pivot_order: tuple[int, int] = (0, 1),
+                       circle_tol: float = geo.CIRCLE_TOL,
+                       eps_rank: float = geo.EPS_RANK,
+                       eps_deg: float = geo.EPS_DEG) -> BundleChart:
     """Chart of the unit tangent bundle of a surface in R^(n+1), n + 1 >= 5.
 
-    pivot_order picks which coordinate tangent vector seeds the frame; the
-    resulting chart differs by a fiber rotation only, which gauge-invariance
-    tests exploit."""
+    The chart is minimal where the base is 1-isotropic. One `point_rows`
+    row at the domain centre checks that, at flag depth 2 (the ellipses of
+    orders 0 and 1); a base that fails it, or that the row cannot decide,
+    gives a note. pivot_order picks which coordinate tangent vector seeds
+    the frame; the resulting chart differs by a fiber rotation only, which
+    gauge-invariance tests exploit."""
     if base.domain_dim != 2:
         raise ShapeMismatch("unit tangent charts need a surface base")
     if base.ambient != "euclidean":
@@ -173,6 +188,20 @@ def unit_tangent_chart(base: ImmersionChart,
             " (zero-pad the base to raise the ambient dimension)")
     if sorted(pivot_order) != [0, 1]:
         raise InvalidData("pivot_order must be a permutation of (0, 1)")
+    center = tuple((lo + hi) / 2.0 for lo, hi in base.domain)
+    probe = geo.point_rows(base, [center], circle_tol, eps_rank, 2,
+                           eps_deg)[0]
+    notes = []
+    if probe["singular"]:
+        notes.append("could not verify base isotropy: metric degenerate "
+                     f"at {center}")
+    elif not probe["elliptic"]:
+        notes.append("could not verify base isotropy: no elliptic "
+                     f"direction at {center}")
+    elif probe["order"] < 1:
+        notes.append(f"base isotropy order {probe['order']} < 1 at the "
+                     "domain center; the unit tangent chart need not be "
+                     "minimal")
 
     def frame(uv, order):
         bjets = base.jet_fn(uv, J.get_space(2, order + 1))
@@ -183,24 +212,32 @@ def unit_tangent_chart(base: ImmersionChart,
         return e1, e2, ok1 & ok2
 
     chart = _circle_chart(base, frame, f"unit-tangent({base.name})")
-    return BundleChart(kind="unit_tangent", base=base, chart=chart)
+    return BundleChart(kind="unit_tangent", base=base, chart=chart,
+                       notes=notes)
 
 
 def unit_normal_chart(base: ImmersionChart,
-                      counts: Sequence[int] = (9, 9),
                       circle_tol: float = geo.CIRCLE_TOL,
                       eps_rank: float = geo.EPS_RANK,
                       eps_deg: float = geo.EPS_DEG) -> BundleChart:
     """Chart of the unit sphere bundle of the LAST normal space of a surface
     in a sphere. Requires the flag to be nicely curved over the domain with
     a rank-2 last normal space (FlagCollapse otherwise); the top curvature
-    ellipse below the last space should be a circle (warning otherwise)."""
+    ellipse below the last space should be a circle (a note otherwise).
+
+    The base is checked by one `point_rows` pass over the 9 x 9 grid of
+    its domain, at the flag depth of its codimension in the sphere (the
+    most normal spaces a surface flag can have there): the centre row is
+    the probe, and the dims of all rows are the certificate."""
     if base.domain_dim != 2:
         raise ShapeMismatch("unit normal charts need a surface base")
     if base.ambient != "sphere":
         raise InvalidData("unit normal charts take a spherical base")
-    center = tuple((lo + hi) / 2.0 for lo, hi in base.domain)
-    probe = geo.point_report(base, center, circle_tol, eps_rank, None, eps_deg)
+    rows = geo.point_rows(base, geo.grid_points(geo.grid_axes(base, (9, 9))),
+                          circle_tol, eps_rank, max(base.ambient_dim - 3, 1),
+                          eps_deg)
+    probe = rows[len(rows) // 2]
+    center = tuple(probe["point"])
     if probe["singular"]:
         raise DegeneratePoint(f"metric degenerate at {center}")
     tau = probe["tau"]
@@ -209,19 +246,18 @@ def unit_normal_chart(base: ImmersionChart,
     if probe["dims"][-1] != 2:
         raise FlagCollapse(
             f"last normal space has rank {probe['dims'][-1]}, need a plane")
-    cert = geo.nicely_curved_certificate(base, counts=counts, max_order=tau,
-                                         eps_rank=eps_rank, eps_deg=eps_deg)
+    cert = geo.flag_certificate([r["dims"] for r in rows])
     if not cert["nicely_curved"]:
         raise FlagCollapse(f"flag dimensions vary over the domain: {cert}")
     if not probe["elliptic"]:
         raise NotElliptic(f"no elliptic direction at {center}")
     top = probe["ellipses"][tau - 1]["residual"]
     top = math.nan if top is None else top  # a row writes NaN as None
+    notes = []
     if not top <= circle_tol:
-        warnings.warn(
-            f"curvature ellipse of order {tau - 1} is not a circle "
-            f"(residual {top:.3g}); the normal bundle chart need "
-            "not be minimal", stacklevel=2)
+        notes.append(f"curvature ellipse of order {tau - 1} is not a circle "
+                     f"(residual {top:.3g}); the normal bundle chart need "
+                     "not be minimal")
 
     def frame(uv, order):
         bjets = base.jet_fn(uv, J.get_space(2, order + tau + 1))
@@ -254,7 +290,8 @@ def unit_normal_chart(base: ImmersionChart,
                 ok & (accepted.sum(axis=0) == 2))
 
     chart = _circle_chart(base, frame, f"unit-normal({base.name})")
-    return BundleChart(kind="unit_normal", base=base, chart=chart, tau=tau)
+    return BundleChart(kind="unit_normal", base=base, chart=chart, tau=tau,
+                       notes=notes)
 
 
 def _nullity(chart: ImmersionChart, jets: J.Jet, eps_rank: float,

@@ -5,7 +5,10 @@ surface from polynomial data and checks its null identities and circle
 properties, `analyze` sweeps a surface chart and reports flags, ellipses
 and isotropy orders per grid point, `bundle` builds a unit tangent or unit
 normal chart and verifies mean curvature, relative nullity and the
-splitting tensor equations, `export` writes an OBJ mesh. A `bundle` run
+splitting tensor equations, `export` writes an OBJ mesh. `bundle` and
+`export` build their chart by one call with the run's tolerances; the
+constructor checks the base and returns its notes, which `bundle` prints
+and records and `export` ignores. A `bundle` run
 is `bundles.sweep_and_split` on the bundle's 3-chart: one chart
 evaluation at the sweep and splitting points together (order 4 when there
 are splitting points, else 2), one nullity pass and one splitting pass,
@@ -28,7 +31,6 @@ import json
 import math
 import re
 import sys
-import warnings
 from typing import Sequence
 
 import numpy as np
@@ -399,37 +401,22 @@ def _splitting_points(axes, count: int):
     return pts
 
 
+def _bundle_chart(cfg) -> B.BundleChart:
+    """The bundle chart of the config's kind over its base, checked with
+    the run's tolerances."""
+    tols = cfg["tolerances"]
+    build = (B.unit_tangent_chart if cfg["kind"] == "bipolar"
+             else B.unit_normal_chart)
+    return build(resolve_chart(cfg), circle_tol=tols["circle"], **_eps(tols))
+
+
 def cmd_bundle(cfg) -> int:
     tols = cfg["tolerances"]
     kind = cfg["kind"]
     if kind not in ("bipolar", "polar"):
         raise InvalidData("bundle needs kind bipolar or polar")
-    base = resolve_chart(cfg)
-    notes = []
-    if kind == "bipolar":
-        bc = B.unit_tangent_chart(base)
-        center = tuple((l + h) / 2.0 for l, h in base.domain)
-        # the note reads only the ellipses of orders 0 and 1, which a flag
-        # of depth 2 decides
-        probe = geo.point_report(base, center, tols["circle"], max_order=2,
-                                 **_eps(tols))
-        if probe["singular"]:
-            notes.append("could not verify base isotropy: metric degenerate "
-                         f"at {center}")
-        elif not probe["elliptic"]:
-            notes.append("could not verify base isotropy: no elliptic "
-                         f"direction at {center}")
-        elif probe["order"] < 1:
-            notes.append(f"base isotropy order {probe['order']} < 1 at the "
-                         "domain center; the unit tangent chart need not be "
-                         "minimal")
-    else:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            bc = B.unit_normal_chart(base, circle_tol=tols["circle"],
-                                     **_eps(tols))
-        notes.extend(str(w.message) for w in caught)
-    for note in notes:
+    bc = _bundle_chart(cfg)
+    for note in bc.notes:
         print(f"warning: {note}")
 
     axes, grid_doc = _axes_for(bc.chart, cfg)
@@ -457,8 +444,8 @@ def cmd_bundle(cfg) -> int:
 
     passed = h_ok and nu_ok and span_ok and ode_ok
     doc = {"command": "bundle", "kind": kind, "chart": bc.chart.name,
-           "base": base.name, "tau": bc.tau, "grid": grid_doc,
-           "seed": cfg["seed"], "tolerances": tols, "notes": notes,
+           "base": bc.base.name, "tau": bc.tau, "grid": grid_doc,
+           "seed": cfg["seed"], "tolerances": tols, "notes": bc.notes,
            "rows": rows, "splitting": split_rows,
            "summary": {"points": len(rows), "singular": singular,
                        "H_max": h_max, "sv_min_max": sv_max,
@@ -497,12 +484,7 @@ def cmd_export(cfg) -> int:
     if cfg["kind"] is not None:
         if cfg["kind"] not in ("bipolar", "polar"):
             raise InvalidData("kind must be bipolar or polar")
-        base = resolve_chart(cfg)
-        tols = cfg["tolerances"]
-        bc = (B.unit_tangent_chart(base) if cfg["kind"] == "bipolar"
-              else B.unit_normal_chart(base, circle_tol=tols["circle"],
-                                       **_eps(tols)))
-        chart = bc.chart
+        chart = _bundle_chart(cfg).chart
     else:
         chart = resolve_chart(cfg)
     axes, grid_doc = _axes_for(chart, cfg)

@@ -8,7 +8,8 @@ the osculating flag of higher normal spaces (`_flag_pass`), higher
 fundamental forms (projected higher partials, `_form_tables`), ellipticity
 of the second form (`_ellipticity_pass`), curvature ellipses
 (`_ellipse_pass`) and the isotropy order, assembled into report rows by
-`point_rows`; `point_report` is a batch of one. Ranks differ between
+`point_rows`; one point's row is a batch of one, and `flag_certificate`
+reads the constancy of the flag off the rows' dims. Ranks differ between
 points, so the flag keeps a per-point rank mask: each order's directions
 sit in a fixed block of columns, zero where a point rejects them, and a
 point whose flag is complete takes rank 0 from then on. Conventions that
@@ -479,16 +480,6 @@ def point_rows(chart: ImmersionChart, points,
     return rows
 
 
-def point_report(chart: ImmersionChart, point: Sequence[float],
-                 tol: float = CIRCLE_TOL,
-                 eps_rank: float = EPS_RANK,
-                 max_order: int | None = None,
-                 eps_deg: float = EPS_DEG) -> dict:
-    """Per-point JSON row: the one-point `point_rows`."""
-    return point_rows(chart, [point], tol=tol, eps_rank=eps_rank,
-                      max_order=max_order, eps_deg=eps_deg)[0]
-
-
 def flag_certificate(dims: Sequence[Sequence[int] | None]) -> dict:
     """Constancy certificate of the flag dimensions measured at a set of
     points; None marks a singular point."""
@@ -500,22 +491,3 @@ def flag_certificate(dims: Sequence[Sequence[int] | None]) -> dict:
             "variants": sorted(list(d) for d in seen),
             "singular_points": singular,
             "points_checked": len(dims)}
-
-
-def nicely_curved_certificate(chart: ImmersionChart,
-                              counts: Sequence[int] | None = None,
-                              max_order: int | None = None,
-                              eps_rank: float = EPS_RANK,
-                              eps_deg: float = EPS_DEG) -> dict:
-    """Check that flag dimensions are constant across a sample grid; the
-    grid is read off one batched chart evaluation."""
-    if counts is None:
-        counts = (9,) * chart.domain_dim
-    max_order = _flag_depth(max_order)
-    points = grid_points(grid_axes(chart, counts))
-    regular, _, _, _, _, dims = _flag_pass(
-        chart, chart.eval_jets(points, max_order + 1), max_order, eps_rank,
-        eps_deg)
-    found = iter(dims.tolist())
-    return flag_certificate([[x for x in next(found) if x] if ok else None
-                             for ok in regular])

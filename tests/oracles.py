@@ -25,12 +25,12 @@ orthonormalized in the 3-variable space, times cos theta and sin theta
 composed by Horner's rule. The nested x^(-1/2) is jet_recip of jet_sqrt,
 the two compositions that jet_rsqrt replaced.
 
-`stacked_at` and `nullity_at` are not oracles: they read the package's
-stacked passes at one point, the way the tests use them. The package's
-nullity pass computes singular values only, so `nullity_at` computes the
-kernel itself, by an SVD of the second form in the metric frame. The
-quadratic graph chart (`make_graph`) is a test fixture with closed-form
-ellipticity.
+`point_row`, `stacked_at` and `nullity_at` are not oracles: they read
+the package's stacked passes at one point, the way the tests use them.
+The package's nullity pass computes singular values only, so
+`nullity_at` computes the kernel itself, by an SVD of the second form in
+the metric frame. The quadratic graph chart (`make_graph`) is a test
+fixture with closed-form ellipticity.
 """
 import math
 from types import SimpleNamespace
@@ -65,6 +65,11 @@ def make_graph(coeff_uu, coeff_uv, coeff_vv, extra=None):
     return geo.ImmersionChart(
         domain_dim=2, ambient_dim=3 + (extra is not None), ambient="euclidean",
         jet_fn=jet_fn, domain=((-1.0, 1.0), (-1.0, 1.0)), name="graph")
+
+
+def point_row(chart, point, **kw):
+    """The `point_rows` row of one point of shape (2,): a batch of one."""
+    return geo.point_rows(chart, [point], **kw)[0]
 
 
 def stacked_at(chart, point, max_s=2, eps_rank=geo.EPS_RANK,

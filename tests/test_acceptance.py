@@ -128,7 +128,7 @@ def test_totally_geodesic_detection_agrees_with_flag_test():
             u, v = rng.uniform(-0.7, 0.7, size=2)
             th = rng.uniform(0.0, TWO_PI)
             # the base has no second normal space
-            flag_says = geo.point_report(bc.base, (u, v),
+            flag_says = oracles.point_row(bc.base, (u, v),
                                          max_order=2)["tau"] < 2
             nullity_says = oracles.nullity_at(
                 bc.chart, (u, v, th)).totally_geodesic

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import isomin.cpoly as cp
 import isomin.geometry as geo
 import isomin.jet as J
 from isomin.bundles import (sweep_and_split, unit_normal_chart,
@@ -17,10 +18,10 @@ from isomin.catalog import (demo_weierstrass_data, make_fixture,
 from isomin.errors import (DegeneratePoint, FlagCollapse, InvalidData,
                            ShapeMismatch)
 from isomin.geometry import ImmersionChart
-from isomin.weierstrass import generate_surface
+from isomin.weierstrass import generate_surface, surface_chart
 
 from oracles import (bundle_jets_three_variable, make_graph, nullity_at,
-                     nullity_fd, splitting_fd, stacked_at)
+                     nullity_fd, point_row, splitting_fd, stacked_at)
 
 
 @pytest.fixture(scope="module")
@@ -125,10 +126,10 @@ def test_totally_geodesic_bundle_agreement():
         u, v = rng.uniform(0.1, 0.8, size=2)
         th = rng.uniform(0.0, 2.0 * math.pi)
         # no second normal space on the base
-        flag_says = geo.point_report(tg_base, (u, v), max_order=2)["tau"] < 2
+        flag_says = point_row(tg_base, (u, v), max_order=2)["tau"] < 2
         rep = nullity_at(unit_tangent_chart(tg_base).chart, (u, v, th))
         assert flag_says and rep.totally_geodesic and rep.nu == 3
-        flag_says = geo.point_report(curved_base, (u, v),
+        flag_says = point_row(curved_base, (u, v),
                                      max_order=2)["tau"] < 2
         rep = nullity_at(unit_tangent_chart(curved_base).chart, (u, v, th))
         assert not flag_says and not rep.totally_geodesic and rep.nu == 1
@@ -170,9 +171,9 @@ def test_polar_veronese_minimal_nullity_one(polar_ver):
 
 
 def test_unit_normal_chart_reads_the_centre_off_one_evaluation(monkeypatch):
-    """One evaluation at the domain centre gives the flag probe and the top
-    ellipse; the 9x9 certificate adds one point per grid point. Counts are
-    in points: the certificate reads its grid off one batched call."""
+    """One batched evaluation of the base at the 9x9 certificate grid gives
+    the flag certificate, and its centre row the flag probe and the top
+    ellipse. Counts are in points."""
     calls = []
     real = geo.ImmersionChart.eval_jets
 
@@ -182,7 +183,7 @@ def test_unit_normal_chart_reads_the_centre_off_one_evaluation(monkeypatch):
 
     monkeypatch.setattr(geo.ImmersionChart, "eval_jets", counted)
     unit_normal_chart(make_veronese())
-    assert calls == ["veronese"] * 82
+    assert calls == ["veronese"] * 81
 
 
 def test_unit_normal_rejections():
@@ -242,10 +243,61 @@ def test_unit_normal_umbilic_collapse():
 
 
 def test_unit_normal_noncircular_warns():
-    with pytest.warns(UserWarning, match="not a circle"):
-        bc = unit_normal_chart(_bent_sphere_surface(), counts=(5, 5))
+    bc = unit_normal_chart(_bent_sphere_surface())
+    [note] = bc.notes
+    assert "curvature ellipse of order 0 is not a circle" in note
     val = bc.chart.value((0.05, -0.04, 1.3))
     assert np.linalg.norm(val) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_unit_normal_chart_reads_the_whole_flag():
+    """(1, z, ..., z^5) normalized onto S^10 has tau = 4: the flag depth
+    follows the base's codimension, so the chart is built on the last
+    normal space N_4, where the nullity is 1. A flag cut at depth 3 would
+    build it on N_3, where the nullity is 0 at every point."""
+    comps = [cp.poly(1)]
+    for k in range(1, 6):
+        comps += [cp.poly(*(0,) * k, 1), cp.poly(*(0,) * k, -1j)]
+    flat = surface_chart(tuple(comps))
+
+    def jet_fn(points, space):
+        f = flat.jet_fn(points, space)
+        return f * J.jet_rsqrt(J.jet_dot(f, f))[:, None]
+
+    base = ImmersionChart(domain_dim=2, ambient_dim=11, ambient="sphere",
+                          jet_fn=jet_fn, domain=flat.domain, name="z5-sphere")
+    bc = unit_normal_chart(base)
+    assert bc.tau == 4
+    rows = _sweep_rows(bc.chart,
+                       geo.grid_points(geo.grid_axes(bc.chart, (3, 3, 4))))
+    assert {r["nu"] for r in rows} == {1}
+
+
+def test_unit_normal_chart_of_an_incomplete_flag():
+    """Veronese zero-padded into S^5: its flag (2, 2) leaves one direction
+    of R^6 unreached, and its polar chart is still minimal with nullity 1
+    and splitting scalars (u, v) = (1, 0)."""
+    ver = make_veronese()
+
+    def jet_fn(points, space):
+        f = ver.jet_fn(points, space)
+        return J.Jet(space, np.concatenate(
+            [f.coeffs, np.zeros_like(f.coeffs[:, :1])], axis=1))
+
+    base = ImmersionChart(domain_dim=2, ambient_dim=6, ambient="sphere",
+                          jet_fn=jet_fn, domain=ver.domain,
+                          name="veronese-pad1")
+    assert point_row(base, (0.1, 0.2), max_order=3)["dims"] == [2, 2]
+    bc = unit_normal_chart(base)
+    assert bc.tau == 1 and bc.notes == []
+    rows, [split] = sweep_and_split(
+        bc.chart, geo.grid_points(geo.grid_axes(bc.chart, (5, 5, 8))),
+        [(0.15, -0.1, 0.9)])
+    assert {r["nu"] for r in rows} == {1}
+    assert max(r["H"] for r in rows) < 1e-12
+    assert split["u"] == pytest.approx(1.0, abs=1e-12)
+    assert split["v"] == pytest.approx(0.0, abs=1e-12)
+    assert split["span_residual"] < 1e-12
 
 
 def test_splitting_tensor_frozen(bipolar_n5):
@@ -427,9 +479,9 @@ def test_rigid_motions_keep_point_and_bundle_invariants(seed, n, frac, theta):
     Q, _ = np.linalg.qr(rng.normal(size=(N, N)))
     moved = _moved(base, Q, rng.uniform(-1.0, 1.0, size=N))
     p = tuple(lo + (hi - lo) * f for (lo, hi), f in zip(base.domain, frac))
-    row = geo.point_report(base, p)
+    row = point_row(base, p)
     assume(not row["singular"])
-    got = geo.point_report(moved, p)
+    got = point_row(moved, p)
     assert [got[k] for k in ("dims", "tau", "order")] == \
         [row[k] for k in ("dims", "tau", "order")]
     for pivot in ((0, 1), (1, 0)):

@@ -11,6 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isomin import bundles, cli, geometry as geo
+from isomin.errors import DegeneratePoint
+
+import oracles
 
 
 def run(argv):
@@ -696,8 +699,13 @@ def test_analyze_certificate_matches_nicely_curved_certificate(tmp_path,
     assert run(["analyze", "--fixture", fixture, "--out", str(out)]) == 0
     chart = cli.resolve_chart(cli.load_config(cli.build_parser().parse_args(
         ["analyze", "--fixture", fixture])))
-    want = geo.nicely_curved_certificate(chart, counts=(9, 9))
-    assert load(out)["certificate"] == want
+    dims = []
+    for p in geo.grid_points(geo.grid_axes(chart, (9, 9))):
+        try:
+            dims.append(oracles.flag_per_point(chart, p)[0])
+        except DegeneratePoint:
+            dims.append(None)
+    assert load(out)["certificate"] == geo.flag_certificate(dims)
 
 
 # Random config documents. The fixture, kind, grid and out are always set,
@@ -904,18 +912,18 @@ def test_generate_spot_points_are_one_batched_evaluation(tmp_path,
     assert np.array_equal(calls[0][1], cli.SPOT_POINTS)
 
 
-def test_polar_bundle_evaluates_the_base_twice_before_the_sweep(
+def test_polar_bundle_evaluates_the_base_once_before_the_sweep(
         tmp_path, monkeypatch):
-    """The centre probe (one point) and the 9x9 flag certificate (one
-    batched call) come before the one frame evaluation, at the 25 distinct
-    (u, v) of the default grid and the 4 of the splitting points; one
-    nullity pass covers the 200 sweep rows and the 4 splitting points."""
+    """The 9x9 base check (one batched call, whose centre row is the probe)
+    comes before the one frame evaluation, at the 25 distinct (u, v) of the
+    default grid and the 4 of the splitting points; one nullity pass covers
+    the 200 sweep rows and the 4 splitting points."""
     calls = _count_jet_fn_calls(monkeypatch, cli, "resolve_chart")
     nullity = _count_nullity(monkeypatch)
     assert run(["bundle", "--kind", "polar", "--fixture", "veronese",
                 "--out", str(tmp_path / "r.json")]) == 0
-    (_, probe), (_, cert), (frame_vars, frames), *rest = calls
-    assert (probe.shape, cert.shape) == ((1, 2), (81, 2))
+    (_, cert), (frame_vars, frames), *rest = calls
+    assert cert.shape == (81, 2)
     assert (frame_vars, frames.shape) == (2, (29, 2))
     assert rest == []
     assert nullity == [204]

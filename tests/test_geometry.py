@@ -1,6 +1,7 @@
 """Flags, fundamental forms, ellipticity, curvature ellipses, isotropy:
-report rows of `point_rows` and `point_report`, and the stacked passes
-behind them read at one point (`oracles.stacked_at`)."""
+report rows of `point_rows` (one point's row through `oracles.point_row`)
+and the stacked passes behind them read at one point
+(`oracles.stacked_at`)."""
 import json
 import math
 
@@ -18,7 +19,7 @@ from isomin.errors import DegeneratePoint, ShapeMismatch
 from isomin.weierstrass import generate_surface
 
 import oracles
-from oracles import make_graph, stacked_at
+from oracles import make_graph, point_row, stacked_at
 
 
 def _chart(name):
@@ -74,14 +75,14 @@ def test_metric_matches_fd_oracle(n5):
 
 def test_degenerate_point():
     curve = make_holomorphic_curve((2, 3))
-    row = geo.point_report(curve, (0.0, 0.0))
+    row = point_row(curve, (0.0, 0.0))
     assert row["singular"] and row["ellipses"] == []
     jets = curve.eval_jets(np.zeros((1, 2)), 2)
     assert not geo._tangent_stage(curve, jets, geo.EPS_DEG)[0][0]
 
 
 def test_flag_dims_n5(n5):
-    row = geo.point_report(n5, (0.0, 0.0))
+    row = point_row(n5, (0.0, 0.0))
     assert row["dims"] == [2, 2, 1]
     assert row["tau"] == 2
     assert geo._tau_o(n5, row["tau"]) == 1  # codimension 3 is odd
@@ -96,18 +97,18 @@ def test_flag_dims_n5(n5):
 def test_flag_dims_curve():
     curve = make_holomorphic_curve((1, 2, 3))
     for p in ((1.0, 0.0), (0.3, -0.2)):
-        row = geo.point_report(curve, p)
+        row = point_row(curve, p)
         assert row["dims"] == [2, 2, 2]
         assert row["tau"] == 2
         assert geo._tau_o(curve, row["tau"]) == 2  # codimension 4 is even
 
 
 def test_flag_plane_and_sphere():
-    row = geo.point_report(make_plane(), (0.1, 0.2))
+    row = point_row(make_plane(), (0.1, 0.2))
     assert row["dims"] == [2]
     assert row["tau"] == 0
     gs = make_great_sphere()
-    row = geo.point_report(gs, (0.3, 0.45))
+    row = point_row(gs, (0.3, 0.45))
     assert row["dims"] == [2]
     # the flag of a sphere chart opens with the position, and the tangent
     # columns are projected off it
@@ -156,7 +157,7 @@ def test_ellipticity_cases():
     assert at["elliptic"] and not at["tg"]
     assert np.allclose(at["coeffs"], (1.0, 0.0, 1.0), atol=1e-12)
     # a non-minimal surface can still be elliptic
-    row = geo.point_report(_chart("bent-graph"), (0.0, 0.0))
+    row = point_row(_chart("bent-graph"), (0.0, 0.0))
     assert row["elliptic"]
     assert np.allclose(row["coeffs"], (0.25, 0.0, 1.0), atol=1e-12)
 
@@ -180,7 +181,7 @@ def test_ellipticity_totally_geodesic_convention():
     at = stacked_at(plane, (0.1, 0.1))
     assert at["elliptic"] and at["tg"]
     assert np.allclose(at["coeffs"], (1.0, 0.0, 1.0))
-    assert geo.point_report(plane, (0.1, 0.1))["coeffs"] == [1.0, 0.0, 1.0]
+    assert point_row(plane, (0.1, 0.1))["coeffs"] == [1.0, 0.0, 1.0]
 
 
 def test_ellipticity_J_squares_to_minus_one(n5):
@@ -190,7 +191,7 @@ def test_ellipticity_J_squares_to_minus_one(n5):
 
 def _ellipse(chart, point, ell):
     """The ellipse of order ell in the point's report row."""
-    return geo.point_report(chart, point)["ellipses"][ell]
+    return point_row(chart, point)["ellipses"][ell]
 
 
 def test_minimality_iff_order0_circle():
@@ -209,7 +210,7 @@ def test_first_ellipse_n4(n4):
 
 
 def test_ellipse_ladder_n5(n5):
-    row = geo.point_report(n5, (0.0, 0.0))
+    row = point_row(n5, (0.0, 0.0))
     # first ellipse at the origin: circle of radius 2
     e1 = row["ellipses"][1]
     assert e1["semiaxes"][0] == pytest.approx(2.0, abs=1e-10)
@@ -222,17 +223,17 @@ def test_ellipse_ladder_n5(n5):
 
 
 def test_ellipse_not_elliptic():
-    row = geo.point_report(_chart("flat-graph"), (0.0, 0.0))
+    row = point_row(_chart("flat-graph"), (0.0, 0.0))
     assert not row["singular"] and row["elliptic"] is False
     assert row["ellipses"] == [] and row["order"] is None
 
 
 def test_isotropy_orders(n4, n5):
-    assert geo.point_report(n4, (0.2, 0.3))["order"] == 1
-    assert geo.point_report(n5, (0.13, 0.21))["order"] == 1
+    assert point_row(n4, (0.2, 0.3))["order"] == 1
+    assert point_row(n5, (0.13, 0.21))["order"] == 1
     curve = make_holomorphic_curve((1, 2, 3))
-    assert geo.point_report(curve, (0.2, 0.1))["order"] == 2
-    assert geo.point_report(_chart("bent-graph"), (0.0, 0.0))["order"] == -1
+    assert point_row(curve, (0.2, 0.1))["order"] == 2
+    assert point_row(_chart("bent-graph"), (0.0, 0.0))["order"] == -1
 
 
 def test_isotropy_order_two_seed():
@@ -240,27 +241,32 @@ def test_isotropy_order_two_seed():
     buys one more circular ellipse."""
     data = demo_weierstrass_data(7)
     rep = generate_surface(data)
-    assert geo.point_report(rep.chart, (0.19, 0.23))["order"] == 2
+    assert point_row(rep.chart, (0.19, 0.23))["order"] == 2
 
 
 def test_point_report_rows(n5):
-    row = geo.point_report(n5, (0.1, 0.2))
+    row = point_row(n5, (0.1, 0.2))
     assert not row["singular"]
     assert row["dims"] == [2, 2, 1]
     assert row["order"] == 1
     assert len(row["ellipses"]) == 3
     curve = make_holomorphic_curve((2, 3))
-    row = geo.point_report(curve, (0.0, 0.0))
+    row = point_row(curve, (0.0, 0.0))
     assert row["singular"] and row["dims"] is None
 
 
+def _certificate(chart, counts):
+    return geo.flag_certificate(
+        [r["dims"] for r in geo.point_rows(chart, _grid(chart, counts))])
+
+
 def test_nicely_curved_certificate(n5):
-    cert = geo.nicely_curved_certificate(n5, counts=(7, 7))
+    cert = _certificate(n5, (7, 7))
     assert cert["nicely_curved"]
     assert cert["dims"] == [2, 2, 1]
     # (z, z^3): the first normal space dies at the origin
     curve = make_holomorphic_curve((1, 3), pad=1)
-    cert = geo.nicely_curved_certificate(curve, counts=(5, 5))
+    cert = _certificate(curve, (5, 5))
     assert not cert["nicely_curved"]
     assert len(cert["variants"]) > 1
 
@@ -270,19 +276,19 @@ def test_sphere_chart_validation():
     pts = geo.grid_points(geo.grid_axes(ver, (5, 5)))
     vals = np.array([ver.value(p) for p in pts])
     assert np.allclose(np.linalg.norm(vals, axis=1), 1.0, atol=1e-12)
-    row = geo.point_report(ver, (0.1, 0.2))
+    row = point_row(ver, (0.1, 0.2))
     assert row["dims"] == [2, 2]
     # codimension in the sphere is 2
     assert geo._tau_o(ver, row["tau"]) == row["tau"] == 1
 
 
 def _assert_row_matches_stacked_passes(chart, point):
-    """A point_report row against its parts computed on their own: the
+    """A one-point row against its parts computed on their own: the
     dims and tau of the per-point flag loop, the stacked passes at the
     point with a flag only as deep as its tau (`stacked_at`, one chart
     evaluation of its own) and the isotropy order counted off those
     ellipses."""
-    row = geo.point_report(chart, point)
+    row = point_row(chart, point)
     dims, tau = oracles.flag_per_point(chart, point)
     at = stacked_at(chart, point, max_s=max(tau + 1, 2))
     assert row["dims"] == list(dims) and row["tau"] == tau
@@ -323,7 +329,7 @@ def test_point_report_matches_public_functions_on_random_data(seed, n, frac):
     chart = generate_surface(
         random_weierstrass_data(np.random.default_rng(seed), n)).chart
     point = tuple(lo + (hi - lo) * f for (lo, hi), f in zip(chart.domain, frac))
-    assume(not geo.point_report(chart, point)["singular"])
+    assume(not point_row(chart, point)["singular"])
     _assert_row_matches_stacked_passes(chart, point)
 
 
@@ -339,7 +345,7 @@ def test_point_report_evaluates_the_chart_once(n5, monkeypatch):
     for chart in (n5, make_holomorphic_curve((1, 2, 3)), make_veronese()):
         for point in ((0.1, 0.2), (-0.2, 0.05)):
             calls.clear()
-            geo.point_report(chart, point)
+            point_row(chart, point)
             assert calls == [geo.DEFAULT_JET_ORDER]
 
 
@@ -374,7 +380,7 @@ def test_closed_form_ellipses_match_sampled_oracle(seed, n, frac):
     chart = generate_surface(
         random_weierstrass_data(np.random.default_rng(seed), n)).chart
     point = tuple(lo + (hi - lo) * f for (lo, hi), f in zip(chart.domain, frac))
-    row = geo.point_report(chart, point)
+    row = point_row(chart, point)
     assume(row["elliptic"])
     centers = stacked_at(chart, point, max_s=max(row["tau"] + 1, 2))["centers"]
     for ell, got in enumerate(row["ellipses"]):
@@ -389,13 +395,13 @@ def test_closed_form_ellipses_match_sampled_oracle(seed, n, frac):
 
 
 def _assert_rows_match_single_points(chart, points, max_order=None):
-    """point_rows over a batch against point_report at each point, exactly,
-    as JSON text: a row does not depend on its batch. Also the dims and tau
-    of each row against the per-point flag oracle."""
+    """point_rows over a batch against the one-point row at each point,
+    exactly, as JSON text: a row does not depend on its batch. Also the dims
+    and tau of each row against the per-point flag oracle."""
     rows = geo.point_rows(chart, points, max_order=max_order)
     assert len(rows) == len(points)
     for p, row in zip(points, rows):
-        single = geo.point_report(chart, p, max_order=max_order)
+        single = point_row(chart, p, max_order=max_order)
         assert (json.dumps(row, sort_keys=True, allow_nan=False)
                 == json.dumps(single, sort_keys=True, allow_nan=False)), \
             f"{chart.name} at {tuple(p)}"
@@ -419,7 +425,7 @@ def _grid(chart, counts=(9, 9), ranges=None):
     ("great-sphere", None), ("plane", None), ("flat-graph", None),
     ("n7", 1)])
 def test_point_rows_match_single_points(name, max_order):
-    """One batched sweep gives each point's point_report row; the per-point
+    """One batched sweep gives each point's one-point row; the per-point
     rank mask gives the flag of the per-point loop, also where dims vary
     over the grid (n6, n8), at a singular point (curve-2-3 at z = 0), where
     the flag stops early at one point of the batch (curve-1-3-pad1 at z = 0:
@@ -512,7 +518,7 @@ def test_point_rows_do_not_depend_on_their_batch(seed, n, frac, half, counts,
 
 
 def _isotropy_probe(row):
-    """What the bipolar note of `bundle` reads off a point_report row: the
+    """What the bipolar note of `bundle` reads off a one-point row: the
     order when it is below 1, True when it is not, or why there is none."""
     if row["singular"]:
         return "singular"
@@ -522,7 +528,7 @@ def _isotropy_probe(row):
 
 
 def _spot_check(row):
-    """What a spot check of `generate` reads off a point_report row."""
+    """What a spot check of `generate` reads off a one-point row."""
     return (row["singular"], row["elliptic"],
             [e["residual"] for e in row["ellipses"][:2]])
 

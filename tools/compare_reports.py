@@ -12,8 +12,9 @@ that directory and passed as `--config`. It then checks:
 * every mesh has only comment, vertex and face lines, and finite vertices;
 * every report or mesh is byte-identical across the two runs of one
   checkout;
-* exit codes and the PASS/FAIL/VACUOUS words on stdout are identical
-  between the checkouts;
+* exit codes, the PASS/FAIL/VACUOUS words on stdout and the stderr text
+  (the one-line message of a command that fails) are identical between
+  the checkouts;
 * the reports have the same structure and non-float fields, and the
   meshes the same comment and face lines, and their floats (the vertex
   coordinates of a mesh) agree: within REL_TOL relative where either
@@ -78,7 +79,11 @@ COMMANDS = (
        ["export", "--kind", "polar", "--fixture", "veronese"]]
     # a base that is not minimal at the domain centre: the order < 1 note
     + [["bundle", "--kind", "bipolar", "--fixture", "n5",
-        "--no-final-integration"]])
+        "--no-final-integration"]]
+    # a base without a first normal space: no polar chart (exit 3, no
+    # report), found by the 9x9 base check
+    + [[command, "--kind", "polar", "--fixture", "great-sphere"]
+       for command in ("bundle", "export")])
 
 SHOWN_PATHS = 3  # float paths listed per command that differs
 
@@ -116,9 +121,10 @@ def label(cmd: list) -> str:
                     else f"--config '{json.dumps(arg)}'" for arg in cmd)
 
 
-def run(checkout: Path, cmd: list) -> tuple[int, list[str], bytes | None]:
-    """Exit code, verdict words and report bytes (None if no report) of one
-    command run in the checkout."""
+def run(checkout: Path, cmd: list
+        ) -> tuple[int, list[str], bytes | None, str]:
+    """Exit code, verdict words, report bytes (None if no report) and
+    stderr of one command run in the checkout."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         argv = []
@@ -134,7 +140,8 @@ def run(checkout: Path, cmd: list) -> tuple[int, list[str], bytes | None]:
             [sys.executable, "-m", "isomin.cli", *argv, "--out", str(out)],
             env=env, cwd=tmp, capture_output=True, text=True)
         report = out.read_bytes() if out.exists() else None
-    return proc.returncode, _WORDS.findall(proc.stdout), report
+    return (proc.returncode, _WORDS.findall(proc.stdout), report,
+            proc.stderr)
 
 
 class Diff:
@@ -212,12 +219,14 @@ def main(argv=None) -> int:
             if first[2] != second[2]:
                 problems.append(f"{side} report differs between two runs")
             results[side] = first
-        (rc_a, words_a, rep_a), (rc_b, words_b, rep_b) = (
+        (rc_a, words_a, rep_a, err_a), (rc_b, words_b, rep_b, err_b) = (
             results["parent"], results["change"])
         if rc_a != rc_b:
             problems.append(f"exit {rc_a} != {rc_b}")
         if words_a != words_b:
             problems.append(f"verdict words {words_a} != {words_b}")
+        if err_a != err_b:
+            problems.append(f"stderr {err_a!r} != {err_b!r}")
         if (rep_a is None) != (rep_b is None):
             problems.append("only one checkout wrote a report")
         elif rep_a is not None:
