@@ -9,12 +9,12 @@ jets, so every per-point quantity (mean curvature, relative nullity,
 splitting tensor of the nullity distribution) comes from the stacked
 passes of `geometry`, the one geometry path of the package.
 
-Each constructor checks its base through one `geometry.point_rows` call:
-the unit tangent chart reads the isotropy order at the domain centre, the
-unit normal chart the flag over a 9 x 9 grid of the domain (and its
-centre row). A base on which the chart does not exist raises; a condition
-of the paper that fails or cannot be decided, where the chart still
-exists, is a note in `BundleChart.notes`.
+The unit tangent chart checks its base by one `geometry.point_rows` row
+at the domain centre, the unit normal chart by the flag stage of
+`point_rows` over a 9 x 9 grid of the domain and its row stage at the
+centre alone. A base on which the chart does not exist raises; a
+condition of the paper that fails or cannot be decided, where the chart
+still exists, is a note in `BundleChart.notes`.
 
 A bundle chart evaluates a batch of points at once. The frame does not
 depend on theta, so it is built once per distinct base point (u, v), as
@@ -74,7 +74,7 @@ def _project(v: J.Jet, basis: list[J.Jet]) -> J.Jet:
     return v
 
 
-def _normalize(v: J.Jet, scale2: np.ndarray, eps_rank: float
+def _normalize(v: J.Jet, scale2: np.ndarray | None, eps_rank: float
                ) -> tuple[J.Jet, np.ndarray]:
     """The normalized residual v and the mask of rows where it is accepted:
     above the rank threshold relative to the candidate's squared value
@@ -96,9 +96,9 @@ def _jet_orthonormalize(cand: J.Jet, basis: list[J.Jet], eps_rank: float
     """Orthogonalize stacked vector jets (shape (Q, N)) against unit or zero
     vector jets, row by row; return the normalized residual and the mask of
     rows where it is accepted (`_normalize`, with the candidate's own value
-    scale)."""
-    return _normalize(_project(cand, basis), J.jet_dot(cand, cand).value,
-                      eps_rank)
+    scale, which eps_rank 0 does not read)."""
+    scale2 = J.jet_dot(cand, cand).value if eps_rank > 0.0 else None
+    return _normalize(_project(cand, basis), scale2, eps_rank)
 
 
 @dataclasses.dataclass
@@ -225,30 +225,33 @@ def unit_normal_chart(base: ImmersionChart,
     a rank-2 last normal space (FlagCollapse otherwise); the top curvature
     ellipse below the last space should be a circle (a note otherwise).
 
-    The base is checked by one `point_rows` pass over the 9 x 9 grid of
-    its domain, at the flag depth of its codimension in the sphere (the
-    most normal spaces a surface flag can have there): the centre row is
-    the probe, and the dims of all rows are the certificate."""
+    The base is checked by the flag stage of `point_rows` over the 9 x 9
+    grid of its domain at the flag depth of its codimension in the sphere
+    (the most normal spaces it can have): the centre's flag is the probe,
+    all dims the certificate; then the row stage runs at the centre alone."""
     if base.domain_dim != 2:
         raise ShapeMismatch("unit normal charts need a surface base")
     if base.ambient != "sphere":
         raise InvalidData("unit normal charts take a spherical base")
-    rows = geo.point_rows(base, geo.grid_points(geo.grid_axes(base, (9, 9))),
-                          circle_tol, eps_rank, max(base.ambient_dim - 3, 1),
-                          eps_deg)
-    probe = rows[len(rows) // 2]
-    center = tuple(probe["point"])
-    if probe["singular"]:
+    pts, dims, (jets, E, Q, ends) = geo._flag_stage(
+        base, geo.grid_points(geo.grid_axes(base, (9, 9))),
+        max(base.ambient_dim - 3, 1), eps_rank, eps_deg)
+    mid = len(pts) // 2
+    center = tuple(pts[mid].tolist())
+    if dims[mid] is None:
         raise DegeneratePoint(f"metric degenerate at {center}")
-    tau = probe["tau"]
+    tau = len(dims[mid]) - 1
     if tau < 1:
         raise FlagCollapse("base has no first normal space (totally geodesic)")
-    if probe["dims"][-1] != 2:
+    if dims[mid][-1] != 2:
         raise FlagCollapse(
-            f"last normal space has rank {probe['dims'][-1]}, need a plane")
-    cert = geo.flag_certificate([r["dims"] for r in rows])
+            f"last normal space has rank {dims[mid][-1]}, need a plane")
+    cert = geo.flag_certificate(dims)
     if not cert["nicely_curved"]:
         raise FlagCollapse(f"flag dimensions vary over the domain: {cert}")
+    i = [sum(d is not None for d in dims[:mid])]  # the centre's regular row
+    [probe] = geo._row_stage(base, pts[[mid]], [dims[mid]],
+                             (jets[i], E[i], Q[i], ends), circle_tol, eps_rank)
     if not probe["elliptic"]:
         raise NotElliptic(f"no elliptic direction at {center}")
     top = probe["ellipses"][tau - 1]["residual"]

@@ -8,12 +8,12 @@ the osculating flag of higher normal spaces (`_flag_pass`), higher
 fundamental forms (projected higher partials, `_form_tables`), ellipticity
 of the second form (`_ellipticity_pass`), curvature ellipses
 (`_ellipse_pass`) and the isotropy order, assembled into report rows by
-`point_rows`; one point's row is a batch of one, and `flag_certificate`
-reads the constancy of the flag off the rows' dims. Ranks differ between
-points, so the flag keeps a per-point rank mask: each order's directions
-sit in a fixed block of columns, zero where a point rejects them, and a
-point whose flag is complete takes rank 0 from then on. Conventions that
-the rest of the package relies on:
+`point_rows` in a flag stage and a row stage; one point's row is a batch
+of one, and `flag_certificate` reads the constancy of the flag off the
+rows' dims. Ranks differ between points, so the flag keeps a per-point
+rank mask: each order's directions sit in a fixed block of columns, zero
+where a point rejects them, and a point whose flag is complete takes rank
+0 from then on. Conventions that the rest of the package relies on:
 
 * A point is singular when its jets are not finite (a chart writes NaN
   where it is not defined, such as a bundle frame that degenerates), the
@@ -259,14 +259,6 @@ def _tangent_stage(chart: ImmersionChart, jets: J.Jet, eps_deg: float
     return regular, G[keep], E[framed], Q
 
 
-def _flag_depth(max_order: int | None) -> int:
-    if max_order is None:
-        return DEFAULT_JET_ORDER - 1
-    if max_order < 1:
-        raise OrderOutOfRange("flag depth must be at least 1")
-    return max_order
-
-
 def _flag_pass(chart: ImmersionChart, jets: J.Jet, max_order: int,
                eps_rank: float, eps_deg: float):
     """The osculating flag at every row of a chart jet of shape (P, N) and
@@ -419,6 +411,65 @@ def _ellipse_pass(E: np.ndarray, Jm: np.ndarray,
     return centers, semiaxes, residuals
 
 
+def _flag_stage(chart: ImmersionChart, points, max_order: int,
+                eps_rank: float, eps_deg: float) -> tuple:
+    """Stage one of `point_rows`: the chart evaluated once, at order
+    max_order + 1, at points of shape (P, 2), and `_flag_pass`. Returns the
+    points, each point's dims through its tau (None where singular) and,
+    on the regular rows, the jets, tangent frames, padded flag and ends."""
+    pts = np.reshape(np.asarray(points, dtype=float), (-1, 2))
+    jets = chart.eval_jets(pts, max_order + 1)
+    regular, _, E, Q, ends, dims = _flag_pass(chart, jets, max_order,
+                                              eps_rank, eps_deg)
+    tau = np.count_nonzero(dims[:, 1:], axis=1)
+    cut = iter([d[:t + 1] for d, t in zip(dims.tolist(), tau.tolist())])
+    return (pts, [next(cut) if ok else None for ok in regular.tolist()],
+            (jets[regular], E, Q, ends))
+
+
+def _row_stage(chart: ImmersionChart, pts: np.ndarray, dims: list,
+               flag: tuple, tol: float, eps_rank: float) -> list[dict]:
+    """Stage two of `point_rows`: the JSON rows of points from their stage
+    one (`_flag_stage`), with the forms through order max(tau) + 1, the
+    ellipticity and the ellipses of each order on the regular rows."""
+    jets, E, Q, ends = flag
+    tau = np.array([len(d) - 1 for d in dims if d is not None], dtype=int)
+    top = int(tau.max(initial=0))
+    tables = _form_tables(jets, Q, ends, max(top + 1, 2))
+    exists, _, coeffs, Jm = _ellipticity_pass(E, tables[2], eps_rank)
+    # every order through the top tau on every elliptic row; a row reads
+    # the orders through its own tau
+    _, semiaxes, residuals = _ellipse_pass(
+        E[exists], Jm[exists], {s: t[exists] for s, t in tables.items()}, top)
+    # the isotropy order: the circular orders 0, 1, ... in a row, through
+    # min(tau_o, tau); a residual that is not finite is not circular
+    t = tau[exists]
+    last = np.minimum(np.maximum(0, _tau_o(chart, t)), t)
+    circular = (residuals < tol) & (np.arange(top + 1) <= last[:, None])
+    order = np.cumprod(circular, axis=1).sum(axis=1) - 1
+
+    rows = []
+    regular_rows = zip(exists.tolist(), _json_ready(coeffs))
+    elliptic_rows = zip(_json_ready(semiaxes), _json_ready(residuals),
+                        order.tolist())
+    for p, d in zip(_json_ready(pts), dims):
+        if d is None:
+            rows.append({"point": p, "singular": True, "dims": None,
+                         "tau": None, "ellipses": [], "elliptic": None,
+                         "coeffs": None, "order": None})
+            continue
+        elliptic, c = next(regular_rows)
+        row = {"point": p, "singular": False, "dims": d, "tau": len(d) - 1,
+               "elliptic": elliptic, "coeffs": c if elliptic else None,
+               "ellipses": [], "order": None}
+        if elliptic:
+            semi, res, row["order"] = next(elliptic_rows)
+            row["ellipses"] = [{"order": ell, "semiaxes": semi[ell],
+                                "residual": res[ell]} for ell in range(len(d))]
+        rows.append(row)
+    return rows
+
+
 def point_rows(chart: ImmersionChart, points,
                tol: float = CIRCLE_TOL,
                eps_rank: float = EPS_RANK,
@@ -437,47 +488,11 @@ def point_rows(chart: ImmersionChart, points,
     order-0 ellipse fails (elliptic but not minimal)."""
     if chart.domain_dim != 2:
         raise ShapeMismatch("point reports are defined for surface charts")
-    max_order = _flag_depth(max_order)
-    pts = np.reshape(np.asarray(points, dtype=float), (-1, 2))
-    jets = chart.eval_jets(pts, max_order + 1)
-    regular, _, E, Q, ends, dims = _flag_pass(chart, jets, max_order,
-                                              eps_rank, eps_deg)
-    tau = np.count_nonzero(dims[:, 1:], axis=1)
-    top = int(tau.max(initial=0))
-    tables = _form_tables(jets[regular], Q, ends, max(top + 1, 2))
-    exists, _, coeffs, Jm = _ellipticity_pass(E, tables[2], eps_rank)
-    # every order through the top tau on every elliptic row; a row reads
-    # the orders through its own tau
-    _, semiaxes, residuals = _ellipse_pass(
-        E[exists], Jm[exists], {s: t[exists] for s, t in tables.items()}, top)
-    # the isotropy order: the circular orders 0, 1, ... in a row, through
-    # min(tau_o, tau); a residual that is not finite is not circular
-    t = tau[exists]
-    last = np.minimum(np.maximum(0, _tau_o(chart, t)), t)
-    circular = (residuals < tol) & (np.arange(top + 1) <= last[:, None])
-    order = np.cumprod(circular, axis=1).sum(axis=1) - 1
-
-    rows = []
-    regular_rows = zip(tau.tolist(), dims.tolist(), exists.tolist(),
-                       _json_ready(coeffs))
-    elliptic_rows = zip(_json_ready(semiaxes), _json_ready(residuals),
-                        order.tolist())
-    for p, ok in zip(_json_ready(pts), regular.tolist()):
-        if not ok:
-            rows.append({"point": p, "singular": True, "dims": None,
-                         "tau": None, "ellipses": [], "elliptic": None,
-                         "coeffs": None, "order": None})
-            continue
-        t, d, elliptic, c = next(regular_rows)
-        row = {"point": p, "singular": False, "dims": d[:t + 1], "tau": t,
-               "elliptic": elliptic, "coeffs": c if elliptic else None,
-               "ellipses": [], "order": None}
-        if elliptic:
-            semi, res, row["order"] = next(elliptic_rows)
-            row["ellipses"] = [{"order": ell, "semiaxes": semi[ell],
-                                "residual": res[ell]} for ell in range(t + 1)]
-        rows.append(row)
-    return rows
+    if max_order is not None and max_order < 1:
+        raise OrderOutOfRange("flag depth must be at least 1")
+    depth = DEFAULT_JET_ORDER - 1 if max_order is None else max_order
+    return _row_stage(chart, *_flag_stage(chart, points, depth, eps_rank,
+                                          eps_deg), tol, eps_rank)
 
 
 def flag_certificate(dims: Sequence[Sequence[int] | None]) -> dict:

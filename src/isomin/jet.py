@@ -9,13 +9,14 @@ points is one more leading axis: a chart evaluated at P points gives one
 jet of shape (P, ambient_dim). The expansion point itself is not stored;
 coefficients are relative offsets. Multiplication is truncated convolution
 driven by a precomputed index table, composition (sqrt, recip, rsqrt =
-x^(-1/2), sin, cos) is a Horner evaluation of the outer Taylor series in
-jet arithmetic, elementwise over the leading shape, and differentiation
-shifts coefficients down one order. sqrt, recip and rsqrt demand a constant term bounded away
-from zero (eps = 1e-10 by default) at every element; violating that raises
-DegenerateValue, so batched callers mask such elements out before
-composing. The jet of Re Phi(x0 + i x1) for a holomorphic Phi is read off
-Phi's derivatives in closed form.
+x^(-1/2), sin, cos) is a Horner evaluation of the outer Taylor series,
+elementwise over the leading shape, by one jet product and an in-place
+add to the constant term per step, and differentiation shifts
+coefficients down one order. sqrt, recip and rsqrt demand a constant
+term bounded away from zero (eps = 1e-10 by default) at every element;
+violating that raises DegenerateValue, so batched callers mask such
+elements out before composing. The jet of Re Phi(x0 + i x1) for a
+holomorphic Phi is read off Phi's derivatives in closed form.
 """
 from __future__ import annotations
 
@@ -334,7 +335,9 @@ def jet_compose(kind: str, a: Jet, eps: float = EPS_DEG) -> Jet:
     offset = a - a0
     acc = jet_constant(a.space, series[-1])
     for c in reversed(series[:-1]):
-        acc = jet_mul(acc, offset) + c
+        acc = jet_mul(acc, offset)
+        acc.coeffs[..., 0] += c
+    acc.coeffs[..., 1:] += 0.0  # -0.0 -> 0.0, as adding constant jets did
     return acc
 
 

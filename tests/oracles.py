@@ -23,7 +23,12 @@ jet off complex derivatives in closed form. The three-variable bundle
 chart is the construction that the closed-form fiber replaced: the frame
 orthonormalized in the 3-variable space, times cos theta and sin theta
 composed by Horner's rule. The nested x^(-1/2) is jet_recip of jet_sqrt,
-the two compositions that jet_rsqrt replaced.
+the two compositions that jet_rsqrt replaced. The constant-jet
+composition is the Horner loop that added a whole constant jet at each
+step, where `jet.jet_compose` adds the series coefficient to the constant
+term in place. The full-grid polar base check finishes every row of its
+9x9 grid through `point_rows`, where `unit_normal_chart` finishes the
+centre row alone, and only once the flag checks pass.
 
 `point_row`, `stacked_at` and `nullity_at` are not oracles: they read
 the package's stacked passes at one point, the way the tests use them.
@@ -40,7 +45,8 @@ import numpy as np
 import isomin.geometry as geo
 import isomin.jet as J
 from isomin.bundles import _jet_orthonormalize, _nullity
-from isomin.errors import DegeneratePoint
+from isomin.errors import (DegeneratePoint, FlagCollapse, IsominError,
+                           NotElliptic)
 
 STEP = 1e-4
 
@@ -427,3 +433,53 @@ def bundle_jets_three_variable(bc, points, order):
 def rsqrt_nested(a, eps=J.EPS_DEG):
     """a^(-1/2) as the reciprocal of the square root, two compositions."""
     return J.jet_recip(J.jet_sqrt(a, eps), eps)
+
+
+def jet_compose_constant_jets(kind, a, eps=J.EPS_DEG):
+    """The Horner loop of `jet.jet_compose` that adds a whole constant jet
+    of the series coefficient at every step."""
+    a0 = a.coeffs[..., 0]
+    series = J._outer_series(kind, a0, a.space.order, eps)
+    offset = a - a0
+    acc = J.jet_constant(a.space, series[-1])
+    for c in reversed(series[:-1]):
+        acc = J.jet_mul(acc, offset) + c
+    return acc
+
+
+def unit_normal_check_full(base, circle_tol=geo.CIRCLE_TOL,
+                           eps_rank=geo.EPS_RANK, eps_deg=geo.EPS_DEG):
+    """The base check of `unit_normal_chart` by one `point_rows` pass that
+    finishes all 81 rows of the 9x9 grid: (tau, notes), or the class and
+    message of the error it raises."""
+    try:
+        rows = geo.point_rows(
+            base, geo.grid_points(geo.grid_axes(base, (9, 9))), circle_tol,
+            eps_rank, max(base.ambient_dim - 3, 1), eps_deg)
+        probe = rows[len(rows) // 2]
+        center = tuple(probe["point"])
+        if probe["singular"]:
+            raise DegeneratePoint(f"metric degenerate at {center}")
+        tau = probe["tau"]
+        if tau < 1:
+            raise FlagCollapse(
+                "base has no first normal space (totally geodesic)")
+        if probe["dims"][-1] != 2:
+            raise FlagCollapse(f"last normal space has rank "
+                               f"{probe['dims'][-1]}, need a plane")
+        cert = geo.flag_certificate([r["dims"] for r in rows])
+        if not cert["nicely_curved"]:
+            raise FlagCollapse(
+                f"flag dimensions vary over the domain: {cert}")
+        if not probe["elliptic"]:
+            raise NotElliptic(f"no elliptic direction at {center}")
+    except IsominError as exc:
+        return type(exc), str(exc)
+    top = probe["ellipses"][tau - 1]["residual"]
+    top = math.nan if top is None else top
+    notes = []
+    if not top <= circle_tol:
+        notes.append(f"curvature ellipse of order {tau - 1} is not a circle "
+                     f"(residual {top:.3g}); the normal bundle chart need "
+                     "not be minimal")
+    return tau, notes

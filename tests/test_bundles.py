@@ -16,12 +16,13 @@ from isomin.catalog import (demo_weierstrass_data, make_fixture,
                             make_plane, make_veronese,
                             random_weierstrass_data)
 from isomin.errors import (DegeneratePoint, FlagCollapse, InvalidData,
-                           ShapeMismatch)
+                           IsominError, ShapeMismatch)
 from isomin.geometry import ImmersionChart
 from isomin.weierstrass import generate_surface, surface_chart
 
 from oracles import (bundle_jets_three_variable, make_graph, nullity_at,
-                     nullity_fd, point_row, splitting_fd, stacked_at)
+                     nullity_fd, point_row, splitting_fd, stacked_at,
+                     unit_normal_check_full)
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +187,24 @@ def test_unit_normal_chart_reads_the_centre_off_one_evaluation(monkeypatch):
     assert calls == ["veronese"] * 81
 
 
+def test_unit_normal_chart_finishes_only_the_centre_row(monkeypatch):
+    """The ellipticity and ellipse passes of the base check see the centre
+    row alone, and no row when a flag check fails before them."""
+    seen = []
+    for name in ("_ellipticity_pass", "_ellipse_pass"):
+        def counted(E, *args, _name=name, _real=getattr(geo, name)):
+            seen.append((_name, len(E)))
+            return _real(E, *args)
+
+        monkeypatch.setattr(geo, name, counted)
+    unit_normal_chart(make_veronese())
+    assert seen == [("_ellipticity_pass", 1), ("_ellipse_pass", 1)]
+    seen.clear()
+    with pytest.raises(FlagCollapse):
+        unit_normal_chart(make_great_sphere())
+    assert seen == []
+
+
 def test_unit_normal_rejections():
     with pytest.raises(FlagCollapse, match="no first normal space"):
         unit_normal_chart(make_great_sphere())
@@ -250,11 +269,8 @@ def test_unit_normal_noncircular_warns():
     assert np.linalg.norm(val) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_unit_normal_chart_reads_the_whole_flag():
-    """(1, z, ..., z^5) normalized onto S^10 has tau = 4: the flag depth
-    follows the base's codimension, so the chart is built on the last
-    normal space N_4, where the nullity is 1. A flag cut at depth 3 would
-    build it on N_3, where the nullity is 0 at every point."""
+def _z5_sphere() -> ImmersionChart:
+    """(1, z, ..., z^5) normalized onto S^10: tau = 4."""
     comps = [cp.poly(1)]
     for k in range(1, 6):
         comps += [cp.poly(*(0,) * k, 1), cp.poly(*(0,) * k, -1j)]
@@ -264,9 +280,30 @@ def test_unit_normal_chart_reads_the_whole_flag():
         f = flat.jet_fn(points, space)
         return f * J.jet_rsqrt(J.jet_dot(f, f))[:, None]
 
-    base = ImmersionChart(domain_dim=2, ambient_dim=11, ambient="sphere",
+    return ImmersionChart(domain_dim=2, ambient_dim=11, ambient="sphere",
                           jet_fn=jet_fn, domain=flat.domain, name="z5-sphere")
-    bc = unit_normal_chart(base)
+
+
+def _veronese_pad1() -> ImmersionChart:
+    """Veronese zero-padded into S^5: flag (2, 2)."""
+    ver = make_veronese()
+
+    def jet_fn(points, space):
+        f = ver.jet_fn(points, space)
+        return J.Jet(space, np.concatenate(
+            [f.coeffs, np.zeros_like(f.coeffs[:, :1])], axis=1))
+
+    return ImmersionChart(domain_dim=2, ambient_dim=6, ambient="sphere",
+                          jet_fn=jet_fn, domain=ver.domain,
+                          name="veronese-pad1")
+
+
+def test_unit_normal_chart_reads_the_whole_flag():
+    """(1, z, ..., z^5) normalized onto S^10 has tau = 4: the flag depth
+    follows the base's codimension, so the chart is built on the last
+    normal space N_4, where the nullity is 1. A flag cut at depth 3 would
+    build it on N_3, where the nullity is 0 at every point."""
+    bc = unit_normal_chart(_z5_sphere())
     assert bc.tau == 4
     rows = _sweep_rows(bc.chart,
                        geo.grid_points(geo.grid_axes(bc.chart, (3, 3, 4))))
@@ -277,16 +314,7 @@ def test_unit_normal_chart_of_an_incomplete_flag():
     """Veronese zero-padded into S^5: its flag (2, 2) leaves one direction
     of R^6 unreached, and its polar chart is still minimal with nullity 1
     and splitting scalars (u, v) = (1, 0)."""
-    ver = make_veronese()
-
-    def jet_fn(points, space):
-        f = ver.jet_fn(points, space)
-        return J.Jet(space, np.concatenate(
-            [f.coeffs, np.zeros_like(f.coeffs[:, :1])], axis=1))
-
-    base = ImmersionChart(domain_dim=2, ambient_dim=6, ambient="sphere",
-                          jet_fn=jet_fn, domain=ver.domain,
-                          name="veronese-pad1")
+    base = _veronese_pad1()
     assert point_row(base, (0.1, 0.2), max_order=3)["dims"] == [2, 2]
     bc = unit_normal_chart(base)
     assert bc.tau == 1 and bc.notes == []
@@ -298,6 +326,56 @@ def test_unit_normal_chart_of_an_incomplete_flag():
     assert split["u"] == pytest.approx(1.0, abs=1e-12)
     assert split["v"] == pytest.approx(0.0, abs=1e-12)
     assert split["span_residual"] < 1e-12
+
+
+def _singular_centre() -> ImmersionChart:
+    """Veronese, undefined (NaN) at the centre of its domain."""
+    ver = make_veronese()
+
+    def jet_fn(points, space):
+        f = ver.jet_fn(points, space)
+        f.coeffs[np.all(points == 0.0, axis=1)] = np.nan
+        return f
+
+    return ImmersionChart(domain_dim=2, ambient_dim=5, ambient="sphere",
+                          jet_fn=jet_fn, domain=ver.domain,
+                          name="veronese-hole")
+
+
+def _varying_flag() -> ImmersionChart:
+    """The graph (u, v, u^2 - v^2 / 4, u^3, 1) normalized onto S^4: flag
+    (2, 2) where u != 0, and (2, 1, 1) on the grid column u = 0, off the
+    centre u = 1/4."""
+
+    def jet_fn(points, space):
+        u = J.jet_variable(space, 0, points[:, 0])
+        v = J.jet_variable(space, 1, points[:, 1])
+        f = J.jet_stack([u, v, u * u - 0.25 * (v * v), u * u * u,
+                         J.jet_constant(space, np.ones(len(points)))]).T
+        return f * J.jet_rsqrt(J.jet_dot(f, f))[:, None]
+
+    return ImmersionChart(domain_dim=2, ambient_dim=5, ambient="sphere",
+                          jet_fn=jet_fn, domain=((-0.25, 0.75), (-0.5, 0.5)),
+                          name="varying-flag")
+
+
+@pytest.mark.parametrize("make, outcome", [
+    (make_veronese, 1), (make_great_sphere, FlagCollapse),
+    (_veronese_pad1, 1), (_z5_sphere, 4), (_singular_centre, DegeneratePoint),
+    (_varying_flag, FlagCollapse), (_small_sphere_surface, FlagCollapse),
+    (_bent_sphere_surface, 1)])
+def test_unit_normal_chart_matches_the_full_grid_check(make, outcome):
+    """The flag stage over the 9x9 grid and the ellipse stage at its centre
+    alone give the tau and notes, or the error class and message, of the
+    check that finished all 81 rows."""
+    base = make()
+    try:
+        bc = unit_normal_chart(base)
+        got = bc.tau, bc.notes
+    except IsominError as exc:
+        got = type(exc), str(exc)
+    assert got == unit_normal_check_full(base)
+    assert got[0] == outcome
 
 
 def test_splitting_tensor_frozen(bipolar_n5):
@@ -690,16 +768,17 @@ def test_order_4_bundle_jets_cut_to_order_2_are_the_order_2_jets(bipolar_n5,
 def test_stacked_normal_frame_makes_fewer_jet_products(polar_ver,
                                                        monkeypatch):
     """The polar frame projects the candidates of each order on the lower
-    orders in one stacked step: one order-2 evaluation of polar veronese
-    makes 60 jet products, where the one-candidate-at-a-time loop made
-    77 (and 74 against 91 at order 4), at one point or at 200."""
+    orders in one stacked step, and normalizes the position without the
+    value scale it does not read: one order-2 evaluation of polar veronese
+    makes 59 jet products, where the one-candidate-at-a-time loop made
+    77 (and 73 against 91 at order 4), at one point or at 200."""
     calls = []
     real = J.jet_mul
     monkeypatch.setattr(J, "jet_mul", lambda a, b: calls.append(1)
                         or real(a, b))
     points = geo.grid_points(geo.grid_axes(polar_ver.chart, (5, 5, 8)))
-    for pts, order, count in ((points, 2, 60), (points[:1], 2, 60),
-                              (points, 4, 74)):
+    for pts, order, count in ((points, 2, 59), (points[:1], 2, 59),
+                              (points, 4, 73)):
         calls.clear()
         polar_ver.chart.eval_jets(pts, order)
         assert len(calls) == count

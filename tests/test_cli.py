@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isomin import bundles, cli, geometry as geo
+from isomin import bundles, cli, geometry as geo, jet as J
 from isomin.errors import DegeneratePoint
 
 import oracles
@@ -139,6 +139,32 @@ def test_bundle_polar_collapse_exits_3(capsys):
     assert run(["bundle", "--kind", "polar",
                 "--fixture", "great-sphere"]) == 3
     assert "no first normal space" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, fixture, products, compositions",
+                         [("bipolar", "n5", 45, 5),
+                          ("polar", "veronese", 120, 11)])
+def test_splitting_commands_make_pinned_jet_work(tmp_path, monkeypatch, kind,
+                                                 fixture, products,
+                                                 compositions):
+    """A `bundle` command over a 2x2x2 box with one splitting point, the
+    shape of the benchmark's splitting commands, makes a fixed number of
+    jet products and compositions, so a change that adds some fails here
+    without a benchmark run."""
+    calls = {"jet_mul": 0, "jet_compose": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(J, name), **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(J, name, counted)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({
+        "fixture": fixture, "splitting_points": 1,
+        "grid": [[-0.1, 0.3, 2], [-0.3, 0.1, 2], [0.4, 0.4 + math.pi, 2]]}))
+    assert run(["bundle", "--kind", kind, "--config", str(cfgp),
+                "--out", str(tmp_path / "r.json")]) == 0
+    assert calls == {"jet_mul": products, "jet_compose": compositions}
 
 
 def test_bundle_requires_kind():

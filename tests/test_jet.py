@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import isomin.cpoly as cp
 import isomin.jet as J
@@ -14,7 +14,8 @@ from isomin.errors import (DegenerateValue, DimensionMismatch, InvalidData,
                            OrderExceeded, ShapeMismatch)
 from isomin.weierstrass import generate_surface, surface_chart
 
-from oracles import holomorphic_jets_horner, rsqrt_nested
+from oracles import (holomorphic_jets_horner, jet_compose_constant_jets,
+                     rsqrt_nested)
 
 
 def _partial(f, idx):
@@ -416,3 +417,47 @@ def test_rsqrt_is_the_reciprocal_square_root(seed, nvars, order, a0, eps):
     if want is not None:
         scale = max(1.0, float(np.abs(want).max()))
         assert np.abs(got - want).max() <= 1e-14 * scale
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["sqrt", "recip", "rsqrt", "sin", "cos"]),
+       nvars=st.integers(1, 3), order=st.integers(0, 6),
+       shape=st.sampled_from([(), (3,), (2, 3)]),
+       a0=st.one_of(st.floats(-1e3, 1e3),
+                    st.sampled_from([-1.0, -0.0, 0.0, 1e-20, 1e-10,
+                                     1.0000000000000002e-10, 0.5,
+                                     math.pi])),
+       zeros=st.floats(0.0, 1.0),
+       eps=st.sampled_from([0.0, J.EPS_DEG, 0.5]))
+# sin and cos at 0 have zero series coefficients, where the sign of a zero
+# coefficient depends on the constant jets
+@example(seed=1, kind="cos", nvars=2, order=4, shape=(3,), a0=0.0,
+         zeros=0.5, eps=0.0)
+@example(seed=2, kind="sin", nvars=3, order=5, shape=(), a0=-0.0,
+         zeros=0.5, eps=0.0)
+def test_compose_matches_the_constant_jet_horner_loop(seed, kind, nvars,
+                                                      order, shape, a0,
+                                                      zeros, eps):
+    """jet_compose equals, bit for bit (the sign of a zero included), the
+    Horner loop that adds a whole constant jet at every step, on scalar
+    and batched jets with exact zeros of either sign among their
+    coefficients; it raises DegenerateValue with the same message where
+    that loop does, and leaves its argument as it was."""
+    rng = np.random.default_rng(seed)
+    sp = J.get_space(nvars, order)
+    c = rng.uniform(-1.0, 1.0, size=shape + (sp.size,))
+    c[rng.random(c.shape) < zeros] = 0.0
+    c[rng.random(c.shape) < 0.5] *= -1.0
+    c[..., 0] = rng.uniform(0.5, 2.0, size=shape)
+    c.reshape(-1, sp.size)[-1, 0] = a0
+    a = J.Jet(sp, c)
+    before = c.tobytes()
+    outcomes = []
+    for fn in (J.jet_compose, jet_compose_constant_jets):
+        try:
+            outcomes.append(fn(kind, a, eps).coeffs.tobytes())
+        except DegenerateValue as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert a.coeffs.tobytes() == before
