@@ -21,12 +21,18 @@ depend on theta, so it is built once per distinct base point (u, v), as
 jets in the base's own two variables at the order of the evaluation, and
 the fiber is closed-form: the coefficient of u^a v^b theta^j is E1[a, b]
 c_j + E2[a, b] s_j, with c_j and s_j the exact Taylor coefficients of cos
-and sin at theta. Frame fields are built by pivoted orthogonalization in a
-fixed candidate order, which keeps the frame deterministic and continuous
-on chart domains whose flag has constant dimensions; each normalization is
-one composition with x^(-1/2) (`jet.jet_rsqrt`). Points where a pivot
-degenerates are masked per point, never composed, and come out of the
-chart as NaN rows, which the geometry files as singular. Metric-orthonormal
+and sin at theta. Both frames come from one builder, `_pivoted_frame`: a
+pivoted Gram-Schmidt over levels of candidate vector jets, all read off
+the base by `jet.jet_gradient`, in a fixed candidate order, which keeps
+the frame deterministic and continuous on chart domains whose flag has
+constant dimensions. The unit tangent frame has one level, the first
+partials in `pivot_order`; the unit normal frame has the position, then
+the partials of each order 1 .. tau + 1, and takes the first two
+candidates of the last order that are independent of all lower ones.
+Each normalization is one composition with x^(-1/2) (`jet.jet_rsqrt`).
+Points where the first level degenerates or the last one does not give a
+plane are masked per point, never composed, and come out of the chart as
+NaN rows, which the geometry files as singular. Metric-orthonormal
 frames (the nullity pass, the horizontal plane of the splitting tensor)
 are Gram-Schmidt of given vectors in order, by one Cholesky factorization
 (`geometry._metric_frame`).
@@ -74,31 +80,47 @@ def _project(v: J.Jet, basis: list[J.Jet]) -> J.Jet:
     return v
 
 
-def _normalize(v: J.Jet, scale2: np.ndarray | None, eps_rank: float
-               ) -> tuple[J.Jet, np.ndarray]:
-    """The normalized residual v and the mask of rows where it is accepted:
-    above the rank threshold relative to the candidate's squared value
-    scale2, or, with eps_rank 0, with its squared norm beyond the sqrt
-    guard. Rejected rows come back as zero jets, so they drop out of later
-    projections."""
-    n2 = J.jet_dot(v, v)
-    if eps_rank > 0.0:
-        thr = eps_rank * np.maximum(1.0, np.sqrt(np.maximum(scale2, 0.0)))
-        ok = n2.value > thr * thr
-    else:
-        ok = n2.value > J.EPS_DEG
-    inv = J.jet_rsqrt(_vetted(n2, ok), eps=0.0)
-    return v * (inv * ok)[..., None], ok
+def _pivoted_frame(levels: list[J.Jet], eps_rank: float
+                   ) -> tuple[J.Jet, J.Jet, np.ndarray]:
+    """Pivoted Gram-Schmidt over levels of stacked candidate vector jets,
+    each of shape (c, Q, N): the first two accepted directions of the last
+    level at each of the Q points, and the mask of points where the first
+    level is accepted whole and the last level spans a plane.
 
-
-def _jet_orthonormalize(cand: J.Jet, basis: list[J.Jet], eps_rank: float
-                        ) -> tuple[J.Jet, np.ndarray]:
-    """Orthogonalize stacked vector jets (shape (Q, N)) against unit or zero
-    vector jets, row by row; return the normalized residual and the mask of
-    rows where it is accepted (`_normalize`, with the candidate's own value
-    scale, which eps_rank 0 does not read)."""
-    scale2 = J.jet_dot(cand, cand).value if eps_rank > 0.0 else None
-    return _normalize(_project(cand, basis), scale2, eps_rank)
+    Each level is projected off the accepted directions of all lower levels
+    in one stacked step (rejected ones are zero jets, which drop out); then
+    each candidate in turn off the accepted directions of its own level,
+    and normalized by one composition with x^(-1/2). A candidate of the
+    first level is accepted where its squared norm is beyond the sqrt
+    guard; one of a later level where its residual is above eps_rank
+    relative to the candidate's own value."""
+    basis: list[J.Jet] = []
+    for s, cands in enumerate(levels):
+        eps = eps_rank if s else 0.0
+        if eps > 0.0:  # each candidate's floor, relative to its own value
+            thr = eps * np.maximum(1.0, np.sqrt(np.maximum(
+                J.jet_dot(cands, cands).value, 0.0)))
+            floors = thr * thr
+        else:
+            floors = [J.EPS_DEG] * len(cands)
+        own, accepted = [], []
+        for cand, floor in zip(_project(cands, basis), floors):
+            v = _project(cand, own)
+            n2 = J.jet_dot(v, v)
+            ok = n2.value > floor
+            inv = J.jet_rsqrt(_vetted(n2, ok), eps=0.0)
+            own.append(v * (inv * ok)[..., None])
+            accepted.append(ok)
+        if not s:
+            whole = np.logical_and.reduce(accepted)
+        basis += own
+    if len(own) == 2:  # a plane where both candidates are accepted
+        return own[0], own[1], whole & accepted[0] & accepted[1]
+    accepted = np.stack(accepted)
+    ok = whole & (accepted.sum(axis=0) == 2)
+    first = np.argsort(~accepted, axis=0, kind="stable")
+    last, rows = J.jet_stack(own), np.arange(len(ok))
+    return last[first[0], rows], last[first[1], rows], ok
 
 
 @dataclasses.dataclass
@@ -204,12 +226,8 @@ def unit_tangent_chart(base: ImmersionChart,
                      "minimal")
 
     def frame(uv, order):
-        bjets = base.jet_fn(uv, J.get_space(2, order + 1))
-        e1, ok1 = _jet_orthonormalize(bjets.derivative(pivot_order[0]), [],
-                                      eps_rank=0.0)
-        e2, ok2 = _jet_orthonormalize(bjets.derivative(pivot_order[1]), [e1],
-                                      eps_rank=0.0)
-        return e1, e2, ok1 & ok2
+        grad = J.jet_gradient(base.jet_fn(uv, J.get_space(2, order + 1)))
+        return _pivoted_frame([grad[list(pivot_order)]], eps_rank)
 
     chart = _circle_chart(base, frame, f"unit-tangent({base.name})")
     return BundleChart(kind="unit_tangent", base=base, chart=chart,
@@ -263,34 +281,15 @@ def unit_normal_chart(base: ImmersionChart,
                      "not be minimal")
 
     def frame(uv, order):
-        bjets = base.jet_fn(uv, J.get_space(2, order + tau + 1))
-        position, ok = _jet_orthonormalize(J.jet_truncate(bjets, order), [],
-                                           eps_rank=0.0)
-        basis = [position]
-        level = [bjets]  # level[k] = d_u^(s-k) d_v^k of the base
-        for s in range(1, tau + 2):
-            level = ([level[0].derivative(0)]
-                     + [d.derivative(1) for d in level])
-            # the candidates of order s against the lower orders in one
-            # stacked step, then against each other in turn: each goes
-            # through the projections of the one-at-a-time loop, in order
-            cands = J.jet_truncate(J.jet_stack(level), order)
-            scale2 = J.jet_dot(cands, cands).value
-            cands = _project(cands, basis)
-            last = []  # the directions of order s, zero where rejected
-            accepted = []
-            for cand, sc in zip(cands, scale2):
-                got, acc = _normalize(_project(cand, last), sc, eps_rank)
-                last.append(got)
-                accepted.append(acc)
-            basis += last
-        # per point, the first two accepted directions of the last order;
-        # the last normal space must be a plane
-        accepted = np.stack(accepted)
-        first = np.argsort(~accepted, axis=0, kind="stable")
-        last, rows = J.jet_stack(last), np.arange(len(uv))
-        return (last[first[0], rows], last[first[1], rows],
-                ok & (accepted.sum(axis=0) == 2))
+        # level s holds d_u^(s-k) d_v^k of the base, k = 0..s
+        level = base.jet_fn(uv, J.get_space(2, order + tau + 1))[None]
+        levels = [J.jet_truncate(level, order)]
+        for _ in range(tau + 1):
+            grad = J.jet_gradient(level)
+            level = J.Jet(grad.space, np.concatenate([grad.coeffs[0, :1],
+                                                      grad.coeffs[1]]))
+            levels.append(J.jet_truncate(level, order))
+        return _pivoted_frame(levels, eps_rank)
 
     chart = _circle_chart(base, frame, f"unit-normal({base.name})")
     return BundleChart(kind="unit_normal", base=base, chart=chart, tau=tau,

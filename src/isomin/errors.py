@@ -37,10 +37,6 @@ class NotElliptic(IsominError):
     """The point has no elliptic direction; curvature ellipses are undefined."""
 
 
-class OrderOutOfRange(IsominError):
-    """A flag depth below 1 was requested."""
-
-
 class FlagCollapse(IsominError):
     """The osculating flag degenerates or changes dimension across the domain."""
 

@@ -54,7 +54,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import jet as J
-from .errors import InvalidData, OrderOutOfRange, ShapeMismatch
+from .errors import InvalidData, ShapeMismatch
 
 EPS_DEG = J.EPS_DEG           # admissibility floor for metric eigenvalues
 EPS_RANK = 1e-8               # relative rank threshold for flag decisions
@@ -489,7 +489,7 @@ def point_rows(chart: ImmersionChart, points,
     if chart.domain_dim != 2:
         raise ShapeMismatch("point reports are defined for surface charts")
     if max_order is not None and max_order < 1:
-        raise OrderOutOfRange("flag depth must be at least 1")
+        raise InvalidData("flag depth must be at least 1")
     depth = DEFAULT_JET_ORDER - 1 if max_order is None else max_order
     return _row_stage(chart, *_flag_stage(chart, points, depth, eps_rank,
                                           eps_deg), tol, eps_rank)

@@ -11,8 +11,9 @@ coefficients are relative offsets. Multiplication is truncated convolution
 driven by a precomputed index table, composition (sqrt, recip, rsqrt =
 x^(-1/2), sin, cos) is a Horner evaluation of the outer Taylor series,
 elementwise over the leading shape, by one jet product and an in-place
-add to the constant term per step, and differentiation shifts
-coefficients down one order. sqrt, recip and rsqrt demand a constant
+add to the constant term per step (the first step is a scaling), and
+differentiation is `jet_gradient`: every first partial, one order lower,
+in one gather of the coefficients. sqrt, recip and rsqrt demand a constant
 term bounded away from zero (eps = 1e-10 by default) at every element;
 violating that raises DegenerateValue, so batched callers mask such
 elements out before composing. The jet of Re Phi(x0 + i x1) for a
@@ -23,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -38,9 +39,9 @@ class JetSpace:
     """Index bookkeeping for jets with a fixed (nvars, order).
 
     Holds the canonical multi-index list (sorted by total degree, then
-    lexicographically), the truncated-convolution table, factorials for
-    derivative extraction, and the coefficient shift maps used by
-    differentiation.
+    lexicographically), the truncated-convolution table, factorials, and
+    the gather maps of the gradient and of holomorphic jets, each built on
+    first use.
     """
 
     def __init__(self, nvars: int, order: int):
@@ -62,48 +63,29 @@ class JetSpace:
         io, ia, ib = (np.array(col, dtype=np.intp) for col in zip(*pairs))
         self._mul_a, self._mul_b = ia, ib
         self._mul_starts = np.searchsorted(io, np.arange(self.size))
-        # derivative maps: for each variable, source positions and factors
-        # aligned with the index list of the (order - 1) space
-        self._deriv: list[tuple[np.ndarray, np.ndarray]] | None = None
-        self._grad: tuple[np.ndarray, np.ndarray] | None = None
-        self._holo: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def _deriv_maps(self):
-        if self._deriv is None:
-            low = get_space(self.nvars, self.order - 1)
-            maps = []
-            for var in range(self.nvars):
-                src, fac = [], []
-                for m in low.indices:
-                    m_up = tuple(k + (1 if i == var else 0)
-                                 for i, k in enumerate(m))
-                    src.append(self.pos[m_up])
-                    fac.append(m[var] + 1)
-                maps.append((np.array(src, dtype=np.intp),
-                             np.array(fac, dtype=float)))
-            self._deriv = maps
-        return self._deriv
+    @cached_property
+    def _gradient_map(self) -> tuple[np.ndarray, np.ndarray]:
+        # for each variable k and each index m of the (order - 1) space, the
+        # position of m + e_k and its power m_k + 1: shape (nvars, size)
+        low = np.array(get_space(self.nvars, self.order - 1).indices)
+        up = low + np.eye(self.nvars, dtype=int)[:, None]
+        src = np.array([[self.pos[tuple(m)] for m in row] for row in up],
+                       dtype=np.intp)
+        return src, np.array([up[k, :, k] for k in range(self.nvars)],
+                             dtype=float)
 
-    def _gradient_map(self):
-        # the derivative maps of every variable, stacked: shape (nvars,
-        # size of the (order - 1) space)
-        if self._grad is None:
-            src, fac = zip(*self._deriv_maps())
-            self._grad = (np.stack(src), np.stack(fac))
-        return self._grad
-
-    def _holomorphic_map(self):
+    @cached_property
+    def _holomorphic_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # positions of the indices (a, b, 0...), with a + b and i^b / (a! b!)
-        if self._holo is None:
-            if self.nvars < 2:
-                raise DimensionMismatch(
-                    "holomorphic jets need 2 or 3 variables, got 1")
-            pos = np.array([p for p, m in enumerate(self.indices)
-                            if not any(m[2:])], dtype=np.intp)
-            a, b = np.array([self.indices[p][:2] for p in pos]).T
-            self._holo = (pos, a + b, np.array([1, 1j, -1, -1j])[b % 4]
-                          / self.factorial[pos])
-        return self._holo
+        if self.nvars < 2:
+            raise DimensionMismatch(
+                "holomorphic jets need 2 or 3 variables, got 1")
+        pos = np.array([p for p, m in enumerate(self.indices)
+                        if not any(m[2:])], dtype=np.intp)
+        a, b = np.array([self.indices[p][:2] for p in pos]).T
+        return (pos, a + b,
+                np.array([1, 1j, -1, -1j])[b % 4] / self.factorial[pos])
 
 
 @lru_cache(maxsize=None)
@@ -186,26 +168,16 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def derivative(self, var: int) -> "Jet":
-        """Jet of the partial derivative in variable var, one order lower."""
-        sp = self.space
-        if sp.order == 0:
-            raise OrderExceeded("cannot differentiate an order-0 jet")
-        if not 0 <= var < sp.nvars:
-            raise DimensionMismatch(f"no variable {var} in a {sp.nvars}-jet")
-        src, fac = sp._deriv_maps()[var]
-        low = get_space(sp.nvars, sp.order - 1)
-        return Jet(low, self.coeffs[..., src] * fac)
-
 
 def jet_gradient(a: Jet, axis: int = 0) -> Jet:
     """Every first partial of a, one order lower, stacked along the leading
-    axis `axis`: the jet_stack of a.derivative(k), k = 0..nvars - 1, when
-    axis is 0, read off the coefficients in one gather."""
+    axis `axis` in variable order, read off the coefficients in one
+    gather: the coefficient of m in d_k a is (m_k + 1) times that of
+    m + e_k in a."""
     sp = a.space
     if sp.order == 0:
         raise OrderExceeded("cannot differentiate an order-0 jet")
-    src, fac = sp._gradient_map()
+    src, fac = sp._gradient_map
     return Jet(get_space(sp.nvars, sp.order - 1),
                np.moveaxis(a.coeffs[..., src] * fac, -2, axis))
 
@@ -252,7 +224,7 @@ def jet_holomorphic_re(space: JetSpace, derivs) -> Jet:
     if d.shape[-1:] != (space.order + 1,):
         raise ShapeMismatch(f"need {space.order + 1} derivatives for an "
                             f"order-{space.order} jet, got {d.shape}")
-    pos, k, w = space._holomorphic_map()
+    pos, k, w = space._holomorphic_map
     c = np.zeros(d.shape[:-1] + (space.size,))
     c[..., pos] = (w * d[..., k]).real
     return Jet(space, c)
@@ -332,9 +304,12 @@ def jet_compose(kind: str, a: Jet, eps: float = EPS_DEG) -> Jet:
     elementwise over its leading shape."""
     a0 = a.coeffs[..., 0]
     series = _outer_series(kind, a0, a.space.order, eps)
+    if a.space.order == 0:
+        return jet_constant(a.space, series[0])
     offset = a - a0
-    acc = jet_constant(a.space, series[-1])
-    for c in reversed(series[:-1]):
+    acc = offset * series[-1]  # the first step scales by a constant
+    acc.coeffs[..., 0] += series[-2]
+    for c in reversed(series[:-2]):
         acc = jet_mul(acc, offset)
         acc.coeffs[..., 0] += c
     acc.coeffs[..., 1:] += 0.0  # -0.0 -> 0.0, as adding constant jets did

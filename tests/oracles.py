@@ -22,8 +22,13 @@ Horner's rule in complex jet arithmetic, where `surface_chart` reads the
 jet off complex derivatives in closed form. The three-variable bundle
 chart is the construction that the closed-form fiber replaced: the frame
 orthonormalized in the 3-variable space, times cos theta and sin theta
-composed by Horner's rule. The nested x^(-1/2) is jet_recip of jet_sqrt,
-the two compositions that jet_rsqrt replaced. The constant-jet
+composed by Horner's rule. Its frame comes from
+`pivoted_frame_one_at_a_time`, the pivoted Gram-Schmidt of
+`bundles._pivoted_frame` taken one candidate at a time against every
+direction before it, with the first two directions taken picked point by
+point, where the package projects a level off the lower ones in one
+stacked step and picks by one sort. The nested x^(-1/2) is jet_recip of
+jet_sqrt, the two compositions that jet_rsqrt replaced. The constant-jet
 composition is the Horner loop that added a whole constant jet at each
 step, where `jet.jet_compose` adds the series coefficient to the constant
 term in place. The full-grid polar base check finishes every row of its
@@ -44,7 +49,7 @@ import numpy as np
 
 import isomin.geometry as geo
 import isomin.jet as J
-from isomin.bundles import _jet_orthonormalize, _nullity
+from isomin.bundles import _nullity
 from isomin.errors import (DegeneratePoint, FlagCollapse, IsominError,
                            NotElliptic)
 
@@ -239,7 +244,7 @@ def curvature_ellipse_sampled(chart, point, ell, samples=64,
 def _metric(chart, point):
     """Induced metric from the first partials of an order-1 chart jet."""
     jets = chart.eval_jets(point, 1)
-    P1 = np.stack([jets.derivative(i).value for i in range(chart.domain_dim)])
+    P1 = J.jet_gradient(jets).value
     return P1 @ P1.T
 
 
@@ -391,39 +396,67 @@ def holomorphic_jets_horner(components, point, space):
     return out
 
 
+def pivoted_frame_one_at_a_time(levels, eps_rank):
+    """The pivoted Gram-Schmidt of `bundles._pivoted_frame`, one candidate
+    at a time: each candidate of each level (stacked jets of shape (c, Q,
+    N)) in turn, against every direction taken before it, taken where its
+    squared norm is above EPS_DEG (first level) or (eps_rank max(1,
+    |candidate|))^2 (later levels), zero where it is not; then, point by
+    point, the first two directions taken in the last level (zero where
+    there are fewer), and the mask of points where the first level is
+    taken whole and the last level gives two directions."""
+    basis = []
+    for s, level in enumerate(levels):
+        taken = []
+        for cand in level:
+            v = cand
+            for b in basis:
+                v = v - J.jet_dot(v, b)[..., None] * b
+            n2 = J.jet_dot(v, v)
+            if s:
+                thr = eps_rank * np.maximum(
+                    1.0, np.sqrt(J.jet_dot(cand, cand).value))
+                ok = n2.value > thr * thr
+            else:
+                ok = n2.value > J.EPS_DEG
+            safe = J.Jet(n2.space, np.where(ok[..., None], n2.coeffs, 1.0))
+            unit = v * J.jet_rsqrt(safe, eps=0.0)[..., None]
+            basis.append(J.Jet(v.space, np.where(ok[..., None, None],
+                                                 unit.coeffs, 0.0)))
+            taken.append(ok)
+        if not s:
+            whole = np.all(taken, axis=0)
+    last, taken = basis[-len(taken):], np.array(taken)
+    e = np.zeros((2,) + last[0].coeffs.shape)
+    for q in range(taken.shape[1]):
+        for i, k in enumerate(np.flatnonzero(taken[:, q])[:2]):
+            e[i, q] = last[k].coeffs[q]
+    space = last[0].space
+    return (J.Jet(space, e[0]), J.Jet(space, e[1]),
+            whole & (taken.sum(axis=0) == 2))
+
+
 def bundle_jets_three_variable(bc, points, order):
     """Jets of a bundle chart (default pivot order and rank threshold) at
     points of shape (P, 3): the frame of every point built in the
-    3-variable space, where it does not depend on theta, then cos(theta)
-    E1 + sin(theta) E2 by jet products; NaN where the frame is undefined."""
+    3-variable space, where it does not depend on theta, by
+    `pivoted_frame_one_at_a_time`, then cos(theta) E1 + sin(theta) E2 by
+    jet products; NaN where the frame is undefined."""
     points = np.asarray(points, dtype=float)
     space, uv = J.get_space(3, order), points[:, :2]
     if bc.kind == "unit_tangent":
         bjets = bc.base.jet_fn(uv, J.get_space(3, order + 1))
-        e1, ok1 = _jet_orthonormalize(bjets.derivative(0), [], eps_rank=0.0)
-        e2, ok2 = _jet_orthonormalize(bjets.derivative(1), [e1],
-                                      eps_rank=0.0)
-        ok = ok1 & ok2
+        levels = [J.jet_gradient(bjets)[:2]]
     else:
-        bjets = bc.base.jet_fn(uv, J.get_space(3, order + bc.tau + 1))
-        position, ok = _jet_orthonormalize(J.jet_truncate(bjets, order), [],
-                                           eps_rank=0.0)
-        basis, level = [position], [bjets]
+        # level s holds d_u^(s-k) d_v^k of the base, k = 0..s
+        level = [bc.base.jet_fn(uv, J.get_space(3, order + bc.tau + 1))]
+        levels = [J.jet_stack([J.jet_truncate(level[0], order)])]
         for _ in range(bc.tau + 1):
-            level = [level[0].derivative(0)] + [d.derivative(1)
-                                                for d in level]
-            last, accepted = [], []
-            for d in level:
-                got, acc = _jet_orthonormalize(J.jet_truncate(d, order),
-                                               basis, eps_rank=geo.EPS_RANK)
-                basis.append(got)
-                last.append(got)
-                accepted.append(acc)
-        accepted = np.stack(accepted)
-        first = np.argsort(~accepted, axis=0, kind="stable")
-        last, rows = J.jet_stack(last), np.arange(len(uv))
-        e1, e2 = last[first[0], rows], last[first[1], rows]
-        ok = ok & (accepted.sum(axis=0) == 2)
+            level = ([J.jet_gradient(level[0])[0]]
+                     + [J.jet_gradient(d)[1] for d in level])
+            levels.append(J.jet_stack([J.jet_truncate(d, order)
+                                       for d in level]))
+    e1, e2, ok = pivoted_frame_one_at_a_time(levels, geo.EPS_RANK)
     th = J.jet_variable(space, 2, points[:, 2])
     out = J.jet_cos(th)[:, None] * e1 + J.jet_sin(th)[:, None] * e2
     out.coeffs[~ok] = np.nan

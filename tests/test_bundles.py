@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 import isomin.cpoly as cp
 import isomin.geometry as geo
 import isomin.jet as J
-from isomin.bundles import (sweep_and_split, unit_normal_chart,
-                            unit_tangent_chart)
+from isomin.bundles import (_pivoted_frame, sweep_and_split,
+                            unit_normal_chart, unit_tangent_chart)
 from isomin.catalog import (demo_weierstrass_data, make_fixture,
                             make_geodesic_sphere, make_great_sphere,
                             make_plane, make_veronese,
@@ -21,8 +21,8 @@ from isomin.geometry import ImmersionChart
 from isomin.weierstrass import generate_surface, surface_chart
 
 from oracles import (bundle_jets_three_variable, make_graph, nullity_at,
-                     nullity_fd, point_row, splitting_fd, stacked_at,
-                     unit_normal_check_full)
+                     nullity_fd, pivoted_frame_one_at_a_time, point_row,
+                     splitting_fd, stacked_at, unit_normal_check_full)
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +85,64 @@ def test_pivot_order_is_a_gauge_choice(n5base, bipolar_n5):
     assert np.linalg.norm(resid) < 1e-10
     with pytest.raises(InvalidData):
         unit_tangent_chart(n5base, pivot_order=(0, 0))
+
+
+def _gram_schmidt_values(vectors):
+    """Orthonormal vectors from the given ones in order, by Gram-Schmidt."""
+    out = []
+    for v in vectors:
+        for b in out:
+            v = v - (v @ b) * b
+        out.append(v / np.linalg.norm(v))
+    return out
+
+
+def test_pivoted_frame_takes_a_later_candidate_where_one_is_rejected():
+    """The frame builder takes, per point, the first two accepted
+    candidates of the last level, which must span a plane. Random order-2
+    jets at six points, with a position-like first level p and a last
+    level (c0, c1, c2): at point 0, c2 is a combination of p, c0 and c1,
+    and the frame is (c0, c1); at points 1 and 2, c0 is a multiple of p, so
+    it is rejected against the lower level and the frame is (c1, c2); at
+    point 3, c1 is a multiple of c0, so it is rejected against its own
+    level and the frame is (c0, c2); at point 4 both happen and only c1
+    is left; at point 5, p is zero, so the first level is not whole. The
+    directions and the mask match the one-candidate-at-a-time reference,
+    and at each framed point the values of the directions are the
+    Gram-Schmidt of p and the candidates taken. A single level of two
+    candidates (the unit tangent frame) is masked where its second
+    candidate is a multiple of the first."""
+    rng = np.random.default_rng(19)
+    sp = J.get_space(2, 2)
+    p = J.Jet(sp, rng.standard_normal((1, 6, 5, sp.size)))
+    c = J.Jet(sp, rng.standard_normal((3, 6, 5, sp.size)))
+    c.coeffs[0, [1, 2, 4]] = 2.5 * p.coeffs[0, [1, 2, 4]]
+    c.coeffs[1, 3] = -1.5 * c.coeffs[0, 3]
+    c.coeffs[2, 4] = 0.5 * c.coeffs[1, 4]
+    c.coeffs[2, 0] = (c.coeffs[0, 0] - 0.3 * c.coeffs[1, 0]
+                      + 2.0 * p.coeffs[0, 0])
+    p.coeffs[0, 5] = 0.0
+    picks = {0: (0, 1), 1: (1, 2), 2: (1, 2), 3: (0, 2)}
+    e1, e2, ok = _pivoted_frame([p, c], geo.EPS_RANK)
+    r1, r2, rok = pivoted_frame_one_at_a_time([p, c], geo.EPS_RANK)
+    assert ok.tolist() == rok.tolist() == [True] * 4 + [False] * 2
+    for got, ref in ((e1, r1), (e2, r2)):
+        np.testing.assert_allclose(got.coeffs[ok], ref.coeffs[ok],
+                                   rtol=0, atol=1e-13)
+    for q, (i, j) in picks.items():
+        _, f1, f2 = _gram_schmidt_values([p.value[0, q], c.value[i, q],
+                                          c.value[j, q]])
+        np.testing.assert_allclose(e1.value[q], f1, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(e2.value[q], f2, rtol=0, atol=1e-13)
+    pair = J.jet_stack([c[0], c[0] * 0.5 + 1e-3 * c[2]])
+    pair.coeffs[1, 2] = 3.0 * pair.coeffs[0, 2]
+    e1, e2, ok = _pivoted_frame([pair], geo.EPS_RANK)
+    r1, r2, rok = pivoted_frame_one_at_a_time([pair], geo.EPS_RANK)
+    assert ok.tolist() == rok.tolist() == [True, True, False, True, True,
+                                           True]
+    for got, ref in ((e1, r1), (e2, r2)):
+        np.testing.assert_allclose(got.coeffs[ok], ref.coeffs[ok],
+                                   rtol=0, atol=1e-13)
 
 
 def test_unit_tangent_base_validation(n5base):
@@ -155,8 +213,7 @@ def test_unit_normal_chart_veronese(polar_ver):
     p = (0.2, 0.1)
     jets = make_veronese().eval_jets(p, 1)
     pos = np.array([j.value for j in jets])
-    du = jets.derivative(0).value
-    dv = jets.derivative(1).value
+    du, dv = J.jet_gradient(jets).value
     for th in (0.0, 1.1, 4.4):
         w = c.value((*p, th))
         for other in (pos, du, dv):
@@ -770,15 +827,15 @@ def test_stacked_normal_frame_makes_fewer_jet_products(polar_ver,
     """The polar frame projects the candidates of each order on the lower
     orders in one stacked step, and normalizes the position without the
     value scale it does not read: one order-2 evaluation of polar veronese
-    makes 59 jet products, where the one-candidate-at-a-time loop made
-    77 (and 73 against 91 at order 4), at one point or at 200."""
+    makes 52 jet products, 18 fewer than the one-candidate-at-a-time loop
+    (66 at order 4, also 18 fewer), at one point or at 200."""
     calls = []
     real = J.jet_mul
     monkeypatch.setattr(J, "jet_mul", lambda a, b: calls.append(1)
                         or real(a, b))
     points = geo.grid_points(geo.grid_axes(polar_ver.chart, (5, 5, 8)))
-    for pts, order, count in ((points, 2, 59), (points[:1], 2, 59),
-                              (points, 4, 73)):
+    for pts, order, count in ((points, 2, 52), (points[:1], 2, 52),
+                              (points, 4, 66)):
         calls.clear()
         polar_ver.chart.eval_jets(pts, order)
         assert len(calls) == count

@@ -142,8 +142,8 @@ def test_bundle_polar_collapse_exits_3(capsys):
 
 
 @pytest.mark.parametrize("kind, fixture, products, compositions",
-                         [("bipolar", "n5", 45, 5),
-                          ("polar", "veronese", 120, 11)])
+                         [("bipolar", "n5", 40, 5),
+                          ("polar", "veronese", 109, 11)])
 def test_splitting_commands_make_pinned_jet_work(tmp_path, monkeypatch, kind,
                                                  fixture, products,
                                                  compositions):

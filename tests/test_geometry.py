@@ -15,7 +15,7 @@ from isomin.catalog import (demo_weierstrass_data, make_fixture,
                             make_geodesic_sphere, make_great_sphere,
                             make_holomorphic_curve, make_plane,
                             make_veronese, random_weierstrass_data)
-from isomin.errors import DegeneratePoint, ShapeMismatch
+from isomin.errors import DegeneratePoint, InvalidData, ShapeMismatch
 from isomin.weierstrass import generate_surface
 
 import oracles
@@ -572,3 +572,17 @@ def test_depth_two_isotropy_probe_agrees_with_the_default_depth(name):
 def test_depth_two_isotropy_probe_agrees_on_random_surfaces(seed, n):
     _assert_shallow_flags_agree(generate_surface(
         random_weierstrass_data(np.random.default_rng(seed), n)).chart)
+
+
+@pytest.mark.parametrize("max_order", [0, -1])
+def test_flag_depth_below_one_is_invalid_data(max_order):
+    """A flag needs at least the first normal space: a depth below 1 is
+    malformed input, raised before the chart is evaluated."""
+    def jet_fn(points, space):
+        raise AssertionError("the chart was evaluated")
+
+    chart = geo.ImmersionChart(domain_dim=2, ambient_dim=3,
+                               ambient="euclidean", jet_fn=jet_fn,
+                               domain=((0.0, 1.0),) * 2, name="unused")
+    with pytest.raises(InvalidData, match="flag depth must be at least 1"):
+        geo.point_rows(chart, [(0.5, 0.5)], max_order=max_order)
