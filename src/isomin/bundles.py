@@ -23,13 +23,16 @@ the fiber is closed-form: the coefficient of u^a v^b theta^j is E1[a, b]
 c_j + E2[a, b] s_j, with c_j and s_j the exact Taylor coefficients of cos
 and sin at theta. Both frames come from one builder, `_pivoted_frame`: a
 pivoted Gram-Schmidt over levels of candidate vector jets, all read off
-the base by `jet.jet_gradient`, in a fixed candidate order, which keeps
+the base by `jet.jet_partials`, in a fixed candidate order, which keeps
 the frame deterministic and continuous on chart domains whose flag has
 constant dimensions. The unit tangent frame has one level, the first
 partials in `pivot_order`; the unit normal frame has the position, then
-the partials of each order 1 .. tau + 1, and takes the first two
-candidates of the last order that are independent of all lower ones.
-Each normalization is one composition with x^(-1/2) (`jet.jet_rsqrt`).
+the partials of each order s = 1 .. tau + 1, one read each, in the order
+d_u^(s-k) d_v^k, k = 0..s, and takes the first two candidates of the
+last order that are independent of all lower ones. Each normalization is
+one composition with x^(-1/2) (`jet.jet_compose("rsqrt", ...)`). The
+nullity field and the splitting tensor read their partials the same
+way, placed on the leading axis they need.
 Points where the first level degenerates or the last one does not give a
 plane are masked per point, never composed, and come out of the chart as
 NaN rows, which the geometry files as singular. Metric-orthonormal
@@ -108,7 +111,7 @@ def _pivoted_frame(levels: list[J.Jet], eps_rank: float
             v = _project(cand, own)
             n2 = J.jet_dot(v, v)
             ok = n2.value > floor
-            inv = J.jet_rsqrt(_vetted(n2, ok), eps=0.0)
+            inv = J.jet_compose("rsqrt", _vetted(n2, ok), eps=0.0)
             own.append(v * (inv * ok)[..., None])
             accepted.append(ok)
         if not s:
@@ -226,7 +229,7 @@ def unit_tangent_chart(base: ImmersionChart,
                      "minimal")
 
     def frame(uv, order):
-        grad = J.jet_gradient(base.jet_fn(uv, J.get_space(2, order + 1)))
+        grad = J.jet_partials(base.jet_fn(uv, J.get_space(2, order + 1)))
         return _pivoted_frame([grad[list(pivot_order)]], eps_rank)
 
     chart = _circle_chart(base, frame, f"unit-tangent({base.name})")
@@ -282,14 +285,10 @@ def unit_normal_chart(base: ImmersionChart,
 
     def frame(uv, order):
         # level s holds d_u^(s-k) d_v^k of the base, k = 0..s
-        level = base.jet_fn(uv, J.get_space(2, order + tau + 1))[None]
-        levels = [J.jet_truncate(level, order)]
-        for _ in range(tau + 1):
-            grad = J.jet_gradient(level)
-            level = J.Jet(grad.space, np.concatenate([grad.coeffs[0, :1],
-                                                      grad.coeffs[1]]))
-            levels.append(J.jet_truncate(level, order))
-        return _pivoted_frame(levels, eps_rank)
+        f = base.jet_fn(uv, J.get_space(2, order + tau + 1))
+        return _pivoted_frame([J.jet_truncate(f[None], order)] + [
+            J.jet_truncate(J.jet_partials(f, s), order)
+            for s in range(1, tau + 2)], eps_rank)
 
     chart = _circle_chart(base, frame, f"unit-normal({base.name})")
     return BundleChart(kind="unit_normal", base=base, chart=chart, tau=tau,
@@ -316,7 +315,8 @@ def _nullity(chart: ImmersionChart, jets: J.Jet, eps_rank: float,
     m = chart.domain_dim
     regular, G, E, Q = geo._tangent_stage(chart, jets, eps_deg)
     R = len(G)
-    A = geo._form_table(jets[regular], 2, Q)          # (R, m, m, N)
+    # the second form, projected off position and tangent space: (R, m, m, N)
+    A = geo._form_tables(jets[regular], Q, [0, Q.shape[-1]], 2)[2]
     half = (E.mT @ A.reshape(R, m, m * N)).reshape(R, m, m, N)
     aorth = (E.mT @ half.swapaxes(1, 2).reshape(R, m, m * N)
              ).reshape(R, m, m, N)
@@ -352,8 +352,8 @@ def _nullity_field(c: ImmersionChart, jets: J.Jet, eps_rank: float):
     is 1, so every adjugate column of S spans it; T normalizes, per row,
     the one whose value is longest."""
     P = len(jets)
-    d1 = J.jet_gradient(jets, axis=1)     # (P, 3, N)
-    H = J.jet_gradient(d1, axis=1)        # (P, 3, 3, N)
+    d1 = J.jet_partials(jets, axis=1)     # (P, 3, N)
+    H = J.jet_partials(d1, axis=1)        # (P, 3, 3, N)
     F = J.jet_truncate(d1, 2)
     G = J.jet_dot(F[:, :, None], F[:, None])
     adj = _cross(G[:, [1, 2, 0]], G[:, [2, 0, 1]])
@@ -384,7 +384,7 @@ def _nullity_field(c: ImmersionChart, jets: J.Jet, eps_rank: float):
          * (1.0 / np.where(determined, top, 1.0))[:, None])
     t2 = J.jet_dot(t, J.jet_dot(G, t[:, None]))
     unit = determined & ~(t2.value <= J.EPS_DEG)
-    T = t * J.jet_rsqrt(_vetted(t2, unit))[:, None]
+    T = t * J.jet_compose("rsqrt", _vetted(t2, unit))[:, None]
     return T, G, det, determined, unit
 
 
@@ -405,19 +405,20 @@ def _splitting_scalars(T: J.Jet, G: J.Jet, det: J.Jet, det1: J.Jet
     |eps^(kmi) T_i (nabla_k T)_m| / 2 are order-1 jets, so their
     derivatives along the frame are exact. The sign of u is fixed at the
     point; T's orientation is arbitrary, which flips v."""
-    inv_det, inv_vol = J.jet_recip(det1, eps=0.0), J.jet_rsqrt(det1, eps=0.0)
+    inv_det = J.jet_compose("recip", det1, eps=0.0)
+    inv_vol = J.jet_compose("rsqrt", det1, eps=0.0)
     T1, g = J.jet_truncate(T, 1), J.jet_truncate(G, 1)
-    dG = J.jet_gradient(G, axis=1)   # [p, k, l, m]
-    dT = J.jet_gradient(T, axis=1)   # [p, k, l]
+    dT = J.jet_partials(T, axis=1)   # [p, k, l]
     # Gamma_(m,kl) T^l = (dg_T[k, m] + T_dg[k, m] - dg_T[m, k]) / 2, with
-    # dg_T[k, m] = d_k g_ml T^l and T_dg[k, m] = T^l d_l g_km (symmetric)
-    dg_T = J.jet_dot(dG, T1[:, None, None])
-    T_dg = J.jet_dot(J.Jet(dG.space, dG.coeffs.transpose(0, 3, 2, 1, 4)),
-                     T1[:, None, None])
+    # dg_T[k, m] = d_k g_ml T^l and T_dg[k, m] = T^l d_l g_mk (symmetric):
+    # the partials of G, and of G with its two axes swapped, last
+    dg_T = J.jet_dot(J.jet_partials(G, axis=1), T1[:, None, None])
+    G_t = J.Jet(G.space, G.coeffs.swapaxes(1, 2))
+    T_dg = J.jet_dot(J.jet_partials(G_t, axis=-1), T1[:, None, None])
     cov = (J.jet_dot(g[:, None], dT[:, :, None])
            + 0.5 * (dg_T + T_dg - J.Jet(dg_T.space,
                                         dg_T.coeffs.swapaxes(1, 2))))
-    ddet = J.jet_gradient(det, axis=1)
+    ddet = J.jet_partials(det, axis=1)
     div = (dT[:, 0, 0] + dT[:, 1, 1] + dT[:, 2, 2]
            + 0.5 * J.jet_mul(J.jet_dot(T1, ddet), inv_det))
     v = -0.5 * div
@@ -443,8 +444,7 @@ def _splitting_scalars(T: J.Jet, G: J.Jet, det: J.Jet, det1: J.Jet
     span = np.linalg.norm(C - (v0[:, None, None] * np.eye(2)
                                - u0[:, None, None] * Jq), axis=(1, 2))
     # derivatives of u and v along the frame (X1, X2, T)
-    grad = np.stack([J.jet_gradient(u, axis=1).value,
-                     J.jet_gradient(v, axis=1).value], axis=-1)  # [p, k, .]
+    grad = J.jet_partials(J.jet_stack([u, v]).T, axis=1).value  # [p, k, .]
     d = np.concatenate([X, T0[:, None]], axis=1) @ grad
     d_u, d_v = d[..., 0], d[..., 1]
     ode = {"e3_v": np.abs(d_v[:, 2] - (v0 * v0 - u0 * u0 + 1.0)),

@@ -64,7 +64,7 @@ def _stereographic(points, space) -> J.Jet:
     v = J.jet_variable(space, 1, points[:, 1])
     u2 = J.jet_mul(u, u)
     v2 = J.jet_mul(v, v)
-    inv = J.jet_recip(u2 + v2 + 1.0)
+    inv = J.jet_compose("recip", u2 + v2 + 1.0)
     return J.jet_stack([2.0 * J.jet_mul(u, inv), 2.0 * J.jet_mul(v, inv),
                         J.jet_mul(1.0 - u2 - v2, inv)])
 
@@ -114,9 +114,9 @@ def make_geodesic_sphere(radius: float = math.pi / 4) -> ImmersionChart:
 
     def jet_fn(points, space):
         t1, t2, t3 = (J.jet_variable(space, i, points[:, i]) for i in range(3))
-        c1, s1 = J.jet_cos(t1), J.jet_sin(t1)
-        c2, s2 = J.jet_cos(t2), J.jet_sin(t2)
-        c3, s3 = J.jet_cos(t3), J.jet_sin(t3)
+        c1, s1 = J.jet_compose("cos", t1), J.jet_compose("sin", t1)
+        c2, s2 = J.jet_compose("cos", t2), J.jet_compose("sin", t2)
+        c3, s3 = J.jet_compose("cos", t3), J.jet_compose("sin", t3)
         return J.jet_stack([J.jet_constant(space, np.full(len(points), cr)),
                             sr * c1,
                             sr * J.jet_mul(s1, c2),

@@ -208,6 +208,10 @@ def load_config(args) -> dict:
         if _json_type(cfg[key]) not in accepted:
             kinds = " or ".join(_JSON_ARTICLES[t] + t for t in accepted)
             raise InvalidData(f"{key} must be {kinds}, got {cfg[key]!r}")
+    if cfg["surface"] is not None and cfg["fixture"] is not None:
+        raise InvalidData("the config's surface and fixture "
+                          f"{cfg['fixture']!r} both give the surface; "
+                          "give one")
     cfg["tolerances"] = parse_tols(
         args.tol, parse_tols([cfg["tolerances"]], DEFAULT_TOLS))
     k = cfg["jet_order"]

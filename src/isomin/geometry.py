@@ -25,6 +25,11 @@ where a point rejects them, and a point whose flag is complete takes rank
   the coordinate axes.
 * Report rows hold only JSON values (`_json_ready`): Python numbers,
   bools, None, lists and dicts, with None for a number that is not finite.
+* Every partial is read by `jet.jet_partials`; this module knows nothing
+  of the coefficient layout. The flag reads all s-th partials in one
+  read, one column per multi-index of degree s (descending
+  lexicographic); the form tables chain s first-partial reads, which
+  give the symmetric table on coordinate s-tuples directly.
 * The osculating flag at a point is built by successive orthogonal
   complements: the span of the s-th partial derivatives, projected
   orthogonally to the position vector (sphere charts), the tangent space,
@@ -47,7 +52,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 from typing import Callable, Sequence
 
@@ -156,34 +160,6 @@ def _json_ready(a) -> list | float | None:
     return out.tolist()
 
 
-def _partials(jets: J.Jet, s: int) -> np.ndarray:
-    """s-th partial derivatives of every component, shape (..., N, k): one
-    column per multi-index of degree s, in the space's index order. That
-    order is by degree first, so the columns are one slice of the
-    coefficients."""
-    space = jets.space
-    m = space.nvars
-    lo, hi = math.comb(s - 1 + m, m), math.comb(s + m, m)
-    return jets.coeffs[..., lo:hi] * space.factorial[lo:hi]
-
-
-@functools.lru_cache(maxsize=None)
-def _table_columns(m: int, s: int) -> np.ndarray:
-    """Column of _partials(jets, s) for each coordinate s-tuple, shape (m,)*s."""
-    pos, lo = J.get_space(m, s).pos, math.comb(s - 1 + m, m)
-    cols = np.empty((m,) * s, dtype=np.intp)
-    for combo in itertools.product(range(m), repeat=s):
-        cols[combo] = pos[tuple(combo.count(i) for i in range(m))] - lo
-    return cols
-
-
-def _form_table(jets: J.Jet, s: int, Q: np.ndarray | None) -> np.ndarray:
-    """s-th partials on coordinate s-tuples, projected orthogonally to the
-    orthonormal columns of Q: shape (..., m, ..., m, N) with s axes of m."""
-    C = _project_out(Q, _partials(jets, s))
-    return C.mT[..., _table_columns(jets.space.nvars, s), :]
-
-
 def _project_out(Q: np.ndarray | None, V: np.ndarray) -> np.ndarray:
     """Columns of V minus their components along the orthonormal columns of Q
     (applied twice for numerical orthogonality); stacked over leading axes."""
@@ -233,22 +209,20 @@ def _tangent_stage(chart: ImmersionChart, jets: J.Jet, eps_deg: float
     orthogonality with the condition number of G. A row whose metric has
     no Cholesky factor is not regular. Raises InvalidData when a finite row
     of a sphere chart is off the unit sphere."""
-    m = chart.domain_dim
     finite = np.isfinite(jets.coeffs.reshape(len(jets), -1)).all(axis=1)
-    c = jets.coeffs[finite]
+    jets = jets[finite]
     position = None
     if chart.ambient == "sphere":
-        norm = np.linalg.norm(c[..., 0], axis=-1)
+        norm = np.linalg.norm(jets.value, axis=-1)
         off = np.abs(norm - 1.0) > SPHERE_NORM_TOL
         if off.any():
             raise InvalidData(f"sphere chart value has norm {norm[off][0]!r}, "
                               f"not 1 within {SPHERE_NORM_TOL}")
-        position = c[..., :1] / norm[:, None, None]
-    # first partials in coordinate order: degree-1 coefficients, factorial 1
-    P1 = c[..., 1 + _table_columns(m, 1)]
+        position = (jets.value / norm[:, None])[..., None]
+    P1 = J.jet_partials(jets, axis=-1).value  # (R, N, m), coordinate order
     G = P1.mT @ P1
     keep = ~(np.linalg.eigvalsh(G)[:, 0] < eps_deg)
-    E, framed = _metric_frame(G[keep], np.eye(m))
+    E, framed = _metric_frame(G[keep], np.eye(chart.domain_dim))
     keep[keep] = framed
     regular = finite.copy()
     regular[finite] = keep
@@ -281,7 +255,7 @@ def _flag_pass(chart: ImmersionChart, jets: J.Jet, max_order: int,
     for s in range(2, max_order + 2):
         if done.all():
             break
-        C = _partials(c, s)
+        C = J.jet_partials(c, s, axis=-1).value
         scale = np.linalg.norm(C, axis=-2).max(axis=-1)
         U, sv, _ = np.linalg.svd(_project_out(Q, C), full_matrices=False)
         rank = np.sum(sv > eps_rank * np.maximum(scale, 1.0)[:, None], axis=-1)
@@ -298,11 +272,20 @@ def _flag_pass(chart: ImmersionChart, jets: J.Jet, max_order: int,
 def _form_tables(jets: J.Jet, Q: np.ndarray, ends: list[int],
                  max_s: int) -> dict[int, np.ndarray]:
     """Fundamental form tables of orders 1..max_s on the regular rows of a
-    chart jet and their padded flag (`_flag_pass`): the raw first partials,
-    then the s-th partials projected off the flag through order s - 1."""
-    return {s: _form_table(jets, s, None if s == 1 else
-                           Q[..., :ends[min(s - 1, len(ends) - 1)]])
-            for s in range(1, max_s + 1)}
+    chart jet and their padded flag (`_flag_pass`), each of shape (R, m,
+    ..., m, N) with s axes of m: the raw first partials, then the s-th
+    partials on coordinate s-tuples projected off the flag through order
+    s - 1. The s-th partials are s chained first-partial reads, one chain
+    for all s; a table is symmetric, so the order of its axes is free."""
+    R, N, m = len(jets), jets.shape[-1], jets.space.nvars
+    tables, d = {}, jets
+    for s in range(1, max_s + 1):
+        d = J.jet_partials(d, axis=-1)  # (R, N, m, ..., m), s axes of m
+        C = d.value.reshape(R, N, m ** s)
+        if s > 1:
+            C = _project_out(Q[..., :ends[min(s - 1, len(ends) - 1)]], C)
+        tables[s] = np.moveaxis(C.reshape(d.shape), 1, -1)
+    return tables
 
 
 def _tau_o(chart: ImmersionChart, tau: int) -> int:

@@ -8,16 +8,18 @@ arithmetic, differentiation and truncation broadcast over it. A batch of
 points is one more leading axis: a chart evaluated at P points gives one
 jet of shape (P, ambient_dim). The expansion point itself is not stored;
 coefficients are relative offsets. Multiplication is truncated convolution
-driven by a precomputed index table, composition (sqrt, recip, rsqrt =
-x^(-1/2), sin, cos) is a Horner evaluation of the outer Taylor series,
-elementwise over the leading shape, by one jet product and an in-place
-add to the constant term per step (the first step is a scaling), and
-differentiation is `jet_gradient`: every first partial, one order lower,
-in one gather of the coefficients. sqrt, recip and rsqrt demand a constant
-term bounded away from zero (eps = 1e-10 by default) at every element;
-violating that raises DegenerateValue, so batched callers mask such
-elements out before composing. The jet of Re Phi(x0 + i x1) for a
-holomorphic Phi is read off Phi's derivatives in closed form.
+driven by a precomputed index table, composition (`jet_compose`: sqrt,
+recip, rsqrt = x^(-1/2), sin, cos) is a Horner evaluation of the outer
+Taylor series, elementwise over the leading shape, by one jet product and
+an in-place add to the constant term per step (the first step is a
+scaling). Partials are read one way, by `jet_partials`: every s-th partial,
+s orders lower, in one gather of the coefficients with exact integer
+factors; no other module reads a partial off the coefficient layout.
+sqrt, recip and rsqrt demand a constant term bounded away from zero (eps =
+1e-10 by default) at every element; violating that raises DegenerateValue,
+so batched callers mask such elements out before composing. The jet of Re
+Phi(x0 + i x1) for a holomorphic Phi is read off Phi's derivatives in
+closed form.
 """
 from __future__ import annotations
 
@@ -40,8 +42,7 @@ class JetSpace:
 
     Holds the canonical multi-index list (sorted by total degree, then
     lexicographically), the truncated-convolution table, factorials, and
-    the gather maps of the gradient and of holomorphic jets, each built on
-    first use.
+    the gather map of holomorphic jets, built on first use.
     """
 
     def __init__(self, nvars: int, order: int):
@@ -63,17 +64,6 @@ class JetSpace:
         io, ia, ib = (np.array(col, dtype=np.intp) for col in zip(*pairs))
         self._mul_a, self._mul_b = ia, ib
         self._mul_starts = np.searchsorted(io, np.arange(self.size))
-
-    @cached_property
-    def _gradient_map(self) -> tuple[np.ndarray, np.ndarray]:
-        # for each variable k and each index m of the (order - 1) space, the
-        # position of m + e_k and its power m_k + 1: shape (nvars, size)
-        low = np.array(get_space(self.nvars, self.order - 1).indices)
-        up = low + np.eye(self.nvars, dtype=int)[:, None]
-        src = np.array([[self.pos[tuple(m)] for m in row] for row in up],
-                       dtype=np.intp)
-        return src, np.array([up[k, :, k] for k in range(self.nvars)],
-                             dtype=float)
 
     @cached_property
     def _holomorphic_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -169,17 +159,42 @@ class Jet:
     __rmul__ = __mul__
 
 
-def jet_gradient(a: Jet, axis: int = 0) -> Jet:
-    """Every first partial of a, one order lower, stacked along the leading
-    axis `axis` in variable order, read off the coefficients in one
-    gather: the coefficient of m in d_k a is (m_k + 1) times that of
-    m + e_k in a."""
-    sp = a.space
-    if sp.order == 0:
-        raise OrderExceeded("cannot differentiate an order-0 jet")
-    src, fac = sp._gradient_map
-    return Jet(get_space(sp.nvars, sp.order - 1),
-               np.moveaxis(a.coeffs[..., src] * fac, -2, axis))
+@lru_cache(maxsize=None)
+def _partial_map(nvars: int, order: int, s: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    # for each multi-index al of degree s, in descending lexicographic
+    # order, and each index mu of the (order - s) space: the position of
+    # mu + al and the exact integer (mu + al)! / mu!, shape (k, size)
+    sp, low = get_space(nvars, order), get_space(nvars, order - s)
+    alphas = [m for m in reversed(sp.indices) if sum(m) == s]
+    src = [[sp.pos[tuple(x + a for x, a in zip(mu, al))] for mu in low.indices]
+           for al in alphas]
+    fac = [[math.prod(math.perm(x + a, a) for x, a in zip(mu, al))
+            for mu in low.indices] for al in alphas]
+    return np.array(src, dtype=np.intp), np.array(fac, dtype=float)
+
+
+def jet_partials(a: Jet, s: int = 1, axis: int = 0) -> Jet:
+    """Every s-th partial of a, s orders lower, stacked on a new leading
+    axis at `axis` (a negative axis counts from the end of the result's
+    leading shape), one per multi-index al of degree s in descending
+    lexicographic order: the variable order at s = 1, d_u^(s-k) d_v^k for
+    k = 0..s in two variables. One gather of the coefficients: that of mu
+    in d^al a is the exact integer (mu + al)! / mu! times that of mu + al
+    in a."""
+    sp, n = a.space, len(a.shape)
+    if s < 1:
+        raise InvalidData(f"partials have order s >= 1, got {s}")
+    if s > sp.order:
+        raise OrderExceeded(
+            f"cannot take order-{s} partials of an order-{sp.order} jet")
+    if not -n - 1 <= axis <= n:
+        raise ShapeMismatch(f"axis {axis} is out of range for a jet of "
+                            f"shape {a.shape}")
+    src, fac = _partial_map(sp.nvars, sp.order, s)
+    return Jet(get_space(sp.nvars, sp.order - s),
+               np.moveaxis(a.coeffs[..., src] * fac, -2,
+                           axis if axis >= 0 else axis - 1))
 
 
 def jet_constant(space: JetSpace, value) -> Jet:
@@ -300,8 +315,10 @@ def _outer_series(kind: str, a0: np.ndarray, order: int,
 
 
 def jet_compose(kind: str, a: Jet, eps: float = EPS_DEG) -> Jet:
-    """Compose an outer function (sqrt, recip, rsqrt, sin, cos) with a jet,
-    elementwise over its leading shape."""
+    """Compose an outer function (sqrt, recip, rsqrt = x^(-1/2), sin, cos)
+    with a jet, elementwise over its leading shape. rsqrt is one
+    composition with the eps guards of recip(sqrt(a, eps), eps); eps does
+    not apply to sin and cos."""
     a0 = a.coeffs[..., 0]
     series = _outer_series(kind, a0, a.space.order, eps)
     if a.space.order == 0:
@@ -314,26 +331,3 @@ def jet_compose(kind: str, a: Jet, eps: float = EPS_DEG) -> Jet:
         acc.coeffs[..., 0] += c
     acc.coeffs[..., 1:] += 0.0  # -0.0 -> 0.0, as adding constant jets did
     return acc
-
-
-def jet_sqrt(a: Jet, eps: float = EPS_DEG) -> Jet:
-    return jet_compose("sqrt", a, eps)
-
-
-def jet_recip(a: Jet, eps: float = EPS_DEG) -> Jet:
-    return jet_compose("recip", a, eps)
-
-
-def jet_rsqrt(a: Jet, eps: float = EPS_DEG) -> Jet:
-    """a^(-1/2) in one composition, with the eps guards of
-    jet_recip(jet_sqrt(a, eps), eps)."""
-    return jet_compose("rsqrt", a, eps)
-
-
-def jet_sin(a: Jet) -> Jet:
-    return jet_compose("sin", a)
-
-
-def jet_cos(a: Jet) -> Jet:
-    return jet_compose("cos", a)
-

@@ -9,31 +9,36 @@ the metric-orthonormal frame G^(-1/2) from an eigendecomposition, where
 the nullity pass uses a Cholesky (Gram-Schmidt) frame; the two frames
 differ by a rotation, which changes neither. The splitting tensor oracle
 differentiates the unit kernel field of `nullity_at` by nested stencils,
-and builds the Christoffel symbols by stencils over the metric; it shares
-with the jet-based splitting pass of `sweep_and_split` only the nullity
-pass with the second form it reads, and the chart's order-1 jets, which
-give the metric (the first partials). The sampled curvature ellipse takes
-the fundamental forms and the ellipse directions Z, JZ from the stacked
-passes (`stacked_at`) and replaces only the closed-form Fourier step: it
-samples the form on Z_theta and takes an SVD. The per-point flag is the
-loop that the stacked flag pass replaced, one order at a time on one
-point's jet. The holomorphic chart oracle evaluates polynomials by
-Horner's rule in complex jet arithmetic, where `surface_chart` reads the
-jet off complex derivatives in closed form. The three-variable bundle
-chart is the construction that the closed-form fiber replaced: the frame
+and builds the Christoffel symbols by stencils over the metric; it
+shares with the jet-based splitting pass of `sweep_and_split` only the
+nullity pass with the second form it reads, and the chart's order-1
+jets, which give the metric (the first partials). The sampled curvature
+ellipse takes the fundamental forms and the ellipse directions Z, JZ
+from the stacked passes (`stacked_at`) and replaces only the closed-form
+Fourier step: it samples the form on Z_theta and takes an SVD. The
+per-point flag is the loop that the stacked flag pass replaced, one
+order at a time on one point's jet, with its own read of the s-th
+partials: a slice of the coefficients in the space's index order, where
+the package gathers them by `jet.jet_partials` in the reverse order. The
+holomorphic chart oracle evaluates polynomials by Horner's rule in
+complex jet arithmetic, where `surface_chart` reads the jet off complex
+derivatives in closed form. The three-variable bundle chart is the
+construction that the closed-form fiber replaced: the frame
 orthonormalized in the 3-variable space, times cos theta and sin theta
 composed by Horner's rule. Its frame comes from
 `pivoted_frame_one_at_a_time`, the pivoted Gram-Schmidt of
 `bundles._pivoted_frame` taken one candidate at a time against every
 direction before it, with the first two directions taken picked point by
 point, where the package projects a level off the lower ones in one
-stacked step and picks by one sort. The nested x^(-1/2) is jet_recip of
-jet_sqrt, the two compositions that jet_rsqrt replaced. The constant-jet
-composition is the Horner loop that added a whole constant jet at each
-step, where `jet.jet_compose` adds the series coefficient to the constant
-term in place. The full-grid polar base check finishes every row of its
-9x9 grid through `point_rows`, where `unit_normal_chart` finishes the
-centre row alone, and only once the flag checks pass.
+stacked step and picks by one sort; its candidate partials are chains of
+first partials, where the package reads each order in one gather. The
+nested x^(-1/2) is recip of sqrt, the two compositions that rsqrt
+replaced. The constant-jet composition is the Horner loop that added a
+whole constant jet at each step, where `jet.jet_compose` adds the series
+coefficient to the constant term in place. The full-grid polar base
+check finishes every row of its 9x9 grid through `point_rows`, where
+`unit_normal_chart` finishes the centre row alone, and only once the
+flag checks pass.
 
 `point_row`, `stacked_at` and `nullity_at` are not oracles: they read
 the package's stacked passes at one point, the way the tests use them.
@@ -130,7 +135,7 @@ def nullity_at(chart, point, eps_rank=geo.EPS_RANK, eps_deg=geo.EPS_DEG):
     m, nu = chart.domain_dim, int(nu[0])
     _, _, E, Q = geo._tangent_stage(chart, jets, eps_deg)
     aorth = np.einsum("ki,lj,kln->ijn", E[0], E[0],
-                      geo._form_table(jets, 2, Q)[0])
+                      geo._form_tables(jets, Q, [0, Q.shape[-1]], 2)[2][0])
     U = np.linalg.svd(aorth.reshape(m, -1))[0]
     return SimpleNamespace(
         point=where, nu=nu,
@@ -244,7 +249,7 @@ def curvature_ellipse_sampled(chart, point, ell, samples=64,
 def _metric(chart, point):
     """Induced metric from the first partials of an order-1 chart jet."""
     jets = chart.eval_jets(point, 1)
-    P1 = J.jet_gradient(jets).value
+    P1 = J.jet_partials(jets).value
     return P1 @ P1.T
 
 
@@ -367,7 +372,11 @@ def flag_per_point(chart, point, max_order=None, eps_rank=geo.EPS_RANK,
         raise DegeneratePoint(f"metric degenerate at {tuple(point)}")
     Q, dims = Q[0], [chart.domain_dim]
     for s in range(2, max_order + 2):
-        C = geo._partials(jets[0], s)
+        # its own read of the s-th partials: the degree-s block of the
+        # coefficients (index order by degree first) times the factorials
+        lo, hi = (math.comb(k + chart.domain_dim, chart.domain_dim)
+                  for k in (s - 1, s))
+        C = jets[0].coeffs[:, lo:hi] * jets.space.factorial[lo:hi]
         scale = float(np.linalg.norm(C, axis=0).max())
         U, sv, _ = np.linalg.svd(geo._project_out(Q, C), full_matrices=False)
         rank = int(np.sum(sv > eps_rank * max(scale, 1.0)))
@@ -420,7 +429,7 @@ def pivoted_frame_one_at_a_time(levels, eps_rank):
             else:
                 ok = n2.value > J.EPS_DEG
             safe = J.Jet(n2.space, np.where(ok[..., None], n2.coeffs, 1.0))
-            unit = v * J.jet_rsqrt(safe, eps=0.0)[..., None]
+            unit = v * J.jet_compose("rsqrt", safe, eps=0.0)[..., None]
             basis.append(J.Jet(v.space, np.where(ok[..., None, None],
                                                  unit.coeffs, 0.0)))
             taken.append(ok)
@@ -446,26 +455,27 @@ def bundle_jets_three_variable(bc, points, order):
     space, uv = J.get_space(3, order), points[:, :2]
     if bc.kind == "unit_tangent":
         bjets = bc.base.jet_fn(uv, J.get_space(3, order + 1))
-        levels = [J.jet_gradient(bjets)[:2]]
+        levels = [J.jet_partials(bjets)[:2]]
     else:
         # level s holds d_u^(s-k) d_v^k of the base, k = 0..s
         level = [bc.base.jet_fn(uv, J.get_space(3, order + bc.tau + 1))]
         levels = [J.jet_stack([J.jet_truncate(level[0], order)])]
         for _ in range(bc.tau + 1):
-            level = ([J.jet_gradient(level[0])[0]]
-                     + [J.jet_gradient(d)[1] for d in level])
+            level = ([J.jet_partials(level[0])[0]]
+                     + [J.jet_partials(d)[1] for d in level])
             levels.append(J.jet_stack([J.jet_truncate(d, order)
                                        for d in level]))
     e1, e2, ok = pivoted_frame_one_at_a_time(levels, geo.EPS_RANK)
     th = J.jet_variable(space, 2, points[:, 2])
-    out = J.jet_cos(th)[:, None] * e1 + J.jet_sin(th)[:, None] * e2
+    out = (J.jet_compose("cos", th)[:, None] * e1
+           + J.jet_compose("sin", th)[:, None] * e2)
     out.coeffs[~ok] = np.nan
     return out
 
 
 def rsqrt_nested(a, eps=J.EPS_DEG):
     """a^(-1/2) as the reciprocal of the square root, two compositions."""
-    return J.jet_recip(J.jet_sqrt(a, eps), eps)
+    return J.jet_compose("recip", J.jet_compose("sqrt", a, eps), eps)
 
 
 def jet_compose_constant_jets(kind, a, eps=J.EPS_DEG):

@@ -213,7 +213,7 @@ def test_unit_normal_chart_veronese(polar_ver):
     p = (0.2, 0.1)
     jets = make_veronese().eval_jets(p, 1)
     pos = np.array([j.value for j in jets])
-    du, dv = J.jet_gradient(jets).value
+    du, dv = J.jet_partials(jets).value
     for th in (0.0, 1.1, 4.4):
         w = c.value((*p, th))
         for other in (pos, du, dv):
@@ -279,7 +279,7 @@ def _small_sphere_surface() -> ImmersionChart:
         u = J.jet_variable(space, 0, points[:, 0])
         v = J.jet_variable(space, 1, points[:, 1])
         u2, v2 = J.jet_mul(u, u), J.jet_mul(v, v)
-        inv = J.jet_recip(u2 + v2 + 1.0)
+        inv = J.jet_compose("recip", u2 + v2 + 1.0)
         return J.jet_stack([J.jet_constant(space, np.full(len(points), cr)),
                             sr * 2.0 * J.jet_mul(u, inv),
                             sr * 2.0 * J.jet_mul(v, inv),
@@ -305,7 +305,7 @@ def _bent_sphere_surface() -> ImmersionChart:
         norm2 = comps[0] * comps[0]
         for c in comps[1:]:
             norm2 = norm2 + J.jet_mul(c, c)
-        scale = J.jet_recip(J.jet_sqrt(norm2))
+        scale = J.jet_compose("recip", J.jet_compose("sqrt", norm2))
         return J.jet_stack([J.jet_mul(c, scale) for c in comps]).T
 
     return ImmersionChart(domain_dim=2, ambient_dim=5, ambient="sphere",
@@ -335,7 +335,7 @@ def _z5_sphere() -> ImmersionChart:
 
     def jet_fn(points, space):
         f = flat.jet_fn(points, space)
-        return f * J.jet_rsqrt(J.jet_dot(f, f))[:, None]
+        return f * J.jet_compose("rsqrt", J.jet_dot(f, f))[:, None]
 
     return ImmersionChart(domain_dim=2, ambient_dim=11, ambient="sphere",
                           jet_fn=jet_fn, domain=flat.domain, name="z5-sphere")
@@ -409,7 +409,7 @@ def _varying_flag() -> ImmersionChart:
         v = J.jet_variable(space, 1, points[:, 1])
         f = J.jet_stack([u, v, u * u - 0.25 * (v * v), u * u * u,
                          J.jet_constant(space, np.ones(len(points)))]).T
-        return f * J.jet_rsqrt(J.jet_dot(f, f))[:, None]
+        return f * J.jet_compose("rsqrt", J.jet_dot(f, f))[:, None]
 
     return ImmersionChart(domain_dim=2, ambient_dim=5, ambient="sphere",
                           jet_fn=jet_fn, domain=((-0.25, 0.75), (-0.5, 0.5)),

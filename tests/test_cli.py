@@ -63,6 +63,27 @@ def test_generate_needs_a_surface():
     assert run(["generate"]) == 1
 
 
+@pytest.mark.parametrize("fixture", ["veronese", "n5", "random-n5"])
+@pytest.mark.parametrize("in_config", [False, True])
+def test_surface_and_fixture_together_are_bad_input(tmp_path, capsys,
+                                                    fixture, in_config):
+    """A config surface with a fixture, a chart fixture or a data one, in
+    the config or as a flag, is bad input: exit 1 with one error line and
+    no report, where one of the two used to be analyzed silently."""
+    cfg = {"surface": {"n": 5, "alpha0": [[[1, 0]]]}}
+    flags = ["--fixture", fixture]
+    if in_config:
+        cfg, flags = {**cfg, "fixture": fixture}, []
+    cfgp, out = tmp_path / "cfg.json", tmp_path / "r.json"
+    cfgp.write_text(json.dumps(cfg))
+    assert run(["analyze", "--config", str(cfgp), "--out", str(out)]
+               + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "surface" in err and repr(fixture) in err
+    assert not out.exists()
+
+
 def test_analyze_curve_has_order_two(tmp_path):
     out = tmp_path / "r.json"
     assert run(["analyze", "--fixture", "curve-1-2-3",

@@ -1,5 +1,7 @@
 """Truncated Taylor jets: frozen values, composition, derivative extraction,
 and the closed-form jets of holomorphic charts."""
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -22,7 +24,7 @@ def _partial(f, idx):
     """Partial derivative for a multi-index, by repeated differentiation."""
     for var, k in enumerate(idx):
         for _ in range(k):
-            f = J.jet_gradient(f)[var]
+            f = J.jet_partials(f)[var]
     return f.value
 
 
@@ -86,14 +88,14 @@ def test_random_polynomial_partials():
 
 def test_sin_coefficients():
     sp = J.get_space(1, 3)
-    s = J.jet_sin(J.jet_variable(sp, 0, 0.0))
+    s = J.jet_compose("sin", J.jet_variable(sp, 0, 0.0))
     assert np.allclose(s.coeffs, [0.0, 1.0, 0.0, -1.0 / 6.0])
 
 
 def test_cos_and_shifted_argument():
     sp = J.get_space(1, 4)
     x = J.jet_variable(sp, 0, 0.7)
-    c = J.jet_cos(x)
+    c = J.jet_compose("cos", x)
     assert c.value == pytest.approx(math.cos(0.7))
     assert _partial(c, (1,)) == pytest.approx(-math.sin(0.7))
     assert _partial(c, (2,)) == pytest.approx(-math.cos(0.7))
@@ -101,24 +103,24 @@ def test_cos_and_shifted_argument():
 
 def test_recip_coefficients():
     sp = J.get_space(1, 2)
-    r = J.jet_recip(J.jet_variable(sp, 0, 1.0))
+    r = J.jet_compose("recip", J.jet_variable(sp, 0, 1.0))
     assert np.allclose(r.coeffs, [1.0, -1.0, 1.0])
 
 
 def test_sqrt_coefficients():
     sp = J.get_space(1, 2)
-    s = J.jet_sqrt(J.jet_variable(sp, 0, 1.0))
+    s = J.jet_compose("sqrt", J.jet_variable(sp, 0, 1.0))
     assert np.allclose(s.coeffs, [1.0, 0.5, -0.125])
 
 
 def test_compose_guards():
     sp = J.get_space(1, 2)
     with pytest.raises(DegenerateValue):
-        J.jet_sqrt(J.jet_variable(sp, 0, 0.0))
+        J.jet_compose("sqrt", J.jet_variable(sp, 0, 0.0))
     with pytest.raises(DegenerateValue):
-        J.jet_sqrt(J.jet_variable(sp, 0, -1.0))
+        J.jet_compose("sqrt", J.jet_variable(sp, 0, -1.0))
     with pytest.raises(DegenerateValue):
-        J.jet_recip(J.jet_variable(sp, 0, 0.0))
+        J.jet_compose("recip", J.jet_variable(sp, 0, 0.0))
 
 
 def test_derivative_shifts():
@@ -126,19 +128,19 @@ def test_derivative_shifts():
     u = J.jet_variable(sp, 0, 0.5)
     v = J.jet_variable(sp, 1, -0.25)
     f = u * u * v + v * v
-    fu, fv = J.jet_gradient(f)
+    fu, fv = J.jet_partials(f)
     assert fu.space.order == 2
     assert fu.value == pytest.approx(2 * 0.5 * -0.25)
     assert _partial(fu, (1, 0)) == pytest.approx(2 * -0.25)
     assert fv.value == pytest.approx(0.5 ** 2 + 2 * -0.25)
     with pytest.raises(OrderExceeded):
-        J.jet_gradient(J.jet_constant(J.get_space(1, 0), 1.0))
+        J.jet_partials(J.jet_constant(J.get_space(1, 0), 1.0))
 
 
 @pytest.mark.parametrize("nvars, order", [(1, 1), (2, 3), (3, 1), (3, 4)])
 def test_gradient_is_the_stack_of_derivatives(nvars, order):
-    """jet_gradient gives the jet_stack of the derivatives in each
-    variable, bit for bit, on the leading axis it is asked for: the
+    """jet_partials at s = 1 gives the jet_stack of the derivatives in
+    each variable, bit for bit, on the leading axis it is asked for: the
     coefficient of m in d_k f is (m_k + 1) times that of m + e_k in f,
     read here one index at a time."""
     sp = J.get_space(nvars, order)
@@ -151,12 +153,59 @@ def test_gradient_is_the_stack_of_derivatives(nvars, order):
             up = tuple(x + (j == k) for j, x in enumerate(m))
             derivs.coeffs[k, ..., i] = (m[k] + 1) * f.coeffs[..., sp.pos[up]]
     for axis in (0, 1, 2):
-        got = J.jet_gradient(f, axis=axis)
+        got = J.jet_partials(f, axis=axis)
         assert got.space is derivs.space
         assert np.array_equal(got.coeffs,
                               np.moveaxis(derivs.coeffs, 0, axis))
     with pytest.raises(OrderExceeded):
-        J.jet_gradient(J.jet_constant(J.get_space(nvars, 0), 1.0))
+        J.jet_partials(J.jet_constant(J.get_space(nvars, 0), 1.0))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), nvars=st.integers(1, 3),
+       order=st.integers(0, 6), shape=st.sampled_from([(), (3,), (2, 3)]))
+def test_partials_gather_every_multi_index(seed, nvars, order, shape):
+    """jet_partials(a, s, axis) holds every s-th partial of a, s orders
+    lower, on a new leading axis at `axis` (negative too), one per
+    multi-index al of degree s in descending lexicographic order: the
+    coefficient of mu is (mu + al)! / mu! times that of mu + al in a,
+    read here one index at a time, bit for bit. At s = 1 that is the
+    variable order, in two variables d_u^(s-k) d_v^k for k = 0..s; s = 0,
+    s > order and an axis beyond the result's leading shape raise."""
+    rng = np.random.default_rng(seed)
+    sp = J.get_space(nvars, order)
+    a = _random_jet(rng, sp, shape)
+    for s in range(1, order + 1):
+        low = J.get_space(nvars, order - s)
+        alphas = sorted((m for m in itertools.product(range(s + 1),
+                                                      repeat=nvars)
+                         if sum(m) == s), reverse=True)
+        if s == 1:
+            assert alphas == [tuple(np.eye(nvars, dtype=int)[k])
+                              for k in range(nvars)]
+        if nvars == 2:
+            assert alphas == [(s - k, k) for k in range(s + 1)]
+        want = np.zeros((len(alphas),) + shape + (low.size,))
+        for k, al in enumerate(alphas):
+            for i, mu in enumerate(low.indices):
+                up = tuple(x + y for x, y in zip(mu, al))
+                fac = math.prod(math.factorial(x) // math.factorial(m)
+                                for x, m in zip(up, mu))
+                want[k, ..., i] = fac * a.coeffs[..., sp.pos[up]]
+        n = len(shape)
+        for axis in range(-n - 1, n + 1):
+            got = J.jet_partials(a, s, axis=axis)
+            assert got.space is low
+            assert np.array_equal(got.coeffs,
+                                  np.moveaxis(want, 0, axis % (n + 1)))
+    with pytest.raises(InvalidData):
+        J.jet_partials(a, 0)
+    with pytest.raises(OrderExceeded):
+        J.jet_partials(a, order + 1)
+    if order:
+        for axis in (len(shape) + 1, -len(shape) - 2):
+            with pytest.raises(ShapeMismatch):
+                J.jet_partials(a, axis=axis)
 
 
 def test_truncate_is_prefix():
@@ -316,9 +365,9 @@ def test_vector_jet_indexing_acts_on_the_leading_shape():
     assert np.array_equal(v[..., 1].coeffs, v.coeffs[:, 1])
     assert np.array_equal(v.T.coeffs, v.coeffs.transpose(1, 0, 2))
     assert v.reshape(-1).shape == (6,)
-    d = J.jet_gradient(v)[0]
+    d = J.jet_partials(v)[0]
     assert d.shape == (3, 2)
-    assert np.array_equal(d[2, 1].coeffs, J.jet_gradient(v[2, 1])[0].coeffs)
+    assert np.array_equal(d[2, 1].coeffs, J.jet_partials(v[2, 1])[0].coeffs)
     assert J.jet_truncate(v, 1).coeffs.shape == (3, 2, 3)
     s = v[0, 0]
     assert isinstance(s.value, float) and not s.shape
@@ -355,16 +404,16 @@ def test_compose_is_elementwise_on_vector_jets():
     rng = np.random.default_rng(9)
     v = _random_jet(rng, sp, (4, 2))
     v = v - v.value + rng.uniform(0.5, 2.0, size=(4, 2))
-    for fn in (J.jet_sqrt, J.jet_recip, J.jet_rsqrt, J.jet_sin, J.jet_cos):
-        got = fn(v)
+    for kind in ("sqrt", "recip", "rsqrt", "sin", "cos"):
+        got = J.jet_compose(kind, v)
         assert got.shape == (4, 2)
         for i in range(4):
             for j in range(2):
-                np.testing.assert_allclose(got[i, j].coeffs,
-                                           fn(v[i, j]).coeffs,
+                want = J.jet_compose(kind, v[i, j])
+                np.testing.assert_allclose(got[i, j].coeffs, want.coeffs,
                                            rtol=1e-15, atol=1e-15)
     with pytest.raises(DegenerateValue):
-        J.jet_sqrt(v - v.value)
+        J.jet_compose("sqrt", v - v.value)
 
 
 def test_batched_holomorphic_jets_match_per_row_calls():
@@ -404,14 +453,14 @@ def test_variable_with_array_values_matches_scalar_calls():
                                      16.0, 16.000000000000004])),
        eps=st.sampled_from([0.0, J.EPS_DEG, 0.5, 4.0]))
 def test_rsqrt_is_the_reciprocal_square_root(seed, nvars, order, a0, eps):
-    """One composition gives jet_recip(jet_sqrt(a)) within 1e-14 of its
-    largest coefficient, and raises DegenerateValue exactly where the two
-    nested compositions do: at a0 <= eps or sqrt(a0) <= eps."""
+    """One composition gives recip(sqrt(a)) (`rsqrt_nested`) within 1e-14
+    of its largest coefficient, and raises DegenerateValue exactly where
+    the two nested compositions do: at a0 <= eps or sqrt(a0) <= eps."""
     sp = J.get_space(nvars, order)
     a = _random_jet(np.random.default_rng(seed), sp, (3,))
     a = a - a.value + np.array([a0, 1.0, 2.5])
     outcomes = []
-    for fn in (J.jet_rsqrt, rsqrt_nested):
+    for fn in (functools.partial(J.jet_compose, "rsqrt"), rsqrt_nested):
         try:
             outcomes.append(fn(a, eps).coeffs)
         except DegenerateValue:

@@ -55,6 +55,9 @@ COMMANDS = (
         "curve-1-2-3", "random-n6", "plane", "veronese", "curve-1-3-pad1")]
     + [["analyze", "--fixture", "n5", "--jet-order", "2"],
        ["analyze", "--fixture", "n5", "--jet-order", "6"]]
+    # a deep flag: the 5th and 6th partials, where a chain of first
+    # partials and one gather with the exact factor can round differently
+    + [["analyze", "--fixture", "curve-1-2-3-4-5", "--jet-order", "6"]]
     + [["bundle", "--kind", "bipolar", "--fixture", name] for name in (
         "n5", "n8", "curve-1-2-pad1", "plane")]
     + [["bundle", "--kind", "polar", "--fixture", "veronese"],
