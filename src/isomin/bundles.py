@@ -254,7 +254,7 @@ def unit_normal_chart(base: ImmersionChart,
         raise ShapeMismatch("unit normal charts need a surface base")
     if base.ambient != "sphere":
         raise InvalidData("unit normal charts take a spherical base")
-    pts, dims, (jets, E, Q, ends) = geo._flag_stage(
+    pts, dims, (E, forms) = geo._flag_stage(
         base, geo.grid_points(geo.grid_axes(base, (9, 9))),
         max(base.ambient_dim - 3, 1), eps_rank, eps_deg)
     mid = len(pts) // 2
@@ -272,7 +272,8 @@ def unit_normal_chart(base: ImmersionChart,
         raise FlagCollapse(f"flag dimensions vary over the domain: {cert}")
     i = [sum(d is not None for d in dims[:mid])]  # the centre's regular row
     [probe] = geo._row_stage(base, pts[[mid]], [dims[mid]],
-                             (jets[i], E[i], Q[i], ends), circle_tol, eps_rank)
+                             (E[i], {s: f[i] for s, f in forms.items()}),
+                             circle_tol, eps_rank)
     if not probe["elliptic"]:
         raise NotElliptic(f"no elliptic direction at {center}")
     top = probe["ellipses"][tau - 1]["residual"]
@@ -304,8 +305,10 @@ def _nullity(chart: ImmersionChart, jets: J.Jet, eps_rank: float,
     to the largest; on a singular row it is 0 and the numbers are NaN. The
     kernel is not computed, since no report reads it.
 
-    The metric check and the second form projected off position and tangent
-    space come from `geometry._tangent_stage`; the frame change aorth_ij =
+    The metric check and the position and tangent columns come from
+    `geometry._tangent_stage`; the second form A is one `jet.jet_partials`
+    read projected off them, m (m + 1) / 2 entries in the order of the
+    pairs i <= j, gathered into m x m. The frame change aorth_ij =
     sum_kl E_ki E_lj A_kl is two stacked matrix products, each contracting
     one slot of the symmetric form, so aorth comes out with (i, j) swapped,
     which is the same form. Its singular values, as an m x mN matrix, are
@@ -313,10 +316,14 @@ def _nullity(chart: ImmersionChart, jets: J.Jet, eps_rank: float,
     TOMS 8, 1982)."""
     P, N = jets.shape
     m = chart.domain_dim
-    regular, G, E, Q = geo._tangent_stage(chart, jets, eps_deg)
-    R = len(G)
+    regular, _, E, Q = geo._tangent_stage(chart, jets, eps_deg)
+    R = len(E)
     # the second form, projected off position and tangent space: (R, m, m, N)
-    A = geo._form_tables(jets[regular], Q, [0, Q.shape[-1]], 2)[2]
+    i, j = np.triu_indices(m)
+    pair = np.empty((m, m), dtype=np.intp)
+    pair[i, j] = pair[j, i] = np.arange(len(i))
+    A = np.moveaxis(geo._project_out(
+        Q, J.jet_partials(jets[regular], 2, axis=-1).value)[..., pair], 1, -1)
     half = (E.mT @ A.reshape(R, m, m * N)).reshape(R, m, m, N)
     aorth = (E.mT @ half.swapaxes(1, 2).reshape(R, m, m * N)
              ).reshape(R, m, m, N)

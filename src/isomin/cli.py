@@ -63,6 +63,7 @@ CONFIG_TYPES = {
 }
 
 SPOT_POINTS = ((0.17, 0.11), (-0.23, 0.31), (0.05, -0.37))
+PRINCIPAL_TOL = 1e-8  # relative gap of equal covariance eigenvalues, export
 
 
 # one compact line per row, written by the C encoder
@@ -470,16 +471,23 @@ def cmd_bundle(cfg) -> int:
 
 
 def _principal_projection(verts: np.ndarray) -> np.ndarray:
-    mu = verts.mean(axis=0)
-    Y = verts - mu
-    _, V = np.linalg.eigh(Y.T @ Y)
-    Wp = V[:, ::-1][:, :3].copy()
-    for k in range(Wp.shape[1]):
-        col = Wp[:, k]
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0:
-            Wp[:, k] = -col
-    return Y @ Wp
+    """The centred vertices on the top three principal axes, each with its
+    largest entry positive; inside a cluster of equal eigenvalues the
+    coordinate axes projected on it, Gram-Schmidt in coordinate order."""
+    Y = verts - verts.mean(axis=0)
+    lam, V = np.linalg.eigh(Y.T @ Y)
+    lam, V = lam[::-1], V[:, ::-1]
+    cuts = [0, *np.flatnonzero(-np.diff(lam) > PRINCIPAL_TOL * lam[0]) + 1,
+            len(lam)]
+    axes = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        for e in V[:, lo:hi] @ V[:, lo:hi].T:
+            for b in axes[lo:]:
+                e = e - (b @ e) * b
+            if len(axes) < hi and (n := np.linalg.norm(e)) > PRINCIPAL_TOL:
+                axes.append(e / n)
+    Wp = np.stack(axes[:3], axis=1)
+    return Y @ (Wp * np.sign(Wp[np.abs(Wp).argmax(axis=0), range(3)]))
 
 
 def cmd_export(cfg) -> int:

@@ -4,9 +4,9 @@ A chart is a smooth map from a box in R^m (m = 2 or 3) into R^N, optionally
 constrained to the unit sphere S^(N-1), evaluated through jets at a batch
 of points at once. Every quantity is computed by stacked passes over the
 regular rows of one batch, and this is the package's only geometry path:
-the osculating flag of higher normal spaces (`_flag_pass`), higher
-fundamental forms (projected higher partials, `_form_tables`), ellipticity
-of the second form (`_ellipticity_pass`), curvature ellipses
+the osculating flag of higher normal spaces together with the higher
+fundamental forms, its projected partials (`_flag_pass`), ellipticity of
+the second form (`_ellipticity_pass`), curvature ellipses
 (`_ellipse_pass`) and the isotropy order, assembled into report rows by
 `point_rows` in a flag stage and a row stage; one point's row is a batch
 of one, and `flag_certificate` reads the constancy of the flag off the
@@ -25,33 +25,31 @@ where a point rejects them, and a point whose flag is complete takes rank
   the coordinate axes.
 * Report rows hold only JSON values (`_json_ready`): Python numbers,
   bools, None, lists and dicts, with None for a number that is not finite.
-* Every partial is read by `jet.jet_partials`; this module knows nothing
-  of the coefficient layout. The flag reads all s-th partials in one
-  read, one column per multi-index of degree s (descending
-  lexicographic); the form tables chain s first-partial reads, which
-  give the symmetric table on coordinate s-tuples directly.
-* The osculating flag at a point is built by successive orthogonal
-  complements: the span of the s-th partial derivatives, projected
-  orthogonally to the position vector (sphere charts), the tangent space,
-  and all lower normal spaces, is the (s-1)-th normal space. A direction is
-  accepted when its projected singular value exceeds eps_rank relative to
-  the raw derivative scale.
-* The s-th fundamental form on coordinate directions equals the s-th
-  partial derivative projected orthogonally to the flag through order s-2;
-  its values span the (s-1)-th normal space.
+* Every partial is read by `jet.jet_partials`, once per order; this
+  module knows nothing of the coefficient layout. The flag reads the s-th
+  partials in one read, one column per multi-index of degree s
+  (descending lexicographic), and projects them off the position vector
+  (sphere charts), the tangent space and the lower normal spaces. That is
+  the s-th fundamental form on coordinate directions, held by its s + 1
+  entries D_k = T(e_u^(s-k), e_v^k) on a surface; its values span the
+  (s-1)-th normal space, where a direction is accepted when its projected
+  singular value exceeds eps_rank relative to the raw derivative scale.
+* A form is evaluated on directions x, y as the binary form
+  T((a x + b y)^s) in (a, b) (`_on_lines`), whose coefficients the
+  ellipticity and the ellipses read.
 * Curvature ellipses are read off Fourier coefficients: with Z unit,
   <Z, JZ> = 0 and w = Z + i JZ, Z_theta = cos(theta) Z + sin(theta) JZ =
   Re(exp(-i theta) w), so the s-th form on Z_theta is a trigonometric
-  polynomial in theta with coefficient c_j = 2^-s C(s, j) T(w^j, conj(w)^(s-j))
-  at frequency s - 2j. By Parseval the semiaxes (the top two singular values
-  of the curve of values about its mean) are those of the real matrix
-  2 [Re c_j; Im c_j] over 2j > s, and the centre is c_(s/2) (0 for odd s).
-  Circularity residual = 1 - sigma_2 / sigma_1.
+  polynomial in theta with coefficient c_j = 2^-s C(s, j) T(w^j,
+  conj(w)^(s-j)) = 2^-s [a^(s-j) b^j] T((a conj(w) + b w)^s) at frequency
+  s - 2j. By Parseval the semiaxes (the top two singular values of the
+  curve of values about its mean) are those of the real matrix
+  2 [Re c_j; Im c_j] over 2j > s, and the centre is c_(s/2) (0 for odd
+  s). Circularity residual = 1 - sigma_2 / sigma_1.
 """
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from typing import Callable, Sequence
 
@@ -200,16 +198,16 @@ def _tangent_stage(chart: ImmersionChart, jets: J.Jet, eps_deg: float
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The first stage of the flag at every row of a chart jet of shape
     (P, N): the mask of regular rows (P,), and on the regular rows only the
-    metric (R, m, m), the metric-orthonormal frame of the coordinate axes
-    (R, m, m) and the orthonormal columns of position (sphere charts) plus
-    tangent space (R, N, k). The tangent columns are the Q factor of one
+    first partials (R, N, m), the metric-orthonormal frame of the coordinate
+    axes (R, m, m) and the orthonormal columns of position (sphere charts)
+    plus tangent space (R, N, k). The tangent columns are the Q factor of one
     stacked Householder QR of the first partials projected off position:
     only their span matters, and QR keeps them orthonormal to rounding
     however ill-conditioned the metric is, where the frame P1 E would lose
     orthogonality with the condition number of G. A row whose metric has
     no Cholesky factor is not regular. Raises InvalidData when a finite row
     of a sphere chart is off the unit sphere."""
-    finite = np.isfinite(jets.coeffs.reshape(len(jets), -1)).all(axis=1)
+    finite = np.isfinite(jets.coeffs).all(axis=(1, 2))
     jets = jets[finite]
     position = None
     if chart.ambient == "sphere":
@@ -230,62 +228,44 @@ def _tangent_stage(chart: ImmersionChart, jets: J.Jet, eps_deg: float
         position = position[keep]
     U = np.linalg.qr(_project_out(position, P1[keep]))[0]
     Q = U if position is None else np.concatenate([position, U], axis=-1)
-    return regular, G[keep], E[framed], Q
+    return regular, P1[keep], E[framed], Q
 
 
 def _flag_pass(chart: ImmersionChart, jets: J.Jet, max_order: int,
                eps_rank: float, eps_deg: float):
     """The osculating flag at every row of a chart jet of shape (P, N) and
     order max_order + 1: the mask of regular rows (P,) and, on the regular
-    rows, the metric and its orthonormal frame (R, m, m) (`_tangent_stage`),
-    the padded flag Q (R, N, W), the ends of its column blocks and the dims
-    (R, max_order + 1). Q is position (sphere charts) and tangent space,
-    then one block per order s = 2..max_order + 1 with zero columns where
-    a row rejects a direction; Q[..., :ends[s]] is the flag through order
-    s. The rank threshold is eps_rank max(scale, 1), scale the largest
-    column norm of the s-th partials of the row."""
-    N = chart.ambient_dim
-    regular, G, E, Q = _tangent_stage(chart, jets, eps_deg)
+    rows, the metric-orthonormal frame (R, m, m) (`_tangent_stage`), the
+    padded flag Q (R, N, W), the dims (R, max_order + 1) and the forms.
+    Q is position (sphere charts) and tangent space, then one block per
+    order s = 2..max_order + 1 with zero columns where a row rejects a
+    direction. The forms map each order s read (through the first with
+    rank 0 at every row) to the s-th partials (R, N, k) in `jet_partials`
+    order, projected off the flag through order s - 1 (raw at s = 1). The
+    rank threshold is eps_rank max(scale, 1), scale the largest column
+    norm of the s-th partials of the row."""
+    regular, P1, E, Q = _tangent_stage(chart, jets, eps_deg)
     c = jets[regular]
-    dims = np.zeros((len(G), max_order + 1), dtype=int)
+    forms = {1: P1}
+    dims = np.zeros((len(E), max_order + 1), dtype=int)
     dims[:, 0] = chart.domain_dim
-    accepted = np.full(len(G), Q.shape[-1])
-    done = np.zeros(len(G), dtype=bool)
-    ends = [0, Q.shape[-1]]
+    accepted = np.full(len(E), Q.shape[-1])
+    done = np.zeros(len(E), dtype=bool)
     for s in range(2, max_order + 2):
-        if done.all():
-            break
         C = J.jet_partials(c, s, axis=-1).value
         scale = np.linalg.norm(C, axis=-2).max(axis=-1)
-        U, sv, _ = np.linalg.svd(_project_out(Q, C), full_matrices=False)
+        forms[s] = _project_out(Q, C)
+        U, sv, _ = np.linalg.svd(forms[s], full_matrices=False)
         rank = np.sum(sv > eps_rank * np.maximum(scale, 1.0)[:, None], axis=-1)
         rank[done] = 0
         keep = np.arange(U.shape[-1]) < rank[:, None]
         Q = np.concatenate([Q, U * keep[:, None, :]], axis=-1)
-        ends.append(Q.shape[-1])
         dims[:, s - 1] = rank
         accepted += rank
-        done |= (rank == 0) | (accepted >= N)
-    return regular, G, E, Q, ends, dims
-
-
-def _form_tables(jets: J.Jet, Q: np.ndarray, ends: list[int],
-                 max_s: int) -> dict[int, np.ndarray]:
-    """Fundamental form tables of orders 1..max_s on the regular rows of a
-    chart jet and their padded flag (`_flag_pass`), each of shape (R, m,
-    ..., m, N) with s axes of m: the raw first partials, then the s-th
-    partials on coordinate s-tuples projected off the flag through order
-    s - 1. The s-th partials are s chained first-partial reads, one chain
-    for all s; a table is symmetric, so the order of its axes is free."""
-    R, N, m = len(jets), jets.shape[-1], jets.space.nvars
-    tables, d = {}, jets
-    for s in range(1, max_s + 1):
-        d = J.jet_partials(d, axis=-1)  # (R, N, m, ..., m), s axes of m
-        C = d.value.reshape(R, N, m ** s)
-        if s > 1:
-            C = _project_out(Q[..., :ends[min(s - 1, len(ends) - 1)]], C)
-        tables[s] = np.moveaxis(C.reshape(d.shape), 1, -1)
-    return tables
+        done |= (rank == 0) | (accepted >= chart.ambient_dim)
+        if done.all():
+            break
+    return regular, E, Q, dims, forms
 
 
 def _tau_o(chart: ImmersionChart, tau: int) -> int:
@@ -297,24 +277,43 @@ def _tau_o(chart: ImmersionChart, tau: int) -> int:
     return tau - (1 if codim % 2 else 0)
 
 
+def _on_lines(D: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """T((a x + b y)^s) in (a, b), (R, s + 1, N) with row j the coefficient
+    of a^(s-j) b^j, for stacked symmetric s-tensors in two variables by
+    their entries D (R, N, s + 1), D_k = T(e_u^(s-k), e_v^k), and stacked
+    vectors x, y (R, 2): W D^T, column k of W the coefficients of C(s, k)
+    (a x_u + b y_u)^(s-k) (a x_v + b y_v)^k, by s linear-factor products."""
+    s = D.shape[-1] - 1
+    k = np.arange(s + 1)
+    # step t multiplies column k by the factor of u while t < s - k, then v
+    pick = (np.arange(s)[:, None] >= s - k).astype(np.intp)
+    a, b = x[:, pick], y[:, pick]  # (R, s, s + 1)
+    W = np.zeros((len(D), s + 1, s + 1), dtype=np.result_type(x, y))
+    W[:, 0] = [math.comb(s, i) for i in k]
+    for t in range(s):
+        W[:, 1:] = W[:, 1:] * a[:, None, t] + W[:, :-1] * b[:, None, t]
+        W[:, 0] *= a[:, t]
+    return W @ D.mT
+
+
 # the discriminant (a, b, c) -> ac - b^2 as a symmetric bilinear form
 _DISC = np.array([[0.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]])
 
 
 def _ellipticity_pass(E: np.ndarray, A2: np.ndarray, eps_rank: float):
     """Ellipticity on stacked rows of metric-orthonormal tangent frame E
-    (R, 2, 2) and second-form table A2 (R, 2, 2, N): the masks of elliptic
-    and of totally geodesic rows (R,), and the coefficients (R, 3) and J
-    (R, 2, 2), NaN where a row is not elliptic. The kernel of
-    (a, b, c) -> a alpha(X,X) + 2b alpha(X,Y) + c alpha(Y,Y) is read off
-    one stacked SVD; a kernel element with positive discriminant (the top
-    eigenvector of the discriminant on a 2-dimensional kernel) makes the
-    row elliptic. The coefficients are scaled so the largest entry is 1
-    with a >= 0, so minimal points read exactly (1, 0, 1); J is the induced
-    complex structure in the frame {X, Y}, with J^2 = -I. Totally geodesic
-    rows take (1, 0, 1) and the quarter turn."""
-    A = np.einsum("ria,rjb,rijn->rabn", E, E, A2)
-    M = np.stack([A[:, 0, 0], 2.0 * A[:, 0, 1], A[:, 1, 1]], axis=-1)
+    (R, 2, 2) and second form A2 (R, N, 3) (entries uu, uv, vv): the masks
+    of elliptic and of totally geodesic rows (R,), and the coefficients
+    (R, 3) and J (R, 2, 2), NaN where a row is not elliptic. The kernel of
+    (a, b, c) -> a alpha(X,X) + 2b alpha(X,Y) + c alpha(Y,Y), the
+    coefficients of alpha((a X + b Y)^2), is read off one stacked SVD; a
+    kernel element with positive discriminant (the top eigenvector of the
+    discriminant on a 2-dimensional kernel) makes the row elliptic. The
+    coefficients are scaled so the largest entry is 1 with a >= 0, so
+    minimal points read exactly (1, 0, 1); J is the induced complex
+    structure in the frame {X, Y}, with J^2 = -I. Totally geodesic rows
+    take (1, 0, 1) and the quarter turn."""
+    M = _on_lines(A2, E[..., 0], E[..., 1]).mT
     _, sv, Vt = np.linalg.svd(M, full_matrices=True)
     sv = np.concatenate([sv, np.zeros((len(sv), 3 - sv.shape[-1]))], axis=-1)
     tg = sv[:, 0] <= eps_rank  # alpha^2 = 0: every (a, b, c) annihilates it
@@ -339,49 +338,32 @@ def _ellipticity_pass(E: np.ndarray, A2: np.ndarray, eps_rank: float):
     return exists, tg, coeffs, Jm
 
 
-@functools.lru_cache(maxsize=None)
-def _word_groups(s: int) -> np.ndarray:
-    """0/1 matrix (s + 1, 2^s): row j picks the words of length s over
-    (w, conj w) with j letters w, in the row order of the Kronecker power
-    of [w; conj w] (first factor most significant, bit 0 = w)."""
-    ones = np.array([bin(r).count("1") for r in range(2 ** s)])
-    return (s - ones == np.arange(s + 1)[:, None]).astype(float)
-
-
-def _ellipse_directions(E: np.ndarray, Jm: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Unit Z with <Z, JZ> = 0, and JZ, in coordinate components (R, 2),
-    from stacked tangent frames E and J (R, 2, 2)."""
+def _ellipse_directions(E: np.ndarray, Jm: np.ndarray) -> np.ndarray:
+    """w = Z + i JZ with Z unit and <Z, JZ> = 0, in coordinate components
+    (R, 2), from stacked tangent frames E and J (R, 2, 2)."""
     phi = np.arctan2((Jm[:, 0, 1] + Jm[:, 1, 0]) / 2.0,
                      (Jm[:, 0, 0] - Jm[:, 1, 1]) / 2.0)
     t = (phi + math.pi / 2.0) / 2.0
     zf = np.stack([np.cos(t), np.sin(t)], axis=-1)[..., None]
-    return (E @ zf)[..., 0], (E @ (Jm @ zf))[..., 0]
+    return (E @ zf)[..., 0] + 1j * (E @ (Jm @ zf))[..., 0]
 
 
 def _ellipse_pass(E: np.ndarray, Jm: np.ndarray,
-                  tables: dict[int, np.ndarray], top: int):
+                  forms: dict[int, np.ndarray], top: int):
     """Curvature ellipses of orders 0..top on stacked elliptic rows, from
-    the tangent frames E and J (R, 2, 2) and the form tables of orders
-    1..top + 1 (`_form_tables`). Returns the centres (R, top + 1, N),
-    semiaxes (R, top + 1, 2) and circularity residuals (R, top + 1). The
-    ellipse of order ell holds the values of the (ell + 1)-th form on
-    Z_theta: ell = 0 is the tangent circle, read off the first partials,
-    and the ellipse in a rank-1 last normal space degenerates to a segment
-    with residual near 1."""
-    Z, JZ = _ellipse_directions(E, Jm)
-    w = np.stack([Z + 1j * JZ, Z - 1j * JZ], axis=1)
-    R, N = len(w), tables[1].shape[-1]
-    kron = np.ones((R, 1, 1))  # the s-th Kronecker power of w, row by row
+    the tangent frames E and J (R, 2, 2) and the forms of orders 1..top + 1
+    (`_flag_pass`): the centres (R, top + 1, N), semiaxes (R, top + 1, 2)
+    and circularity residuals (R, top + 1). The ellipse of order ell holds
+    the values of the (ell + 1)-th form on Z_theta (ell = 0: the tangent
+    circle); in a rank-1 last normal space it is a segment, residual ~1."""
+    w = _ellipse_directions(E, Jm)
+    R, N = len(w), forms[1].shape[1]
     centers = np.zeros((R, top + 1, N))
     semiaxes, residuals = np.empty((R, top + 1, 2)), np.empty((R, top + 1))
     for s in range(1, top + 2):
-        kron = (kron[:, :, None, :, None] * w[:, None, :, None, :]).reshape(
-            R, 2 ** s, 2 ** s)
         # c[j] = 2^-s C(s, j) T(w^j, conj(w)^(s-j)), the coefficient of
         # exp(i (s - 2j) theta) in T(Z_theta, ..., Z_theta)
-        c = ((_word_groups(s) @ kron) @ tables[s].reshape(R, 2 ** s, N)
-             / 2.0 ** s)
+        c = _on_lines(forms[s], w.conj(), w) / 2.0 ** s
         hi = c[:, s // 2 + 1:]
         sv = np.linalg.svd(2.0 * np.concatenate([hi.real, hi.imag], axis=1),
                            compute_uv=False)
@@ -397,33 +379,35 @@ def _ellipse_pass(E: np.ndarray, Jm: np.ndarray,
 def _flag_stage(chart: ImmersionChart, points, max_order: int,
                 eps_rank: float, eps_deg: float) -> tuple:
     """Stage one of `point_rows`: the chart evaluated once, at order
-    max_order + 1, at points of shape (P, 2), and `_flag_pass`. Returns the
-    points, each point's dims through its tau (None where singular) and,
-    on the regular rows, the jets, tangent frames, padded flag and ends."""
-    pts = np.reshape(np.asarray(points, dtype=float), (-1, 2))
-    jets = chart.eval_jets(pts, max_order + 1)
-    regular, _, E, Q, ends, dims = _flag_pass(chart, jets, max_order,
-                                              eps_rank, eps_deg)
+    max_order + 1, at points of shape (P, 2) or one point of shape (2,),
+    and `_flag_pass`. Returns the points (P, 2), each point's dims through
+    its tau (None where singular) and, on the regular rows, the tangent
+    frames and the forms."""
+    pts = np.asarray(points, dtype=float)
+    jets = chart.eval_jets(pts, max_order + 1)  # checks the shape
+    if pts.ndim == 1:
+        pts, jets = pts[None], jets[None]
+    regular, E, _, dims, forms = _flag_pass(chart, jets, max_order,
+                                            eps_rank, eps_deg)
     tau = np.count_nonzero(dims[:, 1:], axis=1)
     cut = iter([d[:t + 1] for d, t in zip(dims.tolist(), tau.tolist())])
     return (pts, [next(cut) if ok else None for ok in regular.tolist()],
-            (jets[regular], E, Q, ends))
+            (E, forms))
 
 
 def _row_stage(chart: ImmersionChart, pts: np.ndarray, dims: list,
                flag: tuple, tol: float, eps_rank: float) -> list[dict]:
     """Stage two of `point_rows`: the JSON rows of points from their stage
-    one (`_flag_stage`), with the forms through order max(tau) + 1, the
-    ellipticity and the ellipses of each order on the regular rows."""
-    jets, E, Q, ends = flag
+    one (`_flag_stage`), with the ellipticity and the ellipses of each order
+    on the regular rows, from the forms through order max(tau) + 1."""
+    E, forms = flag
     tau = np.array([len(d) - 1 for d in dims if d is not None], dtype=int)
     top = int(tau.max(initial=0))
-    tables = _form_tables(jets, Q, ends, max(top + 1, 2))
-    exists, _, coeffs, Jm = _ellipticity_pass(E, tables[2], eps_rank)
+    exists, _, coeffs, Jm = _ellipticity_pass(E, forms[2], eps_rank)
     # every order through the top tau on every elliptic row; a row reads
     # the orders through its own tau
     _, semiaxes, residuals = _ellipse_pass(
-        E[exists], Jm[exists], {s: t[exists] for s, t in tables.items()}, top)
+        E[exists], Jm[exists], {s: f[exists] for s, f in forms.items()}, top)
     # the isotropy order: the circular orders 0, 1, ... in a row, through
     # min(tau_o, tau); a residual that is not finite is not circular
     t = tau[exists]
@@ -458,8 +442,8 @@ def point_rows(chart: ImmersionChart, points,
                eps_rank: float = EPS_RANK,
                max_order: int | None = None,
                eps_deg: float = EPS_DEG) -> list[dict]:
-    """JSON rows of a surface sweep at points of shape (P, 2): flag dims,
-    curvature ellipses, ellipticity and isotropy order of every point.
+    """JSON rows of a surface sweep at points of shape (P, 2) or (2,): flag
+    dims, curvature ellipses, ellipticity and isotropy order of each point.
 
     The chart is evaluated once, at order max_order + 1, at all points;
     stacked passes over the regular rows give the flag, the forms through

@@ -15,7 +15,9 @@ nullity pass with the second form it reads, and the chart's order-1
 jets, which give the metric (the first partials). The sampled curvature
 ellipse takes the fundamental forms and the ellipse directions Z, JZ
 from the stacked passes (`stacked_at`) and replaces only the closed-form
-Fourier step: it samples the form on Z_theta and takes an SVD. The
+Fourier step: it samples the form on Z_theta, T(X^s) = sum_k C(s, k)
+X_u^(s-k) X_v^k D_k on the form's entries D_k, where the package expands
+T((a conj(w) + b w)^s) in (a, b), and takes an SVD. The
 per-point flag is the loop that the stacked flag pass replaced, one
 order at a time on one point's jet, with its own read of the s-th
 partials: a slice of the coefficients in the space's index order, where
@@ -94,29 +96,39 @@ def stacked_at(chart, point, max_s=2, eps_rank=geo.EPS_RANK,
     evaluation at order max_s >= 2, as a dict of that point's arrays: the
     metric "G", the metric-orthonormal frame "E" of the coordinate axes,
     the padded flag "Q" (`_flag_pass` at depth max_s - 1, zero columns
-    where a direction is rejected) and the form tables "tables" of orders
-    1..max_s. On a surface chart also the ellipticity pass ("elliptic",
-    "tg", "coeffs", "J") and, where elliptic, the ellipses of orders
-    0..max_s - 1 ("centers", "semiaxes", "residuals"). DegeneratePoint
-    where the point is singular."""
+    where a direction is rejected) and the forms "forms" of the orders the
+    flag reads, each (N, k) with one column per multi-index of degree s in
+    `jet.jet_partials` order. On a surface chart also the ellipticity pass
+    ("elliptic", "tg", "coeffs", "J") and, where elliptic, the ellipses of
+    orders 0..s - 1 ("centers", "semiaxes", "residuals"), s the last order
+    the flag reads. DegeneratePoint where the point is singular."""
     jets = chart.eval_jets(np.asarray(point, dtype=float)[None], max_s)
-    regular, G, E, Q, ends, _ = geo._flag_pass(chart, jets, max_s - 1,
-                                               eps_rank, eps_deg)
+    regular, E, Q, _, forms = geo._flag_pass(chart, jets, max_s - 1,
+                                             eps_rank, eps_deg)
     if not regular[0]:
         raise DegeneratePoint(f"metric degenerate at {tuple(point)}")
-    tables = geo._form_tables(jets, Q, ends, max_s)
-    at = {"G": G[0], "E": E[0], "Q": Q[0],
-          "tables": {s: t[0] for s, t in tables.items()}}
+    P1 = forms[1][0]
+    at = {"G": P1.T @ P1, "E": E[0], "Q": Q[0],
+          "forms": {s: f[0] for s, f in forms.items()}}
     if chart.domain_dim == 2:
-        exists, tg, coeffs, Jm = geo._ellipticity_pass(E, tables[2], eps_rank)
+        exists, tg, coeffs, Jm = geo._ellipticity_pass(E, forms[2], eps_rank)
         at.update(elliptic=bool(exists[0]), tg=bool(tg[0]), coeffs=coeffs[0],
                   J=Jm[0])
         if exists[0]:
-            centers, semiaxes, residuals = geo._ellipse_pass(E, Jm, tables,
-                                                             max_s - 1)
+            centers, semiaxes, residuals = geo._ellipse_pass(
+                E, Jm, forms, max(forms) - 1)
             at.update(centers=centers[0], semiaxes=semiaxes[0],
                       residuals=residuals[0])
     return at
+
+
+def form_table(form, m):
+    """The symmetric second-form table (m, m, N) of a point's order-2 form
+    (N, m (m + 1) / 2), whose columns are the pairs i <= j in order."""
+    i, j = np.triu_indices(m)
+    table = np.empty((m, m, form.shape[0]))
+    table[i, j] = table[j, i] = form.T
+    return table
 
 
 def nullity_at(chart, point, eps_rank=geo.EPS_RANK, eps_deg=geo.EPS_DEG):
@@ -134,8 +146,8 @@ def nullity_at(chart, point, eps_rank=geo.EPS_RANK, eps_deg=geo.EPS_DEG):
         raise DegeneratePoint(f"singular point {where}")
     m, nu = chart.domain_dim, int(nu[0])
     _, _, E, Q = geo._tangent_stage(chart, jets, eps_deg)
-    aorth = np.einsum("ki,lj,kln->ijn", E[0], E[0],
-                      geo._form_tables(jets, Q, [0, Q.shape[-1]], 2)[2][0])
+    form = geo._project_out(Q, J.jet_partials(jets, 2, axis=-1).value)[0]
+    aorth = np.einsum("ki,lj,kln->ijn", E[0], E[0], form_table(form, m))
     U = np.linalg.svd(aorth.reshape(m, -1))[0]
     return SimpleNamespace(
         point=where, nu=nu,
@@ -219,25 +231,18 @@ def curvature_ellipse_sampled(chart, point, ell, samples=64,
                               eps_rank=geo.EPS_RANK):
     """Curvature ellipse of order ell <= tau at an elliptic point, from
     `samples` values of the (ell + 1)-th form (the first partials for
-    ell = 0) on Z_theta: the semiaxes are the top two singular values of
+    ell = 0) on Z_theta, T(X^s) = sum_k C(s, k) X_u^(s-k) X_v^k D_k with
+    D_k the form's entries: the semiaxes are the top two singular values of
     the centred sample matrix, scaled by sqrt(samples / 2) to lengths."""
     s = ell + 1
     at = stacked_at(chart, point, max_s=max(s, 2), eps_rank=eps_rank)
-    Z, JZ = (v[0] for v in geo._ellipse_directions(at["E"][None],
-                                                    at["J"][None]))
-    basis = []
-    for k in range(s + 1):
-        T = at["tables"][s]
-        for _ in range(s - k):
-            T = np.tensordot(Z, T, axes=(0, 0))
-        for _ in range(k):
-            T = np.tensordot(JZ, T, axes=(0, 0))
-        basis.append(T)
+    w = geo._ellipse_directions(at["E"][None], at["J"][None])[0]
+    Z, JZ = w.real, w.imag
     theta = 2.0 * math.pi * np.arange(samples) / samples
-    W = np.stack([math.comb(s, k)
-                  * np.cos(theta) ** (s - k) * np.sin(theta) ** k
+    X = np.cos(theta)[:, None] * Z + np.sin(theta)[:, None] * JZ
+    W = np.stack([math.comb(s, k) * X[:, 0] ** (s - k) * X[:, 1] ** k
                   for k in range(s + 1)], axis=1)
-    P = W @ np.stack(basis, axis=0)
+    P = W @ at["forms"][s].T
     center = P.mean(axis=0)
     sv = np.linalg.svd(P - center, compute_uv=False) / math.sqrt(samples / 2.0)
     s1, s2 = float(sv[0]), float(sv[1])

@@ -273,6 +273,24 @@ def test_export_bundle_seam_and_determinism(tmp_path):
     assert len(vs) == 16 and len(fs) == 8
 
 
+@pytest.mark.parametrize("kind, fixture", [("polar", "veronese"),
+                                           ("bipolar", "n5")])
+def test_principal_projection_is_canonical(kind, fixture):
+    """The default bundle meshes have a repeated covariance eigenvalue
+    (polar veronese 45.74 twice, bipolar n5 52.77 twice): inside it the
+    projection does not depend on the vertex order or on noise in the
+    last bits."""
+    chart = cli._bundle_chart(cli.load_config(cli.build_parser().parse_args(
+        ["export", "--kind", kind, "--fixture", fixture]))).chart
+    verts = chart.value(geo.grid_points(geo.grid_axes(chart, (5, 5, 8))))
+    forward = cli._principal_projection(verts)
+    assert np.allclose(cli._principal_projection(verts[::-1])[::-1], forward,
+                       rtol=0, atol=1e-9)
+    noise = 1.0 + 1e-15 * np.random.default_rng(0).standard_normal(verts.shape)
+    assert np.allclose(cli._principal_projection(verts * noise), forward,
+                       rtol=0, atol=1e-9)
+
+
 def test_export_projection_validation(tmp_path):
     out = tmp_path / "v.obj"
     assert run(["export", "--fixture", "veronese", "--grid", "0:0.5:3,0:0.5:3",

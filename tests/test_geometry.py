@@ -120,15 +120,16 @@ def test_flag_plane_and_sphere():
 
 
 def test_second_form_n4(n4):
-    alpha = stacked_at(n4, (0.0, 0.0))["tables"][2]
-    assert np.allclose(alpha[0, 0], [0, 0, 2, 0], atol=1e-12)
-    assert np.allclose(alpha[0, 1], [0, 0, 0, -2], atol=1e-12)
-    assert np.allclose(alpha[1, 1], [0, 0, -2, 0], atol=1e-12)
+    # the entries (alpha_uu, alpha_uv, alpha_vv)
+    alpha = stacked_at(n4, (0.0, 0.0))["forms"][2]
+    assert np.allclose(alpha[:, 0], [0, 0, 2, 0], atol=1e-12)
+    assert np.allclose(alpha[:, 1], [0, 0, 0, -2], atol=1e-12)
+    assert np.allclose(alpha[:, 2], [0, 0, -2, 0], atol=1e-12)
 
 
 def test_second_form_matches_fd_oracle(n5):
     for p in ((0.21, -0.33), (-0.15, 0.4)):
-        alpha = stacked_at(n5, p)["tables"][2]
+        alpha = oracles.form_table(stacked_at(n5, p)["forms"][2], 2)
         ref = oracles.second_form_fd(n5, p)
         assert np.allclose(alpha, ref, rtol=1e-6, atol=1e-6)
 
@@ -137,8 +138,8 @@ def test_third_form_norm():
     # (z, z^2, z^3) at the origin: alpha^3(du, du, du) = d^3/du^3 projected,
     # and the only surviving component is (0, ..., 6) from z^3
     curve = make_holomorphic_curve((1, 2, 3))
-    T = stacked_at(curve, (0.0, 0.0), max_s=3)["tables"][3]
-    assert np.linalg.norm(T[0, 0, 0]) == pytest.approx(6.0, abs=1e-10)
+    T = stacked_at(curve, (0.0, 0.0), max_s=3)["forms"][3]
+    assert np.linalg.norm(T[:, 0]) == pytest.approx(6.0, abs=1e-10)
 
 
 def test_mean_curvature_vector(n5):
@@ -349,6 +350,37 @@ def test_point_report_evaluates_the_chart_once(n5, monkeypatch):
             assert calls == [geo.DEFAULT_JET_ORDER]
 
 
+def test_point_rows_reads_each_order_once(monkeypatch):
+    """One `point_rows` call reads the partials of each order the flag
+    reads (s = 1..top + 1) once: the forms are the flag's own reads."""
+    n8 = _chart("n8")
+    calls = []
+    real = J.jet_partials
+
+    def counted(a, s=1, axis=0):
+        calls.append(s)
+        return real(a, s, axis)
+
+    monkeypatch.setattr(J, "jet_partials", counted)
+    rows = geo.point_rows(n8, _grid(n8))
+    top = max(row["tau"] for row in rows)
+    assert top == 3
+    assert calls == list(range(1, top + 2))
+
+
+def test_point_rows_checks_the_shape_of_its_points(n5):
+    """Points are (P, 2), or one point (2,) as the case P = 1; an empty
+    batch gives no rows, and any other shape is rejected, never re-read
+    as pairs."""
+    p = (0.1, 0.2)
+    assert geo.point_rows(n5, p) == [point_row(n5, p)]
+    assert geo.point_rows(n5, np.zeros((0, 2))) == []
+    for bad in ([[0.1, 0.3, 0.2], [0.2, 0.1, 0.3]], (0.1, 0.2, 0.3),
+                np.zeros((2, 2, 2))):
+        with pytest.raises(ShapeMismatch):
+            geo.point_rows(n5, bad)
+
+
 def test_eval_jets_needs_one_vector_jet():
     """A chart evaluates to one jet of shape (ambient_dim,); a list of
     component jets or a jet of another shape is rejected."""
@@ -382,6 +414,23 @@ def test_closed_form_ellipses_match_sampled_oracle(seed, n, frac):
     point = tuple(lo + (hi - lo) * f for (lo, hi), f in zip(chart.domain, frac))
     row = point_row(chart, point)
     assume(row["elliptic"])
+    _assert_ellipses_match_sampled_oracle(chart, point, row)
+
+
+@pytest.mark.parametrize("name, point, tau", [
+    ("curve-1-2-3-4-5", (0.0, 0.0), 4), ("curve-1-2-3-4-5", (0.3, -0.2), 4),
+    # a rank-1 last level at v = 0: its ellipse is a segment
+    ("n8", (0.3, 0.0), 4), ("n8", (0.17, -0.23), 3)])
+def test_closed_form_deep_ellipses_match_sampled_oracle(name, point, tau):
+    """The sampled-oracle check of every ellipse at flag depth 5, through
+    the 5th form: curve-1-2-3-4-5 (the 5th with semiaxis 120) and n8."""
+    chart = _chart(name)
+    row = point_row(chart, point, max_order=5)
+    assert row["elliptic"] and row["tau"] == tau
+    _assert_ellipses_match_sampled_oracle(chart, point, row)
+
+
+def _assert_ellipses_match_sampled_oracle(chart, point, row):
     centers = stacked_at(chart, point, max_s=max(row["tau"] + 1, 2))["centers"]
     for ell, got in enumerate(row["ellipses"]):
         ref = oracles.curvature_ellipse_sampled(chart, point, ell)

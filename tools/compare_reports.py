@@ -58,6 +58,8 @@ COMMANDS = (
     # a deep flag: the 5th and 6th partials, where a chain of first
     # partials and one gather with the exact factor can round differently
     + [["analyze", "--fixture", "curve-1-2-3-4-5", "--jet-order", "6"]]
+    # the rank-1 deep level of n8 at v = 0: a segment of order 4
+    + [["analyze", "--fixture", "n8", "--jet-order", "6"]]
     + [["bundle", "--kind", "bipolar", "--fixture", name] for name in (
         "n5", "n8", "curve-1-2-pad1", "plane")]
     + [["bundle", "--kind", "polar", "--fixture", "veronese"],
