@@ -36,14 +36,15 @@ def make_holomorphic_curve(powers: tuple[int, ...], pad: int = 0,
         raise InvalidData(f"powers must be positive integers, got {powers}")
     _require_integer("pad", pad, 0)
 
-    components = []
-    for p in powers:
-        components += [cp.poly(*(0,) * p, 1), cp.poly(*(0,) * p, -1j)]
+    rows = np.arange(len(powers))
+    components = np.zeros((2 * len(powers) + pad, max(powers) + 1),
+                          dtype=complex)
+    components[2 * rows, powers] = 1
+    components[2 * rows + 1, powers] = -1j
     name = "curve-" + "-".join(str(p) for p in powers)
     if pad:
         name += f"-pad{pad}"
-    return surface_chart(tuple(components) + (cp.ZERO,) * pad, name=name,
-                         domain=domain)
+    return surface_chart(components, name=name, domain=domain)
 
 
 def make_plane(pad: int = 3) -> ImmersionChart:
@@ -53,8 +54,8 @@ def make_plane(pad: int = 3) -> ImmersionChart:
     The default pad keeps the ambient dimension at 5 so the plane remains a
     legal (if everywhere degenerate) unit tangent bundle base."""
     _require_integer("pad", pad, 1)
-    return surface_chart((cp.poly(0, 1), cp.poly(0, -1j)) + (cp.ZERO,) * pad,
-                         name=f"plane-pad{pad}")
+    components = np.array([[0, 1], [0, -1j]] + [[0, 0]] * pad, dtype=complex)
+    return surface_chart(components, name=f"plane-pad{pad}")
 
 
 def _stereographic(points, space) -> J.Jet:
@@ -138,18 +139,18 @@ def demo_weierstrass_data(n: int, final_integration: bool = True) -> Weierstrass
     n = 4 integrates to a chart congruent to the (z, z^2) curve; n = 5 and
     n = 6 are generic (alpha0 . alpha0 != 0), n = 7 uses alpha0 produced by
     one recursion step, so the result is 2-isotropic."""
-    one = cp.ONE
-    zp = cp.poly(0, 1)
+    one = np.ones(1, dtype=complex)
     if n == 4:
-        alpha0: cp.PolyVec = ()
+        alpha0 = np.zeros((0, 0), dtype=complex)
     elif n == 5:
-        alpha0 = (one,)
+        alpha0 = np.array([[1]], dtype=complex)
     elif n == 6:
-        alpha0 = (one, zp)
+        alpha0 = np.array([[1, 0], [0, 1]], dtype=complex)
     elif n == 7:
-        alpha0 = isotropic_step((one,), one)
+        alpha0 = isotropic_step(np.array([[1]], dtype=complex), one)
     elif n == 8:
-        alpha0 = (one, zp, cp.poly(1, 0, -1), cp.poly(0.5, 0.25))
+        alpha0 = np.array([[1, 0, 0], [0, 1, 0], [1, 0, -1], [0.5, 0.25, 0]],
+                          dtype=complex)
     else:
         raise InvalidData(f"no demo data for n = {n}")
     return WeierstrassData(n=n, alpha0=alpha0, beta1=one, beta2=one,
@@ -163,19 +164,18 @@ def random_weierstrass_data(rng: np.random.Generator, n: int,
     if n < 4:
         raise InvalidData(f"need n >= 4, got n = {n}")
 
-    def rand_poly(deg: int, floor: float = 0.0) -> cp.ComplexPoly:
-        c = rng.uniform(-1.0, 1.0, size=(deg + 1, 2))
-        coeffs = [complex(a, b) for a, b in c]
+    def rand_poly(deg: int, floor: float = 0.0) -> np.ndarray:
+        coeffs = rng.uniform(-1.0, 1.0, size=(deg + 1, 2)).view(complex)[:, 0]
         if floor:
-            head = coeffs[0]
+            head = complex(coeffs[0])
             mag = max(abs(head), 1e-3)
             coeffs[0] = head / mag * (floor + abs(head))
-        return cp.ComplexPoly(tuple(coeffs))
+        return coeffs
 
-    alpha0 = tuple(rand_poly(int(rng.integers(0, max_degree + 1)))
-                   for _ in range(n - 4))
-    if alpha0 and all(p.is_zero() for p in alpha0):
-        alpha0 = (cp.ONE,) + alpha0[1:]
+    alpha0 = cp.stack([rand_poly(int(rng.integers(0, max_degree + 1)))
+                       for _ in range(n - 4)])
+    if n > 4 and not alpha0.any():
+        alpha0[0, 0] = 1
     beta1 = rand_poly(int(rng.integers(0, max_degree + 1)), floor=0.5)
     beta2 = rand_poly(int(rng.integers(0, max_degree + 1)), floor=0.5)
     return WeierstrassData(n=n, alpha0=alpha0, beta1=beta1, beta2=beta2)

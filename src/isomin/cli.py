@@ -19,7 +19,8 @@ fields. Runs are deterministic: the same config produces byte-identical
 reports and meshes. A report is strict JSON with sorted keys, one compact
 line per top-level key or row, with null for non-finite numbers.
 Exit codes: 0 all checks pass, 1 bad input, 2 a verification failed (also
-when no point it needs is regular) or the numerics broke down, 3
+when no point it needs is regular) or the numerics broke down (a linear
+algebra routine did not converge, or a chart value overflowed), 3
 structural degeneracy (flag collapse).
 """
 from __future__ import annotations
@@ -66,9 +67,10 @@ SPOT_POINTS = ((0.17, 0.11), (-0.23, 0.31), (0.05, -0.37))
 PRINCIPAL_TOL = 1e-8  # relative gap of equal covariance eigenvalues, export
 
 
-# one compact line per row, written by the C encoder
+# one compact line per row, written by the C encoder; a report is a tree
+# the package builds, so there is no circular reference to look for
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False,
-                                separators=(", ", ": "))
+                                check_circular=False, separators=(", ", ": "))
 
 
 def _nulls(x):
@@ -626,7 +628,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except IsominError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except np.linalg.LinAlgError as exc:  # a ValueError, but not bad input
+    # a LinAlgError is a ValueError, but not bad input; a FloatingPointError
+    # is a chart value that overflowed
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError) as exc:

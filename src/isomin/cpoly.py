@@ -1,162 +1,111 @@
-"""Dense complex polynomials in one variable, and vectors of them.
+"""Complex polynomials in one variable as arrays, and vectors of them.
 
-Coefficients are Python complex numbers indexed by power of z and stored
-trimmed: the trailing coefficient is nonzero unless the polynomial is zero
-(empty tuple). The dot product used throughout the package is the bilinear
-one, sum(a_k * b_k) with no conjugation; null curves are exactly the curves
+A polynomial is a complex array whose last axis holds the coefficients by
+power of z; a vector of d polynomials is one (d, L) array, row i component
+i and column k the coefficient of z^k, every row zero-padded to the common
+length L. A zero row is the zero polynomial. Every operation broadcasts
+over the leading axes. Trimming happens only in the JSON form, which lists
+each polynomial without its trailing zeros (the zero polynomial is []).
+The dot product used throughout the package is the bilinear one,
+sum(a_k * b_k) with no conjugation; null curves are exactly the curves
 whose self-product vanishes under this pairing.
 """
 from __future__ import annotations
 
-import cmath
-import dataclasses
-import itertools
-from typing import Iterable, Sequence
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import DimensionMismatch, InvalidData
 
 
-def _trim(coeffs: Iterable[complex]) -> tuple[complex, ...]:
-    out = [complex(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+@lru_cache(maxsize=None)
+def _pair_table(la: int, lb: int) -> tuple[np.ndarray, np.ndarray]:
+    # the positions i * lb + j of the outer product a_i b_j, sorted by output
+    # power i + j and then by i, and the start of each power's run; every
+    # power 0..la + lb - 2 has at least one pair
+    i, j = np.divmod(np.arange(la * lb), lb)
+    order = np.lexsort((i, i + j))
+    return order, np.searchsorted((i + j)[order], np.arange(la + lb - 1))
 
 
-@dataclasses.dataclass(frozen=True)
-class ComplexPoly:
-    """Polynomial sum(coeffs[k] * z**k) with trimmed coefficients."""
-
-    coeffs: tuple[complex, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: ComplexPoly) -> ComplexPoly:
-        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
-        return ComplexPoly(tuple(a + b for a, b in pairs))
-
-    def __sub__(self, other: ComplexPoly) -> ComplexPoly:
-        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
-        return ComplexPoly(tuple(a - b for a, b in pairs))
-
-    def __neg__(self) -> ComplexPoly:
-        return ComplexPoly(tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, ComplexPoly):
-            return poly_mul(self, other)
-        return ComplexPoly(tuple(a * other for a in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def __call__(self, z: complex) -> complex:
-        return poly_eval(self, z)
-
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.coeffs), default=0.0)
+def poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of polynomials of lengths la, lb >= 1, length la + lb - 1,
+    broadcast over the leading axes: one gather of the outer product in
+    (output power, power in a) order and one reduction per output power."""
+    la, lb = a.shape[-1], b.shape[-1]
+    order, starts = _pair_table(la, lb)
+    ar, ai = a.real[..., :, None], a.imag[..., :, None]
+    br, bi = b.real[..., None, :], b.imag[..., None, :]
+    # the complex products in real arithmetic, rounded as Python rounds
+    # them: numpy's complex multiply may fuse a multiply and an add, and
+    # then x y and (i x)(i y) are not exact negatives, so the top
+    # coefficients of the self-product of a null curve's integral no
+    # longer cancel to exact zeros
+    real = ar * br - ai * bi
+    outer = np.empty(real.shape, dtype=complex)
+    outer.real = real
+    outer.imag = ar * bi + ai * br
+    outer = outer.reshape(outer.shape[:-2] + (la * lb,))
+    return np.add.reduceat(outer[..., order], starts, axis=-1)
 
 
-PolyVec = tuple[ComplexPoly, ...]
-
-ZERO = ComplexPoly()
-ONE = ComplexPoly((1,))
-
-
-def poly(*coeffs: complex) -> ComplexPoly:
-    """Convenience constructor, low powers first: poly(1, 0, 2) = 1 + 2z^2."""
-    return ComplexPoly(tuple(coeffs))
-
-
-def poly_mul(a: ComplexPoly, b: ComplexPoly) -> ComplexPoly:
-    if a.is_zero() or b.is_zero():
-        return ZERO
-    out = [0j] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, ca in enumerate(a.coeffs):
-        for j, cb in enumerate(b.coeffs):
-            out[i + j] += ca * cb
-    return ComplexPoly(tuple(out))
-
-
-def poly_diff(a: ComplexPoly) -> ComplexPoly:
-    return ComplexPoly(tuple(k * c for k, c in enumerate(a.coeffs) if k > 0))
-
-
-def poly_int(a: ComplexPoly, constant: complex = 0) -> ComplexPoly:
-    """Antiderivative with a chosen value at z = 0."""
-    return ComplexPoly((complex(constant),)
-                       + tuple(c / (k + 1) for k, c in enumerate(a.coeffs)))
-
-
-def poly_eval(a: ComplexPoly, z: complex) -> complex:
-    acc = 0j
-    for c in reversed(a.coeffs):
-        acc = acc * z + c
-    return acc
-
-
-def bilinear_dot(a: Sequence[ComplexPoly], b: Sequence[ComplexPoly]) -> ComplexPoly:
-    """Unconjugated dot product sum_k a_k * b_k of two polynomial vectors."""
-    if len(a) != len(b):
+def bilinear_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unconjugated dot product sum_i a_i * b_i of two polynomial vectors
+    (..., d, L)."""
+    if a.shape[-2] != b.shape[-2]:
         raise DimensionMismatch(
-            f"bilinear_dot needs equal lengths, got {len(a)} and {len(b)}")
-    acc = ZERO
-    for pa, pb in zip(a, b):
-        acc = acc + poly_mul(pa, pb)
-    return acc
+            f"bilinear_dot needs equal lengths, got {a.shape[-2]} and "
+            f"{b.shape[-2]}")
+    return poly_mul(a, b).sum(axis=-2)
 
 
-def vec_diff(v: Sequence[ComplexPoly]) -> PolyVec:
-    return tuple(poly_diff(p) for p in v)
+def poly_diff(a: np.ndarray) -> np.ndarray:
+    """Derivatives, one column shorter."""
+    return a[..., 1:] * np.arange(1, a.shape[-1])
 
 
-def vec_int(v: Sequence[ComplexPoly],
-            constants: Sequence[complex] | None = None) -> PolyVec:
-    if constants is None:
-        constants = (0,) * len(v)
-    if len(constants) != len(v):
-        raise DimensionMismatch(
-            f"{len(v)} components but {len(constants)} integration constants")
-    return tuple(poly_int(p, c) for p, c in zip(v, constants))
+def poly_int(a: np.ndarray, constants=0) -> np.ndarray:
+    """Antiderivatives, one column longer, with the given values at z = 0
+    (broadcast over the leading axes)."""
+    head = np.broadcast_to(constants, a.shape[:-1])[..., None]
+    return np.concatenate([head, a / np.arange(1, a.shape[-1] + 1)], axis=-1)
 
 
-def vec_max_abs_coeff(v: Sequence[ComplexPoly]) -> float:
-    return max((p.max_abs_coeff() for p in v), default=0.0)
+def stack(polys) -> np.ndarray:
+    """The (d, L) array of d one-dimensional coefficient arrays, zero-padded
+    to the longest."""
+    out = np.zeros((len(polys), max(map(len, polys), default=0)),
+                   dtype=complex)
+    for row, p in zip(out, polys):
+        row[:len(p)] = p
+    return out
 
 
-def poly_to_json(a: ComplexPoly) -> list[list[float]]:
-    """JSON form: array of [re, im] pairs, index = power of z."""
-    return [[c.real, c.imag] for c in a.coeffs]
+def to_json(a: np.ndarray) -> list:
+    """JSON form: each polynomial a list of [re, im] pairs by power of z,
+    without trailing zeros, nested as the leading axes are."""
+    if a.ndim > 1:
+        return [to_json(p) for p in a]
+    kept = np.trim_zeros(a, trim="b")
+    return np.column_stack((kept.real, kept.imag)).tolist()
 
 
-def complex_list_from_json(data) -> tuple[complex, ...]:
-    """A list of [re, im] pairs of finite numbers."""
+def complex_list_from_json(data) -> np.ndarray:
+    """A list of [re, im] pairs of finite numbers: one polynomial, or a list
+    of integration constants."""
     try:
-        values = tuple(complex(float(re), float(im)) for re, im in data)
+        values = np.array([complex(float(re), float(im)) for re, im in data],
+                          dtype=complex)
     except (TypeError, ValueError) as exc:
         raise InvalidData(f"need a list of [re, im] pairs: {exc}")
-    if not all(cmath.isfinite(c) for c in values):
+    if not np.isfinite(values).all():
         raise InvalidData("complex numbers must be finite")
     return values
 
 
-def poly_from_json(data) -> ComplexPoly:
-    return ComplexPoly(complex_list_from_json(data))
-
-
-def vec_to_json(v: Sequence[ComplexPoly]) -> list[list[list[float]]]:
-    return [poly_to_json(p) for p in v]
-
-
-def vec_from_json(data) -> PolyVec:
+def from_json(data) -> np.ndarray:
+    """The (d, L) array of a JSON list of d polynomials."""
     if not isinstance(data, list):
         raise InvalidData("polynomial vector must be a JSON array")
-    return tuple(poly_from_json(p) for p in data)
+    return stack([complex_list_from_json(p) for p in data])

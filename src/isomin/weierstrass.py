@@ -14,13 +14,15 @@ ellipse is a circle at every immersed point. Taking the real part without
 the final integration (final_integration=False) also yields a minimal
 surface, but its first ellipse is a circle only when alpha_0.alpha_0 = 0;
 that reading is kept available for comparison.
+
+Curves are `cpoly` arrays: a curve in C^d is one complex (d, L) array, row
+i its component i and column k the coefficient of z^k, zero-padded; a step
+is one bilinear self-product and one product by beta over the whole array.
 """
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -30,44 +32,47 @@ from .errors import DimensionMismatch, InvalidData
 from .geometry import ImmersionChart
 
 
-def isotropic_step(alpha: Sequence[cp.ComplexPoly],
-                   beta: cp.ComplexPoly,
-                   constants: Sequence[complex] | None = None) -> cp.PolyVec:
-    """One recursion step: C^d curve -> null curve in C^(d+2)."""
-    if beta.is_zero():
+def isotropic_step(alpha: np.ndarray, beta: np.ndarray,
+                   constants=0) -> np.ndarray:
+    """One recursion step: a (d, L) curve in C^d -> null curve in C^(d+2)."""
+    if not beta.any():
         raise InvalidData("beta must be a nonzero polynomial")
-    phi = cp.vec_int(alpha, constants)
+    phi = cp.poly_int(alpha, constants)
     s = cp.bilinear_dot(phi, phi)
-    head = cp.poly_mul(beta, cp.ONE - s)
-    mid = cp.poly_mul(beta, (cp.ONE + s) * 1j)
-    tail = tuple(cp.poly_mul(beta, p) * 2 for p in phi)
-    return (head, mid) + tail
+    unit = np.zeros_like(s)
+    unit[0] = 1
+    curve = np.zeros((len(phi) + 2, len(s)), dtype=complex)
+    # unit - s, not -s: -s writes a zero of s as -0.0 into the JSON
+    curve[0], curve[1] = unit - s, 1j * (unit + s)
+    curve[2:, :phi.shape[1]] = 2 * phi
+    return cp.poly_mul(beta, curve)
 
 
-def null_residual(v: Sequence[cp.ComplexPoly]) -> float:
+def null_residual(v: np.ndarray) -> float:
     """Max |coefficient| of the bilinear self-product, relative to the
     squared scale of the largest input coefficient; NaN when a coefficient
     of v or of the product is not finite, so that no bound check passes."""
     dot = cp.bilinear_dot(v, v)
-    if not all(cmath.isfinite(c) for p in (*v, dot) for c in p.coeffs):
+    if not (np.isfinite(v).all() and np.isfinite(dot).all()):
         return math.nan
-    scale = max(1.0, cp.vec_max_abs_coeff(v))
-    return dot.max_abs_coeff() / scale / scale
+    scale = max(1.0, float(np.abs(v).max(initial=0.0)))
+    return float(np.abs(dot).max()) / scale / scale
 
 
 @dataclasses.dataclass
 class WeierstrassData:
     """Input data for the two-step recursion into C^n.
 
-    alpha0 has n - 4 components (empty for n = 4) and must be nonzero when
-    n > 4; beta1 and beta2 are nonzero polynomials. Integration constants
-    are per component, keyed by stage ("phi0", "phi1", "phi2"), default 0.
+    alpha0 is a complex (n - 4, L) array (no rows for n = 4) and must be
+    nonzero when n > 4; beta1 and beta2 are nonzero one-dimensional
+    coefficient arrays (`cpoly`). Integration constants are per component,
+    keyed by stage ("phi0", "phi1", "phi2"), default 0.
     """
 
     n: int
-    alpha0: cp.PolyVec
-    beta1: cp.ComplexPoly
-    beta2: cp.ComplexPoly
+    alpha0: np.ndarray
+    beta1: np.ndarray
+    beta2: np.ndarray
     int_constants: dict[str, tuple[complex, ...]] = dataclasses.field(
         default_factory=dict)
     final_integration: bool = True
@@ -79,9 +84,9 @@ class WeierstrassData:
             raise DimensionMismatch(
                 f"alpha0 needs {self.n - 4} components for n = {self.n}, "
                 f"got {len(self.alpha0)}")
-        if self.n > 4 and all(p.is_zero() for p in self.alpha0):
+        if self.n > 4 and not self.alpha0.any():
             raise InvalidData("alpha0 must be nonzero when n > 4")
-        if self.beta1.is_zero() or self.beta2.is_zero():
+        if not (self.beta1.any() and self.beta2.any()):
             raise InvalidData("beta1 and beta2 must be nonzero")
         for key, length in (("phi0", self.n - 4), ("phi1", self.n - 2),
                             ("phi2", self.n)):
@@ -90,15 +95,11 @@ class WeierstrassData:
                 raise DimensionMismatch(
                     f"int_constants[{key!r}] needs {length} entries")
 
-    def constants(self, key: str, length: int) -> tuple[complex, ...]:
-        got = self.int_constants.get(key)
-        return tuple(got) if got is not None else (0j,) * length
-
     def to_json(self) -> dict:
         out = {"n": self.n,
-               "alpha0": cp.vec_to_json(self.alpha0),
-               "beta1": cp.poly_to_json(self.beta1),
-               "beta2": cp.poly_to_json(self.beta2),
+               "alpha0": cp.to_json(self.alpha0),
+               "beta1": cp.to_json(self.beta1),
+               "beta2": cp.to_json(self.beta2),
                "final_integration": self.final_integration}
         if self.int_constants:
             out["int_constants"] = {
@@ -123,11 +124,14 @@ class WeierstrassData:
         for key in consts:
             if key not in ("phi0", "phi1", "phi2"):
                 raise InvalidData(f"unknown integration stage {key!r}")
-        consts = {k: cp.complex_list_from_json(v) for k, v in consts.items()}
+        consts = {k: tuple(cp.complex_list_from_json(v).tolist())
+                  for k, v in consts.items()}
         return cls(n=n,
-                   alpha0=cp.vec_from_json(doc.get("alpha0", [])),
-                   beta1=cp.poly_from_json(doc.get("beta1", [[1.0, 0.0]])),
-                   beta2=cp.poly_from_json(doc.get("beta2", [[1.0, 0.0]])),
+                   alpha0=cp.from_json(doc.get("alpha0", [])),
+                   beta1=cp.complex_list_from_json(
+                       doc.get("beta1", [[1.0, 0.0]])),
+                   beta2=cp.complex_list_from_json(
+                       doc.get("beta2", [[1.0, 0.0]])),
                    int_constants=consts,
                    final_integration=final)
 
@@ -135,12 +139,13 @@ class WeierstrassData:
 @dataclasses.dataclass
 class MinimalSurfaceRep:
     """Result of the recursion: the intermediate null curves, the integrated
-    curve, the induced real chart g, and the null-identity residuals."""
+    curve (each a (d, L) array), the induced real chart g, and the
+    null-identity residuals."""
 
     data: WeierstrassData
-    alpha1: cp.PolyVec
-    alpha2: cp.PolyVec
-    phi2: cp.PolyVec
+    alpha1: np.ndarray
+    alpha2: np.ndarray
+    phi2: np.ndarray
     chart: ImmersionChart
     residuals: dict[str, float]
 
@@ -148,70 +153,89 @@ class MinimalSurfaceRep:
         return {"n": self.data.n,
                 "data": self.data.to_json(),
                 "final_integration": self.data.final_integration,
-                "alpha1": cp.vec_to_json(self.alpha1),
-                "alpha2": cp.vec_to_json(self.alpha2),
-                "phi2": cp.vec_to_json(self.phi2),
+                "alpha1": cp.to_json(self.alpha1),
+                "alpha2": cp.to_json(self.alpha2),
+                "phi2": cp.to_json(self.phi2),
                 "residuals": dict(self.residuals)}
 
 
-def surface_chart(components: cp.PolyVec, name: str = "",
+def surface_chart(components: np.ndarray, name: str = "",
                   domain: tuple = ((-1.0, 1.0), (-1.0, 1.0))) -> ImmersionChart:
-    """Chart (u, v) -> Re Phi(u + iv) for a complex polynomial curve Phi.
+    """Chart (u, v) -> Re Phi(u + iv) for a complex polynomial curve Phi,
+    a (d, L) array.
 
-    The derivatives of each component are computed once, here, as one
-    coefficient table; evaluation runs Horner's rule in z = u + iv on that
-    table at every point of a batch, for all components and derivatives
-    at once, and reads the vector jets off the values
-    (`jet.jet_holomorphic_re`). Horner's rule is elementwise: unlike a
-    matrix product, whose rounding depends on the batch size, it gives a
-    point the same bits in any batch, and it needs no array larger than
-    its result."""
-    chains = []
-    for p in components:
-        chain = []
-        while not p.is_zero():
-            chain.append(p)
-            p = cp.poly_diff(p)
-        chains.append(chain)
-    degree = max((len(c) - 1 for c in chains), default=0)
+    The derivatives of the components are computed once, here, up to the
+    curve's degree (its last nonzero column), as one coefficient table: the
+    coefficient of z^e in the k-th derivative is (e + k)! / e! times that
+    of z^(e + k). Evaluation runs Horner's rule in z = u + iv on that table
+    at every point of a batch, for all components and derivatives at once,
+    and reads the vector jets off the values (`jet.jet_holomorphic_re`).
+    Horner's rule is elementwise: unlike a matrix product, whose rounding
+    depends on the batch size, it gives a point the same bits in any batch,
+    and it needs no array larger than its result. A table of finite
+    coefficients has a finite value at every point, so a value that is not
+    finite there is an overflow, raised as a FloatingPointError; a table
+    that is not finite gives values that are not finite."""
+    # the padded columns past the curve's degree would add Horner steps that
+    # only multiply zeros
+    length = max(np.flatnonzero(components.any(axis=0)), default=0) + 1
+    components = components[:, :length]
+    d = len(components)
+    e = np.arange(length)
+    # steps[e, j] = e + j for j = 1..length - 1, zero past the degree, so
+    # that the running products are (e + k)! / e!, zero past the degree
+    steps = e[:, None] + e[1:]
+    steps[steps >= length] = 0
+    falling = np.cumprod(np.hstack([np.ones((length, 1)), steps]), axis=1)
     # table[e, i, k]: coefficient of z^e in the k-th derivative of component
-    # i (zero past the end of its chain)
-    table = np.zeros((degree + 1, len(chains), degree + 1), dtype=complex)
-    for i, chain in enumerate(chains):
-        for k, p in enumerate(chain):
-            table[:len(p.coeffs), i, k] = p.coeffs
-    table = table.reshape(degree + 1, -1)
+    # i (an infinite coefficient times a zero factor is NaN, silently)
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = components[:, np.minimum(e[:, None] + e, length - 1)] * falling
+    table = table.transpose(1, 0, 2).reshape(length, -1)
+    finite = np.isfinite(table).all()
+    degree = length - 1
 
     def jet_fn(points, space):
         z = (points[:, 0] + 1j * points[:, 1])[:, None]
         derivs = np.repeat(table[-1:], len(z), axis=0)
-        for row in table[-2::-1]:
-            derivs *= z
-            derivs += row
-        derivs = derivs.reshape(len(z), len(chains), degree + 1)
+        # with a finite table, only an overflow makes a value not finite
+        with np.errstate(over="raise" if finite else "ignore",
+                         invalid="ignore"):
+            try:
+                for row in table[-2::-1]:
+                    derivs *= z
+                    derivs += row
+            except FloatingPointError:
+                at = points[~np.isfinite(derivs).all(axis=1)][0]
+                raise FloatingPointError(
+                    f"{name or 'the surface chart'} overflows at "
+                    f"{tuple(at.tolist())}") from None
+        derivs = derivs.reshape(len(z), d, length)
         if space.order > degree:
             derivs = np.pad(derivs, ((0, 0), (0, 0),
                                      (0, space.order - degree)))
         return J.jet_holomorphic_re(space, derivs[..., :space.order + 1])
 
-    return ImmersionChart(domain_dim=2, ambient_dim=len(chains),
+    return ImmersionChart(domain_dim=2, ambient_dim=d,
                           ambient="euclidean", jet_fn=jet_fn,
                           domain=tuple(domain), name=name)
 
 
+# IEEE arithmetic on the data: an overflow gives coefficients that are not
+# finite, which null_residual reports as NaN, and no warning
+@np.errstate(over="ignore", invalid="ignore")
 def null_curves(data: WeierstrassData
-                ) -> tuple[cp.PolyVec, cp.PolyVec, cp.PolyVec]:
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The two recursion steps and the final integral: alpha1, alpha2 and
     phi2 = integral of alpha2."""
-    alpha1 = isotropic_step(data.alpha0, data.beta1,
-                            data.constants("phi0", data.n - 4))
-    alpha2 = isotropic_step(alpha1, data.beta2,
-                            data.constants("phi1", data.n - 2))
-    return alpha1, alpha2, cp.vec_int(alpha2, data.constants("phi2", data.n))
+    consts = data.int_constants
+    alpha1 = isotropic_step(data.alpha0, data.beta1, consts.get("phi0", 0))
+    alpha2 = isotropic_step(alpha1, data.beta2, consts.get("phi1", 0))
+    return alpha1, alpha2, cp.poly_int(alpha2, consts.get("phi2", 0))
 
 
-def _real_chart(data: WeierstrassData, alpha2: cp.PolyVec,
-                phi2: cp.PolyVec) -> ImmersionChart:
+def _real_chart(data: WeierstrassData, alpha2: np.ndarray,
+                phi2: np.ndarray) -> ImmersionChart:
     curve = phi2 if data.final_integration else alpha2
     tag = "int" if data.final_integration else "noint"
     return surface_chart(curve, name=f"weierstrass-n{data.n}-{tag}")
@@ -224,6 +248,7 @@ def weierstrass_chart(data: WeierstrassData) -> ImmersionChart:
     return _real_chart(data, alpha2, phi2)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def generate_surface(data: WeierstrassData) -> MinimalSurfaceRep:
     """Run the two-step recursion, check the null identities and build the
     real surface chart."""
@@ -231,7 +256,7 @@ def generate_surface(data: WeierstrassData) -> MinimalSurfaceRep:
     residuals = {
         "alpha1_null": null_residual(alpha1),
         "alpha2_null": null_residual(alpha2),
-        "alpha2_derivative_null": null_residual(cp.vec_diff(alpha2)),
+        "alpha2_derivative_null": null_residual(cp.poly_diff(alpha2)),
     }
     return MinimalSurfaceRep(data=data, alpha1=alpha1, alpha2=alpha2,
                              phi2=phi2, chart=_real_chart(data, alpha2, phi2),

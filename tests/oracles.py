@@ -395,15 +395,16 @@ def flag_per_point(chart, point, max_order=None, eps_rank=geo.EPS_RANK,
 
 
 def holomorphic_jets_horner(components, point, space):
-    """Jets of Re Phi for each polynomial component of Phi at z = x0 + i x1,
-    by Horner's rule on z as a (re, im) pair of real jets."""
+    """Jets of Re Phi for each polynomial component of Phi (a row of
+    coefficients by power of z) at z = x0 + i x1, by Horner's rule on z as
+    a (re, im) pair of real jets."""
     zr = J.jet_variable(space, 0, float(point[0]))
     zi = J.jet_variable(space, 1, float(point[1]))
     out = []
     for p in components:
         re = J.jet_constant(space, 0.0)
         im = J.jet_constant(space, 0.0)
-        for c in reversed(p.coeffs):
+        for c in p[::-1]:
             re, im = (J.jet_mul(re, zr) - J.jet_mul(im, zi) + c.real,
                       J.jet_mul(re, zi) + J.jet_mul(im, zr) + c.imag)
         out.append(re)

@@ -96,7 +96,7 @@ def test_demo_data_identities():
 def test_demo_n7_seed_is_null():
     from isomin.cpoly import bilinear_dot
     data = demo_weierstrass_data(7)
-    assert bilinear_dot(data.alpha0, data.alpha0).is_zero()
+    assert not bilinear_dot(data.alpha0, data.alpha0).any()
 
 
 def test_random_data_deterministic():
@@ -107,12 +107,37 @@ def test_random_data_deterministic():
     assert c.to_json() != a.to_json()
 
 
+def _reference_random_json(rng, n, max_degree=4):
+    """The JSON of random_weierstrass_data drawn one Python complex at a
+    time: for each alpha0 component, then beta1 and beta2, a degree and then
+    its coefficients; the betas' constant terms pushed away from zero."""
+    def poly(floor=0.0):
+        deg = int(rng.integers(0, max_degree + 1))
+        c = [complex(a, b) for a, b in rng.uniform(-1.0, 1.0, (deg + 1, 2))]
+        if floor:
+            c[0] = c[0] / max(abs(c[0]), 1e-3) * (floor + abs(c[0]))
+        return [[z.real, z.imag] for z in c]
+    alpha0 = [poly() for _ in range(n - 4)]
+    return {"n": n, "alpha0": alpha0, "beta1": poly(0.5),
+            "beta2": poly(0.5), "final_integration": True}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 11])
+def test_random_data_draws_the_reference_numbers(seed):
+    """The random-nN fixtures do not move: the same numbers, in the same
+    order, bit for bit."""
+    for n in (4, 5, 6, 8):
+        got = random_weierstrass_data(np.random.default_rng(seed), n)
+        ref = _reference_random_json(np.random.default_rng(seed), n)
+        assert got.to_json() == ref
+
+
 def test_random_data_well_formed():
     rng = np.random.default_rng(3)
     for n in (4, 5, 6, 8):
         data = random_weierstrass_data(rng, n)
         assert len(data.alpha0) == n - 4
-        assert data.beta1(0.0) != 0 and data.beta2(0.0) != 0
-        assert max(p.degree for p in (data.beta1, data.beta2)) <= 4
+        assert data.beta1[0] != 0 and data.beta2[0] != 0
+        assert max(len(data.beta1), len(data.beta2)) <= 5
     with pytest.raises(InvalidData):
         random_weierstrass_data(rng, 3)

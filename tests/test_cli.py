@@ -634,6 +634,53 @@ def test_linalg_error_is_a_numerical_breakdown(tmp_path, capsys,
     assert err == "numerical breakdown: SVD did not converge\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--fixture", "n5", "--grid=0:1e200:2,0:1:2"],
+    ["bundle", "--kind", "bipolar", "--fixture", "n5",
+     "--grid=0:1e200:2,0:1:2,0:1:2"],
+    ["export", "--fixture", "n5", "--grid=0:1e200:2,0:1:2"],
+])
+def test_overflowing_chart_value_is_a_numerical_breakdown(tmp_path, capsys,
+                                                          argv):
+    """A chart with finite coefficients has finite values, so a value that
+    is not finite at a finite point is an overflow: exit 2 with one line,
+    no warning (pytest makes a RuntimeWarning an error) and no report."""
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("numerical breakdown: weierstrass-n5-int "
+                          "overflows at (")
+    assert not out.exists()
+
+
+def test_generate_writes_trimmed_polynomials(tmp_path):
+    """Trailing zero pairs leave the polynomials of a report, and a zero
+    polynomial is []: in the data, in alpha1, alpha2 and phi2."""
+    surface = {"n": 6,
+               "alpha0": [[[1.0, 0.0], [0.0, 0.5], [0.0, 0.0]],
+                          [[0.0, 0.0], [0.0, 0.0]]],
+               "beta1": [[1.0, 0.0], [0.25, 0.0], [0.0, 0.0]],
+               "beta2": [[1.0, 0.0], [0.0, 0.0]],
+               "int_constants": {"phi2": [[0.5, 0.0]] * 6}}
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"surface": surface}))
+    out = tmp_path / "r.json"
+    assert run(["generate", "--config", str(cfgp), "--out", str(out)]) == 0
+    doc = _strict(out)
+    assert doc["data"] == {
+        "n": 6, "alpha0": [[[1.0, 0.0], [0.0, 0.5]], []],
+        "beta1": [[1.0, 0.0], [0.25, 0.0]], "beta2": [[1.0, 0.0]],
+        "int_constants": surface["int_constants"],
+        "final_integration": True}
+    for key, rows in (("alpha1", 4), ("alpha2", 6), ("phi2", 6)):
+        assert len(doc[key]) == rows
+        assert all(p[-1] != [0.0, 0.0] for p in doc[key] if p)
+    # the zero component of alpha0 stays zero until the constant of phi2
+    assert doc["alpha1"][3] == [] and doc["alpha2"][5] == []
+    assert doc["phi2"][5] == [[0.5, 0.0]]
+
+
 def test_flags_override_config(tmp_path):
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({"fixture": "plane",

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import isomin.cpoly as cp
 import isomin.jet as J
 from isomin.catalog import (demo_weierstrass_data, make_fixture,
                             random_weierstrass_data)
@@ -232,8 +231,8 @@ def test_space_mismatch():
 
 def test_holomorphic_jets_match_complex_arithmetic():
     coeffs = (1.0, -2.0j, 0.5 + 0.5j)
-    p = cp.poly(*coeffs)
-    re, im = surface_chart((p, p * -1j)).eval_jets((0.3, -0.2), 3)
+    p = np.array(coeffs)
+    re, im = surface_chart(np.stack([p, p * -1j])).eval_jets((0.3, -0.2), 3)
     zc = complex(0.3, -0.2)
     ref = coeffs[0] + coeffs[1] * zc + coeffs[2] * zc * zc
     dref = coeffs[1] + 2.0 * coeffs[2] * zc
@@ -275,8 +274,8 @@ def _assert_matches_horner(components, chart, point):
                 assert np.all(g.coeffs[third] == 0.0)
 
 
-CURVE_1_2_PAD1 = (cp.poly(0, 1), cp.poly(0, -1j), cp.poly(0, 0, 1),
-                  cp.poly(0, 0, -1j), cp.ZERO)
+CURVE_1_2_PAD1 = np.array([[0, 1, 0], [0, -1j, 0], [0, 0, 1], [0, 0, -1j],
+                           [0, 0, 0]])
 
 
 @pytest.mark.parametrize("name", ["n4", "n5", "n6", "n7", "n8",

@@ -50,6 +50,19 @@ COMMANDS = (
     [["generate", "--fixture", f"n{n}"] for n in range(4, 9)]
     + [["generate", "--fixture", "random-n6"],
        ["generate", "--fixture", "n5", "--no-final-integration"]]
+    # a config surface whose polynomials carry trailing zero pairs, with a
+    # zero alpha0 component and integration constants: the padding and the
+    # trimming of the written polynomials
+    + [["generate", {"surface": {
+        "n": 6,
+        "alpha0": [[[1.0, 0.0], [0.0, 0.5], [0.0, 0.0]],
+                   [[0.0, 0.0], [0.0, 0.0]]],
+        "beta1": [[1.0, 0.0], [0.25, 0.0], [0.0, 0.0]],
+        "beta2": [[1.0, 0.0], [0.0, 0.0]],
+        "int_constants": {"phi0": [[0.0, 0.0], [0.0, 0.0]],
+                          "phi1": [[0.5, -0.5], [0.0, 0.0], [0.0, 0.0],
+                                   [0.0, 0.25]],
+                          "phi2": [[0.5, 0.0]] * 6}}}]]
     + [["analyze", "--fixture", f"n{n}"] for n in range(4, 9)]
     + [["analyze", "--fixture", name] for name in (
         "curve-1-2-3", "random-n6", "plane", "veronese", "curve-1-3-pad1")]
