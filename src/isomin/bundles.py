@@ -9,12 +9,15 @@ jets, so every per-point quantity (mean curvature, relative nullity,
 splitting tensor of the nullity distribution) comes from the stacked
 passes of `geometry`, the one geometry path of the package.
 
-The unit tangent chart checks its base by one `geometry.point_rows` row
-at the domain centre, the unit normal chart by the flag stage of
-`point_rows` over a 9 x 9 grid of the domain and its row stage at the
-centre alone. A base on which the chart does not exist raises; a
-condition of the paper that fails or cannot be decided, where the chart
-still exists, is a note in `BundleChart.notes`.
+The unit tangent chart checks its base exactly, over the whole chart,
+from the polynomial curve F of a base Re F (`ImmersionChart.curve`): with
+phi = F', the base is 1-isotropic when the rungs <phi, phi> and <phi',
+phi'> vanish, each as a relative residual (`weierstrass.null_residual`),
+and the base chart is not evaluated. The unit normal chart checks its
+base by the flag stage of `point_rows` over a 9 x 9 grid of the domain and
+its row stage at the centre alone. A base on which the chart does not
+exist raises; a condition of the paper that fails or cannot be decided,
+where the chart still exists, is a note in `BundleChart.notes`.
 
 A bundle chart evaluates a batch of points at once. The frame does not
 depend on theta, so it is built once per distinct base point (u, v), as
@@ -60,7 +63,9 @@ import math
 
 import numpy as np
 
+from . import cpoly as cp
 from . import jet as J
+from . import weierstrass as W
 from .errors import (DegeneratePoint, FlagCollapse, InvalidData,
                      NotElliptic, ShapeMismatch)
 from . import geometry as geo
@@ -190,18 +195,47 @@ def _circle_chart(base: ImmersionChart, frame, name: str) -> ImmersionChart:
                           periodic=(False, False, True), name=name)
 
 
+def _isotropy_notes(curve: np.ndarray | None, null_tol: float) -> list[str]:
+    """The note of a base Re F that is not 1-isotropic, from its curve F:
+    the first rung <phi^(a), phi^(a)> = 0, phi = F', a = 0, 1, whose
+    relative residual is above null_tol or not finite, with the isotropy
+    order it leaves (a - 1), or order 0 where phi' is the zero polynomial
+    (a totally geodesic base: no first normal space); a base without a
+    curve cannot be checked."""
+    if curve is None:
+        return ["could not verify base isotropy: the base chart has no "
+                "polynomial curve"]
+    tail = "; the unit tangent chart need not be minimal"
+    phi = cp.poly_diff(curve)
+    dphi = cp.poly_diff(phi)
+    for rung, v in enumerate((phi, dphi)):
+        # a zero polynomial passes its rung (poly_mul needs a column)
+        res = W.null_residual(v) if v.any() else 0.0
+        if not res <= null_tol:
+            prime = "'" * rung
+            return [f"base isotropy order {rung - 1} < 1: <phi{prime}, "
+                    f"phi{prime}> has relative residual {res:.3g}, bound "
+                    f"{null_tol:g}" + tail]
+    if not dphi.any():
+        return ["base isotropy order 0 < 1: phi' = 0, the base is totally "
+                "geodesic" + tail]
+    return []
+
+
 def unit_tangent_chart(base: ImmersionChart,
                        pivot_order: tuple[int, int] = (0, 1),
-                       circle_tol: float = geo.CIRCLE_TOL,
-                       eps_rank: float = geo.EPS_RANK,
-                       eps_deg: float = geo.EPS_DEG) -> BundleChart:
+                       null_tol: float = W.NULL_TOL,
+                       eps_rank: float = geo.EPS_RANK) -> BundleChart:
     """Chart of the unit tangent bundle of a surface in R^(n+1), n + 1 >= 5.
 
-    The chart is minimal where the base is 1-isotropic. One `point_rows`
-    row at the domain centre checks that, at flag depth 2 (the ellipses of
-    orders 0 and 1); a base that fails it, or that the row cannot decide,
-    gives a note. pivot_order picks which coordinate tangent vector seeds
-    the frame; the resulting chart differs by a fiber rotation only, which
+    The chart is minimal where the base is 1-isotropic. For a base Re F
+    with phi = F' (`ImmersionChart.curve`) that holds exactly when the
+    polynomials <phi, phi> and <phi', phi'> vanish; their relative
+    residuals (`weierstrass.null_residual`) are bounded by null_tol, over
+    the whole chart and without evaluating it. A base that fails, whose
+    phi' is zero (totally geodesic), or that has no curve gives a note.
+    pivot_order picks which coordinate tangent vector seeds the frame; the
+    resulting chart differs by a fiber rotation only, which
     gauge-invariance tests exploit."""
     if base.domain_dim != 2:
         raise ShapeMismatch("unit tangent charts need a surface base")
@@ -213,20 +247,7 @@ def unit_tangent_chart(base: ImmersionChart,
             " (zero-pad the base to raise the ambient dimension)")
     if sorted(pivot_order) != [0, 1]:
         raise InvalidData("pivot_order must be a permutation of (0, 1)")
-    center = tuple((lo + hi) / 2.0 for lo, hi in base.domain)
-    probe = geo.point_rows(base, [center], circle_tol, eps_rank, 2,
-                           eps_deg)[0]
-    notes = []
-    if probe["singular"]:
-        notes.append("could not verify base isotropy: metric degenerate "
-                     f"at {center}")
-    elif not probe["elliptic"]:
-        notes.append("could not verify base isotropy: no elliptic "
-                     f"direction at {center}")
-    elif probe["order"] < 1:
-        notes.append(f"base isotropy order {probe['order']} < 1 at the "
-                     "domain center; the unit tangent chart need not be "
-                     "minimal")
+    notes = _isotropy_notes(base.curve, null_tol)
 
     def frame(uv, order):
         grad = J.jet_partials(base.jet_fn(uv, J.get_space(2, order + 1)))

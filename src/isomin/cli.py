@@ -20,7 +20,7 @@ reports and meshes. A report is strict JSON with sorted keys, one compact
 line per top-level key or row, with null for non-finite numbers.
 Exit codes: 0 all checks pass, 1 bad input, 2 a verification failed (also
 when no point it needs is regular) or the numerics broke down (a linear
-algebra routine did not converge, or a chart value overflowed), 3
+algebra routine did not converge, or a number overflowed), 3
 structural degeneracy (flag collapse).
 """
 from __future__ import annotations
@@ -46,7 +46,8 @@ DEFAULT_TOLS = {
     "eps_deg": geo.EPS_DEG,        # metric admissibility floor
     "eps_rank": geo.EPS_RANK,      # relative rank threshold for flags
     "circle": geo.CIRCLE_TOL,      # circularity residual bound
-    "null": 1e-12,                 # relative null-identity residual bound
+    "null": W.NULL_TOL,            # relative null residual bound: the
+                                   # recursion and the bipolar base
     "mean_curvature": 1e-8,        # |H| bound for minimality verdicts
     "nullity": 1e-8,               # smallest singular value bound for nu >= 1
     "span": 1e-6,                  # splitting tensor span residual bound
@@ -412,9 +413,11 @@ def _bundle_chart(cfg) -> B.BundleChart:
     """The bundle chart of the config's kind over its base, checked with
     the run's tolerances."""
     tols = cfg["tolerances"]
-    build = (B.unit_tangent_chart if cfg["kind"] == "bipolar"
-             else B.unit_normal_chart)
-    return build(resolve_chart(cfg), circle_tol=tols["circle"], **_eps(tols))
+    if cfg["kind"] == "bipolar":
+        return B.unit_tangent_chart(resolve_chart(cfg), null_tol=tols["null"],
+                                    eps_rank=tols["eps_rank"])
+    return B.unit_normal_chart(resolve_chart(cfg), circle_tol=tols["circle"],
+                               **_eps(tols))
 
 
 def cmd_bundle(cfg) -> int:
@@ -618,7 +621,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         cfg = load_config(args)
-        return COMMANDS[args.command](cfg)
+        # an overflow anywhere is a numerical breakdown, not a NaN that a
+        # later pass files as a singular point
+        with np.errstate(over="raise"):
+            return COMMANDS[args.command](cfg)
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
@@ -629,7 +635,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # a LinAlgError is a ValueError, but not bad input; a FloatingPointError
-    # is a chart value that overflowed
+    # is an overflow
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return 2

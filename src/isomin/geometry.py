@@ -76,6 +76,11 @@ class ImmersionChart:
     space are the chart coordinates; charts may be evaluated inside larger
     spaces as long as the extra variables are left untouched (the bundle
     charts evaluate their base in its own two variables).
+
+    curve is the (d, L) polynomial curve F of a chart Re F built by
+    `weierstrass.surface_chart`, trimmed to its degree (`cpoly`), and None
+    for every other chart; the unit tangent chart reads its base's
+    isotropy off it.
     """
 
     domain_dim: int
@@ -85,6 +90,7 @@ class ImmersionChart:
     domain: tuple[tuple[float, float], ...]
     periodic: tuple[bool, ...] = ()
     name: str = ""
+    curve: np.ndarray | None = dataclasses.field(default=None, compare=False)
 
     def __post_init__(self):
         if self.ambient not in ("euclidean", "sphere"):

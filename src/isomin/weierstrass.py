@@ -31,6 +31,8 @@ from . import jet as J
 from .errors import DimensionMismatch, InvalidData
 from .geometry import ImmersionChart
 
+NULL_TOL = 1e-12  # default bound of the relative null residuals
+
 
 def isotropic_step(alpha: np.ndarray, beta: np.ndarray,
                    constants=0) -> np.ndarray:
@@ -51,9 +53,13 @@ def isotropic_step(alpha: np.ndarray, beta: np.ndarray,
 def null_residual(v: np.ndarray) -> float:
     """Max |coefficient| of the bilinear self-product, relative to the
     squared scale of the largest input coefficient; NaN when a coefficient
-    of v or of the product is not finite, so that no bound check passes."""
-    dot = cp.bilinear_dot(v, v)
-    if not (np.isfinite(v).all() and np.isfinite(dot).all()):
+    of v or of the product is not finite (an overflow, silently), so that
+    no bound check passes."""
+    if not np.isfinite(v).all():
+        return math.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        dot = cp.bilinear_dot(v, v)
+    if not np.isfinite(dot).all():
         return math.nan
     scale = max(1.0, float(np.abs(v).max(initial=0.0)))
     return float(np.abs(dot).max()) / scale / scale
@@ -175,7 +181,8 @@ def surface_chart(components: np.ndarray, name: str = "",
     and it needs no array larger than its result. A table of finite
     coefficients has a finite value at every point, so a value that is not
     finite there is an overflow, raised as a FloatingPointError; a table
-    that is not finite gives values that are not finite."""
+    that is not finite gives values that are not finite. The chart keeps
+    the trimmed curve as its `curve`."""
     # the padded columns past the curve's degree would add Horner steps that
     # only multiply zeros
     length = max(np.flatnonzero(components.any(axis=0)), default=0) + 1
@@ -218,7 +225,7 @@ def surface_chart(components: np.ndarray, name: str = "",
 
     return ImmersionChart(domain_dim=2, ambient_dim=d,
                           ambient="euclidean", jet_fn=jet_fn,
-                          domain=tuple(domain), name=name)
+                          domain=tuple(domain), name=name, curve=components)
 
 
 # IEEE arithmetic on the data: an overflow gives coefficients that are not

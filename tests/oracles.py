@@ -40,7 +40,10 @@ whole constant jet at each step, where `jet.jet_compose` adds the series
 coefficient to the constant term in place. The full-grid polar base
 check finishes every row of its 9x9 grid through `point_rows`, where
 `unit_normal_chart` finishes the centre row alone, and only once the
-flag checks pass.
+flag checks pass. The isotropy probe is the one-point check of a bipolar
+base that the exact check off the base's curve replaced: a `point_rows`
+row at flag depth 2, whose isotropy order the curve's two rungs must
+predict.
 
 `point_row`, `stacked_at` and `nullity_at` are not oracles: they read
 the package's stacked passes at one point, the way the tests use them.
@@ -532,3 +535,28 @@ def unit_normal_check_full(base, circle_tol=geo.CIRCLE_TOL,
                      f"(residual {top:.3g}); the normal bundle chart need "
                      "not be minimal")
     return tau, notes
+
+
+def isotropy_probe(base, point=None, circle_tol=geo.CIRCLE_TOL,
+                   eps_rank=geo.EPS_RANK, eps_deg=geo.EPS_DEG):
+    """The base check that `unit_tangent_chart` ran before it read the
+    base's curve: one `point_rows` row at flag depth 2 (the ellipses of
+    orders 0 and 1) at the point, the domain centre by default, and the
+    note it gave where the row is singular, not elliptic or of isotropy
+    order < 1: (row, notes)."""
+    if point is None:
+        point = tuple((lo + hi) / 2.0 for lo, hi in base.domain)
+    [row] = geo.point_rows(base, [point], circle_tol, eps_rank, 2, eps_deg)
+    point = tuple(point)
+    if row["singular"]:
+        notes = ["could not verify base isotropy: metric degenerate at "
+                 f"{point}"]
+    elif not row["elliptic"]:
+        notes = ["could not verify base isotropy: no elliptic direction at "
+                 f"{point}"]
+    elif row["order"] < 1:
+        notes = [f"base isotropy order {row['order']} < 1 at {point}; the "
+                 "unit tangent chart need not be minimal"]
+    else:
+        notes = []
+    return row, notes

@@ -1,4 +1,5 @@
 """Bipolar and polar charts, nullity, splitting tensor."""
+import dataclasses
 import json
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import isomin.cpoly as cp
 import isomin.geometry as geo
 import isomin.jet as J
 from isomin.bundles import (_pivoted_frame, sweep_and_split,
@@ -17,11 +19,13 @@ from isomin.catalog import (demo_weierstrass_data, make_fixture,
 from isomin.errors import (DegeneratePoint, FlagCollapse, InvalidData,
                            IsominError, ShapeMismatch)
 from isomin.geometry import ImmersionChart
-from isomin.weierstrass import generate_surface, surface_chart
+from isomin.weierstrass import (NULL_TOL, generate_surface, null_residual,
+                                surface_chart)
 
-from oracles import (bundle_jets_three_variable, make_graph, nullity_at,
-                     nullity_fd, pivoted_frame_one_at_a_time, point_row,
-                     splitting_fd, stacked_at, unit_normal_check_full)
+from oracles import (bundle_jets_three_variable, isotropy_probe, make_graph,
+                     nullity_at, nullity_fd, pivoted_frame_one_at_a_time,
+                     point_row, splitting_fd, stacked_at,
+                     unit_normal_check_full)
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +203,73 @@ def test_plane_bundle_everywhere_singular():
         nullity_at(bc.chart, (0.1, 0.2, 0.5))
     row = _sweep_rows(bc.chart, [(0.1, 0.2, 0.5)])[0]
     assert row["singular"] and row["H"] is None
+
+
+def test_totally_geodesic_base_keeps_an_isotropy_note():
+    """The plane's phi' is the zero polynomial (no column at all): isotropy
+    order 0, noted without a residual."""
+    base = make_plane()
+    assert cp.poly_diff(cp.poly_diff(base.curve)).shape == (5, 0)
+    assert unit_tangent_chart(base).notes == [
+        "base isotropy order 0 < 1: phi' = 0, the base is totally "
+        "geodesic; the unit tangent chart need not be minimal"]
+
+
+def test_base_without_a_curve_cannot_be_verified(n5base):
+    """A base chart that is not built from a polynomial curve (the n5 base
+    moved rigidly) still gives its chart, with a note."""
+    moved = _moved(n5base, np.eye(5), np.zeros(5))
+    assert moved.curve is None
+    bc = unit_tangent_chart(moved)
+    assert bc.notes == ["could not verify base isotropy: the base chart has "
+                        "no polynomial curve"]
+    assert np.isfinite(bc.chart.value((0.1, 0.2, 0.7))).all()
+
+
+@pytest.mark.parametrize("scale, residual", [(1e200, "nan"), (1.0, "2")])
+def test_failing_rung_names_its_residual_and_bound(scale, residual):
+    """F = (z^2, z^2, 0, 0, 0) s: <phi, phi> = 8 s^2 z^2 fails rung 0,
+    relative residual 8 s^2 / (2 s)^2 = 2; the phi' rung is not read. The
+    product of coefficients 2e200 overflows, silently, even where
+    overflows raise, and the residual is not finite."""
+    curve = np.zeros((5, 3), dtype=complex)
+    curve[:2, 2] = scale
+    with np.errstate(over="raise"):
+        notes = unit_tangent_chart(surface_chart(curve)).notes
+    assert notes == [f"base isotropy order -1 < 1: <phi, phi> has relative "
+                     f"residual {residual}, bound 1e-12; the unit tangent "
+                     "chart need not be minimal"]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 8),
+       final=st.booleans(),
+       fracs=st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+                      min_size=4, max_size=4))
+def test_isotropy_ladder_predicts_the_probe_order(seed, n, final, fracs):
+    """The two rungs <phi, phi> and <phi', phi'> of a random base's curve
+    pass exactly when the unit tangent chart notes nothing, and then, and
+    only then, the retired one-point probe (`oracles.isotropy_probe`)
+    reads isotropy order >= 1 at every random regular, elliptic point
+    where min(tau_o, tau) >= 1."""
+    data = dataclasses.replace(
+        random_weierstrass_data(np.random.default_rng(seed), n),
+        final_integration=final)
+    base = generate_surface(data).chart
+    phi = cp.poly_diff(base.curve)
+    passed = all(null_residual(v) <= NULL_TOL
+                 for v in (phi, cp.poly_diff(phi)))
+    assert (unit_tangent_chart(base).notes == []) == passed
+    checked = 0
+    for frac in fracs:
+        point = [lo + (hi - lo) * f for (lo, hi), f in zip(base.domain, frac)]
+        row, _ = isotropy_probe(base, point)
+        if (row["singular"] or not row["elliptic"]
+                or min(geo._tau_o(base, row["tau"]), row["tau"]) < 1):
+            continue
+        assert (row["order"] >= 1) == passed
+        checked += 1
+    assume(checked)
 
 
 def test_unit_normal_chart_veronese(polar_ver):

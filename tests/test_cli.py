@@ -138,14 +138,14 @@ def test_bundle_bipolar_demo(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, notes", [
     (["--fixture", "n5", "--no-final-integration"],
-     ["base isotropy order 0 < 1 at the domain center; the unit tangent "
-      "chart need not be minimal"]),
-    (["--fixture", "curve-2-3-pad1"],
-     ["could not verify base isotropy: metric degenerate at (0.0, 0.0)"]),
+     ["base isotropy order 0 < 1: <phi', phi'> has relative residual 1, "
+      "bound 1e-12; the unit tangent chart need not be minimal"]),
+    (["--fixture", "curve-2-3-pad1"], []),
     (["--fixture", "n5"], [])])
 def test_bipolar_probe_notes(tmp_path, capsys, argv, notes):
-    """The base probe at the domain centre writes one note where the base
-    is not minimal there or is singular there, and none on a demo base:
+    """The exact base check writes one note where the base's curve fails
+    a rung of the isotropy ladder, and none on a 1-isotropic base, even
+    one that is singular at the domain centre (curve-2-3-pad1 at z = 0):
     in the report and as a warning line."""
     out = tmp_path / "r.json"
     run(["bundle", "--kind", "bipolar", *argv,
@@ -654,6 +654,25 @@ def test_overflowing_chart_value_is_a_numerical_breakdown(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--fixture", "n5", "--grid=0:1e60:3,0:1:2"],
+    ["bundle", "--kind", "bipolar", "--fixture", "n5",
+     "--grid=0:1e60:2,0:1:2,0:1:2"],
+])
+def test_overflow_past_the_chart_is_a_numerical_breakdown(tmp_path, capsys,
+                                                          argv):
+    """Chart values near 1e300 are finite, but the metric of `analyze`
+    and the jet products of the bipolar frame overflow: exit 2 with one
+    `numerical breakdown` line, no warning and no report, never a sweep
+    that files the overflowed points as singular."""
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("numerical breakdown: overflow")
+    assert "PASS" not in captured.out and not out.exists()
+
+
 def test_generate_writes_trimmed_polynomials(tmp_path):
     """Trailing zero pairs leave the polynomials of a report, and a zero
     polynomial is []: in the data, in alpha1, alpha2 and phi2."""
@@ -724,8 +743,8 @@ def _count_nullity(monkeypatch) -> list[int]:
 def test_bundle_evaluates_each_splitting_point_once(tmp_path, monkeypatch):
     """One evaluation of the bundle chart, at order 4, covers the sweep
     rows and the splitting points together, and the base is evaluated
-    once for the frames, at the distinct (u, v) of both, after the centre
-    isotropy probe."""
+    once, for the frames, at the distinct (u, v) of both: its isotropy is
+    read off its curve."""
     evals = []
     real = geo.ImmersionChart.eval_jets
 
@@ -744,8 +763,7 @@ def test_bundle_evaluates_each_splitting_point_once(tmp_path, monkeypatch):
                for r in doc["splitting"])
     assert doc["summary"]["points"] == 8
     assert [e for e in evals if e[0] == 3] == [(3, 10, 4)]
-    (_, probe), (frame_vars, frames) = base_calls
-    assert probe.shape == (1, 2)
+    [(frame_vars, frames)] = base_calls
     # the 2x2 base grid and the 2 splitting points off it
     assert (frame_vars, frames.shape) == (2, (6, 2))
     assert len(np.unique(frames, axis=0)) == 6
@@ -987,9 +1005,10 @@ def _count_jet_fn_calls(monkeypatch, owner, name, attr=None):
 
 
 def test_bundle_sweep_is_one_batched_evaluation(tmp_path, monkeypatch):
-    """A default bipolar n5 run evaluates the base once for the frames, at
-    the 25 distinct (u, v) of the grid and the 4 of the splitting points,
-    after the centre isotropy probe (one point). One call of the bundle
+    """A default bipolar n5 run evaluates the base once, for the frames,
+    at the 25 distinct (u, v) of the grid and the 4 of the splitting
+    points, and runs no `point_rows`: the base's isotropy is read off its
+    curve. One call of the bundle
     chart's evaluator assembles the 200 sweep rows and the splitting
     points from those frames, and one nullity pass covers all 204 points.
     A per-point sweep or splitting loop fails this."""
@@ -997,15 +1016,16 @@ def test_bundle_sweep_is_one_batched_evaluation(tmp_path, monkeypatch):
     bundle_calls = _count_jet_fn_calls(monkeypatch, bundles,
                                        "unit_tangent_chart", "chart")
     nullity = _count_nullity(monkeypatch)
+    rows = []
+    monkeypatch.setattr(geo, "point_rows",
+                        lambda *a, **k: rows.append(a) or [])
     assert run(["bundle", "--kind", "bipolar", "--fixture", "n5",
                 "--out", str(tmp_path / "r.json")]) == 0
     assert [(nv, p.shape) for nv, p in bundle_calls] == [(3, (204, 3))]
-    (probe_vars, probe), (frame_vars, frames), *split = base_calls
-    assert (probe_vars, probe.shape) == (2, (1, 2))
+    [(frame_vars, frames)] = base_calls
     assert (frame_vars, frames.shape) == (2, (29, 2))
     assert len(np.unique(frames, axis=0)) == 29
-    assert [(nv, p.shape) for nv, p in split] == []
-    assert nullity == [204]
+    assert nullity == [204] and rows == []
 
 
 def test_analyze_is_one_batched_evaluation(tmp_path, monkeypatch):

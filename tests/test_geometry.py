@@ -567,8 +567,9 @@ def test_point_rows_do_not_depend_on_their_batch(seed, n, frac, half, counts,
 
 
 def _isotropy_probe(row):
-    """What the bipolar note of `bundle` reads off a one-point row: the
-    order when it is below 1, True when it is not, or why there is none."""
+    """What the one-point bipolar probe (`oracles.isotropy_probe`) reads
+    off a row: the order when it is below 1, True when it is not, or why
+    there is none."""
     if row["singular"]:
         return "singular"
     if not row["elliptic"]:
@@ -602,10 +603,10 @@ def _assert_shallow_flags_agree(chart):
     "n6-noint", "n7-noint", "n8-noint"])
 def test_depth_two_isotropy_probe_agrees_with_the_default_depth(name):
     """A flag of depth 2 decides the ellipses of orders 0 and 1, so the
-    probe that `bundle` runs at max_order 2 gives the same order < 1
-    verdict, the same order below 1 and the same singular or non-elliptic
-    row as the default depth, at the domain centre and on a 3x3 grid of
-    each fixture. The outcomes seen: order at least 1 (the generated
+    probe of `oracles.isotropy_probe`, at max_order 2, gives the same
+    order < 1 verdict, the same order below 1 and the same singular or
+    non-elliptic row as the default depth, at the domain centre and on a
+    3x3 grid of each fixture. The outcomes seen: order at least 1 (the generated
     surfaces, veronese, curve-1-2-3), order 0 (plane, great-sphere, the
     padded curves, the surfaces without the final integration), singular
     (curve-2-3 and curve-2-3-pad1 at z = 0), -1 (the bent graph, not

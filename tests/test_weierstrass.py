@@ -181,3 +181,18 @@ def test_from_json_keeps_final_integration():
         data = demo_weierstrass_data(5, final_integration=final)
         back = W.WeierstrassData.from_json(data.to_json())
         assert back.final_integration is final
+
+
+def test_surface_charts_keep_their_curve_trimmed_to_its_degree():
+    """The chart of a curve with padded columns keeps the curve through
+    its degree; the recursion's charts keep phi2, or alpha2 without the
+    final integration."""
+    curve = np.zeros((5, 6), dtype=complex)
+    curve[0, :3] = [1.0, 2.0j, -0.5]
+    curve[3, 1] = 1.0
+    np.testing.assert_array_equal(W.surface_chart(curve).curve, curve[:, :3])
+    for final in (True, False):
+        rep = W.generate_surface(demo_weierstrass_data(7, final))
+        kept = rep.phi2 if final else rep.alpha2
+        degree = np.flatnonzero(kept.any(axis=0))[-1]
+        np.testing.assert_array_equal(rep.chart.curve, kept[:, :degree + 1])

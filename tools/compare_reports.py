@@ -95,9 +95,10 @@ COMMANDS = (
        for kind, name in (("bipolar", "n5"), ("polar", "veronese"))]
     + [["export", "--kind", "bipolar", "--fixture", "n5"],
        ["export", "--kind", "polar", "--fixture", "veronese"]]
-    # a base that is not minimal at the domain centre: the order < 1 note
-    + [["bundle", "--kind", "bipolar", "--fixture", "n5",
-        "--no-final-integration"]]
+    # bases read without the final integration: n5 and n6 fail the rung
+    # <phi', phi'> = 0 (the order < 1 note), n7 passes it (no note)
+    + [["bundle", "--kind", "bipolar", "--fixture", f"n{n}",
+        "--no-final-integration"] for n in (5, 6, 7)]
     # a base without a first normal space: no polar chart (exit 3, no
     # report), found by the 9x9 base check
     + [[command, "--kind", "polar", "--fixture", "great-sphere"]
