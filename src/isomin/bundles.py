@@ -268,16 +268,16 @@ def unit_normal_chart(base: ImmersionChart,
     ellipse below the last space should be a circle (a note otherwise).
 
     The base is checked by the flag stage of `point_rows` over the 9 x 9
-    grid of its domain at the flag depth of its codimension in the sphere
-    (the most normal spaces it can have): the centre's flag is the probe,
-    all dims the certificate; then the row stage runs at the centre alone."""
+    grid of its domain at its whole flag's depth (`geometry._flag_depth`,
+    its codimension in the sphere): the centre's flag is the probe, all
+    dims the certificate; then the row stage runs at the centre alone."""
     if base.domain_dim != 2:
         raise ShapeMismatch("unit normal charts need a surface base")
     if base.ambient != "sphere":
         raise InvalidData("unit normal charts take a spherical base")
     pts, dims, (E, forms) = geo._flag_stage(
         base, geo.grid_points(geo.grid_axes(base, (9, 9))),
-        max(base.ambient_dim - 3, 1), eps_rank, eps_deg)
+        geo._flag_depth(base), eps_rank, eps_deg)
     mid = len(pts) // 2
     center = tuple(pts[mid].tolist())
     if dims[mid] is None:
@@ -292,7 +292,7 @@ def unit_normal_chart(base: ImmersionChart,
     if not cert["nicely_curved"]:
         raise FlagCollapse(f"flag dimensions vary over the domain: {cert}")
     i = [sum(d is not None for d in dims[:mid])]  # the centre's regular row
-    [probe] = geo._row_stage(base, pts[[mid]], [dims[mid]],
+    [probe] = geo._row_stage(pts[[mid]], [dims[mid]],
                              (E[i], {s: f[i] for s, f in forms.items()}),
                              circle_tol, eps_rank)
     if not probe["elliptic"]:

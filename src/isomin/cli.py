@@ -2,17 +2,17 @@
 
 One executable drives the whole workbench: `generate` builds a minimal
 surface from polynomial data and checks its null identities and circle
-properties, `analyze` sweeps a surface chart and reports flags, ellipses
-and isotropy orders per grid point, `bundle` builds a unit tangent or unit
-normal chart and verifies mean curvature, relative nullity and the
-splitting tensor equations, `export` writes an OBJ mesh. `bundle` and
-`export` build their chart by one call with the run's tolerances; the
+properties, `analyze` sweeps a surface chart and reports flags (to their
+end), ellipses and isotropy orders per grid point, `bundle` builds a unit
+tangent or unit normal chart and verifies mean curvature, relative nullity
+and the splitting tensor equations, `export` writes an OBJ mesh. `bundle`
+and `export` build their chart by one call with the run's tolerances; the
 constructor checks the base and returns its notes, which `bundle` prints
-and records and `export` ignores. A `bundle` run
-is `bundles.sweep_and_split` on the bundle's 3-chart: one chart
-evaluation at the sweep and splitting points together (order 4 when there
-are splitting points, else 2), one nullity pass and one splitting pass,
-and a splitting point without a tensor reports why in its row.
+and records and `export` ignores. A `bundle` run is
+`bundles.sweep_and_split` on the bundle's 3-chart: one chart evaluation at
+the sweep and splitting points together (order 4 when there are splitting
+points, else 2), one nullity pass and one splitting pass, and a splitting
+point without a tensor reports why in its row.
 
 Configuration is a single JSON document; command line flags override its
 fields. Runs are deterministic: the same config produces byte-identical
@@ -59,9 +59,8 @@ CONFIG_TYPES = {
     "fixture": ("string", "null"), "kind": ("string", "null"),
     "projection": ("string", "null"), "out": ("string", "null"),
     "grid": ("string", "array", "null"), "surface": ("object", "null"),
-    "params": ("object",), "tolerances": ("object",),
-    "seed": ("integer",), "splitting_points": ("integer",),
-    "jet_order": ("integer", "null"), "final_integration": ("boolean",),
+    "params": ("object",), "tolerances": ("object",), "seed": ("integer",),
+    "splitting_points": ("integer",), "final_integration": ("boolean",),
 }
 
 SPOT_POINTS = ((0.17, 0.11), (-0.23, 0.31), (0.05, -0.37))
@@ -186,9 +185,8 @@ def parse_tols(entries, base: dict) -> dict:
 
 def load_config(args) -> dict:
     cfg = {"fixture": None, "params": {}, "surface": None, "grid": None,
-           "jet_order": None, "tolerances": {}, "out": None, "seed": 0,
-           "final_integration": True, "kind": None, "projection": None,
-           "splitting_points": 4}
+           "tolerances": {}, "out": None, "seed": 0, "projection": None,
+           "kind": None, "final_integration": True, "splitting_points": 4}
     if args.config:
         with open(args.config) as fh:
             try:
@@ -202,8 +200,7 @@ def load_config(args) -> dict:
             raise InvalidData(f"unknown config keys: {sorted(unknown)}")
         cfg.update(doc)
     # flags override config fields
-    for key in ("fixture", "grid", "jet_order", "out", "seed", "kind",
-                "projection"):
+    for key in ("fixture", "grid", "out", "seed", "kind", "projection"):
         if getattr(args, key, None) is not None:
             cfg[key] = getattr(args, key)
     if args.no_final_integration:
@@ -218,9 +215,6 @@ def load_config(args) -> dict:
                           "give one")
     cfg["tolerances"] = parse_tols(
         args.tol, parse_tols([cfg["tolerances"]], DEFAULT_TOLS))
-    k = cfg["jet_order"]
-    if k is not None and not 2 <= k <= 6:
-        raise InvalidData(f"jet order must be an integer in 2..6, got {k}")
     if cfg["grid"] is not None:
         cfg["grid"] = parse_grid(cfg["grid"])
     if cfg["splitting_points"] < 0:
@@ -374,15 +368,14 @@ def cmd_analyze(cfg) -> int:
         raise InvalidData("analyze sweeps surface charts; use bundle for "
                           "3-dimensional charts")
     axes, grid_doc = _axes_for(chart, cfg)
-    max_order = None if cfg["jet_order"] is None else cfg["jet_order"] - 1
     rows = geo.point_rows(chart, geo.grid_points(axes), tol=tols["circle"],
-                          max_order=max_order, **_eps(tols))
+                          **_eps(tols))
     cert = geo.flag_certificate([r["dims"] for r in rows])
     singular = sum(1 for r in rows if r["singular"])
     orders = [r["order"] for r in rows if r["order"] is not None]
     doc = {"command": "analyze", "chart": chart.name, "grid": grid_doc,
-           "jet_order": cfg["jet_order"], "seed": cfg["seed"],
-           "tolerances": tols, "rows": rows, "certificate": cert,
+           "seed": cfg["seed"], "tolerances": tols, "rows": rows,
+           "certificate": cert,
            "summary": {"points": len(rows), "singular": singular,
                        "order_min": min(orders) if orders else None,
                        "order_max": max(orders) if orders else None}}
@@ -571,10 +564,15 @@ COMMANDS = {"generate": cmd_generate, "analyze": cmd_analyze,
             "bundle": cmd_bundle, "export": cmd_export}
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one `error:` line, like any other bad input
+        self.exit(2, f"error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="isomin",
         description="generate and verify isotropic minimal surfaces and "
                     "their sphere bundles")
@@ -593,8 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "geodesic-sphere, curve-P1-P2..., n4..n8, "
                             "random-nN)")
         p.add_argument("--grid", help="u0:u1:nu,v0:v1:nv[,t0:t1:nt]")
-        p.add_argument("--jet-order", type=int, dest="jet_order",
-                       help="flag depth control, 2..6")
         p.add_argument("--tol", action="append", metavar="NAME=VALUE",
                        help="override a tolerance: " +
                             ", ".join(sorted(DEFAULT_TOLS)))

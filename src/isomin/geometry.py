@@ -4,16 +4,17 @@ A chart is a smooth map from a box in R^m (m = 2 or 3) into R^N, optionally
 constrained to the unit sphere S^(N-1), evaluated through jets at a batch
 of points at once. Every quantity is computed by stacked passes over the
 regular rows of one batch, and this is the package's only geometry path:
-the osculating flag of higher normal spaces together with the higher
-fundamental forms, its projected partials (`_flag_pass`), ellipticity of
-the second form (`_ellipticity_pass`), curvature ellipses
-(`_ellipse_pass`) and the isotropy order, assembled into report rows by
-`point_rows` in a flag stage and a row stage; one point's row is a batch
-of one, and `flag_certificate` reads the constancy of the flag off the
-rows' dims. Ranks differ between points, so the flag keeps a per-point
-rank mask: each order's directions sit in a fixed block of columns, zero
-where a point rejects them, and a point whose flag is complete takes rank
-0 from then on. Conventions that the rest of the package relies on:
+the osculating flag of higher normal spaces, read to its end at the depth
+the chart sets (`_flag_depth`), together with the higher fundamental
+forms, its projected partials (`_flag_pass`), ellipticity of the second
+form (`_ellipticity_pass`), curvature ellipses (`_ellipse_pass`) and the
+isotropy order, assembled into report rows by `point_rows` in a flag
+stage and a row stage; one point's row is a batch of one, and
+`flag_certificate` reads the constancy of the flag off the rows' dims.
+Ranks differ between points, so the flag keeps a per-point rank mask:
+each order's directions sit in a fixed block of columns, zero where a
+point rejects them, and a point whose flag is complete takes rank 0 from
+then on. Conventions that the rest of the package relies on:
 
 * A point is singular when its jets are not finite (a chart writes NaN
   where it is not defined, such as a bundle frame that degenerates), the
@@ -62,7 +63,6 @@ EPS_DEG = J.EPS_DEG           # admissibility floor for metric eigenvalues
 EPS_RANK = 1e-8               # relative rank threshold for flag decisions
 CIRCLE_TOL = 1e-8             # default circularity residual tolerance
 SPHERE_NORM_TOL = 1e-10       # |f| - 1 bound for sphere charts
-DEFAULT_JET_ORDER = 4
 
 
 @dataclasses.dataclass
@@ -80,7 +80,7 @@ class ImmersionChart:
     curve is the (d, L) polynomial curve F of a chart Re F built by
     `weierstrass.surface_chart`, trimmed to its degree (`cpoly`), and None
     for every other chart; the unit tangent chart reads its base's
-    isotropy off it.
+    isotropy off it, and `_flag_depth` its degree.
     """
 
     domain_dim: int
@@ -214,7 +214,7 @@ def _tangent_stage(chart: ImmersionChart, jets: J.Jet, eps_deg: float
     no Cholesky factor is not regular. Raises InvalidData when a finite row
     of a sphere chart is off the unit sphere."""
     finite = np.isfinite(jets.coeffs).all(axis=(1, 2))
-    jets = jets[finite]
+    jets = J.jet_truncate(jets, 1)[finite]
     position = None
     if chart.ambient == "sphere":
         norm = np.linalg.norm(jets.value, axis=-1)
@@ -237,6 +237,16 @@ def _tangent_stage(chart: ImmersionChart, jets: J.Jet, eps_deg: float
     return regular, P1[keep], E[framed], Q
 
 
+def _flag_depth(chart: ImmersionChart) -> int:
+    """The depth of a chart's whole flag, at least 1: its codimension (in
+    the sphere, for sphere charts), as each normal space has rank >= 1, and
+    at most deg F - 1 for a chart Re F, whose partials above deg F vanish."""
+    depth = chart.ambient_dim - chart.domain_dim - (chart.ambient == "sphere")
+    if chart.curve is not None:
+        depth = min(depth, chart.curve.shape[-1] - 2)
+    return max(depth, 1)
+
+
 def _flag_pass(chart: ImmersionChart, jets: J.Jet, max_order: int,
                eps_rank: float, eps_deg: float):
     """The osculating flag at every row of a chart jet of shape (P, N) and
@@ -251,36 +261,28 @@ def _flag_pass(chart: ImmersionChart, jets: J.Jet, max_order: int,
     rank threshold is eps_rank max(scale, 1), scale the largest column
     norm of the s-th partials of the row."""
     regular, P1, E, Q = _tangent_stage(chart, jets, eps_deg)
-    c = jets[regular]
     forms = {1: P1}
     dims = np.zeros((len(E), max_order + 1), dtype=int)
     dims[:, 0] = chart.domain_dim
     accepted = np.full(len(E), Q.shape[-1])
     done = np.zeros(len(E), dtype=bool)
     for s in range(2, max_order + 2):
-        C = J.jet_partials(c, s, axis=-1).value
-        scale = np.linalg.norm(C, axis=-2).max(axis=-1)
+        C = J.jet_partials(J.jet_truncate(jets, s), s, axis=-1).value[regular]
+        thr = eps_rank * np.linalg.norm(C, axis=-2).max(axis=-1).clip(1.0)
         forms[s] = _project_out(Q, C)
-        U, sv, _ = np.linalg.svd(forms[s], full_matrices=False)
-        rank = np.sum(sv > eps_rank * np.maximum(scale, 1.0)[:, None], axis=-1)
-        rank[done] = 0
+        # no SVD where the flag is complete or |form| >= sigma_1 is below thr
+        live = ~done & (np.linalg.norm(forms[s], axis=(-2, -1)) > thr)
+        U = np.zeros(C.shape[:-1] + (min(C.shape[-2:]),))
+        U[live], sv, _ = np.linalg.svd(forms[s][live], full_matrices=False)
+        dims[live, s - 1] = np.sum(sv > thr[live, None], axis=-1)
+        rank = dims[:, s - 1]
         keep = np.arange(U.shape[-1]) < rank[:, None]
         Q = np.concatenate([Q, U * keep[:, None, :]], axis=-1)
-        dims[:, s - 1] = rank
         accepted += rank
         done |= (rank == 0) | (accepted >= chart.ambient_dim)
         if done.all():
             break
     return regular, E, Q, dims, forms
-
-
-def _tau_o(chart: ImmersionChart, tau: int) -> int:
-    """The top order with a full curvature circle structure: tau when the
-    codimension (inside the sphere, for sphere charts) is even, tau - 1
-    when it is odd."""
-    codim = (chart.ambient_dim - chart.domain_dim
-             - (1 if chart.ambient == "sphere" else 0))
-    return tau - (1 if codim % 2 else 0)
 
 
 def _on_lines(D: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -355,30 +357,32 @@ def _ellipse_directions(E: np.ndarray, Jm: np.ndarray) -> np.ndarray:
 
 
 def _ellipse_pass(E: np.ndarray, Jm: np.ndarray,
-                  forms: dict[int, np.ndarray], top: int):
-    """Curvature ellipses of orders 0..top on stacked elliptic rows, from
-    the tangent frames E and J (R, 2, 2) and the forms of orders 1..top + 1
-    (`_flag_pass`): the centres (R, top + 1, N), semiaxes (R, top + 1, 2)
-    and circularity residuals (R, top + 1). The ellipse of order ell holds
-    the values of the (ell + 1)-th form on Z_theta (ell = 0: the tangent
-    circle); in a rank-1 last normal space it is a segment, residual ~1."""
+                  forms: dict[int, np.ndarray], tau: np.ndarray):
+    """Curvature ellipses of orders 0..top = max(tau) on stacked elliptic
+    rows from the frames E, J (R, 2, 2), the forms (`_flag_pass`) and each
+    row's tau (R,): centres (R, top + 1, N), semiaxes (R, top + 1, 2) and
+    circularity residuals (R, top + 1). Order ell holds the (ell + 1)-th
+    form on Z_theta (ell = 0: the tangent circle); in a rank-1 normal space
+    it is a segment, residual ~1; past its tau a row reads 0, residual 1."""
     w = _ellipse_directions(E, Jm)
+    top = int(tau.max(initial=0))
     R, N = len(w), forms[1].shape[1]
     centers = np.zeros((R, top + 1, N))
-    semiaxes, residuals = np.empty((R, top + 1, 2)), np.empty((R, top + 1))
+    semiaxes, residuals = np.zeros((R, top + 1, 2)), np.ones((R, top + 1))
     for s in range(1, top + 2):
+        on = tau >= s - 1  # the rows whose flag reaches order s - 1
         # c[j] = 2^-s C(s, j) T(w^j, conj(w)^(s-j)), the coefficient of
         # exp(i (s - 2j) theta) in T(Z_theta, ..., Z_theta)
-        c = _on_lines(forms[s], w.conj(), w) / 2.0 ** s
+        c = _on_lines(forms[s][on], w[on].conj(), w[on]) / 2.0 ** s
         hi = c[:, s // 2 + 1:]
         sv = np.linalg.svd(2.0 * np.concatenate([hi.real, hi.imag], axis=1),
                            compute_uv=False)
         if s % 2 == 0:
-            centers[:, s - 1] = c[:, s // 2].real
-        semiaxes[:, s - 1] = sv[:, :2]
+            centers[on, s - 1] = c[:, s // 2].real
+        semiaxes[on, s - 1] = sv[:, :2]
         # sigma_1 = 0 forces sigma_2 = 0, and the residual 1
-        residuals[:, s - 1] = 1.0 - sv[:, 1] / np.where(sv[:, 0] == 0.0, 1.0,
-                                                         sv[:, 0])
+        residuals[on, s - 1] = 1.0 - sv[:, 1] / np.where(sv[:, 0] == 0.0, 1.0,
+                                                          sv[:, 0])
     return centers, semiaxes, residuals
 
 
@@ -401,25 +405,18 @@ def _flag_stage(chart: ImmersionChart, points, max_order: int,
             (E, forms))
 
 
-def _row_stage(chart: ImmersionChart, pts: np.ndarray, dims: list,
-               flag: tuple, tol: float, eps_rank: float) -> list[dict]:
+def _row_stage(pts: np.ndarray, dims: list, flag: tuple, tol: float,
+               eps_rank: float) -> list[dict]:
     """Stage two of `point_rows`: the JSON rows of points from their stage
     one (`_flag_stage`), with the ellipticity and the ellipses of each order
     on the regular rows, from the forms through order max(tau) + 1."""
     E, forms = flag
     tau = np.array([len(d) - 1 for d in dims if d is not None], dtype=int)
-    top = int(tau.max(initial=0))
     exists, _, coeffs, Jm = _ellipticity_pass(E, forms[2], eps_rank)
-    # every order through the top tau on every elliptic row; a row reads
-    # the orders through its own tau
-    _, semiaxes, residuals = _ellipse_pass(
-        E[exists], Jm[exists], {s: f[exists] for s, f in forms.items()}, top)
-    # the isotropy order: the circular orders 0, 1, ... in a row, through
-    # min(tau_o, tau); a residual that is not finite is not circular
-    t = tau[exists]
-    last = np.minimum(np.maximum(0, _tau_o(chart, t)), t)
-    circular = (residuals < tol) & (np.arange(top + 1) <= last[:, None])
-    order = np.cumprod(circular, axis=1).sum(axis=1) - 1
+    _, semiaxes, residuals = _ellipse_pass(E[exists], Jm[exists], {
+        s: f[exists] for s, f in forms.items()}, tau[exists])
+    # the isotropy order: the run of circular orders (NaN is not circular)
+    order = np.cumprod(residuals < tol, axis=1).sum(axis=1) - 1
 
     rows = []
     regular_rows = zip(exists.tolist(), _json_ready(coeffs))
@@ -451,21 +448,22 @@ def point_rows(chart: ImmersionChart, points,
     """JSON rows of a surface sweep at points of shape (P, 2) or (2,): flag
     dims, curvature ellipses, ellipticity and isotropy order of each point.
 
-    The chart is evaluated once, at order max_order + 1, at all points;
-    stacked passes over the regular rows give the flag, the forms through
-    order max(tau) + 1, the ellipticity and the ellipses of each order. A
-    singular point gives a row with "singular": true, and a row that is
-    not elliptic has no ellipses and order None. The isotropy order is the
-    largest ell <= min(tau_o, tau) with circular ellipses at every order
-    0..ell: 0 means the chart is minimal at the point, -1 that even the
-    order-0 ellipse fails (elliptic but not minimal)."""
+    The chart is evaluated once, at order max_order + 1 (by default its
+    whole flag's depth, `_flag_depth`), at all points; stacked passes over
+    the regular rows give the flag, the forms through order max(tau) + 1,
+    the ellipticity and the ellipses of each order. A singular point gives
+    a row with "singular": true, and a row that is not elliptic has no
+    ellipses and order None. The isotropy order is the largest ell <= tau
+    with circular ellipses (not segments) at every order 0..ell: 0 means
+    the chart is minimal at the point, -1 that even the order-0 ellipse
+    fails (elliptic but not minimal)."""
     if chart.domain_dim != 2:
         raise ShapeMismatch("point reports are defined for surface charts")
     if max_order is not None and max_order < 1:
         raise InvalidData("flag depth must be at least 1")
-    depth = DEFAULT_JET_ORDER - 1 if max_order is None else max_order
-    return _row_stage(chart, *_flag_stage(chart, points, depth, eps_rank,
-                                          eps_deg), tol, eps_rank)
+    depth = _flag_depth(chart) if max_order is None else max_order
+    return _row_stage(*_flag_stage(chart, points, depth, eps_rank, eps_deg),
+                      tol, eps_rank)
 
 
 def flag_certificate(dims: Sequence[Sequence[int] | None]) -> dict:

@@ -41,8 +41,8 @@ class JetSpace:
     """Index bookkeeping for jets with a fixed (nvars, order).
 
     Holds the canonical multi-index list (sorted by total degree, then
-    lexicographically), the truncated-convolution table, factorials, and
-    the gather map of holomorphic jets, built on first use.
+    lexicographically) and factorials; the truncated-convolution table and
+    the gather map of holomorphic jets are built on first use.
     """
 
     def __init__(self, nvars: int, order: int):
@@ -56,14 +56,17 @@ class JetSpace:
         self.pos = {m: i for i, m in enumerate(idx)}
         self.factorial = np.array(
             [math.prod(math.factorial(k) for k in m) for m in idx], dtype=float)
+
+    @cached_property
+    def _mul_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # product pairs (ia, ib) -> io sorted by output; every output has the
-        # pair (0, io), so `_mul_starts` opens one nonempty run per output
+        # pair (0, io), so the run starts open one nonempty run per output
+        idx = self.indices
         pairs = sorted((self.pos[tuple(a + b for a, b in zip(ma, mb))], i, j)
                        for i, ma in enumerate(idx) for j, mb in enumerate(idx)
-                       if sum(ma) + sum(mb) <= order)
+                       if sum(ma) + sum(mb) <= self.order)
         io, ia, ib = (np.array(col, dtype=np.intp) for col in zip(*pairs))
-        self._mul_a, self._mul_b = ia, ib
-        self._mul_starts = np.searchsorted(io, np.arange(self.size))
+        return ia, ib, np.searchsorted(io, np.arange(self.size))
 
     @cached_property
     def _holomorphic_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -241,7 +244,8 @@ def jet_holomorphic_re(space: JetSpace, derivs) -> Jet:
                             f"order-{space.order} jet, got {d.shape}")
     pos, k, w = space._holomorphic_map
     c = np.zeros(d.shape[:-1] + (space.size,))
-    c[..., pos] = (w * d[..., k]).real
+    terms = d[..., k]  # multiplied in place: a second temporary costs more
+    c[..., pos] = np.multiply(terms, w, out=terms).real
     return Jet(space, c)
 
 
@@ -252,8 +256,9 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     sp = a.space
     if b.space is not sp:
         raise ShapeMismatch("jets from different spaces")
-    prod = a.coeffs[..., sp._mul_a] * b.coeffs[..., sp._mul_b]
-    return Jet(sp, np.add.reduceat(prod, sp._mul_starts, axis=-1))
+    ia, ib, starts = sp._mul_table
+    prod = a.coeffs[..., ia] * b.coeffs[..., ib]
+    return Jet(sp, np.add.reduceat(prod, starts, axis=-1))
 
 
 def jet_dot(a: Jet, b: Jet) -> Jet:

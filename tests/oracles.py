@@ -43,7 +43,11 @@ check finishes every row of its 9x9 grid through `point_rows`, where
 flag checks pass. The isotropy probe is the one-point check of a bipolar
 base that the exact check off the base's curve replaced: a `point_rows`
 row at flag depth 2, whose isotropy order the curve's two rungs must
-predict.
+predict. The curve flag rule (`holomorphic_curve_flag`) gives the dims
+and isotropy order of the `curve-...` fixtures in closed form, from the
+Wronskian of distinct powers, where the package reads them off jets; the
+per-point flag reads through the codimension by its own count, with no
+degree bound.
 
 `point_row`, `stacked_at` and `nullity_at` are not oracles: they read
 the package's stacked passes at one point, the way the tests use them.
@@ -119,7 +123,7 @@ def stacked_at(chart, point, max_s=2, eps_rank=geo.EPS_RANK,
                   J=Jm[0])
         if exists[0]:
             centers, semiaxes, residuals = geo._ellipse_pass(
-                E, Jm, forms, max(forms) - 1)
+                E, Jm, forms, np.array([max(forms) - 1]))
             at.update(centers=centers[0], semiaxes=semiaxes[0],
                       residuals=residuals[0])
     return at
@@ -372,8 +376,13 @@ def flag_per_point(chart, point, max_order=None, eps_rank=geo.EPS_RANK,
     loop that the stacked flag pass replaced: accept the s-th partials'
     directions off the flag so far, one order at a time, and stop at the
     first order of rank 0 or once the flag spans the ambient space. Raises
-    DegeneratePoint at a singular point."""
-    max_order = geo.DEFAULT_JET_ORDER - 1 if max_order is None else max_order
+    DegeneratePoint at a singular point. By default it reads through the
+    codimension (inside the sphere, for sphere charts), counted here, with
+    no degree bound: each normal space has rank at least 1, so no flag is
+    deeper."""
+    if max_order is None:
+        sphere = 1 if chart.ambient == "sphere" else 0
+        max_order = max(chart.ambient_dim - chart.domain_dim - sphere, 1)
     jets = chart.eval_jets(np.asarray(point, dtype=float)[None], max_order + 1)
     regular, _, _, Q = geo._tangent_stage(chart, jets, eps_deg)
     if not regular[0]:
@@ -395,6 +404,23 @@ def flag_per_point(chart, point, max_order=None, eps_rank=geo.EPS_RANK,
         if Q.shape[1] >= chart.ambient_dim:
             break
     return tuple(dims), len(dims) - 1
+
+
+def holomorphic_curve_flag(powers):
+    """(dims, order) of the curve fixture z -> (z^p1, ..., z^pk), distinct
+    positive powers, padded with zero components or not, at every point
+    off z = 0. With q_i = p_i - 1 distinct, the derivatives F', ..., F^(k)
+    are the Wronskian matrix of z^q1, ..., z^qk up to the factors p_i, with
+    determinant prod_(i<j) (q_j - q_i) z^(sum q - k(k-1)/2) times prod p_i,
+    nonzero off z = 0. So the s-th partials, Re and Im of i^b F^(s), add one
+    complex line, a real plane, for s = 1..k: dims [2] * k and tau k - 1;
+    zero components add nothing. The chart is Re Phi with Phi = (z^p1,
+    -i z^p1, ..., 0, ...), and <Phi^(a), Phi^(b)> = 0 in the unconjugated
+    dot for all a, b >= 1, since each pair gives 1 + (-i)^2 = 0: the curve
+    is fully isotropic, each ellipse through tau is a circle and the order
+    is tau."""
+    k = len(set(powers))
+    return (2,) * k, k - 1
 
 
 def holomorphic_jets_horner(components, point, space):

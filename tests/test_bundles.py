@@ -251,7 +251,7 @@ def test_isotropy_ladder_predicts_the_probe_order(seed, n, final, fracs):
     pass exactly when the unit tangent chart notes nothing, and then, and
     only then, the retired one-point probe (`oracles.isotropy_probe`)
     reads isotropy order >= 1 at every random regular, elliptic point
-    where min(tau_o, tau) >= 1."""
+    where tau >= 1."""
     data = dataclasses.replace(
         random_weierstrass_data(np.random.default_rng(seed), n),
         final_integration=final)
@@ -264,8 +264,7 @@ def test_isotropy_ladder_predicts_the_probe_order(seed, n, final, fracs):
     for frac in fracs:
         point = [lo + (hi - lo) * f for (lo, hi), f in zip(base.domain, frac)]
         row, _ = isotropy_probe(base, point)
-        if (row["singular"] or not row["elliptic"]
-                or min(geo._tau_o(base, row["tau"]), row["tau"]) < 1):
+        if row["singular"] or not row["elliptic"] or row["tau"] < 1:
             continue
         assert (row["order"] >= 1) == passed
         checked += 1

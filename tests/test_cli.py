@@ -314,7 +314,6 @@ def test_parser_edges(tmp_path, capsys):
                 "0:inf:3,0:1:3"]) == 1
     assert run(["analyze", "--fixture", "plane", "--grid", "0:1:2"]) == 1
     assert run(["analyze", "--fixture", "plane", "--grid", "1:0:2,0:1:2"]) == 1
-    assert run(["analyze", "--fixture", "plane", "--jet-order", "9"]) == 1
     assert run(["analyze", "--fixture", "torus"]) == 1
     # a grid count is an integer, never truncated and never a boolean
     cfgp = tmp_path / "cfg.json"
@@ -822,6 +821,33 @@ def test_undetermined_nullity_line_is_an_error_row(tmp_path, capsys,
     assert alone == [first]
 
 
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_leftover_jet_order_is_bad_input(tmp_path, capsys, how):
+    """The chart sets the flag depth, and no option does: a leftover
+    `--jet-order` or config `jet_order` is bad input, one `error:` line
+    with no traceback and no report. Without it, the report reads the
+    whole flag and has no `jet_order` key."""
+    out = tmp_path / "r.json"
+    argv = ["analyze", "--fixture", "curve-1-2-3-4-5", "--out", str(out)]
+    assert run(argv) == 0
+    doc = load(out)
+    assert "jet_order" not in doc
+    assert doc["certificate"]["dims"] == [2, 2, 2, 2, 2]
+    out.unlink()
+    if how == "flag":
+        extra, name = ["--jet-order", "4"], "--jet-order"
+    else:
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"jet_order": 4}))
+        extra, name = ["--config", str(cfgp)], "jet_order"
+    capsys.readouterr()
+    assert run(argv + extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert name in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fixture", ["n5", "n6", "curve-1-3-pad1"])
 def test_analyze_certificate_matches_nicely_curved_certificate(tmp_path,
                                                                fixture):
@@ -884,7 +910,6 @@ _GOOD = {
                                   st.floats(1e-12, 1e3), max_size=3),
     "seed": st.integers(0, 2**40),
     "splitting_points": st.integers(0, 2),
-    "jet_order": st.integers(2, 6) | st.none(),
     "final_integration": st.booleans(),
 }
 _BAD = {
@@ -906,7 +931,6 @@ _BAD = {
         _NUMBER | st.text(max_size=3), min_size=1, max_size=3),
     "seed": st.integers(-5, -1),
     "splitting_points": st.just(-1),
-    "jet_order": st.sampled_from([0, 1, 7]),
     "final_integration": st.booleans(),
 }
 

@@ -85,7 +85,9 @@ def test_flag_dims_n5(n5):
     row = point_row(n5, (0.0, 0.0))
     assert row["dims"] == [2, 2, 1]
     assert row["tau"] == 2
-    assert geo._tau_o(n5, row["tau"]) == 1  # codimension 3 is odd
+    # the rank-1 last normal space carries a segment, residual 1
+    assert row["ellipses"][2]["residual"] == 1.0
+    assert row["order"] == 1
     assert sum(row["dims"]) == n5.ambient_dim  # the flag is complete
     # orthonormality of the accepted columns of the padded flag
     Q = stacked_at(n5, (0.0, 0.0), max_s=4)["Q"]
@@ -100,7 +102,7 @@ def test_flag_dims_curve():
         row = point_row(curve, p)
         assert row["dims"] == [2, 2, 2]
         assert row["tau"] == 2
-        assert geo._tau_o(curve, row["tau"]) == 2  # codimension 4 is even
+        assert row["order"] == row["tau"]  # circles through the top
 
 
 def test_flag_plane_and_sphere():
@@ -279,8 +281,8 @@ def test_sphere_chart_validation():
     assert np.allclose(np.linalg.norm(vals, axis=1), 1.0, atol=1e-12)
     row = point_row(ver, (0.1, 0.2))
     assert row["dims"] == [2, 2]
-    # codimension in the sphere is 2
-    assert geo._tau_o(ver, row["tau"]) == row["tau"] == 1
+    # codimension in the sphere is 2: one normal plane, and its circle
+    assert row["order"] == row["tau"] == 1
 
 
 def _assert_row_matches_stacked_passes(chart, point):
@@ -306,9 +308,9 @@ def _assert_row_matches_stacked_passes(chart, point):
                            atol=1e-12 * scale)
         assert got["residual"] == pytest.approx(residual, rel=1e-12,
                                                 abs=1e-12)
-    # the circular orders 0, 1, ... in a row, through min(tau_o, tau)
+    # the circular orders 0, 1, ... in a row, through tau
     order = -1
-    for ell in range(min(max(0, geo._tau_o(chart, tau)), tau) + 1):
+    for ell in range(tau + 1):
         if not at["residuals"][ell] < geo.CIRCLE_TOL:
             break
         order = ell
@@ -335,6 +337,10 @@ def test_point_report_matches_public_functions_on_random_data(seed, n, frac):
 
 
 def test_point_report_evaluates_the_chart_once(n5, monkeypatch):
+    """One chart evaluation per row, at the order that reads the whole
+    flag: the codimension + 1 for n5 in R^5 (3 + 1) and veronese in S^4
+    (2 + 1), deg F for curve-1-2-3 (codimension 4, but no partial above
+    the 3rd)."""
     calls = []
     real = geo.ImmersionChart.eval_jets
 
@@ -343,16 +349,21 @@ def test_point_report_evaluates_the_chart_once(n5, monkeypatch):
         return real(chart, point, order)
 
     monkeypatch.setattr(geo.ImmersionChart, "eval_jets", counted)
-    for chart in (n5, make_holomorphic_curve((1, 2, 3)), make_veronese()):
+    for chart, order in ((n5, 4), (make_holomorphic_curve((1, 2, 3)), 3),
+                         (make_veronese(), 3)):
+        assert geo._flag_depth(chart) + 1 == order
         for point in ((0.1, 0.2), (-0.2, 0.05)):
             calls.clear()
             point_row(chart, point)
-            assert calls == [geo.DEFAULT_JET_ORDER]
+            assert calls == [order]
 
 
 def test_point_rows_reads_each_order_once(monkeypatch):
     """One `point_rows` call reads the partials of each order the flag
-    reads (s = 1..top + 1) once: the forms are the flag's own reads."""
+    reads once: the forms are the flag's own reads. The flag of n8 in R^8
+    reads s = 1..top + 2 (depth 6 allows s = 7): no row's flag spans R^8
+    (dims [2, 2, 1, 1, 1] or [2, 2, 2, 1]), so the flag ends where order
+    top + 2 has rank 0 at every row."""
     n8 = _chart("n8")
     calls = []
     real = J.jet_partials
@@ -364,8 +375,53 @@ def test_point_rows_reads_each_order_once(monkeypatch):
     monkeypatch.setattr(J, "jet_partials", counted)
     rows = geo.point_rows(n8, _grid(n8))
     top = max(row["tau"] for row in rows)
-    assert top == 3
-    assert calls == list(range(1, top + 2))
+    assert top == 4
+    assert calls == list(range(1, top + 3))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(powers=st.sets(st.integers(1, 10), min_size=1, max_size=6),
+       pad=st.integers(0, 2))
+def test_curve_flags_read_to_their_end(powers, pad):
+    """On the default grid of curve-P1-...-Pk, k <= 6 distinct powers,
+    every point off z = 0 reads the dims and isotropy order of the rule
+    `oracles.holomorphic_curve_flag`, [2] * k and k - 1, however deep; and
+    zero padding changes no row's dims, tau or order."""
+    name = "curve-" + "-".join(str(p) for p in sorted(powers))
+    chart = make_fixture(name + (f"-pad{pad}" if pad else ""))
+    dims, order = oracles.holomorphic_curve_flag(powers)
+    points = _grid(chart)
+    rows = geo.point_rows(chart, points)
+    plain = rows if not pad else geo.point_rows(make_fixture(name), points)
+    for row, same in zip(rows, plain):
+        assert ([row[k] for k in ("dims", "tau", "order")]
+                == [same[k] for k in ("dims", "tau", "order")])
+        if row["point"] != [0.0, 0.0]:
+            assert (row["dims"], row["order"]) == (list(dims), order), \
+                f"{chart.name} at {row['point']}"
+
+
+def test_point_rows_multiply_no_jets(monkeypatch):
+    """A sweep reads its deep flag off the chart's jets and multiplies none
+    of them, so no product table of the deep space is built."""
+    def no_product(a, b):
+        raise AssertionError("a sweep multiplied jets")
+
+    monkeypatch.setattr(J, "jet_mul", no_product)
+    chart = make_fixture("curve-1-2-3-4-5")
+    assert [r["tau"] for r in geo.point_rows(chart, _grid(chart))] == [4] * 81
+
+
+def test_default_depth_reads_the_whole_flag():
+    """Charts whose flag is deeper than 3 read it to its end: the six
+    planes of random-n12 (seed 0) in R^12, and the per-point flag, which
+    reads through the codimension, agrees."""
+    chart = generate_surface(
+        random_weierstrass_data(np.random.default_rng(0), 12)).chart
+    for point in ((0.0, 0.0), (0.3, -0.2)):
+        row = point_row(chart, point)
+        assert row["dims"] == [2] * 6 and row["tau"] == 5
+        assert oracles.flag_per_point(chart, point) == ((2,) * 6, 5)
 
 
 def test_point_rows_checks_the_shape_of_its_points(n5):
@@ -469,8 +525,8 @@ def _grid(chart, counts=(9, 9), ranges=None):
 
 @pytest.mark.parametrize("name, max_order", [
     ("n4", None), ("n5", None), ("n6", None), ("n7", None), ("n8", None),
-    ("curve-1-2-3", None), ("curve-2-3", None), ("curve-1-3-pad1", None),
-    ("veronese", None),
+    ("curve-1-2-3", None), ("curve-1-2-3-4-5", None), ("curve-2-3", None),
+    ("curve-1-3-pad1", None), ("veronese", None),
     ("great-sphere", None), ("plane", None), ("flat-graph", None),
     ("n7", 1)])
 def test_point_rows_match_single_points(name, max_order):
@@ -606,9 +662,10 @@ def test_depth_two_isotropy_probe_agrees_with_the_default_depth(name):
     probe of `oracles.isotropy_probe`, at max_order 2, gives the same
     order < 1 verdict, the same order below 1 and the same singular or
     non-elliptic row as the default depth, at the domain centre and on a
-    3x3 grid of each fixture. The outcomes seen: order at least 1 (the generated
-    surfaces, veronese, curve-1-2-3), order 0 (plane, great-sphere, the
-    padded curves, the surfaces without the final integration), singular
+    3x3 grid of each fixture. The outcomes seen: order at least 1 (the
+    generated surfaces, veronese, the curves off z = 0), order 0 (plane,
+    great-sphere, curve-1-3-pad1 at z = 0, the surfaces without the final
+    integration), singular
     (curve-2-3 and curve-2-3-pad1 at z = 0), -1 (the bent graph, not
     minimal) and not elliptic (the flat graph). The residuals of those two
     ellipses, which the spot checks of `generate` read at max_order 1, are

@@ -207,6 +207,17 @@ def test_partials_gather_every_multi_index(seed, nvars, order, shape):
                 J.jet_partials(a, axis=axis)
 
 
+def test_product_table_is_built_on_first_use():
+    """A space builds its pair table on its first product, once: a space
+    whose jets are never multiplied costs only its index lists."""
+    sp = J.JetSpace(2, 6)
+    assert "_mul_table" not in vars(sp)
+    x = J.jet_variable(sp, 0, 0.5)
+    table = sp._mul_table
+    assert J.jet_mul(x, x).coeffs[sp.pos[(2, 0)]] == 1.0
+    assert sp._mul_table is table
+
+
 def test_truncate_is_prefix():
     sp = J.get_space(3, 4)
     rng = np.random.default_rng(2)

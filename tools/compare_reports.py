@@ -63,22 +63,20 @@ COMMANDS = (
                           "phi1": [[0.5, -0.5], [0.0, 0.0], [0.0, 0.0],
                                    [0.0, 0.25]],
                           "phi2": [[0.5, 0.0]] * 6}}}]]
+    # n8 reads its rank-1 deep level at v = 0, a segment of order 4
     + [["analyze", "--fixture", f"n{n}"] for n in range(4, 9)]
     + [["analyze", "--fixture", name] for name in (
         "curve-1-2-3", "random-n6", "plane", "veronese", "curve-1-3-pad1")]
-    + [["analyze", "--fixture", "n5", "--jet-order", "2"],
-       ["analyze", "--fixture", "n5", "--jet-order", "6"]]
-    # a deep flag: the 5th and 6th partials, where a chain of first
-    # partials and one gather with the exact factor can round differently
-    + [["analyze", "--fixture", "curve-1-2-3-4-5", "--jet-order", "6"]]
-    # the rank-1 deep level of n8 at v = 0: a segment of order 4
-    + [["analyze", "--fixture", "n8", "--jet-order", "6"]]
+    # deep flags, read to their end by default: the 5th partials of
+    # curve-1-2-3-4-5 (tau 4), six planes of random-n12 (tau 5) and a padded
+    # curve in an odd codimension (order 1)
+    + [["analyze", "--fixture", name] for name in (
+        "curve-1-2-3-4-5", "random-n12", "curve-1-2-pad1")]
     + [["bundle", "--kind", "bipolar", "--fixture", name] for name in (
         "n5", "n8", "curve-1-2-pad1", "plane")]
     + [["bundle", "--kind", "polar", "--fixture", "veronese"],
        ["bundle", "--kind", "bipolar", "--fixture", "curve-2-3-pad1"],
        ["analyze", "--fixture", "curve-2-3", "--grid=-0.5:0.5:3,-0.5:0.5:3"],
-       ["analyze", "--fixture", "n7", "--jet-order", "2"],
        ["analyze", "--fixture", "great-sphere"]]
     # a 2x2x2 box with the default 4 splitting points, and with 1 (the
     # shape of the benchmark's splitting commands): one chart evaluation
