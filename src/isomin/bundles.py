@@ -275,7 +275,7 @@ def unit_normal_chart(base: ImmersionChart,
         raise ShapeMismatch("unit normal charts need a surface base")
     if base.ambient != "sphere":
         raise InvalidData("unit normal charts take a spherical base")
-    pts, dims, (E, forms) = geo._flag_stage(
+    pts, dims, (E, forms, unresolved) = geo._flag_stage(
         base, geo.grid_points(geo.grid_axes(base, (9, 9))),
         geo._flag_depth(base), eps_rank, eps_deg)
     mid = len(pts) // 2
@@ -293,7 +293,8 @@ def unit_normal_chart(base: ImmersionChart,
         raise FlagCollapse(f"flag dimensions vary over the domain: {cert}")
     i = [sum(d is not None for d in dims[:mid])]  # the centre's regular row
     [probe] = geo._row_stage(pts[[mid]], [dims[mid]],
-                             (E[i], {s: f[i] for s, f in forms.items()}),
+                             (E[i], {s: f[i] for s, f in forms.items()},
+                              unresolved[i]),
                              circle_tol, eps_rank)
     if not probe["elliptic"]:
         raise NotElliptic(f"no elliptic direction at {center}")

@@ -372,6 +372,7 @@ def cmd_analyze(cfg) -> int:
                           **_eps(tols))
     cert = geo.flag_certificate([r["dims"] for r in rows])
     singular = sum(1 for r in rows if r["singular"])
+    unresolved = sum(1 for r in rows if "note" in r)
     orders = [r["order"] for r in rows if r["order"] is not None]
     doc = {"command": "analyze", "chart": chart.name, "grid": grid_doc,
            "seed": cfg["seed"], "tolerances": tols, "rows": rows,
@@ -383,6 +384,9 @@ def cmd_analyze(cfg) -> int:
     print(f"nicely curved: {cert['nicely_curved']} (dims {cert['dims']})")
     if orders:
         print(f"isotropy order: min {min(orders)}, max {max(orders)}")
+    if unresolved:
+        print(f"warning: {unresolved} of {len(rows)} points have the note: "
+              f"{geo.UNRESOLVED}")
     if singular == len(rows):
         print(_verdict_line("regular points", False,
                             "no swept point is regular"))

@@ -35,6 +35,9 @@ then on. Conventions that the rest of the package relies on:
   entries D_k = T(e_u^(s-k), e_v^k) on a surface; its values span the
   (s-1)-th normal space, where a direction is accepted when its projected
   singular value exceeds eps_rank relative to the raw derivative scale.
+  A row with a singular value, or a residual that its order reads, within
+  a factor DECISION_MARGIN of its threshold (a flag conditioned beyond the
+  tolerances, as deep on a high-degree curve) carries a note.
 * A form is evaluated on directions x, y as the binary form
   T((a x + b y)^s) in (a, b) (`_on_lines`), whose coefficients the
   ellipticity and the ellipses read.
@@ -63,6 +66,10 @@ EPS_DEG = J.EPS_DEG           # admissibility floor for metric eigenvalues
 EPS_RANK = 1e-8               # relative rank threshold for flag decisions
 CIRCLE_TOL = 1e-8             # default circularity residual tolerance
 SPHERE_NORM_TOL = 1e-10       # |f| - 1 bound for sphere charts
+DECISION_MARGIN = 100.0       # least factor off a threshold to decide
+UNRESOLVED = ("a rank or circularity decision lies within a factor "
+              f"{DECISION_MARGIN:g} of its threshold: dims and order depend "
+              "on eps_rank and circle")
 
 
 @dataclasses.dataclass
@@ -252,7 +259,9 @@ def _flag_pass(chart: ImmersionChart, jets: J.Jet, max_order: int,
     """The osculating flag at every row of a chart jet of shape (P, N) and
     order max_order + 1: the mask of regular rows (P,) and, on the regular
     rows, the metric-orthonormal frame (R, m, m) (`_tangent_stage`), the
-    padded flag Q (R, N, W), the dims (R, max_order + 1) and the forms.
+    padded flag Q (R, N, W), the dims (R, max_order + 1), the forms and
+    the mask of unresolved rows (R,), those with a singular value within
+    a factor DECISION_MARGIN of the threshold at some order they read.
     Q is position (sphere charts) and tangent space, then one block per
     order s = 2..max_order + 1 with zero columns where a row rejects a
     direction. The forms map each order s read (through the first with
@@ -266,23 +275,25 @@ def _flag_pass(chart: ImmersionChart, jets: J.Jet, max_order: int,
     dims[:, 0] = chart.domain_dim
     accepted = np.full(len(E), Q.shape[-1])
     done = np.zeros(len(E), dtype=bool)
+    unresolved = np.zeros(len(E), dtype=bool)
     for s in range(2, max_order + 2):
         C = J.jet_partials(J.jet_truncate(jets, s), s, axis=-1).value[regular]
-        thr = eps_rank * np.linalg.norm(C, axis=-2).max(axis=-1).clip(1.0)
+        scale = np.linalg.norm(C, axis=-2).max(axis=-1)
         forms[s] = _project_out(Q, C)
-        # no SVD where the flag is complete or |form| >= sigma_1 is below thr
-        live = ~done & (np.linalg.norm(forms[s], axis=(-2, -1)) > thr)
-        U = np.zeros(C.shape[:-1] + (min(C.shape[-2:]),))
-        U[live], sv, _ = np.linalg.svd(forms[s][live], full_matrices=False)
-        dims[live, s - 1] = np.sum(sv > thr[live, None], axis=-1)
-        rank = dims[:, s - 1]
+        U, sv, _ = np.linalg.svd(forms[s], full_matrices=False)
+        thr = eps_rank * np.maximum(scale, 1.0)[:, None]
+        rank = np.sum(sv > thr, axis=-1)
+        rank[done] = 0
+        near = (sv * DECISION_MARGIN > thr) & (sv < thr * DECISION_MARGIN)
+        unresolved |= ~done & near.any(axis=-1)
         keep = np.arange(U.shape[-1]) < rank[:, None]
         Q = np.concatenate([Q, U * keep[:, None, :]], axis=-1)
+        dims[:, s - 1] = rank
         accepted += rank
         done |= (rank == 0) | (accepted >= chart.ambient_dim)
         if done.all():
             break
-    return regular, E, Q, dims, forms
+    return regular, E, Q, dims, forms, unresolved
 
 
 def _on_lines(D: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -357,32 +368,30 @@ def _ellipse_directions(E: np.ndarray, Jm: np.ndarray) -> np.ndarray:
 
 
 def _ellipse_pass(E: np.ndarray, Jm: np.ndarray,
-                  forms: dict[int, np.ndarray], tau: np.ndarray):
-    """Curvature ellipses of orders 0..top = max(tau) on stacked elliptic
-    rows from the frames E, J (R, 2, 2), the forms (`_flag_pass`) and each
-    row's tau (R,): centres (R, top + 1, N), semiaxes (R, top + 1, 2) and
-    circularity residuals (R, top + 1). Order ell holds the (ell + 1)-th
-    form on Z_theta (ell = 0: the tangent circle); in a rank-1 normal space
-    it is a segment, residual ~1; past its tau a row reads 0, residual 1."""
+                  forms: dict[int, np.ndarray], top: int):
+    """Curvature ellipses of orders 0..top on stacked elliptic rows, from
+    the tangent frames E and J (R, 2, 2) and the forms of orders 1..top + 1
+    (`_flag_pass`): the centres (R, top + 1, N), semiaxes (R, top + 1, 2)
+    and circularity residuals (R, top + 1). The ellipse of order ell holds
+    the values of the (ell + 1)-th form on Z_theta (ell = 0: the tangent
+    circle); in a rank-1 last normal space it is a segment, residual ~1."""
     w = _ellipse_directions(E, Jm)
-    top = int(tau.max(initial=0))
     R, N = len(w), forms[1].shape[1]
     centers = np.zeros((R, top + 1, N))
-    semiaxes, residuals = np.zeros((R, top + 1, 2)), np.ones((R, top + 1))
+    semiaxes, residuals = np.empty((R, top + 1, 2)), np.empty((R, top + 1))
     for s in range(1, top + 2):
-        on = tau >= s - 1  # the rows whose flag reaches order s - 1
         # c[j] = 2^-s C(s, j) T(w^j, conj(w)^(s-j)), the coefficient of
         # exp(i (s - 2j) theta) in T(Z_theta, ..., Z_theta)
-        c = _on_lines(forms[s][on], w[on].conj(), w[on]) / 2.0 ** s
+        c = _on_lines(forms[s], w.conj(), w) / 2.0 ** s
         hi = c[:, s // 2 + 1:]
         sv = np.linalg.svd(2.0 * np.concatenate([hi.real, hi.imag], axis=1),
                            compute_uv=False)
         if s % 2 == 0:
-            centers[on, s - 1] = c[:, s // 2].real
-        semiaxes[on, s - 1] = sv[:, :2]
+            centers[:, s - 1] = c[:, s // 2].real
+        semiaxes[:, s - 1] = sv[:, :2]
         # sigma_1 = 0 forces sigma_2 = 0, and the residual 1
-        residuals[on, s - 1] = 1.0 - sv[:, 1] / np.where(sv[:, 0] == 0.0, 1.0,
-                                                          sv[:, 0])
+        residuals[:, s - 1] = 1.0 - sv[:, 1] / np.where(sv[:, 0] == 0.0, 1.0,
+                                                         sv[:, 0])
     return centers, semiaxes, residuals
 
 
@@ -392,34 +401,46 @@ def _flag_stage(chart: ImmersionChart, points, max_order: int,
     max_order + 1, at points of shape (P, 2) or one point of shape (2,),
     and `_flag_pass`. Returns the points (P, 2), each point's dims through
     its tau (None where singular) and, on the regular rows, the tangent
-    frames and the forms."""
+    frames, the forms and the mask of unresolved rows."""
     pts = np.asarray(points, dtype=float)
     jets = chart.eval_jets(pts, max_order + 1)  # checks the shape
     if pts.ndim == 1:
         pts, jets = pts[None], jets[None]
-    regular, E, _, dims, forms = _flag_pass(chart, jets, max_order,
-                                            eps_rank, eps_deg)
+    regular, E, _, dims, forms, unresolved = _flag_pass(
+        chart, jets, max_order, eps_rank, eps_deg)
     tau = np.count_nonzero(dims[:, 1:], axis=1)
     cut = iter([d[:t + 1] for d, t in zip(dims.tolist(), tau.tolist())])
     return (pts, [next(cut) if ok else None for ok in regular.tolist()],
-            (E, forms))
+            (E, forms, unresolved))
 
 
 def _row_stage(pts: np.ndarray, dims: list, flag: tuple, tol: float,
                eps_rank: float) -> list[dict]:
     """Stage two of `point_rows`: the JSON rows of points from their stage
     one (`_flag_stage`), with the ellipticity and the ellipses of each order
-    on the regular rows, from the forms through order max(tau) + 1."""
-    E, forms = flag
+    on the regular rows, from the forms through order max(tau) + 1, and
+    the note of a row unresolved in the flag or in a residual it reads."""
+    E, forms, unresolved = flag
     tau = np.array([len(d) - 1 for d in dims if d is not None], dtype=int)
+    top = int(tau.max(initial=0))
     exists, _, coeffs, Jm = _ellipticity_pass(E, forms[2], eps_rank)
-    _, semiaxes, residuals = _ellipse_pass(E[exists], Jm[exists], {
-        s: f[exists] for s, f in forms.items()}, tau[exists])
-    # the isotropy order: the run of circular orders (NaN is not circular)
-    order = np.cumprod(residuals < tol, axis=1).sum(axis=1) - 1
+    # every order through the top tau on every elliptic row; a row reads
+    # the orders through its own tau
+    _, semiaxes, residuals = _ellipse_pass(
+        E[exists], Jm[exists], {s: f[exists] for s, f in forms.items()}, top)
+    # the isotropy order: the circular orders 0, 1, ... in a row, through
+    # its tau; a residual that is not finite is not circular
+    circular = (residuals < tol) & (np.arange(top + 1) <= tau[exists, None])
+    order = np.cumprod(circular, axis=1).sum(axis=1) - 1
+    # a row is also unresolved where a residual that the order compares
+    # with tol (through the first that is not circular) lies near tol
+    read = np.arange(top + 1) <= np.minimum(order + 1, tau[exists])[:, None]
+    noted = unresolved.copy()
+    noted[exists] |= (read & (residuals * DECISION_MARGIN > tol)
+                      & (residuals < tol * DECISION_MARGIN)).any(axis=1)
 
     rows = []
-    regular_rows = zip(exists.tolist(), _json_ready(coeffs))
+    regular_rows = zip(exists.tolist(), _json_ready(coeffs), noted.tolist())
     elliptic_rows = zip(_json_ready(semiaxes), _json_ready(residuals),
                         order.tolist())
     for p, d in zip(_json_ready(pts), dims):
@@ -428,7 +449,7 @@ def _row_stage(pts: np.ndarray, dims: list, flag: tuple, tol: float,
                          "tau": None, "ellipses": [], "elliptic": None,
                          "coeffs": None, "order": None})
             continue
-        elliptic, c = next(regular_rows)
+        elliptic, c, note = next(regular_rows)
         row = {"point": p, "singular": False, "dims": d, "tau": len(d) - 1,
                "elliptic": elliptic, "coeffs": c if elliptic else None,
                "ellipses": [], "order": None}
@@ -436,6 +457,8 @@ def _row_stage(pts: np.ndarray, dims: list, flag: tuple, tol: float,
             semi, res, row["order"] = next(elliptic_rows)
             row["ellipses"] = [{"order": ell, "semiaxes": semi[ell],
                                 "residual": res[ell]} for ell in range(len(d))]
+        if note:
+            row["note"] = UNRESOLVED
         rows.append(row)
     return rows
 
@@ -456,7 +479,8 @@ def point_rows(chart: ImmersionChart, points,
     ellipses and order None. The isotropy order is the largest ell <= tau
     with circular ellipses (not segments) at every order 0..ell: 0 means
     the chart is minimal at the point, -1 that even the order-0 ellipse
-    fails (elliptic but not minimal)."""
+    fails (elliptic but not minimal). Only a row with a decision within a
+    factor DECISION_MARGIN of its threshold has the key "note"."""
     if chart.domain_dim != 2:
         raise ShapeMismatch("point reports are defined for surface charts")
     if max_order is not None and max_order < 1:

@@ -110,8 +110,8 @@ def stacked_at(chart, point, max_s=2, eps_rank=geo.EPS_RANK,
     orders 0..s - 1 ("centers", "semiaxes", "residuals"), s the last order
     the flag reads. DegeneratePoint where the point is singular."""
     jets = chart.eval_jets(np.asarray(point, dtype=float)[None], max_s)
-    regular, E, Q, _, forms = geo._flag_pass(chart, jets, max_s - 1,
-                                             eps_rank, eps_deg)
+    regular, E, Q, _, forms, _ = geo._flag_pass(chart, jets, max_s - 1,
+                                                eps_rank, eps_deg)
     if not regular[0]:
         raise DegeneratePoint(f"metric degenerate at {tuple(point)}")
     P1 = forms[1][0]
@@ -123,7 +123,7 @@ def stacked_at(chart, point, max_s=2, eps_rank=geo.EPS_RANK,
                   J=Jm[0])
         if exists[0]:
             centers, semiaxes, residuals = geo._ellipse_pass(
-                E, Jm, forms, np.array([max(forms) - 1]))
+                E, Jm, forms, max(forms) - 1)
             at.update(centers=centers[0], semiaxes=semiaxes[0],
                       residuals=residuals[0])
     return at

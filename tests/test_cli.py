@@ -821,6 +821,23 @@ def test_undetermined_nullity_line_is_an_error_row(tmp_path, capsys,
     assert alone == [first]
 
 
+def test_analyze_warns_of_unresolved_rows(tmp_path, capsys):
+    """A row whose flag ranks or circles sit near their thresholds carries
+    a note in the report, and analyze prints one warning with their count;
+    a report with none has neither."""
+    out = tmp_path / "r.json"
+    deep = "curve-" + "-".join(str(p) for p in range(1, 21))
+    assert run(["analyze", "--fixture", deep, "--out", str(out)]) == 0
+    noted = [r for r in load(out)["rows"] if "note" in r]
+    assert noted and all(r["note"] == geo.UNRESOLVED for r in noted)
+    warning = (f"warning: {len(noted)} of 81 points have the note: "
+               f"{geo.UNRESOLVED}\n")
+    assert warning in capsys.readouterr().out
+    assert run(["analyze", "--fixture", "n5", "--out", str(out)]) == 0
+    assert not [r for r in load(out)["rows"] if "note" in r]
+    assert "warning" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("how", ["flag", "config"])
 def test_leftover_jet_order_is_bad_input(tmp_path, capsys, how):
     """The chart sets the flag depth, and no option does: a leftover

@@ -424,6 +424,36 @@ def test_default_depth_reads_the_whole_flag():
         assert oracles.flag_per_point(chart, point) == ((2,) * 6, 5)
 
 
+@pytest.mark.parametrize("top", [14, 20])
+def test_deep_curve_rows_read_the_rule_or_carry_a_note(top):
+    """On the default grid of curve-1-2-...-top the flag is conditioned
+    worse the deeper it reads and the larger |z|: every row off z = 0
+    reads the rule of `oracles.holomorphic_curve_flag` or carries the note
+    `geo.UNRESOLVED`, so no row reads wrong dims or a wrong order without
+    it. Through power 14 every row reads the rule with no note; through
+    power 20 some rows are unresolved."""
+    powers = range(1, top + 1)
+    chart = make_fixture("curve-" + "-".join(map(str, powers)))
+    dims, order = oracles.holomorphic_curve_flag(powers)
+    rows = geo.point_rows(chart, _grid(chart))
+    noted = [r for r in rows if "note" in r]
+    assert all(r["note"] == geo.UNRESOLVED for r in noted)
+    for row in rows:
+        if row["point"] != [0.0, 0.0] and "note" not in row:
+            assert (row["dims"], row["order"]) == (list(dims), order), \
+                f"{chart.name} at {row['point']}"
+    assert (len(noted) > 0) == (top > 14)
+
+
+def test_order_stays_within_tau():
+    """The order reads residuals through each row's tau only, whatever the
+    circle tolerance: at tol 2 every residual (at most 1) is circular, and
+    each elliptic row of n8 reads order tau, 3 or 4, never beyond it."""
+    n8 = _chart("n8")
+    rows = geo.point_rows(n8, _grid(n8), tol=2.0)
+    assert {(r["tau"], r["order"]) for r in rows} == {(3, 3), (4, 4)}
+
+
 def test_point_rows_checks_the_shape_of_its_points(n5):
     """Points are (P, 2), or one point (2,) as the case P = 1; an empty
     batch gives no rows, and any other shape is rejected, never re-read
@@ -535,7 +565,8 @@ def test_point_rows_match_single_points(name, max_order):
     over the grid (n6, n8), at a singular point (curve-2-3 at z = 0), where
     the flag stops early at one point of the batch (curve-1-3-pad1 at z = 0:
     rank 0 at order 2, rank 2 at order 3) and where the flag is censored (n7
-    at max_order 1)."""
+    at max_order 1). Every rank and circularity decision there lies well
+    away from its threshold: no row has a note."""
     ranges = None
     chart = _chart(name)
     if name.startswith("curve-") and name != "curve-1-2-3":
@@ -546,6 +577,7 @@ def test_point_rows_match_single_points(name, max_order):
     singular = sum(r["singular"] for r in rows)
     assert (singular == 1) == (name == "curve-2-3")
     assert (len(kinds) > 1) == (name in ("n6", "n8", "curve-1-3-pad1"))
+    assert not [r for r in rows if "note" in r]
     if name == "flat-graph":
         assert not any(r["elliptic"] for r in rows)
     if max_order == 1:

@@ -15,11 +15,12 @@ that directory and passed as `--config`. It then checks:
 * exit codes, the PASS/FAIL/VACUOUS words on stdout and the stderr text
   (the one-line message of a command that fails) are identical between
   the checkouts;
-* the reports have the same structure and non-float fields, and the
-  meshes the same comment and face lines, and their floats (the vertex
-  coordinates of a mesh) agree: within REL_TOL relative where either
-  value is above FLOOR in magnitude, within ABS_TOL absolute at or below
-  it.
+* the reports have the same structure and non-float fields (a dict
+  whose keys differ is a mismatch, and its shared keys are still
+  compared), and the meshes the same comment and face lines, and their
+  floats (the vertex coordinates of a mesh) agree: within REL_TOL
+  relative where either value is above FLOOR in magnitude, within
+  ABS_TOL absolute at or below it.
 
 Prints one line per command, with its report's size in bytes in each
 checkout and whether the two checkouts wrote byte-identical reports or
@@ -183,9 +184,9 @@ class Diff:
             if a.keys() != b.keys():
                 self.problems.append(
                     f"{path}: keys differ: {sorted(a.keys() ^ b.keys())}")
-                return
             for key in a:
-                self.compare(a[key], b[key], f"{path}.{key}")
+                if key in b:
+                    self.compare(a[key], b[key], f"{path}.{key}")
         elif isinstance(a, list) and isinstance(b, list):
             if len(a) != len(b):
                 self.problems.append(
