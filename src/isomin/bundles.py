@@ -38,10 +38,10 @@ nullity field and the splitting tensor read their partials the same
 way, placed on the leading axis they need.
 Points where the first level degenerates or the last one does not give a
 plane are masked per point, never composed, and come out of the chart as
-NaN rows, which the geometry files as singular. Metric-orthonormal
-frames (the nullity pass, the horizontal plane of the splitting tensor)
-are Gram-Schmidt of given vectors in order, by one Cholesky factorization
-(`geometry._metric_frame`).
+NaN rows, which the geometry files as singular. The horizontal plane of
+the splitting tensor is Gram-Schmidt of given vectors in order in the
+metric, by one Cholesky factorization (`geometry._metric_frame`); the
+nullity pass reads its frame of the axes off the tangent stage's QR.
 
 `sweep_and_split` is the one bundle entry point: a `bundle` command is one
 evaluation of the 3-chart at the sweep points and the splitting points
@@ -327,35 +327,35 @@ def _nullity(chart: ImmersionChart, jets: J.Jet, eps_rank: float,
     to the largest; on a singular row it is 0 and the numbers are NaN. The
     kernel is not computed, since no report reads it.
 
-    The metric check and the position and tangent columns come from
-    `geometry._tangent_stage`; the second form A is one `jet.jet_partials`
-    read projected off them, m (m + 1) / 2 entries in the order of the
-    pairs i <= j, gathered into m x m. The frame change aorth_ij =
-    sum_kl E_ki E_lj A_kl is two stacked matrix products, each contracting
-    one slot of the symmetric form, so aorth comes out with (i, j) swapped,
-    which is the same form. Its singular values, as an m x mN matrix, are
-    those of the m x m factor R of the QR of its transpose (T. F. Chan, ACM
-    TOMS 8, 1982)."""
-    P, N = jets.shape
-    m = chart.domain_dim
-    regular, _, E, Q = geo._tangent_stage(chart, jets, eps_deg)
-    R = len(E)
-    # the second form, projected off position and tangent space: (R, m, m, N)
+    The metric check, the frame E and the complement Z of position and
+    tangent space come from `geometry._tangent_stage`; the second form is
+    A = Z^T H, one `jet.jet_partials` read H, m (m + 1) / 2 entries in the
+    order of the pairs i <= j, gathered into m x m. The frame change
+    aorth_ij = sum_kl E_ki E_lj A_kl is two stacked matrix products, each
+    contracting one slot of the symmetric form, so aorth comes out with
+    (i, j) swapped, which is the same form. Its singular values, as an
+    m x mc matrix (c the width of Z), are those of the m x m factor R of
+    the QR of its transpose where it is wide (T. F. Chan, ACM TOMS 8,
+    1982); every bundle over an S^4 base has c = 1."""
+    P, m = len(jets), chart.domain_dim
+    regular, _, E, Z = geo._tangent_stage(chart, jets, eps_deg)
+    R, c = len(E), Z.shape[-1]
+    # the second form in the complement of position and tangent: (R, m, m, c)
     i, j = np.triu_indices(m)
     pair = np.empty((m, m), dtype=np.intp)
     pair[i, j] = pair[j, i] = np.arange(len(i))
-    A = np.moveaxis(geo._project_out(
-        Q, J.jet_partials(jets[regular], 2, axis=-1).value)[..., pair], 1, -1)
-    half = (E.mT @ A.reshape(R, m, m * N)).reshape(R, m, m, N)
-    aorth = (E.mT @ half.swapaxes(1, 2).reshape(R, m, m * N)
-             ).reshape(R, m, m, N)
-    sv = np.linalg.svd(np.linalg.qr(aorth.reshape(R, m, m * N).mT,
-                                    mode="r"), compute_uv=False)
+    A = np.moveaxis((Z.mT @ J.jet_partials(jets[regular], 2, axis=-1).value
+                     )[..., pair], 1, -1)
+    half = (E.mT @ A.reshape(R, m, m * c)).reshape(R, m, m, c)
+    aorth = E.mT @ half.swapaxes(1, 2).reshape(R, m, m * c)  # m x mc
+    sv = np.linalg.svd(np.linalg.qr(aorth.mT, mode="r") if c > 1 else aorth,
+                       compute_uv=False)
     thr = eps_rank * np.maximum(1.0, sv[:, 0])
     nu = np.zeros(P, dtype=int)
     nu[regular] = np.sum(sv < thr[:, None], axis=1)
     H = np.full(P, np.nan)
-    H[regular] = np.linalg.norm(np.trace(aorth, axis1=1, axis2=2), axis=-1)
+    H[regular] = np.linalg.norm(
+        np.trace(aorth.reshape(R, m, m, c), axis1=1, axis2=2), axis=-1)
     svs = np.full((P, m), np.nan)
     svs[regular] = sv
     return nu, svs, H, regular

@@ -11,30 +11,32 @@ form (`_ellipticity_pass`), curvature ellipses (`_ellipse_pass`) and the
 isotropy order, assembled into report rows by `point_rows` in a flag
 stage and a row stage; one point's row is a batch of one, and
 `flag_certificate` reads the constancy of the flag off the rows' dims.
-Ranks differ between points, so the flag keeps a per-point rank mask:
-each order's directions sit in a fixed block of columns, zero where a
-point rejects them, and a point whose flag is complete takes rank 0 from
-then on. Conventions that the rest of the package relies on:
+The flag is carried as its orthogonal complement, from one complete QR
+per point, each order read in the complement of the flag below, one
+column narrower per order whatever a point's ranks, so no shape depends
+on them. Conventions that the rest of the package relies on:
 
 * A point is singular when its jets are not finite (a chart writes NaN
   where it is not defined, such as a bundle frame that degenerates), the
   least metric eigenvalue is below eps_deg, or the metric has no Cholesky
-  factor; each point of a batch is judged on its own.
-* Metric-orthonormal frames are Gram-Schmidt of given vectors, in order,
-  in the induced metric, computed by one Cholesky factorization
-  (`_metric_frame`); the tangent frame of the ellipticity pass is that of
-  the coordinate axes.
+  factor (a zero on the QR's tangent diagonal); each point of a batch is
+  judged on its own.
+* Metric-orthonormal frames are Gram-Schmidt in the induced metric: of
+  the coordinate axes the inverse of the tangent block of the QR
+  (`_tangent_stage`), of other vectors one Cholesky factorization
+  (`_metric_frame`).
 * Report rows hold only JSON values (`_json_ready`): Python numbers,
   bools, None, lists and dicts, with None for a number that is not finite.
 * Every partial is read by `jet.jet_partials`, once per order; this
   module knows nothing of the coefficient layout. The flag reads the s-th
   partials in one read, one column per multi-index of degree s
-  (descending lexicographic), and projects them off the position vector
-  (sphere charts), the tangent space and the lower normal spaces. That is
-  the s-th fundamental form on coordinate directions, held by its s + 1
-  entries D_k = T(e_u^(s-k), e_v^k) on a surface; its values span the
-  (s-1)-th normal space, where a direction is accepted when its projected
-  singular value exceeds eps_rank relative to the raw derivative scale.
+  (descending lexicographic), as Y = Z^T C with Z an orthonormal basis of
+  the complement of position (sphere charts), tangent space and lower
+  normal spaces: the s-th fundamental form on coordinate directions, by
+  its s + 1 entries D_k = T(e_u^(s-k), e_v^k) on a surface, in the
+  coordinates of Z. Its values span the (s-1)-th normal space, where a
+  direction is accepted when its singular value exceeds eps_rank
+  relative to the raw derivative scale.
   A row with a singular value, or a residual that its order reads, within
   a factor DECISION_MARGIN of its threshold (a flag conditioned beyond the
   tolerances, as deep on a high-degree curve) carries a note.
@@ -171,16 +173,6 @@ def _json_ready(a) -> list | float | None:
     return out.tolist()
 
 
-def _project_out(Q: np.ndarray | None, V: np.ndarray) -> np.ndarray:
-    """Columns of V minus their components along the orthonormal columns of Q
-    (applied twice for numerical orthogonality); stacked over leading axes."""
-    if Q is None or Q.shape[-1] == 0:
-        return V
-    for _ in range(2):
-        V = V - Q @ (Q.mT @ V)
-    return V
-
-
 def _metric_frame(G: np.ndarray, B: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Gram-Schmidt of the columns of B in the metric G, in order, stacked
@@ -201,7 +193,6 @@ def _metric_frame(G: np.ndarray, B: np.ndarray
                 ok[i] = False
         L = np.linalg.cholesky(np.where(ok[..., None, None], M,
                                         np.eye(M.shape[-1])))
-    # not the view solve(L, B^T)^T: the nullity einsum is 3x slower on it
     F = B @ np.linalg.inv(L).mT
     F[~ok] = np.nan
     return F, ok
@@ -211,37 +202,40 @@ def _tangent_stage(chart: ImmersionChart, jets: J.Jet, eps_deg: float
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The first stage of the flag at every row of a chart jet of shape
     (P, N): the mask of regular rows (P,), and on the regular rows only the
-    first partials (R, N, m), the metric-orthonormal frame of the coordinate
-    axes (R, m, m) and the orthonormal columns of position (sphere charts)
-    plus tangent space (R, N, k). The tangent columns are the Q factor of one
-    stacked Householder QR of the first partials projected off position:
-    only their span matters, and QR keeps them orthonormal to rounding
-    however ill-conditioned the metric is, where the frame P1 E would lose
-    orthogonality with the condition number of G. A row whose metric has
-    no Cholesky factor is not regular. Raises InvalidData when a finite row
-    of a sphere chart is off the unit sphere."""
+    first partials P1 (R, N, m), the metric-orthonormal frame of the axes
+    (R, m, m) and the complement Z (R, N, N - k) of position (sphere
+    charts) and tangent space, from one stacked complete QR of the k
+    columns [position | P1]: Z is the last N - k columns of Q, orthonormal
+    however ill-conditioned the metric is, and with R_t the tangent block
+    of R, signed to a positive diagonal, G = R_t^T R_t, so R_t^-1 is the
+    Cholesky frame; a zero on that diagonal makes a row singular. Raises
+    InvalidData where a finite row of a sphere chart is off the sphere."""
     finite = np.isfinite(jets.coeffs).all(axis=(1, 2))
     jets = J.jet_truncate(jets, 1)[finite]
-    position = None
+    X = P1 = J.jet_partials(jets, axis=-1).value  # (R, N, m), coordinate order
     if chart.ambient == "sphere":
         norm = np.linalg.norm(jets.value, axis=-1)
         off = np.abs(norm - 1.0) > SPHERE_NORM_TOL
         if off.any():
             raise InvalidData(f"sphere chart value has norm {norm[off][0]!r}, "
                               f"not 1 within {SPHERE_NORM_TOL}")
-        position = (jets.value / norm[:, None])[..., None]
-    P1 = J.jet_partials(jets, axis=-1).value  # (R, N, m), coordinate order
-    G = P1.mT @ P1
-    keep = ~(np.linalg.eigvalsh(G)[:, 0] < eps_deg)
-    E, framed = _metric_frame(G[keep], np.eye(chart.domain_dim))
+        X = np.concatenate([(jets.value / norm[:, None])[..., None], P1],
+                           axis=-1)
+    (N, k), m = X.shape[-2:], chart.domain_dim
+    if N < k:  # no room for position and tangent space: no row is regular
+        return (np.zeros_like(finite), P1[:0], np.empty((0, m, m)),
+                np.empty((0, N, 0)))
+    keep = ~(np.linalg.eigvalsh(P1.mT @ P1)[:, 0] < eps_deg)
+    Q, Rx = np.linalg.qr(X[keep], mode="complete")
+    Rt = Rx[:, k - m:k, k - m:]
+    d = np.diagonal(Rt, axis1=-2, axis2=-1)
+    framed = ((d != 0.0) & np.isfinite(d)).all(axis=-1)
+    E = np.linalg.inv(np.where(framed[:, None, None],
+                               Rt * np.sign(d)[..., None], np.eye(m)))
     keep[keep] = framed
     regular = finite.copy()
     regular[finite] = keep
-    if position is not None:
-        position = position[keep]
-    U = np.linalg.qr(_project_out(position, P1[keep]))[0]
-    Q = U if position is None else np.concatenate([position, U], axis=-1)
-    return regular, P1[keep], E[framed], Q
+    return regular, P1[keep], E[framed], Q[framed, :, k:]
 
 
 def _flag_depth(chart: ImmersionChart) -> int:
@@ -259,41 +253,42 @@ def _flag_pass(chart: ImmersionChart, jets: J.Jet, max_order: int,
     """The osculating flag at every row of a chart jet of shape (P, N) and
     order max_order + 1: the mask of regular rows (P,) and, on the regular
     rows, the metric-orthonormal frame (R, m, m) (`_tangent_stage`), the
-    padded flag Q (R, N, W), the dims (R, max_order + 1), the forms and
-    the mask of unresolved rows (R,), those with a singular value within
-    a factor DECISION_MARGIN of the threshold at some order they read.
-    Q is position (sphere charts) and tangent space, then one block per
-    order s = 2..max_order + 1 with zero columns where a row rejects a
-    direction. The forms map each order s read (through the first with
-    rank 0 at every row) to the s-th partials (R, N, k) in `jet_partials`
-    order, projected off the flag through order s - 1 (raw at s = 1). The
-    rank threshold is eps_rank max(scale, 1), scale the largest column
-    norm of the s-th partials of the row."""
-    regular, P1, E, Q = _tangent_stage(chart, jets, eps_deg)
-    forms = {1: P1}
+    dims (R, max_order + 1), the forms and the mask of unresolved rows
+    (R,), with a singular value within a factor DECISION_MARGIN of the
+    threshold at some order they read. The forms map each order s read
+    (through the first with rank 0 at every row) to the s-th partials C in
+    `jet_partials` order, raw at s = 1 and else Y = Z^T C (R, c0 - s + 2,
+    s + 1), Z the complement of the flag through order s - 1 (c0 columns
+    at s = 2). Then Z becomes Z U[:, rank:rank + c - 1], U the left
+    singular vectors of Y, zero-padded, as a row not done accepts at least
+    1. Z^T Z stays an orthogonal projector, so Y has the singular values
+    of C projected off the flag. A row is done at rank 0 or once Z is used
+    up. The threshold is eps_rank max(scale, 1), scale the largest column
+    norm of the row's s-th partials."""
+    regular, P1, E, Z = _tangent_stage(chart, jets, eps_deg)
+    forms, c0 = {1: P1}, Z.shape[-1]
     dims = np.zeros((len(E), max_order + 1), dtype=int)
     dims[:, 0] = chart.domain_dim
-    accepted = np.full(len(E), Q.shape[-1])
-    done = np.zeros(len(E), dtype=bool)
-    unresolved = np.zeros(len(E), dtype=bool)
+    done, unresolved = np.zeros((2, len(E)), dtype=bool)
     for s in range(2, max_order + 2):
         C = J.jet_partials(J.jet_truncate(jets, s), s, axis=-1).value[regular]
         scale = np.linalg.norm(C, axis=-2).max(axis=-1)
-        forms[s] = _project_out(Q, C)
-        U, sv, _ = np.linalg.svd(forms[s], full_matrices=False)
+        forms[s] = Z.mT @ C
+        U, sv, _ = np.linalg.svd(forms[s])
         thr = eps_rank * np.maximum(scale, 1.0)[:, None]
         rank = np.sum(sv > thr, axis=-1)
         rank[done] = 0
         near = (sv * DECISION_MARGIN > thr) & (sv < thr * DECISION_MARGIN)
         unresolved |= ~done & near.any(axis=-1)
-        keep = np.arange(U.shape[-1]) < rank[:, None]
-        Q = np.concatenate([Q, U * keep[:, None, :]], axis=-1)
         dims[:, s - 1] = rank
-        accepted += rank
-        done |= (rank == 0) | (accepted >= chart.ambient_dim)
+        done |= (rank == 0) | (dims[:, 1:s].sum(axis=1) >= c0)
         if done.all():
             break
-    return regular, E, Q, dims, forms, unresolved
+        c = Z.shape[-1]
+        pick = rank[:, None, None] + np.arange(c - 1)
+        Z = Z @ (np.take_along_axis(U, np.minimum(pick, c - 1), axis=-1)
+                 * (pick < c))
+    return regular, E, dims, forms, unresolved
 
 
 def _on_lines(D: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -371,23 +366,25 @@ def _ellipse_pass(E: np.ndarray, Jm: np.ndarray,
                   forms: dict[int, np.ndarray], top: int):
     """Curvature ellipses of orders 0..top on stacked elliptic rows, from
     the tangent frames E and J (R, 2, 2) and the forms of orders 1..top + 1
-    (`_flag_pass`): the centres (R, top + 1, N), semiaxes (R, top + 1, 2)
-    and circularity residuals (R, top + 1). The ellipse of order ell holds
-    the values of the (ell + 1)-th form on Z_theta (ell = 0: the tangent
-    circle); in a rank-1 last normal space it is a segment, residual ~1."""
+    (`_flag_pass`): the centres, one array per order in the coordinates of
+    its form, the semiaxes (R, top + 1, 2) and residuals (R, top + 1),
+    singular values that no coordinates change. The ellipse of order ell
+    holds the values of the (ell + 1)-th form on Z_theta (ell = 0: the
+    tangent circle); in a rank-1 last normal space it is a segment."""
     w = _ellipse_directions(E, Jm)
-    R, N = len(w), forms[1].shape[1]
-    centers = np.zeros((R, top + 1, N))
+    R, centers = len(w), []
     semiaxes, residuals = np.empty((R, top + 1, 2)), np.empty((R, top + 1))
     for s in range(1, top + 2):
         # c[j] = 2^-s C(s, j) T(w^j, conj(w)^(s-j)), the coefficient of
         # exp(i (s - 2j) theta) in T(Z_theta, ..., Z_theta)
         c = _on_lines(forms[s], w.conj(), w) / 2.0 ** s
         hi = c[:, s // 2 + 1:]
-        sv = np.linalg.svd(2.0 * np.concatenate([hi.real, hi.imag], axis=1),
-                           compute_uv=False)
-        if s % 2 == 0:
-            centers[:, s - 1] = c[:, s // 2].real
+        M = 2.0 * np.concatenate([hi.real, hi.imag], axis=1)
+        if M.shape[-1] < 2:  # a form one row wide: the second semiaxis 0
+            M = np.pad(M, ((0, 0), (0, 0), (0, 2 - M.shape[-1])))
+        sv = np.linalg.svd(M, compute_uv=False)
+        centers.append(c[:, s // 2].real if s % 2 == 0
+                       else np.zeros_like(c[:, 0].real))
         semiaxes[:, s - 1] = sv[:, :2]
         # sigma_1 = 0 forces sigma_2 = 0, and the residual 1
         residuals[:, s - 1] = 1.0 - sv[:, 1] / np.where(sv[:, 0] == 0.0, 1.0,
@@ -406,7 +403,7 @@ def _flag_stage(chart: ImmersionChart, points, max_order: int,
     jets = chart.eval_jets(pts, max_order + 1)  # checks the shape
     if pts.ndim == 1:
         pts, jets = pts[None], jets[None]
-    regular, E, _, dims, forms, unresolved = _flag_pass(
+    regular, E, dims, forms, unresolved = _flag_pass(
         chart, jets, max_order, eps_rank, eps_deg)
     tau = np.count_nonzero(dims[:, 1:], axis=1)
     cut = iter([d[:t + 1] for d, t in zip(dims.tolist(), tau.tolist())])

@@ -21,7 +21,11 @@ T((a conj(w) + b w)^s) in (a, b), and takes an SVD. The
 per-point flag is the loop that the stacked flag pass replaced, one
 order at a time on one point's jet, with its own read of the s-th
 partials: a slice of the coefficients in the space's index order, where
-the package gathers them by `jet.jet_partials` in the reverse order. The
+the package gathers them by `jet.jet_partials` in the reverse order. It
+builds its own orthonormal basis of position and tangent space and
+projects each order's partials off the flag so far, twice, where the
+package reads each order in the complement that one complete QR leaves
+and narrows that complement level by level. The
 holomorphic chart oracle evaluates polynomials by Horner's rule in
 complex jet arithmetic, where `surface_chart` reads the jet off complex
 derivatives in closed form. The three-variable bundle chart is the
@@ -53,8 +57,9 @@ degree bound.
 the package's stacked passes at one point, the way the tests use them.
 The package's nullity pass computes singular values only, so
 `nullity_at` computes the kernel itself, by an SVD of the second form in
-the metric frame. The quadratic graph chart (`make_graph`) is a test
-fixture with closed-form ellipticity.
+the metric frame, projected off its own position and tangent basis.
+The quadratic graph chart (`make_graph`) is a test fixture with
+closed-form ellipticity.
 """
 import math
 from types import SimpleNamespace
@@ -102,20 +107,27 @@ def stacked_at(chart, point, max_s=2, eps_rank=geo.EPS_RANK,
     """The stacked passes of `point_rows` at one point, from one chart
     evaluation at order max_s >= 2, as a dict of that point's arrays: the
     metric "G", the metric-orthonormal frame "E" of the coordinate axes,
-    the padded flag "Q" (`_flag_pass` at depth max_s - 1, zero columns
-    where a direction is rejected) and the forms "forms" of the orders the
-    flag reads, each (N, k) with one column per multi-index of degree s in
-    `jet.jet_partials` order. On a surface chart also the ellipticity pass
-    ("elliptic", "tg", "coeffs", "J") and, where elliptic, the ellipses of
-    orders 0..s - 1 ("centers", "semiaxes", "residuals"), s the last order
-    the flag reads. DegeneratePoint where the point is singular."""
+    the complement "Z" (N, c0) of position and tangent space
+    (`_tangent_stage`) and the forms "forms" of the orders the flag reads
+    (`_flag_pass` at depth max_s - 1), each with one column per
+    multi-index of degree s in `jet.jet_partials` order. The second form
+    is mapped back to ambient coordinates, Z Z^T being the projector off
+    position and tangent space, so "forms"[2] is (N, 3) on a surface;
+    each deeper form stays in the coordinates of its level's complement.
+    On a surface chart also the ellipticity pass ("elliptic", "tg",
+    "coeffs", "J") and, where elliptic, the ellipses of orders 0..s - 1
+    ("centers", in the coordinates of each form, "semiaxes",
+    "residuals"), s the last order the flag reads, all run on those
+    forms. DegeneratePoint where the point is singular."""
     jets = chart.eval_jets(np.asarray(point, dtype=float)[None], max_s)
-    regular, E, Q, _, forms, _ = geo._flag_pass(chart, jets, max_s - 1,
-                                                eps_rank, eps_deg)
+    regular, E, _, forms, _ = geo._flag_pass(chart, jets, max_s - 1,
+                                             eps_rank, eps_deg)
     if not regular[0]:
         raise DegeneratePoint(f"metric degenerate at {tuple(point)}")
+    Z = geo._tangent_stage(chart, jets, eps_deg)[3]
+    forms[2] = Z @ forms[2]
     P1 = forms[1][0]
-    at = {"G": P1.T @ P1, "E": E[0], "Q": Q[0],
+    at = {"G": P1.T @ P1, "E": E[0], "Z": Z[0],
           "forms": {s: f[0] for s, f in forms.items()}}
     if chart.domain_dim == 2:
         exists, tg, coeffs, Jm = geo._ellipticity_pass(E, forms[2], eps_rank)
@@ -124,7 +136,7 @@ def stacked_at(chart, point, max_s=2, eps_rank=geo.EPS_RANK,
         if exists[0]:
             centers, semiaxes, residuals = geo._ellipse_pass(
                 E, Jm, forms, max(forms) - 1)
-            at.update(centers=centers[0], semiaxes=semiaxes[0],
+            at.update(centers=[c[0] for c in centers], semiaxes=semiaxes[0],
                       residuals=residuals[0])
     return at
 
@@ -136,6 +148,27 @@ def form_table(form, m):
     table = np.empty((m, m, form.shape[0]))
     table[i, j] = table[j, i] = form.T
     return table
+
+
+def _project_out(Q, V):
+    """Columns of V minus their components along the orthonormal columns of
+    Q, applied twice for numerical orthogonality."""
+    for _ in range(2):
+        V = V - Q @ (Q.T @ V)
+    return V
+
+
+def position_and_tangent(chart, jets):
+    """An orthonormal basis (N, k) of position (sphere charts, first) and
+    tangent space at the one row of a chart jet of shape (1, N): the first
+    partials projected off the unit position twice, then a reduced QR."""
+    P1 = J.jet_partials(jets, axis=-1).value[0]
+    if chart.ambient != "sphere":
+        return np.linalg.qr(P1)[0]
+    value = jets.value[0]
+    position = (value / np.linalg.norm(value))[:, None]
+    return np.concatenate(
+        [position, np.linalg.qr(_project_out(position, P1))[0]], axis=1)
 
 
 def nullity_at(chart, point, eps_rank=geo.EPS_RANK, eps_deg=geo.EPS_DEG):
@@ -152,14 +185,16 @@ def nullity_at(chart, point, eps_rank=geo.EPS_RANK, eps_deg=geo.EPS_DEG):
     if not regular[0]:
         raise DegeneratePoint(f"singular point {where}")
     m, nu = chart.domain_dim, int(nu[0])
-    _, _, E, Q = geo._tangent_stage(chart, jets, eps_deg)
-    form = geo._project_out(Q, J.jet_partials(jets, 2, axis=-1).value)[0]
-    aorth = np.einsum("ki,lj,kln->ijn", E[0], E[0], form_table(form, m))
+    Q = position_and_tangent(chart, jets)
+    P1 = J.jet_partials(jets, axis=-1).value[0]
+    E = np.linalg.inv(np.linalg.cholesky(P1.T @ P1)).T
+    form = _project_out(Q, J.jet_partials(jets, 2, axis=-1).value[0])
+    aorth = np.einsum("ki,lj,kln->ijn", E, E, form_table(form, m))
     U = np.linalg.svd(aorth.reshape(m, -1))[0]
     return SimpleNamespace(
         point=where, nu=nu,
         singular_values=tuple(float(x) for x in sv[0]),
-        kernel=E[0] @ U[:, m - nu:], mean_curvature_norm=float(H[0]),
+        kernel=E @ U[:, m - nu:], mean_curvature_norm=float(H[0]),
         totally_geodesic=nu == m)
 
 
@@ -370,40 +405,53 @@ def splitting_fd(chart, point, step=1e-3):
                            fiber_alignment=fiber_alignment)
 
 
-def flag_per_point(chart, point, max_order=None, eps_rank=geo.EPS_RANK,
-                   eps_deg=geo.EPS_DEG):
-    """(dims, tau) of the osculating flag at one point, by the per-point
-    loop that the stacked flag pass replaced: accept the s-th partials'
-    directions off the flag so far, one order at a time, and stop at the
-    first order of rank 0 or once the flag spans the ambient space. Raises
-    DegeneratePoint at a singular point. By default it reads through the
-    codimension (inside the sphere, for sphere charts), counted here, with
-    no degree bound: each normal space has rank at least 1, so no flag is
-    deeper."""
+def flag_levels_per_point(chart, point, max_order=None,
+                          eps_rank=geo.EPS_RANK, eps_deg=geo.EPS_DEG):
+    """The osculating flag at one point by the per-point loop that the
+    stacked flag pass replaced: its own orthonormal basis of position and
+    tangent space (`position_and_tangent`), then one order at a time, the
+    s-th partials projected twice off the flag so far, whose directions
+    with singular value above eps_rank max(scale, 1) join the flag; it
+    stops at the first order of rank 0 or once the flag spans the ambient
+    space. Returns the dims and, by order s, the singular values of the
+    projected partials and their scale (the largest column norm of the
+    raw partials). Raises DegeneratePoint at a singular point. By default
+    it reads through the codimension (inside the sphere, for sphere
+    charts), counted here, with no degree bound: each normal space has
+    rank at least 1, so no flag is deeper."""
     if max_order is None:
         sphere = 1 if chart.ambient == "sphere" else 0
         max_order = max(chart.ambient_dim - chart.domain_dim - sphere, 1)
     jets = chart.eval_jets(np.asarray(point, dtype=float)[None], max_order + 1)
-    regular, _, _, Q = geo._tangent_stage(chart, jets, eps_deg)
-    if not regular[0]:
+    if not geo._tangent_stage(chart, jets, eps_deg)[0][0]:
         raise DegeneratePoint(f"metric degenerate at {tuple(point)}")
-    Q, dims = Q[0], [chart.domain_dim]
+    Q, dims, svs, scales = (position_and_tangent(chart, jets),
+                            [chart.domain_dim], {}, {})
     for s in range(2, max_order + 2):
         # its own read of the s-th partials: the degree-s block of the
         # coefficients (index order by degree first) times the factorials
         lo, hi = (math.comb(k + chart.domain_dim, chart.domain_dim)
                   for k in (s - 1, s))
         C = jets[0].coeffs[:, lo:hi] * jets.space.factorial[lo:hi]
-        scale = float(np.linalg.norm(C, axis=0).max())
-        U, sv, _ = np.linalg.svd(geo._project_out(Q, C), full_matrices=False)
-        rank = int(np.sum(sv > eps_rank * max(scale, 1.0)))
+        scales[s] = float(np.linalg.norm(C, axis=0).max())
+        U, svs[s], _ = np.linalg.svd(_project_out(Q, C), full_matrices=False)
+        rank = int(np.sum(svs[s] > eps_rank * max(scales[s], 1.0)))
         if rank == 0:
             break
         dims.append(rank)
         Q = np.concatenate([Q, U[:, :rank]], axis=1)
         if Q.shape[1] >= chart.ambient_dim:
             break
-    return tuple(dims), len(dims) - 1
+    return tuple(dims), svs, scales
+
+
+def flag_per_point(chart, point, max_order=None, eps_rank=geo.EPS_RANK,
+                   eps_deg=geo.EPS_DEG):
+    """(dims, tau) of the osculating flag at one point, by the per-point
+    loop of `flag_levels_per_point`."""
+    dims = flag_levels_per_point(chart, point, max_order, eps_rank,
+                                 eps_deg)[0]
+    return dims, len(dims) - 1
 
 
 def holomorphic_curve_flag(powers):

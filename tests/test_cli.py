@@ -188,6 +188,46 @@ def test_splitting_commands_make_pinned_jet_work(tmp_path, monkeypatch, kind,
     assert calls == {"jet_mul": products, "jet_compose": compositions}
 
 
+_FLAG_SVDS = {
+    "n5": [(81, 3, 3), (81, 2, 4)],
+    "n8": [(81, 6, 3), (81, 5, 4), (81, 4, 5), (81, 3, 6), (81, 2, 7)]}
+_ELLIPSE_SVDS = {
+    "n5": [(81, 2, 5), (81, 2, 3), (81, 4, 2)],
+    "n8": [(81, 2, 8), (81, 2, 6), (81, 4, 5), (81, 4, 4), (81, 6, 3)]}
+
+
+@pytest.mark.parametrize("fixture, norms", [("n5", 2), ("n8", 5)])
+def test_analyze_makes_pinned_linear_algebra_work(monkeypatch, tmp_path,
+                                                  fixture, norms):
+    """`analyze` on the default 9x9 grid makes a fixed number of
+    `np.linalg` calls of each routine, and its SVDs take fixed shapes: one
+    per flag level, each level's form one row narrower than the last (the
+    complement of the flag narrows), one for the ellipticity and one per
+    ellipse order. A change that adds linear-algebra work fails here
+    without a benchmark run."""
+    calls, svds = {}, []
+    for name in np.linalg.__all__:
+        real = getattr(np.linalg, name)
+        if not callable(real) or isinstance(real, type):
+            continue
+
+        def counted(*args, _name=name, _real=real, **kw):
+            calls[_name] = calls.get(_name, 0) + 1
+            if _name == "svd":
+                svds.append(np.shape(args[0]))
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert run(["analyze", "--fixture", fixture,
+                "--out", str(tmp_path / "r.json")]) == 0
+    flag = _FLAG_SVDS[fixture]
+    assert svds == flag + [flag[0]] + _ELLIPSE_SVDS[fixture]
+    # the tangent stage: one eigenvalue floor, one complete QR, one
+    # inverse of the tangent blocks; the ellipticity: one eigh
+    assert calls == {"eigvalsh": 1, "qr": 1, "inv": 1, "eigh": 1,
+                     "svd": len(svds), "norm": norms}
+
+
 def test_bundle_requires_kind():
     assert run(["bundle", "--fixture", "n5"]) == 1
 
@@ -863,6 +903,22 @@ def test_leftover_jet_order_is_bad_input(tmp_path, capsys, how):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert name in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_analyze_with_a_zero_width_complement(tmp_path):
+    """curve-1, z -> z in R^2, fills its ambient space with its tangent
+    plane: the complement of the tangent stage has no column, and every
+    row reads dims [2], tau 0 and order 0."""
+    chart = cli.resolve_chart(cli.load_config(cli.build_parser().parse_args(
+        ["analyze", "--fixture", "curve-1"])))
+    jets = chart.eval_jets(geo.grid_points(geo.grid_axes(chart, (9, 9))), 2)
+    assert geo._tangent_stage(chart, jets, geo.EPS_DEG)[3].shape == (81, 2, 0)
+    out = tmp_path / "r.json"
+    assert run(["analyze", "--fixture", "curve-1", "--out", str(out)]) == 0
+    rows = load(out)["rows"]
+    assert len(rows) == 81
+    assert {(tuple(r["dims"]), r["tau"], r["order"]) for r in rows} == {
+        ((2,), 0, 0)}
 
 
 @pytest.mark.parametrize("fixture", ["n5", "n6", "curve-1-3-pad1"])

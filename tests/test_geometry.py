@@ -16,7 +16,7 @@ from isomin.catalog import (demo_weierstrass_data, make_fixture,
                             make_holomorphic_curve, make_plane,
                             make_veronese, random_weierstrass_data)
 from isomin.errors import DegeneratePoint, InvalidData, ShapeMismatch
-from isomin.weierstrass import generate_surface
+from isomin.weierstrass import generate_surface, surface_chart
 
 import oracles
 from oracles import make_graph, point_row, stacked_at
@@ -81,6 +81,13 @@ def test_degenerate_point():
     assert not geo._tangent_stage(curve, jets, geo.EPS_DEG)[0][0]
 
 
+def _tangent_basis(chart, point):
+    """The oracle's orthonormal basis of position (sphere charts) and
+    tangent space at a point."""
+    jets = chart.eval_jets(np.asarray(point, dtype=float)[None], 1)
+    return oracles.position_and_tangent(chart, jets)
+
+
 def test_flag_dims_n5(n5):
     row = point_row(n5, (0.0, 0.0))
     assert row["dims"] == [2, 2, 1]
@@ -89,11 +96,15 @@ def test_flag_dims_n5(n5):
     assert row["ellipses"][2]["residual"] == 1.0
     assert row["order"] == 1
     assert sum(row["dims"]) == n5.ambient_dim  # the flag is complete
-    # orthonormality of the accepted columns of the padded flag
-    Q = stacked_at(n5, (0.0, 0.0), max_s=4)["Q"]
-    Q = Q[:, np.linalg.norm(Q, axis=0) > 0]
+    # the tangent basis and the complement Z of the tangent stage make one
+    # orthonormal basis, and the normal spaces use Z up at tau: the flag
+    # reads no order past tau + 1, though it may read max_s = 4
+    at = stacked_at(n5, (0.0, 0.0), max_s=4)
+    Q = np.concatenate([_tangent_basis(n5, (0.0, 0.0)), at["Z"]], axis=1)
     assert Q.shape[1] == n5.ambient_dim
     assert np.allclose(Q.T @ Q, np.eye(Q.shape[1]), atol=1e-12)
+    assert sum(row["dims"][1:]) == at["Z"].shape[1]
+    assert max(at["forms"]) == row["tau"] + 1
 
 
 def test_flag_dims_curve():
@@ -113,10 +124,12 @@ def test_flag_plane_and_sphere():
     row = point_row(gs, (0.3, 0.45))
     assert row["dims"] == [2]
     # the flag of a sphere chart opens with the position, and the tangent
-    # columns are projected off it
-    Q = stacked_at(gs, (0.3, 0.45), max_s=4)["Q"]
-    Q = Q[:, np.linalg.norm(Q, axis=0) > 0]
-    assert Q.shape[1] == 3
+    # columns are projected off it; the complement Z of the three, which
+    # the flag leaves whole, completes them to an orthonormal basis
+    Z = stacked_at(gs, (0.3, 0.45), max_s=4)["Z"]
+    Q = np.concatenate([_tangent_basis(gs, (0.3, 0.45)), Z], axis=1)
+    assert Q.shape[1] == gs.ambient_dim and Z.shape[1] == gs.ambient_dim - 3
+    assert np.allclose(Q.T @ Q, np.eye(Q.shape[1]), atol=1e-12)
     assert np.allclose(Q[:, 0], gs.value((0.3, 0.45)), atol=1e-15)
     assert np.max(np.abs(Q[:, 1:].T @ Q[:, 0])) < 1e-12
 
@@ -725,3 +738,55 @@ def test_flag_depth_below_one_is_invalid_data(max_order):
                                domain=((0.0, 1.0),) * 2, name="unused")
     with pytest.raises(InvalidData, match="flag depth must be at least 1"):
         geo.point_rows(chart, [(0.5, 0.5)], max_order=max_order)
+
+
+_FIXTURES = ["curve-1-2-3", "curve-1-2-3-4-5", "curve-2-3", "curve-1-3-pad1",
+             "curve-1-2-pad1", "curve-2-3-pad1", "veronese"]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(source=st.integers(4, 8) | st.sampled_from(_FIXTURES),
+       seed=st.integers(0, 2**32 - 1),
+       frac=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)))
+def test_flag_read_in_its_complement_matches_double_projection(source, seed,
+                                                               frac):
+    """At a random regular point of random Weierstrass data (n = 4..8), of
+    a curve fixture or of the Veronese surface (a sphere chart), the
+    tangent stage's complement Z has orthonormal columns orthogonal to
+    position and the first partials, and at every order the flag reads,
+    the singular values of its form in the narrowing complement equal
+    those of the partials projected twice off the flag so far
+    (`oracles.flag_levels_per_point`), within 1e-12 of the scale."""
+    chart = (make_fixture(source) if isinstance(source, str)
+             else generate_surface(random_weierstrass_data(
+                 np.random.default_rng(seed), source)).chart)
+    point = np.array([lo + (hi - lo) * f
+                      for (lo, hi), f in zip(chart.domain, frac)])
+    depth = geo._flag_depth(chart)
+    jets = chart.eval_jets(point[None], depth + 1)
+    regular, P1, _, Z = geo._tangent_stage(chart, jets, geo.EPS_DEG)
+    assume(regular[0])
+    P1, Z = P1[0], Z[0]
+    assert np.abs(Z.T @ Z - np.eye(Z.shape[1])).max() < 1e-13
+    assert (np.abs(Z.T @ P1).max()
+            < 1e-13 * max(np.linalg.norm(P1, axis=0).max(), 1.0))
+    if chart.ambient == "sphere":
+        assert np.abs(Z.T @ chart.value(point)).max() < 1e-13
+    forms = geo._flag_pass(chart, jets, depth, geo.EPS_RANK, geo.EPS_DEG)[3]
+    dims, svs, scales = oracles.flag_levels_per_point(chart, point, depth)
+    assert len(dims) <= max(forms) <= max(svs)
+    for s in range(2, max(forms) + 1):
+        got = np.linalg.svd(forms[s][0], compute_uv=False)
+        ref = svs[s]
+        tol = 1e-12 * max(scales[s], 1.0)
+        assert np.abs(got - ref[:len(got)]).max(initial=0.0) < tol, s
+        assert np.abs(ref[len(got):]).max(initial=0.0) < tol, s
+
+
+def test_chart_without_room_for_its_tangent_plane_is_singular():
+    """A surface chart into R^1 has no room for its tangent plane: every
+    row of a batch reads singular, as in a chart with room whose metric
+    degenerates everywhere."""
+    chart = surface_chart(np.array([[0.0, 1.0, 0.5]], dtype=complex))
+    rows = geo.point_rows(chart, _grid(chart, (2, 2)))
+    assert [r["singular"] for r in rows] == [True] * 4
