@@ -333,10 +333,9 @@ def _nullity(chart: ImmersionChart, jets: J.Jet, eps_rank: float,
     order of the pairs i <= j, gathered into m x m. The frame change
     aorth_ij = sum_kl E_ki E_lj A_kl is two stacked matrix products, each
     contracting one slot of the symmetric form, so aorth comes out with
-    (i, j) swapped, which is the same form. Its singular values, as an
-    m x mc matrix (c the width of Z), are those of the m x m factor R of
-    the QR of its transpose where it is wide (T. F. Chan, ACM TOMS 8,
-    1982); every bundle over an S^4 base has c = 1."""
+    (i, j) swapped, which is the same form. Its singular values are those
+    of the m x mc matrix, c the width of Z; every bundle over an S^4 base
+    has c = 1."""
     P, m = len(jets), chart.domain_dim
     regular, _, E, Z = geo._tangent_stage(chart, jets, eps_deg)
     R, c = len(E), Z.shape[-1]
@@ -348,8 +347,7 @@ def _nullity(chart: ImmersionChart, jets: J.Jet, eps_rank: float,
                      )[..., pair], 1, -1)
     half = (E.mT @ A.reshape(R, m, m * c)).reshape(R, m, m, c)
     aorth = E.mT @ half.swapaxes(1, 2).reshape(R, m, m * c)  # m x mc
-    sv = np.linalg.svd(np.linalg.qr(aorth.mT, mode="r") if c > 1 else aorth,
-                       compute_uv=False)
+    sv = np.linalg.svd(aorth, compute_uv=False)
     thr = eps_rank * np.maximum(1.0, sv[:, 0])
     nu = np.zeros(P, dtype=int)
     nu[regular] = np.sum(sv < thr[:, None], axis=1)

@@ -84,14 +84,11 @@ def stack(polys) -> np.ndarray:
 
 def to_json(a: np.ndarray) -> list:
     """JSON form: each polynomial a list of [re, im] pairs by power of z,
-    without trailing zeros, nested as the leading axes are; one mask gives
-    each polynomial's length and one `tolist` its pairs."""
-    keep = ((a != 0) * np.arange(1, a.shape[-1] + 1)).max(axis=-1, initial=0)
-
-    def cut(p, k):
-        return p[:k] if isinstance(k, int) else list(map(cut, p, k))
-
-    return cut(np.stack([a.real, a.imag], axis=-1).tolist(), keep.tolist())
+    without trailing zeros, nested as the leading axes are."""
+    if a.ndim > 1:
+        return [to_json(p) for p in a]
+    kept = np.trim_zeros(a, trim="b")
+    return np.column_stack((kept.real, kept.imag)).tolist()
 
 
 def complex_list_from_json(data) -> np.ndarray:

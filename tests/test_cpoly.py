@@ -155,33 +155,10 @@ def test_trim_and_degree():
     assert math.isnan(doc[0][0][0]) and doc[1] == []
 
 
-def _trimmed_one_at_a_time(a):
-    """The JSON form by one trim per polynomial, walking the leading axes."""
-    if a.ndim > 1:
-        return [_trimmed_one_at_a_time(p) for p in a]
-    kept = np.trim_zeros(a, trim="b")
-    return np.column_stack((kept.real, kept.imag)).tolist()
-
-
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(lead=st.lists(st.integers(0, 3), max_size=3).map(tuple),
-       length=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
-def test_to_json_matches_one_trim_per_polynomial(lead, length, seed):
-    """The one-mask JSON form equals the per-polynomial trim on arrays
-    with zero and empty leading axes, L = 0, nested leading axes, zero
-    polynomials, zero real or imaginary parts and -0.0."""
-    rng = np.random.default_rng(seed)
-    a = (rng.choice([0.0, -0.0, 1.5, -2.0], lead + (length,))
-         + 1j * rng.choice([0.0, -0.0, 0.25], lead + (length,)))
-    a[rng.random(lead) < 0.3] = 0
-    assert cpoly.to_json(a) == _trimmed_one_at_a_time(a)
-    assert cpoly.to_json(a.real) == _trimmed_one_at_a_time(a.real)
-
-
 def test_to_json_of_the_empty_alpha0_of_n4():
     alpha0 = demo_weierstrass_data(4).alpha0
     assert alpha0.shape == (0, 0)
-    assert cpoly.to_json(alpha0) == _trimmed_one_at_a_time(alpha0) == []
+    assert cpoly.to_json(alpha0) == []
 
 
 def test_json_roundtrip():
