@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isomin import cpoly
-from isomin.catalog import demo_weierstrass_data
 from isomin.errors import DimensionMismatch, InvalidData
 from isomin.weierstrass import surface_chart
 
@@ -153,12 +152,6 @@ def test_trim_and_degree():
                                                           [1e-30, 0.0]]
     doc = cpoly.to_json(np.array([[math.nan, 0.0], [0.0, 0.0]]))
     assert math.isnan(doc[0][0][0]) and doc[1] == []
-
-
-def test_to_json_of_the_empty_alpha0_of_n4():
-    alpha0 = demo_weierstrass_data(4).alpha0
-    assert alpha0.shape == (0, 0)
-    assert cpoly.to_json(alpha0) == []
 
 
 def test_json_roundtrip():
