@@ -38,10 +38,10 @@ nullity field and the splitting tensor read their partials the same
 way, placed on the leading axis they need.
 Points where the first level degenerates or the last one does not give a
 plane are masked per point, never composed, and come out of the chart as
-NaN rows, which the geometry files as singular. The horizontal plane of
-the splitting tensor is Gram-Schmidt of given vectors in order in the
-metric, by one Cholesky factorization (`geometry._metric_frame`); the
-nullity pass reads its frame of the axes off the tangent stage's QR.
+NaN rows, which the geometry files as singular. The splitting pass reads
+its connection and horizontal frame off the chart's first partials, the
+frame by the nullity pass's route: the R factor of a QR of ambient
+vectors (`geometry._triangular_frame`).
 
 `sweep_and_split` is the one bundle entry point: a `bundle` command is one
 evaluation of the 3-chart at the sweep points and the splitting points
@@ -122,8 +122,6 @@ def _pivoted_frame(levels: list[J.Jet], eps_rank: float
         if not s:
             whole = np.logical_and.reduce(accepted)
         basis += own
-    if len(own) == 2:  # a plane where both candidates are accepted
-        return own[0], own[1], whole & accepted[0] & accepted[1]
     accepted = np.stack(accepted)
     ok = whole & (accepted.sum(axis=0) == 2)
     first = np.argsort(~accepted, axis=0, kind="stable")
@@ -367,10 +365,10 @@ def _cross(a, b):
 
 
 def _nullity_field(c: ImmersionChart, jets: J.Jet, eps_rank: float):
-    """Unit nullity field T (shape (P, 3)), metric G (P, 3, 3) and det G
-    (P,), as order-2 jets, from an order-4 jet of a 3-chart f of shape
-    (P, N), with the masks of the rows where the nullity line is
-    determined and where T has a unit length; T is garbage elsewhere.
+    """Unit nullity field T (shape (P, 3)), first partials F (P, 3, N) and
+    det G (P,), G = F F^T, as order-2 jets, from an order-4 jet of a
+    3-chart f of shape (P, N), with the masks of the rows where the nullity
+    line is determined and where T has a unit length; T is garbage elsewhere.
 
     The normal parts of the second partials, scaled by det G to stay
     polynomial, are n_ij = det G (H_ij - <H_ij, f> f) - sum F_m adj(G)_mn
@@ -412,60 +410,57 @@ def _nullity_field(c: ImmersionChart, jets: J.Jet, eps_rank: float):
     t2 = J.jet_dot(t, J.jet_dot(G, t[:, None]))
     unit = determined & ~(t2.value <= J.EPS_DEG)
     T = t * J.jet_compose("rsqrt", _vetted(t2, unit))[:, None]
-    return T, G, det, determined, unit
+    return T, F, det, determined, unit
 
 
-def _splitting_scalars(T: J.Jet, G: J.Jet, det: J.Jet, det1: J.Jet
+def _splitting_scalars(T: J.Jet, F: J.Jet, det: J.Jet, det1: J.Jet
                        ) -> tuple[dict, np.ndarray]:
     """The splitting tensor of the nullity line at R points, from the unit
-    nullity field T (R, 3), the metric G (R, 3, 3) and det G (R,) as
-    order-2 jets (`_nullity_field`), det1 its order-1 part, positive: the
-    report fields as arrays with a leading point axis, and the mask of
-    points where the horizontal frame is defined.
+    nullity field T (R, 3), the first partials F (R, 3, N) of the chart and
+    det G (R,) as order-2 jets (`_nullity_field`), det1 its order-1 part,
+    positive: the report fields as arrays with a leading point axis, and
+    the mask of points where the horizontal frame is defined.
 
     C is the matrix of X -> -(nabla_X T)^h on the horizontal plane in an
     oriented orthonormal frame; the fitted scalars satisfy C = v I - u J
     with J the quarter turn, and the residuals are |e3(v) - (v^2 - u^2 +
     1)|, |e3(u) - 2 u v|, |e1(u) - e2(v)|, |e2(u) + e1(v)| for the frame
-    (e1, e2, e3 = T). With the covariant derivative (nabla_k T)_m = g_ml
-    d_k T^l + Gamma_(m,kl) T^l, the scalars v = -div(T) / 2 and u =
-    |eps^(kmi) T_i (nabla_k T)_m| / 2 are order-1 jets, so their
-    derivatives along the frame are exact. The sign of u is fixed at the
-    point; T's orientation is arbitrary, which flips v."""
+    (e1, e2, e3 = T). nabla is the tangent part of the ambient derivative:
+    (nabla_k T)_m = <d_k (T^l F_l), F_m>, and T_m = <T^l F_l, F_m>; the
+    scalars v = -div(T) / 2 and u = |eps^(kmi) T_i (nabla_k T)_m| / 2 are
+    order-1 jets, so their derivatives along the frame are exact. The sign
+    of u is fixed at the point; T's orientation is arbitrary, which flips
+    v."""
     inv_det = J.jet_compose("recip", det1, eps=0.0)
     inv_vol = J.jet_compose("rsqrt", det1, eps=0.0)
-    T1, g = J.jet_truncate(T, 1), J.jet_truncate(G, 1)
+    T1, F1 = J.jet_truncate(T, 1), J.jet_truncate(F, 1)
+    # the ambient field T^l F_l, order 2, and its partials [p, k, .]
+    t = J.jet_dot(T[:, None], J.Jet(F.space, F.coeffs.swapaxes(1, 2)))
+    dt = J.jet_partials(t, axis=1)
+    cov = J.jet_dot(dt[:, :, None], F1[:, None])  # [p, k, m]
+    T_low = J.jet_dot(J.jet_truncate(t, 1)[:, None], F1)
     dT = J.jet_partials(T, axis=1)   # [p, k, l]
-    # Gamma_(m,kl) T^l = (dg_T[k, m] + T_dg[k, m] - dg_T[m, k]) / 2, with
-    # dg_T[k, m] = d_k g_ml T^l and T_dg[k, m] = T^l d_l g_mk (symmetric):
-    # the partials of G, and of G with its two axes swapped, last
-    dg_T = J.jet_dot(J.jet_partials(G, axis=1), T1[:, None, None])
-    G_t = J.Jet(G.space, G.coeffs.swapaxes(1, 2))
-    T_dg = J.jet_dot(J.jet_partials(G_t, axis=-1), T1[:, None, None])
-    cov = (J.jet_dot(g[:, None], dT[:, :, None])
-           + 0.5 * (dg_T + T_dg - J.Jet(dg_T.space,
-                                        dg_T.coeffs.swapaxes(1, 2))))
     ddet = J.jet_partials(det, axis=1)
     div = (dT[:, 0, 0] + dT[:, 1, 1] + dT[:, 2, 2]
            + 0.5 * J.jet_mul(J.jet_dot(T1, ddet), inv_det))
     v = -0.5 * div
     curl = (cov[:, [1, 2, 0], [2, 0, 1]] - cov[:, [2, 0, 1], [1, 2, 0]])
-    u = 0.5 * J.jet_mul(J.jet_dot(J.jet_dot(g, T1[:, None]), curl), inv_vol)
+    u = 0.5 * J.jet_mul(J.jet_dot(T_low, curl), inv_vol)
     u = J.Jet(u.space, np.where(u.value[:, None] < 0, -u.coeffs, u.coeffs))
 
     # rows X1, X2: metric-orthonormal and orthogonal to T, by Gram-Schmidt
-    # on T and the two coordinate axes least aligned with it
-    G0, T0, A = G.value, T.value, cov.value
-    scores = (np.abs((G0 @ T0[..., None])[..., 0])
-              / np.sqrt(np.diagonal(G0, axis1=1, axis2=2)))
+    # on T and the two coordinate axes least aligned with it, read off the
+    # QR of their ambient images
+    F0, T0, A = F.value, T.value, cov.value
+    scores = np.abs(T_low.value) / np.linalg.norm(F0, axis=-1)
     axes = np.eye(3)[np.argsort(scores, axis=-1)[:, :2]].mT
-    X, framed = geo._metric_frame(G0, np.concatenate([T0[..., None], axes],
-                                                     axis=-1))
-    X = X[..., 1:].mT
+    B = np.concatenate([T0[..., None], axes], axis=-1)
+    E, framed = geo._triangular_frame(np.linalg.qr(F0.mT @ B, mode="r"))
+    X = (B @ E)[..., 1:].mT
     C = -X @ A.mT @ X.mT  # C[b, a] = -<X_b, nabla_(X_a) T>
     flip = C[:, 0, 1] < C[:, 1, 0]  # orient the frame so that u >= 0
     X[flip, 1] = -X[flip, 1]
-    C = -X @ A.mT @ X.mT
+    C[flip] *= np.array([[1.0, -1.0], [-1.0, 1.0]])  # -X2: C off its diagonal
     u0, v0 = u.value, v.value
     Jq = np.array([[0.0, -1.0], [1.0, 0.0]])
     span = np.linalg.norm(C - (v0[:, None, None] * np.eye(2)
@@ -478,9 +473,8 @@ def _splitting_scalars(T: J.Jet, G: J.Jet, det: J.Jet, det1: J.Jet
            "e3_u": np.abs(d_u[:, 2] - 2.0 * u0 * v0),
            "e1_u_minus_e2_v": np.abs(d_u[:, 0] - d_v[:, 1]),
            "e2_u_plus_e1_v": np.abs(d_u[:, 1] + d_v[:, 0])}
-    align = np.abs(np.sum(T0 * G0[..., 2], axis=-1)) / np.sqrt(G0[:, 2, 2])
     return ({"C": C, "u": u0, "v": v0, "span_residual": span,
-             "ode_residuals": ode, "fiber_alignment": align}, framed)
+             "ode_residuals": ode, "fiber_alignment": scores[:, 2]}, framed)
 
 
 def _splitting_pass(chart: ImmersionChart, points: np.ndarray, jets: J.Jet,
@@ -505,7 +499,7 @@ def _splitting_pass(chart: ImmersionChart, points: np.ndarray, jets: J.Jet,
     live = np.flatnonzero(regular & (nu == 1))
     if not len(live):
         return rows
-    T, G, det, determined, unit = _nullity_field(chart, jets[live], eps_rank)
+    T, F, det, determined, unit = _nullity_field(chart, jets[live], eps_rank)
     # the nullity pass vets the metric, so det G > 0 but for rounding, which
     # the compositions guard
     det1 = J.jet_truncate(det, 1)
@@ -520,7 +514,7 @@ def _splitting_pass(chart: ImmersionChart, points: np.ndarray, jets: J.Jet,
     live = live[ok]
     if not len(live):
         return rows
-    fields, framed = _splitting_scalars(T[ok], G[ok], det[ok], det1[ok])
+    fields, framed = _splitting_scalars(T[ok], F[ok], det[ok], det1[ok])
     ode = {k: geo._json_ready(x)
            for k, x in fields.pop("ode_residuals").items()}
     fields = {k: geo._json_ready(x) for k, x in fields.items()}

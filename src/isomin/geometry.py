@@ -21,10 +21,10 @@ on them. Conventions that the rest of the package relies on:
   least metric eigenvalue is below eps_deg, or the metric has no Cholesky
   factor (a zero on the QR's tangent diagonal); each point of a batch is
   judged on its own.
-* Metric-orthonormal frames are Gram-Schmidt in the induced metric: of
-  the coordinate axes the inverse of the tangent block of the QR
-  (`_tangent_stage`), of other vectors one Cholesky factorization
-  (`_metric_frame`).
+* Metric-orthonormal frames are Gram-Schmidt in the induced metric, read
+  off the R factor of a QR of ambient vectors by `_triangular_frame`: of
+  the coordinate axes the tangent block of the QR of `_tangent_stage`, of
+  other coordinate vectors B the QR of their ambient images P1 B.
 * Report rows hold only JSON values (`_json_ready`): Python numbers,
   bools, None, lists and dicts, with None for a number that is not finite.
 * Every partial is read by `jet.jet_partials`, once per order; this
@@ -173,29 +173,18 @@ def _json_ready(a) -> list | float | None:
     return out.tolist()
 
 
-def _metric_frame(G: np.ndarray, B: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Gram-Schmidt of the columns of B in the metric G, in order, stacked
-    over leading axes: B L^-T with L = chol(B^T G B), since the Cholesky
-    factor is unique. Returns the frames and the mask of rows where
-    B^T G B is positive definite; the frame of any other row is NaN, and
-    no row depends on the others."""
-    M = B.mT @ G @ B
-    ok = np.ones(M.shape[:-2], dtype=bool)
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        # rare: find the rows without a factor, one at a time
-        for i in np.ndindex(ok.shape):
-            try:
-                np.linalg.cholesky(M[i])
-            except np.linalg.LinAlgError:
-                ok[i] = False
-        L = np.linalg.cholesky(np.where(ok[..., None, None], M,
-                                        np.eye(M.shape[-1])))
-    F = B @ np.linalg.inv(L).mT
-    F[~ok] = np.nan
-    return F, ok
+def _triangular_frame(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of upper-triangular R signed to a positive diagonal,
+    stacked over leading axes, and the mask of rows whose diagonal is finite
+    and nonzero; the inverse of any other row is NaN. With R from a QR of
+    the ambient images of vectors B, B^T G B = R^T R, so B times the
+    inverse is the Gram-Schmidt of the columns of B in the metric G."""
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    ok = ((d != 0.0) & np.isfinite(d)).all(axis=-1)
+    E = np.linalg.inv(np.where(ok[..., None, None], R * np.sign(d)[..., None],
+                               np.eye(R.shape[-1])))
+    E[~ok] = np.nan
+    return E, ok
 
 
 def _tangent_stage(chart: ImmersionChart, jets: J.Jet, eps_deg: float
@@ -207,8 +196,8 @@ def _tangent_stage(chart: ImmersionChart, jets: J.Jet, eps_deg: float
     charts) and tangent space, from one stacked complete QR of the k
     columns [position | P1]: Z is the last N - k columns of Q, orthonormal
     however ill-conditioned the metric is, and with R_t the tangent block
-    of R, signed to a positive diagonal, G = R_t^T R_t, so R_t^-1 is the
-    Cholesky frame; a zero on that diagonal makes a row singular. Raises
+    of R, G = R_t^T R_t, so R_t^-1 (`_triangular_frame`) is the frame; a
+    zero on the diagonal of R_t makes a row singular. Raises
     InvalidData where a finite row of a sphere chart is off the sphere."""
     finite = np.isfinite(jets.coeffs).all(axis=(1, 2))
     jets = J.jet_truncate(jets, 1)[finite]
@@ -227,11 +216,7 @@ def _tangent_stage(chart: ImmersionChart, jets: J.Jet, eps_deg: float
                 np.empty((0, N, 0)))
     keep = ~(np.linalg.eigvalsh(P1.mT @ P1)[:, 0] < eps_deg)
     Q, Rx = np.linalg.qr(X[keep], mode="complete")
-    Rt = Rx[:, k - m:k, k - m:]
-    d = np.diagonal(Rt, axis1=-2, axis2=-1)
-    framed = ((d != 0.0) & np.isfinite(d)).all(axis=-1)
-    E = np.linalg.inv(np.where(framed[:, None, None],
-                               Rt * np.sign(d)[..., None], np.eye(m)))
+    E, framed = _triangular_frame(Rx[:, k - m:k, k - m:])
     keep[keep] = framed
     regular = finite.copy()
     regular[finite] = keep

@@ -6,18 +6,24 @@ central finite differences (5-point, 4th order), so they share no
 derivative code with the jet-based forms. The relative nullity oracle
 reads the singular values of X -> alpha(X, .) and |H| off those two, in
 the metric-orthonormal frame G^(-1/2) from an eigendecomposition, where
-the nullity pass uses a Cholesky (Gram-Schmidt) frame; the two frames
-differ by a rotation, which changes neither. The splitting tensor oracle
-differentiates the unit kernel field of `nullity_at` by nested stencils,
-and builds the Christoffel symbols by stencils over the metric; it
-shares with the jet-based splitting pass of `sweep_and_split` only the
-nullity pass with the second form it reads, and the chart's order-1
-jets, which give the metric (the first partials). The sampled curvature
-ellipse takes the fundamental forms and the ellipse directions Z, JZ
-from the stacked passes (`stacked_at`) and replaces only the closed-form
-Fourier step: it samples the form on Z_theta, T(X^s) = sum_k C(s, k)
-X_u^(s-k) X_v^k D_k on the form's entries D_k, where the package expands
-T((a conj(w) + b w)^s) in (a, b), and takes an SVD. The
+the nullity pass uses the Gram-Schmidt frame it reads off the tangent
+stage's QR; the two frames differ by a rotation, which changes neither.
+The splitting tensor oracle differentiates the unit kernel field of
+`nullity_at` by nested stencils, and builds the Christoffel symbols by
+stencils over the metric; it shares with the jet-based splitting pass of
+`sweep_and_split` only the nullity pass with the second form it reads,
+and the chart's order-1 jets, which give the metric (the first
+partials). The splitting scalars from the metric
+(`splitting_scalars_from_metric`) are the jet route that reading the
+connection off the embedding replaced: the Christoffel symbols summed
+from the partials of G = F F^T and the horizontal frame by a Cholesky
+factorization of B^T G B (`metric_frame`), where the package takes
+<d_k (T^l F_l), F_m> and the QR of the ambient vectors F^T B. The
+sampled curvature ellipse takes the fundamental forms and the ellipse
+directions Z, JZ from the stacked passes (`stacked_at`) and replaces only
+the closed-form Fourier step: it samples the form on Z_theta, T(X^s) =
+sum_k C(s, k) X_u^(s-k) X_v^k D_k on the form's entries D_k, where the
+package expands T((a conj(w) + b w)^s) in (a, b), and takes an SVD. The
 per-point flag is the loop that the stacked flag pass replaced, one
 order at a time on one point's jet, with its own read of the s-th
 partials: a slice of the coefficients in the space's index order, where
@@ -403,6 +409,87 @@ def splitting_fd(chart, point, step=1e-3):
                            span_residual=span_residual,
                            ode_residuals=ode_residuals,
                            fiber_alignment=fiber_alignment)
+
+
+def metric_frame(G, B):
+    """Gram-Schmidt of the columns of B in the metric G, in order, stacked
+    over leading axes: B L^-T with L = chol(B^T G B), since the Cholesky
+    factor is unique. Returns the frames and the mask of rows where
+    B^T G B is positive definite; the frame of any other row is NaN, and
+    no row depends on the others."""
+    M = B.mT @ G @ B
+    ok = np.ones(M.shape[:-2], dtype=bool)
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        # rare: find the rows without a factor, one at a time
+        for i in np.ndindex(ok.shape):
+            try:
+                np.linalg.cholesky(M[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        L = np.linalg.cholesky(np.where(ok[..., None, None], M,
+                                        np.eye(M.shape[-1])))
+    F = B @ np.linalg.inv(L).mT
+    F[~ok] = np.nan
+    return F, ok
+
+
+def splitting_scalars_from_metric(T, G, det, det1):
+    """The fields of `bundles._splitting_scalars` and its frame mask, from
+    the metric G (R, 3, 3) as an order-2 jet in place of the first
+    partials: the covariant derivative (nabla_k T)_m = g_ml d_k T^l +
+    Gamma_(m,kl) T^l with the Christoffel symbols summed from the partials
+    of G, T lowered by G, and the horizontal frame by `metric_frame`."""
+    inv_det = J.jet_compose("recip", det1, eps=0.0)
+    inv_vol = J.jet_compose("rsqrt", det1, eps=0.0)
+    T1, g = J.jet_truncate(T, 1), J.jet_truncate(G, 1)
+    dT = J.jet_partials(T, axis=1)   # [p, k, l]
+    # Gamma_(m,kl) T^l = (dg_T[k, m] + T_dg[k, m] - dg_T[m, k]) / 2, with
+    # dg_T[k, m] = d_k g_ml T^l and T_dg[k, m] = T^l d_l g_mk (symmetric):
+    # the partials of G, and of G with its two axes swapped, last
+    dg_T = J.jet_dot(J.jet_partials(G, axis=1), T1[:, None, None])
+    G_t = J.Jet(G.space, G.coeffs.swapaxes(1, 2))
+    T_dg = J.jet_dot(J.jet_partials(G_t, axis=-1), T1[:, None, None])
+    cov = (J.jet_dot(g[:, None], dT[:, :, None])
+           + 0.5 * (dg_T + T_dg - J.Jet(dg_T.space,
+                                        dg_T.coeffs.swapaxes(1, 2))))
+    ddet = J.jet_partials(det, axis=1)
+    div = (dT[:, 0, 0] + dT[:, 1, 1] + dT[:, 2, 2]
+           + 0.5 * J.jet_mul(J.jet_dot(T1, ddet), inv_det))
+    v = -0.5 * div
+    curl = (cov[:, [1, 2, 0], [2, 0, 1]] - cov[:, [2, 0, 1], [1, 2, 0]])
+    u = 0.5 * J.jet_mul(J.jet_dot(J.jet_dot(g, T1[:, None]), curl), inv_vol)
+    u = J.Jet(u.space, np.where(u.value[:, None] < 0, -u.coeffs, u.coeffs))
+
+    # rows X1, X2: metric-orthonormal and orthogonal to T, by Gram-Schmidt
+    # on T and the two coordinate axes least aligned with it
+    G0, T0, A = G.value, T.value, cov.value
+    scores = (np.abs((G0 @ T0[..., None])[..., 0])
+              / np.sqrt(np.diagonal(G0, axis1=1, axis2=2)))
+    axes = np.eye(3)[np.argsort(scores, axis=-1)[:, :2]].mT
+    X, framed = metric_frame(G0, np.concatenate([T0[..., None], axes],
+                                                axis=-1))
+    X = X[..., 1:].mT
+    C = -X @ A.mT @ X.mT  # C[b, a] = -<X_b, nabla_(X_a) T>
+    flip = C[:, 0, 1] < C[:, 1, 0]  # orient the frame so that u >= 0
+    X[flip, 1] = -X[flip, 1]
+    C = -X @ A.mT @ X.mT
+    u0, v0 = u.value, v.value
+    Jq = np.array([[0.0, -1.0], [1.0, 0.0]])
+    span = np.linalg.norm(C - (v0[:, None, None] * np.eye(2)
+                               - u0[:, None, None] * Jq), axis=(1, 2))
+    # derivatives of u and v along the frame (X1, X2, T)
+    grad = J.jet_partials(J.jet_stack([u, v]).T, axis=1).value  # [p, k, .]
+    d = np.concatenate([X, T0[:, None]], axis=1) @ grad
+    d_u, d_v = d[..., 0], d[..., 1]
+    ode = {"e3_v": np.abs(d_v[:, 2] - (v0 * v0 - u0 * u0 + 1.0)),
+           "e3_u": np.abs(d_u[:, 2] - 2.0 * u0 * v0),
+           "e1_u_minus_e2_v": np.abs(d_u[:, 0] - d_v[:, 1]),
+           "e2_u_plus_e1_v": np.abs(d_u[:, 1] + d_v[:, 0])}
+    align = np.abs(np.sum(T0 * G0[..., 2], axis=-1)) / np.sqrt(G0[:, 2, 2])
+    return ({"C": C, "u": u0, "v": v0, "span_residual": span,
+             "ode_residuals": ode, "fiber_alignment": align}, framed)
 
 
 def flag_levels_per_point(chart, point, max_order=None,

@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 import isomin.cpoly as cp
 import isomin.geometry as geo
 import isomin.jet as J
-from isomin.bundles import (_pivoted_frame, sweep_and_split,
+from isomin.bundles import (_nullity_field, _pivoted_frame,
+                            _splitting_scalars, sweep_and_split,
                             unit_normal_chart, unit_tangent_chart)
 from isomin.catalog import (demo_weierstrass_data, make_fixture,
                             make_geodesic_sphere, make_great_sphere,
@@ -24,8 +25,8 @@ from isomin.weierstrass import (NULL_TOL, generate_surface, null_residual,
 
 from oracles import (bundle_jets_three_variable, isotropy_probe, make_graph,
                      nullity_at, nullity_fd, pivoted_frame_one_at_a_time,
-                     point_row, splitting_fd, stacked_at,
-                     unit_normal_check_full)
+                     point_row, splitting_fd, splitting_scalars_from_metric,
+                     stacked_at, unit_normal_check_full)
 
 
 @pytest.fixture(scope="module")
@@ -167,9 +168,11 @@ def test_bipolar_minimal_with_nullity_one(bipolar_n5):
         assert rep.kernel.shape == (3, 1)
 
 
-def test_nullity_direction_not_the_fiber(bipolar_n5):
-    """The nullity line of the bipolar chart is horizontal-ish but never
-    checked to be the fiber; what is frozen is its metric alignment."""
+def test_oracle_nullity_line_is_the_fiber(bipolar_n5):
+    """The kernel of the oracle's nullity pass (`nullity_at`) on the bipolar
+    chart is the fiber direction: its metric alignment with d_theta is 1,
+    as the splitting rows find for the package's nullity field
+    (`test_nullity_leaves_are_the_fiber_circles`)."""
     p = (0.1, 0.2, 0.7)
     rep = nullity_at(bipolar_n5.chart, p)
     G = stacked_at(bipolar_n5.chart, p)["G"]
@@ -730,6 +733,45 @@ def test_nullity_leaves_are_the_fiber_circles(seed, kind, frac, theta,
     assert abs(row["u"] - 1.0) < 1e-9
     assert abs(row["v"]) < 1e-9
     assert abs(row["fiber_alignment"] - 1.0) < 1e-9
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(
+           ["bipolar-5", "bipolar-6", "bipolar-7", "bipolar-8",
+            "polar-veronese"]),
+       fracs=st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95),
+                                st.floats(0.0, 1.0, exclude_max=True)),
+                      min_size=1, max_size=3))
+def test_splitting_scalars_match_the_metric_route(seed, kind, fracs,
+                                                  polar_ver):
+    """The splitting scalars read off the embedding agree with the route
+    through the metric G = F F^T (`splitting_scalars_from_metric`:
+    Christoffel sums over the partials of G, a Cholesky frame), both fed
+    one `_nullity_field` output: the same frame mask, and u, v, C, the
+    span residual, every ODE residual and the fiber alignment within
+    1e-12."""
+    bc = (polar_ver if kind == "polar-veronese"
+          else _random_bipolar(seed, int(kind[-1])))
+    pts = [[lo + (hi - lo) * f for (lo, hi), f in zip(bc.chart.domain, frac)]
+           for frac in fracs]
+    jets = bc.chart.eval_jets(pts, 4)
+    assume(np.isfinite(jets.coeffs).all())
+    T, F, det, determined, unit = _nullity_field(bc.chart, jets,
+                                                 geo.EPS_RANK)
+    det1 = J.jet_truncate(det, 1)
+    ok = determined & unit & ~(det1.value <= 0.0)
+    assume(ok.any())
+    G = J.jet_dot(F[:, :, None], F[:, None])
+    got, framed = _splitting_scalars(T[ok], F[ok], det[ok], det1[ok])
+    ref, ref_framed = splitting_scalars_from_metric(T[ok], G[ok], det[ok],
+                                                    det1[ok])
+    assert framed.tolist() == ref_framed.tolist()
+    got.update(got.pop("ode_residuals"))
+    ref.update(ref.pop("ode_residuals"))
+    assert set(got) == set(ref)
+    for key, x in got.items():
+        np.testing.assert_allclose(x, ref[key], rtol=0, atol=1e-12,
+                                   err_msg=key)
 
 
 def _assert_sweep_matches_single_points(chart, points) -> list[dict]:

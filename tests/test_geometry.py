@@ -602,21 +602,28 @@ def test_point_rows_match_single_points_on_random_data(seed, n, counts):
     _assert_rows_match_single_points(chart, _grid(chart, counts))
 
 
-def test_metric_frame_masks_a_row_without_cholesky_factor():
-    """One indefinite metric in a stack gives a NaN frame and a false mask
-    in its own row only; every other row equals its frame computed alone."""
-    A = np.random.default_rng(3).standard_normal((5, 3, 3))
-    G = A @ A.mT + 0.1 * np.eye(3)
-    G[2] = np.diag([1.0, -1.0, 2.0])
-    B = np.eye(3)[:, [2, 0, 1]]
-    F, ok = geo._metric_frame(G, B)
+def test_triangular_frame_is_the_metric_gram_schmidt():
+    """Read off the R factor of the ambient vectors F^T B, the frame B E is
+    the Gram-Schmidt of B in the metric F F^T, the oracle's Cholesky
+    frame. A rank-deficient B, whose R has a zero on its diagonal, gives
+    a NaN frame and a false mask in its own row only; every other row
+    equals its frame computed alone."""
+    rng = np.random.default_rng(3)
+    F = rng.standard_normal((5, 3, 6))
+    B = rng.standard_normal((5, 3, 3))
+    B[2, :, 1] = 0.0
+    R = np.linalg.qr(F.mT @ B, mode="r")
+    assert R[2, 1, 1] == 0.0
+    E, ok = geo._triangular_frame(R)
     assert ok.tolist() == [True, True, False, True, True]
-    assert np.isnan(F[2]).all()
+    assert np.isnan(E[2]).all()
+    ref, ref_ok = oracles.metric_frame(F @ F.mT, B)
     for i in (0, 1, 3, 4):
-        alone, alone_ok = geo._metric_frame(G[i], B)
-        assert alone_ok and np.array_equal(F[i], alone)
-        assert np.allclose(F[i].T @ G[i] @ F[i], np.eye(3))
-    alone, alone_ok = geo._metric_frame(G[2], B)
+        assert ref_ok[i]
+        np.testing.assert_allclose(B[i] @ E[i], ref[i], rtol=0, atol=1e-13)
+        alone, alone_ok = geo._triangular_frame(R[i])
+        assert alone_ok and np.array_equal(E[i], alone)
+    alone, alone_ok = geo._triangular_frame(R[2])
     assert not alone_ok and np.isnan(alone).all()
 
 

@@ -75,6 +75,9 @@ COMMANDS = (
         "curve-1-2-3-4-5", "random-n12", "curve-1-2-pad1")]
     + [["bundle", "--kind", "bipolar", "--fixture", name] for name in (
         "n5", "n8", "curve-1-2-pad1", "plane")]
+    # two more bases whose 4 default splitting points all read nullity 1
+    + [["bundle", "--kind", "bipolar", "--fixture", name]
+       for name in ("n6", "random-n6")]
     + [["bundle", "--kind", "polar", "--fixture", "veronese"],
        ["bundle", "--kind", "bipolar", "--fixture", "curve-2-3-pad1"],
        ["analyze", "--fixture", "curve-2-3", "--grid=-0.5:0.5:3,-0.5:0.5:3"],
