@@ -17,7 +17,9 @@ point without a tensor reports why in its row.
 Configuration is a single JSON document; command line flags override its
 fields. Runs are deterministic: the same config produces byte-identical
 reports and meshes. A report is strict JSON with sorted keys, one compact
-line per top-level key or row, with null for non-finite numbers.
+line per top-level key or row (no space after a comma or colon, each float
+in its shortest round-trip form, written by orjson), with null for
+non-finite numbers.
 Exit codes: 0 all checks pass, 1 bad input, 2 a verification failed (also
 when no point it needs is regular) or the numerics broke down (a linear
 algebra routine did not converge, or a number overflowed), 3
@@ -35,6 +37,7 @@ import sys
 from typing import Sequence
 
 import numpy as np
+import orjson
 
 from . import bundles as B
 from . import catalog
@@ -67,31 +70,9 @@ SPOT_POINTS = ((0.17, 0.11), (-0.23, 0.31), (0.05, -0.37))
 PRINCIPAL_TOL = 1e-8  # relative gap of equal covariance eigenvalues, export
 
 
-# one compact line per row, written by the C encoder; a report is a tree
-# the package builds, so there is no circular reference to look for
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False,
-                                check_circular=False, separators=(", ", ": "))
-
-
-def _nulls(x):
-    """Non-finite floats as None, in a report value that the encoder
-    rejected."""
-    if isinstance(x, dict):
-        return {k: _nulls(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_nulls(v) for v in x]
-    if isinstance(x, float) and not math.isfinite(x):
-        return None
-    return x
-
-
-def _encode(value) -> str:
-    """Compact JSON of a report value; the encoder rejects a non-finite
-    number, and only then is the value walked to write it as null."""
-    try:
-        return _ROW_ENCODER.encode(value)
-    except ValueError:
-        return _ROW_ENCODER.encode(_nulls(value))
+# sorted keys, and null for a number that is not finite; numpy scalars and
+# arrays are written as the numbers they hold
+_DUMPS_OPTIONS = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
 
 
 def _is_rows(value) -> bool:
@@ -103,30 +84,33 @@ def _is_rows(value) -> bool:
                  or all(isinstance(r, list) for r in value)))
 
 
-def report_text(doc: dict) -> str:
+def report_text(doc: dict) -> bytes:
     """Strict JSON with sorted keys, one line per top-level key, where each
     element of a top-level list of objects or lists (the rows) is one more
-    line. Every line is compact JSON from the C encoder. A non-finite
-    number is written as null."""
+    line. Every line is compact JSON, without spaces, with each float in
+    its shortest round-trip form. A non-finite number is written as
+    null."""
     items = []
     for key in sorted(doc):
         value = doc[key]
         if _is_rows(value):
-            text = "[\n" + ",\n".join(
-                "    " + _encode(r) for r in value) + "\n  ]"
+            text = b"[\n" + b",\n".join(
+                b"    " + orjson.dumps(r, option=_DUMPS_OPTIONS)
+                for r in value) + b"\n  ]"
         else:
-            text = _encode(value)
-        items.append(f"  {_ROW_ENCODER.encode(key)}: {text}")
-    return "{\n" + ",\n".join(items) + "\n}\n"
+            text = orjson.dumps(value, option=_DUMPS_OPTIONS)
+        items.append(b"  " + orjson.dumps(key) + b": " + text)
+    return b"{\n" + b",\n".join(items) + b"\n}\n"
 
 
 def _emit(doc: dict, out: str | None):
-    text = report_text(doc)
+    data = report_text(doc)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        with open(out, "wb") as fh:
+            fh.write(data)
     else:
-        sys.stdout.write(text)
+        # a redirected stdout (a StringIO) has no binary buffer
+        sys.stdout.write(data.decode())
 
 
 def parse_grid(raw) -> list[tuple[float, float, int]]:
@@ -217,9 +201,15 @@ def load_config(args) -> dict:
         args.tol, parse_tols([cfg["tolerances"]], DEFAULT_TOLS))
     if cfg["grid"] is not None:
         cfg["grid"] = parse_grid(cfg["grid"])
-    if cfg["splitting_points"] < 0:
-        raise InvalidData("splitting_points must be a nonnegative integer, "
-                          f"got {cfg['splitting_points']!r}")
+    # a report writes the seed as a 64-bit unsigned integer
+    if not 0 <= cfg["seed"] < 2**64:
+        raise InvalidData("seed must be in 0 .. 2**64 - 1, "
+                          f"got {cfg['seed']!r}")
+    # from 2**53 on, the sample parameters of the points repeat in double
+    # precision
+    if not 0 <= cfg["splitting_points"] < 2**53:
+        raise InvalidData("splitting_points must be a nonnegative integer "
+                          f"below 2**53, got {cfg['splitting_points']!r}")
     return cfg
 
 
@@ -394,16 +384,13 @@ def cmd_analyze(cfg) -> int:
     return 2 if singular == len(rows) else 0
 
 
-def _splitting_points(axes, count: int):
-    """Deterministic interior sample: walk the grid box diagonally."""
-    lo = [float(a[0]) for a in axes]
-    hi = [float(a[-1]) for a in axes]
-    pts = []
-    for i in range(count):
-        t = (i + 1.0) / (count + 1.0)
-        pts.append(tuple(l + (h - l) * (t if k != 1 else 1.0 - t)
-                         for k, (l, h) in enumerate(zip(lo, hi))))
-    return pts
+def _splitting_points(axes, count: int) -> np.ndarray:
+    """Deterministic interior sample of shape (count, dim): walk the grid
+    box diagonally, the second axis from its top end."""
+    lo = np.array([a[0] for a in axes], dtype=float)
+    hi = np.array([a[-1] for a in axes], dtype=float)
+    t = ((np.arange(count) + 1.0) / (count + 1.0))[:, None]
+    return lo + (hi - lo) * np.where(np.arange(len(axes)) == 1, 1.0 - t, t)
 
 
 def _bundle_chart(cfg) -> B.BundleChart:

@@ -4,7 +4,9 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -431,6 +433,45 @@ def test_config_seed_must_be_an_integer(tmp_path, capsys, seed):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fixture", ["n5", "random-n5"])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("by_flag", [True, False])
+def test_seed_must_fit_64_bits(tmp_path, capsys, fixture, seed, by_flag):
+    """A report writes the seed as an unsigned 64-bit integer; one outside
+    that range is bad input, from the flag or the config alike."""
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({} if by_flag else {"seed": seed}))
+    argv = ["analyze", "--fixture", fixture, "--config", str(cfgp),
+            "--out", str(tmp_path / "r.json")]
+    assert run(argv + ([f"--seed={seed}"] if by_flag else [])) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: seed must be in 0 .. 2**64 - 1, got {seed}\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_largest_seed_is_written(tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["generate", "--fixture", "random-n5", f"--seed={2**64 - 1}",
+                "--out", str(out)]) == 0
+    assert _strict(out)["seed"] == 2**64 - 1
+
+
+@pytest.mark.parametrize("count", [2**53, 2**62, 2**63 - 1])
+def test_huge_splitting_point_counts_exit_at_once(tmp_path, capsys, count):
+    """A count whose sample parameters would repeat is refused before any
+    point is made (numpy's arange returns no points at all near 2**63)."""
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"splitting_points": count}))
+    start = time.process_time()
+    assert run(["bundle", "--kind", "bipolar", "--fixture", "n5",
+                "--config", str(cfgp)]) == 1
+    assert time.process_time() - start < 2.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: splitting_points must be a nonnegative "
+                          "integer below 2**53")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("field, value", [
     ("params", [1]), ("params", None), ("tolerances", [1]),
     ("tolerances", "ode=1"), ("splitting_points", True),
@@ -607,39 +648,59 @@ def test_splitting_rows_write_non_finite_residuals_as_null(tmp_path,
     assert doc["verdicts"]["splitting_ode"] is True
 
 
-def _assert_layout(text: str) -> dict:
+_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def _sorted_object(pairs):
+    assert [k for k, _ in pairs] == sorted(k for k, _ in pairs)
+    return dict(pairs)
+
+
+def _compact(text: str):
+    """The value of one line's JSON text, which must be strict JSON with
+    sorted keys and no whitespace outside its string literals."""
+    assert not re.search(r"\s", _STRING.sub("", text)), text
+    return json.loads(text, parse_constant=_reject,
+                      object_pairs_hook=_sorted_object)
+
+
+def _assert_layout(text: str, built: dict) -> dict:
     """One line per top-level key, sorted, holding the value's compact
     JSON; a nonempty list of objects or of lists opens a block instead,
-    with one compact line per element. Returns the document."""
-    doc = json.loads(text)
-    lines = text.splitlines()
-    assert lines[0] == "{" and lines[-1] == "}"
-    keys = [line.split('"')[1] for line in lines if line.startswith('  "')]
-    assert keys == sorted(doc)
-    want = []
+    with one compact line per element. Each compact line parses to its
+    value in the document as built. Returns the document."""
+    doc = json.loads(json.dumps(built, allow_nan=False))
+    lines = iter(text.splitlines())
+    assert next(lines) == "{"
+    keys = sorted(doc)
     for key in keys:
         value, sep = doc[key], "," if key != keys[-1] else ""
+        head = f"  {json.dumps(key)}: "
+        line = next(lines)
+        assert line.startswith(head)
         if (isinstance(value, list) and value
                 and (all(isinstance(r, dict) for r in value)
                      or all(isinstance(r, list) for r in value))):
-            want.append(f'  "{key}": [')
-            want += ["    " + json.dumps(r, sort_keys=True) + ","
-                     for r in value[:-1]]
-            want += ["    " + json.dumps(value[-1], sort_keys=True),
-                     "  ]" + sep]
+            assert line == head + "["
+            for i, row in enumerate(value):
+                line = next(lines)
+                last = i == len(value) - 1
+                assert line.startswith("    ") and line.endswith(",") != last
+                assert _compact(line[4:] if last else line[4:-1]) == row
+            assert next(lines) == "  ]" + sep
         else:
-            want.append(f'  "{key}": {json.dumps(value, sort_keys=True)}'
-                        + sep)
-    assert lines[1:-1] == want
+            assert line.endswith(sep)
+            assert _compact(line[len(head):len(line) - len(sep)]) == value
+    assert next(lines) == "}"
+    assert next(lines, None) is None
     return doc
 
 
 def test_report_layout_is_one_compact_line_per_row(tmp_path, monkeypatch):
     """Sorted keys, one line per top-level key, one line per row that is
     the row's own compact JSON (the rows of an analyze sweep, and the
-    coefficient lists of a generate report), and the same value as the
-    stdlib's indented text of the document as built; the document needs no
-    conversion."""
+    coefficient lists of a generate report), each line the same value as
+    the document as built; the document needs no conversion."""
     built = []
     real = cli.report_text
     monkeypatch.setattr(cli, "report_text",
@@ -649,9 +710,7 @@ def test_report_layout_is_one_compact_line_per_row(tmp_path, monkeypatch):
                  ["generate", "--fixture", "n8"]):
         assert run(argv + ["--out", str(out)]) == 0
         text = out.read_text()
-        doc = _assert_layout(text)
-        assert doc == json.loads(json.dumps(built[-1], indent=2,
-                                            sort_keys=True, allow_nan=False))
+        doc = _assert_layout(text, built[-1])
         lines = text.splitlines()
         if argv[0] == "analyze":
             assert len(doc["rows"]) == 81
@@ -660,8 +719,18 @@ def test_report_layout_is_one_compact_line_per_row(tmp_path, monkeypatch):
             assert len(doc["phi2"]) == 8
             for key in ("alpha1", "alpha2", "phi2"):
                 start = lines.index(f'  "{key}": [')
-                assert lines[start + 1] == (
-                    "    " + json.dumps(doc[key][0]) + ",")
+                assert _compact(lines[start + 1][4:-1]) == doc[key][0]
+
+
+def test_report_text_writes_numpy_numbers_and_non_finite_as_null():
+    text = cli.report_text({
+        "rows": [{"H": np.float64(0.1), "sv": np.array([2.5, math.inf])},
+                 {"H": math.nan, "sv": [-math.inf, 1.0]}],
+        "value": np.float64(0.1), "missing": math.nan,
+        "values": np.array([1.5, math.inf])}).decode()
+    assert json.loads(text, parse_constant=_reject) == {
+        "rows": [{"H": 0.1, "sv": [2.5, None]}, {"H": None, "sv": [None, 1.0]}],
+        "value": 0.1, "missing": None, "values": [1.5, None]}
 
 
 def test_linalg_error_is_a_numerical_breakdown(tmp_path, capsys,

@@ -24,11 +24,12 @@ that directory and passed as `--config`. It then checks:
 
 Prints one line per command, with its report's size in bytes in each
 checkout and whether the two checkouts wrote byte-identical reports or
-meshes or ones that match only within tolerance; for the latter it lists
-the first JSON paths (the vertex lines of a mesh, as $.v[i][k]) whose
-floats differ. A summary gives the counts of both kinds, the total sizes
-and the largest float differences seen. Exit code 0 when everything matches, 1 on any mismatch,
-2 on bad arguments.
+meshes, ones that differ only in their bytes (the parsed values are
+equal: "same values"), or ones that match only within tolerance; for the
+last it lists the first JSON paths (the vertex lines of a mesh, as
+$.v[i][k]) whose floats differ. A summary gives the counts of the three
+kinds, the total sizes and the largest float differences seen. Exit code
+0 when everything matches, 1 on any mismatch, 2 on bad arguments.
 """
 from __future__ import annotations
 
@@ -228,7 +229,7 @@ def main(argv=None) -> int:
             print(f"error: no isomin sources under {checkout}", file=sys.stderr)
             return 2
     diff = Diff()
-    failed = identical = within = 0
+    failed = identical = same = within = 0
     sizes = [0, 0]  # report bytes in the parent and in the change
     for cmd in COMMANDS:
         problems = []
@@ -270,11 +271,14 @@ def main(argv=None) -> int:
                 diff.max_abs = max(diff.max_abs, cmd_diff.max_abs)
         failed += bool(problems)
         if not problems and rep_a is not None:
-            identical += rep_a == rep_b
-            within += rep_a != rep_b
             if rep_a == rep_b:
+                identical += 1
                 kind = "; byte-identical"
+            elif docs[0] == docs[1]:
+                same += 1
+                kind = "; same values"
             else:
+                within += 1
                 kind = (f"; within tolerance, {len(moved)} floats differ: "
                         + ", ".join(moved[:SHOWN_PATHS])
                         + (", ..." if len(moved) > SHOWN_PATHS else ""))
@@ -283,7 +287,8 @@ def main(argv=None) -> int:
         for problem in problems:
             print(f"     {problem}")
     print(f"{len(COMMANDS) - failed} of {len(COMMANDS)} commands match "
-          f"({identical} byte-identical, {within} within tolerance only); "
+          f"({identical} byte-identical, {same} with the same values, "
+          f"{within} within tolerance only); "
           f"largest gaps: {diff.max_rel:.3g} relative above {FLOOR:g}, "
           f"{diff.max_abs:.3g} absolute at or below it; report bytes "
           f"{sizes[0]} -> {sizes[1]}")
