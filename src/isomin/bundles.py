@@ -122,11 +122,14 @@ def _pivoted_frame(levels: list[J.Jet], eps_rank: float
         if not s:
             whole = np.logical_and.reduce(accepted)
         basis += own
-    accepted = np.stack(accepted)
-    ok = whole & (accepted.sum(axis=0) == 2)
-    first = np.argsort(~accepted, axis=0, kind="stable")
-    last, rows = J.jet_stack(own), np.arange(len(ok))
-    return last[first[0], rows], last[first[1], rows], ok
+    # per point, the first accepted candidate and the one whose acceptance
+    # makes the count two, gathered in one step
+    accepted = np.array(accepted)
+    count = accepted.cumsum(axis=0)
+    ok = whole & (count[-1] == 2)
+    pick = np.array([accepted.argmax(axis=0), (count == 2).argmax(axis=0)])
+    e1, e2 = np.array([v.coeffs for v in own])[pick, np.arange(len(ok))]
+    return J.Jet(own[0].space, e1), J.Jet(own[0].space, e2), ok
 
 
 @dataclasses.dataclass
@@ -172,8 +175,10 @@ def _circle_chart(base: ImmersionChart, frame, name: str) -> ImmersionChart:
         if space.nvars != 3:
             raise ShapeMismatch("bundle charts evaluate in 3-variable spaces")
         order = space.order
-        uv, at = np.unique(points[:, :2], axis=0, return_inverse=True)
-        at = at.reshape(-1)
+        # (u, v) read as one complex key u + iv, sorted as the pairs are
+        key = np.ascontiguousarray(points[:, :2]).view(complex)[:, 0]
+        key, at = np.unique(key, return_inverse=True)
+        uv = key.view(float).reshape(-1, 2)
         e1, e2, ok = frame(uv, order)
         theta = points[:, 2]
         sin, cos = np.sin(theta), np.cos(theta)
@@ -316,6 +321,17 @@ def unit_normal_chart(base: ImmersionChart,
                        notes=notes)
 
 
+def _form_singular_values(aorth: np.ndarray) -> np.ndarray:
+    """The singular values, descending, of stacked m x mc matrices of X ->
+    alpha(X, .) in a metric-orthonormal frame. With c = 1 the matrix is the
+    symmetric shape operator of a hypersurface of the sphere, whose
+    singular values are its |eigenvalues|, from one `eigvalsh` (which reads
+    the lower triangle); else one SVD."""
+    if aorth.shape[-1] != aorth.shape[-2]:
+        return np.linalg.svd(aorth, compute_uv=False)
+    return -np.sort(-np.abs(np.linalg.eigvalsh(aorth)), axis=-1)
+
+
 def _nullity(chart: ImmersionChart, jets: J.Jet, eps_rank: float,
              eps_deg: float) -> tuple[np.ndarray, ...]:
     """Relative nullity at every row of a chart jet of shape (P, N), order
@@ -332,8 +348,10 @@ def _nullity(chart: ImmersionChart, jets: J.Jet, eps_rank: float,
     aorth_ij = sum_kl E_ki E_lj A_kl is two stacked matrix products, each
     contracting one slot of the symmetric form, so aorth comes out with
     (i, j) swapped, which is the same form. Its singular values are those
-    of the m x mc matrix, c the width of Z; every bundle over an S^4 base
-    has c = 1."""
+    of the m x mc matrix, c the width of Z (`_form_singular_values`). Every
+    bundle over an S^4 base has c = 1: the 3-chart is a hypersurface of its
+    sphere, aorth is its symmetric shape operator, and the singular values
+    are its |eigenvalues| in descending order, with no SVD."""
     P, m = len(jets), chart.domain_dim
     regular, _, E, Z = geo._tangent_stage(chart, jets, eps_deg)
     R, c = len(E), Z.shape[-1]
@@ -345,7 +363,7 @@ def _nullity(chart: ImmersionChart, jets: J.Jet, eps_rank: float,
                      )[..., pair], 1, -1)
     half = (E.mT @ A.reshape(R, m, m * c)).reshape(R, m, m, c)
     aorth = E.mT @ half.swapaxes(1, 2).reshape(R, m, m * c)  # m x mc
-    sv = np.linalg.svd(aorth, compute_uv=False)
+    sv = _form_singular_values(aorth)
     thr = eps_rank * np.maximum(1.0, sv[:, 0])
     nu = np.zeros(P, dtype=int)
     nu[regular] = np.sum(sv < thr[:, None], axis=1)

@@ -453,8 +453,11 @@ def cmd_bundle(cfg) -> int:
     print(_verdict_line("relative nullity >= 1", nu_ok,
                         f"max smallest singular value {sv_max:.3g} vs "
                         f"{tols['nullity']:g}; values {nus}"))
-    print(_verdict_line("splitting span", span_ok, f"{attempted} points"))
-    print(_verdict_line("splitting equations", ode_ok, f"{attempted} points"))
+    for name, ok in (("splitting span", span_ok),
+                     ("splitting equations", ode_ok)):
+        # no splitting point attempted: the verdict holds but checks nothing
+        print(_verdict_line(name, ok, f"{attempted} points") if attempted
+              else f"{name}: VACUOUS (0 points)")
     _emit(doc, cfg["out"])
     return 0 if passed else 2
 

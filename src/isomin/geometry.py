@@ -18,9 +18,12 @@ on them. Conventions that the rest of the package relies on:
 
 * A point is singular when its jets are not finite (a chart writes NaN
   where it is not defined, such as a bundle frame that degenerates), the
-  least metric eigenvalue is below eps_deg, or the metric has no Cholesky
-  factor (a zero on the QR's tangent diagonal); each point of a batch is
-  judged on its own.
+  least metric eigenvalue is not above eps_deg (a pivot of the unpivoted
+  LDL^T of G - eps_deg I that is not positive, `_above_floor`), or the
+  metric has no Cholesky factor (a zero on the QR's tangent diagonal);
+  each point of a batch is judged on its own: the floor and the frame
+  work elementwise over the stack, so a row's bits do not depend on its
+  batch.
 * Metric-orthonormal frames are Gram-Schmidt in the induced metric, read
   off the R factor of a QR of ambient vectors by `_triangular_frame`: of
   the coordinate axes the tangent block of the QR of `_tangent_stage`, of
@@ -178,13 +181,50 @@ def _triangular_frame(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stacked over leading axes, and the mask of rows whose diagonal is finite
     and nonzero; the inverse of any other row is NaN. With R from a QR of
     the ambient images of vectors B, B^T G B = R^T R, so B times the
-    inverse is the Gram-Schmidt of the columns of B in the metric G."""
+    inverse is the Gram-Schmidt of the columns of B in the metric G.
+
+    The inverse X of the signed R is read by back substitution, column by
+    column: X_jj = 1 / R_jj and, for i < j, X_ij = (0 - R_ij X_jj -
+    R_i,j-1 X_j-1,j - ... - R_i,i+1 X_i+1,j) X_ii, subtracted in that
+    order (a zero reads +0). Every step is elementwise over the stack, so
+    a row's bits do not depend on its batch."""
     d = np.diagonal(R, axis1=-2, axis2=-1)
     ok = ((d != 0.0) & np.isfinite(d)).all(axis=-1)
-    E = np.linalg.inv(np.where(ok[..., None, None], R * np.sign(d)[..., None],
-                               np.eye(R.shape[-1])))
+    U = np.where(ok[..., None, None], R * np.sign(d)[..., None],
+                 np.eye(R.shape[-1]))
+    E = np.zeros_like(U)
+    m = U.shape[-1]
+    recip = 1.0 / np.diagonal(U, axis1=-2, axis2=-1)
+    for j in range(m):
+        E[..., j, j] = recip[..., j]
+        for i in range(j - 1, -1, -1):
+            acc = 0.0 - U[..., i, j] * E[..., j, j]
+            for k in range(j - 1, i, -1):
+                acc = acc - U[..., i, k] * E[..., k, j]
+            E[..., i, j] = acc * recip[..., i]
     E[~ok] = np.nan
     return E, ok
+
+
+def _above_floor(G: np.ndarray, eps_deg: float) -> np.ndarray:
+    """The mask of stacked symmetric matrices G (..., m, m) whose least
+    eigenvalue is above eps_deg: G - eps_deg I is positive definite, so
+    every pivot of its unpivoted LDL^T is positive. The pivots are read off
+    the lower triangle, one entry array at a time, by m Schur-complement
+    steps; every step is elementwise over the stack, and a row whose pivot
+    is not positive (NaN included) is out from there on."""
+    m = G.shape[-1]
+    a = {(i, j): G[..., i, j] - (eps_deg if i == j else 0.0)
+         for i in range(m) for j in range(i + 1)}
+    ok = np.ones(G.shape[:-2], dtype=bool)
+    for k in range(m):
+        ok &= a[k, k] > 0.0
+        pivot = np.where(ok, a[k, k], 1.0)
+        ratio = {j: a[j, k] / pivot for j in range(k + 1, m)}
+        for i in range(k + 1, m):
+            for j in range(k + 1, i + 1):
+                a[i, j] = a[i, j] - a[i, k] * ratio[j]
+    return ok
 
 
 def _tangent_stage(chart: ImmersionChart, jets: J.Jet, eps_deg: float
@@ -196,9 +236,13 @@ def _tangent_stage(chart: ImmersionChart, jets: J.Jet, eps_deg: float
     charts) and tangent space, from one stacked complete QR of the k
     columns [position | P1]: Z is the last N - k columns of Q, orthonormal
     however ill-conditioned the metric is, and with R_t the tangent block
-    of R, G = R_t^T R_t, so R_t^-1 (`_triangular_frame`) is the frame; a
-    zero on the diagonal of R_t makes a row singular. Raises
-    InvalidData where a finite row of a sphere chart is off the sphere."""
+    of R, G = R_t^T R_t, so R_t^-1 (`_triangular_frame`, by back
+    substitution) is the frame; a zero on the diagonal of R_t makes a row
+    singular. Before the QR, a row whose metric G = P1^T P1 has its least
+    eigenvalue not above eps_deg is singular: `_above_floor` reads that off
+    the pivots of the unpivoted LDL^T of G - eps_deg I, for m = 2 or 3.
+    Raises InvalidData where a finite row of a sphere chart is off the
+    sphere."""
     finite = np.isfinite(jets.coeffs).all(axis=(1, 2))
     jets = J.jet_truncate(jets, 1)[finite]
     X = P1 = J.jet_partials(jets, axis=-1).value  # (R, N, m), coordinate order
@@ -214,7 +258,7 @@ def _tangent_stage(chart: ImmersionChart, jets: J.Jet, eps_deg: float
     if N < k:  # no room for position and tangent space: no row is regular
         return (np.zeros_like(finite), P1[:0], np.empty((0, m, m)),
                 np.empty((0, N, 0)))
-    keep = ~(np.linalg.eigvalsh(P1.mT @ P1)[:, 0] < eps_deg)
+    keep = _above_floor(P1.mT @ P1, eps_deg)
     Q, Rx = np.linalg.qr(X[keep], mode="complete")
     E, framed = _triangular_frame(Rx[:, k - m:k, k - m:])
     keep[keep] = framed

@@ -42,8 +42,9 @@ composed by Horner's rule. Its frame comes from
 `bundles._pivoted_frame` taken one candidate at a time against every
 direction before it, with the first two directions taken picked point by
 point, where the package projects a level off the lower ones in one
-stacked step and picks by one sort; its candidate partials are chains of
-first partials, where the package reads each order in one gather. The
+stacked step and picks by two argmax reads of the accepted mask; its
+candidate partials are chains of first partials, where the package
+reads each order in one gather. The
 nested x^(-1/2) is recip of sqrt, the two compositions that rsqrt
 replaced. The constant-jet composition is the Horner loop that added a
 whole constant jet at each step, where `jet.jet_compose` adds the series
@@ -57,10 +58,19 @@ predict. The curve flag rule (`holomorphic_curve_flag`) gives the dims
 and isotropy order of the `curve-...` fixtures in closed form, from the
 Wronskian of distinct powers, where the package reads them off jets; the
 per-point flag reads through the codimension by its own count, with no
-degree bound.
+degree bound. The LAPACK kernels are the per-matrix calls that the
+package's 3x3 kernels replaced: the metric floor by the least eigenvalue
+of `eigvalsh` (`metric_floor_eigvalsh`), where `geometry._above_floor`
+reads the pivots of an LDL^T; the triangular frame by `np.linalg.inv`
+(`triangular_frame_inv`), where `geometry._triangular_frame` back
+substitutes; and the singular values of X -> alpha(X, .) by an SVD
+(`form_singular_values_svd`), where `bundles._form_singular_values`
+reads the |eigenvalues| of a square (c = 1) form.
 
 `point_row`, `stacked_at` and `nullity_at` are not oracles: they read
-the package's stacked passes at one point, the way the tests use them.
+the package's stacked passes at one point, the way the tests use them;
+nor is `assert_rows_alone_match`, which checks that a kernel gives a row
+the same bits alone as in its batch.
 The package's nullity pass computes singular values only, so
 `nullity_at` computes the kernel itself, by an SVD of the second form in
 the metric frame, projected off its own position and tangent basis.
@@ -433,6 +443,41 @@ def metric_frame(G, B):
     F = B @ np.linalg.inv(L).mT
     F[~ok] = np.nan
     return F, ok
+
+
+def metric_floor_eigvalsh(G, eps_deg):
+    """The mask of stacked symmetric G (..., m, m) whose least eigenvalue,
+    by `eigvalsh`, is not below eps_deg."""
+    return ~(np.linalg.eigvalsh(G)[..., 0] < eps_deg)
+
+
+def triangular_frame_inv(R):
+    """The inverse of stacked upper-triangular R signed to a positive
+    diagonal, by `np.linalg.inv`, and the mask of rows whose diagonal is
+    finite and nonzero; the inverse of any other row is NaN."""
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    ok = ((d != 0.0) & np.isfinite(d)).all(axis=-1)
+    E = np.linalg.inv(np.where(ok[..., None, None], R * np.sign(d)[..., None],
+                               np.eye(R.shape[-1])))
+    E[~ok] = np.nan
+    return E, ok
+
+
+def form_singular_values_svd(aorth):
+    """The singular values, descending, of stacked matrices, by an SVD."""
+    return np.linalg.svd(aorth, compute_uv=False)
+
+
+def assert_rows_alone_match(kernel, stack, out):
+    """Each row of a kernel's output (an array or a tuple of arrays) on a
+    stack has the bits of the kernel on that row alone, as a stack of
+    one."""
+    outs = out if isinstance(out, tuple) else (out,)
+    for i in range(len(stack)):
+        alone = kernel(stack[i:i + 1])
+        for got, ref in zip(outs, alone if isinstance(alone, tuple)
+                            else (alone,)):
+            assert got[i:i + 1].tobytes() == ref.tobytes()
 
 
 def splitting_scalars_from_metric(T, G, det, det1):

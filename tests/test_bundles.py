@@ -10,8 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 import isomin.cpoly as cp
 import isomin.geometry as geo
 import isomin.jet as J
-from isomin.bundles import (_nullity_field, _pivoted_frame,
-                            _splitting_scalars, sweep_and_split,
+from isomin.bundles import (_form_singular_values, _nullity_field,
+                            _pivoted_frame, _splitting_scalars,
+                            sweep_and_split,
                             unit_normal_chart, unit_tangent_chart)
 from isomin.catalog import (demo_weierstrass_data, make_fixture,
                             make_geodesic_sphere, make_great_sphere,
@@ -23,7 +24,8 @@ from isomin.geometry import ImmersionChart
 from isomin.weierstrass import (NULL_TOL, generate_surface, null_residual,
                                 surface_chart)
 
-from oracles import (bundle_jets_three_variable, isotropy_probe, make_graph,
+from oracles import (assert_rows_alone_match, bundle_jets_three_variable,
+                     form_singular_values_svd, isotropy_probe, make_graph,
                      nullity_at, nullity_fd, pivoted_frame_one_at_a_time,
                      point_row, splitting_fd, splitting_scalars_from_metric,
                      stacked_at, unit_normal_check_full)
@@ -591,6 +593,36 @@ def test_relative_nullity_matches_fd_oracle(bipolar_n5, polar_ver, kind,
         assert H == pytest.approx(3.0, abs=1e-6)
     else:
         assert rep.nu == 1
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 3]),
+       log_scale=st.floats(-6.0, 6.0))
+def test_shape_operator_singular_values_match_the_svd(seed, m, log_scale):
+    """On c = 1 stacks, the shape operators E^T A E of symmetric forms A
+    (of rank m, m - 1 or m - 2) in frames E, by the nullity pass's two
+    products, the singular values read off `eigvalsh` match the SVD's
+    within 1e-13 of the largest, in descending order; an m x 2m stack
+    (c = 2) takes the SVD itself. Each row has the same bits alone as in
+    its batch."""
+    rng = np.random.default_rng(seed)
+    n = 64
+    V, _ = np.linalg.qr(rng.standard_normal((n, m, m)))
+    lam = 10.0 ** log_scale * rng.standard_normal((n, m))
+    lam[: n // 2, 0] = 0.0
+    lam[: n // 4, 1] = 0.0
+    A = V @ (lam[..., None] * V.mT)
+    E = np.triu(rng.standard_normal((n, m, m)))
+    E[:, range(m), range(m)] = 10.0 ** rng.uniform(-1, 1, (n, m))
+    aorth = E.mT @ (E.mT @ A).swapaxes(1, 2)
+    sv = _form_singular_values(aorth)
+    ref = form_singular_values_svd(aorth)
+    assert (np.diff(sv, axis=-1) <= 0.0).all()
+    assert (np.abs(sv - ref) <= 1e-13 * ref[:, :1]).all()
+    assert_rows_alone_match(_form_singular_values, aorth, sv)
+    wide = rng.standard_normal((n, m, 2 * m))
+    assert np.array_equal(_form_singular_values(wide),
+                          form_singular_values_svd(wide))
 
 
 def _reparametrized(chart: ImmersionChart, phi) -> ImmersionChart:

@@ -1,4 +1,5 @@
 """Command line driver: exit codes, report documents, OBJ output."""
+import collections
 import contextlib
 import io
 import json
@@ -200,6 +201,23 @@ _ELLIPSE_SVDS = {
     "n8": [(81, 2, 8), (81, 2, 6), (81, 4, 5), (81, 4, 4), (81, 6, 3)]}
 
 
+def _record_linear_algebra(monkeypatch) -> list:
+    """The `np.linalg` calls made from here on, in call order: each call's
+    routine name and the shape of its first argument."""
+    calls = []
+    for name in np.linalg.__all__:
+        real = getattr(np.linalg, name)
+        if not callable(real) or isinstance(real, type):
+            continue
+
+        def recorded(*args, _name=name, _real=real, **kw):
+            calls.append((_name, np.shape(args[0])))
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
+
+
 @pytest.mark.parametrize("fixture, norms", [("n5", 2), ("n8", 5)])
 def test_analyze_makes_pinned_linear_algebra_work(monkeypatch, tmp_path,
                                                   fixture, norms):
@@ -207,29 +225,49 @@ def test_analyze_makes_pinned_linear_algebra_work(monkeypatch, tmp_path,
     `np.linalg` calls of each routine, and its SVDs take fixed shapes: one
     per flag level, each level's form one row narrower than the last (the
     complement of the flag narrows), one for the ellipticity and one per
-    ellipse order. A change that adds linear-algebra work fails here
-    without a benchmark run."""
-    calls, svds = {}, []
-    for name in np.linalg.__all__:
-        real = getattr(np.linalg, name)
-        if not callable(real) or isinstance(real, type):
-            continue
-
-        def counted(*args, _name=name, _real=real, **kw):
-            calls[_name] = calls.get(_name, 0) + 1
-            if _name == "svd":
-                svds.append(np.shape(args[0]))
-            return _real(*args, **kw)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+    ellipse order. The tangent stage makes one complete QR and no other
+    LAPACK call: its metric floor is read off the pivots of an LDL^T and
+    its frame by back substitution, both elementwise over the stack, where
+    an `eigvalsh` and an `inv` took one call each. A change that adds
+    linear-algebra work fails here without a benchmark run."""
+    calls = _record_linear_algebra(monkeypatch)
     assert run(["analyze", "--fixture", fixture,
                 "--out", str(tmp_path / "r.json")]) == 0
+    svds = [shape for name, shape in calls if name == "svd"]
     flag = _FLAG_SVDS[fixture]
     assert svds == flag + [flag[0]] + _ELLIPSE_SVDS[fixture]
-    # the tangent stage: one eigenvalue floor, one complete QR, one
-    # inverse of the tangent blocks; the ellipticity: one eigh
-    assert calls == {"eigvalsh": 1, "qr": 1, "inv": 1, "eigh": 1,
-                     "svd": len(svds), "norm": norms}
+    # the tangent stage: one complete QR; the ellipticity: one eigh
+    assert collections.Counter(name for name, _ in calls) == {
+        "qr": 1, "eigh": 1, "svd": len(svds), "norm": norms}
+
+
+@pytest.mark.parametrize("kind, fixture, work", [
+    ("bipolar", "n5", [("norm", (200, 5)), ("qr", (200, 5, 4)),
+                       ("eigvalsh", (200, 3, 3)), ("norm", (200, 1))]),
+    ("polar", "veronese", [
+        # the base check: the flag stage on the 9x9 grid, then the row
+        # stage at the centre alone
+        ("norm", (81, 5)), ("qr", (81, 5, 3)), ("norm", (81, 5, 3)),
+        ("svd", (81, 2, 3)), ("svd", (1, 2, 3)), ("eigh", (1, 2, 2)),
+        ("svd", (1, 2, 5)), ("svd", (1, 2, 2)),
+        ("norm", (200, 5)), ("qr", (200, 5, 4)),
+        ("eigvalsh", (200, 3, 3)), ("norm", (200, 1))])])
+def test_bundle_sweep_makes_pinned_linear_algebra_work(monkeypatch, tmp_path,
+                                                       kind, fixture, work):
+    """A `bundle` command on the default grid without splitting points, the
+    shape of the benchmark's sweep commands, makes a fixed list of
+    `np.linalg` calls with fixed shapes. The nullity pass over the 200
+    points makes one complete QR (the tangent stage, whose metric floor and
+    frame take no LAPACK call) and, as every bundle over an S^4 base has a
+    one-column complement, one `eigvalsh` of the symmetric shape operator
+    in place of an SVD; no call is an `inv`. A change that adds
+    linear-algebra work fails here without a benchmark run."""
+    calls = _record_linear_algebra(monkeypatch)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"splitting_points": 0}))
+    assert run(["bundle", "--kind", kind, "--fixture", fixture,
+                "--config", str(cfgp), "--out", str(tmp_path / "r.json")]) == 0
+    assert calls == work
 
 
 def test_bundle_requires_kind():
@@ -930,6 +968,31 @@ def test_undetermined_nullity_line_is_an_error_row(tmp_path, capsys,
         cli.catalog.demo_weierstrass_data(5)).chart)
     alone = bundles.sweep_and_split(bc.chart, [], [first["point"]])[1]
     assert alone == [first]
+
+
+@pytest.mark.parametrize("config, tol, code", [
+    ({"splitting_points": 0}, [], 0),
+    # every one of the 200 rows is singular: the 4 splitting points too
+    ({}, ["--tol", "eps_deg=1e300"], 2)])
+def test_splitting_verdicts_with_no_point_attempted_are_vacuous(
+        tmp_path, capsys, config, tol, code):
+    """With no splitting point attempted, the splitting lines read VACUOUS
+    (they check nothing), where any attempted point gives PASS or FAIL;
+    the report's verdicts, pass and the exit code do not change."""
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(config))
+    args = ["bundle", "--kind", "bipolar", "--fixture", "n5", *tol,
+            "--config", str(cfgp), "--out", str(tmp_path / "r.json")]
+    assert run(args) == code
+    out = capsys.readouterr().out
+    assert "splitting span: VACUOUS (0 points)\n" in out
+    assert "splitting equations: VACUOUS (0 points)\n" in out
+    assert "PASS (0 points)" not in out
+    doc = load(tmp_path / "r.json")
+    assert doc["verdicts"]["splitting_span"] is True
+    assert doc["verdicts"]["splitting_ode"] is True
+    assert doc["pass"] is (code == 0)
+    assert all(r["skipped"] is not None for r in doc["splitting"])
 
 
 def test_analyze_warns_of_unresolved_rows(tmp_path, capsys):

@@ -627,6 +627,70 @@ def test_triangular_frame_is_the_metric_gram_schmidt():
     assert not alone_ok and np.isnan(alone).all()
 
 
+FLOOR_MARGIN = 1e-13  # relative to |G|_2 + |eps_deg|
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 3]),
+       eps_deg=st.sampled_from([geo.EPS_DEG, 1e-3, 1.0, 1e3, -1.0]),
+       log_scale=st.floats(-12.0, 6.0))
+def test_metric_floor_decides_as_the_least_eigenvalue(seed, m, eps_deg,
+                                                      log_scale):
+    """The LDL^T pivots of G - eps_deg I decide the metric floor as the
+    least eigenvalue of `eigvalsh` does, on every row whose least
+    eigenvalue is off eps_deg by more than FLOOR_MARGIN (|G|_2 + |eps_deg|);
+    the stacks put the least eigenvalue at gaps from 1e-17 to 1 of that
+    scale on both sides of eps_deg, so rows inside the margin occur and
+    are the only ones left unchecked. A row's mask does not depend on its
+    batch."""
+    rng = np.random.default_rng(seed)
+    n, scale = 64, 10.0 ** log_scale
+    Q, _ = np.linalg.qr(rng.standard_normal((n, m, m)))
+    gap = (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-17, 0, n)
+           * (scale + abs(eps_deg)))
+    lam = eps_deg + gap[:, None] + np.concatenate(
+        [np.zeros((n, 1)), rng.uniform(0.0, scale, (n, m - 1))], axis=1)
+    G = Q @ (lam[..., None] * Q.mT)
+    ok = geo._above_floor(G, eps_deg)
+    ref = oracles.metric_floor_eigvalsh(G, eps_deg)
+    w = np.linalg.eigvalsh(G)
+    decided = (np.abs(w[:, 0] - eps_deg)
+               > FLOOR_MARGIN * (np.abs(w).max(axis=1) + abs(eps_deg)))
+    assert decided.sum() > n // 2
+    assert ok[decided].tolist() == ref[decided].tolist()
+    oracles.assert_rows_alone_match(
+        lambda a: geo._above_floor(a, eps_deg), G, ok)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 3]))
+def test_back_substituted_frame_matches_the_inverse(seed, m):
+    """The back-substituted inverse of signed upper-triangular stacks,
+    whose diagonals span two decades with either sign, matches
+    `np.linalg.inv` within 1e-13 relative to the row's largest entry; a
+    row with a zero, NaN or infinite diagonal entry is NaN with a false
+    mask, as in the reference. Each row has the same bits alone, in a
+    stack of one or with no leading axis, as in its batch."""
+    rng = np.random.default_rng(seed)
+    n = 64
+    R = np.triu(rng.standard_normal((n, m, m)))
+    R[:, range(m), range(m)] = (rng.choice([-1.0, 1.0], (n, m))
+                                * 10.0 ** rng.uniform(-1, 1, (n, m)))
+    R[0, m - 1, m - 1] = 0.0
+    R[1, 0, 0] = np.nan
+    R[2, 1, 1] = -np.inf
+    E, ok = geo._triangular_frame(R)
+    ref, ref_ok = oracles.triangular_frame_inv(R)
+    assert ok.tolist() == ref_ok.tolist() == [False] * 3 + [True] * (n - 3)
+    assert np.isnan(E[:3]).all()
+    big = np.abs(ref[ok]).max(axis=(1, 2))[:, None, None]
+    assert (np.abs(E[ok] - ref[ok]) <= 1e-13 * big).all()
+    oracles.assert_rows_alone_match(geo._triangular_frame, R, (E, ok))
+    for i in range(n):
+        alone, alone_ok = geo._triangular_frame(R[i])
+        assert alone.tobytes() == E[i].tobytes() and alone_ok == ok[i]
+
+
 def test_point_without_metric_frame_is_singular_in_its_batch():
     """With the eigenvalue floor off (eps_deg < 0), the vanishing metric of
     curve-2-3 at z = 0 reaches the Cholesky factorization and fails it:
