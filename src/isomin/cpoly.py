@@ -84,11 +84,18 @@ def stack(polys) -> np.ndarray:
 
 def to_json(a: np.ndarray) -> list:
     """JSON form: each polynomial a list of [re, im] pairs by power of z,
-    without trailing zeros, nested as the leading axes are."""
-    if a.ndim > 1:
-        return [to_json(p) for p in a]
-    kept = np.trim_zeros(a, trim="b")
-    return np.column_stack((kept.real, kept.imag)).tolist()
+    without trailing zeros, nested as the leading axes are. One mask over
+    the whole array gives every polynomial's kept length (one past its last
+    nonzero coefficient), and the pairs are cut to it as lists."""
+    kept = ((a != 0) * np.arange(1, a.shape[-1] + 1)).max(axis=-1, initial=0)
+    return _cut(np.stack((a.real, a.imag), axis=-1).tolist(), kept.tolist())
+
+
+def _cut(pairs: list, kept):
+    """Nested lists of pairs, each innermost list cut to its kept length."""
+    if isinstance(kept, int):
+        return pairs[:kept]
+    return [_cut(p, k) for p, k in zip(pairs, kept)]
 
 
 def complex_list_from_json(data) -> np.ndarray:

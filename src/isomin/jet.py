@@ -20,10 +20,26 @@ sqrt, recip and rsqrt demand a constant term bounded away from zero (eps =
 so batched callers mask such elements out before composing. The jet of Re
 Phi(x0 + i x1) for a holomorphic Phi is read off Phi's derivatives in
 closed form.
+
+Cost model. The jets the package multiplies are small (order <= 4 in 3
+variables, a few hundred points at most), so an operation costs per numpy
+call, not per scalar product, and the core makes few and cheap calls, in
+one path for every shape. A product is two `take` gathers by the pair
+table, one multiply and one `reduceat`; `jet_dot` adds one reduction over
+the last leading axis. Partials are one index gather, one product with
+the integer factors and one `transpose` by a permutation built in Python;
+the gather lays its result out as (k, size, leading axes), and the
+transpose keeps that layout, on which the route of a matrix product of the
+partials' values depends. A composition is its outer series and one
+product per Horner step. `Jet` is a plain class with two slots and is not
+frozen: an operation builds a new jet, and only the function that built a
+jet writes its coefficients in place. A gather copies its operand's values
+whatever their strides (a broadcast, transposed or reversed view), and
+`reduceat` sums each run of pairs in one order, so the bits of a product
+or a partial do not depend on the layout of the operands.
 """
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from functools import cached_property, lru_cache
@@ -90,13 +106,23 @@ def get_space(nvars: int, order: int) -> JetSpace:
     return JetSpace(nvars, order)
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+_ALL = (slice(None),)  # the coefficient axis, appended to a leading index
+
+
 class Jet:
-    space: JetSpace
-    coeffs: np.ndarray  # shape self.shape + (space.size,), Taylor coefficients
+    """Taylor coefficients of shape `shape + (space.size,)` in a space."""
+
+    __slots__ = ("space", "coeffs")
 
     # numpy operands defer to the Jet operators instead of iterating the jet
     __array_ufunc__ = None
+
+    def __init__(self, space: JetSpace, coeffs: np.ndarray):
+        self.space = space
+        self.coeffs = coeffs
+
+    def __repr__(self) -> str:
+        return f"Jet(space={self.space!r}, coeffs={self.coeffs!r})"
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -110,10 +136,10 @@ class Jet:
 
     def __getitem__(self, idx) -> "Jet":
         """Index the leading shape (numpy rules); the coefficients ride along."""
-        if not self.shape:
+        if self.coeffs.ndim == 1:
             raise ShapeMismatch("a scalar jet cannot be indexed")
-        idx = idx if isinstance(idx, tuple) else (idx,)
-        return Jet(self.space, self.coeffs[idx + (slice(None),)])
+        idx = idx + _ALL if isinstance(idx, tuple) else (idx,) + _ALL
+        return Jet(self.space, self.coeffs[idx])
 
     def __len__(self) -> int:
         if not self.shape:
@@ -195,9 +221,14 @@ def jet_partials(a: Jet, s: int = 1, axis: int = 0) -> Jet:
         raise ShapeMismatch(f"axis {axis} is out of range for a jet of "
                             f"shape {a.shape}")
     src, fac = _partial_map(sp.nvars, sp.order, s)
-    return Jet(get_space(sp.nvars, sp.order - s),
-               np.moveaxis(a.coeffs[..., src] * fac, -2,
-                           axis if axis >= 0 else axis - 1))
+    # (..., k, size of the lower space), laid out as (k, size, ...) by the
+    # index gather and the product; the transpose below keeps that layout,
+    # which decides the route of the matrix products the values feed
+    out = a.coeffs[..., src] * fac
+    axis %= n + 1
+    if axis != n:
+        out = out.transpose(*range(axis), n, *range(axis, n), n + 1)
+    return Jet(get_space(sp.nvars, sp.order - s), out)
 
 
 def jet_constant(space: JetSpace, value) -> Jet:
@@ -257,16 +288,16 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     if b.space is not sp:
         raise ShapeMismatch("jets from different spaces")
     ia, ib, starts = sp._mul_table
-    prod = a.coeffs[..., ia] * b.coeffs[..., ib]
+    prod = a.coeffs.take(ia, axis=-1) * b.coeffs.take(ib, axis=-1)
     return Jet(sp, np.add.reduceat(prod, starts, axis=-1))
 
 
 def jet_dot(a: Jet, b: Jet) -> Jet:
     """Sum of a * b over the last leading axis."""
     p = jet_mul(a, b)
-    if not p.shape:
+    if p.coeffs.ndim == 1:
         raise ShapeMismatch("jet_dot needs vector jets")
-    return Jet(p.space, p.coeffs.sum(axis=-2))
+    return Jet(p.space, np.add.reduce(p.coeffs, axis=-2))
 
 
 def jet_truncate(a: Jet, order: int) -> Jet:
@@ -312,7 +343,8 @@ def _outer_series(kind: str, a0: np.ndarray, order: int,
             c.append(c[-1] * (e - j + 1) / (j * a0))
         return c
     if kind in ("sin", "cos"):
-        cycle = [np.sin(a0), np.cos(a0), -np.sin(a0), -np.cos(a0)]
+        sin, cos = np.sin(a0), np.cos(a0)
+        cycle = [sin, cos, -sin, -cos]
         shift = 0 if kind == "sin" else 1
         return [cycle[(j + shift) % 4] / math.factorial(j)
                 for j in range(order + 1)]
@@ -324,13 +356,18 @@ def jet_compose(kind: str, a: Jet, eps: float = EPS_DEG) -> Jet:
     with a jet, elementwise over its leading shape. rsqrt is one
     composition with the eps guards of recip(sqrt(a, eps), eps); eps does
     not apply to sin and cos."""
+    sp = a.space
     a0 = a.coeffs[..., 0]
-    series = _outer_series(kind, a0, a.space.order, eps)
-    if a.space.order == 0:
-        return jet_constant(a.space, series[0])
-    offset = a - a0
-    acc = offset * series[-1]  # the first step scales by a constant
+    series = _outer_series(kind, a0, sp.order, eps)
+    if sp.order == 0:
+        return jet_constant(sp, series[0])
+    # the offset a - a0: the constant term a0 - a0, the others as they are
+    off = a.coeffs.copy()
+    off[..., 0] -= a0
+    # the first step scales by a constant
+    acc = Jet(sp, off * np.asarray(series[-1])[..., None])
     acc.coeffs[..., 0] += series[-2]
+    offset = Jet(sp, off)
     for c in reversed(series[:-2]):
         acc = jet_mul(acc, offset)
         acc.coeffs[..., 0] += c

@@ -48,8 +48,14 @@ reads each order in one gather. The
 nested x^(-1/2) is recip of sqrt, the two compositions that rsqrt
 replaced. The constant-jet composition is the Horner loop that added a
 whole constant jet at each step, where `jet.jet_compose` adds the series
-coefficient to the constant term in place. The full-grid polar base
-check finishes every row of its 9x9 grid through `point_rows`, where
+coefficient to the constant term in place. The index-gather forms of the
+jet core are its earlier arithmetic, which the package must match bit for
+bit: products gathered by an Ellipsis fancy index (`jet_mul_fancy`,
+`jet_dot_fancy`), partials placed by `np.moveaxis`
+(`jet_partials_moveaxis`) and the composition on a - a0
+(`jet_compose_offset`); `poly_json_trim_zeros` is the JSON form of
+`cpoly.to_json` by one `np.trim_zeros` per polynomial. The full-grid
+polar base check finishes every row of its 9x9 grid through `point_rows`, where
 `unit_normal_chart` finishes the centre row alone, and only once the
 flag checks pass. The isotropy probe is the one-point check of a bipolar
 base that the exact check off the base's curve replaced: a `point_rows`
@@ -86,7 +92,7 @@ import isomin.geometry as geo
 import isomin.jet as J
 from isomin.bundles import _nullity
 from isomin.errors import (DegeneratePoint, FlagCollapse, IsominError,
-                           NotElliptic)
+                           NotElliptic, ShapeMismatch)
 
 STEP = 1e-4
 
@@ -691,6 +697,62 @@ def bundle_jets_three_variable(bc, points, order):
 def rsqrt_nested(a, eps=J.EPS_DEG):
     """a^(-1/2) as the reciprocal of the square root, two compositions."""
     return J.jet_compose("recip", J.jet_compose("sqrt", a, eps), eps)
+
+
+def jet_mul_fancy(a, b):
+    """The product of `jet.jet_mul` with its operands gathered by an
+    Ellipsis fancy index, where the package gathers them by `take`."""
+    sp = a.space
+    ia, ib, starts = sp._mul_table
+    return J.Jet(sp, np.add.reduceat(a.coeffs[..., ia] * b.coeffs[..., ib],
+                                     starts, axis=-1))
+
+
+def jet_dot_fancy(a, b):
+    """`jet.jet_dot` through `jet_mul_fancy` and `ndarray.sum`."""
+    p = jet_mul_fancy(a, b)
+    if not p.shape:
+        raise ShapeMismatch("jet_dot needs vector jets")
+    return J.Jet(p.space, p.coeffs.sum(axis=-2))
+
+
+def jet_partials_moveaxis(a, s=1, axis=0):
+    """`jet.jet_partials` with its new axis placed by `np.moveaxis`, where
+    the package transposes by a permutation; no argument checks."""
+    sp = a.space
+    src, fac = J._partial_map(sp.nvars, sp.order, s)
+    return J.Jet(J.get_space(sp.nvars, sp.order - s),
+                 np.moveaxis(a.coeffs[..., src] * fac, -2,
+                             axis if axis >= 0 else axis - 1))
+
+
+def jet_compose_offset(kind, a, eps=J.EPS_DEG):
+    """The Horner loop of `jet.jet_compose` on the offset jet a - a0 (a
+    constant jet subtracted) with products by `jet_mul_fancy`, where the
+    package zeroes the offset's constant term on a copy of the
+    coefficients."""
+    a0 = a.coeffs[..., 0]
+    series = J._outer_series(kind, a0, a.space.order, eps)
+    if a.space.order == 0:
+        return J.jet_constant(a.space, series[0])
+    offset = a - a0
+    acc = offset * series[-1]
+    acc.coeffs[..., 0] += series[-2]
+    for c in reversed(series[:-2]):
+        acc = jet_mul_fancy(acc, offset)
+        acc.coeffs[..., 0] += c
+    acc.coeffs[..., 1:] += 0.0
+    return acc
+
+
+def poly_json_trim_zeros(a):
+    """The JSON form of `cpoly.to_json` by one `np.trim_zeros` per
+    polynomial, where the package cuts every polynomial by one mask over
+    the whole array."""
+    if a.ndim > 1:
+        return [poly_json_trim_zeros(p) for p in a]
+    kept = np.trim_zeros(a, trim="b")
+    return np.column_stack((kept.real, kept.imag)).tolist()
 
 
 def jet_compose_constant_jets(kind, a, eps=J.EPS_DEG):

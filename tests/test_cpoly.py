@@ -9,6 +9,8 @@ from isomin import cpoly
 from isomin.errors import DimensionMismatch, InvalidData
 from isomin.weierstrass import surface_chart
 
+from oracles import poly_json_trim_zeros
+
 P = np.polynomial.polynomial
 
 # leading shapes of up to two axes
@@ -152,6 +154,32 @@ def test_trim_and_degree():
                                                           [1e-30, 0.0]]
     doc = cpoly.to_json(np.array([[math.nan, 0.0], [0.0, 0.0]]))
     assert math.isnan(doc[0][0][0]) and doc[1] == []
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.lists(st.integers(0, 3), max_size=3).map(tuple),
+       length=st.integers(0, 6), real=st.booleans())
+def test_json_form_matches_one_trim_per_polynomial(seed, shape, length,
+                                                   real):
+    """to_json gives the very lists of one `np.trim_zeros` per polynomial
+    (the same values, signs of zeros and types): real or complex arrays
+    with zero-length axes, trailing zeros of either sign trimmed, and NaN,
+    infinities, 1e-300 and zero real or imaginary parts kept."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, size=shape + (length, 2)).view(complex)[..., 0]
+    pick = rng.random(a.shape)
+    for value, lo, hi in ((0.0, 0.0, 0.2), (-0.0, 0.2, 0.3),
+                          (complex(-0.0, 0.0), 0.3, 0.35),
+                          (complex(0.0, -0.0), 0.35, 0.4),
+                          (math.nan, 0.4, 0.43), (math.inf, 0.43, 0.45),
+                          (1e-300, 0.45, 0.47), (0.5j, 0.47, 0.5)):
+        a[(pick >= lo) & (pick < hi)] = value
+    pad = rng.integers(0, length + 1, size=shape)
+    a[np.arange(length) >= (length - pad)[..., None]] = 0.0
+    if real:
+        a = a.real.copy()
+    assert repr(cpoly.to_json(a)) == repr(poly_json_trim_zeros(a))
 
 
 def test_json_roundtrip():

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import isomin.jet as J
 from isomin.catalog import (demo_weierstrass_data, make_fixture,
@@ -16,7 +17,8 @@ from isomin.errors import (DegenerateValue, DimensionMismatch, InvalidData,
 from isomin.weierstrass import generate_surface, surface_chart
 
 from oracles import (holomorphic_jets_horner, jet_compose_constant_jets,
-                     rsqrt_nested)
+                     jet_compose_offset, jet_dot_fancy, jet_mul_fancy,
+                     jet_partials_moveaxis, rsqrt_nested)
 
 
 def _partial(f, idx):
@@ -524,3 +526,152 @@ def test_compose_matches_the_constant_jet_horner_loop(seed, kind, nvars,
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
     assert a.coeffs.tobytes() == before
+
+
+KINDS = ("sqrt", "recip", "rsqrt", "sin", "cos")
+
+
+def _assert_same_bits(got, want, strides=False):
+    """Same space, shape and bits (NaN and the sign of a zero included),
+    and if asked the same strides."""
+    assert got.space is want.space and got.shape == want.shape
+    assert np.array_equal(got.coeffs, want.coeffs, equal_nan=True)
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    assert not strides or got.coeffs.strides == want.coeffs.strides
+
+
+def _outcome(fn, *args):
+    """fn's result, or the message of the DegenerateValue or ShapeMismatch
+    it raises."""
+    try:
+        return fn(*args)
+    except (DegenerateValue, ShapeMismatch) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:
+        _assert_same_bits(got, want, strides=True)
+
+
+def _special_coeffs(rng, space, shape):
+    """Coefficients uniform in [-1, 1] with exact zeros of either sign,
+    NaN and infinities of either sign mixed in."""
+    c = rng.uniform(-1.0, 1.0, size=shape + (space.size,))
+    pick = rng.random(c.shape)
+    for value, lo, hi in ((0.0, 0.0, 0.1), (-0.0, 0.1, 0.2),
+                          (np.nan, 0.2, 0.23), (np.inf, 0.23, 0.25),
+                          (-np.inf, 0.25, 0.27)):
+        c[(pick >= lo) & (pick < hi)] = value
+    return c
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), nvars=st.integers(1, 3),
+       order=st.integers(0, 6),
+       shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3,
+                                                max_side=3),
+       a0=st.sampled_from([0.75, -1.0, 0.0, 1e-10, math.nan, math.inf]),
+       eps=st.sampled_from([0.0, J.EPS_DEG, 0.5]))
+def test_jet_core_matches_the_index_gather_forms(seed, nvars, order, shapes,
+                                                 a0, eps):
+    """Products, dots, partials (every s, every axis, negative ones
+    included) and compositions of every kind equal, bit for bit, the forms
+    that gathered by an Ellipsis fancy index, placed the partials' axis by
+    `np.moveaxis` and composed through a - a0 (`oracles`), on broadcast
+    leading shapes with exact zeros of either sign, NaN and infinities
+    among the coefficients; where one raises, the other raises the same
+    message. The results also keep the earlier strides: the route, and so
+    the bits, of a matrix product of a jet's values (the nullity pass's
+    second form, read off partials) depends on them."""
+    with np.errstate(all="ignore"):  # NaN and infinities are the point
+        _check_index_gather_forms(np.random.default_rng(seed),
+                                  J.get_space(nvars, order),
+                                  *shapes.input_shapes, a0, eps)
+
+
+def _check_index_gather_forms(rng, sp, sa, sb, a0, eps):
+    a = J.Jet(sp, _special_coeffs(rng, sp, sa))
+    b = J.Jet(sp, _special_coeffs(rng, sp, sb))
+    _assert_same_bits(J.jet_mul(a, b), jet_mul_fancy(a, b), strides=True)
+    _assert_same_bits(J.jet_mul(b, a), jet_mul_fancy(b, a), strides=True)
+    _assert_same_outcome(_outcome(J.jet_dot, a, b),
+                         _outcome(jet_dot_fancy, a, b))
+    n = len(sa)
+    for s in range(1, sp.order + 1):
+        for axis in range(-n - 1, n + 1):
+            _assert_same_bits(J.jet_partials(a, s, axis),
+                              jet_partials_moveaxis(a, s, axis), strides=True)
+    # constant terms in (0.5, 2), one of them a0: inside and outside the
+    # guards of sqrt, recip and rsqrt
+    c = a.coeffs.copy()
+    c[..., 0] = rng.uniform(0.5, 2.0, size=sa)
+    c.reshape(-1, sp.size)[0, 0] = a0
+    arg, before = J.Jet(sp, c), c.tobytes()
+    for kind in KINDS:
+        _assert_same_outcome(_outcome(J.jet_compose, kind, arg, eps),
+                             _outcome(jet_compose_offset, kind, arg, eps))
+    assert arg.coeffs.tobytes() == before
+
+
+def _layouts(c):
+    """Arrays equal to c laid out in memory in other ways: a contiguous
+    copy, transposed leading axes, the coefficient axis outermost, and
+    negative strides on the leading and on the coefficient axis."""
+    return {"contiguous copy": c.copy(),
+            "transposed": c.transpose(1, 0, 2).copy().transpose(1, 0, 2),
+            "coefficients outermost": np.moveaxis(
+                np.moveaxis(c, -1, 0).copy(), 0, -1),
+            "reversed rows": c[::-1].copy()[::-1],
+            "reversed coefficients": c[..., ::-1].copy()[..., ::-1]}
+
+
+@pytest.mark.parametrize("nvars, order", [(1, 5), (2, 4), (3, 2), (3, 4)])
+def test_products_and_partials_do_not_depend_on_the_layout(nvars, order):
+    """One random operand of shape (4, 3) gives the same product, dot and
+    partial bits from a contiguous copy, a transposed view, a view with the
+    coefficient axis outermost and negative-stride views, and every slice
+    of a broadcast view (`F[:, :, None]`-style, stride 0) the bits of the
+    operand itself: the gathers copy values whatever the strides."""
+    with np.errstate(all="ignore"):  # NaN and infinities are the point
+        _check_layouts(np.random.default_rng(nvars * 10 + order),
+                       J.get_space(nvars, order))
+
+
+def _check_layouts(rng, sp):
+    order = sp.order
+    c = _special_coeffs(rng, sp, (4, 3))
+    other = J.Jet(sp, _special_coeffs(rng, sp, (3,)))
+
+    def ops(x):
+        out = [J.jet_mul(x, other), J.jet_mul(other, x), J.jet_mul(x, x),
+               J.jet_dot(x, other)]
+        n = len(x.shape)
+        return out + [J.jet_partials(x, s, axis)
+                      for s in range(1, order + 1)
+                      for axis in range(-n - 1, n + 1)]
+
+    want = ops(J.Jet(sp, c))
+    for name, view in _layouts(c).items():
+        assert np.array_equal(view, c, equal_nan=True), name
+        for got, ref in zip(ops(J.Jet(sp, view)), want, strict=True):
+            _assert_same_bits(got, ref)
+    wide = np.broadcast_to(c[:, :, None], (4, 3, 2, sp.size))
+    x = J.Jet(sp, wide)
+    got = [J.jet_mul(x, other[:, None]), J.jet_mul(other[:, None], x),
+           J.jet_mul(x, x), J.jet_dot(J.Jet(sp, np.moveaxis(wide, 1, 2)),
+                                      other)]
+    for j in range(2):
+        for g, ref in zip(got[:3], want[:3]):
+            _assert_same_bits(g[:, :, j], ref)
+        _assert_same_bits(got[3][:, j], want[3])
+    for s in range(1, order + 1):
+        # the broadcast axis follows 3 leading axes of the partials at
+        # axis 0, and 2 at axis -1
+        for axis, lead in ((0, 3), (-1, 2)):
+            part = J.jet_partials(x, s, axis)
+            ref = J.jet_partials(J.Jet(sp, c), s, axis)
+            for j in range(2):
+                _assert_same_bits(part[(slice(None),) * lead + (j,)], ref)

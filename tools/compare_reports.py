@@ -92,6 +92,12 @@ COMMANDS = (
     + [["bundle", "--kind", "polar", "--fixture", "veronese",
         "--grid=-0.35:0.05:2,0.1:0.5:2,1.2:4.34:2", *split]
        for split in ([], [{"splitting_points": 1}])]
+    # the shape of the benchmark's splitting commands, as they pass it: the
+    # fixture, a 2x2x2 box and one splitting point, all in the config
+    + [["bundle", "--kind", kind, {
+        "fixture": name, "splitting_points": 1,
+        "grid": [[-0.1, 0.3, 2], [-0.3, 0.1, 2], [0.4, 0.4 + math.pi, 2]]}]
+       for kind, name in (("bipolar", "n5"), ("polar", "veronese"))]
     # the shape of the benchmark's bundle-sweep commands: the default grid
     # without splitting points
     + [["bundle", "--kind", kind, "--fixture", name, {"splitting_points": 0}]
