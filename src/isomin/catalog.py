@@ -61,13 +61,11 @@ def make_plane(pad: int = 3) -> ImmersionChart:
 def _stereographic(points, space) -> J.Jet:
     """Inverse stereographic projection (u, v) -> S^2 at points of shape
     (P, 2), a jet of shape (3, P)."""
-    u = J.jet_variable(space, 0, points[:, 0])
-    v = J.jet_variable(space, 1, points[:, 1])
-    u2 = J.jet_mul(u, u)
-    v2 = J.jet_mul(v, v)
+    uv = J.jet_stack([J.jet_variable(space, k, points[:, k])
+                      for k in range(2)])
+    u2, v2 = J.jet_mul(uv, uv)
     inv = J.jet_compose("recip", u2 + v2 + 1.0)
-    return J.jet_stack([2.0 * J.jet_mul(u, inv), 2.0 * J.jet_mul(v, inv),
-                        J.jet_mul(1.0 - u2 - v2, inv)])
+    return J.jet_mul(J.jet_stack([*(2.0 * uv), 1.0 - u2 - v2]), inv)
 
 
 def make_veronese(domain=((-0.85, 0.85), (-0.85, 0.85))) -> ImmersionChart:
@@ -76,14 +74,14 @@ def make_veronese(domain=((-0.85, 0.85), (-0.85, 0.85))) -> ImmersionChart:
     tau = 1, minimal (isotropy order 1)."""
 
     def jet_fn(points, space):
-        x, y, zc = _stereographic(points, space)
+        xyz = _stereographic(points, space)
+        # the six distinct products of the coordinates, in one product
+        xy, xz, yz, xx, yy, zz = J.jet_mul(xyz[[0, 0, 1, 0, 1, 2]],
+                                           xyz[[1, 2, 2, 0, 1, 2]])
         r3 = math.sqrt(3.0)
-        return J.jet_stack([r3 * J.jet_mul(x, y),
-                            r3 * J.jet_mul(x, zc),
-                            r3 * J.jet_mul(y, zc),
-                            (r3 / 2.0) * (J.jet_mul(x, x) - J.jet_mul(y, y)),
-                            0.5 * (J.jet_mul(x, x) + J.jet_mul(y, y)
-                                   - 2.0 * J.jet_mul(zc, zc))]).T
+        return J.jet_stack([r3 * xy, r3 * xz, r3 * yz,
+                            (r3 / 2.0) * (xx - yy),
+                            0.5 * (xx + yy - 2.0 * zz)]).T
 
     return ImmersionChart(domain_dim=2, ambient_dim=5, ambient="sphere",
                           jet_fn=jet_fn, domain=tuple(domain),

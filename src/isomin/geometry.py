@@ -8,8 +8,8 @@ the osculating flag of higher normal spaces, read to its end at the depth
 the chart sets (`_flag_depth`), together with the higher fundamental
 forms, its projected partials (`_flag_pass`), ellipticity of the second
 form (`_ellipticity_pass`), curvature ellipses (`_ellipse_pass`) and the
-isotropy order, assembled into report rows by `point_rows` in a flag
-stage and a row stage; one point's row is a batch of one, and
+isotropy order, assembled into report rows by `point_rows` after its
+flag stage (`_flag_stage`); one point's row is a batch of one, and
 `flag_certificate` reads the constancy of the flag off the rows' dims.
 The flag is carried as its orthogonal complement, from one complete QR
 per point, each order read in the complement of the flag below, one
@@ -423,11 +423,12 @@ def _ellipse_pass(E: np.ndarray, Jm: np.ndarray,
 
 def _flag_stage(chart: ImmersionChart, points, max_order: int,
                 eps_rank: float, eps_deg: float) -> tuple:
-    """Stage one of `point_rows`: the chart evaluated once, at order
-    max_order + 1, at points of shape (P, 2) or one point of shape (2,),
-    and `_flag_pass`. Returns the points (P, 2), each point's dims through
-    its tau (None where singular) and, on the regular rows, the tangent
-    frames, the forms and the mask of unresolved rows."""
+    """The flag stage of `point_rows` and the polar base check: the chart
+    evaluated once, at order max_order + 1, at points of shape (P, 2) or
+    one point of shape (2,), and `_flag_pass`. Returns the points (P, 2),
+    each point's dims through its tau (None where singular) and, on the
+    regular rows, the tangent frames, the forms and the mask of unresolved
+    rows."""
     pts = np.asarray(points, dtype=float)
     jets = chart.eval_jets(pts, max_order + 1)  # checks the shape
     if pts.ndim == 1:
@@ -440,13 +441,31 @@ def _flag_stage(chart: ImmersionChart, points, max_order: int,
             (E, forms, unresolved))
 
 
-def _row_stage(pts: np.ndarray, dims: list, flag: tuple, tol: float,
-               eps_rank: float) -> list[dict]:
-    """Stage two of `point_rows`: the JSON rows of points from their stage
-    one (`_flag_stage`), with the ellipticity and the ellipses of each order
-    on the regular rows, from the forms through order max(tau) + 1, and
-    the note of a row unresolved in the flag or in a residual it reads."""
-    E, forms, unresolved = flag
+def point_rows(chart: ImmersionChart, points,
+               tol: float = CIRCLE_TOL,
+               eps_rank: float = EPS_RANK,
+               max_order: int | None = None,
+               eps_deg: float = EPS_DEG) -> list[dict]:
+    """JSON rows of a surface sweep at points of shape (P, 2) or (2,): flag
+    dims, curvature ellipses, ellipticity and isotropy order of each point.
+
+    The chart is evaluated once, at order max_order + 1 (by default its
+    whole flag's depth, `_flag_depth`), at all points; stacked passes over
+    the regular rows give the flag, the forms through order max(tau) + 1,
+    the ellipticity and the ellipses of each order. A singular point gives
+    a row with "singular": true, and a row that is not elliptic has no
+    ellipses and order None. The isotropy order is the largest ell <= tau
+    with circular ellipses (not segments) at every order 0..ell: 0 means
+    the chart is minimal at the point, -1 that even the order-0 ellipse
+    fails (elliptic but not minimal). Only a row with a decision within a
+    factor DECISION_MARGIN of its threshold has the key "note"."""
+    if chart.domain_dim != 2:
+        raise ShapeMismatch("point reports are defined for surface charts")
+    if max_order is not None and max_order < 1:
+        raise InvalidData("flag depth must be at least 1")
+    depth = _flag_depth(chart) if max_order is None else max_order
+    pts, dims, (E, forms, unresolved) = _flag_stage(chart, points, depth,
+                                                    eps_rank, eps_deg)
     tau = np.array([len(d) - 1 for d in dims if d is not None], dtype=int)
     top = int(tau.max(initial=0))
     exists, _, coeffs, Jm = _ellipticity_pass(E, forms[2], eps_rank)
@@ -487,33 +506,6 @@ def _row_stage(pts: np.ndarray, dims: list, flag: tuple, tol: float,
             row["note"] = UNRESOLVED
         rows.append(row)
     return rows
-
-
-def point_rows(chart: ImmersionChart, points,
-               tol: float = CIRCLE_TOL,
-               eps_rank: float = EPS_RANK,
-               max_order: int | None = None,
-               eps_deg: float = EPS_DEG) -> list[dict]:
-    """JSON rows of a surface sweep at points of shape (P, 2) or (2,): flag
-    dims, curvature ellipses, ellipticity and isotropy order of each point.
-
-    The chart is evaluated once, at order max_order + 1 (by default its
-    whole flag's depth, `_flag_depth`), at all points; stacked passes over
-    the regular rows give the flag, the forms through order max(tau) + 1,
-    the ellipticity and the ellipses of each order. A singular point gives
-    a row with "singular": true, and a row that is not elliptic has no
-    ellipses and order None. The isotropy order is the largest ell <= tau
-    with circular ellipses (not segments) at every order 0..ell: 0 means
-    the chart is minimal at the point, -1 that even the order-0 ellipse
-    fails (elliptic but not minimal). Only a row with a decision within a
-    factor DECISION_MARGIN of its threshold has the key "note"."""
-    if chart.domain_dim != 2:
-        raise ShapeMismatch("point reports are defined for surface charts")
-    if max_order is not None and max_order < 1:
-        raise InvalidData("flag depth must be at least 1")
-    depth = _flag_depth(chart) if max_order is None else max_order
-    return _row_stage(*_flag_stage(chart, points, depth, eps_rank, eps_deg),
-                      tol, eps_rank)
 
 
 def flag_certificate(dims: Sequence[Sequence[int] | None]) -> dict:

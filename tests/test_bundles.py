@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import isomin.bundles as bundles
 import isomin.cpoly as cp
 import isomin.geometry as geo
 import isomin.jet as J
@@ -19,16 +20,17 @@ from isomin.catalog import (demo_weierstrass_data, make_fixture,
                             make_plane, make_veronese,
                             random_weierstrass_data)
 from isomin.errors import (DegeneratePoint, FlagCollapse, InvalidData,
-                           IsominError, ShapeMismatch)
+                           IsominError, NotElliptic, ShapeMismatch)
 from isomin.geometry import ImmersionChart
 from isomin.weierstrass import (NULL_TOL, generate_surface, null_residual,
                                 surface_chart)
 
 from oracles import (assert_rows_alone_match, bundle_jets_three_variable,
                      form_singular_values_svd, isotropy_probe, make_graph,
-                     nullity_at, nullity_fd, pivoted_frame_one_at_a_time,
-                     point_row, splitting_fd, splitting_scalars_from_metric,
-                     stacked_at, unit_normal_check_full)
+                     nullity_at, nullity_fd, pivoted_frame_full_jets,
+                     pivoted_frame_one_at_a_time, point_row, splitting_fd,
+                     splitting_scalars_from_metric, stacked_at,
+                     unit_normal_check_full)
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +151,64 @@ def test_pivoted_frame_takes_a_later_candidate_where_one_is_rejected():
     for got, ref in ((e1, r1), (e2, r2)):
         np.testing.assert_allclose(got.coeffs[ok], ref.coeffs[ok],
                                    rtol=0, atol=1e-13)
+
+
+def _assert_frames_equal(got, want):
+    for a, b in zip(got, want):
+        a, b = (x.coeffs if isinstance(x, J.Jet) else x for x in (a, b))
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_pivoted_frame_matches_the_full_jet_frame_bit_for_bit(monkeypatch):
+    """The frame reads its floors, and judges the last-level candidates
+    left once every point has its two directions, off values: (e1, e2, ok)
+    are the bits of the frame that did both in jet arithmetic, on the
+    polar frames of veronese, veronese in S^5 and (1, z, ..., z^5) on S^10
+    (tau = 4, N = 11) at orders 0 to 4, and on random levels. There, at
+    six points, the last level (c0, c1, c2, c3) spans a plane at points 0,
+    3 and 4 only: c2 and c3 are independent at point 2, c2 at point 1 and
+    c3 at point 5, so those points stay masked; c1 is a multiple of c0 at
+    point 3 and c0 of the lower level at point 4, so the values judge c3
+    alone; on points 0, 1, 2 and 5 they judge c2 and c3, and the frame
+    composes x^(-1/2) three times where it composed it five times."""
+    frames = []
+    real = bundles._pivoted_frame
+    monkeypatch.setattr(bundles, "_pivoted_frame", lambda levels, eps: (
+        frames.append(levels) or real(levels, eps)))
+    for make in (make_veronese, _veronese_pad1, _z5_sphere):
+        chart = unit_normal_chart(make()).chart
+        points = geo.grid_points(geo.grid_axes(chart, (3, 3, 2)))
+        for order in range(5):
+            chart.eval_jets(points, order)
+    assert len(frames) == 15
+    for levels in frames:
+        _assert_frames_equal(real(levels, geo.EPS_RANK),
+                             pivoted_frame_full_jets(levels, geo.EPS_RANK))
+
+    rng = np.random.default_rng(23)
+    sp = J.get_space(2, 2)
+    p = J.Jet(sp, rng.standard_normal((1, 6, 6, sp.size)))
+    c = J.Jet(sp, rng.standard_normal((4, 6, 6, sp.size)))
+    lower = c.coeffs[:2] + 0.7 * p.coeffs  # combinations of p, c0 and c1
+    c.coeffs[2, [0, 5]] = lower[0, [0, 5]] - 0.4 * lower[1, [0, 5]]
+    c.coeffs[3, [0, 1]] = 1.3 * lower[1, [0, 1]] - lower[0, [0, 1]]
+    c.coeffs[1, 3] = -2.0 * c.coeffs[0, 3]
+    c.coeffs[3, 3] = c.coeffs[0, 3] + 0.5 * c.coeffs[2, 3]
+    c.coeffs[0, 4] = 1.5 * p.coeffs[0, 4]
+    c.coeffs[3, 4] = c.coeffs[1, 4] - 2.5 * c.coeffs[2, 4]
+    composed = []
+    compose = J.jet_compose
+    monkeypatch.setattr(J, "jet_compose", lambda *a, **k: (
+        composed.append(1) or compose(*a, **k)))
+    for q, mask in (([0, 1, 2, 3, 4, 5], [1, 0, 0, 1, 1, 0]),
+                    ([0, 1, 2, 5], [1, 0, 0, 0])):
+        levels = [p[:, q], c[:, q]]
+        composed.clear()
+        got = real(levels, geo.EPS_RANK)
+        assert len(composed) == 1 + 2 + (len(q) == 6)
+        _assert_frames_equal(got, pivoted_frame_full_jets(levels,
+                                                          geo.EPS_RANK))
+        assert got[2].tolist() == [bool(m) for m in mask]
 
 
 def test_unit_tangent_base_validation(n5base):
@@ -491,15 +551,33 @@ def _varying_flag() -> ImmersionChart:
                           name="varying-flag")
 
 
+def _hyperbolic_centre() -> ImmersionChart:
+    """The graph (u, v, u^2 + v^2, uv, 1) normalized onto S^4: flag (2, 2)
+    over its domain, and at the centre a second form whose kernel (1, 0,
+    -1) has a negative discriminant, so no direction is elliptic there."""
+
+    def jet_fn(points, space):
+        u = J.jet_variable(space, 0, points[:, 0])
+        v = J.jet_variable(space, 1, points[:, 1])
+        f = J.jet_stack([u, v, u * u + v * v, u * v,
+                         J.jet_constant(space, np.ones(len(points)))]).T
+        return f * J.jet_compose("rsqrt", J.jet_dot(f, f))[:, None]
+
+    return ImmersionChart(domain_dim=2, ambient_dim=5, ambient="sphere",
+                          jet_fn=jet_fn, domain=((-0.5, 0.5), (-0.5, 0.5)),
+                          name="hyperbolic-centre")
+
+
 @pytest.mark.parametrize("make, outcome", [
     (make_veronese, 1), (make_great_sphere, FlagCollapse),
     (_veronese_pad1, 1), (_z5_sphere, 4), (_singular_centre, DegeneratePoint),
     (_varying_flag, FlagCollapse), (_small_sphere_surface, FlagCollapse),
-    (_bent_sphere_surface, 1)])
+    (_bent_sphere_surface, 1), (_hyperbolic_centre, NotElliptic)])
 def test_unit_normal_chart_matches_the_full_grid_check(make, outcome):
-    """The flag stage over the 9x9 grid and the ellipse stage at its centre
-    alone give the tau and notes, or the error class and message, of the
-    check that finished all 81 rows."""
+    """The flag stage over the 9x9 grid, and the ellipticity and the
+    ellipse of order tau - 1 at its centre alone, give the tau and notes,
+    or the error class and message, of the check that finished all 81
+    rows."""
     base = make()
     try:
         bc = unit_normal_chart(base)
@@ -970,16 +1048,20 @@ def test_stacked_normal_frame_makes_fewer_jet_products(polar_ver,
                                                        monkeypatch):
     """The polar frame projects the candidates of each order on the lower
     orders in one stacked step, and normalizes the position without the
-    value scale it does not read: one order-2 evaluation of polar veronese
-    makes 52 jet products, 18 fewer than the one-candidate-at-a-time loop
-    (66 at order 4, also 18 fewer), at one point or at 200."""
+    value scale it does not read; it reads the floors, and judges the
+    last-level candidate left once every point has its two directions, off
+    values; and the Veronese chart forms its six coordinate products in one
+    call. One evaluation of polar veronese makes 33 jet products at order 2
+    and 45 at order 4, at one point or at 200: 9 and 11 fewer in the frame
+    than in full jet arithmetic, and 10 fewer in the chart, which made 13
+    products where it makes 3."""
     calls = []
     real = J.jet_mul
     monkeypatch.setattr(J, "jet_mul", lambda a, b: calls.append(1)
                         or real(a, b))
     points = geo.grid_points(geo.grid_axes(polar_ver.chart, (5, 5, 8)))
-    for pts, order, count in ((points, 2, 52), (points[:1], 2, 52),
-                              (points, 4, 66)):
+    for pts, order, count in ((points, 2, 33), (points[:1], 2, 33),
+                              (points, 4, 45)):
         calls.clear()
         polar_ver.chart.eval_jets(pts, order)
         assert len(calls) == count
