@@ -15,10 +15,10 @@ phi = F', the base is 1-isotropic when the rungs <phi, phi> and <phi',
 phi'> vanish, each as a relative residual (`weierstrass.null_residual`),
 and the base chart is not evaluated. The unit normal chart checks its
 base by the flag stage of `point_rows` over a 9 x 9 grid of the domain and
-the ellipticity and ellipse passes at the centre alone, through order
-tau - 1. A base on which the chart does not exist raises; a condition of
-the paper that fails or cannot be decided, where the chart still exists,
-is a note in `BundleChart.notes`.
+its ellipse of order tau - 1 at the centre alone. A base on which the
+chart does not exist raises; a condition of the paper that fails or
+cannot be decided, where the chart still exists, is a note in
+`BundleChart.notes`.
 
 A bundle chart evaluates a batch of points at once. The frame does not
 depend on theta, so it is built once per distinct base point (u, v), as
@@ -89,14 +89,6 @@ def _project(v: J.Jet, basis: list[J.Jet]) -> J.Jet:
     return v
 
 
-def _value_dot(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
-    """`J.jet_dot(x, y).value` for jets x, y of `size` coefficients and
-    values a, b, bit for bit: numpy sums their (..., N, size) products over
-    N in order (here a running sum), or pairwise from N = 8 if size = 1."""
-    p = a * b
-    return p.sum(axis=-1) if size == 1 else p.cumsum(axis=-1)[..., -1]
-
-
 def _pivoted_frame(levels: list[J.Jet], eps_rank: float
                    ) -> tuple[J.Jet, J.Jet, np.ndarray]:
     """Pivoted Gram-Schmidt over levels of stacked candidate vector jets,
@@ -110,38 +102,24 @@ def _pivoted_frame(levels: list[J.Jet], eps_rank: float
     and normalized by one composition with x^(-1/2). A candidate of the
     first level is accepted where its squared norm is beyond the sqrt
     guard; one of a later level where its residual is above eps_rank
-    relative to the candidate's own value. Candidates of the last level
-    left once every point has its two only count towards the mask, so they
-    are judged by the same operations on their values (`_value_dot`)."""
+    relative to the candidate's own value."""
     basis: list[J.Jet] = []
-    size = levels[0].space.size
     for s, cands in enumerate(levels):
-        if s and eps_rank > 0.0:  # each candidate's floor, from its value
-            thr = eps_rank * np.maximum(1.0, np.sqrt(np.maximum(
-                _value_dot(cands.value, cands.value, size), 0.0)))
+        eps = eps_rank if s else 0.0
+        if eps > 0.0:  # each candidate's floor, relative to its own value
+            thr = eps * np.maximum(1.0, np.sqrt(np.maximum(
+                J.jet_dot(cands, cands).value, 0.0)))
             floors = thr * thr
         else:
             floors = [J.EPS_DEG] * len(cands)
-        cands = _project(cands, basis)
         own, accepted = [], []
-        for cand, floor in zip(cands, floors):
-            if (s == len(levels) - 1 and len(own) >= 2
-                    and np.all(sum(accepted) >= 2)):
-                break
+        for cand, floor in zip(_project(cands, basis), floors):
             v = _project(cand, own)
             n2 = J.jet_dot(v, v)
             ok = n2.value > floor
             inv = J.jet_compose("rsqrt", _vetted(n2, ok), eps=0.0)
             own.append(v * (inv * ok)[..., None])
             accepted.append(ok)
-        units = [e.value for e in own]
-        for v, floor in zip(cands.value[len(own):], floors[len(own):]):
-            for b in units:
-                v = v - _value_dot(v, b, size)[..., None] * b
-            n2 = _value_dot(v, v, size)
-            accepted.append(n2 > floor)
-            units.append(v * (1.0 / np.sqrt(np.where(accepted[-1], n2, 1.0))
-                              * accepted[-1])[..., None])
         if not s:
             whole = np.logical_and.reduce(accepted)
         basis += own
@@ -319,11 +297,9 @@ def unit_normal_chart(base: ImmersionChart,
     if not cert["nicely_curved"]:
         raise FlagCollapse(f"flag dimensions vary over the domain: {cert}")
     # a nicely curved flag is regular at every point: the centre is row mid
-    E, forms = E[[mid]], {s: f[[mid]] for s, f in forms.items()}
-    elliptic, _, _, Jm = geo._ellipticity_pass(E, forms[2], eps_rank)
-    if not elliptic[0]:
+    elliptic, top = geo._row_ellipse(E, forms, mid, tau - 1, eps_rank)
+    if not elliptic:
         raise NotElliptic(f"no elliptic direction at {center}")
-    top = geo._ellipse_pass(E, Jm, forms, tau - 1)[2][0, -1]
     notes = []
     if not top <= circle_tol:
         notes.append(f"curvature ellipse of order {tau - 1} is not a circle "

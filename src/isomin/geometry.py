@@ -421,14 +421,25 @@ def _ellipse_pass(E: np.ndarray, Jm: np.ndarray,
     return centers, semiaxes, residuals
 
 
+def _row_ellipse(E: np.ndarray, forms: dict[int, np.ndarray], row: int,
+                 order: int, eps_rank: float) -> tuple[bool, float]:
+    """Whether one regular row of `_flag_stage` is elliptic, and the
+    residual of its curvature ellipse of the given order (NaN where not),
+    from the two passes on that row alone, through that order."""
+    E, forms = E[[row]], {s: f[[row]] for s, f in forms.items()}
+    elliptic, _, _, Jm = _ellipticity_pass(E, forms[2], eps_rank)
+    if not elliptic[0]:
+        return False, math.nan
+    return True, float(_ellipse_pass(E, Jm, forms, order)[2][0, -1])
+
+
 def _flag_stage(chart: ImmersionChart, points, max_order: int,
                 eps_rank: float, eps_deg: float) -> tuple:
-    """The flag stage of `point_rows` and the polar base check: the chart
-    evaluated once, at order max_order + 1, at points of shape (P, 2) or
-    one point of shape (2,), and `_flag_pass`. Returns the points (P, 2),
-    each point's dims through its tau (None where singular) and, on the
-    regular rows, the tangent frames, the forms and the mask of unresolved
-    rows."""
+    """The flag stage of `point_rows`: the chart evaluated once, at order
+    max_order + 1, at points of shape (P, 2) or one point of shape (2,),
+    and `_flag_pass`. Returns the points (P, 2), each point's dims through
+    its tau (None where singular) and, on the regular rows, the tangent
+    frames, the forms and the mask of unresolved rows."""
     pts = np.asarray(points, dtype=float)
     jets = chart.eval_jets(pts, max_order + 1)  # checks the shape
     if pts.ndim == 1:

@@ -44,11 +44,7 @@ direction before it, with the first two directions taken picked point by
 point, where the package projects a level off the lower ones in one
 stacked step and picks by two argmax reads of the accepted mask; its
 candidate partials are chains of first partials, where the package
-reads each order in one gather. The full-jet frame
-(`pivoted_frame_full_jets`) is `bundles._pivoted_frame` as it judged
-every candidate in jet arithmetic, where the package reads the floors
-and the last level's leftover candidates off values; the package must
-match it bit for bit. The
+reads each order in one gather. The
 nested x^(-1/2) is recip of sqrt, the two compositions that rsqrt
 replaced. The constant-jet composition is the Horner loop that added a
 whole constant jet at each step, where `jet.jet_compose` adds the series
@@ -668,49 +664,6 @@ def pivoted_frame_one_at_a_time(levels, eps_rank):
     space = last[0].space
     return (J.Jet(space, e[0]), J.Jet(space, e[1]),
             whole & (taken.sum(axis=0) == 2))
-
-
-def pivoted_frame_full_jets(levels, eps_rank):
-    """`bundles._pivoted_frame` as it judged every candidate in jet
-    arithmetic: the floors of a later level from `jet_dot` of its
-    candidates, and every candidate of the last level projected, judged
-    and normalized as a jet, also once every point had its two directions.
-    The package must match it bit for bit."""
-
-    def project(v, basis):
-        for b in basis:
-            v = v - J.jet_dot(v, b)[..., None] * b
-        return v
-
-    basis = []
-    for s, cands in enumerate(levels):
-        eps = eps_rank if s else 0.0
-        if eps > 0.0:
-            thr = eps * np.maximum(1.0, np.sqrt(np.maximum(
-                J.jet_dot(cands, cands).value, 0.0)))
-            floors = thr * thr
-        else:
-            floors = [J.EPS_DEG] * len(cands)
-        own, accepted = [], []
-        for cand, floor in zip(project(cands, basis), floors):
-            v = project(cand, own)
-            n2 = J.jet_dot(v, v)
-            ok = n2.value > floor
-            vetted = J.Jet(n2.space, np.where(
-                ok[..., None], n2.coeffs,
-                J.jet_constant(n2.space, 1.0).coeffs))
-            inv = J.jet_compose("rsqrt", vetted, eps=0.0)
-            own.append(v * (inv * ok)[..., None])
-            accepted.append(ok)
-        if not s:
-            whole = np.logical_and.reduce(accepted)
-        basis += own
-    accepted = np.array(accepted)
-    count = accepted.cumsum(axis=0)
-    ok = whole & (count[-1] == 2)
-    pick = np.array([accepted.argmax(axis=0), (count == 2).argmax(axis=0)])
-    e1, e2 = np.array([v.coeffs for v in own])[pick, np.arange(len(ok))]
-    return J.Jet(own[0].space, e1), J.Jet(own[0].space, e2), ok
 
 
 def bundle_jets_three_variable(bc, points, order):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import isomin.bundles as bundles
 import isomin.cpoly as cp
 import isomin.geometry as geo
 import isomin.jet as J
@@ -27,10 +26,9 @@ from isomin.weierstrass import (NULL_TOL, generate_surface, null_residual,
 
 from oracles import (assert_rows_alone_match, bundle_jets_three_variable,
                      form_singular_values_svd, isotropy_probe, make_graph,
-                     nullity_at, nullity_fd, pivoted_frame_full_jets,
-                     pivoted_frame_one_at_a_time, point_row, splitting_fd,
-                     splitting_scalars_from_metric, stacked_at,
-                     unit_normal_check_full)
+                     nullity_at, nullity_fd, pivoted_frame_one_at_a_time,
+                     point_row, splitting_fd, splitting_scalars_from_metric,
+                     stacked_at, unit_normal_check_full)
 
 
 @pytest.fixture(scope="module")
@@ -153,38 +151,16 @@ def test_pivoted_frame_takes_a_later_candidate_where_one_is_rejected():
                                    rtol=0, atol=1e-13)
 
 
-def _assert_frames_equal(got, want):
-    for a, b in zip(got, want):
-        a, b = (x.coeffs if isinstance(x, J.Jet) else x for x in (a, b))
-        assert np.array_equal(a, b, equal_nan=True)
-
-
-def test_pivoted_frame_matches_the_full_jet_frame_bit_for_bit(monkeypatch):
-    """The frame reads its floors, and judges the last-level candidates
-    left once every point has its two directions, off values: (e1, e2, ok)
-    are the bits of the frame that did both in jet arithmetic, on the
-    polar frames of veronese, veronese in S^5 and (1, z, ..., z^5) on S^10
-    (tau = 4, N = 11) at orders 0 to 4, and on random levels. There, at
-    six points, the last level (c0, c1, c2, c3) spans a plane at points 0,
-    3 and 4 only: c2 and c3 are independent at point 2, c2 at point 1 and
-    c3 at point 5, so those points stay masked; c1 is a multiple of c0 at
-    point 3 and c0 of the lower level at point 4, so the values judge c3
-    alone; on points 0, 1, 2 and 5 they judge c2 and c3, and the frame
-    composes x^(-1/2) three times where it composed it five times."""
-    frames = []
-    real = bundles._pivoted_frame
-    monkeypatch.setattr(bundles, "_pivoted_frame", lambda levels, eps: (
-        frames.append(levels) or real(levels, eps)))
-    for make in (make_veronese, _veronese_pad1, _z5_sphere):
-        chart = unit_normal_chart(make()).chart
-        points = geo.grid_points(geo.grid_axes(chart, (3, 3, 2)))
-        for order in range(5):
-            chart.eval_jets(points, order)
-    assert len(frames) == 15
-    for levels in frames:
-        _assert_frames_equal(real(levels, geo.EPS_RANK),
-                             pivoted_frame_full_jets(levels, geo.EPS_RANK))
-
+def test_pivoted_frame_masks_a_point_with_a_third_last_level_direction():
+    """A point whose last level spans more than a plane is masked, however
+    its first two directions are found. Random order-2 jets at six points,
+    with a position-like first level p and a last level (c0, c1, c2, c3)
+    that spans a plane at points 0, 3 and 4 only: c2 and c3 are
+    independent at point 2, c2 at point 1 and c3 at point 5, so those
+    points are masked; c1 is a multiple of c0 at point 3 and c0 of p at
+    point 4, so the frame is (c0, c2) and (c1, c2) there, with c3 in its
+    plane. The directions and the mask match the one-candidate-at-a-time
+    reference, on all six points and on four of them."""
     rng = np.random.default_rng(23)
     sp = J.get_space(2, 2)
     p = J.Jet(sp, rng.standard_normal((1, 6, 6, sp.size)))
@@ -196,19 +172,15 @@ def test_pivoted_frame_matches_the_full_jet_frame_bit_for_bit(monkeypatch):
     c.coeffs[3, 3] = c.coeffs[0, 3] + 0.5 * c.coeffs[2, 3]
     c.coeffs[0, 4] = 1.5 * p.coeffs[0, 4]
     c.coeffs[3, 4] = c.coeffs[1, 4] - 2.5 * c.coeffs[2, 4]
-    composed = []
-    compose = J.jet_compose
-    monkeypatch.setattr(J, "jet_compose", lambda *a, **k: (
-        composed.append(1) or compose(*a, **k)))
     for q, mask in (([0, 1, 2, 3, 4, 5], [1, 0, 0, 1, 1, 0]),
                     ([0, 1, 2, 5], [1, 0, 0, 0])):
         levels = [p[:, q], c[:, q]]
-        composed.clear()
-        got = real(levels, geo.EPS_RANK)
-        assert len(composed) == 1 + 2 + (len(q) == 6)
-        _assert_frames_equal(got, pivoted_frame_full_jets(levels,
-                                                          geo.EPS_RANK))
-        assert got[2].tolist() == [bool(m) for m in mask]
+        e1, e2, ok = _pivoted_frame(levels, geo.EPS_RANK)
+        r1, r2, rok = pivoted_frame_one_at_a_time(levels, geo.EPS_RANK)
+        assert ok.tolist() == rok.tolist() == [bool(m) for m in mask]
+        for got, ref in ((e1, r1), (e2, r2)):
+            np.testing.assert_allclose(got.coeffs[ok], ref.coeffs[ok],
+                                       rtol=0, atol=1e-13)
 
 
 def test_unit_tangent_base_validation(n5base):
@@ -1048,20 +1020,19 @@ def test_stacked_normal_frame_makes_fewer_jet_products(polar_ver,
                                                        monkeypatch):
     """The polar frame projects the candidates of each order on the lower
     orders in one stacked step, and normalizes the position without the
-    value scale it does not read; it reads the floors, and judges the
-    last-level candidate left once every point has its two directions, off
-    values; and the Veronese chart forms its six coordinate products in one
-    call. One evaluation of polar veronese makes 33 jet products at order 2
-    and 45 at order 4, at one point or at 200: 9 and 11 fewer in the frame
-    than in full jet arithmetic, and 10 fewer in the chart, which made 13
-    products where it makes 3."""
+    value scale it does not read, and the Veronese chart forms its six
+    coordinate products in one call: one evaluation of polar veronese
+    makes 42 jet products at order 2 (36 in the frame, 18 fewer than the
+    one-candidate-at-a-time loop) and 56 at order 4 (48, also 18 fewer),
+    at one point or at 200. The chart made 10 more, 13 products where it
+    makes 3, while it formed x x and y y twice and each product alone."""
     calls = []
     real = J.jet_mul
     monkeypatch.setattr(J, "jet_mul", lambda a, b: calls.append(1)
                         or real(a, b))
     points = geo.grid_points(geo.grid_axes(polar_ver.chart, (5, 5, 8)))
-    for pts, order, count in ((points, 2, 33), (points[:1], 2, 33),
-                              (points, 4, 45)):
+    for pts, order, count in ((points, 2, 42), (points[:1], 2, 42),
+                              (points, 4, 56)):
         calls.clear()
         polar_ver.chart.eval_jets(pts, order)
         assert len(calls) == count

@@ -167,7 +167,7 @@ def test_bundle_polar_collapse_exits_3(capsys):
 
 @pytest.mark.parametrize("kind, fixture, products, compositions",
                          [("bipolar", "n5", 39, 5),
-                          ("polar", "veronese", 77, 10)])
+                          ("polar", "veronese", 88, 11)])
 def test_splitting_commands_make_pinned_jet_work(tmp_path, monkeypatch, kind,
                                                  fixture, products,
                                                  compositions):
@@ -177,12 +177,9 @@ def test_splitting_commands_make_pinned_jet_work(tmp_path, monkeypatch, kind,
     without a benchmark run. The splitting pass makes 7 of the products:
     it reads its connection and lowers T off the ambient field T^l F_l,
     one product fewer than the Christoffel sums over the metric took. The
-    polar command makes 31 fewer than the 108 it made while the Veronese
+    polar command makes 20 fewer than the 108 it made while the Veronese
     chart formed x x and y y twice and each coordinate product in a call
-    of its own (10 per evaluation, two evaluations), and its frame judged
-    the last-level candidate left over after the two picks, and read the
-    floors, in jet arithmetic (11 products and one composition), where it
-    now reads them off values."""
+    of its own (10 per evaluation, two evaluations)."""
     calls = {"jet_mul": 0, "jet_compose": 0}
     for name in calls:
         def counted(*args, _name=name, _real=getattr(J, name), **kw):

@@ -4,14 +4,17 @@
 
 Loads `src/isomin` of both checkouts into one process, under the package
 names `isomin_parent` and `isomin_change`, and runs the command cycle of
-the workload from `bench/workloads.py` (imported, not modified) through
-each side's `cli.main(argv)`. Every command runs once per side on a
-2-point warm-up grid first. Then each round runs every command of the
-cycle on both sides back to back, the side that goes first alternating
-from round to round, and times each run by the CPU time of this process
-(`time.process_time`; BLAS is pinned to one thread). Every answer is
-checked with `workloads.check`, and the two sides' report bytes of each
-command are compared.
+the workload from `bench/workloads.py` through each side's
+`cli.main(argv)`. Every command runs once per side on a 2-point warm-up
+grid first. Then each round runs every command of the cycle on both
+sides back to back, on one CPU, the side that goes first alternating
+from round to round; the next pair runs on the next CPU, as the
+benchmark rotates. Every run goes through one `Runner` of `bench/run.py`
+(both modules imported, not modified), shared by the two sides: it times
+the run by its CPU time with BLAS pinned to one thread, checks the
+answer with `workloads.check`, and counts as a problem a command that
+raises and a report that differs from an earlier run of the same inputs
+on either side.
 
 Per command name (a name that repeats in the cycle is summed within a
 round) and per whole cycle it prints the median over the rounds of the
@@ -24,17 +27,13 @@ arguments.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import importlib
 import importlib.util
-import io
-import json
 import math
 import os
 import statistics
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,18 +57,17 @@ def load_package(checkout: Path, name: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def run(cli, cmd, workdir: Path) -> tuple[float, int, bytes | None]:
-    """CPU seconds, exit code and report bytes of one command."""
-    cfg, out = workdir / "config.json", workdir / "report.json"
-    cfg.write_text(json.dumps(cmd.config))
-    out.unlink(missing_ok=True)
-    argv = [*cmd.argv, "--config", str(cfg), "--out", str(out)]
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        start = time.process_time()
-        rc = cli.main(argv)
-        seconds = time.process_time() - start
-    return seconds, rc, out.read_bytes() if out.exists() else None
+class PairedRotation:
+    """The benchmark's CPU rotation (`run.CpuRotation`) moved once per pair
+    of runs, so that both sides of a pair run on the same CPU."""
+
+    def __init__(self, rotation):
+        self.rotation, self.runs = rotation, 0
+
+    def next(self):
+        if self.runs % 2 == 0:
+            self.rotation.next()
+        self.runs += 1
 
 
 def sign_test(wins: int, losses: int) -> float:
@@ -91,6 +89,7 @@ def summary(name: str, ratios: list[float]) -> str:
 
 def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "bench"))
+    import run  # pins BLAS threads before numpy loads
     import workloads
 
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -104,56 +103,51 @@ def main(argv=None) -> int:
     if args.rounds < 2:
         parser.error("--rounds must be at least 2")
     try:
-        clis = {side: load_package(path.resolve(), f"isomin_{side}")
-                for side, path in zip(SIDES, (args.parent, args.change))}
+        mains = {side: load_package(path.resolve(), f"isomin_{side}").main
+                 for side, path in zip(SIDES, (args.parent, args.change))}
     except (FileNotFoundError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     cycle = workloads.WORKLOADS[args.workload](args.seed)
-    problems: list[str] = []
-    times = {side: [] for side in SIDES}  # per round: {name: seconds}
+    names = list(dict.fromkeys(c.name for c in cycle))
+    rounds = []  # per round and side: {name: CPU seconds}
+    cpus = run.CpuRotation()
     with tempfile.TemporaryDirectory() as tmp:
-        workdir = Path(tmp)
-        for cmd in workloads.distinct(cycle):
-            for side in SIDES:
-                run(clis[side], cmd.warmup(), workdir)
-        for r in range(args.rounds):
-            order = SIDES if r % 2 == 0 else SIDES[::-1]
-            spent = {side: dict.fromkeys((c.name for c in cycle), 0.0)
-                     for side in SIDES}
-            for cmd in cycle:
-                reports = {}
-                for side in order:
-                    seconds, rc, data = run(clis[side], cmd, workdir)
-                    spent[side][cmd.name] += seconds
-                    reports[side] = data
-                    _, bad = workloads.check(
-                        cmd, rc, None if data is None else data.decode())
-                    problems += [f"round {r}, {side}, {cmd.name}: {b}"
-                                 for b in bad]
-                if reports["parent"] != reports["change"]:
-                    problems.append(f"round {r}, {cmd.name}: the reports "
-                                    "differ between the sides")
-            for side in SIDES:
-                times[side].append(spent[side])
+        # one runner for both sides: a report that differs from the other
+        # side's for the same inputs is one of its problems
+        runner = run.Runner(None, Path(tmp), PairedRotation(cpus))
+
+        def timed(side, cmd) -> float:
+            runner.main = mains[side]
+            return runner.run(cmd).get("seconds", math.nan)
+
+        try:
+            for cmd in workloads.distinct(cycle):
+                for side in SIDES:
+                    timed(side, cmd.warmup())
+            for r in range(args.rounds):
+                order = SIDES if r % 2 == 0 else SIDES[::-1]
+                spent = {side: dict.fromkeys(names, 0.0) for side in SIDES}
+                for cmd in cycle:
+                    for side in order:
+                        spent[side][cmd.name] += timed(side, cmd)
+                rounds.append(spent)
+        finally:
+            os.sched_setaffinity(0, cpus.cpus)
     print(f"# {args.workload}, seed {args.seed}, {args.rounds} rounds: "
           f"{args.parent} -> {args.change}")
     print(f"{'CPU ratio change / parent':<36} {'median':>7} {'q1':>7} "
           f"{'q3':>7} {'won':>7} {'sign p':>9}")
-    for name in dict.fromkeys(c.name for c in cycle):
-        print(summary(name, [b[name] / a[name] for a, b in
-                             zip(times["parent"], times["change"])]))
-    print(summary("cycle", [sum(b.values()) / sum(a.values()) for a, b in
-                            zip(times["parent"], times["change"])]))
-    for problem in problems[:20]:
+    for name in names:
+        print(summary(name, [t["change"][name] / t["parent"][name]
+                             for t in rounds]))
+    print(summary("cycle", [sum(t["change"].values())
+                            / sum(t["parent"].values()) for t in rounds]))
+    for problem in runner.problems[:20]:
         print(f"wrong: {problem}")
-    print(f"{len(problems)} problems")
-    return 1 if problems else 0
+    print(f"{len(runner.problems)} problems")
+    return 1 if runner.problems else 0
 
 
 if __name__ == "__main__":
-    # pin BLAS threads before numpy loads, as the benchmark does
-    os.environ.update({v: "1" for v in (
-        "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-        "VECLIB_MAXIMUM_THREADS")})
     sys.exit(main())
