@@ -48,13 +48,14 @@ vectors (`geometry._triangular_frame`).
 evaluation of the 3-chart at the sweep points and the splitting points
 together (order 4 when there are splitting points, else 2), one nullity
 pass on its order-2 cut, and one splitting pass over the splitting points
-where the nullity is 1. Order-4 jets cut to order 2 are the order-2 jets
-bit for bit, so a sweep row does not depend on the splitting points next
-to it. Both passes write JSON rows: a sweep row reads nu, the singular
-values and |H|, never the kernel (the splitting pass finds the nullity
-line from its own jets), and a splitting row reads the tensor, or the
-reason the point is skipped, or the error where the nullity line is
-undetermined. A row does not depend on its batch.
+where the nullity is 1. A chart's jets cut to any lower order are that
+order's jets bit for bit (`ImmersionChart.eval_jets`), so a sweep row
+does not depend on the splitting points next to it. Both passes write
+JSON rows: a sweep row reads nu, the singular values and |H|, never the
+kernel (the splitting pass finds the nullity line from its own jets),
+and a splitting row reads the tensor, or the reason the point is
+skipped, or the error where the nullity line is undetermined. A row does
+not depend on its batch.
 """
 from __future__ import annotations
 
@@ -102,13 +103,14 @@ def _pivoted_frame(levels: list[J.Jet], eps_rank: float
     and normalized by one composition with x^(-1/2). A candidate of the
     first level is accepted where its squared norm is beyond the sqrt
     guard; one of a later level where its residual is above eps_rank
-    relative to the candidate's own value."""
+    relative to the candidate's own value (the dot of its order-0 cut)."""
     basis: list[J.Jet] = []
     for s, cands in enumerate(levels):
         eps = eps_rank if s else 0.0
         if eps > 0.0:  # each candidate's floor, relative to its own value
+            values = J.jet_truncate(cands, 0)
             thr = eps * np.maximum(1.0, np.sqrt(np.maximum(
-                J.jet_dot(cands, cands).value, 0.0)))
+                J.jet_dot(values, values).value, 0.0)))
             floors = thr * thr
         else:
             floors = [J.EPS_DEG] * len(cands)
@@ -280,9 +282,9 @@ def unit_normal_chart(base: ImmersionChart,
         raise ShapeMismatch("unit normal charts need a surface base")
     if base.ambient != "sphere":
         raise InvalidData("unit normal charts take a spherical base")
-    pts, dims, (E, forms, _) = geo._flag_stage(
-        base, geo.grid_points(geo.grid_axes(base, (9, 9))),
-        geo._flag_depth(base), eps_rank, eps_deg)
+    pts = geo.grid_points(geo.grid_axes(base, (9, 9)))
+    dims, E, forms, _ = geo._flag_stage(base, pts, geo._flag_depth(base),
+                                        eps_rank, eps_deg)
     mid = len(pts) // 2
     center = tuple(pts[mid].tolist())
     if dims[mid] is None:

@@ -26,8 +26,8 @@ def _require_integer(name: str, value, low: int):
         raise InvalidData(f"{name} must be an integer >= {low}, got {value!r}")
 
 
-def make_holomorphic_curve(powers: tuple[int, ...], pad: int = 0,
-                           domain=((-1.0, 1.0), (-1.0, 1.0))) -> ImmersionChart:
+def make_holomorphic_curve(powers: tuple[int, ...],
+                           pad: int = 0) -> ImmersionChart:
     """Real chart of z -> (z^p1, ..., z^pk), C^k = R^(2k), zero-padded to
     R^(2k + pad). Holomorphic curves are minimal and fully isotropic; with
     distinct positive powers the flag is nicely curved away from z = 0."""
@@ -44,7 +44,7 @@ def make_holomorphic_curve(powers: tuple[int, ...], pad: int = 0,
     name = "curve-" + "-".join(str(p) for p in powers)
     if pad:
         name += f"-pad{pad}"
-    return surface_chart(components, name=name, domain=domain)
+    return surface_chart(components, name=name)
 
 
 def make_plane(pad: int = 3) -> ImmersionChart:
@@ -68,7 +68,7 @@ def _stereographic(points, space) -> J.Jet:
     return J.jet_mul(J.jet_stack([*(2.0 * uv), 1.0 - u2 - v2]), inv)
 
 
-def make_veronese(domain=((-0.85, 0.85), (-0.85, 0.85))) -> ImmersionChart:
+def make_veronese() -> ImmersionChart:
     """Veronese minimal surface in S^4, over a stereographic chart of S^2
     that excludes a cap around the far pole. Substantial with flag (2, 2),
     tau = 1, minimal (isotropy order 1)."""
@@ -84,7 +84,7 @@ def make_veronese(domain=((-0.85, 0.85), (-0.85, 0.85))) -> ImmersionChart:
                             0.5 * (xx + yy - 2.0 * zz)]).T
 
     return ImmersionChart(domain_dim=2, ambient_dim=5, ambient="sphere",
-                          jet_fn=jet_fn, domain=tuple(domain),
+                          jet_fn=jet_fn, domain=((-0.85, 0.85), (-0.85, 0.85)),
                           name="veronese")
 
 
@@ -155,10 +155,10 @@ def demo_weierstrass_data(n: int, final_integration: bool = True) -> Weierstrass
                            final_integration=final_integration)
 
 
-def random_weierstrass_data(rng: np.random.Generator, n: int,
-                            max_degree: int = 4) -> WeierstrassData:
-    """Seeded random data: coefficients uniform in the unit square, betas
-    with constant term bounded away from zero."""
+def random_weierstrass_data(rng: np.random.Generator,
+                            n: int) -> WeierstrassData:
+    """Seeded random data of degree <= 4: coefficients uniform in the unit
+    square, betas with constant term bounded away from zero."""
     if n < 4:
         raise InvalidData(f"need n >= 4, got n = {n}")
 
@@ -170,12 +170,12 @@ def random_weierstrass_data(rng: np.random.Generator, n: int,
             coeffs[0] = head / mag * (floor + abs(head))
         return coeffs
 
-    alpha0 = cp.stack([rand_poly(int(rng.integers(0, max_degree + 1)))
+    alpha0 = cp.stack([rand_poly(int(rng.integers(0, 5)))
                        for _ in range(n - 4)])
     if n > 4 and not alpha0.any():
         alpha0[0, 0] = 1
-    beta1 = rand_poly(int(rng.integers(0, max_degree + 1)), floor=0.5)
-    beta2 = rand_poly(int(rng.integers(0, max_degree + 1)), floor=0.5)
+    beta1 = rand_poly(int(rng.integers(0, 5)), floor=0.5)
+    beta2 = rand_poly(int(rng.integers(0, 5)), floor=0.5)
     return WeierstrassData(n=n, alpha0=alpha0, beta1=beta1, beta2=beta2)
 
 

@@ -269,10 +269,10 @@ def resolve_chart(cfg) -> geo.ImmersionChart:
     return W.weierstrass_chart(resolve_surface_data(cfg))
 
 
-def _axes_for(chart, cfg, default3=(5, 5, 8), default2=(9, 9)):
+def _axes_for(chart, cfg):
     grid = cfg["grid"]
     if grid is None:
-        counts = default2 if chart.domain_dim == 2 else default3
+        counts = (9, 9) if chart.domain_dim == 2 else (5, 5, 8)
         return geo.grid_axes(chart, counts), \
             [[lo, hi, n] for (lo, hi), n in zip(chart.domain, counts)]
     if len(grid) != chart.domain_dim:
@@ -493,7 +493,7 @@ def cmd_export(cfg) -> int:
         chart = resolve_chart(cfg)
     axes, grid_doc = _axes_for(chart, cfg)
     pts = geo.grid_points(axes)
-    verts = chart.value(pts)
+    verts = chart.eval_jets(pts, 0).value
     undefined = ~np.isfinite(verts).all(axis=1)
     if undefined.any():
         raise DegeneratePoint(f"{chart.name} is not defined at "
@@ -519,25 +519,21 @@ def cmd_export(cfg) -> int:
         xyz = verts[:, [i - 1 for i in proj]]
         proj_doc = "coords " + " ".join(str(i) for i in proj)
 
-    counts = tuple(len(a) for a in axes)
-    faces = []
-    if chart.domain_dim == 2:
-        nu, nv = counts
-        for i in range(nu - 1):
-            for j in range(nv - 1):
-                a = i * nv + j
-                faces.append((a, a + nv, a + nv + 1, a + 1))
-    else:
-        nu, nv, nt = counts
+    # quads over the last two axes of the grid's index array: (u, v), or
+    # (u, theta) for each v, closed over the seam when the fiber wraps
+    idx = np.arange(len(pts)).reshape([len(a) for a in axes])
+    wrap = False
+    if chart.domain_dim == 3:
+        idx = idx.transpose(1, 0, 2)
         span = grid_doc[2][1] - grid_doc[2][0]
-        wrap = chart.periodic[2] and abs(span - 2.0 * math.pi) < 1e-9 and nt > 2
-        for j in range(nv):
-            for i in range(nu - 1):
-                for k in range(nt if wrap else nt - 1):
-                    k2 = (k + 1) % nt
-                    a = (i * nv + j) * nt
-                    b = ((i + 1) * nv + j) * nt
-                    faces.append((a + k, b + k, b + k2, a + k2))
+        wrap = (chart.periodic[2] and abs(span - 2.0 * math.pi) < 1e-9
+                and len(axes[2]) > 2)
+    if wrap:
+        cur, nxt = idx, np.roll(idx, -1, axis=-1)
+    else:
+        cur, nxt = idx[..., :-1], idx[..., 1:]
+    faces = np.stack([cur[..., :-1, :], cur[..., 1:, :], nxt[..., 1:, :],
+                      nxt[..., :-1, :]], axis=-1).reshape(-1, 4)
 
     lines = ["# isomin mesh",
              f"# chart: {chart.name}",
@@ -546,7 +542,7 @@ def cmd_export(cfg) -> int:
              f"# projection: {proj_doc}",
              f"# vertices: {len(xyz)} faces: {len(faces)}"]
     lines += [f"v {x:.9g} {y:.9g} {z:.9g}" for x, y, z in xyz]
-    lines += ["f " + " ".join(str(i + 1) for i in q) for q in faces]
+    lines += ["f %d %d %d %d" % tuple(q) for q in (faces + 1).tolist()]
     with open(cfg["out"], "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {len(xyz)} vertices, {len(faces)} faces to {cfg['out']}")

@@ -9,7 +9,7 @@ the chart sets (`_flag_depth`), together with the higher fundamental
 forms, its projected partials (`_flag_pass`), ellipticity of the second
 form (`_ellipticity_pass`), curvature ellipses (`_ellipse_pass`) and the
 isotropy order, assembled into report rows by `point_rows` after its
-flag stage (`_flag_stage`); one point's row is a batch of one, and
+flag stage (`_flag_stage`); one point is a batch of one, and
 `flag_certificate` reads the constancy of the flag off the rows' dims.
 The flag is carried as its orthogonal complement, from one complete QR
 per point, each order read in the complement of the flag below, one
@@ -53,8 +53,8 @@ on them. Conventions that the rest of the package relies on:
   conj(w)^(s-j)) = 2^-s [a^(s-j) b^j] T((a conj(w) + b w)^s) at frequency
   s - 2j. By Parseval the semiaxes (the top two singular values of the
   curve of values about its mean) are those of the real matrix
-  2 [Re c_j; Im c_j] over 2j > s, and the centre is c_(s/2) (0 for odd
-  s). Circularity residual = 1 - sigma_2 / sigma_1.
+  2 [Re c_j; Im c_j] over 2j > s. Circularity residual = 1 - sigma_2 /
+  sigma_1.
 """
 from __future__ import annotations
 
@@ -84,7 +84,8 @@ class ImmersionChart:
     jet_fn(points, space) takes points of shape (P, domain_dim) and returns
     one jet of shape (P, ambient_dim): the chart map expanded at each point,
     in the given jet space, with NaN coefficients in the rows of points
-    where the chart is not defined. The first domain_dim variables of the
+    where the chart is not defined, and the same coefficients, bit for bit,
+    in every space of lower order. The first domain_dim variables of the
     space are the chart coordinates; charts may be evaluated inside larger
     spaces as long as the extra variables are left untouched (the bundle
     charts evaluate their base in its own two variables).
@@ -117,22 +118,19 @@ class ImmersionChart:
 
     def eval_jets(self, points, order: int) -> J.Jet:
         """Jets at points of shape (P, domain_dim), one jet of shape
-        (P, ambient_dim); a single point of shape (domain_dim,) is the P = 1
-        case and gives shape (ambient_dim,)."""
+        (P, ambient_dim); one point is a batch of one. The jets of every
+        order agree: cut to a lower order, they are that order's jets bit
+        for bit, values (order 0) included."""
         pts = np.asarray(points, dtype=float)
-        if pts.ndim not in (1, 2) or pts.shape[-1] != self.domain_dim:
+        if pts.ndim != 2 or pts.shape[1] != self.domain_dim:
             raise ShapeMismatch(f"points have shape {pts.shape}, chart needs "
-                                f"(P, {self.domain_dim}) or ({self.domain_dim},)")
-        batch = pts.reshape(-1, self.domain_dim)
-        out = self.jet_fn(batch, J.get_space(self.domain_dim, order))
+                                f"(P, {self.domain_dim})")
+        out = self.jet_fn(pts, J.get_space(self.domain_dim, order))
         if (not isinstance(out, J.Jet)
-                or out.shape != (len(batch), self.ambient_dim)):
+                or out.shape != (len(pts), self.ambient_dim)):
             raise ShapeMismatch("chart evaluator must return one jet of "
-                                f"shape ({len(batch)}, {self.ambient_dim})")
-        return out if pts.ndim == 2 else out[0]
-
-    def value(self, points) -> np.ndarray:
-        return self.eval_jets(points, 0).value
+                                f"shape ({len(pts)}, {self.ambient_dim})")
+        return out
 
 
 def grid_axes(chart: ImmersionChart,
@@ -395,13 +393,12 @@ def _ellipse_pass(E: np.ndarray, Jm: np.ndarray,
                   forms: dict[int, np.ndarray], top: int):
     """Curvature ellipses of orders 0..top on stacked elliptic rows, from
     the tangent frames E and J (R, 2, 2) and the forms of orders 1..top + 1
-    (`_flag_pass`): the centres, one array per order in the coordinates of
-    its form, the semiaxes (R, top + 1, 2) and residuals (R, top + 1),
+    (`_flag_pass`): the semiaxes (R, top + 1, 2) and residuals (R, top + 1),
     singular values that no coordinates change. The ellipse of order ell
     holds the values of the (ell + 1)-th form on Z_theta (ell = 0: the
     tangent circle); in a rank-1 last normal space it is a segment."""
     w = _ellipse_directions(E, Jm)
-    R, centers = len(w), []
+    R = len(w)
     semiaxes, residuals = np.empty((R, top + 1, 2)), np.empty((R, top + 1))
     for s in range(1, top + 2):
         # c[j] = 2^-s C(s, j) T(w^j, conj(w)^(s-j)), the coefficient of
@@ -412,13 +409,11 @@ def _ellipse_pass(E: np.ndarray, Jm: np.ndarray,
         if M.shape[-1] < 2:  # a form one row wide: the second semiaxis 0
             M = np.pad(M, ((0, 0), (0, 0), (0, 2 - M.shape[-1])))
         sv = np.linalg.svd(M, compute_uv=False)
-        centers.append(c[:, s // 2].real if s % 2 == 0
-                       else np.zeros_like(c[:, 0].real))
         semiaxes[:, s - 1] = sv[:, :2]
         # sigma_1 = 0 forces sigma_2 = 0, and the residual 1
         residuals[:, s - 1] = 1.0 - sv[:, 1] / np.where(sv[:, 0] == 0.0, 1.0,
                                                          sv[:, 0])
-    return centers, semiaxes, residuals
+    return semiaxes, residuals
 
 
 def _row_ellipse(E: np.ndarray, forms: dict[int, np.ndarray], row: int,
@@ -430,26 +425,23 @@ def _row_ellipse(E: np.ndarray, forms: dict[int, np.ndarray], row: int,
     elliptic, _, _, Jm = _ellipticity_pass(E, forms[2], eps_rank)
     if not elliptic[0]:
         return False, math.nan
-    return True, float(_ellipse_pass(E, Jm, forms, order)[2][0, -1])
+    return True, float(_ellipse_pass(E, Jm, forms, order)[1][0, -1])
 
 
 def _flag_stage(chart: ImmersionChart, points, max_order: int,
                 eps_rank: float, eps_deg: float) -> tuple:
     """The flag stage of `point_rows`: the chart evaluated once, at order
-    max_order + 1, at points of shape (P, 2) or one point of shape (2,),
-    and `_flag_pass`. Returns the points (P, 2), each point's dims through
-    its tau (None where singular) and, on the regular rows, the tangent
-    frames, the forms and the mask of unresolved rows."""
-    pts = np.asarray(points, dtype=float)
-    jets = chart.eval_jets(pts, max_order + 1)  # checks the shape
-    if pts.ndim == 1:
-        pts, jets = pts[None], jets[None]
+    max_order + 1, at points of shape (P, 2), and `_flag_pass`. Returns
+    each point's dims through its tau (None where singular) and, on the
+    regular rows, the tangent frames, the forms and the mask of unresolved
+    rows."""
+    jets = chart.eval_jets(points, max_order + 1)  # checks the shape
     regular, E, dims, forms, unresolved = _flag_pass(
         chart, jets, max_order, eps_rank, eps_deg)
     tau = np.count_nonzero(dims[:, 1:], axis=1)
     cut = iter([d[:t + 1] for d, t in zip(dims.tolist(), tau.tolist())])
-    return (pts, [next(cut) if ok else None for ok in regular.tolist()],
-            (E, forms, unresolved))
+    return ([next(cut) if ok else None for ok in regular.tolist()], E, forms,
+            unresolved)
 
 
 def point_rows(chart: ImmersionChart, points,
@@ -457,8 +449,8 @@ def point_rows(chart: ImmersionChart, points,
                eps_rank: float = EPS_RANK,
                max_order: int | None = None,
                eps_deg: float = EPS_DEG) -> list[dict]:
-    """JSON rows of a surface sweep at points of shape (P, 2) or (2,): flag
-    dims, curvature ellipses, ellipticity and isotropy order of each point.
+    """JSON rows of a surface sweep at points of shape (P, 2): flag dims,
+    curvature ellipses, ellipticity and isotropy order of each point.
 
     The chart is evaluated once, at order max_order + 1 (by default its
     whole flag's depth, `_flag_depth`), at all points; stacked passes over
@@ -475,14 +467,14 @@ def point_rows(chart: ImmersionChart, points,
     if max_order is not None and max_order < 1:
         raise InvalidData("flag depth must be at least 1")
     depth = _flag_depth(chart) if max_order is None else max_order
-    pts, dims, (E, forms, unresolved) = _flag_stage(chart, points, depth,
-                                                    eps_rank, eps_deg)
+    dims, E, forms, unresolved = _flag_stage(chart, points, depth, eps_rank,
+                                             eps_deg)
     tau = np.array([len(d) - 1 for d in dims if d is not None], dtype=int)
     top = int(tau.max(initial=0))
     exists, _, coeffs, Jm = _ellipticity_pass(E, forms[2], eps_rank)
     # every order through the top tau on every elliptic row; a row reads
     # the orders through its own tau
-    _, semiaxes, residuals = _ellipse_pass(
+    semiaxes, residuals = _ellipse_pass(
         E[exists], Jm[exists], {s: f[exists] for s, f in forms.items()}, top)
     # the isotropy order: the circular orders 0, 1, ... in a row, through
     # its tau; a residual that is not finite is not circular
@@ -499,7 +491,7 @@ def point_rows(chart: ImmersionChart, points,
     regular_rows = zip(exists.tolist(), _json_ready(coeffs), noted.tolist())
     elliptic_rows = zip(_json_ready(semiaxes), _json_ready(residuals),
                         order.tolist())
-    for p, d in zip(_json_ready(pts), dims):
+    for p, d in zip(_json_ready(points), dims):
         if d is None:
             rows.append({"point": p, "singular": True, "dims": None,
                          "tau": None, "ellipses": [], "elliptic": None,

@@ -2,11 +2,10 @@
 
 A Jet holds the Taylor coefficients of a smooth function at a point, on
 every multi-index of total degree <= order, for 1 to 3 variables. The
-function may be array-valued: the coefficients carry a leading shape (a
-chart evaluated at one point gives a jet of shape (ambient_dim,)), and
-arithmetic, differentiation and truncation broadcast over it. A batch of
-points is one more leading axis: a chart evaluated at P points gives one
-jet of shape (P, ambient_dim). The expansion point itself is not stored;
+function may be array-valued: the coefficients carry a leading shape, and
+arithmetic, differentiation and truncation broadcast over it. A chart is
+evaluated at a batch of P points, one more leading axis: one jet of shape
+(P, ambient_dim). The expansion point itself is not stored;
 coefficients are relative offsets. Multiplication is truncated convolution
 driven by a precomputed index table, composition (`jet_compose`: sqrt,
 recip, rsqrt = x^(-1/2), sin, cos) is a Horner evaluation of the outer
@@ -25,8 +24,11 @@ Cost model. The jets the package multiplies are small (order <= 4 in 3
 variables, a few hundred points at most), so an operation costs per numpy
 call, not per scalar product, and the core makes few and cheap calls, in
 one path for every shape. A product is two `take` gathers by the pair
-table, one multiply and one `reduceat`; `jet_dot` adds one reduction over
-the last leading axis. Partials are one index gather, one product with
+table, one multiply and one `reduceat`; `jet_dot` adds one sum over the
+last leading axis, in order from 0.0 at every jet order (a reduction, or a
+running sum at order 0, where a reduction would be pairwise), so a dot's
+bits do not depend on its order: an order-k dot cut to order j is the
+order-j dot. Partials are one index gather, one product with
 the integer factors and one `transpose` by a permutation built in Python;
 the gather lays its result out as (k, size, leading axes), and the
 transpose keeps that layout, on which the route of a matrix product of the
@@ -293,10 +295,15 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
 
 
 def jet_dot(a: Jet, b: Jet) -> Jet:
-    """Sum of a * b over the last leading axis."""
+    """Sum of a * b over the last leading axis, 0.0 + p_0 + p_1 + ... in
+    order at every jet order: a reduction of an order-0 product (..., N, 1)
+    would be pairwise, so it is a running sum, its last term plus 0.0."""
     p = jet_mul(a, b)
     if p.coeffs.ndim == 1:
         raise ShapeMismatch("jet_dot needs vector jets")
+    if p.space.size == 1:
+        return Jet(p.space, np.add.accumulate(p.coeffs, axis=-2)[..., -1, :]
+                   + 0.0)
     return Jet(p.space, np.add.reduce(p.coeffs, axis=-2))
 
 

@@ -71,10 +71,13 @@ reads the pivots of an LDL^T; the triangular frame by `np.linalg.inv`
 (`triangular_frame_inv`), where `geometry._triangular_frame` back
 substitutes; and the singular values of X -> alpha(X, .) by an SVD
 (`form_singular_values_svd`), where `bundles._form_singular_values`
-reads the |eigenvalues| of a square (c = 1) form.
+reads the |eigenvalues| of a square (c = 1) form. The mesh faces
+(`mesh_faces_loops`) are the nested loops over the grid that `export`
+replaced by shifted slices of the grid's index array.
 
-`point_row`, `stacked_at` and `nullity_at` are not oracles: they read
-the package's stacked passes at one point, the way the tests use them;
+`point_row`, `value_at`, `stacked_at` and `nullity_at` are not oracles:
+they read the package's stacked passes at one point, the way the tests
+use them;
 nor is `assert_rows_alone_match`, which checks that a kernel gives a row
 the same bits alone as in its batch.
 The package's nullity pass computes singular values only, so
@@ -83,6 +86,7 @@ the metric frame, projected off its own position and tangent basis.
 The quadratic graph chart (`make_graph`) is a test fixture with
 closed-form ellipticity.
 """
+import functools
 import math
 from types import SimpleNamespace
 
@@ -124,6 +128,12 @@ def point_row(chart, point, **kw):
     return geo.point_rows(chart, [point], **kw)[0]
 
 
+def value_at(chart, point):
+    """The chart's value (N,) at one point of shape (m,): its order-0 jet
+    at a batch of one."""
+    return chart.eval_jets([point], 0).value[0]
+
+
 def stacked_at(chart, point, max_s=2, eps_rank=geo.EPS_RANK,
                eps_deg=geo.EPS_DEG):
     """The stacked passes of `point_rows` at one point, from one chart
@@ -138,9 +148,8 @@ def stacked_at(chart, point, max_s=2, eps_rank=geo.EPS_RANK,
     each deeper form stays in the coordinates of its level's complement.
     On a surface chart also the ellipticity pass ("elliptic", "tg",
     "coeffs", "J") and, where elliptic, the ellipses of orders 0..s - 1
-    ("centers", in the coordinates of each form, "semiaxes",
-    "residuals"), s the last order the flag reads, all run on those
-    forms. DegeneratePoint where the point is singular."""
+    ("semiaxes", "residuals"), s the last order the flag reads, all run on
+    those forms. DegeneratePoint where the point is singular."""
     jets = chart.eval_jets(np.asarray(point, dtype=float)[None], max_s)
     regular, E, _, forms, _ = geo._flag_pass(chart, jets, max_s - 1,
                                              eps_rank, eps_deg)
@@ -156,10 +165,9 @@ def stacked_at(chart, point, max_s=2, eps_rank=geo.EPS_RANK,
         at.update(elliptic=bool(exists[0]), tg=bool(tg[0]), coeffs=coeffs[0],
                   J=Jm[0])
         if exists[0]:
-            centers, semiaxes, residuals = geo._ellipse_pass(
-                E, Jm, forms, max(forms) - 1)
-            at.update(centers=[c[0] for c in centers], semiaxes=semiaxes[0],
-                      residuals=residuals[0])
+            semiaxes, residuals = geo._ellipse_pass(E, Jm, forms,
+                                                    max(forms) - 1)
+            at.update(semiaxes=semiaxes[0], residuals=residuals[0])
     return at
 
 
@@ -252,7 +260,7 @@ def fd2(f, x, i, j, h=STEP):
 def chart_partials(chart, point, h=STEP):
     """(P1, P2): first and second partial vectors of the chart map."""
     m = chart.domain_dim
-    f = chart.value
+    f = functools.partial(value_at, chart)
     P1 = np.stack([fd1(f, point, i, h) for i in range(m)])
     P2 = np.stack([np.stack([fd2(f, point, i, j, h) for j in range(m)])
                    for i in range(m)])
@@ -270,7 +278,7 @@ def second_form_fd(chart, point, h=STEP):
     P1, P2 = chart_partials(chart, point, h)
     cols = [P1.T]
     if chart.ambient == "sphere":
-        pos = np.asarray(chart.value(point))
+        pos = value_at(chart, point)
         cols.insert(0, pos[:, None])
     Q, _ = np.linalg.qr(np.concatenate(cols, axis=1))
     m, N = P1.shape
@@ -316,9 +324,9 @@ def curvature_ellipse_sampled(chart, point, ell, samples=64,
 
 
 def _metric(chart, point):
-    """Induced metric from the first partials of an order-1 chart jet."""
-    jets = chart.eval_jets(point, 1)
-    P1 = J.jet_partials(jets).value
+    """Induced metric from the first partials of an order-1 chart jet at a
+    batch of one."""
+    P1 = J.jet_partials(chart.eval_jets([point], 1)[0]).value
     return P1 @ P1.T
 
 
@@ -709,11 +717,16 @@ def jet_mul_fancy(a, b):
 
 
 def jet_dot_fancy(a, b):
-    """`jet.jet_dot` through `jet_mul_fancy` and `ndarray.sum`."""
+    """`jet.jet_dot` through `jet_mul_fancy` and `ndarray.sum` over the last
+    leading axis of the products with one zero coefficient appended: a sum
+    over an axis that is not the innermost adds whole rows, 0.0 + p_0 + p_1
+    + ..., in order, at every jet order, where the package takes a running
+    sum at order 0."""
     p = jet_mul_fancy(a, b)
     if not p.shape:
         raise ShapeMismatch("jet_dot needs vector jets")
-    return J.Jet(p.space, p.coeffs.sum(axis=-2))
+    c = np.concatenate([p.coeffs, np.zeros_like(p.coeffs[..., :1])], axis=-1)
+    return J.Jet(p.space, c.sum(axis=-2)[..., :-1].copy())
 
 
 def jet_partials_moveaxis(a, s=1, axis=0):
@@ -828,3 +841,26 @@ def isotropy_probe(base, point=None, circle_tol=geo.CIRCLE_TOL,
     else:
         notes = []
     return row, notes
+
+
+def mesh_faces_loops(counts, wrap):
+    """The 0-based quads of an `export` mesh over a grid of the counts, in
+    the order it writes them: over (u, v) on a surface; on a 3-chart over
+    (u, theta) for each v, the fiber closed over its seam when it wraps."""
+    faces = []
+    if len(counts) == 2:
+        nu, nv = counts
+        for i in range(nu - 1):
+            for j in range(nv - 1):
+                a = i * nv + j
+                faces.append([a, a + nv, a + nv + 1, a + 1])
+        return faces
+    nu, nv, nt = counts
+    for j in range(nv):
+        for i in range(nu - 1):
+            for k in range(nt if wrap else nt - 1):
+                k2 = (k + 1) % nt
+                a = (i * nv + j) * nt
+                b = ((i + 1) * nv + j) * nt
+                faces.append([a + k, b + k, b + k2, a + k2])
+    return faces

@@ -39,7 +39,7 @@ def test_null_identities_hold_on_50_random_data_sets():
     worst = 0.0
     for i in range(50):
         n = (4, 5, 6, 8)[i % 4]
-        rep = generate_surface(random_weierstrass_data(rng, n, max_degree=4))
+        rep = generate_surface(random_weierstrass_data(rng, n))
         worst = max(worst, max(rep.residuals.values()))
         assert max(rep.residuals.values()) < 1e-12, \
             f"data set {i} (n={n}): residuals {rep.residuals}"

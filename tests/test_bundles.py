@@ -1,5 +1,6 @@
 """Bipolar and polar charts, nullity, splitting tensor."""
 import dataclasses
+import functools
 import json
 import math
 
@@ -28,7 +29,7 @@ from oracles import (assert_rows_alone_match, bundle_jets_three_variable,
                      form_singular_values_svd, isotropy_probe, make_graph,
                      nullity_at, nullity_fd, pivoted_frame_one_at_a_time,
                      point_row, splitting_fd, splitting_scalars_from_metric,
-                     stacked_at, unit_normal_check_full)
+                     stacked_at, unit_normal_check_full, value_at)
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +65,7 @@ def _split_row(chart, point) -> dict:
 def test_unit_tangent_frozen_value(bipolar_n5):
     # over the origin the frame is constant along the fiber
     for th in (0.0, 0.3, 2.0):
-        val = bipolar_n5.chart.value((0.0, 0.0, th))
+        val = value_at(bipolar_n5.chart, (0.0, 0.0, th))
         want = [math.cos(th), -math.sin(th), 0.0, 0.0, 0.0]
         assert np.allclose(val, want, atol=1e-12)
 
@@ -75,7 +76,7 @@ def test_unit_tangent_values_on_sphere(bipolar_n5):
     assert c.periodic == (False, False, True)
     assert c.domain[2] == (0.0, 2.0 * math.pi)
     pts = geo.grid_points(geo.grid_axes(c, (3, 3, 5)))
-    vals = np.array([c.value(p) for p in pts])
+    vals = c.eval_jets(pts, 0).value
     assert np.allclose(np.linalg.norm(vals, axis=1), 1.0, atol=1e-12)
 
 
@@ -83,9 +84,9 @@ def test_pivot_order_is_a_gauge_choice(n5base, bipolar_n5):
     """Swapping the pivot rotates each fiber circle but keeps its image."""
     other = unit_tangent_chart(n5base, pivot_order=(1, 0))
     p = (0.2, -0.1)
-    e1 = bipolar_n5.chart.value((*p, 0.0))
-    e2 = bipolar_n5.chart.value((*p, math.pi / 2.0))
-    w = other.chart.value((*p, 0.7))
+    e1 = value_at(bipolar_n5.chart, (*p, 0.0))
+    e2 = value_at(bipolar_n5.chart, (*p, math.pi / 2.0))
+    w = value_at(other.chart, (*p, 0.7))
     assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
     resid = w - (w @ e1) * e1 - (w @ e2) * e2
     assert np.linalg.norm(resid) < 1e-10
@@ -260,7 +261,7 @@ def test_base_without_a_curve_cannot_be_verified(n5base):
     bc = unit_tangent_chart(moved)
     assert bc.notes == ["could not verify base isotropy: the base chart has "
                         "no polynomial curve"]
-    assert np.isfinite(bc.chart.value((0.1, 0.2, 0.7))).all()
+    assert np.isfinite(value_at(bc.chart, (0.1, 0.2, 0.7))).all()
 
 
 @pytest.mark.parametrize("scale, residual", [(1e200, "nan"), (1.0, "2")])
@@ -313,15 +314,15 @@ def test_unit_normal_chart_veronese(polar_ver):
     assert polar_ver.tau == 1
     assert c.ambient == "sphere" and c.domain_dim == 3
     pts = geo.grid_points(geo.grid_axes(c, (3, 3, 4)))
-    vals = np.array([c.value(p) for p in pts])
+    vals = c.eval_jets(pts, 0).value
     assert np.allclose(np.linalg.norm(vals, axis=1), 1.0, atol=1e-10)
     # fiber vectors are normal to the base surface
     p = (0.2, 0.1)
-    jets = make_veronese().eval_jets(p, 1)
+    jets = make_veronese().eval_jets([p], 1)[0]
     pos = np.array([j.value for j in jets])
     du, dv = J.jet_partials(jets).value
     for th in (0.0, 1.1, 4.4):
-        w = c.value((*p, th))
+        w = value_at(c, (*p, th))
         for other in (pos, du, dv):
             assert abs(w @ other) < 1e-10
 
@@ -428,7 +429,7 @@ def test_unit_normal_noncircular_warns():
     bc = unit_normal_chart(_bent_sphere_surface())
     [note] = bc.notes
     assert "curvature ellipse of order 0 is not a circle" in note
-    val = bc.chart.value((0.05, -0.04, 1.3))
+    val = value_at(bc.chart, (0.05, -0.04, 1.3))
     assert np.linalg.norm(val) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -893,9 +894,40 @@ def test_batched_sweep_with_singular_rows():
                for r in _assert_sweep_matches_single_points(plane, points))
 
 
+@functools.lru_cache(maxsize=None)
+def _truncation_chart(name):
+    """The charts whose jets are cut to lower orders: surface n8, its unit
+    tangent chart (N = 8), and the unit normal charts of the Veronese
+    surface and of the (1, z, ..., z^5) sphere (N = 11)."""
+    if name.startswith("polar-"):
+        base = make_veronese() if name == "polar-veronese" else _z5_sphere()
+        return unit_normal_chart(base).chart
+    n8 = generate_surface(demo_weierstrass_data(8)).chart
+    return n8 if name == "surface-n8" else unit_tangent_chart(n8).chart
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(name=st.sampled_from(["surface-n8", "bipolar-n8", "polar-veronese",
+                             "polar-z5-sphere"]),
+       seed=st.integers(0, 2**32 - 1), size=st.integers(1, 6),
+       orders=st.tuples(st.integers(0, 4), st.integers(0, 4)))
+def test_jets_cut_to_a_lower_order_are_that_orders_jets(name, seed, size,
+                                                        orders):
+    """A chart's jets at order k cut to order j <= k are its order-j jets
+    bit for bit, values (j = 0) included, on random batches in its domain:
+    a dot sums its products in one order at every jet order."""
+    chart = _truncation_chart(name)
+    j, k = sorted(orders)
+    lo, hi = np.array(chart.domain).T
+    pts = lo + (hi - lo) * np.random.default_rng(seed).uniform(
+        size=(size, len(lo)))
+    cut = J.jet_truncate(chart.eval_jets(pts, k), j)
+    assert cut.coeffs.tobytes() == chart.eval_jets(pts, j).coeffs.tobytes()
+
+
 def test_batched_jets_match_single_points(bipolar_n5, polar_ver):
-    """The rows of one batched evaluation are the jets of each point within
-    1e-14; NaN rows (a degenerate frame) stay NaN."""
+    """The rows of one batched evaluation are the jets of each point, a
+    batch of one, within 1e-14; NaN rows (a degenerate frame) stay NaN."""
     charts = [make_fixture(name) for name in (
         "veronese", "plane", "great-sphere", "geodesic-sphere",
         "curve-1-2-3", "curve-2-3-pad1")]
@@ -913,7 +945,7 @@ def test_batched_jets_match_single_points(bipolar_n5, polar_ver):
             assert batch.shape == (5, chart.ambient_dim)
             for row, p in zip(batch, points):
                 np.testing.assert_allclose(
-                    row.coeffs, chart.eval_jets(p, order).coeffs,
+                    row.coeffs, chart.eval_jets([p], order)[0].coeffs,
                     rtol=1e-14, atol=1e-14, equal_nan=True)
 
 

@@ -359,6 +359,26 @@ def test_export_bundle_seam_and_determinism(tmp_path):
     assert len(vs) == 16 and len(fs) == 8
 
 
+@pytest.mark.parametrize("args, counts, wrap", [
+    (["--fixture", "veronese", "--grid=-0.6:0.6:3,-0.6:0.6:4"], (3, 4),
+     False),
+    (["--kind", "bipolar", "--fixture", "n5",
+      f"--grid=-0.3:0.3:3,-0.3:0.3:2,0:{TWO_PI}:5"], (3, 2, 5), True),
+    (["--kind", "bipolar", "--fixture", "n5",
+      "--grid=-0.3:0.3:2,-0.3:0.3:3,0:3:4"], (2, 3, 4), False),
+    (["--kind", "polar", "--fixture", "veronese",
+      f"--grid=-0.3:0.3:3,-0.3:0.3:2,0:{TWO_PI}:2"], (3, 2, 2), False)])
+def test_export_faces_match_the_grid_loops(tmp_path, args, counts, wrap):
+    """The faces of a mesh are the quads of the nested grid loops, in their
+    order: a surface, a fiber closed over its seam, a fiber range short of
+    the circle, and a full circle of two samples, which is not closed."""
+    out = tmp_path / "m.obj"
+    assert run(["export", *args, "--out", str(out)]) == 0
+    faces = [[int(i) - 1 for i in line.split()[1:]]
+             for line in out.read_text().splitlines() if line.startswith("f ")]
+    assert faces == oracles.mesh_faces_loops(counts, wrap)
+
+
 @pytest.mark.parametrize("kind, fixture", [("polar", "veronese"),
                                            ("bipolar", "n5")])
 def test_principal_projection_is_canonical(kind, fixture):
@@ -368,7 +388,8 @@ def test_principal_projection_is_canonical(kind, fixture):
     last bits."""
     chart = cli._bundle_chart(cli.load_config(cli.build_parser().parse_args(
         ["export", "--kind", kind, "--fixture", fixture]))).chart
-    verts = chart.value(geo.grid_points(geo.grid_axes(chart, (5, 5, 8))))
+    verts = chart.eval_jets(geo.grid_points(geo.grid_axes(chart, (5, 5, 8))),
+                            0).value
     forward = cli._principal_projection(verts)
     assert np.allclose(cli._principal_projection(verts[::-1])[::-1], forward,
                        rtol=0, atol=1e-9)
@@ -618,10 +639,10 @@ def test_analyze_rows_write_non_finite_numbers_as_null(tmp_path,
     ellipse_pass, ellipticity_pass = geo._ellipse_pass, geo._ellipticity_pass
 
     def nan_ellipse(*args):
-        centers, semiaxes, residuals = ellipse_pass(*args)
+        semiaxes, residuals = ellipse_pass(*args)
         semiaxes[0, 0, 0] = math.inf
         residuals[0, 0] = math.nan
-        return centers, semiaxes, residuals
+        return semiaxes, residuals
 
     def nan_coeff(*args):
         exists, tg, coeffs, Jm = ellipticity_pass(*args)

@@ -245,7 +245,8 @@ def test_space_mismatch():
 def test_holomorphic_jets_match_complex_arithmetic():
     coeffs = (1.0, -2.0j, 0.5 + 0.5j)
     p = np.array(coeffs)
-    re, im = surface_chart(np.stack([p, p * -1j])).eval_jets((0.3, -0.2), 3)
+    re, im = surface_chart(np.stack([p, p * -1j])).eval_jets([(0.3, -0.2)],
+                                                             3)[0]
     zc = complex(0.3, -0.2)
     ref = coeffs[0] + coeffs[1] * zc + coeffs[2] * zc * zc
     dref = coeffs[1] + 2.0 * coeffs[2] * zc

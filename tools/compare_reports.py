@@ -103,7 +103,9 @@ COMMANDS = (
     + [["bundle", "--kind", kind, "--fixture", name, {"splitting_points": 0}]
        for kind, name in (("bipolar", "n5"), ("polar", "veronese"))]
     + [["export", "--kind", "bipolar", "--fixture", "n5"],
-       ["export", "--kind", "polar", "--fixture", "veronese"]]
+       ["export", "--kind", "polar", "--fixture", "veronese"],
+       # N = 8: an order-0 dot of eight or more products, the vertices
+       ["export", "--kind", "bipolar", "--fixture", "n8"]]
     # bases read without the final integration: n5 and n6 fail the rung
     # <phi', phi'> = 0 (the order < 1 note), n7 passes it (no note)
     + [["bundle", "--kind", "bipolar", "--fixture", f"n{n}",
